@@ -28,6 +28,7 @@ from .power import (
     EXACT,
     MeasurementModel,
     PhaseAssignment,
+    aligned_phase,
     measure,
     partial_power,
     sum_signal,
@@ -87,24 +88,19 @@ def feedback_bit(q_psi: float, q_psi_prime: float) -> bool:
     return q_psi >= q_psi_prime
 
 
-def bisect_arc(arc: Arc, probes: ProbePair, bit: bool) -> Arc:
+def bisect_arc(arc: Arc, bit: bool) -> Arc:
     """Keep the half of the arc on the winning probe's side.
 
-    The points kept by the feedback inequality (closer to the winning probe
-    on the circle) intersected with the arc always form the half between the
+    ``bit`` is the feedback on this arc's own :func:`probe_pair`. The
+    points kept by the feedback inequality (closer to the winning probe on
+    the circle) intersected with the arc always form the half between the
     arc center and the winning boundary, so the center moves a quarter of
     the arc width toward the winner and the half-width halves.
     """
-    expected = probe_pair(arc)
-    if (
-        circular_distance(probes.psi, expected.psi) > 1e-9
-        or circular_distance(probes.psi_prime, expected.psi_prime) > 1e-9
-    ):
-        raise ValueError(f"probes {probes} are not the boundaries of {arc}")
     if arc.converged:
         return arc
     shift = arc.half_width / 2.0 if bit else -arc.half_width / 2.0
-    return Arc(wrap_angle(arc.center + shift), arc.half_width / 2.0)
+    return Arc(arc.center + shift, arc.half_width / 2.0)
 
 
 @dataclass(frozen=True)
@@ -179,7 +175,7 @@ def adapt_phase(
     if pa.active[m]:
         raise ValueError(f"transmitter {m} cannot be active while adapting")
     ss = sum_signal(s, pa, exclude=m)
-    target = wrap_angle(s.channels[m].phase_shift - ss.phase_shift)
+    target = aligned_phase(s, ss, m)
     trace = TrainingTrace(target_phase=target if ss.gain > 0.0 else 0.0,
                           sum_gain=ss.gain)
     arc = initial_arc()
@@ -196,7 +192,7 @@ def adapt_phase(
         q_psi = read(psi)
         q_psi_prime = read(psi_prime)
         bit = feedback_bit(q_psi, q_psi_prime)
-        arc = bisect_arc(arc, probes, bit)
+        arc = bisect_arc(arc, bit)
         trace.records.append(
             TraceRecord(n, psi, psi_prime, q_psi, q_psi_prime, bit,
                         wrap_angle(arc.center + probe_offset), arc.half_width)

@@ -37,7 +37,8 @@ class PathSet:
 
 @dataclass(frozen=True)
 class Channel:
-    """Aggregated link: non-negative power gain and phase shift in [-pi, pi).
+    """Aggregated link: finite non-negative power gain and phase shift in
+    [-pi, pi).
 
     A carrier transmitted with phase phi arrives with amplitude
     sqrt(gain) and phase phi - phase_shift.
@@ -47,14 +48,20 @@ class Channel:
     phase_shift: float
 
     def __post_init__(self):
-        if not self.gain >= 0.0:
-            raise ValueError(f"channel power gain must be >= 0, got {self.gain}")
+        if not 0.0 <= self.gain < math.inf:
+            raise ValueError(f"channel power gain must be finite and >= 0, got {self.gain}")
+        if not math.isfinite(self.phase_shift):
+            raise ValueError(f"channel phase shift must be finite, got {self.phase_shift}")
         object.__setattr__(self, "phase_shift", wrap_angle(float(self.phase_shift)))
 
 
 @dataclass
 class Scenario:
-    """One system instance: per-transmitter power, carrier, efficiency, channels."""
+    """One system instance: per-transmitter power, carrier, efficiency, channels.
+
+    At least one channel must have a nonzero gain, so the optimal power is
+    positive and efficiencies are defined.
+    """
 
     transmit_power: float
     carrier_freq: float
@@ -71,6 +78,8 @@ class Scenario:
         if len(self.channels) < 1:
             raise ValueError("scenario needs at least one channel")
         self._gains = np.array([c.gain for c in self.channels], dtype=float)
+        if not self._gains.any():
+            raise ValueError("scenario needs at least one channel with nonzero gain")
         self._phase_shifts = np.array(
             [c.phase_shift for c in self.channels], dtype=float
         )

@@ -4,7 +4,8 @@ Subcommands: ``adapt`` (one bisection run, prints its trace), ``protocol``
 (full sequential run, prints the summary row), ``baseline`` (random
 perturbation run), ``exp <name>`` (Monte Carlo experiment writing CSV
 curves), ``verify`` (built-in oracle suite) and ``bound`` (closed-form
-bound evaluation). Every command is deterministic for a fixed --seed.
+bound evaluation). Every command is deterministic; those that draw a random
+scenario take --seed.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 """
@@ -52,15 +53,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="default 12345")
-    common.add_argument("--trials", type=int, default=None)
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--config", default=None, help="key=value config file")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--workers", type=int, default=None)
-    return common
+#: Flags defined once; each subcommand accepts only the ones it reads.
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, default=None, help="default 12345"),
+    "--trials": dict(type=int, default=None),
+    "--out": dict(default=None, help="output directory"),
+    "--config": dict(default=None, help="key=value config file"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--workers": dict(type=int, default=None,
+                      help="recorded in metadata.json; trials run in the calling thread"),
+}
+
+
+def _subcommand(sub, name: str, summary: str, *flags: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+    return p
 
 
 def _seed(args) -> int:
@@ -68,33 +77,32 @@ def _seed(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     parser = _Parser(prog="distbeam", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("adapt", parents=[common],
-                       help="run one phase-adaptation stage and print its trace")
+    p = _subcommand(sub, "adapt", "run one phase-adaptation stage and print its trace",
+                    "--seed", "--format")
     p.add_argument("--M", type=int, default=2)
     p.add_argument("--N", type=int, default=5)
     p.add_argument("--adapter", type=int, default=None,
                    help="1-based transmitter index that adapts (default: the last)")
     p.add_argument("--noise-std", type=float, default=0.0)
 
-    p = sub.add_parser("protocol", parents=[common],
-                       help="run the full sequential protocol")
+    p = _subcommand(sub, "protocol", "run the full sequential protocol",
+                    "--seed", "--format", "--out")
     p.add_argument("--M", type=int, default=5)
     p.add_argument("--N", type=int, default=5)
     p.add_argument("--noise-std", type=float, default=0.0)
 
-    p = sub.add_parser("baseline", parents=[common],
-                       help="run the random-perturbation baseline")
+    p = _subcommand(sub, "baseline", "run the random-perturbation baseline",
+                    "--seed", "--format")
     p.add_argument("--M", type=int, default=5)
     p.add_argument("--intervals", type=int, default=300)
     p.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     p.add_argument("--dist", choices=("uniform", "gaussian"), default="uniform")
 
-    p = sub.add_parser("exp", parents=[common],
-                       help="run a Monte Carlo experiment and write CSV curves")
+    p = _subcommand(sub, "exp", "run a Monte Carlo experiment and write CSV curves",
+                    "--seed", "--trials", "--out", "--config", "--workers")
     p.add_argument("name", choices=sorted(EXPERIMENTS))
     p.add_argument("--n-list", default=None, help="comma-separated feedback budgets")
     p.add_argument("--m-list", default=None, help="comma-separated system sizes")
@@ -104,11 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb-scale", type=float, default=None)
     p.add_argument("--count-training-energy", action="store_true", default=None)
 
-    sub.add_parser("verify", parents=[common],
-                   help="run the built-in oracle and property suite")
+    _subcommand(sub, "verify", "run the built-in oracle and property suite")
 
-    p = sub.add_parser("bound", parents=[common],
-                       help="evaluate the closed-form efficiency bounds")
+    p = _subcommand(sub, "bound", "evaluate the closed-form efficiency bounds")
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--eta-hat", type=float, default=None,
                    help="target efficiency: print the required per-stage intervals")
@@ -136,6 +142,9 @@ def _cmd_adapt(args) -> int:
     from .adapt import adapt_phase
 
     m_total = args.M
+    if m_total < 2:
+        raise _UsageError("adapt needs --M >= 2: the adapting transmitter "
+                          "aligns to the signal of the others")
     adapter = (args.adapter if args.adapter is not None else m_total) - 1
     if not 0 <= adapter < m_total:
         raise _UsageError(f"--adapter must be in 1..{m_total}")

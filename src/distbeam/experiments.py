@@ -2,9 +2,10 @@
 
 Each experiment sweeps a parameter, averages over independent trials and
 emits one CSV file per curve plus a JSON run record. Trial randomness is
-counter-derived (one stream per trial index), so results are byte-identical
-across runs and across worker counts; aggregation always happens in trial
-order.
+counter-derived (one stream per trial index) and trials run in order in
+the calling thread, so results are byte-identical across runs. The
+``workers`` setting is validated and recorded but does not change how
+trials run, so it cannot change a result either.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if not self.n_list or not self.m_list or not self.budgets:
             raise ValueError("sweep lists must be non-empty")
 
@@ -244,13 +246,6 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     return meta
 
 
-def _map_trials(fn, trials: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(values))
     if values.size < 2:
@@ -265,19 +260,13 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     for m in cfg.m_list:
         dist = cfg.distribution(m)
-
-        def one_trial(t, m=m, dist=dist):
+        etas = np.zeros((cfg.trials, len(cfg.n_list)))
+        bounds = np.zeros_like(etas)
+        for t in range(cfg.trials):
             scen, _ = generate_scenario(dist, rng_stream(cfg.seed, domain, m, t))
-            etas, bounds = [], []
-            for n in cfg.n_list:
-                res = run_protocol(scen, n)
-                etas.append(res.eta)
-                bounds.append(efficiency_lower_bound(scen, n))
-            return etas, bounds
-
-        results = _map_trials(one_trial, cfg.trials, cfg.workers)
-        etas = np.array([r[0] for r in results])      # (trials, len(n_list))
-        bounds = np.array([r[1] for r in results])
+            for j, n in enumerate(cfg.n_list):
+                etas[t, j] = run_protocol(scen, n).eta
+                bounds[t, j] = efficiency_lower_bound(scen, n)
         for j, n in enumerate(cfg.n_list):
             mean, se = _mean_stderr(etas[:, j])
             rows.append(ResultRow(f"eta_M{m}", n, mean, se))
@@ -356,11 +345,12 @@ def run_convergence_comparison(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg.experiment, "interval", rows, meta)
 
 
-#: Fig-8-style policies: number of strongest transmitters left on, by curve.
+#: Fig-8-style policies: number of weakest transmitters switched off, by
+#: curve. A policy runs only if it leaves at least two transmitters on.
 OVERHEAD_POLICIES = (
-    ("all_on", 5),
-    ("drop_weakest_1", 4),
-    ("drop_weakest_2", 3),
+    ("all_on", 0),
+    ("drop_weakest_1", 1),
+    ("drop_weakest_2", 2),
 )
 
 
@@ -377,7 +367,7 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     domain = _DOMAIN[cfg.experiment]
     m = cfg.m_list[0]
     dist = cfg.distribution(m)
-    policies = [(name, m_on) for name, m_on in OVERHEAD_POLICIES if m_on <= m]
+    policies = [(name, m - off) for name, off in OVERHEAD_POLICIES if m - off >= 2]
 
     def one_trial(t):
         scen, _ = generate_scenario(dist, rng_stream(cfg.seed, domain, t))
@@ -400,11 +390,11 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
                 averages.append(credit / b)
             per_policy[name] = averages
         q0 = harvested_power(scen, PhaseAssignment(np.zeros(m)))
-        per_policy["no_adaptation"] = [q0 for _ in cfg.budgets]
-        per_policy["optimal"] = [optimal_power(scen) for _ in cfg.budgets]
+        per_policy["no_adaptation"] = [q0] * len(cfg.budgets)
+        per_policy["optimal"] = [optimal_power(scen)] * len(cfg.budgets)
         return per_policy
 
-    results = _map_trials(one_trial, cfg.trials, cfg.workers)
+    results = [one_trial(t) for t in range(cfg.trials)]
     rows = []
     for name in [p[0] for p in policies] + ["no_adaptation", "optimal"]:
         table = np.array([r[name] for r in results])   # (trials, budgets)

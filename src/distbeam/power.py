@@ -127,15 +127,17 @@ def sum_signal(
     set reduces to (0, 0).
     """
     _check_assignment(s, pa)
-    re = 0.0
-    im = 0.0
-    for i in np.flatnonzero(pa.active):
-        if i == exclude:
-            continue
-        amp = math.sqrt(s.gains[i])
-        delta = s.phase_shifts[i] - pa.phases[i]
-        re += amp * math.cos(delta)
-        im += amp * math.sin(delta)
+    keep = pa.active.copy()
+    if exclude is not None:
+        keep[exclude] = False
+    amp = np.sqrt(s.gains[keep])
+    if amp.size == 0:
+        return SumSignal(0.0, 0.0)
+    delta = s.phase_shifts[keep] - pa.phases[keep]
+    # cumsum adds left to right like a scalar loop; np.sum's pairwise order
+    # would move the last bits of every stage target and probe power
+    re = float(np.cumsum(amp * np.cos(delta))[-1])
+    im = float(np.cumsum(amp * np.sin(delta))[-1])
     gain = re * re + im * im
     if gain == 0.0:
         return SumSignal(0.0, 0.0)

@@ -18,11 +18,12 @@ import numpy as np
 
 from .angles import wrap_angle
 from .adapt import TrainingTrace, adapt_phase
-from .channel import Scenario
+from .channel import Channel, Scenario
 from .power import (
     EXACT,
     MeasurementModel,
     PhaseAssignment,
+    aligned_phase,
     harvested_power,
     optimal_power,
     sum_signal,
@@ -113,6 +114,12 @@ def run_protocol(
     )
 
 
+def _prefix_target(s: Scenario, phases: np.ndarray, m: int) -> float:
+    """Stage m's optimum: the aligned phase against transmitters 0..m-1."""
+    prefix = np.arange(s.num_transmitters) < m
+    return aligned_phase(s, sum_signal(s, PhaseAssignment(phases, prefix)), m)
+
+
 def phase_errors(result: ProtocolResult, s: Scenario) -> np.ndarray:
     """Recompute per-stage phase errors from the final phases.
 
@@ -121,15 +128,19 @@ def phase_errors(result: ProtocolResult, s: Scenario) -> np.ndarray:
     reproduces the targets recorded during the run. The first transmitter
     has no target and its error is zero by convention.
     """
-    m_total = s.num_transmitters
-    errors = np.zeros(m_total)
-    for m in range(1, m_total):
-        active = np.zeros(m_total, dtype=bool)
-        active[:m] = True
-        ss = sum_signal(s, PhaseAssignment(result.final_phases.copy(), active))
-        target = wrap_angle(s.channels[m].phase_shift - ss.phase_shift)
-        errors[m] = wrap_angle(result.final_phases[m] - target)
+    phases = result.final_phases
+    errors = np.zeros(s.num_transmitters)
+    for m in range(1, s.num_transmitters):
+        errors[m] = wrap_angle(phases[m] - _prefix_target(s, phases, m))
     return errors
+
+
+def _gain_sums(s: Scenario) -> tuple[float, float]:
+    """Sum of the gains and the cross term: sqrt(g_i g_j) over ordered
+    pairs i != j."""
+    amp = np.sqrt(s.gains)
+    total = float(np.sum(s.gains))
+    return total, float(np.sum(np.outer(amp, amp))) - total
 
 
 def efficiency_lower_bound(s: Scenario, n_intervals: int) -> float:
@@ -141,11 +152,8 @@ def efficiency_lower_bound(s: Scenario, n_intervals: int) -> float:
     """
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
-    g = s.gains
-    amp = np.sqrt(g)
-    cross = float(np.sum(np.outer(amp, amp))) - float(np.sum(g))
+    total, cross = _gain_sums(s)
     worst = math.cos(math.pi / 2.0 ** n_intervals) ** 2
-    total = float(np.sum(g))
     return (total + cross * worst) / (total + cross)
 
 
@@ -159,13 +167,11 @@ def required_intervals(s: Scenario, eta_hat: float) -> float:
     """
     if not 0.0 < eta_hat <= 1.0:
         raise ValueError("eta_hat must lie in (0, 1]")
-    g = s.gains
-    amp = np.sqrt(g)
-    cross = float(np.sum(np.outer(amp, amp))) - float(np.sum(g))
+    total, cross = _gain_sums(s)
     if cross == 0.0:
         # single transmitter: any assignment is optimal
         return 0.0
-    radicand = eta_hat - (1.0 - eta_hat) * float(np.sum(g)) / cross
+    radicand = eta_hat - (1.0 - eta_hat) * total / cross
     if radicand < 0.0 or radicand > 1.0:
         raise InfeasibleEfficiencyTarget(
             f"target efficiency {eta_hat} is outside the formula's domain "
@@ -178,20 +184,8 @@ def required_intervals(s: Scenario, eta_hat: float) -> float:
 
 
 def required_intervals_equal_gains(m: int, eta_hat: float) -> float:
-    """Specialization of :func:`required_intervals` for identical gains."""
-    if m < 2:
-        return 0.0
-    if not 0.0 < eta_hat <= 1.0:
-        raise ValueError("eta_hat must lie in (0, 1]")
-    radicand = (m * eta_hat - 1.0) / (m - 1.0)
-    if radicand < 0.0:
-        raise InfeasibleEfficiencyTarget(
-            f"target efficiency {eta_hat} is outside the formula's domain"
-        )
-    angle = math.acos(math.sqrt(radicand))
-    if angle == 0.0:
-        return float("inf")
-    return math.log2(math.pi / angle)
+    """:func:`required_intervals` for ``m`` identical gains."""
+    return required_intervals(Scenario(1.0, 1.0, 1.0, [Channel(1.0, 0.0)] * m), eta_hat)
 
 
 def accumulated_power(gains, errors) -> float:
@@ -214,17 +208,16 @@ def accumulated_power(gains, errors) -> float:
 
 def error_bound_power(gains, errors) -> float:
     """Scale-free lower-bound expression: every interference term discounted
-    by the product of its two stage-error cosines."""
+    by the product of its two stage-error cosines.
+
+    The pairwise sum over i != j of sqrt(g_i g_j) cos(e_i) cos(e_j) is
+    (sum sqrt(g) cos e)^2 - sum g cos^2 e, so the total is
+    sum g sin^2 e + (sum sqrt(g) cos e)^2: two non-negative terms.
+    """
     gains = np.asarray(gains, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    amp = np.sqrt(gains)
-    total = float(np.sum(gains))
-    n = len(gains)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += amp[i] * amp[j] * math.cos(errors[i]) * math.cos(errors[j])
-    return total
+    aligned = float(np.sum(np.sqrt(gains) * np.cos(errors)))
+    return float(np.sum(gains * np.sin(errors) ** 2)) + aligned * aligned
 
 
 def check_induction_inequality(
@@ -253,9 +246,5 @@ def phases_from_errors(s: Scenario, errors) -> np.ndarray:
         raise ValueError("need one error per transmitter")
     phases = np.zeros(m_total)
     for m in range(1, m_total):
-        active = np.zeros(m_total, dtype=bool)
-        active[:m] = True
-        ss = sum_signal(s, PhaseAssignment(phases.copy(), active))
-        target = wrap_angle(s.channels[m].phase_shift - ss.phase_shift)
-        phases[m] = wrap_angle(target + errors[m])
+        phases[m] = wrap_angle(_prefix_target(s, phases, m) + errors[m])
     return phases

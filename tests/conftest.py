@@ -39,6 +39,17 @@ def time_domain_power(s: Scenario, pa: PhaseAssignment, samples: int = 64) -> fl
     return s.conversion_eff * float(np.mean(r * r))
 
 
+def pairwise_error_bound(gains, errors) -> float:
+    """Error-discounted power as the explicit pairwise double sum: every
+    gain plus sqrt(g_i g_j) cos(e_i) cos(e_j) over ordered pairs i != j."""
+    total = sum(float(g) for g in gains)
+    for i, (g_i, e_i) in enumerate(zip(gains, errors)):
+        for j, (g_j, e_j) in enumerate(zip(gains, errors)):
+            if i != j:
+                total += math.sqrt(g_i * g_j) * math.cos(e_i) * math.cos(e_j)
+    return total
+
+
 def grid_argmax(fn, points: int = 360) -> float:
     """Brute-force maximizer of a function of phase over a uniform grid."""
     grid = np.linspace(-math.pi, math.pi, points, endpoint=False)

@@ -296,8 +296,8 @@ def test_criterion_09_overhead_orderings():
 
 def test_criterion_10_cli_determinism(capsys, tmp_path, monkeypatch):
     """Every CLI command produces byte-identical output when repeated with a
-    fixed seed, and experiment curves are byte-identical across 1-thread and
-    4-thread execution."""
+    fixed seed, and experiment curves are byte-identical between --workers 1
+    and --workers 4."""
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     ok = True
 

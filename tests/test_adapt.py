@@ -46,7 +46,7 @@ def test_initial_arc():
 def test_first_bisection_from_full_circle():
     arc = initial_arc()
     probes = probe_pair(arc)
-    new = bisect_arc(arc, probes, True)
+    new = bisect_arc(arc, True)
     assert new.center == pytest.approx(0.0)
     assert new.half_width == math.pi / 2
     new_probes = probe_pair(new)
@@ -62,7 +62,7 @@ def test_second_bisection():
     arc = Arc(0.0, math.pi / 2)
     probes = probe_pair(arc)
     assert probes == ProbePair(pytest.approx(math.pi / 2), pytest.approx(-math.pi / 2))
-    new = bisect_arc(arc, probes, True)
+    new = bisect_arc(arc, True)
     assert new.center == pytest.approx(math.pi / 4)
     assert new.half_width == pytest.approx(math.pi / 4)
     kept = kept_side_grid(probes.psi, probes.psi_prime, True)
@@ -73,9 +73,8 @@ def test_second_bisection():
 def test_bisection_mirror_symmetry(rng):
     for _ in range(50):
         arc = Arc(rng.uniform(-math.pi, math.pi), rng.uniform(0.01, math.pi))
-        probes = probe_pair(arc)
-        up = bisect_arc(arc, probes, True)
-        down = bisect_arc(arc, probes, False)
+        up = bisect_arc(arc, True)
+        down = bisect_arc(arc, False)
         assert up.half_width == down.half_width == arc.half_width / 2
         # mirror images about the old center
         assert circular_distance(up.center, arc.center) == pytest.approx(
@@ -83,12 +82,6 @@ def test_bisection_mirror_symmetry(rng):
         )
         mirrored = wrap_angle(2 * arc.center - up.center)
         assert circular_distance(mirrored, down.center) < 1e-12
-
-
-def test_bisect_rejects_foreign_probes():
-    arc = Arc(0.0, math.pi / 4)
-    with pytest.raises(ValueError):
-        bisect_arc(arc, ProbePair(1.0, -1.0), True)
 
 
 def test_arc_validation_and_floor():
@@ -99,7 +92,7 @@ def test_arc_validation_and_floor():
     tiny = Arc(0.0, CONVERGENCE_FLOOR / 2)
     assert tiny.converged
     # bisecting a converged arc is a no-op, never an error
-    assert bisect_arc(tiny, probe_pair(tiny), True) == tiny
+    assert bisect_arc(tiny, True) == tiny
 
 
 def test_feedback_bit_tie_resolution():

@@ -105,6 +105,14 @@ def test_channel_and_scenario_validation():
         Scenario(1.0, 1.0, 1.5, [Channel(1, 0)])
     with pytest.raises(ValueError):
         Scenario(1.0, 1.0, 1.0, [])
+    for gain, phase in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf),
+                        (1.0, -math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            Channel(gain, phase)
+    # efficiencies divide by the optimal power, so some gain must be nonzero
+    with pytest.raises(ValueError):
+        Scenario(1.0, 1.0, 1.0, [Channel(0.0, 0.0), Channel(0.0, 1.0)])
+    Scenario(1.0, 1.0, 1.0, [Channel(0.0, 0.0), Channel(1e-9, 1.0)])
 
 
 def test_path_loss_values():

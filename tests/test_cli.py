@@ -185,3 +185,40 @@ def test_verify_passes(capsys):
     assert code == EXIT_OK
     assert "all 6 checks passed" in out
     assert "[ok]" in out
+
+
+def test_bound_rejects_non_finite_and_all_zero_gains(capsys):
+    for gains in ("inf,1", "1,nan", "0,0"):
+        code, out, err = run_cli(capsys, "bound", "--gains", gains, "--N", "3")
+        assert code == EXIT_USAGE, gains
+        assert out == "" and "error:" in err and "Traceback" not in err
+
+
+def test_exp_rejects_non_positive_workers(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "exp", "efficiency-vs-N", "--trials", "2",
+                           "--m-list", "2", "--n-list", "1", "--workers", "-3",
+                           "--out", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert "workers" in err
+    assert not (tmp_path / "efficiency-vs-N").exists()
+
+
+def test_adapt_needs_a_reference_transmitter(capsys):
+    code, out, err = run_cli(capsys, "adapt", "--M", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+def test_subcommands_reject_flags_they_ignore(capsys, tmp_path):
+    for argv in (
+        ("exp", "efficiency-vs-N", "--format", "json", "--out", str(tmp_path)),
+        ("verify", "--seed", "3"),
+        ("bound", "--M", "5", "--N", "3", "--equal-gains", "--trials", "9"),
+        ("adapt", "--workers", "2"),
+        ("baseline", "--out", str(tmp_path)),
+        ("protocol", "--config", "x.cfg"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert "unrecognized arguments" in err
+    assert not any(tmp_path.iterdir())

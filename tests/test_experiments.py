@@ -40,6 +40,9 @@ def test_config_validation():
         ExperimentConfig(experiment=EXP_EFFICIENCY, trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(experiment=EXP_EFFICIENCY, n_list=())
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            ExperimentConfig(experiment=EXP_EFFICIENCY, workers=workers)
 
 
 def test_parse_config_text():
@@ -173,6 +176,22 @@ def test_overhead_experiment_structure():
     assert allon[300] > allon[50] > allon[25] > 0.0
     opt = {r.x: r.mean for r in res.curve("optimal")}
     assert allon[300] <= opt[300]
+
+
+def test_overhead_policies_relative_to_m():
+    """all_on keeps every transmitter on and the drop policies one and two
+    fewer, for any M; a policy needs two transmitters left on."""
+    small = run_experiment(small_cfg(EXP_OVERHEAD, trials=3, m_list=(2,), budgets=(10,)))
+    assert small.curve_names() == ["all_on", "no_adaptation", "optimal"]
+    three = run_experiment(small_cfg(EXP_OVERHEAD, trials=3, m_list=(3,), budgets=(10,)))
+    assert three.curve_names() == ["all_on", "drop_weakest_1", "no_adaptation", "optimal"]
+    # at M=7, N=5 all-on trains 30 intervals, drop_weakest_1 25: a budget
+    # of exactly 30 credits nothing to all-on and something to the other
+    res = run_experiment(small_cfg(EXP_OVERHEAD, trials=3, m_list=(7,), budgets=(30, 31)))
+    allon = {r.x: r.mean for r in res.curve("all_on")}
+    drop1 = {r.x: r.mean for r in res.curve("drop_weakest_1")}
+    assert allon[30] == 0.0 < allon[31]
+    assert drop1[30] > 0.0
 
 
 def test_overhead_training_energy_flag():

@@ -156,13 +156,16 @@ def test_sum_signal_empty():
 
 def test_sum_signal_matches_complex_oracle(rng):
     for _ in range(300):
-        s = random_scenario(rng, 3)
-        phases = rng.uniform(-math.pi, math.pi, 3)
-        pa = PhaseAssignment(phases, [True, True, True])
-        ss = sum_signal(s, pa, exclude=2)
+        m = int(rng.integers(2, 13))
+        s = random_scenario(rng, m)
+        phases = rng.uniform(-math.pi, math.pi, m)
+        active = rng.random(m) < 0.7
+        exclude = int(rng.integers(0, m))
+        pa = PhaseAssignment(phases, active)
+        ss = sum_signal(s, pa, exclude=exclude)
         z = sum(
             math.sqrt(s.gains[i]) * np.exp(1j * (s.phase_shifts[i] - phases[i]))
-            for i in range(2)
+            for i in range(m) if active[i] and i != exclude
         )
         assert ss.gain == pytest.approx(abs(z) ** 2, rel=1e-12, abs=1e-30)
         if abs(z) > 1e-10:

@@ -20,7 +20,7 @@ from distbeam import (
     wrap_angle,
 )
 
-from conftest import equal_gain_scenario, random_scenario
+from conftest import equal_gain_scenario, pairwise_error_bound, random_scenario
 
 
 def test_interval_accounting():
@@ -159,6 +159,7 @@ def test_required_intervals_domain():
         required_intervals(s, 1.5)
     assert required_intervals(s, 1.0) == math.inf
     assert required_intervals(equal_gain_scenario(1), 0.9) == 0.0
+    assert required_intervals_equal_gains(1, 0.9) == 0.0
 
 
 def test_required_intervals_guarantee(rng):
@@ -193,6 +194,19 @@ def test_induction_two_transmitters_equality(rng):
         lhs = accumulated_power(s.gains, errors)
         rhs = error_bound_power(s.gains, errors)
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def test_error_bound_power_matches_pairwise_oracle(rng):
+    """The closed form equals the explicit double sum, also for one or two
+    transmitters and for errors past pi/2 where cosines turn negative."""
+    cases = [(1, math.pi / 2), (2, math.pi / 2), (2, math.pi), (5, math.pi), (12, math.pi)]
+    for m, spread in cases:
+        for _ in range(200):
+            gains = rng.uniform(1e-6, 1e-3, m)
+            errors = rng.uniform(-spread, spread, m)
+            assert error_bound_power(gains, errors) == pytest.approx(
+                pairwise_error_bound(gains, errors), rel=1e-12)
+    assert error_bound_power([2.5], [3.0]) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_induction_randomized(rng):
