@@ -25,7 +25,7 @@ from ._version import __version__
 from .baseline import DEFAULT_SCALE, PerturbationConfig, run_random_perturbation
 from .channel import Scenario, ScenarioDistribution, generate_scenario
 from .power import PhaseAssignment, harvested_power, optimal_power
-from .protocol import efficiency_lower_bound, run_protocol
+from .protocol import efficiency_lower_bound, exact_final_phases, run_protocol
 
 EXP_EFFICIENCY = "efficiency-vs-N"
 EXP_POWER = "power-vs-M"
@@ -38,6 +38,16 @@ _DOMAIN = {
     EXP_POWER: 2,
     EXP_CONVERGENCE: 3,
     EXP_OVERHEAD: 4,
+}
+
+_N_LIST = (1, 2, 3, 4, 5, 6, 7, 8)
+
+# per-experiment defaults of the sweep fields ExperimentConfig leaves at None
+_SWEEP_DEFAULTS = {
+    EXP_EFFICIENCY: dict(trials=1000, m_list=(5, 10), n_list=_N_LIST),
+    EXP_POWER: dict(trials=1, m_list=tuple(range(2, 11)), n_list=(1, 2, 3, 5)),
+    EXP_CONVERGENCE: dict(trials=1, m_list=(5, 7), n_list=_N_LIST),
+    EXP_OVERHEAD: dict(trials=5000, m_list=(5,), n_list=_N_LIST),
 }
 
 
@@ -53,12 +63,13 @@ class ExperimentConfig:
     """Everything an experiment run depends on; hashable to a run fingerprint."""
 
     experiment: str
-    trials: int = 1000
+    # None takes the experiment's own default from _SWEEP_DEFAULTS
+    trials: int | None = None
     seed: int = 12345
     workers: int = 1
     out_dir: str = "out"
-    n_list: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
-    m_list: tuple[int, ...] = (5, 10)
+    n_list: tuple[int, ...] | None = None
+    m_list: tuple[int, ...] | None = None
     budgets: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 40, 50, 60, 80, 100, 150, 200, 300)
     intervals: int = 300
     n_adapt: int = 5
@@ -77,24 +88,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in _DOMAIN:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for name, value in _SWEEP_DEFAULTS[self.experiment].items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not self.n_list or not self.m_list or not self.budgets:
             raise ValueError("sweep lists must be non-empty")
+        if self.experiment == EXP_OVERHEAD and len(self.m_list) > 1:
+            raise ValueError(f"{EXP_OVERHEAD} runs one system size; got m_list "
+                             f"{','.join(map(str, self.m_list))}")
 
     @classmethod
     def defaults_for(cls, experiment: str, **overrides) -> "ExperimentConfig":
-        base = {
-            EXP_EFFICIENCY: dict(trials=1000, m_list=(5, 10)),
-            EXP_POWER: dict(trials=1, m_list=tuple(range(2, 11)),
-                            n_list=(1, 2, 3, 5)),
-            EXP_CONVERGENCE: dict(trials=1, m_list=(5, 7)),
-            EXP_OVERHEAD: dict(trials=5000, m_list=(5,)),
-        }.get(experiment, {})
-        base.update(overrides)
-        return cls(experiment=experiment, **base)
+        """Same as ``ExperimentConfig(experiment=experiment, **overrides)``."""
+        return cls(experiment=experiment, **overrides)
 
     def distribution(self, num_transmitters: int) -> ScenarioDistribution:
         return ScenarioDistribution(
@@ -255,18 +265,26 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
     """Mean efficiency and its closed-form lower bound versus the per-stage
-    feedback budget, one curve pair per system size."""
+    feedback budget, one curve pair per system size.
+
+    Each budget runs the exact protocol for all trials at once through
+    :func:`exact_final_phases`; each run's delivered power then comes from
+    ``harvested_power`` as in :func:`run_protocol`.
+    """
     domain = _DOMAIN[cfg.experiment]
     rows = []
     for m in cfg.m_list:
         dist = cfg.distribution(m)
+        scens = [generate_scenario(dist, rng_stream(cfg.seed, domain, m, t))[0]
+                 for t in range(cfg.trials)]
+        q_star = [optimal_power(s) for s in scens]
         etas = np.zeros((cfg.trials, len(cfg.n_list)))
         bounds = np.zeros_like(etas)
-        for t in range(cfg.trials):
-            scen, _ = generate_scenario(dist, rng_stream(cfg.seed, domain, m, t))
-            for j, n in enumerate(cfg.n_list):
-                etas[t, j] = run_protocol(scen, n).eta
-                bounds[t, j] = efficiency_lower_bound(scen, n)
+        for j, n in enumerate(cfg.n_list):
+            phases = exact_final_phases(scens, n)
+            for t, s in enumerate(scens):
+                etas[t, j] = harvested_power(s, PhaseAssignment(phases[t])) / q_star[t]
+                bounds[t, j] = efficiency_lower_bound(s, n)
         for j, n in enumerate(cfg.n_list):
             mean, se = _mean_stderr(etas[:, j])
             rows.append(ResultRow(f"eta_M{m}", n, mean, se))
@@ -365,7 +383,7 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     averages to the truncated (training-only) credit.
     """
     domain = _DOMAIN[cfg.experiment]
-    m = cfg.m_list[0]
+    (m,) = cfg.m_list
     dist = cfg.distribution(m)
     policies = [(name, m - off) for name, off in OVERHEAD_POLICIES if m - off >= 2]
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import wrap_angle
-from .adapt import TrainingTrace, adapt_phase
+from .adapt import CONVERGENCE_FLOOR, TrainingTrace, adapt_phase, initial_arc
 from .channel import Channel, Scenario
 from .power import (
     EXACT,
@@ -112,6 +113,65 @@ def run_protocol(
         errors=errors,
         total_feedback_intervals=n_intervals * (m_total - 1),
     )
+
+
+def exact_final_phases(scenarios: Sequence[Scenario], n_intervals: int) -> np.ndarray:
+    """Final phases of :func:`run_protocol` under exact measurement, for a
+    batch of scenarios with the same number of transmitters.
+
+    Returns a (T, M) array, one row per scenario. Every stage replays the
+    scalar path's arithmetic over the trial axis: the running phasor sum
+    adds transmitter m-1 left to right as ``sum_signal`` does, a zero
+    combined gain reduces to ``SumSignal(0, 0)``, and each interval
+    compares the two ``partial_power`` probes, scaled by each scenario's
+    ``conversion_eff * transmit_power``, and bisects the (center,
+    half-width) arc, which stops at ``CONVERGENCE_FLOOR``. The half-width
+    is the same in every trial. Memory is O(T*M).
+    """
+    gains = np.array([s.gains for s in scenarios], dtype=float)
+    phase_shifts = np.array([s.phase_shifts for s in scenarios], dtype=float)
+    power_scale = np.array([s.conversion_eff * s.transmit_power for s in scenarios])
+    trials, m_total = gains.shape
+    if m_total < 2:
+        raise ValueError("protocol needs at least two transmitters")
+    if n_intervals < 1:
+        raise ValueError("n_intervals must be >= 1")
+    phases = np.zeros((trials, m_total))        # transmitter 0 keeps phase 0
+    amp = np.sqrt(gains)
+    arc = initial_arc()
+    # starting from 0 rather than the first term changes only the sign of
+    # an all-zero sum, which the gain-0 convention below maps to (0, 0)
+    re = np.zeros(trials)
+    im = np.zeros(trials)
+    for m in range(1, m_total):
+        # PhaseAssignment wraps the fixed phases once more before summing
+        delta = phase_shifts[:, m - 1] - wrap_angle(phases[:, m - 1])
+        re = re + amp[:, m - 1] * np.cos(delta)
+        im = im + amp[:, m - 1] * np.sin(delta)
+        ss_gain = re * re + im * im
+        # math.atan2 per trial: np.arctan2 differs from it in the last ulp
+        ss_phase = np.array([math.atan2(y, x) for y, x in zip(im.tolist(), re.tolist())])
+        ss_phase[ss_gain == 0.0] = 0.0
+        target = phase_shifts[:, m] - ss_phase
+        g_m = gains[:, m]
+        base = g_m + ss_gain
+        swing = 2.0 * np.sqrt(g_m * ss_gain)
+        center = np.full(trials, arc.center)
+        half = arc.half_width
+        for _ in range(n_intervals):
+            if half <= CONVERGENCE_FLOOR:
+                break
+            off = math.pi / 2.0 if half == math.pi else half
+            # the probe offset of run_protocol (0.0) adds a second wrap
+            psi = wrap_angle(wrap_angle(center + off))
+            psi_prime = wrap_angle(wrap_angle(center - off))
+            q_psi = power_scale * (base + swing * np.cos(psi - target))
+            q_psi_prime = power_scale * (base + swing * np.cos(psi_prime - target))
+            shift = np.where(q_psi >= q_psi_prime, half / 2.0, -half / 2.0)
+            center = wrap_angle(center + shift)
+            half /= 2.0
+        phases[:, m] = wrap_angle(center)
+    return phases
 
 
 def _prefix_target(s: Scenario, phases: np.ndarray, m: int) -> float:

@@ -171,13 +171,24 @@ def test_exp_out_path_collision(capsys, tmp_path):
     assert code == EXIT_IO
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == EXIT_USAGE
     code, _, err = run_cli(capsys, "exp", "no-such-experiment")
     assert code == EXIT_USAGE
     code, _, err = run_cli(capsys, "protocol", "--M", "not-a-number")
     assert code == EXIT_USAGE
+    # bad sweep values: an error line, no CSV
+    for argv, message in (
+        (("efficiency-vs-N", "--m-list", "1"), "protocol needs at least two transmitters"),
+        (("efficiency-vs-N", "--n-list", "0,2"), "n_intervals must be >= 1"),
+        (("overhead-tradeoff", "--m-list", "5,10", "--budgets", "10"), "m_list 5,10"),
+    ):
+        code, out, err = run_cli(capsys, "exp", *argv, "--trials", "3",
+                                 "--out", str(tmp_path))
+        assert code == EXIT_USAGE, argv
+        assert out == "" and err.startswith("error: ") and message in err, argv
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_passes(capsys):

@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from distbeam import efficiency_lower_bound, generate_scenario, run_protocol
 from distbeam.experiments import (
+    _DOMAIN,
     EXP_CONVERGENCE,
     EXP_EFFICIENCY,
     EXP_OVERHEAD,
@@ -31,6 +34,11 @@ def test_defaults_per_experiment():
     assert power.m_list == tuple(range(2, 11))
     conv = small_cfg(EXP_CONVERGENCE)
     assert conv.m_list == (5, 7) and conv.intervals == 300
+    # the bare constructor takes the same per-experiment defaults
+    for exp in (EXP_EFFICIENCY, EXP_POWER, EXP_CONVERGENCE, EXP_OVERHEAD):
+        assert ExperimentConfig(experiment=exp) == small_cfg(exp)
+    assert ExperimentConfig(experiment=EXP_OVERHEAD).m_list == (5,)
+    assert ExperimentConfig(experiment=EXP_POWER).n_list == (1, 2, 3, 5)
 
 
 def test_config_validation():
@@ -43,6 +51,8 @@ def test_config_validation():
     for workers in (0, -3):
         with pytest.raises(ValueError):
             ExperimentConfig(experiment=EXP_EFFICIENCY, workers=workers)
+    with pytest.raises(ValueError, match="one system size"):
+        small_cfg(EXP_OVERHEAD, m_list=(5, 10))
 
 
 def test_parse_config_text():
@@ -106,6 +116,21 @@ def test_efficiency_experiment_small():
             assert 0.0 < etas[n] <= 1.0
             assert bounds[n] <= etas[n] + 1e-12
         assert etas[4] > etas[1]
+    # every row averages exactly the scalar path's per-trial runs
+    domain = _DOMAIN[EXP_EFFICIENCY]
+    for m in (3, 5):
+        dist = cfg.distribution(m)
+        scens = [generate_scenario(dist, rng_stream(cfg.seed, domain, m, t))[0]
+                 for t in range(cfg.trials)]
+        for n in (1, 2, 4):
+            for curve, values in (
+                (f"eta_M{m}", [run_protocol(s, n).eta for s in scens]),
+                (f"bound_M{m}", [efficiency_lower_bound(s, n) for s in scens]),
+            ):
+                v = np.array(values)
+                (row,) = [r for r in res.curve(curve) if r.x == n]
+                assert row.mean == float(np.mean(v)), (curve, n)
+                assert row.stderr == float(np.std(v, ddof=1) / math.sqrt(v.size)), (curve, n)
 
 
 def test_efficiency_experiment_worker_invariance():

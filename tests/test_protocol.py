@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from distbeam import (
+    Channel,
     InfeasibleEfficiencyTarget,
     PhaseAssignment,
+    Scenario,
     accumulated_power,
     check_induction_inequality,
     circular_distance,
@@ -19,6 +21,7 @@ from distbeam import (
     run_protocol,
     wrap_angle,
 )
+from distbeam.protocol import exact_final_phases
 
 from conftest import equal_gain_scenario, pairwise_error_bound, random_scenario
 
@@ -75,6 +78,58 @@ def test_protocol_validation(rng):
         run_protocol(random_scenario(rng, 1), 5)
     with pytest.raises(ValueError):
         run_protocol(random_scenario(rng, 3), 0)
+    with pytest.raises(ValueError, match="at least two transmitters"):
+        exact_final_phases([random_scenario(rng, 1)] * 3, 5)
+    with pytest.raises(ValueError, match="n_intervals must be >= 1"):
+        exact_final_phases([random_scenario(rng, 4)] * 3, 0)
+
+
+def _with_zero_gain(s, index):
+    channels = list(s.channels)
+    channels[index] = Channel(0.0, channels[index].phase_shift)
+    return Scenario(s.transmit_power, s.carrier_freq, s.conversion_eff, channels)
+
+
+def _probe_tie_scenarios():
+    """M=2 scenarios whose stage-1 target lies within 3 ulp of the first
+    probe pair's tie (+-pi/2), where a last-ulp change of the target flips
+    the first feedback bit and moves the final phase by pi. The two
+    transmitter-0 channels are ones whose combined-signal phase
+    np.arctan2 and math.atan2 round apart."""
+    scens = []
+    for g0, s0 in ((0.9718508739782105, -2.105115197041521),
+                   (0.6392099015074402, -1.9536649906815902)):
+        amp = math.sqrt(g0)
+        phase = math.atan2(0.0 + amp * math.sin(s0), 0.0 + amp * math.cos(s0))
+        for tie in (math.pi / 2.0, -math.pi / 2.0):
+            base = tie + phase
+            for k in range(-3, 4):
+                shift = base + k * math.ulp(base)
+                scens.append(Scenario(1.0, 915e6, 1.0, [Channel(g0, s0), Channel(1.0, shift)]))
+    return scens
+
+
+def test_exact_final_phases_match_run_protocol(rng):
+    """The trial-batched engine returns run_protocol's final phases bit for
+    bit: where the two probe powers differ by only a few ulp (N 20-30),
+    past the convergence floor (N >= 42), with zero-gain links (first,
+    middle and last), with power scales other than 1 in one batch, and at
+    a probe tie."""
+    budgets = list(range(1, 13)) + [20, 24, 26, 28, 30, 41, 42, 45]
+    for m in (2, 3, 5, 10, 20):
+        scens = [random_scenario(rng, m, conversion_eff=eff, transmit_power=power)
+                 for eff, power in ((1.0, 1.0), (0.37, 2.5)) for _ in range(4)]
+        scens[1] = _with_zero_gain(scens[1], 0)
+        scens[5] = _with_zero_gain(scens[5], m - 1)
+        if m > 2:
+            scens[6] = _with_zero_gain(scens[6], m // 2)
+        else:
+            scens += _probe_tie_scenarios()
+        for n in budgets:
+            got = exact_final_phases(scens, n)
+            for t, s in enumerate(scens):
+                want = run_protocol(s, n).final_phases
+                assert np.array_equal(got[t], want), (m, n, t)
 
 
 def test_recorded_errors_match_recomputation(rng):
