@@ -17,13 +17,26 @@ import numpy as np
 
 from .angles import wrap_angle
 from .channel import Scenario
-from .power import EXACT, MeasurementModel, PhaseAssignment, harvested_power, measure
+from .power import (
+    EXACT,
+    MeasurementModel,
+    PhaseAssignment,
+    _pair_sum,
+    harvested_power,
+    measure,
+)
 
 DIST_UNIFORM = "uniform-symmetric"
 DIST_GAUSSIAN = "gaussian"
 
 #: Default perturbation half-range, radians.
 DEFAULT_SCALE = math.pi / 8.0
+
+# Candidates per block evaluation: the first block after an acceptance, and
+# the cap on block * M * M doubles per temporary (128 KB). Blocks double
+# while every candidate in them is rejected.
+_BLOCK_MIN = 4
+_BLOCK_DOUBLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -37,8 +50,10 @@ class PerturbationConfig:
     def __post_init__(self):
         if self.distribution not in (DIST_UNIFORM, DIST_GAUSSIAN):
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if self.distribution == DIST_UNIFORM and not math.isfinite(2.0 * self.scale):
+            raise ValueError(f"uniform scale {self.scale} has no finite width 2*scale")
         if self.max_intervals < 1:
             raise ValueError("max_intervals must be >= 1")
 
@@ -78,31 +93,61 @@ def run_random_perturbation(
     the recorded best and broadcasts one bit. Candidates are kept only on a
     strict improvement, so under exact measurement the best-power sequence
     is non-decreasing.
+
+    All steps are drawn from ``rng`` up front, and all noise values from
+    ``meas.rng``, which gives the same draws as one draw per interval. Runs
+    of candidates are then measured as one array operation against the
+    current record; the rows after the first acceptance in a block are
+    evaluated again against the new record. The trace is bit-identical to
+    the interval-by-interval rule. A noisy ``meas`` must not share ``rng``:
+    the per-interval rule would interleave step and noise draws on it.
     """
     if rng is None:
         rng = np.random.default_rng()
+    if meas.noisy and meas.rng is rng:
+        raise ValueError("noisy measurement needs a generator of its own, not rng")
     m = s.num_transmitters
     best = np.zeros(m)
     best_power = measure(meas, harvested_power(s, PhaseAssignment(best.copy())))
     t = cfg.max_intervals
-    cand_hist = np.zeros((t, m))
-    meas_hist = np.zeros(t)
-    best_hist = np.zeros(t)
+    # steps are drawn into the candidate history; each row is overwritten
+    # with its candidate once committed
+    if cfg.distribution == DIST_UNIFORM:
+        cand_hist = rng.uniform(-cfg.scale, cfg.scale, size=(t, m))
+    else:
+        cand_hist = rng.normal(0.0, cfg.scale, size=(t, m))
+    # likewise the noise values become the measured powers
+    meas_hist = meas.rng.normal(0.0, meas.noise_std, size=t) if meas.noisy else np.empty(t)
+    best_hist = np.empty(t)
     acc_hist = np.zeros(t, dtype=bool)
-    for n in range(t):
-        if cfg.distribution == DIST_UNIFORM:
-            step = rng.uniform(-cfg.scale, cfg.scale, size=m)
+    power_scale = s.conversion_eff * s.transmit_power
+    amp = np.sqrt(s.gains)
+    block_max = max(1, _BLOCK_DOUBLES // (m * m))
+    block_min = min(_BLOCK_MIN, block_max)
+    block = block_min
+    n = 0
+    while n < t:
+        stop = min(n + block, t)
+        cand = wrap_angle(best + cand_hist[n:stop])
+        # PhaseAssignment's second wrap, as harvested_power sees the candidate
+        p = power_scale * _pair_sum(amp, wrap_angle(cand) - s.phase_shifts)
+        if meas.noisy:
+            p += meas_hist[n:stop]
+            p = np.where(p > 0.0, p, 0.0)   # measure's max(0.0, x), NaN and -0.0 included
+        up = np.flatnonzero(p > best_power)
+        end = stop if up.size == 0 else n + int(up[0]) + 1
+        cand_hist[n:end] = cand[:end - n]
+        meas_hist[n:end] = p[:end - n]
+        best_hist[n:end] = best_power
+        if up.size:
+            best = cand_hist[end - 1].copy()
+            best_power = float(p[end - n - 1])
+            best_hist[end - 1] = best_power
+            acc_hist[end - 1] = True
+            block = block_min
         else:
-            step = rng.normal(0.0, cfg.scale, size=m)
-        cand = wrap_angle(best + step)
-        p = measure(meas, harvested_power(s, PhaseAssignment(cand.copy())))
-        if p > best_power:
-            best = cand
-            best_power = p
-            acc_hist[n] = True
-        cand_hist[n] = cand
-        meas_hist[n] = p
-        best_hist[n] = best_power
+            block = min(2 * block, block_max)
+        n = end
     return BaselineTrace(
         candidate_phases=cand_hist,
         measured_power=meas_hist,

@@ -132,10 +132,9 @@ def _scenario_for(args, m: int) -> Scenario:
 
 
 def _measurement(args) -> MeasurementModel:
-    noise = getattr(args, "noise_std", 0.0)
-    if noise and noise > 0.0:
-        return MeasurementModel(MODE_ADDITIVE_NOISE, noise, rng_stream(_seed(args), 2))
-    return MeasurementModel()
+    if args.noise_std == 0.0:
+        return MeasurementModel()
+    return MeasurementModel(MODE_ADDITIVE_NOISE, args.noise_std, rng_stream(_seed(args), 2))
 
 
 def _cmd_adapt(args) -> int:

@@ -206,23 +206,26 @@ class ExperimentResult:
     def curve(self, name: str) -> list[ResultRow]:
         return [r for r in self.rows if r.curve == name]
 
-    def curve_names(self) -> list[str]:
-        seen = []
+    def curves(self) -> dict[str, list[ResultRow]]:
+        """Rows grouped per curve in one pass, curves in first-seen order."""
+        grouped: dict[str, list[ResultRow]] = {}
         for r in self.rows:
-            if r.curve not in seen:
-                seen.append(r.curve)
-        return seen
+            grouped.setdefault(r.curve, []).append(r)
+        return grouped
+
+    def curve_names(self) -> list[str]:
+        return list(self.curves())
 
     def write(self, out_dir: str | Path) -> list[Path]:
         """Write <out>/<experiment>/<curve>.csv files plus metadata.json."""
         base = Path(out_dir) / self.experiment
         base.mkdir(parents=True, exist_ok=True)
         written = []
-        for name in self.curve_names():
+        for name, rows in self.curves().items():
             path = base / f"{name}.csv"
             with open(path, "w") as fh:
                 fh.write(f"{self.x_name},mean,stderr\n")
-                for r in self.curve(name):
+                for r in rows:
                     fh.write(f"{_fmt(r.x)},{r.mean:.15g},{r.stderr:.15g}\n")
             written.append(path)
         meta_path = base / "metadata.json"

@@ -66,10 +66,15 @@ class MeasurementModel:
     def __post_init__(self):
         if self.mode not in (MODE_EXACT, MODE_ADDITIVE_NOISE):
             raise ValueError(f"unknown measurement mode {self.mode!r}")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be >= 0")
-        if self.mode == MODE_ADDITIVE_NOISE and self.noise_std > 0.0 and self.rng is None:
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.noisy and self.rng is None:
             raise ValueError("additive-noise mode with noise_std > 0 needs an rng")
+
+    @property
+    def noisy(self) -> bool:
+        """Whether each reading draws a noise value from ``rng``."""
+        return self.mode == MODE_ADDITIVE_NOISE and self.noise_std > 0.0
 
 
 EXACT = MeasurementModel(MODE_EXACT)
@@ -77,7 +82,7 @@ EXACT = MeasurementModel(MODE_EXACT)
 
 def measure(model: MeasurementModel, true_power: float) -> float:
     """Apply the measurement model to a true power value."""
-    if model.mode == MODE_EXACT or model.noise_std == 0.0:
+    if not model.noisy:
         return true_power
     return max(0.0, true_power + model.rng.normal(0.0, model.noise_std))
 
@@ -100,12 +105,20 @@ def harvested_power(s: Scenario, pa: PhaseAssignment) -> float:
     idx = np.flatnonzero(pa.active)
     if idx.size == 0:
         return 0.0
-    g = s.gains[idx]
     offs = pa.phases[idx] - s.phase_shifts[idx]
-    amp = np.sqrt(g)
-    # full ordered double sum; the diagonal contributes sum(g) since cos(0)=1
-    pair = np.outer(amp, amp) * np.cos(offs[:, None] - offs[None, :])
-    return s.conversion_eff * s.transmit_power * float(pair.sum())
+    amp = np.sqrt(s.gains[idx])
+    return s.conversion_eff * s.transmit_power * float(_pair_sum(amp, offs))
+
+
+def _pair_sum(amp: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Ordered double sum of amp_i amp_j cos(offs_i - offs_j) over the last
+    axis of ``offs``; leading axes index independent assignments.
+
+    The diagonal contributes sum(amp**2) since cos(0) = 1. Each M x M block
+    is summed on its own, so a row of a stack rounds as a single call does.
+    """
+    pair = np.outer(amp, amp) * np.cos(offs[..., :, None] - offs[..., None, :])
+    return pair.sum(axis=(-2, -1))
 
 
 def optimal_power(s: Scenario) -> float:

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own computation paths:
 powers are recomputed from complex amplitude sums or by integrating the
 carrier waveform over one period, and optima are located by brute-force
-grid search.
+grid search. Where the library replaces a loop by array operations with
+the same arithmetic, the loop is kept here as the bit-for-bit reference.
 """
 
 import cmath
@@ -12,8 +13,18 @@ import math
 import numpy as np
 import pytest
 
-from distbeam import Channel, PhaseAssignment, Scenario, ScenarioDistribution, generate_scenario
+from distbeam import (
+    Channel,
+    PhaseAssignment,
+    Scenario,
+    ScenarioDistribution,
+    generate_scenario,
+    harvested_power,
+)
+from distbeam.angles import wrap_angle
+from distbeam.baseline import DIST_UNIFORM, BaselineTrace
 from distbeam.experiments import rng_stream
+from distbeam.power import measure
 
 
 def phasor_power(s: Scenario, pa: PhaseAssignment) -> float:
@@ -48,6 +59,35 @@ def pairwise_error_bound(gains, errors) -> float:
             if i != j:
                 total += math.sqrt(g_i * g_j) * math.cos(e_i) * math.cos(e_j)
     return total
+
+
+def per_interval_perturbation(s: Scenario, cfg, meas, rng) -> BaselineTrace:
+    """The random-perturbation baseline one interval at a time: draw a step,
+    measure the candidate through ``harvested_power`` and ``measure``, keep
+    it on a strict improvement."""
+    m = s.num_transmitters
+    best = np.zeros(m)
+    best_power = measure(meas, harvested_power(s, PhaseAssignment(best.copy())))
+    t = cfg.max_intervals
+    cand_hist = np.zeros((t, m))
+    meas_hist = np.zeros(t)
+    best_hist = np.zeros(t)
+    acc_hist = np.zeros(t, dtype=bool)
+    for n in range(t):
+        if cfg.distribution == DIST_UNIFORM:
+            step = rng.uniform(-cfg.scale, cfg.scale, size=m)
+        else:
+            step = rng.normal(0.0, cfg.scale, size=m)
+        cand = wrap_angle(best + step)
+        p = measure(meas, harvested_power(s, PhaseAssignment(cand.copy())))
+        if p > best_power:
+            best = cand
+            best_power = p
+            acc_hist[n] = True
+        cand_hist[n] = cand
+        meas_hist[n] = p
+        best_hist[n] = best_power
+    return BaselineTrace(cand_hist, meas_hist, best_hist, acc_hist, best, best_power)
 
 
 def grid_argmax(fn, points: int = 360) -> float:

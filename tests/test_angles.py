@@ -13,10 +13,20 @@ def test_wrap_range_half_open():
 
 
 def test_wrap_randomized_range_and_idempotence(rng):
-    x = rng.uniform(-50, 50, 5000)
+    # plus the 200 doubles on each side of multiples of pi/2, where the
+    # roundings of x + pi and of the final - pi change
+    near = []
+    for c in (-3, -2, -1, -0.5, 0, 0.5, 1, 2, 3):
+        lo = hi = c * math.pi
+        near += [lo]
+        for _ in range(200):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            near += [lo, hi]
+    x = np.concatenate([rng.uniform(-50, 50, 5000), near])
     w = wrap_angle(x)
     assert np.all(w >= -math.pi) and np.all(w < math.pi)
-    assert np.allclose(wrap_angle(w), w)
+    # bit for bit: a second wrap, as PhaseAssignment applies, changes nothing
+    assert np.array_equal(wrap_angle(w), w)
     # wrapping preserves the angle modulo 2*pi
     assert np.allclose(np.cos(w), np.cos(x), atol=1e-12)
     assert np.allclose(np.sin(w), np.sin(x), atol=1e-12)

@@ -1,17 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
 from distbeam import (
+    MeasurementModel,
     PerturbationConfig,
     PhaseAssignment,
     harvested_power,
     optimal_power,
     run_random_perturbation,
 )
-from distbeam.baseline import DIST_GAUSSIAN
+from distbeam.baseline import DIST_GAUSSIAN, DIST_UNIFORM
 from distbeam.experiments import rng_stream
+from distbeam.power import EXACT, MODE_ADDITIVE_NOISE
 
-from conftest import random_scenario
+from conftest import per_interval_perturbation, random_scenario
 
 
 def test_config_validation():
@@ -23,6 +27,48 @@ def test_config_validation():
         PerturbationConfig(max_intervals=0)
     with pytest.raises(ValueError):
         PerturbationConfig(distribution="drunkwalk")
+    # non-finite scales, and uniform half-ranges whose width 2*scale overflows
+    for dist, scale in ((DIST_UNIFORM, math.inf), (DIST_UNIFORM, math.nan),
+                        (DIST_UNIFORM, 1e308), (DIST_GAUSSIAN, math.inf),
+                        (DIST_GAUSSIAN, math.nan)):
+        with pytest.raises(ValueError):
+            PerturbationConfig(distribution=dist, scale=scale)
+
+
+@pytest.mark.parametrize("dist", [DIST_UNIFORM, DIST_GAUSSIAN])
+@pytest.mark.parametrize("m", [1, 2, 5, 40, 64])
+def test_block_evaluation_matches_per_interval_loop(m, dist):
+    """Every trace array, the final record and both generators' next draws
+    equal the per-interval rule's. 389 intervals is prime, so no block size
+    divides it."""
+    s = random_scenario(rng_stream(31, m), m)
+    for scale in (math.pi / 8, 1e-12, 3.0):
+        for noise in (0.0, 1e-3):
+            for intervals in (1, 300, 389):
+                cfg = PerturbationConfig(dist, scale, intervals)
+                runs = []
+                for run in (per_interval_perturbation, run_random_perturbation):
+                    rng = rng_stream(32, m, intervals)
+                    meas = (MeasurementModel(MODE_ADDITIVE_NOISE, noise, rng_stream(33, m))
+                            if noise else EXACT)
+                    trace = run(s, cfg, meas, rng)
+                    runs.append((trace, rng.random(), meas.rng and meas.rng.random()))
+                (want, want_draw, want_noise), (got, got_draw, got_noise) = runs
+                case = (scale, noise, intervals)
+                for field in ("candidate_phases", "measured_power", "best_power",
+                              "accepted", "final_phases"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), (field, case)
+                assert got.final_power == want.final_power, case
+                assert (got_draw, got_noise) == (want_draw, want_noise), case
+
+
+def test_noisy_measurement_needs_its_own_generator(rng):
+    s = random_scenario(rng, 3)
+    cfg = PerturbationConfig(max_intervals=5)
+    shared = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="generator of its own"):
+        run_random_perturbation(s, cfg, MeasurementModel(MODE_ADDITIVE_NOISE, 1e-3, shared),
+                                shared)
 
 
 def test_degenerate_scale_freezes_power(rng):

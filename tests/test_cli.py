@@ -233,3 +233,21 @@ def test_subcommands_reject_flags_they_ignore(capsys, tmp_path):
         assert code == EXIT_USAGE, argv
         assert "unrecognized arguments" in err
     assert not any(tmp_path.iterdir())
+
+
+def test_noise_std_must_be_finite_and_non_negative(capsys):
+    for cmd in ("protocol", "adapt"):
+        for noise in ("nan", "inf", "-1e-6"):
+            code, out, err = run_cli(capsys, cmd, "--M", "3", "--N", "2",
+                                     f"--noise-std={noise}")
+            assert code == EXIT_USAGE, (cmd, noise)
+            assert out == "" and err.startswith("error: ") and "noise_std" in err, (cmd, noise)
+
+
+def test_baseline_rejects_unusable_scales(capsys):
+    for dist, scale in (("gaussian", "inf"), ("gaussian", "nan"), ("uniform", "inf"),
+                        ("uniform", "1e308")):
+        code, out, err = run_cli(capsys, "baseline", "--dist", dist, "--scale", scale,
+                                 "--intervals", "3")
+        assert code == EXIT_USAGE, (dist, scale)
+        assert out == "" and err.startswith("error: ") and "scale" in err, (dist, scale)

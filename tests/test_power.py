@@ -244,7 +244,8 @@ def test_measure_noise_clamps_at_zero():
 def test_measurement_model_validation():
     with pytest.raises(ValueError):
         MeasurementModel("bogus")
-    with pytest.raises(ValueError):
-        MeasurementModel(MODE_ADDITIVE_NOISE, -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MeasurementModel(MODE_ADDITIVE_NOISE, bad, np.random.default_rng(0))
     with pytest.raises(ValueError):
         MeasurementModel(MODE_ADDITIVE_NOISE, 1.0, None)
