@@ -28,8 +28,8 @@ from .power import (
     EXACT,
     MeasurementModel,
     PhaseAssignment,
+    SumSignal,
     aligned_phase,
-    measure,
     partial_power,
     sum_signal,
 )
@@ -103,8 +103,7 @@ def bisect_arc(arc: Arc, bit: bool) -> Arc:
     return Arc(arc.center + shift, arc.half_width / 2.0)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One feedback interval: probes, measured powers, bit, resulting arc."""
 
     interval: int
@@ -174,28 +173,50 @@ def adapt_phase(
         raise ValueError("probe_repeats must be >= 1")
     if pa.active[m]:
         raise ValueError(f"transmitter {m} cannot be active while adapting")
-    ss = sum_signal(s, pa, exclude=m)
+    return _train_stage(s, sum_signal(s, pa, exclude=m), m, n_intervals, meas,
+                        probe_offset, probe_repeats)
+
+
+def _train_stage(
+    s: Scenario,
+    ss: SumSignal,
+    m: int,
+    n_intervals: int,
+    meas: MeasurementModel,
+    probe_offset: float,
+    probe_repeats: int,
+) -> tuple[float, TrainingTrace]:
+    """The bisection loop of :func:`adapt_phase` against a combined signal.
+
+    A noisy ``meas`` gives the stage's 2 * probe_repeats * n_intervals noise
+    values in one draw from its generator. That equals one draw per reading
+    in reading order (psi's repeats, then psi_prime's, interval by
+    interval), and each reading clamps and averages them as
+    :func:`~distbeam.power.measure` would.
+    """
     target = aligned_phase(s, ss, m)
     trace = TrainingTrace(target_phase=target if ss.gain > 0.0 else 0.0,
                           sum_gain=ss.gain)
+    r = probe_repeats
+    noise = (meas.rng.normal(0.0, meas.noise_std, size=2 * r * n_intervals).tolist()
+             if meas.noisy else None)
     arc = initial_arc()
-
-    def read(phase: float) -> float:
-        p = partial_power(s, ss, m, phase)
-        total = sum(measure(meas, p) for _ in range(probe_repeats))
-        return total / probe_repeats
-
     for n in range(1, n_intervals + 1):
         probes = probe_pair(arc)
         psi = wrap_angle(probes.psi + probe_offset)
         psi_prime = wrap_angle(probes.psi_prime + probe_offset)
-        q_psi = read(psi)
-        q_psi_prime = read(psi_prime)
+        p = partial_power(s, ss, m, psi)
+        p_prime = partial_power(s, ss, m, psi_prime)
+        if noise is None:
+            q_psi = sum(p for _ in range(r)) / r
+            q_psi_prime = sum(p_prime for _ in range(r)) / r
+        else:
+            k = 2 * r * (n - 1)
+            q_psi = sum(max(0.0, p + z) for z in noise[k:k + r]) / r
+            q_psi_prime = sum(max(0.0, p_prime + z) for z in noise[k + r:k + 2 * r]) / r
         bit = feedback_bit(q_psi, q_psi_prime)
         arc = bisect_arc(arc, bit)
-        trace.records.append(
-            TraceRecord(n, psi, psi_prime, q_psi, q_psi_prime, bit,
-                        wrap_angle(arc.center + probe_offset), arc.half_width)
-        )
+        trace.records.append(TraceRecord(n, psi, psi_prime, q_psi, q_psi_prime, bit,
+                                         wrap_angle(arc.center + probe_offset), arc.half_width))
     trace.final_phase = wrap_angle(arc.center + probe_offset)
     return trace.final_phase, trace

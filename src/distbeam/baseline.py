@@ -100,7 +100,9 @@ def run_random_perturbation(
     current record; the rows after the first acceptance in a block are
     evaluated again against the new record. The trace is bit-identical to
     the interval-by-interval rule. A noisy ``meas`` must not share ``rng``:
-    the per-interval rule would interleave step and noise draws on it.
+    the per-interval rule would interleave step and noise draws on it. A
+    gaussian scale so large that a step overflows to +-inf raises
+    ``ValueError`` before any candidate is formed.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -116,6 +118,8 @@ def run_random_perturbation(
         cand_hist = rng.uniform(-cfg.scale, cfg.scale, size=(t, m))
     else:
         cand_hist = rng.normal(0.0, cfg.scale, size=(t, m))
+    if not np.isfinite(cand_hist).all():
+        raise ValueError(f"perturbation scale {cfg.scale} draws non-finite phase steps")
     # likewise the noise values become the measured powers
     meas_hist = meas.rng.normal(0.0, meas.noise_std, size=t) if meas.noisy else np.empty(t)
     best_hist = np.empty(t)

@@ -156,7 +156,7 @@ def _cmd_adapt(args) -> int:
         payload = {
             "final_phase": phi,
             "target_phase": trace.target_phase,
-            "records": [vars(r) | {"bit": bool(r.bit)} for r in trace.records],
+            "records": [r._asdict() | {"bit": bool(r.bit)} for r in trace.records],
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -166,8 +166,12 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_protocol(args) -> int:
     scen = _scenario_for(args, args.M)
-    res = run_protocol(scen, args.N, _measurement(args))
+    meas = _measurement(args)
+    res = run_protocol(scen, args.N, meas)
     bound = efficiency_lower_bound(scen, args.N)
+    # the bound assumes exact comparisons; under noise it is only a reference
+    bound_name = "bound_exact" if meas.noisy else "bound"
+    summary = res.summary_csv(bound, bound_name)
     if args.format == "json":
         payload = {
             "M": args.M,
@@ -175,17 +179,19 @@ def _cmd_protocol(args) -> int:
             "Q_d": res.q_d,
             "Q_star": res.q_star,
             "eta": res.eta,
-            "bound": bound,
+            bound_name: bound,
             "max_abs_error": float(np.max(np.abs(res.errors))),
             "final_phases": [float(p) for p in res.final_phases],
         }
+        if meas.noisy:
+            payload["bound_valid"] = False
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        sys.stdout.write(res.summary_csv(bound))
+        sys.stdout.write(summary)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "summary.csv").write_text(res.summary_csv(bound))
+        (out / "summary.csv").write_text(summary)
         for i, trace in enumerate(res.traces, start=2):
             (out / f"trace_ET{i}.csv").write_text(trace.to_csv())
     return EXIT_OK

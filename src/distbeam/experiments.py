@@ -224,9 +224,8 @@ class ExperimentResult:
         for name, rows in self.curves().items():
             path = base / f"{name}.csv"
             with open(path, "w") as fh:
-                fh.write(f"{self.x_name},mean,stderr\n")
-                for r in rows:
-                    fh.write(f"{_fmt(r.x)},{r.mean:.15g},{r.stderr:.15g}\n")
+                fh.write("".join([f"{self.x_name},mean,stderr\n"] + [
+                    f"{_fmt(r.x)},{r.mean:.15g},{r.stderr:.15g}\n" for r in rows]))
             written.append(path)
         meta_path = base / "metadata.json"
         with open(meta_path, "w") as fh:

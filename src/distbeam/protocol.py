@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import wrap_angle
-from .adapt import CONVERGENCE_FLOOR, TrainingTrace, adapt_phase, initial_arc
+from .adapt import CONVERGENCE_FLOOR, TrainingTrace, _train_stage, initial_arc
 from .channel import Channel, Scenario
 from .power import (
     EXACT,
     MeasurementModel,
     PhaseAssignment,
+    SumSignal,
     aligned_phase,
     harvested_power,
     optimal_power,
@@ -48,7 +49,7 @@ class ProtocolResult:
     errors: np.ndarray               # final phase minus stage optimum, wrapped
     total_feedback_intervals: int
 
-    def summary_csv(self, bound: float | None = None) -> str:
+    def summary_csv(self, bound: float | None = None, bound_name: str = "bound") -> str:
         m = len(self.final_phases)
         n = (
             self.total_feedback_intervals // (m - 1)
@@ -59,7 +60,7 @@ class ProtocolResult:
             bound = float("nan")
         max_err = float(np.max(np.abs(self.errors))) if m > 1 else 0.0
         out = io.StringIO()
-        out.write("M,N,Q_d,Q_star,eta,bound,max_abs_error\n")
+        out.write(f"M,N,Q_d,Q_star,eta,{bound_name},max_abs_error\n")
         out.write(
             f"{m},{n},{self.q_d:.15g},{self.q_star:.15g},"
             f"{self.eta:.15g},{bound:.15g},{max_err:.15g}\n"
@@ -78,6 +79,10 @@ def run_protocol(
     Consumes n_intervals * (M - 1) feedback intervals in total. The probe
     lattice of every stage is rotated by ``first_phase`` so that choosing a
     different reference phase reproduces the same run rotated rigidly.
+
+    Each stage trains against a running phasor sum of the transmitters
+    fixed before it, which equals ``sum_signal`` over that prefix bit for
+    bit.
     """
     m_total = s.num_transmitters
     if m_total < 2:
@@ -86,18 +91,18 @@ def run_protocol(
         raise ValueError("n_intervals must be >= 1")
     phases = np.zeros(m_total)
     phases[0] = wrap_angle(first_phase)
-    active = np.zeros(m_total, dtype=bool)
-    active[0] = True
     traces: list[TrainingTrace] = []
     targets = np.zeros(m_total)
     errors = np.zeros(m_total)
+    amp = np.sqrt(s.gains)
+    re = im = None
     for m in range(1, m_total):
-        pa = PhaseAssignment(phases=phases.copy(), active=active.copy())
-        phi_m, trace = adapt_phase(
-            s, pa, m, n_intervals, meas, probe_offset=first_phase
-        )
+        re, im = _add_phasor(re, im, amp[m - 1], s.phase_shifts[m - 1], phases[m - 1])
+        x, y = float(re), float(im)    # the Python floats sum_signal returns
+        gain = x * x + y * y
+        ss = SumSignal(gain, math.atan2(y, x)) if gain != 0.0 else SumSignal(0.0, 0.0)
+        phi_m, trace = _train_stage(s, ss, m, n_intervals, meas, first_phase, 1)
         phases[m] = phi_m
-        active[m] = True
         traces.append(trace)
         targets[m] = trace.target_phase
         errors[m] = wrap_angle(phi_m - trace.target_phase)
@@ -121,7 +126,7 @@ def exact_final_phases(scenarios: Sequence[Scenario], n_intervals: int) -> np.nd
 
     Returns a (T, M) array, one row per scenario. Every stage replays the
     scalar path's arithmetic over the trial axis: the running phasor sum
-    adds transmitter m-1 left to right as ``sum_signal`` does, a zero
+    adds transmitter m-1 as ``run_protocol`` does, a zero
     combined gain reduces to ``SumSignal(0, 0)``, and each interval
     compares the two ``partial_power`` probes, scaled by each scenario's
     ``conversion_eff * transmit_power``, and bisects the (center,
@@ -139,15 +144,9 @@ def exact_final_phases(scenarios: Sequence[Scenario], n_intervals: int) -> np.nd
     phases = np.zeros((trials, m_total))        # transmitter 0 keeps phase 0
     amp = np.sqrt(gains)
     arc = initial_arc()
-    # starting from 0 rather than the first term changes only the sign of
-    # an all-zero sum, which the gain-0 convention below maps to (0, 0)
-    re = np.zeros(trials)
-    im = np.zeros(trials)
+    re = im = None
     for m in range(1, m_total):
-        # PhaseAssignment wraps the fixed phases once more before summing
-        delta = phase_shifts[:, m - 1] - wrap_angle(phases[:, m - 1])
-        re = re + amp[:, m - 1] * np.cos(delta)
-        im = im + amp[:, m - 1] * np.sin(delta)
+        re, im = _add_phasor(re, im, amp[:, m - 1], phase_shifts[:, m - 1], phases[:, m - 1])
         ss_gain = re * re + im * im
         # math.atan2 per trial: np.arctan2 differs from it in the last ulp
         ss_phase = np.array([math.atan2(y, x) for y, x in zip(im.tolist(), re.tolist())])
@@ -172,6 +171,19 @@ def exact_final_phases(scenarios: Sequence[Scenario], n_intervals: int) -> np.nd
             half /= 2.0
         phases[:, m] = wrap_angle(center)
     return phases
+
+
+def _add_phasor(re, im, amp, phase_shift, phase):
+    """Add one fixed transmitter's phasor to a running sum (``None`` starts
+    one), left to right like ``sum_signal``'s ``cumsum``: the first term
+    starts the sum, so even a signed zero matches. Scalars or trial arrays."""
+    # PhaseAssignment wraps the fixed phases once more before summing
+    delta = phase_shift - wrap_angle(phase)
+    dre = amp * np.cos(delta)
+    dim = amp * np.sin(delta)
+    if re is None:
+        return dre, dim
+    return re + dre, im + dim
 
 
 def _prefix_target(s: Scenario, phases: np.ndarray, m: int) -> float:

@@ -19,12 +19,22 @@ from distbeam import (
     Scenario,
     ScenarioDistribution,
     generate_scenario,
+    ProtocolResult,
     harvested_power,
+    optimal_power,
+)
+from distbeam.adapt import (
+    TraceRecord,
+    TrainingTrace,
+    bisect_arc,
+    feedback_bit,
+    initial_arc,
+    probe_pair,
 )
 from distbeam.angles import wrap_angle
 from distbeam.baseline import DIST_UNIFORM, BaselineTrace
 from distbeam.experiments import rng_stream
-from distbeam.power import measure
+from distbeam.power import EXACT, aligned_phase, measure, partial_power, sum_signal
 
 
 def phasor_power(s: Scenario, pa: PhaseAssignment) -> float:
@@ -88,6 +98,66 @@ def per_interval_perturbation(s: Scenario, cfg, meas, rng) -> BaselineTrace:
         meas_hist[n] = p
         best_hist[n] = best_power
     return BaselineTrace(cand_hist, meas_hist, best_hist, acc_hist, best, best_power)
+
+
+def per_reading_adapt_phase(s: Scenario, pa: PhaseAssignment, m: int, n_intervals: int,
+                            meas=EXACT, probe_offset: float = 0.0,
+                            probe_repeats: int = 1):
+    """The bisection stage one reading at a time: ``sum_signal`` over the
+    active set, one ``measure`` per reading, and ``Arc`` objects."""
+    ss = sum_signal(s, pa, exclude=m)
+    target = aligned_phase(s, ss, m)
+    trace = TrainingTrace(target_phase=target if ss.gain > 0.0 else 0.0,
+                          sum_gain=ss.gain)
+    arc = initial_arc()
+
+    def read(phase: float) -> float:
+        p = partial_power(s, ss, m, phase)
+        total = sum(measure(meas, p) for _ in range(probe_repeats))
+        return total / probe_repeats
+
+    for n in range(1, n_intervals + 1):
+        probes = probe_pair(arc)
+        psi = wrap_angle(probes.psi + probe_offset)
+        psi_prime = wrap_angle(probes.psi_prime + probe_offset)
+        q_psi = read(psi)
+        q_psi_prime = read(psi_prime)
+        bit = feedback_bit(q_psi, q_psi_prime)
+        arc = bisect_arc(arc, bit)
+        trace.records.append(
+            TraceRecord(n, psi, psi_prime, q_psi, q_psi_prime, bit,
+                        wrap_angle(arc.center + probe_offset), arc.half_width)
+        )
+    trace.final_phase = wrap_angle(arc.center + probe_offset)
+    return trace.final_phase, trace
+
+
+def per_stage_protocol(s: Scenario, n_intervals: int, meas=EXACT,
+                       first_phase: float = 0.0):
+    """The sequential protocol re-summing the fixed prefix at every stage:
+    a fresh ``PhaseAssignment`` per stage, trained by
+    :func:`per_reading_adapt_phase`."""
+    m_total = s.num_transmitters
+    phases = np.zeros(m_total)
+    phases[0] = wrap_angle(first_phase)
+    active = np.zeros(m_total, dtype=bool)
+    active[0] = True
+    traces = []
+    targets = np.zeros(m_total)
+    errors = np.zeros(m_total)
+    for m in range(1, m_total):
+        pa = PhaseAssignment(phases=phases.copy(), active=active.copy())
+        phi_m, trace = per_reading_adapt_phase(s, pa, m, n_intervals, meas,
+                                               probe_offset=first_phase)
+        phases[m] = phi_m
+        active[m] = True
+        traces.append(trace)
+        targets[m] = trace.target_phase
+        errors[m] = wrap_angle(phi_m - trace.target_phase)
+    q_d = harvested_power(s, PhaseAssignment(phases=phases.copy()))
+    q_star = optimal_power(s)
+    return ProtocolResult(phases, q_d, q_star, q_d / q_star, traces, targets, errors,
+                          n_intervals * (m_total - 1))
 
 
 def grid_argmax(fn, points: int = 360) -> float:

@@ -71,6 +71,19 @@ def test_noisy_measurement_needs_its_own_generator(rng):
                                 shared)
 
 
+def test_non_finite_steps_raise_before_any_wrap(rng, monkeypatch):
+    import distbeam.baseline as baseline
+
+    def no_wrap(x):
+        raise AssertionError("wrap_angle ran on the steps")
+
+    monkeypatch.setattr(baseline, "wrap_angle", no_wrap)
+    s = random_scenario(rng, 5)
+    cfg = PerturbationConfig(distribution=DIST_GAUSSIAN, scale=1e308, max_intervals=400)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_random_perturbation(s, cfg, rng=rng)
+
+
 def test_degenerate_scale_freezes_power(rng):
     s = random_scenario(rng, 5)
     start = harvested_power(s, PhaseAssignment(np.zeros(5)))

@@ -73,6 +73,28 @@ def test_protocol_json_and_outputs(capsys, tmp_path):
         assert (tmp_path / "run" / f"trace_ET{i}.csv").exists()
 
 
+def test_noisy_protocol_labels_the_bound_exact(capsys, tmp_path):
+    """Under measurement noise the printed bound is the exact-measurement
+    one, which the run need not meet: it is labelled bound_exact and the
+    JSON says bound_valid false. Exact runs keep the plain label."""
+    noisy = ("protocol", "--M", "5", "--N", "4", "--noise-std", "1e-6", "--seed", "3")
+    code, out, _ = run_cli(capsys, *noisy, "--out", str(tmp_path / "noisy"))
+    assert code == EXIT_OK
+    header = "M,N,Q_d,Q_star,eta,bound_exact,max_abs_error"
+    assert out.splitlines()[0] == header
+    assert (tmp_path / "noisy" / "summary.csv").read_text() == out
+    code, out, _ = run_cli(capsys, *noisy, "--format", "json")
+    payload = json.loads(out)
+    assert payload["bound_valid"] is False
+    assert "bound" not in payload and 0.0 < payload["bound_exact"] <= 1.0
+    code, out, _ = run_cli(capsys, "protocol", "--M", "5", "--N", "4", "--seed", "3",
+                           "--format", "json", "--out", str(tmp_path / "exact"))
+    payload = json.loads(out)
+    assert "bound_exact" not in payload and "bound_valid" not in payload
+    assert (tmp_path / "exact" / "summary.csv").read_text().startswith(
+        "M,N,Q_d,Q_star,eta,bound,max_abs_error\n")
+
+
 def test_adapt_trace_output(capsys):
     code, out, _ = run_cli(capsys, "adapt", "--M", "2", "--N", "4", "--seed", "9")
     assert code == EXIT_OK
@@ -251,3 +273,12 @@ def test_baseline_rejects_unusable_scales(capsys):
                                  "--intervals", "3")
         assert code == EXIT_USAGE, (dist, scale)
         assert out == "" and err.startswith("error: ") and "scale" in err, (dist, scale)
+
+
+def test_baseline_rejects_steps_that_overflow(capsys):
+    """A gaussian scale near the float maximum draws infinite steps, which
+    used to print nan powers with exit 0."""
+    code, out, err = run_cli(capsys, "baseline", "--dist", "gaussian", "--scale", "1e308",
+                             "--intervals", "400")
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and "non-finite" in err

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,9 +22,17 @@ from distbeam import (
     run_protocol,
     wrap_angle,
 )
+from distbeam.adapt import TraceRecord, adapt_phase
+from distbeam.power import MODE_ADDITIVE_NOISE, MeasurementModel
 from distbeam.protocol import exact_final_phases
 
-from conftest import equal_gain_scenario, pairwise_error_bound, random_scenario
+from conftest import (
+    equal_gain_scenario,
+    pairwise_error_bound,
+    per_reading_adapt_phase,
+    per_stage_protocol,
+    random_scenario,
+)
 
 
 def test_interval_accounting():
@@ -130,6 +139,99 @@ def test_exact_final_phases_match_run_protocol(rng):
             for t, s in enumerate(scens):
                 want = run_protocol(s, n).final_phases
                 assert np.array_equal(got[t], want), (m, n, t)
+
+
+ORACLE_BUDGETS = list(range(1, 9)) + [41, 45]    # 41, 45: past CONVERGENCE_FLOOR
+ORACLE_NOISE = (0.0, 1e-6, 1e-3, 1.0)              # 1.0 W clamps about half the readings at 0
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit, type included: -0.0 differs from 0.0 and a numpy
+    float from a Python one."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
+
+
+def _assert_same_trace(got, want, where):
+    assert len(got.records) == len(want.records), where
+    for g, w in zip(got.records, want.records):
+        for name in TraceRecord._fields:
+            assert _same(getattr(g, name), getattr(w, name)), (where, g.interval, name)
+    for name in ("final_phase", "target_phase", "sum_gain"):
+        assert _same(getattr(got, name), getattr(want, name)), (where, name)
+
+
+def _meas_pair(std, seed):
+    """Two measurement models whose generators start in the same state."""
+    if std == 0.0:
+        return MeasurementModel(), MeasurementModel()
+    return tuple(MeasurementModel(MODE_ADDITIVE_NOISE, std, np.random.default_rng(seed))
+                 for _ in range(2))
+
+
+def _assert_same_generators(got, want, where):
+    if got.rng is not None:
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state, where
+        assert _same(got.rng.normal(), want.rng.normal()), where
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 10, 50])
+def test_run_protocol_matches_per_stage_oracle(m):
+    """run_protocol's running phasor sum and stage loop give the oracle's
+    phases, powers, targets, errors, traces and generator state bit for bit,
+    exact and noisy, at both reference phases."""
+    s = random_scenario(np.random.default_rng(1000 + m), m)
+    if m <= 10:
+        scens = [s] + [_with_zero_gain(s, i) for i in (0, m // 2, m - 1)]
+        scens += _probe_tie_scenarios() if m == 2 else []
+        budgets = ORACLE_BUDGETS
+    else:
+        scens = [s, _with_zero_gain(_with_zero_gain(_with_zero_gain(s, 0), m // 2), m - 1)]
+        budgets = [1, 8, 45]
+    cases = itertools.product(enumerate(scens), budgets, ORACLE_NOISE, (0.0, 0.7))
+    for (k, s), n, std, first in cases:
+        where = (m, k, n, std, first)
+        meas, meas_ref = _meas_pair(std, 7 * n + k)
+        got = run_protocol(s, n, meas, first_phase=first)
+        want = per_stage_protocol(s, n, meas_ref, first_phase=first)
+        for name in ("final_phases", "q_d", "q_star", "eta", "target_phases", "errors",
+                     "total_feedback_intervals"):
+            assert _same(getattr(got, name), getattr(want, name)), (where, name)
+        assert len(got.traces) == len(want.traces) == m - 1
+        for g, w in zip(got.traces, want.traces):
+            _assert_same_trace(g, w, where)
+        _assert_same_generators(meas, meas_ref, where)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 10, 50])
+def test_adapt_phase_matches_per_reading_oracle(m):
+    """One stage against an arbitrary active set, with repeated probes and a
+    rotated probe lattice: the trace and the generator state equal the
+    one-reading-at-a-time oracle's bit for bit. Each zero-gain link (first,
+    middle, last) is paired with a different adapting transmitter."""
+    rng = np.random.default_rng(2000 + m)
+    s = random_scenario(rng, m)
+    ends = (0, m // 2, m - 1)
+    stages = [(s, m - 1)] + [(_with_zero_gain(s, i), ends[j - 1]) for j, i in enumerate(ends)]
+    for k, (s, adapter) in enumerate(stages):
+        active = rng.random(m) < 0.8
+        active[adapter] = False
+        pa = PhaseAssignment(rng.uniform(-math.pi, math.pi, m), active)
+        for n, std, repeats, offset in itertools.product(
+                ORACLE_BUDGETS, ORACLE_NOISE, (1, 3), (0.0, 0.7)):
+            where = (m, k, adapter, n, std, repeats, offset)
+            meas, meas_ref = _meas_pair(std, 11 * n + k)
+            phi, trace = adapt_phase(s, pa, adapter, n, meas, offset, repeats)
+            phi_ref, trace_ref = per_reading_adapt_phase(s, pa, adapter, n, meas_ref,
+                                                         offset, repeats)
+            assert _same(phi, phi_ref), where
+            _assert_same_trace(trace, trace_ref, where)
+            _assert_same_generators(meas, meas_ref, where)
 
 
 def test_recorded_errors_match_recomputation(rng):
