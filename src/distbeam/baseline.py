@@ -133,8 +133,7 @@ def run_random_perturbation(
     while n < t:
         stop = min(n + block, t)
         cand = wrap_angle(best + cand_hist[n:stop])
-        # PhaseAssignment's second wrap, as harvested_power sees the candidate
-        p = power_scale * _pair_sum(amp, wrap_angle(cand) - s.phase_shifts)
+        p = power_scale * _pair_sum(amp, cand - s.phase_shifts)
         if meas.noisy:
             p += meas_hist[n:stop]
             p = np.where(p > 0.0, p, 0.0)   # measure's max(0.0, x), NaN and -0.0 included

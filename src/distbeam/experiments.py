@@ -25,7 +25,7 @@ from ._version import __version__
 from .baseline import DEFAULT_SCALE, PerturbationConfig, run_random_perturbation
 from .channel import Scenario, ScenarioDistribution, generate_scenario
 from .power import PhaseAssignment, harvested_power, optimal_power
-from .protocol import efficiency_lower_bound, exact_final_phases, run_protocol
+from .protocol import efficiency_lower_bound, exact_runs, run_protocol
 
 EXP_EFFICIENCY = "efficiency-vs-N"
 EXP_POWER = "power-vs-M"
@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if not self.n_list or not self.m_list or not self.budgets:
             raise ValueError("sweep lists must be non-empty")
+        if min(self.budgets) < 1:
+            raise ValueError(f"budgets must be >= 1; got {min(self.budgets)}")
         if self.experiment == EXP_OVERHEAD and len(self.m_list) > 1:
             raise ValueError(f"{EXP_OVERHEAD} runs one system size; got m_list "
                              f"{','.join(map(str, self.m_list))}")
@@ -180,7 +182,10 @@ def _parse_value(key: str, raw):
     if key in ("n_list", "m_list", "budgets"):
         return tuple(int(v) for v in raw.split(",") if v.strip())
     if key == "count_training_energy":
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        word = raw.strip().lower()
+        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ValueError(f"{key} must be one of 1/0/true/false/yes/no/on/off; got {raw!r}")
+        return word in ("1", "true", "yes", "on")
     if key == "out_dir":
         return raw
     return float(raw)
@@ -270,7 +275,7 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
     feedback budget, one curve pair per system size.
 
     Each budget runs the exact protocol for all trials at once through
-    :func:`exact_final_phases`; each run's delivered power then comes from
+    :func:`exact_runs`; each run's delivered power then comes from
     ``harvested_power`` as in :func:`run_protocol`.
     """
     domain = _DOMAIN[cfg.experiment]
@@ -283,7 +288,7 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
         etas = np.zeros((cfg.trials, len(cfg.n_list)))
         bounds = np.zeros_like(etas)
         for j, n in enumerate(cfg.n_list):
-            phases = exact_final_phases(scens, n)
+            phases, _ = exact_runs(scens, n)
             for t, s in enumerate(scens):
                 etas[t, j] = harvested_power(s, PhaseAssignment(phases[t])) / q_star[t]
                 bounds[t, j] = efficiency_lower_bound(s, n)
@@ -383,41 +388,36 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     ``count_training_energy`` is set; by default the receiver spends those
     intervals measuring, so a budget shorter than the training phase
     averages to the truncated (training-only) credit.
+
+    Each policy runs all trials' gain-sorted channels at once through
+    :func:`exact_runs`, whose interval powers are the training credit.
     """
     domain = _DOMAIN[cfg.experiment]
     (m,) = cfg.m_list
     dist = cfg.distribution(m)
-    policies = [(name, m - off) for name, off in OVERHEAD_POLICIES if m - off >= 2]
-
-    def one_trial(t):
-        scen, _ = generate_scenario(dist, rng_stream(cfg.seed, domain, t))
-        order = np.argsort(-scen.gains)
-        channels = [scen.channels[i] for i in order]
-        per_policy = {}
-        for name, m_on in policies:
-            sub = Scenario(scen.transmit_power, scen.carrier_freq,
-                           scen.conversion_eff, channels[:m_on])
-            res = run_protocol(sub, cfg.n_adapt)
-            t_train = res.total_feedback_intervals
-            traj = protocol_trajectory(res, t_train)
-            averages = []
-            for b in cfg.budgets:
-                if cfg.count_training_energy:
-                    credit = float(np.sum(traj[: min(b, t_train)]))
-                else:
-                    credit = 0.0
-                credit += max(0, b - t_train) * res.q_d
-                averages.append(credit / b)
-            per_policy[name] = averages
-        q0 = harvested_power(scen, PhaseAssignment(np.zeros(m)))
-        per_policy["no_adaptation"] = [q0] * len(cfg.budgets)
-        per_policy["optimal"] = [optimal_power(scen)] * len(cfg.budgets)
-        return per_policy
-
-    results = [one_trial(t) for t in range(cfg.trials)]
+    scens = [generate_scenario(dist, rng_stream(cfg.seed, domain, t))[0]
+             for t in range(cfg.trials)]
+    by_gain = [[s.channels[i] for i in np.argsort(-s.gains)] for s in scens]
+    tables = {}
+    for name, off in OVERHEAD_POLICIES:
+        if m - off < 2:
+            continue
+        subs = [Scenario(s.transmit_power, s.carrier_freq, s.conversion_eff, ch[:m - off])
+                for s, ch in zip(scens, by_gain)]
+        phases, powers = exact_runs(subs, cfg.n_adapt)
+        t_train = powers.shape[1]
+        table = np.zeros((cfg.trials, len(cfg.budgets)))
+        for t, (sub, row) in enumerate(zip(subs, powers)):
+            q_d = harvested_power(sub, PhaseAssignment(phases[t]))
+            for j, b in enumerate(cfg.budgets):
+                credit = float(np.sum(row[:min(b, t_train)])) if cfg.count_training_energy else 0.0
+                table[t, j] = (credit + max(0, b - t_train) * q_d) / b
+        tables[name] = table
+    n_budgets, zeros = len(cfg.budgets), PhaseAssignment(np.zeros(m))
+    tables["no_adaptation"] = np.array([[harvested_power(s, zeros)] * n_budgets for s in scens])
+    tables["optimal"] = np.array([[optimal_power(s)] * n_budgets for s in scens])
     rows = []
-    for name in [p[0] for p in policies] + ["no_adaptation", "optimal"]:
-        table = np.array([r[name] for r in results])   # (trials, budgets)
+    for name, table in tables.items():
         for j, b in enumerate(cfg.budgets):
             mean, se = _mean_stderr(table[:, j])
             rows.append(ResultRow(name, b, mean, se))

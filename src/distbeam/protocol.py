@@ -120,18 +120,20 @@ def run_protocol(
     )
 
 
-def exact_final_phases(scenarios: Sequence[Scenario], n_intervals: int) -> np.ndarray:
-    """Final phases of :func:`run_protocol` under exact measurement, for a
-    batch of scenarios with the same number of transmitters.
+def exact_runs(scenarios: Sequence[Scenario], n_intervals: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`run_protocol`'s final phases and interval powers under exact
+    measurement, for scenarios that share a number of transmitters.
 
-    Returns a (T, M) array, one row per scenario. Every stage replays the
-    scalar path's arithmetic over the trial axis: the running phasor sum
-    adds transmitter m-1 as ``run_protocol`` does, a zero
-    combined gain reduces to ``SumSignal(0, 0)``, and each interval
-    compares the two ``partial_power`` probes, scaled by each scenario's
-    ``conversion_eff * transmit_power``, and bisects the (center,
-    half-width) arc, which stops at ``CONVERGENCE_FLOOR``. The half-width
-    is the same in every trial. Memory is O(T*M).
+    Returns a (T, M) and a (T, N*(M-1)) array, one row per scenario; the
+    powers are the runs' ``TrainingTrace.interval_powers``, stage after
+    stage. Every stage replays the scalar path's arithmetic over the trial
+    axis: the running phasor sum adds transmitter m-1 as ``run_protocol``
+    does, a zero combined gain reduces to ``SumSignal(0, 0)``, and each
+    interval compares the two ``partial_power`` probes, scaled by each
+    scenario's ``conversion_eff * transmit_power``, and bisects the
+    (center, half-width) arc, which is still probed but stops moving at
+    ``CONVERGENCE_FLOOR``. The half-width is the same in every trial.
+    Memory is O(T*N*M).
     """
     gains = np.array([s.gains for s in scenarios], dtype=float)
     phase_shifts = np.array([s.phase_shifts for s in scenarios], dtype=float)
@@ -142,6 +144,7 @@ def exact_final_phases(scenarios: Sequence[Scenario], n_intervals: int) -> np.nd
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
     phases = np.zeros((trials, m_total))        # transmitter 0 keeps phase 0
+    powers = np.empty((trials, n_intervals * (m_total - 1)))
     amp = np.sqrt(gains)
     arc = initial_arc()
     re = im = None
@@ -157,28 +160,24 @@ def exact_final_phases(scenarios: Sequence[Scenario], n_intervals: int) -> np.nd
         swing = 2.0 * np.sqrt(g_m * ss_gain)
         center = np.full(trials, arc.center)
         half = arc.half_width
-        for _ in range(n_intervals):
-            if half <= CONVERGENCE_FLOOR:
-                break
+        for k in range((m - 1) * n_intervals, m * n_intervals):
             off = math.pi / 2.0 if half == math.pi else half
-            # the probe offset of run_protocol (0.0) adds a second wrap
-            psi = wrap_angle(wrap_angle(center + off))
-            psi_prime = wrap_angle(wrap_angle(center - off))
-            q_psi = power_scale * (base + swing * np.cos(psi - target))
-            q_psi_prime = power_scale * (base + swing * np.cos(psi_prime - target))
-            shift = np.where(q_psi >= q_psi_prime, half / 2.0, -half / 2.0)
-            center = wrap_angle(center + shift)
-            half /= 2.0
-        phases[:, m] = wrap_angle(center)
-    return phases
+            q_psi = power_scale * (base + swing * np.cos(wrap_angle(center + off) - target))
+            q_psi_prime = power_scale * (base + swing * np.cos(wrap_angle(center - off) - target))
+            powers[:, k] = 0.5 * (q_psi + q_psi_prime)
+            if half > CONVERGENCE_FLOOR:
+                shift = np.where(q_psi >= q_psi_prime, half / 2.0, -half / 2.0)
+                center = wrap_angle(center + shift)
+                half /= 2.0
+        phases[:, m] = center
+    return phases, powers
 
 
 def _add_phasor(re, im, amp, phase_shift, phase):
     """Add one fixed transmitter's phasor to a running sum (``None`` starts
     one), left to right like ``sum_signal``'s ``cumsum``: the first term
     starts the sum, so even a signed zero matches. Scalars or trial arrays."""
-    # PhaseAssignment wraps the fixed phases once more before summing
-    delta = phase_shift - wrap_angle(phase)
+    delta = phase_shift - phase
     dre = amp * np.cos(delta)
     dim = amp * np.sin(delta)
     if re is None:
@@ -225,7 +224,8 @@ def efficiency_lower_bound(s: Scenario, n_intervals: int) -> float:
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
     total, cross = _gain_sums(s)
-    worst = math.cos(math.pi / 2.0 ** n_intervals) ** 2
+    # ldexp, not pi / 2.0 ** n: the power overflows from n = 1024
+    worst = math.cos(math.ldexp(math.pi, -n_intervals)) ** 2
     return (total + cross * worst) / (total + cross)
 
 

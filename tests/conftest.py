@@ -22,6 +22,8 @@ from distbeam import (
     ProtocolResult,
     harvested_power,
     optimal_power,
+    protocol_trajectory,
+    run_protocol,
 )
 from distbeam.adapt import (
     TraceRecord,
@@ -33,7 +35,13 @@ from distbeam.adapt import (
 )
 from distbeam.angles import wrap_angle
 from distbeam.baseline import DIST_UNIFORM, BaselineTrace
-from distbeam.experiments import rng_stream
+from distbeam.experiments import (
+    _DOMAIN,
+    OVERHEAD_POLICIES,
+    ResultRow,
+    _mean_stderr,
+    rng_stream,
+)
 from distbeam.power import EXACT, aligned_phase, measure, partial_power, sum_signal
 
 
@@ -158,6 +166,50 @@ def per_stage_protocol(s: Scenario, n_intervals: int, meas=EXACT,
     q_star = optimal_power(s)
     return ProtocolResult(phases, q_d, q_star, q_d / q_star, traces, targets, errors,
                           n_intervals * (m_total - 1))
+
+
+def per_trial_overhead(cfg) -> list[ResultRow]:
+    """The overhead-tradeoff sweep one trial at a time: each policy runs
+    ``run_protocol`` on the trial's channels sorted by falling gain and
+    takes its training credit from the run's traces."""
+    domain = _DOMAIN[cfg.experiment]
+    (m,) = cfg.m_list
+    dist = cfg.distribution(m)
+    policies = [(name, m - off) for name, off in OVERHEAD_POLICIES if m - off >= 2]
+
+    def one_trial(t):
+        scen, _ = generate_scenario(dist, rng_stream(cfg.seed, domain, t))
+        order = np.argsort(-scen.gains)
+        channels = [scen.channels[i] for i in order]
+        per_policy = {}
+        for name, m_on in policies:
+            sub = Scenario(scen.transmit_power, scen.carrier_freq,
+                           scen.conversion_eff, channels[:m_on])
+            res = run_protocol(sub, cfg.n_adapt)
+            t_train = res.total_feedback_intervals
+            traj = protocol_trajectory(res, t_train)
+            averages = []
+            for b in cfg.budgets:
+                if cfg.count_training_energy:
+                    credit = float(np.sum(traj[: min(b, t_train)]))
+                else:
+                    credit = 0.0
+                credit += max(0, b - t_train) * res.q_d
+                averages.append(credit / b)
+            per_policy[name] = averages
+        q0 = harvested_power(scen, PhaseAssignment(np.zeros(m)))
+        per_policy["no_adaptation"] = [q0] * len(cfg.budgets)
+        per_policy["optimal"] = [optimal_power(scen)] * len(cfg.budgets)
+        return per_policy
+
+    results = [one_trial(t) for t in range(cfg.trials)]
+    rows = []
+    for name in [p[0] for p in policies] + ["no_adaptation", "optimal"]:
+        table = np.array([r[name] for r in results])   # (trials, budgets)
+        for j, b in enumerate(cfg.budgets):
+            mean, se = _mean_stderr(table[:, j])
+            rows.append(ResultRow(name, b, mean, se))
+    return rows
 
 
 def grid_argmax(fn, points: int = 360) -> float:

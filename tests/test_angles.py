@@ -27,6 +27,11 @@ def test_wrap_randomized_range_and_idempotence(rng):
     assert np.all(w >= -math.pi) and np.all(w < math.pi)
     # bit for bit: a second wrap, as PhaseAssignment applies, changes nothing
     assert np.array_equal(wrap_angle(w), w)
+    # the same holds for the scalar wrap, which agrees with the array one
+    for xi, wi in zip(x.tolist(), w.tolist()):
+        ws = wrap_angle(xi)
+        assert ws == wi and math.copysign(1.0, ws) == math.copysign(1.0, wi), xi
+        assert wrap_angle(ws) == ws and wrap_angle(wi) == wi, xi
     # wrapping preserves the angle modulo 2*pi
     assert np.allclose(np.cos(w), np.cos(x), atol=1e-12)
     assert np.allclose(np.sin(w), np.sin(x), atol=1e-12)

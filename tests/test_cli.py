@@ -33,6 +33,19 @@ def test_bound_gains_list(capsys):
     assert out.strip() == "4.8094"
 
 
+def test_large_n_runs_without_overflow(capsys, tmp_path):
+    """N >= 1024 used to end in an OverflowError traceback from 2.0 ** N."""
+    code, out, err = run_cli(capsys, "bound", "--equal-gains", "--M", "3", "--N", "2000")
+    assert code == EXIT_OK and out.strip() == "1" and err == ""
+    code, out, _ = run_cli(capsys, "protocol", "--M", "3", "--N", "1100")
+    assert code == EXIT_OK
+    assert out.splitlines()[1].split(",")[5] == "1"
+    code, _, _ = run_cli(capsys, "exp", "efficiency-vs-N", "--trials", "2", "--m-list", "3",
+                         "--n-list", "1100", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    assert (tmp_path / "efficiency-vs-N" / "bound_M3.csv").read_text() == "N,mean,stderr\n1100,1,0\n"
+
+
 def test_bound_usage_errors(capsys):
     code, _, err = run_cli(capsys, "bound", "--M", "5", "--equal-gains")
     assert code == EXIT_USAGE
@@ -177,6 +190,18 @@ def test_exp_config_file(capsys, tmp_path):
     assert meta["seed"] == 2        # file value survives when flag absent
 
 
+def test_exp_config_file_rejects_unknown_boolean(capsys, tmp_path):
+    """A misspelt boolean used to read as false and run uncredited."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("count_training_energy = ture\ntrials = 2\n")
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "exp", "overhead-tradeoff", "--config", str(cfg_file),
+                             "--out", str(out_dir))
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and "count_training_energy" in err
+    assert not out_dir.exists()
+
+
 def test_exp_missing_config_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "exp", "efficiency-vs-N", "--config",
                            str(tmp_path / "nope.cfg"))
@@ -205,6 +230,8 @@ def test_usage_errors(capsys, tmp_path):
         (("efficiency-vs-N", "--m-list", "1"), "protocol needs at least two transmitters"),
         (("efficiency-vs-N", "--n-list", "0,2"), "n_intervals must be >= 1"),
         (("overhead-tradeoff", "--m-list", "5,10", "--budgets", "10"), "m_list 5,10"),
+        (("overhead-tradeoff", "--budgets", "0,5"), "budgets must be >= 1"),
+        (("overhead-tradeoff", "--budgets=-5"), "budgets must be >= 1"),
     ):
         code, out, err = run_cli(capsys, "exp", *argv, "--trials", "3",
                                  "--out", str(tmp_path))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from distbeam import efficiency_lower_bound, generate_scenario, run_protocol
+from distbeam import efficiency_lower_bound, experiments, generate_scenario, run_protocol
 from distbeam.experiments import (
     _DOMAIN,
     EXP_CONVERGENCE,
@@ -19,6 +19,8 @@ from distbeam.experiments import (
     rng_stream,
     run_experiment,
 )
+
+from conftest import per_trial_overhead
 
 
 def small_cfg(experiment, **kw):
@@ -53,6 +55,10 @@ def test_config_validation():
             ExperimentConfig(experiment=EXP_EFFICIENCY, workers=workers)
     with pytest.raises(ValueError, match="one system size"):
         small_cfg(EXP_OVERHEAD, m_list=(5, 10))
+    # a budget of 0 divided by zero and a negative one wrote a row
+    for budgets in ((0, 5), (-5,), (10, -1)):
+        with pytest.raises(ValueError, match="budgets must be >= 1"):
+            small_cfg(EXP_OVERHEAD, budgets=budgets)
 
 
 def test_parse_config_text():
@@ -71,6 +77,18 @@ def test_parse_config_text():
     assert cfg.n_list == (1, 2, 3)
     assert cfg.perturb_scale == 0.5
     assert cfg.count_training_energy is True
+
+
+def test_parse_config_booleans():
+    """Only the usual spellings parse, in any case; anything else raises
+    rather than reading as false."""
+    for raw, flag in (("1", True), ("0", False), ("TRUE", True), ("False", False),
+                      ("yes", True), ("No", False), (" on ", True), ("OFF", False)):
+        cfg = config_from_mapping({"experiment": EXP_OVERHEAD, "count_training_energy": raw})
+        assert cfg.count_training_energy is flag, raw
+    for raw in ("ture", "", "2", "y", "enabled"):
+        with pytest.raises(ValueError, match="count_training_energy"):
+            config_from_mapping({"experiment": EXP_OVERHEAD, "count_training_energy": raw})
 
 
 def test_parse_config_errors():
@@ -217,6 +235,33 @@ def test_overhead_policies_relative_to_m():
     drop1 = {r.x: r.mean for r in res.curve("drop_weakest_1")}
     assert allon[30] == 0.0 < allon[31]
     assert drop1[30] > 0.0
+
+
+@pytest.mark.parametrize("m", (2, 3, 5, 7))
+def test_overhead_rows_equal_per_trial_runs(m, monkeypatch):
+    """Every overhead row equals the per-trial run_protocol sweep's, with
+    and without training credit, at budgets around each policy's training
+    length t = n_adapt * (M_on - 1): short of it, at it, just past it, and
+    n_adapt = 45 runs past the convergence floor. The experiment itself
+    never calls run_protocol."""
+    cfgs = []
+    for n_adapt in (1, 5, 45):
+        budgets = {1, 300}
+        for m_on in range(max(2, m - 2), m + 1):
+            t = n_adapt * (m_on - 1)
+            budgets |= {t - 1, t, t + 1}
+        for count in (False, True):
+            cfgs.append(small_cfg(EXP_OVERHEAD, trials=8, m_list=(m,), n_adapt=n_adapt,
+                                  budgets=tuple(sorted(b for b in budgets if b >= 1)),
+                                  count_training_energy=count))
+    want = [per_trial_overhead(cfg) for cfg in cfgs]
+
+    def scalar_run(*args, **kwargs):
+        raise AssertionError("overhead-tradeoff called run_protocol")
+
+    monkeypatch.setattr(experiments, "run_protocol", scalar_run)
+    for cfg, rows in zip(cfgs, want):
+        assert run_experiment(cfg).rows == rows, (cfg.n_adapt, cfg.count_training_energy)
 
 
 def test_overhead_training_energy_flag():

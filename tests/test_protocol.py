@@ -24,7 +24,7 @@ from distbeam import (
 )
 from distbeam.adapt import TraceRecord, adapt_phase
 from distbeam.power import MODE_ADDITIVE_NOISE, MeasurementModel
-from distbeam.protocol import exact_final_phases
+from distbeam.protocol import exact_runs
 
 from conftest import (
     equal_gain_scenario,
@@ -88,9 +88,9 @@ def test_protocol_validation(rng):
     with pytest.raises(ValueError):
         run_protocol(random_scenario(rng, 3), 0)
     with pytest.raises(ValueError, match="at least two transmitters"):
-        exact_final_phases([random_scenario(rng, 1)] * 3, 5)
+        exact_runs([random_scenario(rng, 1)] * 3, 5)
     with pytest.raises(ValueError, match="n_intervals must be >= 1"):
-        exact_final_phases([random_scenario(rng, 4)] * 3, 0)
+        exact_runs([random_scenario(rng, 4)] * 3, 0)
 
 
 def _with_zero_gain(s, index):
@@ -118,13 +118,13 @@ def _probe_tie_scenarios():
     return scens
 
 
-def test_exact_final_phases_match_run_protocol(rng):
-    """The trial-batched engine returns run_protocol's final phases bit for
-    bit: where the two probe powers differ by only a few ulp (N 20-30),
-    past the convergence floor (N >= 42), with zero-gain links (first,
-    middle and last), with power scales other than 1 in one batch, and at
-    a probe tie."""
-    budgets = list(range(1, 13)) + [20, 24, 26, 28, 30, 41, 42, 45]
+def test_exact_runs_match_run_protocol(rng):
+    """The trial-batched engine returns run_protocol's final phases and
+    interval powers bit for bit: where the two probe powers differ by only
+    a few ulp (N 20-30), past the convergence floor (N >= 42), with
+    zero-gain links (first, middle and last), with power scales other than
+    1 in one batch, and at a probe tie."""
+    budgets = list(range(1, 13)) + [20, 24, 26, 28, 30, 41, 42, 43, 44, 45]
     for m in (2, 3, 5, 10, 20):
         scens = [random_scenario(rng, m, conversion_eff=eff, transmit_power=power)
                  for eff, power in ((1.0, 1.0), (0.37, 2.5)) for _ in range(4)]
@@ -135,10 +135,13 @@ def test_exact_final_phases_match_run_protocol(rng):
         else:
             scens += _probe_tie_scenarios()
         for n in budgets:
-            got = exact_final_phases(scens, n)
+            phases, powers = exact_runs(scens, n)
+            assert powers.shape == (len(scens), n * (m - 1))
             for t, s in enumerate(scens):
-                want = run_protocol(s, n).final_phases
-                assert np.array_equal(got[t], want), (m, n, t)
+                want = run_protocol(s, n)
+                assert np.array_equal(phases[t], want.final_phases), (m, n, t)
+                traj = np.concatenate([tr.interval_powers() for tr in want.traces])
+                assert np.array_equal(powers[t], traj), (m, n, t)
 
 
 ORACLE_BUDGETS = list(range(1, 9)) + [41, 45]    # 41, 45: past CONVERGENCE_FLOOR
@@ -276,6 +279,19 @@ def test_efficiency_bound_limits(rng):
     assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
     assert bounds[-1] > 1 - 1e-12
     assert efficiency_lower_bound(equal_gain_scenario(1), 3) == 1.0
+
+
+def test_efficiency_bound_past_float_exponent_range(rng):
+    """2.0 ** 1024 overflows, but the worst-case error pi / 2**N only gets
+    smaller: from N = 1023 on, cos(error) ** 2 rounds to 1."""
+    s = random_scenario(rng, 4)
+    total = float(np.sum(s.gains))
+    cross = float(np.sum(np.outer(np.sqrt(s.gains), np.sqrt(s.gains)))) - total
+    for n in (1, 2, 5, 30, 60, 500, 1022):
+        worst = math.cos(math.pi / 2.0 ** n) ** 2
+        assert efficiency_lower_bound(s, n) == (total + cross * worst) / (total + cross), n
+    for n in (1023, 1024, 2000):
+        assert efficiency_lower_bound(s, n) == 1.0, n
 
 
 def test_sandwich_randomized(rng):
