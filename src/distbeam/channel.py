@@ -69,8 +69,9 @@ class Scenario:
     channels: list[Channel]
 
     def __post_init__(self):
-        if not self.transmit_power > 0.0:
-            raise ValueError("transmit_power must be positive")
+        if not 0.0 < self.transmit_power < math.inf:
+            raise ValueError(f"transmit_power must be positive and finite, "
+                             f"got {self.transmit_power}")
         if not self.carrier_freq > 0.0:
             raise ValueError("carrier_freq must be positive")
         if not 0.0 < self.conversion_eff <= 1.0:
@@ -116,10 +117,19 @@ class ScenarioDistribution:
         lo, hi = self.distance_range
         if not 0.0 < lo <= hi:
             raise ValueError("distance_range must satisfy 0 < min <= max")
-        if not self.path_loss_exponent > 0.0:
-            raise ValueError("path_loss_exponent must be positive")
-        if not self.ref_attenuation > 0.0:
-            raise ValueError("ref_attenuation must be positive")
+        if hi == math.inf:
+            raise ValueError(f"distance_range must be finite, got ({lo}, {hi})")
+        if not 0.0 < self.path_loss_exponent < math.inf:
+            raise ValueError(f"path_loss_exponent must be positive and finite, "
+                             f"got {self.path_loss_exponent}")
+        if not 0.0 < self.ref_attenuation < math.inf:
+            raise ValueError(f"ref_attenuation must be positive and finite, "
+                             f"got {self.ref_attenuation}")
+        if not 0.0 < self.ref_distance < math.inf:
+            raise ValueError(f"ref_distance must be positive and finite, got {self.ref_distance}")
+        if not 0.0 < self.transmit_power < math.inf:
+            raise ValueError(f"transmit_power must be positive and finite, "
+                             f"got {self.transmit_power}")
         if self.num_transmitters < 1:
             raise ValueError("need at least one transmitter")
 

@@ -24,8 +24,16 @@ import numpy as np
 from ._version import __version__
 from .baseline import DEFAULT_SCALE, PerturbationConfig, run_random_perturbation
 from .channel import Scenario, ScenarioDistribution, generate_scenario
-from .power import PhaseAssignment, harvested_power, optimal_power
-from .protocol import efficiency_lower_bound, exact_runs, run_protocol
+from .power import (
+    PhaseAssignment,
+    TrialStack,
+    harvested_power,
+    harvested_powers,
+    optimal_power,
+    optimal_powers,
+    stack_scenarios,
+)
+from .protocol import efficiency_lower_bounds, exact_runs, run_protocol
 
 EXP_EFFICIENCY = "efficiency-vs-N"
 EXP_POWER = "power-vs-M"
@@ -274,30 +282,27 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
     """Mean efficiency and its closed-form lower bound versus the per-stage
     feedback budget, one curve pair per system size.
 
-    Each budget runs the exact protocol for all trials at once through
-    :func:`exact_runs`; each run's delivered power then comes from
-    ``harvested_power`` as in :func:`run_protocol`.
+    Each system size stacks its trials once, takes every Q* and bound from
+    the stack, and runs the exact protocol for all trials at once through
+    :func:`exact_runs` per budget; the delivered powers come from the
+    stacked phases. Each value equals the per-run one bit for bit.
     """
     domain = _DOMAIN[cfg.experiment]
     rows = []
     for m in cfg.m_list:
         dist = cfg.distribution(m)
-        scens = [generate_scenario(dist, rng_stream(cfg.seed, domain, m, t))[0]
-                 for t in range(cfg.trials)]
-        q_star = [optimal_power(s) for s in scens]
+        stack = stack_scenarios([generate_scenario(dist, rng_stream(cfg.seed, domain, m, t))[0]
+                                 for t in range(cfg.trials)])
+        q_star = optimal_powers(stack)
         etas = np.zeros((cfg.trials, len(cfg.n_list)))
-        bounds = np.zeros_like(etas)
         for j, n in enumerate(cfg.n_list):
-            phases, _ = exact_runs(scens, n)
-            for t, s in enumerate(scens):
-                etas[t, j] = harvested_power(s, PhaseAssignment(phases[t])) / q_star[t]
-                bounds[t, j] = efficiency_lower_bound(s, n)
-        for j, n in enumerate(cfg.n_list):
-            mean, se = _mean_stderr(etas[:, j])
-            rows.append(ResultRow(f"eta_M{m}", n, mean, se))
-        for j, n in enumerate(cfg.n_list):
-            mean, se = _mean_stderr(bounds[:, j])
-            rows.append(ResultRow(f"bound_M{m}", n, mean, se))
+            phases, _ = exact_runs(stack, n)
+            etas[:, j] = harvested_powers(stack, phases) / q_star
+        bounds = efficiency_lower_bounds(stack, cfg.n_list)
+        for curve, table in ((f"eta_M{m}", etas), (f"bound_M{m}", bounds)):
+            for j, n in enumerate(cfg.n_list):
+                mean, se = _mean_stderr(table[:, j])
+                rows.append(ResultRow(curve, n, mean, se))
     return ExperimentResult(cfg.experiment, "N", rows, _metadata(cfg))
 
 
@@ -389,33 +394,36 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     intervals measuring, so a budget shorter than the training phase
     averages to the truncated (training-only) credit.
 
-    Each policy runs all trials' gain-sorted channels at once through
+    Each policy runs the gain-sorted stack of all trials at once through
     :func:`exact_runs`, whose interval powers are the training credit.
     """
     domain = _DOMAIN[cfg.experiment]
     (m,) = cfg.m_list
     dist = cfg.distribution(m)
-    scens = [generate_scenario(dist, rng_stream(cfg.seed, domain, t))[0]
-             for t in range(cfg.trials)]
-    by_gain = [[s.channels[i] for i in np.argsort(-s.gains)] for s in scens]
+    stack = stack_scenarios([generate_scenario(dist, rng_stream(cfg.seed, domain, t))[0]
+                             for t in range(cfg.trials)])
+    order = np.argsort(-stack.gains, axis=1)
+    gains, shifts = (np.take_along_axis(a, order, axis=1)
+                     for a in (stack.gains, stack.phase_shifts))
+    budgets = np.array(cfg.budgets)
     tables = {}
     for name, off in OVERHEAD_POLICIES:
         if m - off < 2:
             continue
-        subs = [Scenario(s.transmit_power, s.carrier_freq, s.conversion_eff, ch[:m - off])
-                for s, ch in zip(scens, by_gain)]
-        phases, powers = exact_runs(subs, cfg.n_adapt)
+        sub = TrialStack(gains[:, :m - off], shifts[:, :m - off], stack.scale)
+        phases, powers = exact_runs(sub, cfg.n_adapt)
         t_train = powers.shape[1]
-        table = np.zeros((cfg.trials, len(cfg.budgets)))
-        for t, (sub, row) in enumerate(zip(subs, powers)):
-            q_d = harvested_power(sub, PhaseAssignment(phases[t]))
-            for j, b in enumerate(cfg.budgets):
-                credit = float(np.sum(row[:min(b, t_train)])) if cfg.count_training_energy else 0.0
-                table[t, j] = (credit + max(0, b - t_train) * q_d) / b
-        tables[name] = table
-    n_budgets, zeros = len(cfg.budgets), PhaseAssignment(np.zeros(m))
-    tables["no_adaptation"] = np.array([[harvested_power(s, zeros)] * n_budgets for s in scens])
-    tables["optimal"] = np.array([[optimal_power(s)] * n_budgets for s in scens])
+        q_d = harvested_powers(sub, phases)
+        energy = q_d[:, None] * np.maximum(budgets - t_train, 0)
+        if cfg.count_training_energy:
+            spans = np.minimum(budgets, t_train).tolist()
+            credit = {k: np.sum(powers[:, :k], axis=1) for k in set(spans)}
+            energy += np.stack([credit[k] for k in spans], axis=1)
+        tables[name] = energy / budgets
+    n_budgets = len(cfg.budgets)
+    tables["no_adaptation"] = np.repeat(
+        harvested_powers(stack, np.zeros_like(stack.phase_shifts))[:, None], n_budgets, axis=1)
+    tables["optimal"] = np.repeat(optimal_powers(stack)[:, None], n_budgets, axis=1)
     rows = []
     for name, table in tables.items():
         for j, b in enumerate(cfg.budgets):

@@ -9,7 +9,9 @@ independent integrator used only as an oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,12 +114,13 @@ def harvested_power(s: Scenario, pa: PhaseAssignment) -> float:
 
 def _pair_sum(amp: np.ndarray, offs: np.ndarray) -> np.ndarray:
     """Ordered double sum of amp_i amp_j cos(offs_i - offs_j) over the last
-    axis of ``offs``; leading axes index independent assignments.
+    axis of ``amp`` and ``offs``; leading axes index independent
+    assignments, and a 1-D ``amp`` serves every row of ``offs``.
 
     The diagonal contributes sum(amp**2) since cos(0) = 1. Each M x M block
     is summed on its own, so a row of a stack rounds as a single call does.
     """
-    pair = np.outer(amp, amp) * np.cos(offs[..., :, None] - offs[..., None, :])
+    pair = amp[..., :, None] * amp[..., None, :] * np.cos(offs[..., :, None] - offs[..., None, :])
     return pair.sum(axis=(-2, -1))
 
 
@@ -126,6 +129,46 @@ def optimal_power(s: Scenario) -> float:
     its channel phase shift."""
     pa = PhaseAssignment(phases=s.phase_shifts.copy())
     return harvested_power(s, pa)
+
+
+class TrialStack(NamedTuple):
+    """Scenarios with a common number of transmitters, stacked over the
+    trial axis: (T, M) gains and phase shifts, and the (T,) power scale
+    ``conversion_eff * transmit_power``."""
+
+    gains: np.ndarray
+    phase_shifts: np.ndarray
+    scale: np.ndarray
+
+
+def stack_scenarios(scenarios: Sequence[Scenario]) -> TrialStack:
+    """One :class:`TrialStack` row per scenario, in order."""
+    return TrialStack(np.array([s.gains for s in scenarios], dtype=float),
+                      np.array([s.phase_shifts for s in scenarios], dtype=float),
+                      np.array([s.conversion_eff * s.transmit_power for s in scenarios]))
+
+
+def harvested_powers(stack: TrialStack, phases: np.ndarray) -> np.ndarray:
+    """:func:`harvested_power` of every trial with all transmitters active,
+    at its row of the (T, M) wrapped ``phases``, bit for bit."""
+    return stack.scale * _pair_sum(np.sqrt(stack.gains), phases - stack.phase_shifts)
+
+
+def optimal_powers(stack: TrialStack) -> np.ndarray:
+    """:func:`optimal_power` of every trial, bit for bit.
+
+    Raises ``ValueError`` unless each is positive and finite: an
+    efficiency divides by it.
+    """
+    with np.errstate(over="ignore"):
+        q_star = harvested_powers(stack, stack.phase_shifts)
+    bad = np.flatnonzero(~((q_star > 0.0) & (q_star < math.inf)))
+    if bad.size:
+        t = int(bad[0])
+        raise ValueError(f"optimal power of trial {t} is {float(q_star[t])}: power scale "
+                         f"conversion_eff * transmit_power = {float(stack.scale[t])} "
+                         f"leaves no positive finite optimum")
+    return q_star
 
 
 def sum_signal(
@@ -169,7 +212,8 @@ def partial_power(s: Scenario, ss: SumSignal, m: int, phi_m: float) -> float:
     Equals ``harvested_power`` over the corresponding active set; maximal at
     phi_m = phase_shift_m - ss.phase_shift.
     """
-    g_m = s.gains[m]
-    target = s.phase_shifts[m] - ss.phase_shift
+    # Python floats: numpy scalars give the same values, slower and typed np.float64
+    g_m = float(s.gains[m])
+    target = float(s.phase_shifts[m]) - ss.phase_shift
     q = g_m + ss.gain + 2.0 * math.sqrt(g_m * ss.gain) * math.cos(phi_m - target)
     return s.conversion_eff * s.transmit_power * q

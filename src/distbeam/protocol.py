@@ -25,6 +25,7 @@ from .power import (
     MeasurementModel,
     PhaseAssignment,
     SumSignal,
+    TrialStack,
     aligned_phase,
     harvested_power,
     optimal_power,
@@ -120,11 +121,11 @@ def run_protocol(
     )
 
 
-def exact_runs(scenarios: Sequence[Scenario], n_intervals: int) -> tuple[np.ndarray, np.ndarray]:
+def exact_runs(stack: TrialStack, n_intervals: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`run_protocol`'s final phases and interval powers under exact
-    measurement, for scenarios that share a number of transmitters.
+    measurement, for stacked scenarios (:func:`~distbeam.power.stack_scenarios`).
 
-    Returns a (T, M) and a (T, N*(M-1)) array, one row per scenario; the
+    Returns a (T, M) and a (T, N*(M-1)) array, one row per trial; the
     powers are the runs' ``TrainingTrace.interval_powers``, stage after
     stage. Every stage replays the scalar path's arithmetic over the trial
     axis: the running phasor sum adds transmitter m-1 as ``run_protocol``
@@ -135,9 +136,7 @@ def exact_runs(scenarios: Sequence[Scenario], n_intervals: int) -> tuple[np.ndar
     ``CONVERGENCE_FLOOR``. The half-width is the same in every trial.
     Memory is O(T*N*M).
     """
-    gains = np.array([s.gains for s in scenarios], dtype=float)
-    phase_shifts = np.array([s.phase_shifts for s in scenarios], dtype=float)
-    power_scale = np.array([s.conversion_eff * s.transmit_power for s in scenarios])
+    gains, phase_shifts, power_scale = stack
     trials, m_total = gains.shape
     if m_total < 2:
         raise ValueError("protocol needs at least two transmitters")
@@ -206,12 +205,23 @@ def phase_errors(result: ProtocolResult, s: Scenario) -> np.ndarray:
     return errors
 
 
-def _gain_sums(s: Scenario) -> tuple[float, float]:
-    """Sum of the gains and the cross term: sqrt(g_i g_j) over ordered
-    pairs i != j."""
-    amp = np.sqrt(s.gains)
-    total = float(np.sum(s.gains))
-    return total, float(np.sum(np.outer(amp, amp))) - total
+def _gain_sums(gains: np.ndarray):
+    """Sum of the gains and the cross term, sqrt(g_i g_j) over ordered
+    pairs i != j, over the last axis of ``gains``."""
+    amp = np.sqrt(gains)
+    total = np.sum(gains, axis=-1)
+    return total, np.sum(amp[..., :, None] * amp[..., None, :], axis=(-2, -1)) - total
+
+
+def _bound(total, cross, n_intervals: int):
+    """The efficiency lower bound from gain sums (floats or trial arrays):
+    every cross term discounted by cos^2 of the worst-case phase error
+    pi/2**n_intervals."""
+    if n_intervals < 1:
+        raise ValueError("n_intervals must be >= 1")
+    # ldexp, not pi / 2.0 ** n: the power overflows from n = 1024
+    worst = math.cos(math.ldexp(math.pi, -n_intervals)) ** 2
+    return (total + cross * worst) / (total + cross)
 
 
 def efficiency_lower_bound(s: Scenario, n_intervals: int) -> float:
@@ -221,12 +231,15 @@ def efficiency_lower_bound(s: Scenario, n_intervals: int) -> float:
     the worst-case per-stage phase error pi/2**n_intervals; the ratio is
     scale-free, so power and efficiency factors cancel.
     """
-    if n_intervals < 1:
-        raise ValueError("n_intervals must be >= 1")
-    total, cross = _gain_sums(s)
-    # ldexp, not pi / 2.0 ** n: the power overflows from n = 1024
-    worst = math.cos(math.ldexp(math.pi, -n_intervals)) ** 2
-    return (total + cross * worst) / (total + cross)
+    total, cross = map(float, _gain_sums(s.gains))
+    return _bound(total, cross, n_intervals)
+
+
+def efficiency_lower_bounds(stack: TrialStack, n_list: Sequence[int]) -> np.ndarray:
+    """:func:`efficiency_lower_bound` of every trial (rows) at every budget
+    of ``n_list`` (columns), bit for bit, from one set of gain sums."""
+    total, cross = _gain_sums(stack.gains)
+    return np.stack([_bound(total, cross, n) for n in n_list], axis=1)
 
 
 def required_intervals(s: Scenario, eta_hat: float) -> float:
@@ -239,7 +252,7 @@ def required_intervals(s: Scenario, eta_hat: float) -> float:
     """
     if not 0.0 < eta_hat <= 1.0:
         raise ValueError("eta_hat must lie in (0, 1]")
-    total, cross = _gain_sums(s)
+    total, cross = map(float, _gain_sums(s.gains))
     if cross == 0.0:
         # single transmitter: any assignment is optimal
         return 0.0

@@ -42,7 +42,15 @@ from distbeam.experiments import (
     _mean_stderr,
     rng_stream,
 )
-from distbeam.power import EXACT, aligned_phase, measure, partial_power, sum_signal
+from distbeam.power import (
+    EXACT,
+    aligned_phase,
+    measure,
+    partial_power,
+    stack_scenarios,
+    sum_signal,
+)
+from distbeam.protocol import efficiency_lower_bound, exact_runs
 
 
 def phasor_power(s: Scenario, pa: PhaseAssignment) -> float:
@@ -166,6 +174,33 @@ def per_stage_protocol(s: Scenario, n_intervals: int, meas=EXACT,
     q_star = optimal_power(s)
     return ProtocolResult(phases, q_d, q_star, q_d / q_star, traces, targets, errors,
                           n_intervals * (m_total - 1))
+
+
+def per_run_efficiency(cfg) -> list[ResultRow]:
+    """The efficiency-vs-N sweep with per-run post-processing: the engine's
+    final phases, then one ``harvested_power``, ``optimal_power`` and
+    ``efficiency_lower_bound`` call per (trial, N)."""
+    domain = _DOMAIN[cfg.experiment]
+    rows = []
+    for m in cfg.m_list:
+        dist = cfg.distribution(m)
+        scens = [generate_scenario(dist, rng_stream(cfg.seed, domain, m, t))[0]
+                 for t in range(cfg.trials)]
+        q_star = [optimal_power(s) for s in scens]
+        etas = np.zeros((cfg.trials, len(cfg.n_list)))
+        bounds = np.zeros_like(etas)
+        for j, n in enumerate(cfg.n_list):
+            phases, _ = exact_runs(stack_scenarios(scens), n)
+            for t, s in enumerate(scens):
+                etas[t, j] = harvested_power(s, PhaseAssignment(phases[t])) / q_star[t]
+                bounds[t, j] = efficiency_lower_bound(s, n)
+        for j, n in enumerate(cfg.n_list):
+            mean, se = _mean_stderr(etas[:, j])
+            rows.append(ResultRow(f"eta_M{m}", n, mean, se))
+        for j, n in enumerate(cfg.n_list):
+            mean, se = _mean_stderr(bounds[:, j])
+            rows.append(ResultRow(f"bound_M{m}", n, mean, se))
+    return rows
 
 
 def per_trial_overhead(cfg) -> list[ResultRow]:

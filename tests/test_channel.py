@@ -99,8 +99,9 @@ def test_channel_and_scenario_validation():
     with pytest.raises(ValueError):
         Channel(-1e-9, 0.0)
     assert Channel(1.0, 3 * math.pi).phase_shift == -math.pi
-    with pytest.raises(ValueError):
-        Scenario(0.0, 1.0, 1.0, [Channel(1, 0)])
+    for power in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="transmit_power must be positive and finite"):
+            Scenario(power, 1.0, 1.0, [Channel(1, 0)])
     with pytest.raises(ValueError):
         Scenario(1.0, 1.0, 1.5, [Channel(1, 0)])
     with pytest.raises(ValueError):
@@ -160,6 +161,24 @@ def test_distribution_validation():
         ScenarioDistribution(num_transmitters=1, distance_range=(6.0, 5.0))
     with pytest.raises(ValueError):
         ScenarioDistribution(num_transmitters=1, path_loss_exponent=0.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("distance_range", (5.0, math.inf), "distance_range must be finite"),
+    ("path_loss_exponent", math.inf, "path_loss_exponent must be positive and finite"),
+    ("path_loss_exponent", math.nan, "path_loss_exponent must be positive and finite"),
+    ("ref_attenuation", math.inf, "ref_attenuation must be positive and finite"),
+    ("ref_distance", -1.0, "ref_distance must be positive and finite"),
+    ("ref_distance", 0.0, "ref_distance must be positive and finite"),
+    ("ref_distance", math.inf, "ref_distance must be positive and finite"),
+    ("transmit_power", math.inf, "transmit_power must be positive and finite"),
+    ("transmit_power", math.nan, "transmit_power must be positive and finite"),
+])
+def test_distribution_rejects_non_finite_fields(field, value, message):
+    """Each bad field names itself; none reaches numpy's uniform draw or a
+    channel's gain check."""
+    with pytest.raises(ValueError, match=message):
+        ScenarioDistribution(num_transmitters=2, **{field: value})
 
 
 def test_scenario_text_round_trip():

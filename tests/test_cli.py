@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from distbeam.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, cli_main
 
 
@@ -309,3 +311,27 @@ def test_baseline_rejects_steps_that_overflow(capsys):
                              "--intervals", "400")
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error: ") and "non-finite" in err
+
+
+@pytest.mark.parametrize("experiment, line, message", [
+    ("efficiency-vs-N", "transmit_power = inf", "transmit_power must be positive and finite"),
+    ("overhead-tradeoff", "transmit_power = inf", "transmit_power must be positive and finite"),
+    ("efficiency-vs-N", "conversion_eff = 1e-320", "optimal power of trial"),
+    ("overhead-tradeoff", "conversion_eff = 1e-320", "optimal power of trial"),
+    ("efficiency-vs-N", "distance_max = inf", "distance_range must be finite"),
+    ("efficiency-vs-N", "ref_distance = -1", "ref_distance must be positive and finite"),
+    ("efficiency-vs-N", "ref_attenuation = inf", "ref_attenuation must be positive and finite"),
+    ("efficiency-vs-N", "path_loss_exponent = inf",
+     "path_loss_exponent must be positive and finite"),
+])
+def test_exp_rejects_degenerate_config_values(capsys, tmp_path, experiment, line, message):
+    """A power scale or distance law that leaves no finite positive optimum
+    is a usage error naming the value: no NaN CSV, no traceback."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{line}\ntrials = 50\n")
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "exp", experiment, "--config", str(cfg_file),
+                             "--out", str(out_dir))
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and message in err
+    assert not out_dir.exists()

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import distbeam.power
+import distbeam.protocol
 from distbeam import efficiency_lower_bound, experiments, generate_scenario, run_protocol
 from distbeam.experiments import (
     _DOMAIN,
@@ -20,7 +22,7 @@ from distbeam.experiments import (
     run_experiment,
 )
 
-from conftest import per_trial_overhead
+from conftest import per_run_efficiency, per_trial_overhead
 
 
 def small_cfg(experiment, **kw):
@@ -254,14 +256,53 @@ def test_overhead_rows_equal_per_trial_runs(m, monkeypatch):
             cfgs.append(small_cfg(EXP_OVERHEAD, trials=8, m_list=(m,), n_adapt=n_adapt,
                                   budgets=tuple(sorted(b for b in budgets if b >= 1)),
                                   count_training_energy=count))
+    # a path-loss exponent this large underflows the farther links' gains
+    # to 0, so sorting by gain meets ties
+    cfgs.append(small_cfg(EXP_OVERHEAD, trials=8, m_list=(m,), n_adapt=5, budgets=(1, 5, 300),
+                          count_training_energy=True, path_loss_exponent=UNDERFLOW_EXPONENT))
     want = [per_trial_overhead(cfg) for cfg in cfgs]
-
-    def scalar_run(*args, **kwargs):
-        raise AssertionError("overhead-tradeoff called run_protocol")
-
-    monkeypatch.setattr(experiments, "run_protocol", scalar_run)
+    _forbid_per_run_calls(monkeypatch)
     for cfg, rows in zip(cfgs, want):
         assert run_experiment(cfg).rows == rows, (cfg.n_adapt, cfg.count_training_energy)
+
+
+#: Gains 1e-2 * d**-280 underflow to 0 beyond d ~ 14 of the default 5-15 m.
+UNDERFLOW_EXPONENT = 280.0
+
+
+def _forbid_per_run_calls(monkeypatch):
+    """Make every per-run path a Monte Carlo experiment could take raise."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Monte Carlo experiment made a per-run call")
+
+    for module in (experiments, distbeam.power, distbeam.protocol):
+        for name in ("run_protocol", "harvested_power", "optimal_power",
+                     "efficiency_lower_bound"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+
+
+@pytest.mark.parametrize("m", (2, 3, 5, 10, 50))
+def test_efficiency_rows_equal_per_run_calls(m, monkeypatch):
+    """Every efficiency-vs-N row equals the one from per-run harvested_power,
+    optimal_power and efficiency_lower_bound calls, with none of those
+    made: N 1-12 and past the convergence floor (41-45), M >= 8 where numpy
+    sums in blocks, and links whose gain underflows to 0."""
+    n_list = tuple(range(1, 13)) + tuple(range(41, 46))
+    cfgs = [small_cfg(EXP_EFFICIENCY, trials=12, m_list=(m,), n_list=n_list, seed=seed,
+                      **extra)
+            for seed, extra in ((12345, {}), (7, {}),
+                                (5, {"path_loss_exponent": UNDERFLOW_EXPONENT}))]
+    underflow = cfgs[-1]
+    gains = np.array([generate_scenario(underflow.distribution(m),
+                                        rng_stream(underflow.seed, _DOMAIN[EXP_EFFICIENCY],
+                                                   m, t))[0].gains
+                      for t in range(underflow.trials)])
+    assert (gains == 0.0).any() and (gains > 0.0).any()
+    want = [per_run_efficiency(cfg) for cfg in cfgs]
+    _forbid_per_run_calls(monkeypatch)
+    for cfg, rows in zip(cfgs, want):
+        assert run_experiment(cfg).rows == rows, cfg.seed
 
 
 def test_overhead_training_energy_flag():

@@ -16,7 +16,12 @@ from distbeam import (
     sum_signal,
     wrap_angle,
 )
-from distbeam.power import MODE_ADDITIVE_NOISE
+from distbeam.power import (
+    MODE_ADDITIVE_NOISE,
+    harvested_powers,
+    optimal_powers,
+    stack_scenarios,
+)
 
 from conftest import equal_gain_scenario, grid_argmax, phasor_power, random_scenario, time_domain_power
 
@@ -218,6 +223,53 @@ def test_partial_power_equals_harvested(rng):
         joined[m] = True
         b = harvested_power(s, PhaseAssignment(phases.copy(), joined))
         assert a == pytest.approx(b, rel=1e-10, abs=1e-25)
+
+
+def test_partial_power_is_a_python_float_equal_to_numpy_scalar_form(rng):
+    """Python-float arithmetic gives the numpy-scalar formula's value bit
+    for bit, but as a float."""
+    for _ in range(2000):
+        m_total = int(rng.integers(2, 8))
+        s = random_scenario(rng, m_total, conversion_eff=float(rng.uniform(0.1, 1.0)),
+                            transmit_power=float(rng.uniform(0.1, 5.0)))
+        m = int(rng.integers(0, m_total))
+        ss = sum_signal(s, PhaseAssignment(rng.uniform(-math.pi, math.pi, m_total)), exclude=m)
+        phi = float(rng.uniform(-math.pi, math.pi))
+        g_m = s.gains[m]
+        q = g_m + ss.gain + 2.0 * math.sqrt(g_m * ss.gain) * math.cos(
+            phi - (s.phase_shifts[m] - ss.phase_shift))
+        want = s.conversion_eff * s.transmit_power * q
+        got = partial_power(s, ss, m, phi)
+        assert type(got) is float
+        assert got == want
+
+
+def test_stacked_powers_equal_per_scenario_calls(rng):
+    """harvested_powers and optimal_powers over a stack equal one
+    harvested_power / optimal_power call per row, bit for bit, including
+    M >= 8 where numpy sums in blocks and zero-gain links."""
+    for m in (1, 2, 5, 10, 50):
+        scens = [random_scenario(rng, m, conversion_eff=eff, transmit_power=power)
+                 for eff, power in ((1.0, 1.0), (0.37, 2.5)) for _ in range(5)]
+        if m > 1:
+            scens[3] = Scenario(1.0, 1.0, 1.0, [Channel(0.0, 0.3)] + scens[3].channels[1:])
+        stack = stack_scenarios(scens)
+        phases = wrap_angle(rng.uniform(-4.0, 4.0, (len(scens), m)))
+        got = harvested_powers(stack, phases)
+        want = [harvested_power(s, PhaseAssignment(p)) for s, p in zip(scens, phases)]
+        assert got.tolist() == want
+        assert optimal_powers(stack).tolist() == [optimal_power(s) for s in scens]
+
+
+def test_optimal_powers_reject_a_scale_without_finite_positive_optimum(rng):
+    """An underflow to 0 or an overflow to inf is an error, not a warning
+    or a NaN efficiency."""
+    s = random_scenario(rng, 3, conversion_eff=5e-324)
+    with pytest.raises(ValueError, match="optimal power of trial 1 is 0.0"):
+        optimal_powers(stack_scenarios([random_scenario(rng, 3), s]))
+    s = Scenario(1e308, 1.0, 1.0, [Channel(4.0, 0.0), Channel(4.0, 1.0)])
+    with pytest.raises(ValueError, match="optimal power of trial 0 is inf"):
+        optimal_powers(stack_scenarios([s]))
 
 
 def test_measure_exact_and_degenerate_noise():

@@ -23,7 +23,7 @@ from distbeam import (
     wrap_angle,
 )
 from distbeam.adapt import TraceRecord, adapt_phase
-from distbeam.power import MODE_ADDITIVE_NOISE, MeasurementModel
+from distbeam.power import MODE_ADDITIVE_NOISE, MeasurementModel, stack_scenarios
 from distbeam.protocol import exact_runs
 
 from conftest import (
@@ -88,9 +88,9 @@ def test_protocol_validation(rng):
     with pytest.raises(ValueError):
         run_protocol(random_scenario(rng, 3), 0)
     with pytest.raises(ValueError, match="at least two transmitters"):
-        exact_runs([random_scenario(rng, 1)] * 3, 5)
+        exact_runs(stack_scenarios([random_scenario(rng, 1)] * 3), 5)
     with pytest.raises(ValueError, match="n_intervals must be >= 1"):
-        exact_runs([random_scenario(rng, 4)] * 3, 0)
+        exact_runs(stack_scenarios([random_scenario(rng, 4)] * 3), 0)
 
 
 def _with_zero_gain(s, index):
@@ -135,7 +135,7 @@ def test_exact_runs_match_run_protocol(rng):
         else:
             scens += _probe_tie_scenarios()
         for n in budgets:
-            phases, powers = exact_runs(scens, n)
+            phases, powers = exact_runs(stack_scenarios(scens), n)
             assert powers.shape == (len(scens), n * (m - 1))
             for t, s in enumerate(scens):
                 want = run_protocol(s, n)
@@ -235,6 +235,17 @@ def test_adapt_phase_matches_per_reading_oracle(m):
             assert _same(phi, phi_ref), where
             _assert_same_trace(trace, trace_ref, where)
             _assert_same_generators(meas, meas_ref, where)
+
+
+def test_noisy_readings_are_python_floats():
+    """Clamped readings (0.0) and unclamped ones share one type; the
+    unclamped ones used to be numpy scalars from partial_power."""
+    s = random_scenario(np.random.default_rng(3), 5)
+    meas = MeasurementModel(MODE_ADDITIVE_NOISE, 1.0, np.random.default_rng(3))
+    readings = [q for tr in run_protocol(s, 6, meas).traces for r in tr.records
+                for q in (r.q_psi, r.q_psi_prime)]
+    assert {type(q) for q in readings} == {float}
+    assert 0.0 < readings.count(0.0) < len(readings)
 
 
 def test_recorded_errors_match_recomputation(rng):
