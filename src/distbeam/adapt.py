@@ -39,17 +39,29 @@ from .power import (
 CONVERGENCE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class Arc:
-    """Circular candidate set {center + t : |t| <= half_width} modulo 2*pi."""
-
+class _ArcFields(NamedTuple):
     center: float
     half_width: float
 
-    def __post_init__(self):
-        if not 0.0 < self.half_width <= math.pi:
+
+class Arc(_ArcFields):
+    """Circular candidate set {center + t : |t| <= half_width} modulo 2*pi.
+
+    An immutable (center, half_width) tuple; construction checks the
+    half-width and wraps the center.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, center: float, half_width: float):
+        if not 0.0 < half_width <= math.pi:
             raise ValueError("half_width must lie in (0, pi]")
-        object.__setattr__(self, "center", wrap_angle(float(self.center)))
+        return tuple.__new__(cls, (wrap_angle(float(center)), half_width))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Route ``_replace`` through the checks of :meth:`__new__`."""
+        return cls(*iterable)
 
     @property
     def converged(self) -> bool:
@@ -67,9 +79,12 @@ class ProbePair(NamedTuple):
     psi_prime: float
 
 
+_FULL_CIRCLE = Arc(center=-math.pi / 2.0, half_width=math.pi)
+
+
 def initial_arc() -> Arc:
     """Full circle, oriented so the first probe pair is (0, -pi)."""
-    return Arc(center=-math.pi / 2.0, half_width=math.pi)
+    return _FULL_CIRCLE
 
 
 def probe_pair(arc: Arc) -> ProbePair:
@@ -79,8 +94,9 @@ def probe_pair(arc: Arc) -> ProbePair:
     fixed antipodal pair at center +/- pi/2; any antipodal pair splits the
     circle and this choice reproduces the (0, -pi) initialization.
     """
-    off = math.pi / 2.0 if arc.half_width == math.pi else arc.half_width
-    return ProbePair(wrap_angle(arc.center + off), wrap_angle(arc.center - off))
+    center, half_width = arc
+    off = math.pi / 2.0 if half_width == math.pi else half_width
+    return ProbePair(wrap_angle(center + off), wrap_angle(center - off))
 
 
 def feedback_bit(q_psi: float, q_psi_prime: float) -> bool:
@@ -97,10 +113,11 @@ def bisect_arc(arc: Arc, bit: bool) -> Arc:
     arc center and the winning boundary, so the center moves a quarter of
     the arc width toward the winner and the half-width halves.
     """
-    if arc.converged:
+    center, half_width = arc
+    if half_width <= CONVERGENCE_FLOOR:
         return arc
-    shift = arc.half_width / 2.0 if bit else -arc.half_width / 2.0
-    return Arc(arc.center + shift, arc.half_width / 2.0)
+    half = half_width / 2.0
+    return Arc(center + half if bit else center - half, half)
 
 
 class TraceRecord(NamedTuple):
@@ -192,7 +209,9 @@ def _train_stage(
     values in one draw from its generator. That equals one draw per reading
     in reading order (psi's repeats, then psi_prime's, interval by
     interval), and each reading clamps and averages them as
-    :func:`~distbeam.power.measure` would.
+    :func:`~distbeam.power.measure` would. A single repeat reads the clamped
+    value itself, and a zero ``probe_offset`` skips its re-wraps: wrapping
+    a wrapped angle returns it unchanged.
     """
     target = aligned_phase(s, ss, m)
     trace = TrainingTrace(target_phase=target if ss.gain > 0.0 else 0.0,
@@ -202,21 +221,30 @@ def _train_stage(
              if meas.noisy else None)
     arc = initial_arc()
     for n in range(1, n_intervals + 1):
-        probes = probe_pair(arc)
-        psi = wrap_angle(probes.psi + probe_offset)
-        psi_prime = wrap_angle(probes.psi_prime + probe_offset)
+        psi, psi_prime = probe_pair(arc)
+        if probe_offset:
+            psi = wrap_angle(psi + probe_offset)
+            psi_prime = wrap_angle(psi_prime + probe_offset)
         p = partial_power(s, ss, m, psi)
         p_prime = partial_power(s, ss, m, psi_prime)
-        if noise is None:
-            q_psi = sum(p for _ in range(r)) / r
-            q_psi_prime = sum(p_prime for _ in range(r)) / r
+        if r > 1:
+            if noise is None:
+                q_psi = sum(p for _ in range(r)) / r
+                q_psi_prime = sum(p_prime for _ in range(r)) / r
+            else:
+                k = 2 * r * (n - 1)
+                q_psi = sum(max(0.0, p + z) for z in noise[k:k + r]) / r
+                q_psi_prime = sum(max(0.0, p_prime + z) for z in noise[k + r:k + 2 * r]) / r
+        elif noise is None:
+            # + 0.0 maps a -0.0 reading to 0.0, as the sum over repeats does
+            q_psi, q_psi_prime = p + 0.0, p_prime + 0.0
         else:
-            k = 2 * r * (n - 1)
-            q_psi = sum(max(0.0, p + z) for z in noise[k:k + r]) / r
-            q_psi_prime = sum(max(0.0, p_prime + z) for z in noise[k + r:k + 2 * r]) / r
+            q_psi = max(0.0, p + noise[2 * n - 2])
+            q_psi_prime = max(0.0, p_prime + noise[2 * n - 1])
         bit = feedback_bit(q_psi, q_psi_prime)
         arc = bisect_arc(arc, bit)
+        center = wrap_angle(arc.center + probe_offset) if probe_offset else arc.center
         trace.records.append(TraceRecord(n, psi, psi_prime, q_psi, q_psi_prime, bit,
-                                         wrap_angle(arc.center + probe_offset), arc.half_width))
-    trace.final_phase = wrap_angle(arc.center + probe_offset)
-    return trace.final_phase, trace
+                                         center, arc.half_width))
+    trace.final_phase = center
+    return center, trace

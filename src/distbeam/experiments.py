@@ -272,10 +272,18 @@ def _metadata(cfg: ExperimentConfig) -> dict:
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
+    """Mean and standard error of the mean.
+
+    Both are taken of the values scaled by the power of two that puts the
+    largest magnitude in [0.5, 1), then scaled back, so squared deviations
+    cannot overflow. Power-of-two scaling is exact for normal numbers.
+    """
+    _, e = math.frexp(float(np.max(np.abs(values))))
+    unit = np.ldexp(values, -e)
+    mean = math.ldexp(float(np.mean(unit)), e)
     if values.size < 2:
         return mean, 0.0
-    return mean, float(np.std(values, ddof=1) / math.sqrt(values.size))
+    return mean, math.ldexp(float(np.std(unit, ddof=1) / math.sqrt(values.size)), e)
 
 
 def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:

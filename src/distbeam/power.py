@@ -9,6 +9,7 @@ independent integrator used only as an oracle.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -157,17 +158,18 @@ def harvested_powers(stack: TrialStack, phases: np.ndarray) -> np.ndarray:
 def optimal_powers(stack: TrialStack) -> np.ndarray:
     """:func:`optimal_power` of every trial, bit for bit.
 
-    Raises ``ValueError`` unless each is positive and finite: an
-    efficiency divides by it.
+    Raises ``ValueError`` unless each is finite and at least the smallest
+    normal float: an efficiency divides by it, and a subnormal one has lost
+    significant bits.
     """
     with np.errstate(over="ignore"):
         q_star = harvested_powers(stack, stack.phase_shifts)
-    bad = np.flatnonzero(~((q_star > 0.0) & (q_star < math.inf)))
+    bad = np.flatnonzero(~((q_star >= sys.float_info.min) & (q_star < math.inf)))
     if bad.size:
         t = int(bad[0])
         raise ValueError(f"optimal power of trial {t} is {float(q_star[t])}: power scale "
                          f"conversion_eff * transmit_power = {float(stack.scale[t])} "
-                         f"leaves no positive finite optimum")
+                         f"leaves no finite optimum of at least {sys.float_info.min}")
     return q_star
 
 

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from distbeam import (
     Arc,
+    MeasurementModel,
     PhaseAssignment,
     ProbePair,
     adapt_phase,
@@ -14,10 +16,13 @@ from distbeam import (
     initial_arc,
     partial_power,
     probe_pair,
+    run_protocol,
     sum_signal,
     wrap_angle,
 )
+from distbeam import adapt
 from distbeam.adapt import CONVERGENCE_FLOOR
+from distbeam.power import MODE_ADDITIVE_NOISE
 from distbeam.selfcheck import grid_oracle_violations
 
 from conftest import random_scenario
@@ -93,6 +98,65 @@ def test_arc_validation_and_floor():
     assert tiny.converged
     # bisecting a converged arc is a no-op, never an error
     assert bisect_arc(tiny, True) == tiny
+
+
+def test_arc_is_an_immutable_value():
+    arc = Arc(half_width=1.0, center=0.25)
+    assert arc == Arc(0.25, 1.0) and hash(arc) == hash(Arc(0.25, 1.0))
+    assert arc != Arc(0.25, 0.5)
+    assert Arc(3 * math.pi, 1.0).center == wrap_angle(3 * math.pi)
+    assert type(Arc(np.float64(0.5), 1.0).center) is float
+    for bad in (0.0, math.nextafter(math.pi, 4.0), math.nan):
+        with pytest.raises(ValueError):
+            Arc(0.0, bad)
+        with pytest.raises(ValueError):
+            arc._replace(half_width=bad)
+    for name in ("center", "half_width", "other"):
+        with pytest.raises(AttributeError):
+            setattr(arc, name, 0.5)
+    assert arc._replace(center=7.0) == Arc(7.0, 1.0)
+    assert not arc.converged and Arc(0.0, CONVERGENCE_FLOOR).converged
+    assert arc.contains(1.2) and not arc.contains(1.3) and arc.contains(1.3, slack=0.1)
+    assert initial_arc() is initial_arc()
+    assert probe_pair(initial_arc()) == (0.0, -math.pi)
+
+
+def count_interval_calls(monkeypatch) -> Counter:
+    """Count the per-interval steps the stage loop looks up in ``adapt``."""
+    counts = Counter()
+    for name in ("probe_pair", "partial_power", "feedback_bit", "bisect_arc"):
+        def counted(*args, _fn=getattr(adapt, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(adapt, name, counted)
+    return counts
+
+
+def interval_calls(intervals: int) -> dict:
+    return {"probe_pair": intervals, "partial_power": 2 * intervals,
+            "feedback_bit": intervals, "bisect_arc": intervals}
+
+
+@pytest.mark.parametrize("std", [0.0, 1e-6])
+@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("m", [2, 5, 50])
+def test_protocol_interval_makes_one_call_per_step(monkeypatch, m, n, std):
+    """Each of the N(M-1) intervals makes one probe_pair, two partial_power,
+    one feedback_bit and one bisect_arc call, which the benchmark's counts
+    (bisect_arc == intervals, probes == 2 * intervals) rely on."""
+    s = random_scenario(np.random.default_rng(m), m)
+    meas = (MeasurementModel(MODE_ADDITIVE_NOISE, std, np.random.default_rng(n))
+            if std else MeasurementModel())
+    counts = count_interval_calls(monkeypatch)
+    run_protocol(s, n, meas)
+    assert counts == interval_calls(n * (m - 1))
+
+
+def test_repeated_rotated_probes_make_one_call_per_step(monkeypatch, rng):
+    s, pa = two_transmitter_setup(rng)
+    counts = count_interval_calls(monkeypatch)
+    adapt_phase(s, pa, 1, 6, probe_offset=0.7, probe_repeats=3)
+    assert counts == interval_calls(6)
 
 
 def test_feedback_bit_tie_resolution():

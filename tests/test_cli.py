@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -318,6 +319,8 @@ def test_baseline_rejects_steps_that_overflow(capsys):
     ("overhead-tradeoff", "transmit_power = inf", "transmit_power must be positive and finite"),
     ("efficiency-vs-N", "conversion_eff = 1e-320", "optimal power of trial"),
     ("overhead-tradeoff", "conversion_eff = 1e-320", "optimal power of trial"),
+    ("efficiency-vs-N", "conversion_eff = 1e-310", "conversion_eff * transmit_power = 1e-310"),
+    ("overhead-tradeoff", "conversion_eff = 1e-310", "conversion_eff * transmit_power = 1e-310"),
     ("efficiency-vs-N", "distance_max = inf", "distance_range must be finite"),
     ("efficiency-vs-N", "ref_distance = -1", "ref_distance must be positive and finite"),
     ("efficiency-vs-N", "ref_attenuation = inf", "ref_attenuation must be positive and finite"),
@@ -335,3 +338,18 @@ def test_exp_rejects_degenerate_config_values(capsys, tmp_path, experiment, line
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error: ") and message in err
     assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exp_stderr_stays_finite_at_a_huge_power_scale(capsys, tmp_path):
+    """Powers near 1e304 used to overflow the squared deviations: a numpy
+    RuntimeWarning, or an inf stderr with exit 0."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("transmit_power = 1e308\ntrials = 50\n")
+    code, _, err = run_cli(capsys, "exp", "overhead-tradeoff", "--config", str(cfg_file),
+                           "--out", str(tmp_path / "o"))
+    assert code == EXIT_OK, err
+    optimal = (tmp_path / "o" / "overhead-tradeoff" / "optimal.csv").read_text().splitlines()
+    assert optimal[0] == "budget,mean,stderr"
+    mean, stderr = (float(x) for x in optimal[1].split(",")[1:])
+    assert 1e303 < mean < math.inf and 0.0 < stderr < math.inf

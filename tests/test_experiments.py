@@ -14,6 +14,7 @@ from distbeam.experiments import (
     EXP_OVERHEAD,
     EXP_POWER,
     ExperimentConfig,
+    _mean_stderr,
     config_from_mapping,
     config_hash,
     config_to_mapping,
@@ -287,7 +288,8 @@ def test_efficiency_rows_equal_per_run_calls(m, monkeypatch):
     """Every efficiency-vs-N row equals the one from per-run harvested_power,
     optimal_power and efficiency_lower_bound calls, with none of those
     made: N 1-12 and past the convergence floor (41-45), M >= 8 where numpy
-    sums in blocks, and links whose gain underflows to 0."""
+    sums in blocks, and links whose gain underflows to 0 (an error at M=2,
+    where that leaves Q* subnormal)."""
     n_list = tuple(range(1, 13)) + tuple(range(41, 46))
     cfgs = [small_cfg(EXP_EFFICIENCY, trials=12, m_list=(m,), n_list=n_list, seed=seed,
                       **extra)
@@ -299,6 +301,11 @@ def test_efficiency_rows_equal_per_run_calls(m, monkeypatch):
                                                    m, t))[0].gains
                       for t in range(underflow.trials)])
     assert (gains == 0.0).any() and (gains > 0.0).any()
+    if m == 2:
+        # two trials there have a subnormal Q*, which would blur their eta
+        with pytest.raises(ValueError, match="optimal power of trial 0 is 4.9"):
+            run_experiment(underflow)
+        cfgs.remove(underflow)
     want = [per_run_efficiency(cfg) for cfg in cfgs]
     _forbid_per_run_calls(monkeypatch)
     for cfg, rows in zip(cfgs, want):
@@ -351,3 +358,18 @@ def test_all_emitted_means_finite_and_in_range():
         assert math.isfinite(r.mean) and math.isfinite(r.stderr)
         if r.curve.startswith("eta"):
             assert 0.0 < r.mean <= 1.0
+
+
+def test_mean_stderr_scales_by_powers_of_two_exactly(rng):
+    """At ordinary magnitudes the result equals the unscaled numpy form bit
+    for bit, and scaling the values by 2**k scales both outputs by 2**k,
+    also where the unscaled squared deviations would overflow."""
+    for scale in (1e-3, 1.0, 1e5):
+        v = scale * rng.uniform(0.5, 1.5, 101)
+        assert _mean_stderr(v) == (float(np.mean(v)),
+                                   float(np.std(v, ddof=1) / math.sqrt(v.size)))
+    v = rng.uniform(-1.0, 3.0, 64)
+    mean, se = _mean_stderr(v)
+    for k in (-900, -1, 1, 900):
+        assert _mean_stderr(np.ldexp(v, k)) == (math.ldexp(mean, k), math.ldexp(se, k))
+    assert _mean_stderr(np.array([1e308])) == (1e308, 0.0)

@@ -262,14 +262,22 @@ def test_stacked_powers_equal_per_scenario_calls(rng):
 
 
 def test_optimal_powers_reject_a_scale_without_finite_positive_optimum(rng):
-    """An underflow to 0 or an overflow to inf is an error, not a warning
-    or a NaN efficiency."""
+    """An underflow to 0 or a subnormal, or an overflow to inf, is an error,
+    not a warning or a NaN or imprecise efficiency."""
     s = random_scenario(rng, 3, conversion_eff=5e-324)
     with pytest.raises(ValueError, match="optimal power of trial 1 is 0.0"):
         optimal_powers(stack_scenarios([random_scenario(rng, 3), s]))
     s = Scenario(1e308, 1.0, 1.0, [Channel(4.0, 0.0), Channel(4.0, 1.0)])
     with pytest.raises(ValueError, match="optimal power of trial 0 is inf"):
         optimal_powers(stack_scenarios([s]))
+    # a subnormal optimum has lost significant bits: eta would drift
+    s = Scenario(1e-310, 1.0, 1.0, [Channel(4.0, 0.0), Channel(4.0, 1.0)])
+    with pytest.raises(ValueError, match=r"trial 0 is 1\.\d+e-309: power scale "
+                                         r"conversion_eff \* transmit_power = 1e-310"):
+        optimal_powers(stack_scenarios([s]))
+    s = Scenario(1e-300, 1.0, 1.0, [Channel(4.0, 0.0), Channel(4.0, 1.0)])
+    assert optimal_powers(stack_scenarios([s])) == harvested_power(
+        s, PhaseAssignment(s.phase_shifts.copy()))
 
 
 def test_measure_exact_and_degenerate_noise():

@@ -237,6 +237,22 @@ def test_adapt_phase_matches_per_reading_oracle(m):
             _assert_same_generators(meas, meas_ref, where)
 
 
+def test_negative_zero_reading_matches_oracle():
+    """At a power scale of 1e-310 a probe whose power rounds below zero
+    reads -0.0 from partial_power; the single-repeat reading is 0.0, as
+    the oracle's sum over repeats gives."""
+    s = Scenario(1.0, 1.0, 1e-310, [Channel(0.10520315032328138, 0.0),
+                                    Channel(0.10520315032328142, math.pi)])
+    pa = PhaseAssignment(np.zeros(2), np.array([True, False]))
+    phi, trace = adapt_phase(s, pa, 1, 4)
+    phi_ref, trace_ref = per_reading_adapt_phase(s, pa, 1, 4)
+    assert _same(phi, phi_ref)
+    _assert_same_trace(trace, trace_ref, "adapt_phase")
+    assert _same(trace.records[0].q_psi, 0.0)
+    got, want = run_protocol(s, 4), per_stage_protocol(s, 4)
+    _assert_same_trace(got.traces[0], want.traces[0], "run_protocol")
+
+
 def test_noisy_readings_are_python_floats():
     """Clamped readings (0.0) and unclamped ones share one type; the
     unclamped ones used to be numpy scalars from partial_power."""
