@@ -17,9 +17,12 @@ TWO_PI = 2.0 * math.pi
 def wrap_angle(x):
     """Map an angle (scalar or ndarray) into [-pi, pi)."""
     if isinstance(x, np.ndarray):
-        w = np.mod(x + math.pi, TWO_PI) - math.pi
+        t = np.asarray(x + math.pi)     # asarray keeps a 0-d input an array
+        np.mod(t, TWO_PI, out=t)
+        t -= math.pi
         # mod can round up to 2*pi for inputs a hair below -pi
-        return np.where(w >= math.pi, w - TWO_PI, w)
+        t[t >= math.pi] -= TWO_PI
+        return t
     r = math.fmod(x + math.pi, TWO_PI)
     if r < 0.0:
         r += TWO_PI

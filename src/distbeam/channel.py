@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,47 +56,75 @@ class Channel:
         object.__setattr__(self, "phase_shift", wrap_angle(float(self.phase_shift)))
 
 
-@dataclass
 class Scenario:
-    """One system instance: per-transmitter power, carrier, efficiency, channels.
+    """One system instance: per-transmitter power, carrier, efficiency, and
+    the (M,) channel power ``gains`` and ``phase_shifts``.
 
-    At least one channel must have a nonzero gain, so the optimal power is
-    positive and efficiencies are defined.
+    ``Scenario(P, f_c, rho, channels)`` takes :class:`Channel` objects and
+    :meth:`from_arrays` takes the two arrays; both run one validation.
+    Gains must be finite and >= 0 with at least one nonzero, so the optimal
+    power is positive and efficiencies are defined; phase shifts must be
+    finite and are wrapped into [-pi, pi). The arrays are read-only copies,
+    so they cannot drift from what was checked, and ``channels`` is a tuple
+    of :class:`Channel` built from them.
     """
 
-    transmit_power: float
-    carrier_freq: float
-    conversion_eff: float
-    channels: list[Channel]
+    __slots__ = ("transmit_power", "carrier_freq", "conversion_eff", "gains", "phase_shifts")
 
-    def __post_init__(self):
-        if not 0.0 < self.transmit_power < math.inf:
+    def __init__(self, transmit_power: float, carrier_freq: float, conversion_eff: float,
+                 channels: Sequence[Channel]):
+        self._set(transmit_power, carrier_freq, conversion_eff,
+                  [c.gain for c in channels], [c.phase_shift for c in channels])
+
+    @classmethod
+    def from_arrays(cls, transmit_power: float, carrier_freq: float, conversion_eff: float,
+                    gains, phase_shifts) -> Scenario:
+        """A scenario with the given per-transmitter gains and phase shifts."""
+        s = cls.__new__(cls)
+        s._set(transmit_power, carrier_freq, conversion_eff, gains, phase_shifts)
+        return s
+
+    def _set(self, transmit_power, carrier_freq, conversion_eff, gains, phase_shifts):
+        if not 0.0 < transmit_power < math.inf:
             raise ValueError(f"transmit_power must be positive and finite, "
-                             f"got {self.transmit_power}")
-        if not self.carrier_freq > 0.0:
+                             f"got {transmit_power}")
+        if not carrier_freq > 0.0:
             raise ValueError("carrier_freq must be positive")
-        if not 0.0 < self.conversion_eff <= 1.0:
+        if not 0.0 < conversion_eff <= 1.0:
             raise ValueError("conversion_eff must lie in (0, 1]")
-        if len(self.channels) < 1:
+        gains = np.array(gains, dtype=float)
+        phase_shifts = np.asarray(phase_shifts, dtype=float)
+        if gains.ndim != 1 or gains.shape != phase_shifts.shape:
+            raise ValueError(f"gains and phase shifts must be 1-D of equal length, "
+                             f"got shapes {gains.shape} and {phase_shifts.shape}")
+        if gains.size < 1:
             raise ValueError("scenario needs at least one channel")
-        self._gains = np.array([c.gain for c in self.channels], dtype=float)
-        if not self._gains.any():
+        top = np.maximum.reduce(gains)
+        if not (np.minimum.reduce(gains) >= 0.0 and top < math.inf):    # NaN fails both
+            bad = gains[~((gains >= 0.0) & (gains < math.inf))][0]
+            raise ValueError(f"channel power gain must be finite and >= 0, got {bad}")
+        if not np.maximum.reduce(np.abs(phase_shifts)) < math.inf:
+            bad = phase_shifts[~np.isfinite(phase_shifts)][0]
+            raise ValueError(f"channel phase shift must be finite, got {bad}")
+        if top == 0.0:
             raise ValueError("scenario needs at least one channel with nonzero gain")
-        self._phase_shifts = np.array(
-            [c.phase_shift for c in self.channels], dtype=float
-        )
+        phase_shifts = wrap_angle(phase_shifts)
+        gains.setflags(write=False)
+        phase_shifts.setflags(write=False)
+        self.transmit_power = transmit_power
+        self.carrier_freq = carrier_freq
+        self.conversion_eff = conversion_eff
+        self.gains = gains
+        self.phase_shifts = phase_shifts
 
     @property
     def num_transmitters(self) -> int:
-        return len(self.channels)
+        return self.gains.size
 
     @property
-    def gains(self) -> np.ndarray:
-        return self._gains
-
-    @property
-    def phase_shifts(self) -> np.ndarray:
-        return self._phase_shifts
+    def channels(self) -> tuple[Channel, ...]:
+        """Read-only per-link view, built from the arrays on each access."""
+        return tuple(map(Channel, self.gains.tolist(), self.phase_shifts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -166,9 +195,21 @@ def aggregate_channel(paths: PathSet, carrier_freq: float) -> Channel:
 
 def path_loss_gain(distance: float, dist: ScenarioDistribution) -> float:
     """Power gain at a given distance under the distribution's path-loss law."""
-    return dist.ref_attenuation * (distance / dist.ref_distance) ** (
-        -dist.path_loss_exponent
-    )
+    return _path_loss_gains([float(distance)], dist)[0]
+
+
+def _path_loss_gains(distances: list[float], dist: ScenarioDistribution) -> list[float]:
+    """Path-loss gain per distance, in Python floats.
+
+    Each power is one libm ``pow`` call, as numpy's scalar power is; numpy's
+    array power takes a vectorized route that differs from it in the last
+    ulp on some inputs. A gain too large for a float is an error.
+    """
+    a, d0, ple = dist.ref_attenuation, dist.ref_distance, -dist.path_loss_exponent
+    try:
+        return [a * (r / d0) ** ple for r in distances]
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("channel power gain must be finite and >= 0, got inf") from None
 
 
 def generate_scenario(
@@ -185,16 +226,8 @@ def generate_scenario(
     lo, hi = dist.distance_range
     distances = rng.uniform(lo, hi, size=m)
     phase_shifts = rng.uniform(-math.pi, math.pi, size=m)
-    channels = [
-        Channel(path_loss_gain(r, dist), th)
-        for r, th in zip(distances, phase_shifts)
-    ]
-    scenario = Scenario(
-        transmit_power=dist.transmit_power,
-        carrier_freq=dist.carrier_freq,
-        conversion_eff=dist.conversion_eff,
-        channels=channels,
-    )
+    scenario = Scenario.from_arrays(dist.transmit_power, dist.carrier_freq, dist.conversion_eff,
+                                    _path_loss_gains(distances.tolist(), dist), phase_shifts)
     return scenario, ScenarioDraw(distances=distances, phase_shifts=phase_shifts)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import DEFAULT_SCALE, DIST_GAUSSIAN, DIST_UNIFORM, PerturbationConfig, run_random_perturbation
-from .channel import Channel, Scenario, ScenarioDistribution, generate_scenario
+from .channel import Scenario, ScenarioDistribution, generate_scenario
 from .experiments import (
     EXPERIMENTS,
     config_from_mapping,
@@ -268,7 +268,7 @@ def _cmd_bound(args) -> int:
         gains = [1.0] * args.M
     else:
         raise _UsageError("bound needs --gains or --equal-gains with --M")
-    scen = Scenario(1.0, 1.0, 1.0, [Channel(g, 0.0) for g in gains])
+    scen = Scenario.from_arrays(1.0, 1.0, 1.0, gains, [0.0] * len(gains))
     if (args.eta_hat is None) == (args.N is None):
         raise _UsageError("bound needs exactly one of --eta-hat or --N")
     if args.eta_hat is not None:

@@ -27,6 +27,7 @@ from .channel import Scenario, ScenarioDistribution, generate_scenario
 from .power import (
     PhaseAssignment,
     TrialStack,
+    checked_optima,
     harvested_power,
     harvested_powers,
     optimal_power,
@@ -314,29 +315,28 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg.experiment, "N", rows, _metadata(cfg))
 
 
+def _optima(scenarios: list[Scenario], m_list) -> list[float]:
+    """:func:`optimal_power` of one scenario per system size, checked by
+    :func:`checked_optima` before any run divides by it."""
+    return checked_optima(np.array([optimal_power(s) for s in scenarios]),
+                          np.array([s.conversion_eff * s.transmit_power for s in scenarios]),
+                          [f"M = {m}" for m in m_list]).tolist()
+
+
 def run_power_vs_m(cfg: ExperimentConfig) -> ExperimentResult:
     """Delivered power versus system size on one pinned realization, with
     the no-adaptation and optimal references."""
     domain = _DOMAIN[cfg.experiment]
-    m_max = max(cfg.m_list)
-    dist = cfg.distribution(m_max)
-    full, _ = generate_scenario(dist, rng_stream(cfg.seed, domain))
+    full, _ = generate_scenario(cfg.distribution(max(cfg.m_list)), rng_stream(cfg.seed, domain))
+    scens = [Scenario.from_arrays(full.transmit_power, full.carrier_freq, full.conversion_eff,
+                                  full.gains[:m], full.phase_shifts[:m]) for m in cfg.m_list]
     rows = []
-    for m in cfg.m_list:
-        scen = Scenario(
-            transmit_power=full.transmit_power,
-            carrier_freq=full.carrier_freq,
-            conversion_eff=full.conversion_eff,
-            channels=full.channels[:m],
-        )
-        rows.append(ResultRow("optimal", m, optimal_power(scen), 0.0))
+    for m, scen, q_star in zip(cfg.m_list, scens, _optima(scens, cfg.m_list)):
+        rows.append(ResultRow("optimal", m, q_star, 0.0))
         zero = harvested_power(scen, PhaseAssignment(np.zeros(m)))
         rows.append(ResultRow("no_adaptation", m, zero, 0.0))
         for n in cfg.n_list:
-            if m < 2:
-                q = optimal_power(scen)
-            else:
-                q = run_protocol(scen, n).q_d
+            q = q_star if m < 2 else run_protocol(scen, n).q_d
             rows.append(ResultRow(f"adapted_N{n}", m, q, 0.0))
     # group rows per curve in sweep order
     rows.sort(key=lambda r: (r.curve, r.x))
@@ -358,10 +358,10 @@ def run_convergence_comparison(cfg: ExperimentConfig) -> ExperimentResult:
     """Power trajectories of the sequential protocol and the perturbation
     baseline on one pinned realization per system size."""
     domain = _DOMAIN[cfg.experiment]
+    scens = [generate_scenario(cfg.distribution(m), rng_stream(cfg.seed, domain, m))[0]
+             for m in cfg.m_list]
     rows = []
-    for m in cfg.m_list:
-        dist = cfg.distribution(m)
-        scen, _ = generate_scenario(dist, rng_stream(cfg.seed, domain, m))
+    for m, scen, q_star in zip(cfg.m_list, scens, _optima(scens, cfg.m_list)):
         res = run_protocol(scen, cfg.n_adapt)
         traj = protocol_trajectory(res, cfg.intervals)
         for i, p in enumerate(traj, start=1):
@@ -374,8 +374,7 @@ def run_convergence_comparison(cfg: ExperimentConfig) -> ExperimentResult:
         for i in range(cfg.intervals):
             rows.append(ResultRow(f"baseline_M{m}", i + 1,
                                   float(trace.best_power[i]), 0.0))
-        rows.append(ResultRow(f"optimal_M{m}", cfg.intervals,
-                              optimal_power(scen), 0.0))
+        rows.append(ResultRow(f"optimal_M{m}", cfg.intervals, q_star, 0.0))
     meta = _metadata(cfg)
     # one feedback bit per interval for both schemes; the sequential
     # protocol transmits two probes per interval, the baseline one

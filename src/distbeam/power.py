@@ -156,19 +156,28 @@ def harvested_powers(stack: TrialStack, phases: np.ndarray) -> np.ndarray:
 
 
 def optimal_powers(stack: TrialStack) -> np.ndarray:
-    """:func:`optimal_power` of every trial, bit for bit.
-
-    Raises ``ValueError`` unless each is finite and at least the smallest
-    normal float: an efficiency divides by it, and a subnormal one has lost
-    significant bits.
-    """
+    """:func:`optimal_power` of every trial, bit for bit, checked by
+    :func:`checked_optima`."""
     with np.errstate(over="ignore"):
         q_star = harvested_powers(stack, stack.phase_shifts)
+    return checked_optima(q_star, stack.scale)
+
+
+def checked_optima(q_star: np.ndarray, scale: np.ndarray,
+                   labels: Sequence[str] | None = None) -> np.ndarray:
+    """``q_star`` itself, if every entry is finite and at least the smallest
+    normal float: an efficiency divides by it, and a subnormal one has lost
+    significant bits.
+
+    Otherwise raises ``ValueError`` naming the first bad entry by its label
+    (default ``trial <index>``) and its power scale ``scale``.
+    """
     bad = np.flatnonzero(~((q_star >= sys.float_info.min) & (q_star < math.inf)))
     if bad.size:
         t = int(bad[0])
-        raise ValueError(f"optimal power of trial {t} is {float(q_star[t])}: power scale "
-                         f"conversion_eff * transmit_power = {float(stack.scale[t])} "
+        label = f"trial {t}" if labels is None else labels[t]
+        raise ValueError(f"optimal power of {label} is {float(q_star[t])}: power scale "
+                         f"conversion_eff * transmit_power = {float(scale[t])} "
                          f"leaves no finite optimum of at least {sys.float_info.min}")
     return q_star
 
@@ -204,7 +213,7 @@ def sum_signal(
 
 def aligned_phase(s: Scenario, ss: SumSignal, m: int) -> float:
     """Transmit phase for transmitter m that maximizes partial_power."""
-    return wrap_angle(s.channels[m].phase_shift - ss.phase_shift)
+    return wrap_angle(float(s.phase_shifts[m]) - ss.phase_shift)
 
 
 def partial_power(s: Scenario, ss: SumSignal, m: int, phi_m: float) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .angles import wrap_angle
 from .adapt import CONVERGENCE_FLOOR, TrainingTrace, _train_stage, initial_arc
-from .channel import Channel, Scenario
+from .channel import Scenario
 from .power import (
     EXACT,
     MeasurementModel,
@@ -109,6 +109,8 @@ def run_protocol(
         errors[m] = wrap_angle(phi_m - trace.target_phase)
     q_d = harvested_power(s, PhaseAssignment(phases=phases.copy()))
     q_star = optimal_power(s)
+    if not 0.0 < q_star < math.inf:
+        raise ValueError(f"optimal power is {q_star}, so the efficiency Q_d / Q* is undefined")
     return ProtocolResult(
         final_phases=phases,
         q_d=q_d,
@@ -270,7 +272,7 @@ def required_intervals(s: Scenario, eta_hat: float) -> float:
 
 def required_intervals_equal_gains(m: int, eta_hat: float) -> float:
     """:func:`required_intervals` for ``m`` identical gains."""
-    return required_intervals(Scenario(1.0, 1.0, 1.0, [Channel(1.0, 0.0)] * m), eta_hat)
+    return required_intervals(Scenario.from_arrays(1.0, 1.0, 1.0, [1.0] * m, [0.0] * m), eta_hat)
 
 
 def accumulated_power(gains, errors) -> float:

@@ -11,6 +11,7 @@ deterministic.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +36,13 @@ class CheckResult:
     detail: str
 
 
+@functools.cache
+def _distribution(m: int) -> ScenarioDistribution:
+    return ScenarioDistribution(num_transmitters=m)
+
+
 def _random_scenario(rng, m) -> Scenario:
-    scen, _ = generate_scenario(ScenarioDistribution(num_transmitters=m), rng)
+    scen, _ = generate_scenario(_distribution(m), rng)
     return scen
 
 

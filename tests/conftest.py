@@ -87,6 +87,28 @@ def pairwise_error_bound(gains, errors) -> float:
     return total
 
 
+def channel_by_channel_scenario(dist: ScenarioDistribution, rng):
+    """Scenario generation one ``Channel`` per link: both uniform draws,
+    then each gain as a numpy-scalar power of its distance and each phase
+    wrapped by the scalar ``wrap_angle`` inside ``Channel``."""
+    m = dist.num_transmitters
+    lo, hi = dist.distance_range
+    distances = rng.uniform(lo, hi, size=m)
+    phase_shifts = rng.uniform(-math.pi, math.pi, size=m)
+    channels = [
+        Channel(dist.ref_attenuation * (r / dist.ref_distance) ** (-dist.path_loss_exponent), th)
+        for r, th in zip(distances, phase_shifts)
+    ]
+    scen = Scenario(dist.transmit_power, dist.carrier_freq, dist.conversion_eff, channels)
+    return scen, distances, phase_shifts
+
+
+def where_wrap(x: np.ndarray) -> np.ndarray:
+    """The array wrap as ``np.where`` over fresh temporaries."""
+    w = np.mod(x + math.pi, 2.0 * math.pi) - math.pi
+    return np.where(w >= math.pi, w - 2.0 * math.pi, w)
+
+
 def per_interval_perturbation(s: Scenario, cfg, meas, rng) -> BaselineTrace:
     """The random-perturbation baseline one interval at a time: draw a step,
     measure the candidate through ``harvested_power`` and ``measure``, keep

@@ -1,8 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
 from distbeam import circular_distance, wrap_angle
+
+from conftest import where_wrap
 
 
 def test_wrap_range_half_open():
@@ -40,6 +43,37 @@ def test_wrap_randomized_range_and_idempotence(rng):
 def test_wrap_scalar_matches_array(rng):
     for x in rng.uniform(-20, 20, 100):
         assert wrap_angle(float(x)) == wrap_angle(np.array([x]))[0]
+
+
+def test_in_place_array_wrap_is_bit_identical(rng):
+    """The in-place array wrap equals the scalar wrap and the np.where form
+    bit for bit, sign of zero included, on uniform draws and edge inputs."""
+    edges = [math.nextafter(-math.pi, -math.inf), math.nextafter(-math.pi, math.inf),
+             0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+    edges += [k * math.pi for k in (-3, -2, -1, 1, 2, 3)]
+    x = np.concatenate([rng.uniform(-7, 7, 20000), rng.uniform(-1e3, 1e3, 20000),
+                        rng.normal(0.0, 1e-12, 2000), edges])
+    before = x.tobytes()
+    w = wrap_angle(x)
+    assert x.tobytes() == before            # the input is not wrapped in place
+    assert w.tobytes() == where_wrap(x).tobytes()
+    scalar = np.array([wrap_angle(v) for v in x.tolist()])
+    assert w.tobytes() == scalar.tobytes()
+    for size in (1, 9, 100):
+        assert wrap_angle(x[:size]).tobytes() == where_wrap(x[:size]).tobytes()
+
+
+def test_array_wrap_keeps_0d_and_non_finite_behaviour():
+    w = wrap_angle(np.array(3 * math.pi))
+    assert isinstance(w, np.ndarray) and w.shape == () and float(w) == -math.pi
+    assert math.copysign(1.0, float(wrap_angle(np.array(-0.0)))) == 1.0
+    bad = np.array([math.nan, math.inf, -math.inf, 1.0])
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        w = wrap_angle(bad)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        old = where_wrap(bad)
+    assert np.isnan(w[:3]).all() and w[3] == 1.0
+    assert w.tobytes() == old.tobytes()
 
 
 def test_circular_distance_cases():

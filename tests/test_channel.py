@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,9 @@ from distbeam import (
     scenario_to_text,
     wrap_angle,
 )
+from distbeam.experiments import rng_stream
+
+from conftest import channel_by_channel_scenario
 
 GOLDEN = Path(__file__).parent / "data" / "scenario_seed7.txt"
 
@@ -209,3 +213,89 @@ def test_scenario_text_rejects_truncated():
     lines = scenario_to_text(scen).splitlines()
     with pytest.raises(ValueError):
         scenario_from_text("\n".join(lines[:-1]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 10, 32, 50])
+def test_generate_scenario_equals_channel_by_channel_draw(m):
+    """The array-native draw gives the one-Channel-per-link scenario bit for
+    bit, on the default law and on non-default exponents, reference
+    distances, attenuations and a 1e-3..1e3 distance range, where numpy's
+    array power would move the last bit of some gains."""
+    dists = [ScenarioDistribution(num_transmitters=m),
+             ScenarioDistribution(num_transmitters=m, path_loss_exponent=2.7),
+             ScenarioDistribution(num_transmitters=m, ref_distance=2.0),
+             ScenarioDistribution(num_transmitters=m, ref_attenuation=0.3),
+             ScenarioDistribution(num_transmitters=m, path_loss_exponent=2.7, ref_distance=2.0,
+                                  ref_attenuation=0.3, distance_range=(1e-3, 1e3),
+                                  transmit_power=2.5, conversion_eff=0.37)]
+    for k, dist in enumerate(dists):
+        for seed in range(150):
+            got, draw = generate_scenario(dist, rng_stream(seed, m, k))
+            want, distances, phases = channel_by_channel_scenario(dist, rng_stream(seed, m, k))
+            assert got.gains.tobytes() == want.gains.tobytes(), (k, seed)
+            assert got.phase_shifts.tobytes() == want.phase_shifts.tobytes(), (k, seed)
+            assert draw.distances.tobytes() == distances.tobytes()
+            assert draw.phase_shifts.tobytes() == phases.tobytes()
+            assert (got.transmit_power, got.carrier_freq, got.conversion_eff) == \
+                (want.transmit_power, want.carrier_freq, want.conversion_eff)
+
+
+@pytest.mark.parametrize("gains, phases, message", [
+    ([1.0, -1e-9], [0.0, 0.0], "channel power gain must be finite and >= 0, got -1e-09"),
+    ([1.0, math.inf], [0.0, 0.0], "channel power gain must be finite and >= 0, got inf"),
+    ([math.nan, 1.0], [0.0, 0.0], "channel power gain must be finite and >= 0, got nan"),
+    ([1.0, 1.0], [0.0, math.inf], "channel phase shift must be finite, got inf"),
+    ([1.0, 1.0], [-math.inf, 0.0], "channel phase shift must be finite, got -inf"),
+    ([1.0, 1.0], [math.nan, 0.0], "channel phase shift must be finite, got nan"),
+    ([0.0, 0.0], [0.0, 1.0], "at least one channel with nonzero gain"),
+    ([], [], "at least one channel"),
+    ([1.0, 1.0], [0.0], "1-D of equal length"),
+    ([[1.0]], [[0.0]], "1-D of equal length"),
+], ids=["negative-gain", "inf-gain", "nan-gain", "inf-phase", "minus-inf-phase", "nan-phase",
+        "all-zero-gains", "no-transmitters", "unequal-lengths", "not-1-d"])
+def test_scenario_arrays_are_validated(gains, phases, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Scenario.from_arrays(1.0, 1.0, 1.0, gains, phases)
+
+
+def test_scenario_is_two_read_only_arrays(rng):
+    """A scenario is its three scalars and two read-only arrays; the
+    per-link ``channels`` tuple is derived from them and round-trips."""
+    g = np.array([0.5, 0.0, 2.0])
+    th = np.array([3 * math.pi, 0.25, -7.0])
+    s = Scenario.from_arrays(2.0, 915e6, 0.5, g, th)
+    g[0] = th[0] = 9.0                       # the scenario holds copies
+    assert s.gains.tolist() == [0.5, 0.0, 2.0]
+    assert s.phase_shifts.tolist() == [wrap_angle(3 * math.pi), 0.25, wrap_angle(-7.0)]
+    assert s.num_transmitters == 3
+    with pytest.raises(ValueError, match="read-only"):
+        s.gains[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        s.phase_shifts[0] = 1.0
+    for name in ("channels", "num_transmitters"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+    with pytest.raises(AttributeError):
+        s.extra = 1                            # no state beyond the five slots
+    assert s.channels == (Channel(0.5, s.phase_shifts[0]), Channel(0.0, 0.25),
+                          Channel(2.0, s.phase_shifts[2]))
+    again = Scenario(s.transmit_power, s.carrier_freq, s.conversion_eff, s.channels)
+    assert again.gains.tobytes() == s.gains.tobytes()
+    assert again.phase_shifts.tobytes() == s.phase_shifts.tobytes()
+    for m in (1, 4, 32):
+        scen, _ = generate_scenario(ScenarioDistribution(num_transmitters=m), rng)
+        back = scenario_from_text(scenario_to_text(scen))
+        assert back.gains.tobytes() == scen.gains.tobytes()
+        assert back.phase_shifts.tobytes() == scen.phase_shifts.tobytes()
+        assert back.channels == scen.channels
+
+
+def test_path_loss_overflow_is_a_gain_error():
+    """A gain past the float range is the channel-gain error, not a bare
+    OverflowError or ZeroDivisionError from the power."""
+    near = ScenarioDistribution(num_transmitters=2, distance_range=(1e-200, 2e-200))
+    far = ScenarioDistribution(num_transmitters=2, ref_distance=1e300,
+                               distance_range=(1e-100, 2e-100))
+    for dist in (near, far):
+        with pytest.raises(ValueError, match="channel power gain must be finite"):
+            generate_scenario(dist, np.random.default_rng(1))

@@ -321,6 +321,11 @@ def test_baseline_rejects_steps_that_overflow(capsys):
     ("overhead-tradeoff", "conversion_eff = 1e-320", "optimal power of trial"),
     ("efficiency-vs-N", "conversion_eff = 1e-310", "conversion_eff * transmit_power = 1e-310"),
     ("overhead-tradeoff", "conversion_eff = 1e-310", "conversion_eff * transmit_power = 1e-310"),
+    ("power-vs-M", "conversion_eff = 1e-320", "optimal power of M = 2 is 0.0"),
+    ("convergence-comparison", "conversion_eff = 1e-320", "optimal power of M = 5 is 0.0"),
+    ("power-vs-M", "conversion_eff = 1e-310", "conversion_eff * transmit_power = 1e-310"),
+    ("convergence-comparison", "conversion_eff = 1e-310",
+     "conversion_eff * transmit_power = 1e-310"),
     ("efficiency-vs-N", "distance_max = inf", "distance_range must be finite"),
     ("efficiency-vs-N", "ref_distance = -1", "ref_distance must be positive and finite"),
     ("efficiency-vs-N", "ref_attenuation = inf", "ref_attenuation must be positive and finite"),
@@ -337,6 +342,7 @@ def test_exp_rejects_degenerate_config_values(capsys, tmp_path, experiment, line
                              "--out", str(out_dir))
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error: ") and message in err
+    assert "Traceback" not in err
     assert not out_dir.exists()
 
 

@@ -252,7 +252,7 @@ def test_stacked_powers_equal_per_scenario_calls(rng):
         scens = [random_scenario(rng, m, conversion_eff=eff, transmit_power=power)
                  for eff, power in ((1.0, 1.0), (0.37, 2.5)) for _ in range(5)]
         if m > 1:
-            scens[3] = Scenario(1.0, 1.0, 1.0, [Channel(0.0, 0.3)] + scens[3].channels[1:])
+            scens[3] = Scenario(1.0, 1.0, 1.0, [Channel(0.0, 0.3), *scens[3].channels[1:]])
         stack = stack_scenarios(scens)
         phases = wrap_angle(rng.uniform(-4.0, 4.0, (len(scens), m)))
         got = harvested_powers(stack, phases)

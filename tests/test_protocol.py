@@ -253,6 +253,15 @@ def test_negative_zero_reading_matches_oracle():
     _assert_same_trace(got.traces[0], want.traces[0], "run_protocol")
 
 
+def test_run_protocol_rejects_a_zero_or_infinite_optimum():
+    """An optimum that underflows to 0 or overflows is a ValueError, not a
+    ZeroDivisionError or a NaN efficiency."""
+    for scale, gain, q in ((1e-320, 1e-6, "0.0"), (1e308, 4.0, "inf")):
+        s = Scenario.from_arrays(scale, 1.0, 1.0, [gain, gain], [0.0, 1.0])
+        with pytest.raises(ValueError, match=f"optimal power is {q}"):
+            run_protocol(s, 3)
+
+
 def test_noisy_readings_are_python_floats():
     """Clamped readings (0.0) and unclamped ones share one type; the
     unclamped ones used to be numpy scalars from partial_power."""
