@@ -20,9 +20,8 @@ from .channel import Scenario
 from .power import (
     EXACT,
     MeasurementModel,
-    PhaseAssignment,
+    _all_active_power,
     _pair_sum,
-    harvested_power,
     measure,
 )
 
@@ -33,8 +32,9 @@ DIST_GAUSSIAN = "gaussian"
 DEFAULT_SCALE = math.pi / 8.0
 
 # Candidates per block evaluation: the first block after an acceptance, and
-# the cap on block * M * M doubles per temporary (128 KB). Blocks double
-# while every candidate in them is rejected.
+# the cap on block * M * M doubles, the size of the kernel's mirrored pair
+# matrix (128 KB); its cosines of the pairs i <= j take about half that.
+# Blocks double while every candidate in them is rejected.
 _BLOCK_MIN = 4
 _BLOCK_DOUBLES = 2**14
 
@@ -110,7 +110,7 @@ def run_random_perturbation(
         raise ValueError("noisy measurement needs a generator of its own, not rng")
     m = s.num_transmitters
     best = np.zeros(m)
-    best_power = measure(meas, harvested_power(s, PhaseAssignment(best.copy())))
+    best_power = measure(meas, _all_active_power(s, best))
     t = cfg.max_intervals
     # steps are drawn into the candidate history; each row is overwritten
     # with its candidate once committed

@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,10 +26,9 @@ from ._version import __version__
 from .baseline import DEFAULT_SCALE, PerturbationConfig, run_random_perturbation
 from .channel import Scenario, ScenarioDistribution, generate_scenario
 from .power import (
-    PhaseAssignment,
     TrialStack,
+    _all_active_power,
     checked_optima,
-    harvested_power,
     harvested_powers,
     optimal_power,
     optimal_powers,
@@ -108,6 +108,12 @@ class ExperimentConfig:
             raise ValueError("sweep lists must be non-empty")
         if min(self.budgets) < 1:
             raise ValueError(f"budgets must be >= 1; got {min(self.budgets)}")
+        for name in ("n_list", "m_list", "budgets"):
+            values = getattr(self, name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} repeats {repeated[0]}: each sweep point must be "
+                                 f"distinct; got {','.join(map(str, values))}")
         if self.experiment == EXP_OVERHEAD and len(self.m_list) > 1:
             raise ValueError(f"{EXP_OVERHEAD} runs one system size; got m_list "
                              f"{','.join(map(str, self.m_list))}")
@@ -200,8 +206,7 @@ def _parse_value(key: str, raw):
     return float(raw)
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     curve: str
     x: float
     mean: float
@@ -210,36 +215,37 @@ class ResultRow:
 
 @dataclass
 class ExperimentResult:
-    """Tabular sweep output plus the run record that reproduces it."""
+    """Tabular sweep output plus the run record that reproduces it.
+
+    ``curves`` maps each curve name to its rows, curves in emission order.
+    """
 
     experiment: str
     x_name: str
-    rows: list[ResultRow]
+    curves: dict[str, list[ResultRow]]
     metadata: dict
 
-    def curve(self, name: str) -> list[ResultRow]:
-        return [r for r in self.rows if r.curve == name]
+    @property
+    def rows(self) -> list[ResultRow]:
+        """Every row, curve after curve."""
+        return [r for rows in self.curves.values() for r in rows]
 
-    def curves(self) -> dict[str, list[ResultRow]]:
-        """Rows grouped per curve in one pass, curves in first-seen order."""
-        grouped: dict[str, list[ResultRow]] = {}
-        for r in self.rows:
-            grouped.setdefault(r.curve, []).append(r)
-        return grouped
+    def curve(self, name: str) -> list[ResultRow]:
+        return list(self.curves.get(name, ()))
 
     def curve_names(self) -> list[str]:
-        return list(self.curves())
+        return list(self.curves)
 
     def write(self, out_dir: str | Path) -> list[Path]:
         """Write <out>/<experiment>/<curve>.csv files plus metadata.json."""
         base = Path(out_dir) / self.experiment
         base.mkdir(parents=True, exist_ok=True)
         written = []
-        for name, rows in self.curves().items():
+        for name, rows in self.curves.items():
             path = base / f"{name}.csv"
             with open(path, "w") as fh:
-                fh.write("".join([f"{self.x_name},mean,stderr\n"] + [
-                    f"{_fmt(r.x)},{r.mean:.15g},{r.stderr:.15g}\n" for r in rows]))
+                fh.write(f"{self.x_name},mean,stderr\n" + "".join(
+                    [f"{_fmt(x)},{mean:.15g},{se:.15g}\n" for _, x, mean, se in rows]))
             written.append(path)
         meta_path = base / "metadata.json"
         with open(meta_path, "w") as fh:
@@ -250,6 +256,8 @@ class ExperimentResult:
 
 
 def _fmt(x) -> str:
+    if type(x) is int:
+        return str(x)
     if float(x).is_integer():
         return str(int(x))
     return format(float(x), ".15g")
@@ -287,6 +295,12 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, math.ldexp(float(np.std(unit, ddof=1) / math.sqrt(values.size)), e)
 
 
+def _averaged(curve: str, xs, table: np.ndarray) -> list[ResultRow]:
+    """One row per column of ``table`` (trials by len(xs)): the column's mean
+    and standard error at its x."""
+    return [ResultRow(curve, x, *_mean_stderr(table[:, j])) for j, x in enumerate(xs)]
+
+
 def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
     """Mean efficiency and its closed-form lower bound versus the per-stage
     feedback budget, one curve pair per system size.
@@ -297,7 +311,7 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
     stacked phases. Each value equals the per-run one bit for bit.
     """
     domain = _DOMAIN[cfg.experiment]
-    rows = []
+    curves = {}
     for m in cfg.m_list:
         dist = cfg.distribution(m)
         stack = stack_scenarios([generate_scenario(dist, rng_stream(cfg.seed, domain, m, t))[0]
@@ -308,11 +322,9 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
             phases, _ = exact_runs(stack, n)
             etas[:, j] = harvested_powers(stack, phases) / q_star
         bounds = efficiency_lower_bounds(stack, cfg.n_list)
-        for curve, table in ((f"eta_M{m}", etas), (f"bound_M{m}", bounds)):
-            for j, n in enumerate(cfg.n_list):
-                mean, se = _mean_stderr(table[:, j])
-                rows.append(ResultRow(curve, n, mean, se))
-    return ExperimentResult(cfg.experiment, "N", rows, _metadata(cfg))
+        curves[f"eta_M{m}"] = _averaged(f"eta_M{m}", cfg.n_list, etas)
+        curves[f"bound_M{m}"] = _averaged(f"bound_M{m}", cfg.n_list, bounds)
+    return ExperimentResult(cfg.experiment, "N", curves, _metadata(cfg))
 
 
 def _optima(scenarios: list[Scenario], m_list) -> list[float]:
@@ -330,17 +342,16 @@ def run_power_vs_m(cfg: ExperimentConfig) -> ExperimentResult:
     full, _ = generate_scenario(cfg.distribution(max(cfg.m_list)), rng_stream(cfg.seed, domain))
     scens = [Scenario.from_arrays(full.transmit_power, full.carrier_freq, full.conversion_eff,
                                   full.gains[:m], full.phase_shifts[:m]) for m in cfg.m_list]
-    rows = []
+    curves = {}
     for m, scen, q_star in zip(cfg.m_list, scens, _optima(scens, cfg.m_list)):
-        rows.append(ResultRow("optimal", m, q_star, 0.0))
-        zero = harvested_power(scen, PhaseAssignment(np.zeros(m)))
-        rows.append(ResultRow("no_adaptation", m, zero, 0.0))
-        for n in cfg.n_list:
-            q = q_star if m < 2 else run_protocol(scen, n).q_d
-            rows.append(ResultRow(f"adapted_N{n}", m, q, 0.0))
-    # group rows per curve in sweep order
-    rows.sort(key=lambda r: (r.curve, r.x))
-    return ExperimentResult(cfg.experiment, "M", rows, _metadata(cfg))
+        points = [("optimal", q_star), ("no_adaptation", _all_active_power(scen, np.zeros(m)))]
+        points += [(f"adapted_N{n}", q_star if m < 2 else run_protocol(scen, n).q_d)
+                   for n in cfg.n_list]
+        for name, q in points:
+            curves.setdefault(name, []).append(ResultRow(name, m, q, 0.0))
+    # curves in name order, each in increasing M
+    curves = {name: sorted(curves[name], key=lambda r: r.x) for name in sorted(curves)}
+    return ExperimentResult(cfg.experiment, "M", curves, _metadata(cfg))
 
 
 def protocol_trajectory(res, total_intervals: int) -> np.ndarray:
@@ -360,26 +371,23 @@ def run_convergence_comparison(cfg: ExperimentConfig) -> ExperimentResult:
     domain = _DOMAIN[cfg.experiment]
     scens = [generate_scenario(cfg.distribution(m), rng_stream(cfg.seed, domain, m))[0]
              for m in cfg.m_list]
-    rows = []
+    curves = {}
     for m, scen, q_star in zip(cfg.m_list, scens, _optima(scens, cfg.m_list)):
-        res = run_protocol(scen, cfg.n_adapt)
-        traj = protocol_trajectory(res, cfg.intervals)
-        for i, p in enumerate(traj, start=1):
-            rows.append(ResultRow(f"proposed_M{m}", i, float(p), 0.0))
+        proposed = protocol_trajectory(run_protocol(scen, cfg.n_adapt), cfg.intervals)
         pert = PerturbationConfig(scale=cfg.perturb_scale,
                                   max_intervals=cfg.intervals)
         trace = run_random_perturbation(
             scen, pert, rng=rng_stream(cfg.seed, domain, m, 1)
         )
-        for i in range(cfg.intervals):
-            rows.append(ResultRow(f"baseline_M{m}", i + 1,
-                                  float(trace.best_power[i]), 0.0))
-        rows.append(ResultRow(f"optimal_M{m}", cfg.intervals, q_star, 0.0))
+        for name, powers in ((f"proposed_M{m}", proposed), (f"baseline_M{m}", trace.best_power)):
+            curves[name] = [ResultRow(name, i, p, 0.0)
+                            for i, p in enumerate(powers.tolist(), start=1)]
+        curves[f"optimal_M{m}"] = [ResultRow(f"optimal_M{m}", cfg.intervals, q_star, 0.0)]
     meta = _metadata(cfg)
     # one feedback bit per interval for both schemes; the sequential
     # protocol transmits two probes per interval, the baseline one
     meta["probes_per_interval"] = {"proposed": 2, "baseline": 1}
-    return ExperimentResult(cfg.experiment, "interval", rows, meta)
+    return ExperimentResult(cfg.experiment, "interval", curves, meta)
 
 
 #: Fig-8-style policies: number of weakest transmitters switched off, by
@@ -431,12 +439,8 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     tables["no_adaptation"] = np.repeat(
         harvested_powers(stack, np.zeros_like(stack.phase_shifts))[:, None], n_budgets, axis=1)
     tables["optimal"] = np.repeat(optimal_powers(stack)[:, None], n_budgets, axis=1)
-    rows = []
-    for name, table in tables.items():
-        for j, b in enumerate(cfg.budgets):
-            mean, se = _mean_stderr(table[:, j])
-            rows.append(ResultRow(name, b, mean, se))
-    return ExperimentResult(cfg.experiment, "budget", rows, _metadata(cfg))
+    curves = {name: _averaged(name, cfg.budgets, table) for name, table in tables.items()}
+    return ExperimentResult(cfg.experiment, "budget", curves, _metadata(cfg))
 
 
 EXPERIMENTS = {

@@ -8,6 +8,7 @@ independent integrator used only as an oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -118,18 +119,49 @@ def _pair_sum(amp: np.ndarray, offs: np.ndarray) -> np.ndarray:
     axis of ``amp`` and ``offs``; leading axes index independent
     assignments, and a 1-D ``amp`` serves every row of ``offs``.
 
-    The diagonal contributes sum(amp**2) since cos(0) = 1. Each M x M block
-    is summed on its own, so a row of a stack rounds as a single call does.
+    ``np.cos`` runs on the M(M+1)/2 pairs i <= j only, and its values are
+    mirrored into the full M x M matrix: offs_j - offs_i is exactly
+    -(offs_i - offs_j), and ``np.cos`` is even bit for bit, so every entry
+    equals a full evaluation's. The diagonal stays cos(offs_i - offs_i),
+    which is 1 for a finite offset and NaN otherwise. Each M x M block is
+    then weighted and summed whole, so a row of a stack rounds as a single
+    call does.
     """
-    pair = amp[..., :, None] * amp[..., None, :] * np.cos(offs[..., :, None] - offs[..., None, :])
+    rows, cols, mirror = _pair_index(offs.shape[-1])
+    cos = offs.take(rows, axis=-1)
+    cos -= offs.take(cols, axis=-1)
+    np.cos(cos, out=cos)
+    # take, not fancy indexing: the latter can return a non-C-ordered
+    # array, and the sum's rounding follows the memory order
+    pair = cos.take(mirror, axis=-1)
+    pair *= amp[..., None] * amp[..., None, :]
     return pair.sum(axis=(-2, -1))
+
+
+@functools.cache
+def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs i <= j of ``m`` transmitters, and
+    the (m, m) position of pair (i, j) or (j, i) among them; read-only."""
+    rows, cols = np.triu_indices(m)
+    mirror = np.empty((m, m), dtype=np.intp)
+    mirror[rows, cols] = mirror[cols, rows] = np.arange(rows.size)
+    for a in (rows, cols, mirror):
+        a.flags.writeable = False
+    return rows, cols, mirror
+
+
+def _all_active_power(s: Scenario, phases: np.ndarray) -> float:
+    """:func:`harvested_power` of ``PhaseAssignment(phases)``, bit for bit,
+    for ``phases`` that :func:`~distbeam.angles.wrap_angle` leaves unchanged,
+    such as its own outputs: no re-wrap, copy or gather."""
+    return s.conversion_eff * s.transmit_power * float(
+        _pair_sum(np.sqrt(s.gains), phases - s.phase_shifts))
 
 
 def optimal_power(s: Scenario) -> float:
     """Maximum harvested power, attained when every transmit phase equals
     its channel phase shift."""
-    pa = PhaseAssignment(phases=s.phase_shifts.copy())
-    return harvested_power(s, pa)
+    return _all_active_power(s, s.phase_shifts)
 
 
 class TrialStack(NamedTuple):

@@ -8,7 +8,9 @@ the same arithmetic, the loop is kept here as the bit-for-bit reference.
 """
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +109,43 @@ def where_wrap(x: np.ndarray) -> np.ndarray:
     """The array wrap as ``np.where`` over fresh temporaries."""
     w = np.mod(x + math.pi, 2.0 * math.pi) - math.pi
     return np.where(w >= math.pi, w - 2.0 * math.pi, w)
+
+
+def full_matrix_pair_sum(amp: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """The pairwise kernel over the full M x M matrix: ``np.cos`` of every
+    ordered difference offs_i - offs_j, weighted by amp_i amp_j and summed
+    per M x M block."""
+    pair = amp[..., :, None] * amp[..., None, :] * np.cos(offs[..., :, None] - offs[..., None, :])
+    return pair.sum(axis=(-2, -1))
+
+
+def per_row_write(result, out_dir) -> list[Path]:
+    """``ExperimentResult.write`` from the flat row list: regroup the rows
+    per curve in first-seen order, then format them one row at a time."""
+    def fmt(x) -> str:
+        if float(x).is_integer():
+            return str(int(x))
+        return format(float(x), ".15g")
+
+    grouped = {}
+    for r in result.rows:
+        grouped.setdefault(r.curve, []).append(r)
+    base = Path(out_dir) / result.experiment
+    base.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, rows in grouped.items():
+        path = base / f"{name}.csv"
+        with open(path, "w") as fh:
+            fh.write(f"{result.x_name},mean,stderr\n")
+            for r in rows:
+                fh.write(f"{fmt(r.x)},{r.mean:.15g},{r.stderr:.15g}\n")
+        written.append(path)
+    meta_path = base / "metadata.json"
+    with open(meta_path, "w") as fh:
+        json.dump(result.metadata, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    written.append(meta_path)
+    return written
 
 
 def per_interval_perturbation(s: Scenario, cfg, meas, rng) -> BaselineTrace:

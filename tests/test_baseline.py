@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import distbeam.baseline
+import distbeam.power
 from distbeam import (
     MeasurementModel,
     PerturbationConfig,
@@ -15,7 +17,7 @@ from distbeam.baseline import DIST_GAUSSIAN, DIST_UNIFORM
 from distbeam.experiments import rng_stream
 from distbeam.power import EXACT, MODE_ADDITIVE_NOISE
 
-from conftest import per_interval_perturbation, random_scenario
+from conftest import full_matrix_pair_sum, per_interval_perturbation, random_scenario
 
 
 def test_config_validation():
@@ -60,6 +62,32 @@ def test_block_evaluation_matches_per_interval_loop(m, dist):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), (field, case)
                 assert got.final_power == want.final_power, case
                 assert (got_draw, got_noise) == (want_draw, want_noise), case
+
+
+@pytest.mark.parametrize("m", [5, 10, 20, 40])
+def test_half_matrix_kernel_leaves_traces_unchanged(m, monkeypatch):
+    """5,000-interval runs, uniform and gaussian, exact and noisy, give the
+    same trace bytes with the full M x M kernel patched in for every
+    reading, the first one included."""
+    s = random_scenario(rng_stream(41, m), m)
+    noise = 1e-3 * optimal_power(s)
+    for dist in (DIST_UNIFORM, DIST_GAUSSIAN):
+        for std in (0.0, noise):
+            cfg = PerturbationConfig(dist, max_intervals=5000)
+            runs = []
+            for full in (False, True):
+                if full:
+                    monkeypatch.setattr(distbeam.baseline, "_pair_sum", full_matrix_pair_sum)
+                    monkeypatch.setattr(distbeam.power, "_pair_sum", full_matrix_pair_sum)
+                meas = MeasurementModel(MODE_ADDITIVE_NOISE, std, rng_stream(43, m)) if std else EXACT
+                runs.append(run_random_perturbation(s, cfg, meas, rng_stream(42, m)))
+            monkeypatch.undo()
+            got, want = runs
+            assert got.accepted.any(), (dist, std)
+            for field in ("candidate_phases", "measured_power", "best_power", "accepted",
+                          "final_phases"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (field, dist, std)
+            assert got.final_power == want.final_power
 
 
 def test_noisy_measurement_needs_its_own_generator(rng):

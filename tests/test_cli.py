@@ -359,3 +359,27 @@ def test_exp_stderr_stays_finite_at_a_huge_power_scale(capsys, tmp_path):
     assert optimal[0] == "budget,mean,stderr"
     mean, stderr = (float(x) for x in optimal[1].split(",")[1:])
     assert 1e303 < mean < math.inf and 0.0 < stderr < math.inf
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("name, experiment, value", [
+    ("m_list", "power-vs-M", "3,3"),
+    ("n_list", "power-vs-M", "1,2,1"),
+    ("budgets", "overhead-tradeoff", "5,10,5"),
+])
+def test_exp_rejects_repeated_sweep_entries(capsys, tmp_path, how, name, experiment, value):
+    """A repeated sweep point used to write its rows twice with exit 0; it
+    is a usage error naming the list and the value, and nothing is written."""
+    out_dir = tmp_path / "o"
+    argv = ["exp", experiment, "--trials", "3", "--out", str(out_dir)]
+    if how == "flag":
+        argv += [f"--{name.replace('_', '-')}", value]
+    else:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{name} = {value}\n")
+        argv += ["--config", str(cfg_file)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith(f"error: {name} repeats {value.split(',')[0]}")
+    assert "Traceback" not in err
+    assert not out_dir.exists()

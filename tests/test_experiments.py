@@ -6,7 +6,16 @@ import pytest
 
 import distbeam.power
 import distbeam.protocol
-from distbeam import efficiency_lower_bound, experiments, generate_scenario, run_protocol
+from distbeam import (
+    PhaseAssignment,
+    Scenario,
+    efficiency_lower_bound,
+    experiments,
+    generate_scenario,
+    harvested_power,
+    optimal_power,
+    run_protocol,
+)
 from distbeam.experiments import (
     _DOMAIN,
     EXP_CONVERGENCE,
@@ -14,6 +23,8 @@ from distbeam.experiments import (
     EXP_OVERHEAD,
     EXP_POWER,
     ExperimentConfig,
+    ExperimentResult,
+    ResultRow,
     _mean_stderr,
     config_from_mapping,
     config_hash,
@@ -23,7 +34,7 @@ from distbeam.experiments import (
     run_experiment,
 )
 
-from conftest import per_run_efficiency, per_trial_overhead
+from conftest import per_row_write, per_run_efficiency, per_trial_overhead
 
 
 def small_cfg(experiment, **kw):
@@ -62,6 +73,19 @@ def test_config_validation():
     for budgets in ((0, 5), (-5,), (10, -1)):
         with pytest.raises(ValueError, match="budgets must be >= 1"):
             small_cfg(EXP_OVERHEAD, budgets=budgets)
+
+
+@pytest.mark.parametrize("name", ["n_list", "m_list", "budgets"])
+def test_config_rejects_repeated_sweep_entries(name):
+    """A repeated sweep point would repeat its rows; the error names the
+    list and the value, from the constructor and from a config mapping."""
+    values = {"n_list": (1, 2, 1), "m_list": (3, 3), "budgets": (5, 10, 20, 10)}[name]
+    with pytest.raises(ValueError, match=f"{name} repeats {values[-1]}"):
+        small_cfg(EXP_POWER, **{name: values})
+    with pytest.raises(ValueError, match=f"{name} repeats {values[-1]}"):
+        config_from_mapping({"experiment": EXP_POWER, name: ",".join(map(str, values))})
+    distinct = tuple(dict.fromkeys(values))
+    assert getattr(small_cfg(EXP_POWER, **{name: distinct}), name) == distinct
 
 
 def test_parse_config_text():
@@ -179,6 +203,65 @@ def test_power_vs_m_experiment():
     n1 = {r.x: r.mean for r in res.curve("adapted_N1")}
     n5 = {r.x: r.mean for r in res.curve("adapted_N5")}
     assert all(n5[m] >= n1[m] * (1 - 1e-9) for m in (2, 3, 4, 5))
+
+
+def test_power_vs_m_rows_equal_per_size_calls():
+    """Each power-vs-M point equals optimal_power, harvested_power at zero
+    phases and run_protocol on the sliced realization, bit for bit; curves
+    come in name order and rows in increasing M for any m_list order."""
+    cfg = small_cfg(EXP_POWER, m_list=(12, 1, 3, 2), n_list=(9, 1, 4))
+    res = run_experiment(cfg)
+    assert res.curve_names() == ["adapted_N1", "adapted_N4", "adapted_N9",
+                                 "no_adaptation", "optimal"]
+    full, _ = generate_scenario(cfg.distribution(12), rng_stream(cfg.seed, _DOMAIN[EXP_POWER]))
+    for m in (1, 2, 3, 12):
+        s = Scenario.from_arrays(full.transmit_power, full.carrier_freq, full.conversion_eff,
+                                 full.gains[:m], full.phase_shifts[:m])
+        want = {"optimal": optimal_power(s),
+                "no_adaptation": harvested_power(s, PhaseAssignment(np.zeros(m)))}
+        for n in cfg.n_list:
+            want[f"adapted_N{n}"] = want["optimal"] if m < 2 else run_protocol(s, n).q_d
+        got = {r.curve: r.mean for r in res.rows if r.x == m}
+        assert got == want, m
+    for name in res.curve_names():
+        assert [r.x for r in res.curve(name)] == [1, 2, 3, 12]
+
+
+def test_result_rows_are_the_curves_in_order():
+    """rows is every curve's rows, curve after curve; curve() gives one
+    curve's rows (none for an unknown name) and curve_names() the order."""
+    res = run_experiment(small_cfg(EXP_CONVERGENCE, m_list=(3, 4), intervals=7))
+    names = [f"{c}_M{m}" for m in (3, 4) for c in ("proposed", "baseline", "optimal")]
+    assert res.curve_names() == names
+    assert res.rows == [r for name in names for r in res.curve(name)]
+    assert [len(res.curve(name)) for name in names] == [7, 7, 1] * 2
+    assert all(r.curve == name for name in names for r in res.curve(name))
+    assert res.curve("baseline_M5") == []
+    row = res.curve("proposed_M3")[0]
+    assert row == ResultRow("proposed_M3", 1, row.mean, 0.0) and type(row.mean) is float
+
+
+def test_write_matches_per_row_writer(tmp_path, monkeypatch):
+    """Every file write produces, and the list of paths, equals the per-row
+    writer's byte for byte: all four experiments, and hand-made rows whose
+    x values are non-integral, integral floats or large."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    results = [run_experiment(small_cfg(EXP_EFFICIENCY, trials=6, m_list=(3, 5), n_list=(2, 1))),
+               run_experiment(small_cfg(EXP_POWER, m_list=(4, 2), n_list=(1, 3))),
+               run_experiment(small_cfg(EXP_CONVERGENCE, m_list=(3,), intervals=40)),
+               run_experiment(small_cfg(EXP_OVERHEAD, trials=20, budgets=(300, 1, 25))),
+               ExperimentResult("handmade", "x", {
+                   "a": [ResultRow("a", x, mean, se) for x, mean, se in (
+                       (0.5, 1.0 / 3.0, 0.0), (2.0, -1e-300, 1e300), (1e17, 0.1, 2.5e-9),
+                       (-3, math.pi, 1.0), (10**16 + 1, 2.0, 0.0), (np.int64(7), np.float64(0.2), 0.0))],
+                   "b": [ResultRow("b", 1, 2.0, 3.0)]}, {"note": "hand-made"})]
+    for res in results:
+        got = res.write(tmp_path / "new")
+        want = per_row_write(res, tmp_path / "old")
+        assert [p.relative_to(tmp_path / "new") for p in got] == \
+            [p.relative_to(tmp_path / "old") for p in want]
+        for a, b in zip(got, want):
+            assert a.read_bytes() == b.read_bytes(), a.name
 
 
 def test_power_vs_m_qualitative_shapes():

@@ -18,12 +18,21 @@ from distbeam import (
 )
 from distbeam.power import (
     MODE_ADDITIVE_NOISE,
+    _all_active_power,
+    _pair_sum,
     harvested_powers,
     optimal_powers,
     stack_scenarios,
 )
 
-from conftest import equal_gain_scenario, grid_argmax, phasor_power, random_scenario, time_domain_power
+from conftest import (
+    equal_gain_scenario,
+    full_matrix_pair_sum,
+    grid_argmax,
+    phasor_power,
+    random_scenario,
+    time_domain_power,
+)
 
 
 def test_single_transmitter():
@@ -259,6 +268,58 @@ def test_stacked_powers_equal_per_scenario_calls(rng):
         want = [harvested_power(s, PhaseAssignment(p)) for s, p in zip(scens, phases)]
         assert got.tolist() == want
         assert optimal_powers(stack).tolist() == [optimal_power(s) for s in scens]
+
+
+def test_half_matrix_kernel_equals_full_matrix(rng):
+    """_pair_sum equals the full M x M evaluation byte for byte at every M
+    from 1 to 50: 1-D amp and offs, a 1-D amp against stacked offs, and
+    both stacked, at offset scales pi, 2 pi, 1e3 and 1e-8, with zero gains
+    among the amplitudes. The inputs are left untouched."""
+    for m in range(1, 51):
+        for scale in (math.pi, 2.0 * math.pi, 1e3, 1e-8):
+            amp = np.sqrt(rng.uniform(0.0, 1.0, m))
+            amp[rng.random(m) < 0.2] = 0.0
+            amps = np.sqrt(rng.uniform(0.0, 1.0, (7, m)))
+            amps[rng.random((7, m)) < 0.2] = 0.0
+            offs = rng.uniform(-scale, scale, m)
+            stacked = rng.uniform(-scale, scale, (7, m))
+            for a, o in ((amp, offs), (amp, stacked), (amps, stacked)):
+                before = a.tobytes(), o.tobytes()
+                got = _pair_sum(a, o)
+                assert got.tobytes() == full_matrix_pair_sum(a, o).tobytes(), (m, scale, a.ndim, o.ndim)
+                assert (a.tobytes(), o.tobytes()) == before
+
+
+def test_half_matrix_kernel_keeps_non_finite_behaviour():
+    """A non-finite offset still meets cos on the diagonal, also at M = 1:
+    NaN as the full evaluation gives, with an invalid-value error for an
+    infinite offset and none for a NaN one."""
+    for offs, invalid in (([math.inf], True), ([math.nan], False),
+                          ([0.3, -math.inf, 1.0], True), ([0.3, 1.0, math.nan], False)):
+        offs = np.array(offs)
+        amp = np.ones(offs.size)
+        for kernel in (_pair_sum, full_matrix_pair_sum):
+            with np.errstate(invalid="raise"):
+                if invalid:
+                    with pytest.raises(FloatingPointError):
+                        kernel(amp, offs)
+                else:
+                    assert math.isnan(kernel(amp, offs))
+            with np.errstate(invalid="ignore"):
+                assert math.isnan(kernel(amp, offs)), (kernel.__name__, offs)
+
+
+def test_all_active_power_equals_harvested_power(rng):
+    """The all-active path equals harvested_power over a fresh
+    PhaseAssignment bit for bit on phases that wrap_angle returned, at the
+    optimum and at zero phases."""
+    for m in (1, 2, 5, 10, 50):
+        for _ in range(20):
+            s = random_scenario(rng, m, conversion_eff=0.37, transmit_power=2.5)
+            for phases in (wrap_angle(rng.uniform(-7.0, 7.0, m)), np.zeros(m), s.phase_shifts):
+                want = harvested_power(s, PhaseAssignment(phases.copy()))
+                got = _all_active_power(s, phases)
+                assert type(got) is float and got == want
 
 
 def test_optimal_powers_reject_a_scale_without_finite_positive_optimum(rng):
