@@ -26,9 +26,10 @@ from ._version import __version__
 from .baseline import DEFAULT_SCALE, PerturbationConfig, run_random_perturbation
 from .channel import Scenario, ScenarioDistribution, generate_scenario
 from .power import (
+    PhaseAssignment,
     TrialStack,
-    _all_active_power,
     checked_optima,
+    harvested_power,
     harvested_powers,
     optimal_power,
     optimal_powers,
@@ -256,8 +257,6 @@ class ExperimentResult:
 
 
 def _fmt(x) -> str:
-    if type(x) is int:
-        return str(x)
     if float(x).is_integer():
         return str(int(x))
     return format(float(x), ".15g")
@@ -344,7 +343,8 @@ def run_power_vs_m(cfg: ExperimentConfig) -> ExperimentResult:
                                   full.gains[:m], full.phase_shifts[:m]) for m in cfg.m_list]
     curves = {}
     for m, scen, q_star in zip(cfg.m_list, scens, _optima(scens, cfg.m_list)):
-        points = [("optimal", q_star), ("no_adaptation", _all_active_power(scen, np.zeros(m)))]
+        zero = harvested_power(scen, PhaseAssignment(np.zeros(m)))
+        points = [("optimal", q_star), ("no_adaptation", zero)]
         points += [(f"adapted_N{n}", q_star if m < 2 else run_protocol(scen, n).q_d)
                    for n in cfg.n_list]
         for name, q in points:

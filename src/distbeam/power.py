@@ -150,18 +150,11 @@ def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, mirror
 
 
-def _all_active_power(s: Scenario, phases: np.ndarray) -> float:
-    """:func:`harvested_power` of ``PhaseAssignment(phases)``, bit for bit,
-    for ``phases`` that :func:`~distbeam.angles.wrap_angle` leaves unchanged,
-    such as its own outputs: no re-wrap, copy or gather."""
-    return s.conversion_eff * s.transmit_power * float(
-        _pair_sum(np.sqrt(s.gains), phases - s.phase_shifts))
-
-
 def optimal_power(s: Scenario) -> float:
     """Maximum harvested power, attained when every transmit phase equals
     its channel phase shift."""
-    return _all_active_power(s, s.phase_shifts)
+    pa = PhaseAssignment(phases=s.phase_shifts.copy())
+    return harvested_power(s, pa)
 
 
 class TrialStack(NamedTuple):

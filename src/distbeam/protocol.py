@@ -26,8 +26,8 @@ from .power import (
     PhaseAssignment,
     SumSignal,
     TrialStack,
-    _all_active_power,
     aligned_phase,
+    harvested_power,
     optimal_power,
     sum_signal,
 )
@@ -107,8 +107,7 @@ def run_protocol(
         traces.append(trace)
         targets[m] = trace.target_phase
         errors[m] = wrap_angle(phi_m - trace.target_phase)
-    # every phase is a wrap_angle output, so the re-wrap can be skipped
-    q_d = _all_active_power(s, phases)
+    q_d = harvested_power(s, PhaseAssignment(phases=phases.copy()))
     q_star = optimal_power(s)
     if not 0.0 < q_star < math.inf:
         raise ValueError(f"optimal power is {q_star}, so the efficiency Q_d / Q* is undefined")

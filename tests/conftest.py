@@ -41,6 +41,7 @@ from distbeam.experiments import (
     _DOMAIN,
     OVERHEAD_POLICIES,
     ResultRow,
+    _fmt,
     _mean_stderr,
     rng_stream,
 )
@@ -122,11 +123,6 @@ def full_matrix_pair_sum(amp: np.ndarray, offs: np.ndarray) -> np.ndarray:
 def per_row_write(result, out_dir) -> list[Path]:
     """``ExperimentResult.write`` from the flat row list: regroup the rows
     per curve in first-seen order, then format them one row at a time."""
-    def fmt(x) -> str:
-        if float(x).is_integer():
-            return str(int(x))
-        return format(float(x), ".15g")
-
     grouped = {}
     for r in result.rows:
         grouped.setdefault(r.curve, []).append(r)
@@ -138,7 +134,7 @@ def per_row_write(result, out_dir) -> list[Path]:
         with open(path, "w") as fh:
             fh.write(f"{result.x_name},mean,stderr\n")
             for r in rows:
-                fh.write(f"{fmt(r.x)},{r.mean:.15g},{r.stderr:.15g}\n")
+                fh.write(f"{_fmt(r.x)},{r.mean:.15g},{r.stderr:.15g}\n")
         written.append(path)
     meta_path = base / "metadata.json"
     with open(meta_path, "w") as fh:

@@ -18,7 +18,6 @@ from distbeam import (
 )
 from distbeam.power import (
     MODE_ADDITIVE_NOISE,
-    _all_active_power,
     _pair_sum,
     harvested_powers,
     optimal_powers,
@@ -307,19 +306,6 @@ def test_half_matrix_kernel_keeps_non_finite_behaviour():
                     assert math.isnan(kernel(amp, offs))
             with np.errstate(invalid="ignore"):
                 assert math.isnan(kernel(amp, offs)), (kernel.__name__, offs)
-
-
-def test_all_active_power_equals_harvested_power(rng):
-    """The all-active path equals harvested_power over a fresh
-    PhaseAssignment bit for bit on phases that wrap_angle returned, at the
-    optimum and at zero phases."""
-    for m in (1, 2, 5, 10, 50):
-        for _ in range(20):
-            s = random_scenario(rng, m, conversion_eff=0.37, transmit_power=2.5)
-            for phases in (wrap_angle(rng.uniform(-7.0, 7.0, m)), np.zeros(m), s.phase_shifts):
-                want = harvested_power(s, PhaseAssignment(phases.copy()))
-                got = _all_active_power(s, phases)
-                assert type(got) is float and got == want
 
 
 def test_optimal_powers_reject_a_scale_without_finite_positive_optimum(rng):
