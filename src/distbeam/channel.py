@@ -66,7 +66,8 @@ class Scenario:
     power is positive and efficiencies are defined; phase shifts must be
     finite and are wrapped into [-pi, pi). The arrays are read-only copies,
     so they cannot drift from what was checked, and ``channels`` is a tuple
-    of :class:`Channel` built from them.
+    of :class:`Channel` built from them. :func:`generate_scenario` checks
+    only what a draw can get wrong.
     """
 
     __slots__ = ("transmit_power", "carrier_freq", "conversion_eff", "gains", "phase_shifts")
@@ -108,6 +109,11 @@ class Scenario:
             raise ValueError(f"channel phase shift must be finite, got {bad}")
         if top == 0.0:
             raise ValueError("scenario needs at least one channel with nonzero gain")
+        self._store(transmit_power, carrier_freq, conversion_eff, gains, phase_shifts)
+
+    def _store(self, transmit_power, carrier_freq, conversion_eff, gains, phase_shifts):
+        """Set the fields from checked values: ``phase_shifts`` wrapped into a
+        new array, and both arrays made read-only."""
         phase_shifts = wrap_angle(phase_shifts)
         gains.setflags(write=False)
         phase_shifts.setflags(write=False)
@@ -159,6 +165,10 @@ class ScenarioDistribution:
         if not 0.0 < self.transmit_power < math.inf:
             raise ValueError(f"transmit_power must be positive and finite, "
                              f"got {self.transmit_power}")
+        if not self.carrier_freq > 0.0:
+            raise ValueError("carrier_freq must be positive")
+        if not 0.0 < self.conversion_eff <= 1.0:
+            raise ValueError("conversion_eff must lie in (0, 1]")
         if self.num_transmitters < 1:
             raise ValueError("need at least one transmitter")
 
@@ -221,13 +231,26 @@ def generate_scenario(
     over [-pi, pi). With a single line-of-sight path per link the random
     delay is statistically identical to a uniform phase shift, so (gain,
     phase) pairs are drawn directly.
+
+    The scenario skips the constructors' validation: ``dist`` has checked
+    the scalars, and the draw makes 1-D arrays of finite phases and of
+    gains in [0, inf]. What a draw can still get wrong is checked here, with
+    the constructors' messages: a gain that overflowed to inf, and gains
+    that all underflowed to 0.
     """
     m = dist.num_transmitters
     lo, hi = dist.distance_range
     distances = rng.uniform(lo, hi, size=m)
     phase_shifts = rng.uniform(-math.pi, math.pi, size=m)
-    scenario = Scenario.from_arrays(dist.transmit_power, dist.carrier_freq, dist.conversion_eff,
-                                    _path_loss_gains(distances.tolist(), dist), phase_shifts)
+    gains = _path_loss_gains(distances.tolist(), dist)
+    top = max(gains)
+    if not top < math.inf:
+        raise ValueError(f"channel power gain must be finite and >= 0, got {top}")
+    if top == 0.0:
+        raise ValueError("scenario needs at least one channel with nonzero gain")
+    scenario = Scenario.__new__(Scenario)
+    scenario._store(dist.transmit_power, dist.carrier_freq, dist.conversion_eff,
+                    np.array(gains), phase_shifts)
     return scenario, ScenarioDraw(distances=distances, phase_shifts=phase_shifts)
 
 

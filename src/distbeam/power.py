@@ -61,7 +61,10 @@ MODE_ADDITIVE_NOISE = "additive-noise"
 
 @dataclass
 class MeasurementModel:
-    """Exact or additive-Gaussian-noise power measurement (noise clamps at 0)."""
+    """Exact or additive-Gaussian-noise power measurement (noise clamps at 0).
+
+    Exact mode with ``noise_std > 0`` is an error, not a silent exact model.
+    """
 
     mode: str = MODE_EXACT
     noise_std: float = 0.0
@@ -72,6 +75,9 @@ class MeasurementModel:
             raise ValueError(f"unknown measurement mode {self.mode!r}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.mode == MODE_EXACT and self.noise_std > 0.0:
+            raise ValueError(f"{MODE_EXACT!r} mode with noise_std {self.noise_std} > 0: the "
+                             f"noise would be ignored; use {MODE_ADDITIVE_NOISE!r}")
         if self.noisy and self.rng is None:
             raise ValueError("additive-noise mode with noise_std > 0 needs an rng")
 

@@ -304,6 +304,43 @@ def per_trial_overhead(cfg) -> list[ResultRow]:
     return rows
 
 
+def per_instance_phasor_draws(seed: int, instances: int, max_m: int):
+    """The phasor-oracle check's draws one instance at a time, as its loop
+    made them before stacking: a (scenario, all-active assignment) pair per
+    instance, in draw order."""
+    rng = rng_stream(seed, 90)
+    draws = []
+    for _ in range(instances):
+        m = int(rng.integers(1, max_m + 1))
+        s = random_scenario(rng, m)
+        draws.append((s, PhaseAssignment(rng.uniform(-math.pi, math.pi, m))))
+    return draws
+
+
+def per_instance_partial_power(seed: int, instances: int, max_m: int):
+    """The partial-power consistency check one instance at a time: the
+    scalar ``partial_power`` of the joining transmitter and one
+    ``harvested_power`` call over the joined active set, per instance."""
+    rng = rng_stream(seed, 91)
+    partial, joined_power = [], []
+    for _ in range(instances):
+        m_total = int(rng.integers(2, max_m + 1))
+        s = random_scenario(rng, m_total)
+        phases = rng.uniform(-math.pi, math.pi, m_total)
+        m = int(rng.integers(0, m_total))
+        active = rng.random(m_total) < 0.8
+        active[m] = False
+        if not active.any():
+            active[(m + 1) % m_total] = True
+        pa = PhaseAssignment(phases.copy(), active.copy())
+        ss = sum_signal(s, pa, exclude=m)
+        partial.append(partial_power(s, ss, m, phases[m]))
+        joined = active.copy()
+        joined[m] = True
+        joined_power.append(harvested_power(s, PhaseAssignment(phases.copy(), joined)))
+    return np.array(partial), np.array(joined_power)
+
+
 def grid_argmax(fn, points: int = 360) -> float:
     """Brute-force maximizer of a function of phase over a uniform grid."""
     grid = np.linspace(-math.pi, math.pi, points, endpoint=False)

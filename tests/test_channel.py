@@ -177,6 +177,11 @@ def test_distribution_validation():
     ("ref_distance", math.inf, "ref_distance must be positive and finite"),
     ("transmit_power", math.inf, "transmit_power must be positive and finite"),
     ("transmit_power", math.nan, "transmit_power must be positive and finite"),
+    ("conversion_eff", 0.0, "conversion_eff must lie in"),
+    ("conversion_eff", 1.5, "conversion_eff must lie in"),
+    ("conversion_eff", math.nan, "conversion_eff must lie in"),
+    ("carrier_freq", 0.0, "carrier_freq must be positive"),
+    ("carrier_freq", math.nan, "carrier_freq must be positive"),
 ])
 def test_distribution_rejects_non_finite_fields(field, value, message):
     """Each bad field names itself; none reaches numpy's uniform draw or a
@@ -217,10 +222,11 @@ def test_scenario_text_rejects_truncated():
 
 @pytest.mark.parametrize("m", [1, 2, 5, 10, 32, 50])
 def test_generate_scenario_equals_channel_by_channel_draw(m):
-    """The array-native draw gives the one-Channel-per-link scenario bit for
-    bit, on the default law and on non-default exponents, reference
-    distances, attenuations and a 1e-3..1e3 distance range, where numpy's
-    array power would move the last bit of some gains."""
+    """The array-native draw, which skips the constructors' validation, gives
+    the one-Channel-per-link scenario bit for bit and read-only, on the
+    default law and on non-default exponents, reference distances,
+    attenuations and a 1e-3..1e3 distance range, where numpy's array power
+    would move the last bit of some gains."""
     dists = [ScenarioDistribution(num_transmitters=m),
              ScenarioDistribution(num_transmitters=m, path_loss_exponent=2.7),
              ScenarioDistribution(num_transmitters=m, ref_distance=2.0),
@@ -238,6 +244,7 @@ def test_generate_scenario_equals_channel_by_channel_draw(m):
             assert draw.phase_shifts.tobytes() == phases.tobytes()
             assert (got.transmit_power, got.carrier_freq, got.conversion_eff) == \
                 (want.transmit_power, want.carrier_freq, want.conversion_eff)
+            assert not (got.gains.flags.writeable or got.phase_shifts.flags.writeable)
 
 
 @pytest.mark.parametrize("gains, phases, message", [
@@ -292,10 +299,19 @@ def test_scenario_is_two_read_only_arrays(rng):
 
 def test_path_loss_overflow_is_a_gain_error():
     """A gain past the float range is the channel-gain error, not a bare
-    OverflowError or ZeroDivisionError from the power."""
+    OverflowError or ZeroDivisionError from the power or an inf gain; gains
+    that all underflow are the all-zero error."""
     near = ScenarioDistribution(num_transmitters=2, distance_range=(1e-200, 2e-200))
     far = ScenarioDistribution(num_transmitters=2, ref_distance=1e300,
                                distance_range=(1e-100, 2e-100))
-    for dist in (near, far):
+    # pow stays finite (~1e15) and the product overflows to inf, no exception
+    loud = ScenarioDistribution(num_transmitters=2, ref_attenuation=1e300,
+                                distance_range=(1e-5, 2e-5))
+    for dist in (near, far, loud):
         with pytest.raises(ValueError, match="channel power gain must be finite"):
             generate_scenario(dist, np.random.default_rng(1))
+    # every gain underflows to 0
+    silent = ScenarioDistribution(num_transmitters=2, path_loss_exponent=300,
+                                  distance_range=(1e3, 2e3))
+    with pytest.raises(ValueError, match="at least one channel with nonzero gain"):
+        generate_scenario(silent, np.random.default_rng(1))

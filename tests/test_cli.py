@@ -250,6 +250,22 @@ def test_verify_passes(capsys):
     assert "[ok]" in out
 
 
+def test_verify_failure_exits_with_verify_code(capsys, monkeypatch):
+    """One failing check: every check still reports, the failed one is marked
+    FAIL, and the run ends with the count and EXIT_VERIFY."""
+    from distbeam import selfcheck
+
+    real = selfcheck.partial_power
+    monkeypatch.setattr(selfcheck, "partial_power",
+                        lambda s, ss, m, phi_m: real(s, ss, m, phi_m) + 1e-12)
+    code, out, err = run_cli(capsys, "verify")
+    lines = out.splitlines()
+    assert code == EXIT_VERIFY and err == "" and len(lines) == 7
+    assert lines[1].startswith("[FAIL] partial-power consistency: ")
+    assert all(ln.startswith("[ok] ") for ln in lines[:1] + lines[2:6])
+    assert lines[-1] == "1 of 6 checks failed"
+
+
 def test_bound_rejects_non_finite_and_all_zero_gains(capsys):
     for gains in ("inf,1", "1,nan", "0,0"):
         code, out, err = run_cli(capsys, "bound", "--gains", gains, "--N", "3")

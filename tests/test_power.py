@@ -18,6 +18,7 @@ from distbeam import (
 )
 from distbeam.power import (
     MODE_ADDITIVE_NOISE,
+    MODE_EXACT,
     _pair_sum,
     harvested_powers,
     optimal_powers,
@@ -356,3 +357,7 @@ def test_measurement_model_validation():
             MeasurementModel(MODE_ADDITIVE_NOISE, bad, np.random.default_rng(0))
     with pytest.raises(ValueError):
         MeasurementModel(MODE_ADDITIVE_NOISE, 1.0, None)
+    # exact mode would silently ignore a noise level
+    for rng in (np.random.default_rng(0), None):
+        with pytest.raises(ValueError, match="noise would be ignored"):
+            MeasurementModel(MODE_EXACT, 0.5, rng)
