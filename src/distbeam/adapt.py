@@ -94,6 +94,11 @@ def probe_pair(arc: Arc) -> ProbePair:
     fixed antipodal pair at center +/- pi/2; any antipodal pair splits the
     circle and this choice reproduces the (0, -pi) initialization.
     """
+    node = _tree_node(arc)
+    return _probe_pair(arc) if node is None else node[1]
+
+
+def _probe_pair(arc: Arc) -> ProbePair:
     center, half_width = arc
     off = math.pi / 2.0 if half_width == math.pi else half_width
     return ProbePair(wrap_angle(center + off), wrap_angle(center - off))
@@ -113,11 +118,48 @@ def bisect_arc(arc: Arc, bit: bool) -> Arc:
     arc center and the winning boundary, so the center moves a quarter of
     the arc width toward the winner and the half-width halves.
     """
+    node = _tree_node(arc)
+    child = None if node is None else node[3 if bit else 2]
+    return _bisect_arc(arc, bit) if child is None else child
+
+
+def _bisect_arc(arc: Arc, bit: bool) -> Arc:
     center, half_width = arc
     if half_width <= CONVERGENCE_FLOOR:
         return arc
     half = half_width / 2.0
     return Arc(center + half if bit else center - half, half)
+
+
+#: Every stage bisects the same probe lattice from :func:`initial_arc`; the
+#: feedback picks only the path through it. So the tree's nodes down to
+#: half-width pi/2**_TREE_DEPTH, enough for N <= 8 intervals, are stored
+#: with their probe pair and children: 2**(_TREE_DEPTH + 1) - 1 = 511
+#: entries, built by the plain functions the first time the root is used.
+#: Deeper arcs, and arcs a caller builds, are computed on every call.
+_TREE_DEPTH = 8
+_TREE: dict[Arc, tuple] = {}   # node -> (node, probe pair, child on bit False, on bit True)
+
+
+def _tree_node(arc: Arc) -> tuple | None:
+    """The stored entry of a tree node, None for any other arc (an equal
+    arc built by a caller included)."""
+    node = _TREE.get(arc)
+    if node is None:
+        if arc is not _FULL_CIRCLE or _TREE:
+            return None
+        _grow_tree(arc, 0)
+        node = _TREE[arc]
+    return node if node[0] is arc else None
+
+
+def _grow_tree(arc: Arc, depth: int) -> None:
+    children = ((_bisect_arc(arc, False), _bisect_arc(arc, True))
+                if depth < _TREE_DEPTH else (None, None))
+    _TREE[arc] = (arc, _probe_pair(arc), *children)
+    if depth < _TREE_DEPTH:
+        for child in children:
+            _grow_tree(child, depth + 1)
 
 
 class TraceRecord(NamedTuple):
@@ -188,6 +230,8 @@ def adapt_phase(
         raise ValueError("n_intervals must be >= 1")
     if probe_repeats < 1:
         raise ValueError("probe_repeats must be >= 1")
+    if not math.isfinite(probe_offset):
+        raise ValueError(f"probe_offset must be finite, got {probe_offset}")
     if pa.active[m]:
         raise ValueError(f"transmitter {m} cannot be active while adapting")
     return _train_stage(s, sum_signal(s, pa, exclude=m), m, n_intervals, meas,

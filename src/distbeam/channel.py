@@ -204,8 +204,17 @@ def aggregate_channel(paths: PathSet, carrier_freq: float) -> Channel:
 
 
 def path_loss_gain(distance: float, dist: ScenarioDistribution) -> float:
-    """Power gain at a given distance under the distribution's path-loss law."""
-    return _path_loss_gains([float(distance)], dist)[0]
+    """Power gain at a given distance under the distribution's path-loss law.
+
+    The distance must be positive and finite, and the gain must fit a float.
+    """
+    r = float(distance)
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"channel power gain needs a positive finite distance, got {r}")
+    (gain,) = _path_loss_gains([r], dist)
+    if gain == math.inf:
+        raise ValueError("channel power gain must be finite and >= 0, got inf")
+    return gain
 
 
 def _path_loss_gains(distances: list[float], dist: ScenarioDistribution) -> list[float]:

@@ -90,6 +90,8 @@ def run_protocol(
         raise ValueError("protocol needs at least two transmitters")
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
+    if not math.isfinite(first_phase):
+        raise ValueError(f"first_phase must be finite, got {first_phase}")
     phases = np.zeros(m_total)
     phases[0] = wrap_angle(first_phase)
     traces: list[TrainingTrace] = []

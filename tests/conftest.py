@@ -28,12 +28,13 @@ from distbeam import (
     run_protocol,
 )
 from distbeam.adapt import (
+    CONVERGENCE_FLOOR,
+    Arc,
+    ProbePair,
     TraceRecord,
     TrainingTrace,
-    bisect_arc,
     feedback_bit,
     initial_arc,
-    probe_pair,
 )
 from distbeam.angles import wrap_angle
 from distbeam.baseline import DIST_UNIFORM, BaselineTrace
@@ -173,11 +174,30 @@ def per_interval_perturbation(s: Scenario, cfg, meas, rng) -> BaselineTrace:
     return BaselineTrace(cand_hist, meas_hist, best_hist, acc_hist, best, best_power)
 
 
+def plain_probe_pair(arc: Arc) -> ProbePair:
+    """``adapt.probe_pair`` computed afresh on every call, without the
+    library's stored bisection tree."""
+    center, half_width = arc
+    off = math.pi / 2.0 if half_width == math.pi else half_width
+    return ProbePair(wrap_angle(center + off), wrap_angle(center - off))
+
+
+def plain_bisect_arc(arc: Arc, bit: bool) -> Arc:
+    """``adapt.bisect_arc`` computed afresh on every call, without the
+    library's stored bisection tree."""
+    center, half_width = arc
+    if half_width <= CONVERGENCE_FLOOR:
+        return arc
+    half = half_width / 2.0
+    return Arc(center + half if bit else center - half, half)
+
+
 def per_reading_adapt_phase(s: Scenario, pa: PhaseAssignment, m: int, n_intervals: int,
                             meas=EXACT, probe_offset: float = 0.0,
                             probe_repeats: int = 1):
     """The bisection stage one reading at a time: ``sum_signal`` over the
-    active set, one ``measure`` per reading, and ``Arc`` objects."""
+    active set, one ``measure`` per reading, and ``Arc`` objects probed and
+    bisected by :func:`plain_probe_pair` and :func:`plain_bisect_arc`."""
     ss = sum_signal(s, pa, exclude=m)
     target = aligned_phase(s, ss, m)
     trace = TrainingTrace(target_phase=target if ss.gain > 0.0 else 0.0,
@@ -190,13 +210,13 @@ def per_reading_adapt_phase(s: Scenario, pa: PhaseAssignment, m: int, n_interval
         return total / probe_repeats
 
     for n in range(1, n_intervals + 1):
-        probes = probe_pair(arc)
+        probes = plain_probe_pair(arc)
         psi = wrap_angle(probes.psi + probe_offset)
         psi_prime = wrap_angle(probes.psi_prime + probe_offset)
         q_psi = read(psi)
         q_psi_prime = read(psi_prime)
         bit = feedback_bit(q_psi, q_psi_prime)
-        arc = bisect_arc(arc, bit)
+        arc = plain_bisect_arc(arc, bit)
         trace.records.append(
             TraceRecord(n, psi, psi_prime, q_psi, q_psi_prime, bit,
                         wrap_angle(arc.center + probe_offset), arc.half_width)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -25,7 +26,7 @@ from distbeam.adapt import CONVERGENCE_FLOOR
 from distbeam.power import MODE_ADDITIVE_NOISE
 from distbeam.selfcheck import grid_oracle_violations
 
-from conftest import random_scenario
+from conftest import per_stage_protocol, plain_bisect_arc, plain_probe_pair, random_scenario
 
 
 def kept_side_grid(psi, psi_prime, bit, points=3600):
@@ -159,6 +160,112 @@ def test_repeated_rotated_probes_make_one_call_per_step(monkeypatch, rng):
     assert counts == interval_calls(6)
 
 
+def _bits(x):
+    """A value as comparable bits: each float by ``float.hex``, each array
+    by its bytes, every type kept, so 0.0 differs from -0.0 and a Python
+    float from a numpy one."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return type(x), tuple(_bits(v) for v in x)
+    if isinstance(x, float):
+        return type(x), float.hex(x)
+    return type(x), x
+
+
+@pytest.fixture
+def fresh_tree(monkeypatch):
+    """An empty store of bisection-tree nodes for one test."""
+    tree = {}
+    monkeypatch.setattr(adapt, "_TREE", tree)
+    return tree
+
+
+def test_tree_nodes_equal_plain_arithmetic(fresh_tree):
+    """Every node two levels past the stored depth, both bits, gives the
+    plain functions' probe pair and children, first with an empty store
+    and then warm. The store then holds the nodes down to its depth."""
+    for visit in ("cold", "warm"):
+        level = [(initial_arc(), initial_arc())]    # (library node, oracle node)
+        for depth in range(adapt._TREE_DEPTH + 3):
+            children = []
+            for node, ref in level:
+                assert _bits(probe_pair(node)) == _bits(plain_probe_pair(ref)), (visit, depth)
+                for bit in (False, True):
+                    pair = bisect_arc(node, bit), plain_bisect_arc(ref, bit)
+                    assert _bits(pair[0]) == _bits(pair[1]), (visit, depth, bit)
+                    children.append(pair)
+            level = children
+        assert len(fresh_tree) == 2 ** (adapt._TREE_DEPTH + 1) - 1
+        assert min(a.half_width for a in fresh_tree) == math.pi / 2 ** adapt._TREE_DEPTH
+
+
+def test_budgets_up_to_eight_stay_in_the_tree(monkeypatch, fresh_tree, rng):
+    """Once built, the tree serves every probe and bisection of a run at
+    N <= 8, the budget of every experiment default and benchmark workload."""
+    s = random_scenario(rng, 5)
+    run_protocol(s, 1)
+
+    def plain(*args):
+        raise AssertionError("computed outside the stored tree")
+
+    monkeypatch.setattr(adapt, "_probe_pair", plain)
+    monkeypatch.setattr(adapt, "_bisect_arc", plain)
+    for n in range(1, 9):
+        run_protocol(s, n, MeasurementModel(MODE_ADDITIVE_NOISE, 1e-6, rng))
+
+
+def test_caller_built_arcs_are_computed_not_stored(fresh_tree, rng):
+    """10,000 arcs a caller builds, equal copies of stored nodes among them,
+    give the plain functions' bits and leave the store as it was. A copy
+    whose half-width is a numpy float keeps that type in its child."""
+    run_protocol(random_scenario(rng, 5), 8)
+    before = dict(fresh_tree)
+    nodes = list(fresh_tree)
+    arcs = [Arc(rng.uniform(-4.0, 4.0), math.pi * 2.0 ** -rng.uniform(0.0, 45.0))
+            for _ in range(9_000)]
+    arcs += [Arc(-math.pi / 2, math.pi)]
+    for k in range(999):
+        arc = nodes[k % len(nodes)]
+        arcs.append(Arc(*arc) if k % 2 else Arc(arc.center, np.float64(arc.half_width)))
+    assert len(arcs) == 10_000
+    for arc in arcs:
+        assert _bits(probe_pair(arc)) == _bits(plain_probe_pair(arc)), arc
+        for bit in (False, True):
+            assert _bits(bisect_arc(arc, bit)) == _bits(plain_bisect_arc(arc, bit)), arc
+    assert fresh_tree == before
+
+
+def _meas(std, seed):
+    return (MeasurementModel(MODE_ADDITIVE_NOISE, std, np.random.default_rng(seed))
+            if std else MeasurementModel())
+
+
+@pytest.mark.parametrize("m", [2, 5, 50])
+def test_run_protocol_through_the_tree_matches_plain_stages(fresh_tree, m):
+    """Cold and warm, at budgets inside, at and past the stored depth,
+    run_protocol equals the stage oracle with plain probes and bisections
+    bit for bit, generator state included."""
+    s = random_scenario(np.random.default_rng(3000 + m), m)
+    for n, std, first in itertools.product((1, 8, adapt._TREE_DEPTH + 3), (0.0, 1e-6),
+                                           (0.0, 0.7)):
+        want_meas = _meas(std, n)
+        want = per_stage_protocol(s, n, want_meas, first)
+        for visit in ("cold", "warm"):
+            meas = _meas(std, n)
+            got = run_protocol(s, n, meas, first)
+            where = (m, n, std, first, visit)
+            for name in ("final_phases", "q_d", "q_star", "eta", "target_phases", "errors",
+                         "total_feedback_intervals"):
+                assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (where, name)
+            for g, w in zip(got.traces, want.traces, strict=True):
+                assert _bits(g.records) == _bits(w.records), where
+                assert _bits([g.final_phase, g.target_phase, g.sum_gain]) == \
+                    _bits([w.final_phase, w.target_phase, w.sum_gain]), where
+            if std:
+                assert meas.rng.bit_generator.state == want_meas.rng.bit_generator.state, where
+
+
 def test_feedback_bit_tie_resolution():
     assert feedback_bit(1.0, 1.0) is True
     assert feedback_bit(2.0, 1.0) is True
@@ -227,6 +334,10 @@ def test_adapt_validation(rng):
     bad = PhaseAssignment(np.zeros(2), np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
         adapt_phase(s, bad, 1, 3)
+    # a NaN offset gave a NaN phase, an infinite one a bare math domain error
+    for offset in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="probe_offset must be finite"):
+            adapt_phase(s, pa, 1, 3, probe_offset=offset)
 
 
 def test_arcs_nest_and_halve(rng):

@@ -310,6 +310,12 @@ def test_path_loss_overflow_is_a_gain_error():
     for dist in (near, far, loud):
         with pytest.raises(ValueError, match="channel power gain must be finite"):
             generate_scenario(dist, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="channel power gain must be finite"):
+            path_loss_gain(dist.distance_range[0], dist)
+    # a distance that is not positive and finite, where -1.0 gave a gain of -0.01
+    for bad in (-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="channel power gain needs a positive finite"):
+            path_loss_gain(bad, ScenarioDistribution(num_transmitters=1))
     # every gain underflows to 0
     silent = ScenarioDistribution(num_transmitters=2, path_loss_exponent=300,
                                   distance_range=(1e3, 2e3))

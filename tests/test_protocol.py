@@ -87,6 +87,10 @@ def test_protocol_validation(rng):
         run_protocol(random_scenario(rng, 1), 5)
     with pytest.raises(ValueError):
         run_protocol(random_scenario(rng, 3), 0)
+    # a NaN first phase gave eta = nan, an infinite one a bare math domain error
+    for first in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="first_phase must be finite"):
+            run_protocol(random_scenario(rng, 3), 4, first_phase=first)
     with pytest.raises(ValueError, match="at least two transmitters"):
         exact_runs(stack_scenarios([random_scenario(rng, 1)] * 3), 5)
     with pytest.raises(ValueError, match="n_intervals must be >= 1"):

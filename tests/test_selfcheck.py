@@ -1,6 +1,8 @@
 """The ``verify`` suite's stacked checks against their per-instance loops,
 and every check against a planted fault in what it verifies."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,18 @@ def test_nan_mismatch_fails_the_check(monkeypatch):
                         lambda stack, phases: np.full(len(stack.scale), np.nan))
     result = selfcheck.check_phasor_oracle(instances=50)
     assert not result.ok and result.detail == "max relative mismatch nan"
+
+
+def test_nan_phase_error_fails_the_error_bound(monkeypatch):
+    """A bisection that returns a NaN centre once the half-width is below
+    0.1 gives NaN phase errors from N = 5 on, and the bound check fails on
+    them instead of dropping them from its maximum."""
+    plain = adapt.bisect_arc
+
+    def nan_centre(arc, bit):
+        new = plain(arc, bit)
+        return adapt.Arc(math.nan, new.half_width) if new.half_width < 0.1 else new
+
+    monkeypatch.setattr(adapt, "bisect_arc", nan_centre)
+    result = selfcheck.check_error_bound(runs_per_n=20)
+    assert not result.ok and result.detail == "worst error minus pi/2^N is nan"
