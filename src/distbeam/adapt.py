@@ -47,8 +47,8 @@ class _ArcFields(NamedTuple):
 class Arc(_ArcFields):
     """Circular candidate set {center + t : |t| <= half_width} modulo 2*pi.
 
-    An immutable (center, half_width) tuple; construction checks the
-    half-width and wraps the center.
+    An immutable (center, half_width) tuple; construction checks both and
+    wraps the center.
     """
 
     __slots__ = ()
@@ -56,6 +56,8 @@ class Arc(_ArcFields):
     def __new__(cls, center: float, half_width: float):
         if not 0.0 < half_width <= math.pi:
             raise ValueError("half_width must lie in (0, pi]")
+        if not math.isfinite(center):
+            raise ValueError(f"arc center must be finite, got {center}")
         return tuple.__new__(cls, (wrap_angle(float(center)), half_width))
 
     @classmethod
@@ -257,9 +259,7 @@ def _train_stage(
     value itself, and a zero ``probe_offset`` skips its re-wraps: wrapping
     a wrapped angle returns it unchanged.
     """
-    target = aligned_phase(s, ss, m)
-    trace = TrainingTrace(target_phase=target if ss.gain > 0.0 else 0.0,
-                          sum_gain=ss.gain)
+    trace = TrainingTrace(target_phase=aligned_phase(s, ss, m), sum_gain=ss.gain)
     r = probe_repeats
     noise = (meas.rng.normal(0.0, meas.noise_std, size=2 * r * n_intervals).tolist()
              if meas.noisy else None)

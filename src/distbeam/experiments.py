@@ -109,6 +109,9 @@ class ExperimentConfig:
             raise ValueError("sweep lists must be non-empty")
         if min(self.budgets) < 1:
             raise ValueError(f"budgets must be >= 1; got {min(self.budgets)}")
+        for name, n in (("n_list", min(self.n_list)), ("n_adapt", self.n_adapt)):
+            if n < 1:
+                raise ValueError(f"n_intervals must be >= 1; got {name} {n}")
         for name in ("n_list", "m_list", "budgets"):
             values = getattr(self, name)
             repeated = [v for i, v in enumerate(values) if v in values[:i]]

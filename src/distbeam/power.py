@@ -234,8 +234,13 @@ def sum_signal(
     delta = s.phase_shifts[keep] - pa.phases[keep]
     # cumsum adds left to right like a scalar loop; np.sum's pairwise order
     # would move the last bits of every stage target and probe power
-    re = float(np.cumsum(amp * np.cos(delta))[-1])
-    im = float(np.cumsum(amp * np.sin(delta))[-1])
+    return _phasor_signal(np.cumsum(amp * np.cos(delta))[-1],
+                          np.cumsum(amp * np.sin(delta))[-1])
+
+
+def _phasor_signal(re, im) -> SumSignal:
+    """The SumSignal of a conjugate phasor sum re + j*im; zero gives (0, 0)."""
+    re, im = float(re), float(im)
     gain = re * re + im * im
     if gain == 0.0:
         return SumSignal(0.0, 0.0)
@@ -243,8 +248,9 @@ def sum_signal(
 
 
 def aligned_phase(s: Scenario, ss: SumSignal, m: int) -> float:
-    """Transmit phase for transmitter m that maximizes partial_power."""
-    return wrap_angle(float(s.phase_shifts[m]) - ss.phase_shift)
+    """Transmit phase for transmitter m that maximizes partial_power; 0
+    against a zero signal, where every phase does."""
+    return wrap_angle(float(s.phase_shifts[m]) - ss.phase_shift) if ss.gain > 0.0 else 0.0
 
 
 def partial_power(s: Scenario, ss: SumSignal, m: int, phi_m: float) -> float:

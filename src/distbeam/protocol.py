@@ -24,12 +24,11 @@ from .power import (
     EXACT,
     MeasurementModel,
     PhaseAssignment,
-    SumSignal,
     TrialStack,
+    _phasor_signal,
     aligned_phase,
     harvested_power,
     optimal_power,
-    sum_signal,
 )
 
 
@@ -81,9 +80,8 @@ def run_protocol(
     lattice of every stage is rotated by ``first_phase`` so that choosing a
     different reference phase reproduces the same run rotated rigidly.
 
-    Each stage trains against a running phasor sum of the transmitters
-    fixed before it, which equals ``sum_signal`` over that prefix bit for
-    bit.
+    Each stage trains against the running phasor sum of the transmitters
+    fixed before it (:func:`_prefix_sums`).
     """
     m_total = s.num_transmitters
     if m_total < 2:
@@ -97,14 +95,9 @@ def run_protocol(
     traces: list[TrainingTrace] = []
     targets = np.zeros(m_total)
     errors = np.zeros(m_total)
-    amp = np.sqrt(s.gains)
-    re = im = None
-    for m in range(1, m_total):
-        re, im = _add_phasor(re, im, amp[m - 1], s.phase_shifts[m - 1], phases[m - 1])
-        x, y = float(re), float(im)    # the Python floats sum_signal returns
-        gain = x * x + y * y
-        ss = SumSignal(gain, math.atan2(y, x)) if gain != 0.0 else SumSignal(0.0, 0.0)
-        phi_m, trace = _train_stage(s, ss, m, n_intervals, meas, first_phase, 1)
+    for m, (re, im) in enumerate(_prefix_sums(s.gains, s.phase_shifts, phases), 1):
+        phi_m, trace = _train_stage(s, _phasor_signal(re, im), m, n_intervals, meas,
+                                    first_phase, 1)
         phases[m] = phi_m
         traces.append(trace)
         targets[m] = trace.target_phase
@@ -132,8 +125,8 @@ def exact_runs(stack: TrialStack, n_intervals: int) -> tuple[np.ndarray, np.ndar
     Returns a (T, M) and a (T, N*(M-1)) array, one row per trial; the
     powers are the runs' ``TrainingTrace.interval_powers``, stage after
     stage. Every stage replays the scalar path's arithmetic over the trial
-    axis: the running phasor sum adds transmitter m-1 as ``run_protocol``
-    does, a zero combined gain reduces to ``SumSignal(0, 0)``, and each
+    axis: it takes the same running phasor sum (:func:`_prefix_sums`), a
+    zero combined gain reduces to ``SumSignal(0, 0)``, and each
     interval compares the two ``partial_power`` probes, scaled by each
     scenario's ``conversion_eff * transmit_power``, and bisects the
     (center, half-width) arc, which is still probed but stops moving at
@@ -148,11 +141,8 @@ def exact_runs(stack: TrialStack, n_intervals: int) -> tuple[np.ndarray, np.ndar
         raise ValueError("n_intervals must be >= 1")
     phases = np.zeros((trials, m_total))        # transmitter 0 keeps phase 0
     powers = np.empty((trials, n_intervals * (m_total - 1)))
-    amp = np.sqrt(gains)
     arc = initial_arc()
-    re = im = None
-    for m in range(1, m_total):
-        re, im = _add_phasor(re, im, amp[:, m - 1], phase_shifts[:, m - 1], phases[:, m - 1])
+    for m, (re, im) in enumerate(_prefix_sums(gains, phase_shifts, phases), 1):
         ss_gain = re * re + im * im
         # math.atan2 per trial: np.arctan2 differs from it in the last ulp
         ss_phase = np.array([math.atan2(y, x) for y, x in zip(im.tolist(), re.tolist())])
@@ -176,36 +166,34 @@ def exact_runs(stack: TrialStack, n_intervals: int) -> tuple[np.ndarray, np.ndar
     return phases, powers
 
 
-def _add_phasor(re, im, amp, phase_shift, phase):
-    """Add one fixed transmitter's phasor to a running sum (``None`` starts
-    one), left to right like ``sum_signal``'s ``cumsum``: the first term
-    starts the sum, so even a signed zero matches. Scalars or trial arrays."""
-    delta = phase_shift - phase
-    dre = amp * np.cos(delta)
-    dim = amp * np.sin(delta)
-    if re is None:
-        return dre, dim
-    return re + dre, im + dim
-
-
-def _prefix_target(s: Scenario, phases: np.ndarray, m: int) -> float:
-    """Stage m's optimum: the aligned phase against transmitters 0..m-1."""
-    prefix = np.arange(s.num_transmitters) < m
-    return aligned_phase(s, sum_signal(s, PhaseAssignment(phases, prefix)), m)
+def _prefix_sums(gains, phase_shifts, phases):
+    """Yield stage m's conjugate phasor sum (re, im) of transmitters 0..m-1,
+    for m = 1..M-1, over the last axis of one scenario's or a trial stack's
+    arrays. ``phases[..., m-1]`` is read only when stage m is reached. Terms
+    add left to right from the first, as ``sum_signal``'s ``cumsum`` does,
+    so the sums equal it bit for bit, signed zeros included."""
+    # views, so the caller's writes show; a row index keeps a scenario's scalars
+    amp, shifts, phases = np.sqrt(gains).T, phase_shifts.T, phases.T
+    re = im = None
+    for m in range(1, len(amp)):
+        a, delta = amp[m - 1], shifts[m - 1] - phases[m - 1]
+        dre, dim = a * np.cos(delta), a * np.sin(delta)
+        re, im = (dre, dim) if re is None else (re + dre, im + dim)
+        yield re, im
 
 
 def phase_errors(result: ProtocolResult, s: Scenario) -> np.ndarray:
-    """Recompute per-stage phase errors from the final phases.
+    """Recompute per-stage phase errors from the final phases, in O(M).
 
     Stage m's optimum depends only on the phases fixed before it, which the
-    sequential protocol never revisits, so replaying the prefix sums
-    reproduces the targets recorded during the run. The first transmitter
+    sequential protocol never revisits, so replaying the run's prefix sums
+    reproduces the targets it recorded bit for bit. The first transmitter
     has no target and its error is zero by convention.
     """
     phases = result.final_phases
     errors = np.zeros(s.num_transmitters)
-    for m in range(1, s.num_transmitters):
-        errors[m] = wrap_angle(phases[m] - _prefix_target(s, phases, m))
+    for m, (re, im) in enumerate(_prefix_sums(s.gains, s.phase_shifts, phases), 1):
+        errors[m] = wrap_angle(phases[m] - aligned_phase(s, _phasor_signal(re, im), m))
     return errors
 
 
@@ -334,6 +322,6 @@ def phases_from_errors(s: Scenario, errors) -> np.ndarray:
     if len(errors) != m_total:
         raise ValueError("need one error per transmitter")
     phases = np.zeros(m_total)
-    for m in range(1, m_total):
-        phases[m] = wrap_angle(_prefix_target(s, phases, m) + errors[m])
+    for m, (re, im) in enumerate(_prefix_sums(s.gains, s.phase_shifts, phases), 1):
+        phases[m] = wrap_angle(aligned_phase(s, _phasor_signal(re, im), m) + errors[m])
     return phases

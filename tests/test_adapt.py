@@ -95,6 +95,12 @@ def test_arc_validation_and_floor():
         Arc(0.0, 0.0)
     with pytest.raises(ValueError):
         Arc(0.0, 3.2)
+    # a NaN centre built silently, an infinite one raised a bare math domain error
+    for center in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        with pytest.raises(ValueError, match=f"arc center must be finite, got {float(center)}"):
+            Arc(center, 0.1)
+        with pytest.raises(ValueError, match="arc center must be finite"):
+            Arc(0.0, 0.1)._replace(center=center)
     tiny = Arc(0.0, CONVERGENCE_FLOOR / 2)
     assert tiny.converged
     # bisecting a converged arc is a no-op, never an error

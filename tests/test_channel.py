@@ -265,6 +265,12 @@ def test_scenario_arrays_are_validated(gains, phases, message):
         Scenario.from_arrays(1.0, 1.0, 1.0, gains, phases)
 
 
+@pytest.mark.parametrize("carrier_freq", [0.0, -1.0, math.nan])
+def test_scenario_carrier_freq_must_be_positive(carrier_freq):
+    with pytest.raises(ValueError, match="carrier_freq must be positive"):
+        Scenario.from_arrays(1.0, carrier_freq, 1.0, [1.0], [0.0])
+
+
 def test_scenario_is_two_read_only_arrays(rng):
     """A scenario is its three scalars and two read-only arrays; the
     per-link ``channels`` tuple is derived from them and round-trips."""

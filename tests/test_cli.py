@@ -52,6 +52,8 @@ def test_large_n_runs_without_overflow(capsys, tmp_path):
 def test_bound_usage_errors(capsys):
     code, _, err = run_cli(capsys, "bound", "--M", "5", "--equal-gains")
     assert code == EXIT_USAGE
+    code, _, err = run_cli(capsys, "bound", "--equal-gains", "--N", "4")
+    assert code == EXIT_USAGE and "--equal-gains requires --M" in err
     code, _, err = run_cli(capsys, "bound", "--M", "5", "--eta-hat", "0.9",
                            "--N", "3", "--equal-gains")
     assert code == EXIT_USAGE
@@ -136,6 +138,19 @@ def test_baseline_deterministic(capsys):
     assert out1 == out2
     assert out1.splitlines()[0] == "n,power,best_power,accepted"
     assert len(out1.strip().splitlines()) == 26
+
+
+def test_baseline_json_matches_csv(capsys):
+    args = ("baseline", "--M", "4", "--intervals", "25", "--seed", "3")
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert sorted(payload) == ["best_power", "final_power", "measured_power"]
+    _, csv, _ = run_cli(capsys, *args)
+    rows = [line.split(",") for line in csv.strip().splitlines()[1:]]
+    assert [f"{p:.15g}" for p in payload["measured_power"]] == [r[1] for r in rows]
+    assert [f"{p:.15g}" for p in payload["best_power"]] == [r[2] for r in rows]
+    assert payload["final_power"] == payload["best_power"][-1]
 
 
 def test_exp_writes_curves(capsys, tmp_path, monkeypatch):
@@ -232,6 +247,11 @@ def test_usage_errors(capsys, tmp_path):
     for argv, message in (
         (("efficiency-vs-N", "--m-list", "1"), "protocol needs at least two transmitters"),
         (("efficiency-vs-N", "--n-list", "0,2"), "n_intervals must be >= 1"),
+        # a budget below 1 wrote Q* as power-vs-M's mean and trained no stage
+        (("power-vs-M", "--m-list", "1", "--n-list", "0,-2"),
+         "n_intervals must be >= 1; got n_list -2"),
+        (("overhead-tradeoff", "--m-list", "1", "--n-adapt", "0"),
+         "n_intervals must be >= 1; got n_adapt 0"),
         (("overhead-tradeoff", "--m-list", "5,10", "--budgets", "10"), "m_list 5,10"),
         (("overhead-tradeoff", "--budgets", "0,5"), "budgets must be >= 1"),
         (("overhead-tradeoff", "--budgets=-5"), "budgets must be >= 1"),

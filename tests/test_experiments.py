@@ -73,6 +73,9 @@ def test_config_validation():
     for budgets in ((0, 5), (-5,), (10, -1)):
         with pytest.raises(ValueError, match="budgets must be >= 1"):
             small_cfg(EXP_OVERHEAD, budgets=budgets)
+    for fields in (dict(n_list=(1, 0)), dict(n_list=(-2,)), dict(n_adapt=0), dict(n_adapt=-1)):
+        with pytest.raises(ValueError, match="n_intervals must be >= 1"):
+            small_cfg(EXP_POWER, **fields)
 
 
 @pytest.mark.parametrize("name", ["n_list", "m_list", "budgets"])

@@ -8,6 +8,7 @@ from distbeam import (
     MeasurementModel,
     PhaseAssignment,
     Scenario,
+    SumSignal,
     aligned_phase,
     harvested_power,
     measure,
@@ -159,6 +160,14 @@ def test_sum_signal_exact_zero_convention():
     s = Scenario(1.0, 1.0, 1.0, [Channel(0.0, 1.0), Channel(1.0, 0.5)])
     ss = sum_signal(s, PhaseAssignment([0.3, 0.0], [True, False]))
     assert ss.gain == 0.0 and ss.phase_shift == 0.0
+
+
+def test_aligned_phase_against_a_zero_signal_is_zero():
+    """Every phase is optimal against a zero signal; the target is 0, the
+    value a stage's trace records."""
+    s = Scenario(1.0, 1.0, 1.0, [Channel(0.0, 1.0), Channel(1.0, 0.5)])
+    phase = aligned_phase(s, SumSignal(0.0, 0.0), 1)
+    assert type(phase) is float and phase == 0.0 and math.copysign(1.0, phase) == 1.0
 
 
 def test_sum_signal_empty():

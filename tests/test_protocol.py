@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,6 +96,8 @@ def test_protocol_validation(rng):
         exact_runs(stack_scenarios([random_scenario(rng, 1)] * 3), 5)
     with pytest.raises(ValueError, match="n_intervals must be >= 1"):
         exact_runs(stack_scenarios([random_scenario(rng, 4)] * 3), 0)
+    with pytest.raises(ValueError, match="n_intervals must be >= 1"):
+        efficiency_lower_bound(random_scenario(rng, 3), 0)
 
 
 def _with_zero_gain(s, index):
@@ -282,8 +285,56 @@ def test_recorded_errors_match_recomputation(rng):
         s = random_scenario(rng, int(rng.integers(2, 9)))
         res = run_protocol(s, 4)
         recomputed = phase_errors(res, s)
-        assert np.allclose(recomputed, res.errors, atol=1e-12)
+        assert _same(recomputed, res.errors)
         assert recomputed[0] == 0.0
+
+
+# zero-gain links at the head of the scenario, twice, and in the middle
+ZERO_GAIN_SCENARIOS = (
+    ([0.0, 1.0, 0.5], [0.3, 1.2, -2.0]),
+    ([0.0, 0.0, 1.0, 2.0], [0.4, -1.0, 2.5, 0.9]),
+    ([1.0, 0.0, 0.5, 2.0], [-0.6, 2.2, 1.1, -3.0]),
+)
+
+
+@pytest.mark.parametrize("gains, shifts", ZERO_GAIN_SCENARIOS)
+def test_replayed_errors_match_the_run_after_zero_gain_links(gains, shifts):
+    """A stage whose prefix has zero combined gain records target 0, and the
+    replay gives the same target: for gains [0, 1, 0.5] the replay used to
+    return 0.174 against the recorded 1.374."""
+    s = Scenario.from_arrays(1.0, 915e6, 1.0, gains, shifts)
+    for n, std, first in itertools.product((1, 4, 8), (0.0, 1e-3), (0.0, 0.7)):
+        meas, _ = _meas_pair(std, n)
+        res = run_protocol(s, n, meas, first_phase=first)
+        assert _same(phase_errors(res, s), res.errors), (n, std, first)
+        for m, trace in enumerate(res.traces, 1):
+            if trace.sum_gain == 0.0:
+                assert _same(res.target_phases[m], np.float64(0.0))
+
+
+@pytest.mark.parametrize("gains, shifts", ((None, None),) + ZERO_GAIN_SCENARIOS)
+def test_phases_from_errors_round_trips_through_phase_errors(rng, gains, shifts):
+    """Phases built from stage errors replay to those errors, to within the
+    rounding of one wrap on each side."""
+    for _ in range(50):
+        if gains is None:
+            s = random_scenario(rng, int(rng.integers(2, 9)))
+        else:
+            s = Scenario.from_arrays(1.0, 915e6, 1.0, gains, shifts)
+        errors = rng.uniform(-math.pi, math.pi, s.num_transmitters)
+        errors[0] = 0.0
+        phases = phases_from_errors(s, errors)
+        replayed = phase_errors(SimpleNamespace(final_phases=phases), s)
+        assert replayed[0] == 0.0
+        assert max(circular_distance(a, b) for a, b in zip(replayed, errors)) <= 1e-14
+
+
+def test_length_mismatches_are_errors():
+    s = equal_gain_scenario(3)
+    with pytest.raises(ValueError, match="gains and errors must have equal length"):
+        accumulated_power(s.gains, [0.0, 0.1])
+    with pytest.raises(ValueError, match="need one error per transmitter"):
+        phases_from_errors(s, [0.0, 0.1, 0.2, 0.3])
 
 
 def test_error_bound_across_stages(rng):

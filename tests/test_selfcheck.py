@@ -113,12 +113,15 @@ def test_nan_mismatch_fails_the_check(monkeypatch):
 def test_nan_phase_error_fails_the_error_bound(monkeypatch):
     """A bisection that returns a NaN centre once the half-width is below
     0.1 gives NaN phase errors from N = 5 on, and the bound check fails on
-    them instead of dropping them from its maximum."""
+    them instead of dropping them from its maximum. ``Arc`` rejects a NaN
+    centre, so the fault builds its tuple directly."""
     plain = adapt.bisect_arc
 
     def nan_centre(arc, bit):
-        new = plain(arc, bit)
-        return adapt.Arc(math.nan, new.half_width) if new.half_width < 0.1 else new
+        half = arc.half_width / 2.0
+        if half < 0.1:
+            return tuple.__new__(adapt.Arc, (math.nan, half))
+        return plain(arc, bit)
 
     monkeypatch.setattr(adapt, "bisect_arc", nan_centre)
     result = selfcheck.check_error_bound(runs_per_n=20)
