@@ -137,7 +137,7 @@ def _bisect_arc(arc: Arc, bit: bool) -> Arc:
 #: feedback picks only the path through it. So the tree's nodes down to
 #: half-width pi/2**_TREE_DEPTH, enough for N <= 8 intervals, are stored
 #: with their probe pair and children: 2**(_TREE_DEPTH + 1) - 1 = 511
-#: entries, built by the plain functions the first time the root is used.
+#: entries, built by the plain functions once, at import.
 #: Deeper arcs, and arcs a caller builds, are computed on every call.
 _TREE_DEPTH = 8
 _TREE: dict[Arc, tuple] = {}   # node -> (node, probe pair, child on bit False, on bit True)
@@ -147,12 +147,7 @@ def _tree_node(arc: Arc) -> tuple | None:
     """The stored entry of a tree node, None for any other arc (an equal
     arc built by a caller included)."""
     node = _TREE.get(arc)
-    if node is None:
-        if arc is not _FULL_CIRCLE or _TREE:
-            return None
-        _grow_tree(arc, 0)
-        node = _TREE[arc]
-    return node if node[0] is arc else None
+    return node if node is not None and node[0] is arc else None
 
 
 def _grow_tree(arc: Arc, depth: int) -> None:
@@ -162,6 +157,9 @@ def _grow_tree(arc: Arc, depth: int) -> None:
     if depth < _TREE_DEPTH:
         for child in children:
             _grow_tree(child, depth + 1)
+
+
+_grow_tree(_FULL_CIRCLE, 0)
 
 
 class TraceRecord(NamedTuple):

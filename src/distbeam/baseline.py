@@ -111,7 +111,7 @@ def run_random_perturbation(
         raise ValueError("noisy measurement needs a generator of its own, not rng")
     m = s.num_transmitters
     best = np.zeros(m)
-    best_power = measure(meas, harvested_power(s, PhaseAssignment(best.copy())))
+    best_power = measure(meas, harvested_power(s, PhaseAssignment(best)))
     t = cfg.max_intervals
     # steps are drawn into the candidate history; each row is overwritten
     # with its candidate once committed

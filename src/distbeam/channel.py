@@ -17,6 +17,12 @@ import numpy as np
 
 from .angles import wrap_angle
 
+#: The smallest nonzero channel power gain. A stage's interference amplitude
+#: is sqrt(g_m * G) for two gains; at this limit their product is the
+#: smallest normal float, and below it the product underflows, which gives
+#: an efficiency below the proven bound without any error.
+_MIN_GAIN = 2.0 ** -511
+
 
 @dataclass(frozen=True)
 class PathSet:
@@ -63,7 +69,8 @@ class Scenario:
     ``Scenario(P, f_c, rho, channels)`` takes :class:`Channel` objects and
     :meth:`from_arrays` takes the two arrays; both run one validation.
     Gains must be finite and >= 0 with at least one nonzero, so the optimal
-    power is positive and efficiencies are defined; phase shifts must be
+    power is positive and efficiencies are defined, and each nonzero gain
+    must be at least 2**-511 (``_MIN_GAIN``); phase shifts must be
     finite and are wrapped into [-pi, pi). The arrays are read-only copies,
     so they cannot drift from what was checked, and ``channels`` is a tuple
     of :class:`Channel` built from them. :func:`generate_scenario` checks
@@ -101,9 +108,12 @@ class Scenario:
         if gains.size < 1:
             raise ValueError("scenario needs at least one channel")
         top = np.maximum.reduce(gains)
-        if not (np.minimum.reduce(gains) >= 0.0 and top < math.inf):    # NaN fails both
+        low = np.minimum.reduce(gains)
+        if not (low >= 0.0 and top < math.inf):    # NaN fails both
             bad = gains[~((gains >= 0.0) & (gains < math.inf))][0]
             raise ValueError(f"channel power gain must be finite and >= 0, got {bad}")
+        if low < _MIN_GAIN:
+            _check_tiny_gains(gains.tolist())
         if not np.maximum.reduce(np.abs(phase_shifts)) < math.inf:
             bad = phase_shifts[~np.isfinite(phase_shifts)][0]
             raise ValueError(f"channel phase shift must be finite, got {bad}")
@@ -131,6 +141,14 @@ class Scenario:
     def channels(self) -> tuple[Channel, ...]:
         """Read-only per-link view, built from the arrays on each access."""
         return tuple(map(Channel, self.gains.tolist(), self.phase_shifts.tolist()))
+
+
+def _check_tiny_gains(gains: list[float]) -> None:
+    """Raise for the first nonzero gain below ``_MIN_GAIN``."""
+    for g in gains:
+        if 0.0 < g < _MIN_GAIN:
+            raise ValueError(f"channel power gain {g} is nonzero but below 2**-511 = "
+                             f"{_MIN_GAIN}, where the product of two gains underflows")
 
 
 @dataclass(frozen=True)
@@ -244,8 +262,8 @@ def generate_scenario(
     The scenario skips the constructors' validation: ``dist`` has checked
     the scalars, and the draw makes 1-D arrays of finite phases and of
     gains in [0, inf]. What a draw can still get wrong is checked here, with
-    the constructors' messages: a gain that overflowed to inf, and gains
-    that all underflowed to 0.
+    the constructors' messages: a gain that overflowed to inf, a nonzero
+    gain below 2**-511, and gains that all underflowed to 0.
     """
     m = dist.num_transmitters
     lo, hi = dist.distance_range
@@ -257,6 +275,8 @@ def generate_scenario(
         raise ValueError(f"channel power gain must be finite and >= 0, got {top}")
     if top == 0.0:
         raise ValueError("scenario needs at least one channel with nonzero gain")
+    if min(gains) < _MIN_GAIN:
+        _check_tiny_gains(gains)
     scenario = Scenario.__new__(Scenario)
     scenario._store(dist.transmit_power, dist.carrier_freq, dist.conversion_eff,
                     np.array(gains), phase_shifts)

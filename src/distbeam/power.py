@@ -23,7 +23,11 @@ from .channel import Scenario
 
 @dataclass
 class PhaseAssignment:
-    """Transmit phases plus an activity mask (idle transmitters send nothing)."""
+    """Transmit phases plus an activity mask (idle transmitters send nothing).
+
+    Both arrays are the assignment's own: the phases are wrapped into a new
+    array and the mask is copied, so a caller's later writes do not show.
+    """
 
     phases: np.ndarray
     active: np.ndarray | None = None
@@ -33,7 +37,7 @@ class PhaseAssignment:
         if self.active is None:
             self.active = np.ones(self.phases.shape, dtype=bool)
         else:
-            self.active = np.asarray(self.active, dtype=bool)
+            self.active = np.array(self.active, dtype=bool)
         if self.active.shape != self.phases.shape:
             raise ValueError("phases and active mask must have equal length")
 
@@ -159,8 +163,7 @@ def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def optimal_power(s: Scenario) -> float:
     """Maximum harvested power, attained when every transmit phase equals
     its channel phase shift."""
-    pa = PhaseAssignment(phases=s.phase_shifts.copy())
-    return harvested_power(s, pa)
+    return harvested_power(s, PhaseAssignment(s.phase_shifts))
 
 
 class TrialStack(NamedTuple):

@@ -102,7 +102,7 @@ def run_protocol(
         traces.append(trace)
         targets[m] = trace.target_phase
         errors[m] = wrap_angle(phi_m - trace.target_phase)
-    q_d = harvested_power(s, PhaseAssignment(phases=phases.copy()))
+    q_d = harvested_power(s, PhaseAssignment(phases))
     q_star = optimal_power(s)
     if not 0.0 < q_star < math.inf:
         raise ValueError(f"optimal power is {q_star}, so the efficiency Q_d / Q* is undefined")
@@ -199,10 +199,19 @@ def phase_errors(result: ProtocolResult, s: Scenario) -> np.ndarray:
 
 def _gain_sums(gains: np.ndarray):
     """Sum of the gains and the cross term, sqrt(g_i g_j) over ordered
-    pairs i != j, over the last axis of ``gains``."""
+    pairs i != j, over the last axis of ``gains``.
+
+    Raises ``ValueError`` when a sum, or the (sum sqrt(g))^2 = total + cross
+    that the bound divides by, is not finite: it would give a NaN bound.
+    """
     amp = np.sqrt(gains)
-    total = np.sum(gains, axis=-1)
-    return total, np.sum(amp[..., :, None] * amp[..., None, :], axis=(-2, -1)) - total
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(gains, axis=-1)
+        cross = np.sum(amp[..., :, None] * amp[..., None, :], axis=(-2, -1)) - total
+        finite = (total + cross < math.inf).all()    # both are >= 0 unless NaN
+    if not finite:
+        raise ValueError("the gain sums overflow: (sum of sqrt(gain))**2 must be finite")
+    return total, cross
 
 
 def _bound(total, cross, n_intervals: int):

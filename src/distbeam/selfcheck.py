@@ -70,32 +70,21 @@ def phasor_oracle_powers(stack: TrialStack, phases: np.ndarray) -> np.ndarray:
     return stack.scale * np.abs(z) ** 2
 
 
-class _Rows:
-    """A window's instances as rows of gains, phase shifts and phases, each
-    at most ``max_width`` long, with their power scales. The buffers are
-    allocated once per check and refilled every window, so a window holds
-    no per-instance objects."""
-
-    def __init__(self, max_width: int):
-        self.width = np.zeros(WINDOW, dtype=np.intp)
-        self.scale = np.empty(WINDOW)
-        self.data = np.empty((3, WINDOW, max_width))
-
-    def put(self, i: int, gains, phase_shifts, scale: float, phases) -> None:
-        w = self.width[i] = gains.size
-        self.scale[i] = scale
-        self.data[0, i, :w] = gains
-        self.data[1, i, :w] = phase_shifts
-        self.data[2, i, :w] = phases
-
-    def groups(self, n: int):
-        """Per width among the first ``n`` rows: their indices,
-        :class:`TrialStack` and (T, width) phases."""
-        width = self.width[:n]
-        for w in set(width.tolist()):
-            idx = np.flatnonzero(width == w)
-            gains, phase_shifts, phases = self.data[:, idx, :w]
-            yield idx, TrialStack(gains, phase_shifts, self.scale[idx]), phases
+def _stacked(rows, *kernels) -> tuple[np.ndarray, ...]:
+    """Each kernel's value at every ``(gains, phase_shifts, scale, phases)``
+    row of a window, in row order. Rows of one width form one
+    :class:`TrialStack` and (T, width) phases, and each kernel runs once
+    per width."""
+    out = tuple(np.empty(len(rows)) for _ in kernels)
+    by_width: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_width.setdefault(row[0].size, []).append(i)
+    for idx in by_width.values():
+        gains, phase_shifts, scale, phases = map(np.array, zip(*(rows[i] for i in idx)))
+        stack = TrialStack(gains, phase_shifts, scale)
+        for values, kernel in zip(out, kernels):
+            values[idx] = kernel(stack, phases)
+    return out
 
 
 def _worst_mismatch(windows) -> float:
@@ -111,20 +100,14 @@ def phasor_windows(seed=20_240_101, instances=2000, max_m=32):
     """Per window, each instance's ``harvested_powers`` and phasor-oracle
     power, in draw order."""
     rng = rng_stream(seed, 90)
-    rows = _Rows(max_m)
     for start in range(0, instances, WINDOW):
-        n = min(WINDOW, instances - start)
-        for i in range(n):
+        rows = []
+        for _ in range(min(WINDOW, instances - start)):
             m = int(rng.integers(1, max_m + 1))
             s = _random_scenario(rng, m)
-            rows.put(i, s.gains, s.phase_shifts, s.conversion_eff * s.transmit_power,
-                     rng.uniform(-math.pi, math.pi, m))
-        powers, oracle = np.empty(n), np.empty(n)
-        for idx, stack, phases in rows.groups(n):
-            phases = wrap_angle(phases)
-            powers[idx] = harvested_powers(stack, phases)
-            oracle[idx] = phasor_oracle_powers(stack, phases)
-        yield powers, oracle
+            rows.append((s.gains, s.phase_shifts, s.conversion_eff * s.transmit_power,
+                         wrap_angle(rng.uniform(-math.pi, math.pi, m))))
+        yield _stacked(rows, harvested_powers, phasor_oracle_powers)
 
 
 def check_phasor_oracle(seed=20_240_101, instances=2000, max_m=32) -> CheckResult:
@@ -137,11 +120,9 @@ def partial_power_windows(seed=20_240_102, instances=2000, max_m=16):
     """Per window, each instance's scalar ``partial_power`` and the
     ``harvested_powers`` of its joined active set, in draw order."""
     rng = rng_stream(seed, 91)
-    rows = _Rows(max_m)
     for start in range(0, instances, WINDOW):
-        n = min(WINDOW, instances - start)
-        partial = np.empty(n)
-        for i in range(n):
+        partial, rows = [], []
+        for _ in range(min(WINDOW, instances - start)):
             m_total = int(rng.integers(2, max_m + 1))
             s = _random_scenario(rng, m_total)
             phases = rng.uniform(-math.pi, math.pi, m_total)
@@ -150,16 +131,13 @@ def partial_power_windows(seed=20_240_102, instances=2000, max_m=16):
             active[m] = False
             if not active.any():
                 active[(m + 1) % m_total] = True
-            pa = PhaseAssignment(phases.copy(), active.copy())
-            partial[i] = partial_power(s, sum_signal(s, pa, exclude=m), m, phases[m])
+            pa = PhaseAssignment(phases, active)
+            partial.append(partial_power(s, sum_signal(s, pa, exclude=m), m, phases[m]))
             active[m] = True
             joined = np.flatnonzero(active)
-            rows.put(i, s.gains[joined], s.phase_shifts[joined],
-                     s.conversion_eff * s.transmit_power, pa.phases[joined])
-        powers = np.empty(n)
-        for idx, stack, phases in rows.groups(n):
-            powers[idx] = harvested_powers(stack, phases)
-        yield partial, powers
+            rows.append((s.gains[joined], s.phase_shifts[joined],
+                         s.conversion_eff * s.transmit_power, pa.phases[joined]))
+        yield (np.array(partial), *_stacked(rows, harvested_powers))
 
 
 def check_partial_power_consistency(seed=20_240_102, instances=2000, max_m=16) -> CheckResult:

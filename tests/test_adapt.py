@@ -1,6 +1,11 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,36 +186,76 @@ def _bits(x):
 
 @pytest.fixture
 def fresh_tree(monkeypatch):
-    """An empty store of bisection-tree nodes for one test."""
+    """A new store of bisection-tree nodes for one test, built as at import."""
     tree = {}
     monkeypatch.setattr(adapt, "_TREE", tree)
+    adapt._grow_tree(initial_arc(), 0)
     return tree
 
 
 def test_tree_nodes_equal_plain_arithmetic(fresh_tree):
     """Every node two levels past the stored depth, both bits, gives the
-    plain functions' probe pair and children, first with an empty store
-    and then warm. The store then holds the nodes down to its depth."""
-    for visit in ("cold", "warm"):
-        level = [(initial_arc(), initial_arc())]    # (library node, oracle node)
-        for depth in range(adapt._TREE_DEPTH + 3):
-            children = []
-            for node, ref in level:
-                assert _bits(probe_pair(node)) == _bits(plain_probe_pair(ref)), (visit, depth)
-                for bit in (False, True):
-                    pair = bisect_arc(node, bit), plain_bisect_arc(ref, bit)
-                    assert _bits(pair[0]) == _bits(pair[1]), (visit, depth, bit)
-                    children.append(pair)
-            level = children
-        assert len(fresh_tree) == 2 ** (adapt._TREE_DEPTH + 1) - 1
-        assert min(a.half_width for a in fresh_tree) == math.pi / 2 ** adapt._TREE_DEPTH
+    plain functions' probe pair and children. The store holds the nodes
+    down to its depth, and walking it adds none."""
+    level = [(initial_arc(), initial_arc())]    # (library node, oracle node)
+    for depth in range(adapt._TREE_DEPTH + 3):
+        children = []
+        for node, ref in level:
+            assert _bits(probe_pair(node)) == _bits(plain_probe_pair(ref)), depth
+            for bit in (False, True):
+                pair = bisect_arc(node, bit), plain_bisect_arc(ref, bit)
+                assert _bits(pair[0]) == _bits(pair[1]), (depth, bit)
+                children.append(pair)
+        level = children
+    assert len(fresh_tree) == 2 ** (adapt._TREE_DEPTH + 1) - 1
+    assert min(a.half_width for a in fresh_tree) == math.pi / 2 ** adapt._TREE_DEPTH
+
+
+_FRESH_INTERPRETER = """
+import json, sys
+import numpy as np
+import distbeam
+from distbeam import adapt, angles
+from distbeam.channel import ScenarioDistribution, generate_scenario
+
+nodes = len(adapt._TREE)
+s, _ = generate_scenario(ScenarioDistribution(num_transmitters=5), np.random.default_rng(1))
+calls = [0]
+def counted(x, wrap=angles.wrap_angle):
+    calls[0] += 1
+    return wrap(x)
+patched = sorted(name for name, mod in sys.modules.items() if name.startswith("distbeam")
+                 and getattr(mod, "wrap_angle", None) is angles.wrap_angle)
+for name in patched:
+    sys.modules[name].wrap_angle = counted
+counts = []
+for _ in range(2):
+    calls[0] = 0
+    distbeam.run_protocol(s, 8)
+    counts.append(calls[0])
+print(json.dumps({"nodes": nodes, "counts": counts, "patched": patched}))
+"""
+
+
+def test_fresh_interpreter_imports_the_whole_tree():
+    """Right after ``import distbeam`` the store holds all 511 nodes, so a
+    process's first run does the same work as its second: equal
+    ``wrap_angle`` counts, patched in every module that imports it."""
+    src = str(Path(adapt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _FRESH_INTERPRETER], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    got = json.loads(out)
+    assert got["nodes"] == 2 ** (adapt._TREE_DEPTH + 1) - 1
+    assert {"distbeam.adapt", "distbeam.protocol", "distbeam.power"} <= set(got["patched"])
+    first, second = got["counts"]
+    assert first == second > 0
 
 
 def test_budgets_up_to_eight_stay_in_the_tree(monkeypatch, fresh_tree, rng):
-    """Once built, the tree serves every probe and bisection of a run at
-    N <= 8, the budget of every experiment default and benchmark workload."""
+    """The tree serves every probe and bisection of a run at N <= 8, the
+    budget of every experiment default and benchmark workload."""
     s = random_scenario(rng, 5)
-    run_protocol(s, 1)
 
     def plain(*args):
         raise AssertionError("computed outside the stored tree")
@@ -225,7 +270,6 @@ def test_caller_built_arcs_are_computed_not_stored(fresh_tree, rng):
     """10,000 arcs a caller builds, equal copies of stored nodes among them,
     give the plain functions' bits and leave the store as it was. A copy
     whose half-width is a numpy float keeps that type in its child."""
-    run_protocol(random_scenario(rng, 5), 8)
     before = dict(fresh_tree)
     nodes = list(fresh_tree)
     arcs = [Arc(rng.uniform(-4.0, 4.0), math.pi * 2.0 ** -rng.uniform(0.0, 45.0))
@@ -249,27 +293,26 @@ def _meas(std, seed):
 
 @pytest.mark.parametrize("m", [2, 5, 50])
 def test_run_protocol_through_the_tree_matches_plain_stages(fresh_tree, m):
-    """Cold and warm, at budgets inside, at and past the stored depth,
-    run_protocol equals the stage oracle with plain probes and bisections
-    bit for bit, generator state included."""
+    """At budgets inside, at and past the stored depth, run_protocol equals
+    the stage oracle with plain probes and bisections bit for bit,
+    generator state included."""
     s = random_scenario(np.random.default_rng(3000 + m), m)
     for n, std, first in itertools.product((1, 8, adapt._TREE_DEPTH + 3), (0.0, 1e-6),
                                            (0.0, 0.7)):
         want_meas = _meas(std, n)
         want = per_stage_protocol(s, n, want_meas, first)
-        for visit in ("cold", "warm"):
-            meas = _meas(std, n)
-            got = run_protocol(s, n, meas, first)
-            where = (m, n, std, first, visit)
-            for name in ("final_phases", "q_d", "q_star", "eta", "target_phases", "errors",
-                         "total_feedback_intervals"):
-                assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (where, name)
-            for g, w in zip(got.traces, want.traces, strict=True):
-                assert _bits(g.records) == _bits(w.records), where
-                assert _bits([g.final_phase, g.target_phase, g.sum_gain]) == \
-                    _bits([w.final_phase, w.target_phase, w.sum_gain]), where
-            if std:
-                assert meas.rng.bit_generator.state == want_meas.rng.bit_generator.state, where
+        meas = _meas(std, n)
+        got = run_protocol(s, n, meas, first)
+        where = (m, n, std, first)
+        for name in ("final_phases", "q_d", "q_star", "eta", "target_phases", "errors",
+                     "total_feedback_intervals"):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (where, name)
+        for g, w in zip(got.traces, want.traces, strict=True):
+            assert _bits(g.records) == _bits(w.records), where
+            assert _bits([g.final_phase, g.target_phase, g.sum_gain]) == \
+                _bits([w.final_phase, w.target_phase, w.sum_gain]), where
+        if std:
+            assert meas.rng.bit_generator.state == want_meas.rng.bit_generator.state, where
 
 
 def test_feedback_bit_tie_resolution():

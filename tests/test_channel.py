@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ from distbeam import (
     Scenario,
     ScenarioDistribution,
     aggregate_channel,
+    efficiency_lower_bound,
     generate_scenario,
     path_loss_gain,
+    run_protocol,
     scenario_from_text,
     scenario_to_text,
     wrap_angle,
@@ -301,6 +304,32 @@ def test_scenario_is_two_read_only_arrays(rng):
         assert back.gains.tobytes() == scen.gains.tobytes()
         assert back.phase_shifts.tobytes() == scen.phase_shifts.tobytes()
         assert back.channels == scen.channels
+
+
+def test_nonzero_gains_below_two_to_the_minus_511_are_gain_errors():
+    """The interference amplitude sqrt(g_m * G) of two gains below 2**-511
+    underflowed: gains [1e-300, 1e-300] ran to eta 0.646 under a bound of
+    0.981 with no error. Such a gain is now a gain error in both
+    constructors and in generate_scenario; zero gains stay allowed."""
+    limit = 2.0 ** -511
+    assert limit * limit == sys.float_info.min
+    message = "is nonzero but below 2**-511"
+    for gains in ([1e-300, 1e-300], [1.0, limit / 2], [0.0, 5e-324, 1.0]):
+        shifts = [0.1 * k for k in range(1, len(gains) + 1)]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Scenario.from_arrays(1.0, 1.0, 1.0, gains, shifts)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Scenario(1.0, 1.0, 1.0, [Channel(g, th) for g, th in zip(gains, shifts)])
+    with pytest.raises(ValueError, match=re.escape("channel power gain 1e-300 " + message)):
+        Scenario.from_arrays(1.0, 1.0, 1.0, [1e-300, 1e-300], [0.1, 0.2])
+    # at the limit the run keeps its guarantee
+    for gains in ([limit, limit], [0.0, limit, limit, 1.0]):
+        s = Scenario.from_arrays(1.0, 1.0, 1.0, gains, [0.1, 0.2, -2.0, 3.0][:len(gains)])
+        for n in (1, 4, 8):
+            assert run_protocol(s, n).eta >= efficiency_lower_bound(s, n) - 1e-12, (gains, n)
+    dist = ScenarioDistribution(num_transmitters=4, ref_attenuation=1e-160)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_scenario(dist, np.random.default_rng(1))
 
 
 def test_path_loss_overflow_is_a_gain_error():

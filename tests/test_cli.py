@@ -293,6 +293,17 @@ def test_bound_rejects_non_finite_and_all_zero_gains(capsys):
         assert out == "" and "error:" in err and "Traceback" not in err
 
 
+def test_bound_rejects_gain_sums_that_overflow(capsys):
+    """Gain sums past the float range printed nan (and, for 6e307, a wrong
+    --eta-hat budget of 3.2875) with exit 0 and numpy RuntimeWarnings."""
+    for gains in ("1e308,1e308", "6e307,6e307"):
+        for flag, value in (("--N", "3"), ("--eta-hat", "0.9")):
+            code, out, err = run_cli(capsys, "bound", "--gains", gains, flag, value)
+            assert code == EXIT_USAGE, (gains, flag)
+            assert out == "" and err.startswith("error: the gain sums overflow")
+            assert "nan" not in err and "Traceback" not in err
+
+
 def test_exp_rejects_non_positive_workers(capsys, tmp_path):
     code, _, err = run_cli(capsys, "exp", "efficiency-vs-N", "--trials", "2",
                            "--m-list", "2", "--n-list", "1", "--workers", "-3",
@@ -365,6 +376,7 @@ def test_baseline_rejects_steps_that_overflow(capsys):
     ("efficiency-vs-N", "distance_max = inf", "distance_range must be finite"),
     ("efficiency-vs-N", "ref_distance = -1", "ref_distance must be positive and finite"),
     ("efficiency-vs-N", "ref_attenuation = inf", "ref_attenuation must be positive and finite"),
+    ("efficiency-vs-N", "ref_attenuation = 1e-160", "is nonzero but below 2**-511"),
     ("efficiency-vs-N", "path_loss_exponent = inf",
      "path_loss_exponent must be positive and finite"),
 ])

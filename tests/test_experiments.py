@@ -343,18 +343,24 @@ def test_overhead_rows_equal_per_trial_runs(m, monkeypatch):
             cfgs.append(small_cfg(EXP_OVERHEAD, trials=8, m_list=(m,), n_adapt=n_adapt,
                                   budgets=tuple(sorted(b for b in budgets if b >= 1)),
                                   count_training_energy=count))
-    # a path-loss exponent this large underflows the farther links' gains
-    # to 0, so sorting by gain meets ties
+    # links at one distance have equal gains, so sorting by gain meets ties
     cfgs.append(small_cfg(EXP_OVERHEAD, trials=8, m_list=(m,), n_adapt=5, budgets=(1, 5, 300),
-                          count_training_energy=True, path_loss_exponent=UNDERFLOW_EXPONENT))
+                          count_training_energy=True, distance_min=10.0, distance_max=10.0))
+    underflow = small_cfg(EXP_OVERHEAD, trials=8, m_list=(m,), n_adapt=5, budgets=(1, 5, 300),
+                          count_training_energy=True, path_loss_exponent=UNDERFLOW_EXPONENT)
+    with pytest.raises(ValueError, match=UNDERFLOW_ERROR):
+        run_experiment(underflow)
     want = [per_trial_overhead(cfg) for cfg in cfgs]
     _forbid_per_run_calls(monkeypatch)
     for cfg, rows in zip(cfgs, want):
         assert run_experiment(cfg).rows == rows, (cfg.n_adapt, cfg.count_training_energy)
 
 
-#: Gains 1e-2 * d**-280 underflow to 0 beyond d ~ 14 of the default 5-15 m.
+#: Gains 1e-2 * d**-280 underflow to 0 beyond d ~ 14 of the default 5-15 m,
+#: and the others lie far below 2**-511, where a stage's sqrt(g_m * G)
+#: underflowed (an efficiency below the bound); a gain error now.
 UNDERFLOW_EXPONENT = 280.0
+UNDERFLOW_ERROR = r"is nonzero but below 2\*\*-511"
 
 
 def _forbid_per_run_calls(monkeypatch):
@@ -374,24 +380,17 @@ def test_efficiency_rows_equal_per_run_calls(m, monkeypatch):
     """Every efficiency-vs-N row equals the one from per-run harvested_power,
     optimal_power and efficiency_lower_bound calls, with none of those
     made: N 1-12 and past the convergence floor (41-45), M >= 8 where numpy
-    sums in blocks, and links whose gain underflows to 0 (an error at M=2,
-    where that leaves Q* subnormal)."""
+    sums in blocks, and equal gains. Links whose gain underflows towards 0
+    are a gain error."""
     n_list = tuple(range(1, 13)) + tuple(range(41, 46))
     cfgs = [small_cfg(EXP_EFFICIENCY, trials=12, m_list=(m,), n_list=n_list, seed=seed,
                       **extra)
             for seed, extra in ((12345, {}), (7, {}),
-                                (5, {"path_loss_exponent": UNDERFLOW_EXPONENT}))]
-    underflow = cfgs[-1]
-    gains = np.array([generate_scenario(underflow.distribution(m),
-                                        rng_stream(underflow.seed, _DOMAIN[EXP_EFFICIENCY],
-                                                   m, t))[0].gains
-                      for t in range(underflow.trials)])
-    assert (gains == 0.0).any() and (gains > 0.0).any()
-    if m == 2:
-        # two trials there have a subnormal Q*, which would blur their eta
-        with pytest.raises(ValueError, match="optimal power of trial 0 is 4.9"):
-            run_experiment(underflow)
-        cfgs.remove(underflow)
+                                (5, {"distance_min": 10.0, "distance_max": 10.0}))]
+    underflow = small_cfg(EXP_EFFICIENCY, trials=12, m_list=(m,), n_list=n_list, seed=5,
+                          path_loss_exponent=UNDERFLOW_EXPONENT)
+    with pytest.raises(ValueError, match=UNDERFLOW_ERROR):
+        run_experiment(underflow)
     want = [per_run_efficiency(cfg) for cfg in cfgs]
     _forbid_per_run_calls(monkeypatch)
     for cfg, rows in zip(cfgs, want):

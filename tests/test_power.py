@@ -60,6 +60,21 @@ def test_no_active_transmitters():
     assert harvested_power(s, pa) == 0.0
 
 
+def test_assignment_owns_its_phases_and_mask():
+    """Writing the caller's phases or mask after construction leaves the
+    assignment as it was built."""
+    phases = np.array([0.5, 4.0, -1.0])
+    active = np.array([True, False, True])
+    pa = PhaseAssignment(phases, active)
+    phases[:] = 0.0
+    active[1] = True
+    assert pa.phases.tolist() == [0.5, wrap_angle(4.0), -1.0]
+    assert pa.active.tolist() == [True, False, True]
+    s = equal_gain_scenario(3)
+    assert harvested_power(s, pa) == harvested_power(
+        s, PhaseAssignment(np.array([0.5, 4.0, -1.0]), np.array([True, False, True])))
+
+
 def test_mask_length_mismatch():
     s = equal_gain_scenario(3)
     with pytest.raises(ValueError):
