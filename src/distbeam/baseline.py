@@ -125,7 +125,6 @@ def run_random_perturbation(
     meas_hist = meas.rng.normal(0.0, meas.noise_std, size=t) if meas.noisy else np.empty(t)
     best_hist = np.empty(t)
     acc_hist = np.zeros(t, dtype=bool)
-    power_scale = s.conversion_eff * s.transmit_power
     amp = np.sqrt(s.gains)
     block_max = max(1, _BLOCK_DOUBLES // (m * m))
     block_min = min(_BLOCK_MIN, block_max)
@@ -134,7 +133,7 @@ def run_random_perturbation(
     while n < t:
         stop = min(n + block, t)
         cand = wrap_angle(best + cand_hist[n:stop])
-        p = power_scale * _pair_sum(amp, cand - s.phase_shifts)
+        p = s.power_scale * _pair_sum(amp, cand - s.phase_shifts)
         if meas.noisy:
             p += meas_hist[n:stop]
             p = np.where(p > 0.0, p, 0.0)   # measure's max(0.0, x), NaN and -0.0 included

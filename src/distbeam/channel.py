@@ -17,11 +17,10 @@ import numpy as np
 
 from .angles import wrap_angle
 
-#: The smallest nonzero channel power gain. A stage's interference amplitude
-#: is sqrt(g_m * G) for two gains; at this limit their product is the
-#: smallest normal float, and below it the product underflows, which gives
-#: an efficiency below the proven bound without any error.
+#: The smallest nonzero gain and the largest (sum of sqrt(gain))**2; see
+#: :func:`_check_gains`.
 _MIN_GAIN = 2.0 ** -511
+_MAX_GAIN_SUM = 2.0 ** 511
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,7 @@ class Channel:
     phase_shift: float
 
     def __post_init__(self):
-        if not 0.0 <= self.gain < math.inf:
-            raise ValueError(f"channel power gain must be finite and >= 0, got {self.gain}")
+        _check_gain_values([self.gain])
         if not math.isfinite(self.phase_shift):
             raise ValueError(f"channel phase shift must be finite, got {self.phase_shift}")
         object.__setattr__(self, "phase_shift", wrap_angle(float(self.phase_shift)))
@@ -67,17 +65,17 @@ class Scenario:
     the (M,) channel power ``gains`` and ``phase_shifts``.
 
     ``Scenario(P, f_c, rho, channels)`` takes :class:`Channel` objects and
-    :meth:`from_arrays` takes the two arrays; both run one validation.
-    Gains must be finite and >= 0 with at least one nonzero, so the optimal
-    power is positive and efficiencies are defined, and each nonzero gain
-    must be at least 2**-511 (``_MIN_GAIN``); phase shifts must be
-    finite and are wrapped into [-pi, pi). The arrays are read-only copies,
-    so they cannot drift from what was checked, and ``channels`` is a tuple
-    of :class:`Channel` built from them. :func:`generate_scenario` checks
-    only what a draw can get wrong.
+    :meth:`from_arrays` takes the two arrays; both run :func:`_check_scalars`
+    and :func:`_check_gains`, and phase shifts must be finite and are
+    wrapped into [-pi, pi). The arrays are read-only copies, so they cannot
+    drift from what was checked, and ``channels`` is a tuple of
+    :class:`Channel` built from them. ``power_scale``, the product of
+    ``conversion_eff`` and ``transmit_power``, scales every harvested power.
+    :func:`generate_scenario` checks only what a draw can get wrong.
     """
 
-    __slots__ = ("transmit_power", "carrier_freq", "conversion_eff", "gains", "phase_shifts")
+    __slots__ = ("transmit_power", "carrier_freq", "conversion_eff", "gains", "phase_shifts",
+                 "power_scale")
 
     def __init__(self, transmit_power: float, carrier_freq: float, conversion_eff: float,
                  channels: Sequence[Channel]):
@@ -93,13 +91,7 @@ class Scenario:
         return s
 
     def _set(self, transmit_power, carrier_freq, conversion_eff, gains, phase_shifts):
-        if not 0.0 < transmit_power < math.inf:
-            raise ValueError(f"transmit_power must be positive and finite, "
-                             f"got {transmit_power}")
-        if not carrier_freq > 0.0:
-            raise ValueError("carrier_freq must be positive")
-        if not 0.0 < conversion_eff <= 1.0:
-            raise ValueError("conversion_eff must lie in (0, 1]")
+        _check_scalars(transmit_power, carrier_freq, conversion_eff)
         gains = np.array(gains, dtype=float)
         phase_shifts = np.asarray(phase_shifts, dtype=float)
         if gains.ndim != 1 or gains.shape != phase_shifts.shape:
@@ -107,18 +99,10 @@ class Scenario:
                              f"got shapes {gains.shape} and {phase_shifts.shape}")
         if gains.size < 1:
             raise ValueError("scenario needs at least one channel")
-        top = np.maximum.reduce(gains)
-        low = np.minimum.reduce(gains)
-        if not (low >= 0.0 and top < math.inf):    # NaN fails both
-            bad = gains[~((gains >= 0.0) & (gains < math.inf))][0]
-            raise ValueError(f"channel power gain must be finite and >= 0, got {bad}")
-        if low < _MIN_GAIN:
-            _check_tiny_gains(gains.tolist())
+        _check_gains(gains.tolist())
         if not np.maximum.reduce(np.abs(phase_shifts)) < math.inf:
             bad = phase_shifts[~np.isfinite(phase_shifts)][0]
             raise ValueError(f"channel phase shift must be finite, got {bad}")
-        if top == 0.0:
-            raise ValueError("scenario needs at least one channel with nonzero gain")
         self._store(transmit_power, carrier_freq, conversion_eff, gains, phase_shifts)
 
     def _store(self, transmit_power, carrier_freq, conversion_eff, gains, phase_shifts):
@@ -132,6 +116,7 @@ class Scenario:
         self.conversion_eff = conversion_eff
         self.gains = gains
         self.phase_shifts = phase_shifts
+        self.power_scale = conversion_eff * transmit_power
 
     @property
     def num_transmitters(self) -> int:
@@ -143,12 +128,47 @@ class Scenario:
         return tuple(map(Channel, self.gains.tolist(), self.phase_shifts.tolist()))
 
 
-def _check_tiny_gains(gains: list[float]) -> None:
-    """Raise for the first nonzero gain below ``_MIN_GAIN``."""
+def _check_scalars(transmit_power, carrier_freq, conversion_eff) -> None:
+    """Raise ``ValueError`` unless the per-transmitter power is positive and
+    finite, the carrier frequency positive and the efficiency in (0, 1]."""
+    if not 0.0 < transmit_power < math.inf:
+        raise ValueError(f"transmit_power must be positive and finite, got {transmit_power}")
+    if not carrier_freq > 0.0:
+        raise ValueError("carrier_freq must be positive")
+    if not 0.0 < conversion_eff <= 1.0:
+        raise ValueError("conversion_eff must lie in (0, 1]")
+
+
+def _check_gain_values(gains: list[float]) -> None:
+    """Raise ``ValueError`` for the first gain that is not finite and >= 0."""
+    for g in gains:
+        if not 0.0 <= g < math.inf:     # NaN fails too
+            raise ValueError(f"channel power gain must be finite and >= 0, got {g}")
+
+
+def _check_gains(gains: list[float]) -> None:
+    """Raise ``ValueError`` for the first rule the channel power gains break.
+
+    Every gain must be finite and >= 0, some gain nonzero (efficiencies
+    divide by the optimal power), and each nonzero gain at least 2**-511:
+    stage m's interference amplitude is sqrt(g_m * G), G the power of the
+    signal it joins, and the product of two smaller gains underflows. And
+    (sum of sqrt(gain))**2 must be at most 2**511: g_m and G are at most
+    that square, so g_m * G <= 2**1022 stays finite, as do the bounds' gain
+    sums and every probe power before the power scale multiplies it.
+    """
+    _check_gain_values(gains)
     for g in gains:
         if 0.0 < g < _MIN_GAIN:
             raise ValueError(f"channel power gain {g} is nonzero but below 2**-511 = "
                              f"{_MIN_GAIN}, where the product of two gains underflows")
+    root_sum = sum(map(math.sqrt, gains))
+    if root_sum == 0.0:
+        raise ValueError("scenario needs at least one channel with nonzero gain")
+    if not root_sum * root_sum <= _MAX_GAIN_SUM:
+        raise ValueError(f"the gain sums overflow: (sum of sqrt(gain))**2 = "
+                         f"{root_sum * root_sum} is above 2**511 = {_MAX_GAIN_SUM}, where "
+                         f"the product of a gain and that sum can pass the float range")
 
 
 @dataclass(frozen=True)
@@ -172,21 +192,10 @@ class ScenarioDistribution:
             raise ValueError("distance_range must satisfy 0 < min <= max")
         if hi == math.inf:
             raise ValueError(f"distance_range must be finite, got ({lo}, {hi})")
-        if not 0.0 < self.path_loss_exponent < math.inf:
-            raise ValueError(f"path_loss_exponent must be positive and finite, "
-                             f"got {self.path_loss_exponent}")
-        if not 0.0 < self.ref_attenuation < math.inf:
-            raise ValueError(f"ref_attenuation must be positive and finite, "
-                             f"got {self.ref_attenuation}")
-        if not 0.0 < self.ref_distance < math.inf:
-            raise ValueError(f"ref_distance must be positive and finite, got {self.ref_distance}")
-        if not 0.0 < self.transmit_power < math.inf:
-            raise ValueError(f"transmit_power must be positive and finite, "
-                             f"got {self.transmit_power}")
-        if not self.carrier_freq > 0.0:
-            raise ValueError("carrier_freq must be positive")
-        if not 0.0 < self.conversion_eff <= 1.0:
-            raise ValueError("conversion_eff must lie in (0, 1]")
+        for name in ("path_loss_exponent", "ref_attenuation", "ref_distance"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        _check_scalars(self.transmit_power, self.carrier_freq, self.conversion_eff)
         if self.num_transmitters < 1:
             raise ValueError("need at least one transmitter")
 
@@ -230,8 +239,7 @@ def path_loss_gain(distance: float, dist: ScenarioDistribution) -> float:
     if not 0.0 < r < math.inf:
         raise ValueError(f"channel power gain needs a positive finite distance, got {r}")
     (gain,) = _path_loss_gains([r], dist)
-    if gain == math.inf:
-        raise ValueError("channel power gain must be finite and >= 0, got inf")
+    _check_gain_values([gain])
     return gain
 
 
@@ -240,13 +248,14 @@ def _path_loss_gains(distances: list[float], dist: ScenarioDistribution) -> list
 
     Each power is one libm ``pow`` call, as numpy's scalar power is; numpy's
     array power takes a vectorized route that differs from it in the last
-    ulp on some inputs. A gain too large for a float is an error.
+    ulp on some inputs. A gain too large for a float is inf; when the power
+    itself passes the float range, every gain is given as inf.
     """
     a, d0, ple = dist.ref_attenuation, dist.ref_distance, -dist.path_loss_exponent
     try:
         return [a * (r / d0) ** ple for r in distances]
     except (OverflowError, ZeroDivisionError):
-        raise ValueError("channel power gain must be finite and >= 0, got inf") from None
+        return [math.inf] * len(distances)
 
 
 def generate_scenario(
@@ -261,22 +270,18 @@ def generate_scenario(
 
     The scenario skips the constructors' validation: ``dist`` has checked
     the scalars, and the draw makes 1-D arrays of finite phases and of
-    gains in [0, inf]. What a draw can still get wrong is checked here, with
-    the constructors' messages: a gain that overflowed to inf, a nonzero
-    gain below 2**-511, and gains that all underflowed to 0.
+    gains in [0, inf]. The gains go to :func:`_check_gains` only when a
+    screen cannot clear them: every gain at least 2**-511, and the largest
+    times M**2, which bounds (sum of sqrt(gain))**2, at most half the
+    limit, a margin for the sum's rounding.
     """
     m = dist.num_transmitters
     lo, hi = dist.distance_range
     distances = rng.uniform(lo, hi, size=m)
     phase_shifts = rng.uniform(-math.pi, math.pi, size=m)
     gains = _path_loss_gains(distances.tolist(), dist)
-    top = max(gains)
-    if not top < math.inf:
-        raise ValueError(f"channel power gain must be finite and >= 0, got {top}")
-    if top == 0.0:
-        raise ValueError("scenario needs at least one channel with nonzero gain")
-    if min(gains) < _MIN_GAIN:
-        _check_tiny_gains(gains)
+    if not (min(gains) >= _MIN_GAIN and max(gains) * (m * m) <= _MAX_GAIN_SUM / 2):
+        _check_gains(gains)
     scenario = Scenario.__new__(Scenario)
     scenario._store(dist.transmit_power, dist.carrier_freq, dist.conversion_eff,
                     np.array(gains), phase_shifts)
@@ -298,10 +303,10 @@ def scenario_to_text(s: Scenario) -> str:
 def scenario_from_text(text: str) -> Scenario:
     """Inverse of :func:`scenario_to_text`."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = {}
-    for ln in lines[:4]:
-        key, val = ln.split()
-        header[key] = val
+    header = dict(ln.split() for ln in lines[:4])
+    if sorted(header) != ["M", "P", "f_c", "rho"]:
+        raise ValueError(f"scenario header needs the keys M, P, rho and f_c, "
+                         f"got {', '.join(header) or 'none'}")
     m = int(header["M"])
     body = lines[4:]
     if len(body) != m:

@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 _SHARED_FLAGS = {
     "--seed": dict(type=int, default=None, help="default 12345"),
     "--trials": dict(type=int, default=None),
-    "--out": dict(default=None, help="output directory"),
+    "--out": dict(dest="out_dir", default=None, help="output directory"),
     "--config": dict(default=None, help="key=value config file"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--workers": dict(type=int, default=None,
@@ -188,8 +188,8 @@ def _cmd_protocol(args) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         sys.stdout.write(summary)
-    if args.out:
-        out = Path(args.out)
+    if args.out_dir:
+        out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "summary.csv").write_text(summary)
         for i, trace in enumerate(res.traces, start=2):
@@ -215,27 +215,20 @@ def _cmd_baseline(args) -> int:
     return EXIT_OK
 
 
+#: The ExperimentConfig fields that ``exp``'s flags set; each flag's dest
+#: is its field's name, and None leaves the config file's value or default.
+_EXP_FIELDS = ("trials", "seed", "workers", "out_dir", "n_list", "m_list", "budgets",
+               "intervals", "n_adapt", "perturb_scale", "count_training_energy")
+
+
 def _cmd_exp(args) -> int:
     mapping = {}
     if args.config:
         mapping.update(parse_config_text(Path(args.config).read_text()))
     mapping["experiment"] = args.name
-    overrides = {
-        "trials": args.trials,
-        "seed": args.seed,
-        "workers": args.workers,
-        "out_dir": args.out,
-        "n_list": args.n_list,
-        "m_list": args.m_list,
-        "budgets": args.budgets,
-        "intervals": args.intervals,
-        "n_adapt": args.n_adapt,
-        "perturb_scale": args.perturb_scale,
-        "count_training_energy": args.count_training_energy,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            mapping[key] = val
+    for key in _EXP_FIELDS:
+        if getattr(args, key) is not None:
+            mapping[key] = getattr(args, key)
     cfg = config_from_mapping(mapping)
     result = run_experiment(cfg)
     written = result.write(cfg.out_dir)

@@ -185,29 +185,39 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         raise ValueError("config requires an 'experiment' key")
     experiment = mapping.pop("experiment")
     kwargs = {}
-    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    types = {f.name: f.type.removesuffix(" | None")
+             for f in dataclasses.fields(ExperimentConfig)}
     for key, raw in mapping.items():
         if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = _parse_value(key, raw)
+        kwargs[key] = _parse_value(key, types[key], raw)
     return ExperimentConfig.defaults_for(experiment, **kwargs)
 
 
-def _parse_value(key: str, raw):
+_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+#: Parser of a config value and what the value must be, by declared type
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "a string"),
+    "bool": (lambda raw: _WORDS[raw.strip().lower()], "one of 1/0/true/false/yes/no/on/off"),
+    "tuple[int, ...]": (lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()),
+                        "comma-separated integers"),
+}
+
+
+def _parse_value(key: str, type_name: str, raw):
+    """``raw`` parsed as the declared type of field ``key``, less a sweep
+    field's "| None"; a non-string passes through."""
     if not isinstance(raw, str):
         return raw
-    if key in ("trials", "seed", "workers", "intervals", "n_adapt"):
-        return int(raw)
-    if key in ("n_list", "m_list", "budgets"):
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if key == "count_training_energy":
-        word = raw.strip().lower()
-        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-            raise ValueError(f"{key} must be one of 1/0/true/false/yes/no/on/off; got {raw!r}")
-        return word in ("1", "true", "yes", "on")
-    if key == "out_dir":
-        return raw
-    return float(raw)
+    parse, expected = _PARSERS[type_name]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"{key} must be {expected}; got {raw!r}") from None
 
 
 class ResultRow(NamedTuple):
@@ -333,7 +343,7 @@ def _optima(scenarios: list[Scenario], m_list) -> list[float]:
     """:func:`optimal_power` of one scenario per system size, checked by
     :func:`checked_optima` before any run divides by it."""
     return checked_optima(np.array([optimal_power(s) for s in scenarios]),
-                          np.array([s.conversion_eff * s.transmit_power for s in scenarios]),
+                          np.array([s.power_scale for s in scenarios]),
                           [f"M = {m}" for m in m_list]).tolist()
 
 
@@ -423,6 +433,8 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     order = np.argsort(-stack.gains, axis=1)
     gains, shifts = (np.take_along_axis(a, order, axis=1)
                      for a in (stack.gains, stack.phase_shifts))
+    # Q* first: the runs below overflow where it does, and it checks them
+    q_star = optimal_powers(stack)
     budgets = np.array(cfg.budgets)
     tables = {}
     for name, off in OVERHEAD_POLICIES:
@@ -441,7 +453,7 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     n_budgets = len(cfg.budgets)
     tables["no_adaptation"] = np.repeat(
         harvested_powers(stack, np.zeros_like(stack.phase_shifts))[:, None], n_budgets, axis=1)
-    tables["optimal"] = np.repeat(optimal_powers(stack)[:, None], n_budgets, axis=1)
+    tables["optimal"] = np.repeat(q_star[:, None], n_budgets, axis=1)
     curves = {name: _averaged(name, cfg.budgets, table) for name, table in tables.items()}
     return ExperimentResult(cfg.experiment, "budget", curves, _metadata(cfg))
 

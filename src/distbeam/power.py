@@ -121,7 +121,7 @@ def harvested_power(s: Scenario, pa: PhaseAssignment) -> float:
         return 0.0
     offs = pa.phases[idx] - s.phase_shifts[idx]
     amp = np.sqrt(s.gains[idx])
-    return s.conversion_eff * s.transmit_power * float(_pair_sum(amp, offs))
+    return s.power_scale * float(_pair_sum(amp, offs))
 
 
 def _pair_sum(amp: np.ndarray, offs: np.ndarray) -> np.ndarray:
@@ -169,7 +169,7 @@ def optimal_power(s: Scenario) -> float:
 class TrialStack(NamedTuple):
     """Scenarios with a common number of transmitters, stacked over the
     trial axis: (T, M) gains and phase shifts, and the (T,) power scale
-    ``conversion_eff * transmit_power``."""
+    ``Scenario.power_scale``."""
 
     gains: np.ndarray
     phase_shifts: np.ndarray
@@ -180,7 +180,7 @@ def stack_scenarios(scenarios: Sequence[Scenario]) -> TrialStack:
     """One :class:`TrialStack` row per scenario, in order."""
     return TrialStack(np.array([s.gains for s in scenarios], dtype=float),
                       np.array([s.phase_shifts for s in scenarios], dtype=float),
-                      np.array([s.conversion_eff * s.transmit_power for s in scenarios]))
+                      np.array([s.power_scale for s in scenarios]))
 
 
 def harvested_powers(stack: TrialStack, phases: np.ndarray) -> np.ndarray:
@@ -267,4 +267,4 @@ def partial_power(s: Scenario, ss: SumSignal, m: int, phi_m: float) -> float:
     g_m = float(s.gains[m])
     target = float(s.phase_shifts[m]) - ss.phase_shift
     q = g_m + ss.gain + 2.0 * math.sqrt(g_m * ss.gain) * math.cos(phi_m - target)
-    return s.conversion_eff * s.transmit_power * q
+    return s.power_scale * q

@@ -128,10 +128,9 @@ def exact_runs(stack: TrialStack, n_intervals: int) -> tuple[np.ndarray, np.ndar
     axis: it takes the same running phasor sum (:func:`_prefix_sums`), a
     zero combined gain reduces to ``SumSignal(0, 0)``, and each
     interval compares the two ``partial_power`` probes, scaled by each
-    scenario's ``conversion_eff * transmit_power``, and bisects the
-    (center, half-width) arc, which is still probed but stops moving at
-    ``CONVERGENCE_FLOOR``. The half-width is the same in every trial.
-    Memory is O(T*N*M).
+    scenario's ``power_scale``, and bisects the (center, half-width) arc,
+    which is still probed but stops moving at ``CONVERGENCE_FLOOR``. The
+    half-width is the same in every trial. Memory is O(T*N*M).
     """
     gains, phase_shifts, power_scale = stack
     trials, m_total = gains.shape
@@ -199,18 +198,11 @@ def phase_errors(result: ProtocolResult, s: Scenario) -> np.ndarray:
 
 def _gain_sums(gains: np.ndarray):
     """Sum of the gains and the cross term, sqrt(g_i g_j) over ordered
-    pairs i != j, over the last axis of ``gains``.
-
-    Raises ``ValueError`` when a sum, or the (sum sqrt(g))^2 = total + cross
-    that the bound divides by, is not finite: it would give a NaN bound.
-    """
+    pairs i != j, over the last axis of ``gains``. A scenario's gains keep
+    both finite: their (sum of sqrt(g))**2 = total + cross is at most 2**511."""
     amp = np.sqrt(gains)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.sum(gains, axis=-1)
-        cross = np.sum(amp[..., :, None] * amp[..., None, :], axis=(-2, -1)) - total
-        finite = (total + cross < math.inf).all()    # both are >= 0 unless NaN
-    if not finite:
-        raise ValueError("the gain sums overflow: (sum of sqrt(gain))**2 must be finite")
+    total = np.sum(gains, axis=-1)
+    cross = np.sum(amp[..., :, None] * amp[..., None, :], axis=(-2, -1)) - total
     return total, cross
 
 

@@ -105,7 +105,7 @@ def phasor_windows(seed=20_240_101, instances=2000, max_m=32):
         for _ in range(min(WINDOW, instances - start)):
             m = int(rng.integers(1, max_m + 1))
             s = _random_scenario(rng, m)
-            rows.append((s.gains, s.phase_shifts, s.conversion_eff * s.transmit_power,
+            rows.append((s.gains, s.phase_shifts, s.power_scale,
                          wrap_angle(rng.uniform(-math.pi, math.pi, m))))
         yield _stacked(rows, harvested_powers, phasor_oracle_powers)
 
@@ -136,7 +136,7 @@ def partial_power_windows(seed=20_240_102, instances=2000, max_m=16):
             active[m] = True
             joined = np.flatnonzero(active)
             rows.append((s.gains[joined], s.phase_shifts[joined],
-                         s.conversion_eff * s.transmit_power, pa.phases[joined]))
+                         s.power_scale, pa.phases[joined]))
         yield (np.array(partial), *_stacked(rows, harvested_powers))
 
 

@@ -21,6 +21,8 @@ from distbeam import (
     wrap_angle,
 )
 from distbeam.experiments import rng_stream
+from distbeam.power import harvested_powers, optimal_powers, stack_scenarios
+from distbeam.protocol import exact_runs
 
 from conftest import channel_by_channel_scenario
 
@@ -223,6 +225,17 @@ def test_scenario_text_rejects_truncated():
         scenario_from_text("\n".join(lines[:-1]))
 
 
+def test_scenario_text_rejects_a_missing_or_unknown_header_key():
+    """``freq 1`` in place of ``f_c 1`` raised a bare KeyError: 'f_c'."""
+    text = scenario_to_text(Scenario.from_arrays(1.0, 2.0, 0.5, [1.0, 2.0], [0.1, 0.2]))
+    message = "scenario header needs the keys M, P, rho and f_c, got "
+    for bad, keys in ((text.replace("f_c ", "freq "), "M, P, rho, freq"),
+                      (text.replace("M 2\n", "M 2\nM 2\n"), "M, P, rho"),
+                      ("", "none")):
+        with pytest.raises(ValueError, match=re.escape(message + keys)):
+            scenario_from_text(bad)
+
+
 @pytest.mark.parametrize("m", [1, 2, 5, 10, 32, 50])
 def test_generate_scenario_equals_channel_by_channel_draw(m):
     """The array-native draw, which skips the constructors' validation, gives
@@ -292,7 +305,7 @@ def test_scenario_is_two_read_only_arrays(rng):
         with pytest.raises(AttributeError):
             setattr(s, name, None)
     with pytest.raises(AttributeError):
-        s.extra = 1                            # no state beyond the five slots
+        s.extra = 1                            # no state beyond its slots
     assert s.channels == (Channel(0.5, s.phase_shifts[0]), Channel(0.0, 0.25),
                           Channel(2.0, s.phase_shifts[2]))
     again = Scenario(s.transmit_power, s.carrier_freq, s.conversion_eff, s.channels)
@@ -356,3 +369,124 @@ def test_path_loss_overflow_is_a_gain_error():
                                   distance_range=(1e3, 2e3))
     with pytest.raises(ValueError, match="at least one channel with nonzero gain"):
         generate_scenario(silent, np.random.default_rng(1))
+
+
+_MIN_GAIN = 2.0 ** -511
+_LIMIT = 2.0 ** 511
+_TINY = (f"channel power gain {{}} is nonzero but below 2**-511 = {_MIN_GAIN}, where the "
+         f"product of two gains underflows")
+_SUMS = (f"the gain sums overflow: (sum of sqrt(gain))**2 = {{}} is above 2**511 = {_LIMIT}, "
+         f"where the product of a gain and that sum can pass the float range")
+
+
+#: Per bad-input class: the message, with {} where the offending value
+#: goes; gains, or the scalar keywords, for the two constructors; and the
+#: distribution keywords of a draw that makes the same fault, if one can.
+_BAD_INPUTS = {
+    "nan-gain": ("channel power gain must be finite and >= 0, got {}",
+                 dict(gains=[1.0, math.nan]), None),
+    "negative-gain": ("channel power gain must be finite and >= 0, got {}",
+                      dict(gains=[-0.5, 1.0]), None),
+    "inf-gain": ("channel power gain must be finite and >= 0, got {}",
+                 dict(gains=[1.0, math.inf]),
+                 dict(ref_attenuation=1e300, distance_range=(1e-5, 2e-5))),
+    "all-zero-gains": ("scenario needs at least one channel with nonzero gain",
+                       dict(gains=[0.0, 0.0]),
+                       dict(path_loss_exponent=300, distance_range=(1e3, 2e3))),
+    "tiny-gain": (_TINY, dict(gains=[1.0, _MIN_GAIN / 2]), dict(ref_attenuation=1e-160)),
+    "gain-sums-past-the-limit": (_SUMS, dict(gains=[2.0 ** 510] * 5),
+                                 dict(ref_attenuation=1e306)),
+    "bad-power": ("transmit_power must be positive and finite, got {}",
+                  dict(transmit_power=-1.0), dict(transmit_power=-1.0)),
+    "bad-carrier": ("carrier_freq must be positive", dict(carrier_freq=0.0),
+                    dict(carrier_freq=0.0)),
+    "bad-efficiency": ("conversion_eff must lie in (0, 1]", dict(conversion_eff=1.5),
+                       dict(conversion_eff=1.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_each_bad_input_class_has_one_message(case):
+    """``Scenario(...)``, ``Scenario.from_arrays`` and, where a draw can
+    make the fault, ``generate_scenario`` give the class's one message."""
+    template, args, draw_fields = _BAD_INPUTS[case]
+    call = dict(transmit_power=1.0, carrier_freq=1.0, conversion_eff=1.0, gains=[1.0, 2.0])
+    call.update(args)
+    gains = call.pop("gains")
+    shifts = [0.1 * k for k in range(len(gains))]
+    pattern = re.escape(template).replace(r"\{\}", r"\S+")
+    with pytest.raises(ValueError) as exc:
+        Scenario.from_arrays(*call.values(), gains, shifts)
+    messages = [str(exc.value)]
+    with pytest.raises(ValueError) as exc:
+        Scenario(*call.values(), [Channel(g, th) for g, th in zip(gains, shifts)])
+    messages.append(str(exc.value))
+    if draw_fields is not None:
+        with pytest.raises(ValueError) as exc:
+            dist = ScenarioDistribution(num_transmitters=3, **draw_fields)
+            generate_scenario(dist, np.random.default_rng(5))
+        messages.append(str(exc.value))
+    for message in messages:
+        assert re.fullmatch(pattern, message), (case, message)
+    if "{}" not in template:
+        assert len(set(messages)) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_gain_sum_limit_bounds_every_stage_product():
+    """Gains whose (sum of sqrt(gain))**2 passes 2**511 are an error, and
+    gains just inside run every stage without overflow and keep the bound.
+    A config holding ``ref_attenuation = 1e306`` drew gain sums near 1e304,
+    which overflowed the stage products and ran to eta 0.722 at N = 8."""
+    with pytest.raises(ValueError, match=re.escape("the gain sums overflow")):
+        Scenario.from_arrays(1.0, 1.0, 1.0, [2.0 ** 510] * 5, [0.0] * 5)
+    shifts = [0.3, -2.0, 1.1, 2.9, -0.7]
+    inside = ([0.99 * 2.0 ** 509] * 2, [2.0 ** 508, 2.0 ** 506, 2.0 ** 500, 0.0, 1.0],
+              [_LIMIT / 25 * 0.999] * 5)
+    with np.errstate(all="raise"):
+        for gains in inside:
+            assert sum(map(math.sqrt, gains)) ** 2 <= _LIMIT
+            s = Scenario.from_arrays(1.0, 1.0, 1.0, gains, shifts[:len(gains)])
+            stack = stack_scenarios([s])
+            for n in (1, 4, 8):
+                bound = efficiency_lower_bound(s, n)
+                assert run_protocol(s, n).eta >= bound - 1e-12, (gains, n)
+                phases, powers = exact_runs(stack, n)
+                assert np.isfinite(powers).all()
+                eta = harvested_powers(stack, phases)[0] / optimal_powers(stack)[0]
+                assert eta >= bound - 1e-12, (gains, n)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_draws_and_constructors_agree_on_either_side_of_the_gain_sum_limit(m):
+    """The draw's screen (largest gain times M**2 at most 2**510) clears
+    only gains the checker accepts, and past the screen the checker decides:
+    equal gains at 1/2, 0.99 and 1.01 of the limit's share."""
+    for share, ok in ((0.5, True), (0.99, True), (1.01, False)):
+        dist = ScenarioDistribution(num_transmitters=m, ref_attenuation=_LIMIT / m ** 2 * share,
+                                    distance_range=(1.0, 1.0))
+        try:
+            drawn, _ = generate_scenario(dist, np.random.default_rng(2))
+        except ValueError as exc:
+            assert not ok and str(exc).startswith("the gain sums overflow"), (share, exc)
+            with pytest.raises(ValueError, match=re.escape("the gain sums overflow")):
+                Scenario.from_arrays(1.0, 1.0, 1.0, [dist.ref_attenuation] * m, [0.0] * m)
+        else:
+            assert ok, share
+            again = Scenario.from_arrays(1.0, 1.0, 1.0, drawn.gains, drawn.phase_shifts)
+            assert again.gains.tobytes() == drawn.gains.tobytes()
+
+
+def test_power_scale_is_conversion_eff_times_transmit_power():
+    """Every harvested power is scaled by ``power_scale``, stored once per
+    scenario; it is the product the callers took before, bit for bit."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        p, rho = float(rng.uniform(1e-3, 1e3)), float(rng.uniform(1e-3, 1.0))
+        built = Scenario.from_arrays(p, 915e6, rho, rng.uniform(0.0, 1.0, 4),
+                                     rng.uniform(-3.0, 3.0, 4))
+        channels = Scenario(p, 915e6, rho, built.channels)
+        drawn, _ = generate_scenario(ScenarioDistribution(num_transmitters=4, transmit_power=p,
+                                                          conversion_eff=rho), rng)
+        for s in (built, channels, drawn):
+            assert s.power_scale.hex() == (rho * p).hex()

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from distbeam import cli
 from distbeam.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, cli_main
+from distbeam.experiments import ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +223,22 @@ def test_exp_config_file_rejects_unknown_boolean(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("trials = 1e3", "trials must be an integer; got '1e3'"),
+    ("ref_attenuation = big", "ref_attenuation must be a number; got 'big'"),
+])
+def test_exp_config_value_that_does_not_parse_names_its_key(capsys, tmp_path, line, message):
+    """These read ``invalid literal for int() with base 10: '1e3'`` and
+    ``could not convert string to float: 'big'``, naming no key."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "exp", "efficiency-vs-N", "--config", str(cfg_file),
+                             "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_exp_missing_config_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "exp", "efficiency-vs-N", "--config",
                            str(tmp_path / "nope.cfg"))
@@ -361,6 +380,7 @@ def test_baseline_rejects_steps_that_overflow(capsys):
     assert out == "" and err.startswith("error: ") and "non-finite" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("experiment, line, message", [
     ("efficiency-vs-N", "transmit_power = inf", "transmit_power must be positive and finite"),
     ("overhead-tradeoff", "transmit_power = inf", "transmit_power must be positive and finite"),
@@ -377,6 +397,13 @@ def test_baseline_rejects_steps_that_overflow(capsys):
     ("efficiency-vs-N", "ref_distance = -1", "ref_distance must be positive and finite"),
     ("efficiency-vs-N", "ref_attenuation = inf", "ref_attenuation must be positive and finite"),
     ("efficiency-vs-N", "ref_attenuation = 1e-160", "is nonzero but below 2**-511"),
+    # gain sums past 2**511 overflowed the stage products: a RuntimeWarning
+    # at exact_runs' swing, or a mean eta_M5 of 0.722 at N = 8 with exit 0
+    ("efficiency-vs-N", "ref_attenuation = 1e306", "the gain sums overflow"),
+    ("overhead-tradeoff", "ref_attenuation = 1e306", "the gain sums overflow"),
+    # overhead-tradeoff checked Q* only after its runs had overflowed
+    ("overhead-tradeoff", "transmit_power = 1e308\nref_attenuation = 1e10",
+     "optimal power of trial 0 is inf"),
     ("efficiency-vs-N", "path_loss_exponent = inf",
      "path_loss_exponent must be positive and finite"),
 ])
@@ -392,6 +419,15 @@ def test_exp_rejects_degenerate_config_values(capsys, tmp_path, experiment, line
     assert out == "" and err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+def test_exp_flags_set_config_fields():
+    """``exp`` copies each flag named in ``_EXP_FIELDS`` to the config field
+    of the same name."""
+    args = cli.build_parser().parse_args(["exp", "power-vs-M"])
+    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for name in cli._EXP_FIELDS:
+        assert name in config_fields and getattr(args, name) is None, name
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

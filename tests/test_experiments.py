@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +130,34 @@ def test_parse_config_errors():
         config_from_mapping({"trials": "5"})
     with pytest.raises(ValueError):
         config_from_mapping({"experiment": EXP_EFFICIENCY, "bogus_key": "1"})
+    # a value that does not parse names its key and the type it expects
+    for key, raw, expected in (("trials", "1e3", "an integer"),
+                               ("ref_attenuation", "big", "a number"),
+                               ("n_list", "1,x", "comma-separated integers"),
+                               ("count_training_energy", "ture",
+                                "one of 1/0/true/false/yes/no/on/off")):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be {expected}; got {raw!r}")):
+            config_from_mapping({"experiment": EXP_EFFICIENCY, key: raw})
+
+
+def test_every_config_field_round_trips_through_its_strings():
+    """Every field set away from its default survives ``config_to_mapping``
+    as strings and back, so each field's declared type has a parser; a new
+    field fails here until it is given a value below."""
+    values = dict(experiment=EXP_POWER, trials=3, seed=99, workers=2, out_dir="elsewhere",
+                  n_list=(2, 3), m_list=(4, 6), budgets=(7, 9), intervals=11, n_adapt=3,
+                  perturb_scale=0.25, count_training_energy=True, ref_attenuation=0.5,
+                  ref_distance=2.0, path_loss_exponent=2.5, distance_min=3.0,
+                  distance_max=4.5, transmit_power=2.0, conversion_eff=0.75)
+    assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    cfg = ExperimentConfig(**values)
+    default = ExperimentConfig(EXP_POWER)
+    for name in set(values) - {"experiment"}:
+        assert getattr(cfg, name) != getattr(default, name), name
+    rebuilt = config_from_mapping({k: str(v) for k, v in config_to_mapping(cfg).items()})
+    assert rebuilt == cfg
+    for name in values:
+        assert type(getattr(rebuilt, name)) is type(getattr(cfg, name)), name
 
 
 def test_config_hash_stability_and_sensitivity():
