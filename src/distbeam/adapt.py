@@ -162,6 +162,23 @@ def _grow_tree(arc: Arc, depth: int) -> None:
 _grow_tree(_FULL_CIRCLE, 0)
 
 
+def _depth_centres() -> tuple[np.ndarray, ...]:
+    """Entry d: the centres of the stored tree's 2**d depth-d arcs, read-only,
+    indexed by path (the feedback bits from the root, first bit highest,
+    True = 1). Read off ``_TREE``'s nodes, so no angle is recomputed."""
+    levels = [[_FULL_CIRCLE]]
+    for _ in range(_TREE_DEPTH):
+        levels.append([_TREE[arc][child] for arc in levels[-1] for child in (2, 3)])
+    centres = tuple(np.array([arc.center for arc in level]) for level in levels)
+    for c in centres:
+        c.flags.writeable = False
+    return centres
+
+
+#: The depth tables of the closed-form exact stage, built with the tree
+_DEPTH_CENTRES = _depth_centres()
+
+
 class TraceRecord(NamedTuple):
     """One feedback interval: probes, measured powers, bit, resulting arc."""
 

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,7 +36,7 @@ from .power import (
     optimal_powers,
     stack_scenarios,
 )
-from .protocol import efficiency_lower_bounds, exact_runs, run_protocol
+from .protocol import efficiency_lower_bounds, exact_phases, exact_runs, run_protocol
 
 EXP_EFFICIENCY = "efficiency-vs-N"
 EXP_POWER = "power-vs-M"
@@ -319,7 +320,7 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
 
     Each system size stacks its trials once, takes every Q* and bound from
     the stack, and runs the exact protocol for all trials at once through
-    :func:`exact_runs` per budget; the delivered powers come from the
+    :func:`exact_phases` per budget; the delivered powers come from the
     stacked phases. Each value equals the per-run one bit for bit.
     """
     domain = _DOMAIN[cfg.experiment]
@@ -331,8 +332,7 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
         q_star = optimal_powers(stack)
         etas = np.zeros((cfg.trials, len(cfg.n_list)))
         for j, n in enumerate(cfg.n_list):
-            phases, _ = exact_runs(stack, n)
-            etas[:, j] = harvested_powers(stack, phases) / q_star
+            etas[:, j] = harvested_powers(stack, exact_phases(stack, n)) / q_star
         bounds = efficiency_lower_bounds(stack, cfg.n_list)
         curves[f"eta_M{m}"] = _averaged(f"eta_M{m}", cfg.n_list, etas)
         curves[f"bound_M{m}"] = _averaged(f"bound_M{m}", cfg.n_list, bounds)
@@ -436,6 +436,14 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     # Q* first: the runs below overflow where it does, and it checks them
     q_star = optimal_powers(stack)
     budgets = np.array(cfg.budgets)
+    # a budget's energy, and a sum of two probe powers, reach budget * 2 * Q*
+    limit = sys.float_info.max / (2 * budgets.max())
+    over = np.flatnonzero(q_star > limit)
+    if over.size:
+        t = int(over[0])
+        raise ValueError(f"optimal power of trial {t} is {float(q_star[t])}, above the limit "
+                         f"{limit} = float max / (2 * largest budget {budgets.max()}), "
+                         f"past which a budget's energy overflows")
     tables = {}
     for name, off in OVERHEAD_POLICIES:
         if m - off < 2:

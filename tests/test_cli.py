@@ -404,6 +404,10 @@ def test_baseline_rejects_steps_that_overflow(capsys):
     # overhead-tradeoff checked Q* only after its runs had overflowed
     ("overhead-tradeoff", "transmit_power = 1e308\nref_attenuation = 1e10",
      "optimal power of trial 0 is inf"),
+    # a finite Q* near the float maximum wrote an all_on mean of inf and a
+    # stderr of nan at budgets 100-300 with exit 0
+    ("overhead-tradeoff", "transmit_power = 1e308\nref_attenuation = 10",
+     "= float max / (2 * largest budget 300)"),
     ("efficiency-vs-N", "path_loss_exponent = inf",
      "path_loss_exponent must be positive and finite"),
 ])
@@ -443,6 +447,22 @@ def test_exp_stderr_stays_finite_at_a_huge_power_scale(capsys, tmp_path):
     assert optimal[0] == "budget,mean,stderr"
     mean, stderr = (float(x) for x in optimal[1].split(",")[1:])
     assert 1e303 < mean < math.inf and 0.0 < stderr < math.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exp_efficiency_runs_with_an_optimum_near_the_float_maximum(capsys, tmp_path):
+    """A Q* above half the float maximum overflowed the interval-power sum
+    that efficiency-vs-N computed and threw away: a RuntimeWarning at every
+    N. The CSVs were right, and stay the same."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("transmit_power = 1e308\nref_attenuation = 20\n")
+    code, _, err = run_cli(capsys, "exp", "efficiency-vs-N", "--config", str(cfg_file),
+                           "--trials", "20", "--m-list", "5", "--n-list", "1,8,9",
+                           "--out", str(tmp_path / "o"))
+    assert code == EXIT_OK, err
+    eta = (tmp_path / "o" / "efficiency-vs-N" / "eta_M5.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in eta] == ["N", "1", "8", "9"]
+    assert all(0.5 < float(row.split(",")[1]) <= 1.0 for row in eta[1:])
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,9 @@ from distbeam import (
     run_protocol,
     wrap_angle,
 )
-from distbeam.adapt import TraceRecord, adapt_phase
+from distbeam import protocol
+from distbeam.adapt import _TREE_DEPTH, TraceRecord, adapt_phase, bisect_arc, initial_arc, probe_pair
+from distbeam.experiments import ExperimentConfig, run_experiment
 from distbeam.power import MODE_ADDITIVE_NOISE, MeasurementModel, stack_scenarios
 from distbeam.protocol import exact_runs
 
@@ -149,6 +152,174 @@ def test_exact_runs_match_run_protocol(rng):
                 assert np.array_equal(phases[t], want.final_phases), (m, n, t)
                 traj = np.concatenate([tr.interval_powers() for tr in want.traces])
                 assert np.array_equal(powers[t], traj), (m, n, t)
+
+
+@pytest.fixture(params=["closed form", "loop only"])
+def phases_of(request, monkeypatch):
+    """``exact_phases`` as it is, and with every row of every stage sent to
+    the interval loop, so each test below checks both paths."""
+    if request.param == "loop only":
+        cells = protocol._cells
+
+        def no_row_clear(*args):
+            cell, clear = cells(*args)
+            return cell, np.zeros_like(clear)
+
+        monkeypatch.setattr(protocol, "_cells", no_row_clear)
+    return protocol.exact_phases
+
+
+def _assert_phases_match_runs(phases_of, scens, budgets):
+    """``phases_of`` on the stack of ``scens`` equals run_protocol's final
+    phases and exact_runs' bit for bit, signed zeros included."""
+    stack = stack_scenarios(scens)
+    for n in budgets:
+        phases = phases_of(stack, n)
+        assert phases.tobytes() == exact_runs(stack, n)[0].tobytes(), n
+        for t, s in enumerate(scens):
+            assert phases[t].tobytes() == run_protocol(s, n).final_phases.tobytes(), (n, t)
+
+
+@pytest.mark.parametrize("gains", [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5, 2.0], [1.0, 1e-40, 1.0]])
+def test_exact_phases_where_every_comparison_ties(phases_of, gains):
+    """A zero gain or a zero combined signal makes the probe swing zero, and
+    a gain of 1e-40 beside 1 makes it far below the rounding of the base
+    power: every comparison of the stage ties, and a tie keeps psi, which
+    is not the target's cell. 200 random phase sets per gain vector."""
+    rng = np.random.default_rng(17)
+    scens = [Scenario(1.0, 915e6, 1.0, [Channel(g, th) for g, th in zip(gains, shifts)])
+             for shifts in rng.uniform(-math.pi, math.pi, (200, len(gains)))]
+    _assert_phases_match_runs(phases_of, scens, (1, 4, 8))
+
+
+def _tree_centres(depth):
+    """The tree arcs' centres at ``depth``, walking adapt's plain bisection."""
+    arcs = [initial_arc()]
+    for _ in range(depth):
+        arcs = [bisect_arc(arc, bit) for arc in arcs for bit in (False, True)]
+    return [arc.center for arc in arcs]
+
+
+@pytest.mark.parametrize("depth", range(8))
+def test_exact_phases_near_every_decision_point(phases_of, depth):
+    """M = 2 stages whose target lies within 3 ulp of a comparison's tie:
+    each tree centre at ``depth`` (-pi/2 at depth 0) and, at depth 0, the
+    seam pi/2. Transmitter 0 at phase shift 0 makes the target transmitter
+    1's phase shift exactly. Budgets N = depth + 1, where the tie is the
+    last comparison, and N = 8."""
+    points = _tree_centres(depth) + ([math.pi / 2.0] if depth == 0 else [])
+    scens = []
+    for point in points:
+        for steps in range(-3, 4):
+            target = point
+            for _ in range(abs(steps)):
+                target = math.nextafter(target, math.copysign(math.inf, steps))
+            scens += [Scenario(1.0, 915e6, 1.0, [Channel(1.0, 0.0), Channel(g1, target)])
+                      for g1 in (1.0, 0.3)]
+    _assert_phases_match_runs(phases_of, scens, sorted({depth + 1, 8}))
+
+
+def test_exact_phases_across_power_scales_and_the_tree_depth(phases_of, rng):
+    """Power scales from subnormal probe powers (1e-312) to 1e308 in one
+    stack, with zero-gain links, at N = 8 (the last stored depth) and
+    N = 9 (the loop)."""
+    scales = ((1.0, 1.0), (0.37, 2.5), (1e-300, 1e-12), (1.0, 1e300), (1.0, 1e308))
+    for m in (2, 3, 6):
+        scens = [random_scenario(rng, m, conversion_eff=eff, transmit_power=power)
+                 for eff, power in scales for _ in range(6)]
+        scens[1] = _with_zero_gain(scens[1], 0)
+        scens[8] = _with_zero_gain(scens[8], m - 1)
+        _assert_phases_match_runs(phases_of, scens, (8, 9))
+
+
+def test_exact_phases_equal_exact_runs(phases_of, rng):
+    """exact_phases returns exact_runs' phases at every budget of
+    test_exact_runs_match_run_protocol, on stacks with zero-gain links."""
+    budgets = list(range(1, 13)) + [20, 24, 26, 28, 30, 41, 42, 43, 44, 45]
+    for m in (2, 5, 20):
+        scens = [random_scenario(rng, m) for _ in range(40)]
+        scens[1] = _with_zero_gain(scens[1], 0)
+        scens[5] = _with_zero_gain(scens[5], m - 1)
+        stack = stack_scenarios(scens)
+        for n in budgets:
+            assert phases_of(stack, n).tobytes() == exact_runs(stack, n)[0].tobytes(), (m, n)
+
+
+def test_tree_angles_and_cells_are_within_the_margins_angle_error(rng):
+    """The tie margin of ``protocol._cells`` assumes every stored tree
+    centre and probe, and every computed cell position, lies within
+    ``_ANGLE_ERROR`` of its exact value; checked against exact rationals
+    and a 60-digit pi."""
+    pi = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
+
+    def off_circle(a):                    # |a| modulo 2 pi, folded into [0, pi]
+        a %= 2 * pi
+        return min(a, 2 * pi - a)
+
+    bound = Fraction(protocol._ANGLE_ERROR) / 2
+    level = [(initial_arc(), -pi / 2)]
+    for depth in range(_TREE_DEPTH + 1):
+        half = pi / 2 ** depth
+        for arc, exact in level:
+            assert off_circle(Fraction(arc.center) - exact) < bound, (depth, arc)
+            if depth < _TREE_DEPTH:
+                psi, psi_prime = probe_pair(arc)
+                off = pi / 2 if depth == 0 else half
+                assert off_circle(Fraction(psi) - exact - off) < bound, (depth, arc)
+                assert off_circle(Fraction(psi_prime) - exact + off) < bound, (depth, arc)
+        level = [(bisect_arc(arc, bit), exact + (half / 2 if bit else -half / 2))
+                 for arc, exact in level for bit in (False, True)]
+    targets = rng.uniform(-math.pi, math.pi, 2000)
+    ones = np.ones_like(targets)
+    for n in (1, 4, 8):
+        # the cell position as _cells computes it, and its cell where clear
+        x = (wrap_angle(targets - initial_arc().center) + math.pi) * (2 ** n / (2.0 * math.pi))
+        cell, clear = protocol._cells(targets, ones, ones, ones, n)
+        assert clear.all()
+        for t, got, j in zip(targets.tolist(), x.tolist(), cell.tolist()):
+            exact = (Fraction(t) + pi / 2 + pi) * 2 ** n / (2 * pi)
+            assert off_circle((Fraction(got) - exact) * 2 * pi / 2 ** n) < bound, (n, t)
+            assert j == math.floor(exact) % 2 ** n, (n, t)
+
+
+@pytest.mark.parametrize("n, scale", [(1, 1.0), (8, 1.0), (8, 1e-312)])
+def test_cells_clear_only_targets_outside_the_derived_margin(n, scale):
+    """``protocol._cells`` sends a target to the loop exactly when it lies
+    within the margin its docstring derives, here solved for the distance
+    delta from a decision point: eps + (pi/2) / sin(h_min) * (2 eps +
+    (4 scale ulp(base + swing) + 2**-1074) / (scale swing)). Targets at
+    half and twice that distance from c0 = -pi/2 and from the seam pi/2,
+    on either side. N = 8 makes the sin(h_min) factor 41, and the power
+    scale 1e-312 makes the subnormal step the largest term."""
+    eps, base, swing = protocol._ANGLE_ERROR, 2.0, 2.0
+    sin_h = math.sin(min(math.pi / 2.0, math.pi / 2 ** (n - 1)))
+    margin = eps + (math.pi / 2.0) / sin_h * (
+        2.0 * eps + (scale * 4.0 * math.ulp(base + swing) + math.ulp(0.0)) / (scale * swing))
+    for factor, clear in ((0.5, False), (2.0, True)):
+        targets = np.array([point + side * factor * margin
+                            for point in (-math.pi / 2.0, math.pi / 2.0) for side in (-1.0, 1.0)])
+        ones = np.ones_like(targets)
+        _, got = protocol._cells(targets, base * ones, swing * ones, scale * ones, n)
+        assert got.tolist() == [clear] * len(targets), (factor, margin)
+
+
+def test_efficiency_sweep_runs_the_closed_form(monkeypatch):
+    """On the default efficiency-vs-N sweep (1,000 trials, seed 12345, M 5
+    and 10, N 1-8) fewer than 1% of the 104,000 trial-stages reach the
+    interval loop, so a tie margin that sends every row there fails here."""
+    rows = []
+    loop = protocol._interval_loop
+
+    def counted(target, *args):
+        rows.append(len(target))
+        return loop(target, *args)
+
+    monkeypatch.setattr(protocol, "_interval_loop", counted)
+    cfg = ExperimentConfig("efficiency-vs-N")
+    run_experiment(cfg)
+    stages = cfg.trials * sum(m - 1 for m in cfg.m_list) * len(cfg.n_list)
+    assert stages == 104_000
+    assert sum(rows) < 0.01 * stages, sum(rows)
 
 
 ORACLE_BUDGETS = list(range(1, 9)) + [41, 45]    # 41, 45: past CONVERGENCE_FLOOR
