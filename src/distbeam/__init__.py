@@ -65,6 +65,7 @@ from .baseline import (
 )
 from .experiments import (
     EXPERIMENTS,
+    Curve,
     ExperimentConfig,
     ExperimentResult,
     ResultRow,

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -228,39 +229,63 @@ class ResultRow(NamedTuple):
     stderr: float
 
 
+class Curve(NamedTuple):
+    """One curve as three columns: the x values exactly as given (ints stay
+    ints) and float64 arrays of the means and standard errors at them."""
+
+    xs: Sequence
+    means: np.ndarray
+    stderrs: np.ndarray
+
+
 @dataclass
 class ExperimentResult:
     """Tabular sweep output plus the run record that reproduces it.
 
-    ``curves`` maps each curve name to its rows, curves in emission order.
+    ``curves`` maps each curve name to its :class:`Curve`, curves in
+    emission order. ``rows``, :meth:`curve` and :meth:`curve_names` build
+    :class:`ResultRow` views of those columns on demand, with Python-float
+    means and standard errors and each x as stored.
     """
 
     experiment: str
     x_name: str
-    curves: dict[str, list[ResultRow]]
+    curves: dict[str, Curve]
     metadata: dict
 
     @property
     def rows(self) -> list[ResultRow]:
         """Every row, curve after curve."""
-        return [r for rows in self.curves.values() for r in rows]
+        return [r for name in self.curves for r in self.curve(name)]
 
     def curve(self, name: str) -> list[ResultRow]:
-        return list(self.curves.get(name, ()))
+        """A fresh list of one curve's rows; none for an unknown name."""
+        if name not in self.curves:
+            return []
+        xs, means, stderrs = self.curves[name]
+        return [ResultRow(name, x, mean, se)
+                for x, mean, se in zip(xs, means.tolist(), stderrs.tolist())]
 
     def curve_names(self) -> list[str]:
         return list(self.curves)
 
     def write(self, out_dir: str | Path) -> list[Path]:
-        """Write <out>/<experiment>/<curve>.csv files plus metadata.json."""
+        """Write <out>/<experiment>/<curve>.csv files plus metadata.json.
+
+        Each column is formatted once: x through ``_fmt``, the means and
+        standard errors through :func:`_fmt_column`, so a value that repeats
+        (a step-function trajectory, a constant 0 standard error) is
+        formatted once per curve, not once per row.
+        """
         base = Path(out_dir) / self.experiment
         base.mkdir(parents=True, exist_ok=True)
         written = []
-        for name, rows in self.curves.items():
+        for name, (xs, means, stderrs) in self.curves.items():
             path = base / f"{name}.csv"
+            columns = zip([_fmt(x) for x in xs], _fmt_column(means), _fmt_column(stderrs))
             with open(path, "w") as fh:
-                fh.write(f"{self.x_name},mean,stderr\n" + "".join(
-                    [f"{_fmt(x)},{mean:.15g},{se:.15g}\n" for _, x, mean, se in rows]))
+                fh.write(f"{self.x_name},mean,stderr\n"
+                         + "".join([f"{x},{mean},{se}\n" for x, mean, se in columns]))
             written.append(path)
         meta_path = base / "metadata.json"
         with open(meta_path, "w") as fh:
@@ -271,9 +296,21 @@ class ExperimentResult:
 
 
 def _fmt(x) -> str:
+    if type(x) is int:
+        return str(x)
     if float(x).is_integer():
         return str(int(x))
     return format(float(x), ".15g")
+
+
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """``.15g`` of each float64 value, formatted once per distinct bit
+    pattern. Keyed on bits, not on float equality, so 0.0 and -0.0, equal
+    as floats, keep their own strings. A dict rather than ``np.unique``:
+    the first int64 sort in a process adds ~0.5 MB of peak RSS."""
+    text = {}
+    return [text[b] if b in text else text.setdefault(b, format(v, ".15g"))
+            for b, v in zip(values.view(np.int64).tolist(), values.tolist())]
 
 
 def _timestamp() -> str:
@@ -308,10 +345,16 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, math.ldexp(float(np.std(unit, ddof=1) / math.sqrt(values.size)), e)
 
 
-def _averaged(curve: str, xs, table: np.ndarray) -> list[ResultRow]:
-    """One row per column of ``table`` (trials by len(xs)): the column's mean
-    and standard error at its x."""
-    return [ResultRow(curve, x, *_mean_stderr(table[:, j])) for j, x in enumerate(xs)]
+def _averaged(xs, table: np.ndarray) -> Curve:
+    """One point per column of ``table`` (trials by len(xs)): the column's
+    mean and standard error at its x."""
+    means, stderrs = zip(*[_mean_stderr(table[:, j]) for j in range(len(xs))])
+    return Curve(xs, np.array(means), np.array(stderrs))
+
+
+def _single_run(xs, values) -> Curve:
+    """One single-run value per x, each with standard error 0."""
+    return Curve(xs, np.asarray(values, dtype=np.float64), np.zeros(len(xs)))
 
 
 def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
@@ -334,8 +377,8 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
         for j, n in enumerate(cfg.n_list):
             etas[:, j] = harvested_powers(stack, exact_phases(stack, n)) / q_star
         bounds = efficiency_lower_bounds(stack, cfg.n_list)
-        curves[f"eta_M{m}"] = _averaged(f"eta_M{m}", cfg.n_list, etas)
-        curves[f"bound_M{m}"] = _averaged(f"bound_M{m}", cfg.n_list, bounds)
+        curves[f"eta_M{m}"] = _averaged(cfg.n_list, etas)
+        curves[f"bound_M{m}"] = _averaged(cfg.n_list, bounds)
     return ExperimentResult(cfg.experiment, "N", curves, _metadata(cfg))
 
 
@@ -354,16 +397,18 @@ def run_power_vs_m(cfg: ExperimentConfig) -> ExperimentResult:
     full, _ = generate_scenario(cfg.distribution(max(cfg.m_list)), rng_stream(cfg.seed, domain))
     scens = [Scenario.from_arrays(full.transmit_power, full.carrier_freq, full.conversion_eff,
                                   full.gains[:m], full.phase_shifts[:m]) for m in cfg.m_list]
-    curves = {}
+    columns = {}
     for m, scen, q_star in zip(cfg.m_list, scens, _optima(scens, cfg.m_list)):
         zero = harvested_power(scen, PhaseAssignment(np.zeros(m)))
         points = [("optimal", q_star), ("no_adaptation", zero)]
         points += [(f"adapted_N{n}", q_star if m < 2 else run_protocol(scen, n).q_d)
                    for n in cfg.n_list]
         for name, q in points:
-            curves.setdefault(name, []).append(ResultRow(name, m, q, 0.0))
+            columns.setdefault(name, []).append(q)
     # curves in name order, each in increasing M
-    curves = {name: sorted(curves[name], key=lambda r: r.x) for name in sorted(curves)}
+    order = np.argsort(cfg.m_list)
+    curves = {name: _single_run(sorted(cfg.m_list), np.array(columns[name])[order])
+              for name in sorted(columns)}
     return ExperimentResult(cfg.experiment, "M", curves, _metadata(cfg))
 
 
@@ -393,9 +438,8 @@ def run_convergence_comparison(cfg: ExperimentConfig) -> ExperimentResult:
             scen, pert, rng=rng_stream(cfg.seed, domain, m, 1)
         )
         for name, powers in ((f"proposed_M{m}", proposed), (f"baseline_M{m}", trace.best_power)):
-            curves[name] = [ResultRow(name, i, p, 0.0)
-                            for i, p in enumerate(powers.tolist(), start=1)]
-        curves[f"optimal_M{m}"] = [ResultRow(f"optimal_M{m}", cfg.intervals, q_star, 0.0)]
+            curves[name] = _single_run(range(1, powers.size + 1), powers)
+        curves[f"optimal_M{m}"] = _single_run((cfg.intervals,), [q_star])
     meta = _metadata(cfg)
     # one feedback bit per interval for both schemes; the sequential
     # protocol transmits two probes per interval, the baseline one
@@ -462,7 +506,7 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     tables["no_adaptation"] = np.repeat(
         harvested_powers(stack, np.zeros_like(stack.phase_shifts))[:, None], n_budgets, axis=1)
     tables["optimal"] = np.repeat(q_star[:, None], n_budgets, axis=1)
-    curves = {name: _averaged(name, cfg.budgets, table) for name, table in tables.items()}
+    curves = {name: _averaged(cfg.budgets, table) for name, table in tables.items()}
     return ExperimentResult(cfg.experiment, "budget", curves, _metadata(cfg))
 
 

@@ -24,6 +24,7 @@ from distbeam.experiments import (
     EXP_EFFICIENCY,
     EXP_OVERHEAD,
     EXP_POWER,
+    Curve,
     ExperimentConfig,
     ExperimentResult,
     ResultRow,
@@ -276,18 +277,25 @@ def test_result_rows_are_the_curves_in_order():
 
 def test_write_matches_per_row_writer(tmp_path, monkeypatch):
     """Every file write produces, and the list of paths, equals the per-row
-    writer's byte for byte: all four experiments, and hand-made rows whose
-    x values are non-integral, integral floats or large."""
+    writer's byte for byte: all four experiments, and hand-made curves whose
+    x values are non-integral, integral floats or large, and whose columns
+    hold 0.0 next to -0.0, NaNs of either sign, infinities, the smallest
+    subnormal, 0.1 next to the float after it, and a run of 1,000 equal
+    values."""
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    edges = np.array([0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 5e-324,
+                      -5e-324, 0.1, np.nextafter(0.1, 1.0), 0.0, 0.1, -0.0, *[1.0 / 3.0] * 1000])
     results = [run_experiment(small_cfg(EXP_EFFICIENCY, trials=6, m_list=(3, 5), n_list=(2, 1))),
                run_experiment(small_cfg(EXP_POWER, m_list=(4, 2), n_list=(1, 3))),
                run_experiment(small_cfg(EXP_CONVERGENCE, m_list=(3,), intervals=40)),
                run_experiment(small_cfg(EXP_OVERHEAD, trials=20, budgets=(300, 1, 25))),
                ExperimentResult("handmade", "x", {
-                   "a": [ResultRow("a", x, mean, se) for x, mean, se in (
-                       (0.5, 1.0 / 3.0, 0.0), (2.0, -1e-300, 1e300), (1e17, 0.1, 2.5e-9),
-                       (-3, math.pi, 1.0), (10**16 + 1, 2.0, 0.0), (np.int64(7), np.float64(0.2), 0.0))],
-                   "b": [ResultRow("b", 1, 2.0, 3.0)]}, {"note": "hand-made"})]
+                   "a": Curve([0.5, 2.0, 1e17, -3, 10**16 + 1, np.int64(7)],
+                              np.array([1.0 / 3.0, -1e-300, 0.1, math.pi, 2.0, 0.2]),
+                              np.array([0.0, 1e300, 2.5e-9, 1.0, 0.0, 0.0])),
+                   "b": Curve([1], np.array([2.0]), np.array([3.0])),
+                   "edges": Curve(range(edges.size), edges, edges[::-1])},
+                   {"note": "hand-made"})]
     for res in results:
         got = res.write(tmp_path / "new")
         want = per_row_write(res, tmp_path / "old")
@@ -295,6 +303,29 @@ def test_write_matches_per_row_writer(tmp_path, monkeypatch):
             [p.relative_to(tmp_path / "old") for p in want]
         for a, b in zip(got, want):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_row_views_keep_types_and_are_fresh():
+    """For every experiment, curve() gives a fresh list of rows whose mean
+    and stderr are Python floats and whose x keeps its sweep value's type,
+    and rows still equals the per-run and per-trial oracles exactly."""
+    eff = small_cfg(EXP_EFFICIENCY, trials=6, m_list=(3, 5), n_list=(2, 1))
+    over = small_cfg(EXP_OVERHEAD, trials=8, budgets=(300, 1, 25), count_training_energy=True)
+    results = [run_experiment(cfg) for cfg in (
+        eff, small_cfg(EXP_POWER, m_list=(4, 2), n_list=(1, 3)),
+        small_cfg(EXP_CONVERGENCE, m_list=(3,), intervals=40), over)]
+    for res in results:
+        rows = res.rows
+        for name in res.curve_names():
+            view = res.curve(name)
+            assert view and all(type(r.mean) is float and type(r.stderr) is float
+                                and type(r.x) is int for r in view), name
+            kept = list(view)
+            view.clear()
+            assert res.curve(name) == kept
+        assert res.rows == rows
+    assert results[0].rows == per_run_efficiency(eff)
+    assert results[3].rows == per_trial_overhead(over)
 
 
 def test_power_vs_m_qualitative_shapes():
