@@ -398,16 +398,15 @@ def run_power_vs_m(cfg: ExperimentConfig) -> ExperimentResult:
     scens = [Scenario.from_arrays(full.transmit_power, full.carrier_freq, full.conversion_eff,
                                   full.gains[:m], full.phase_shifts[:m]) for m in cfg.m_list]
     columns = {}
-    for m, scen, q_star in zip(cfg.m_list, scens, _optima(scens, cfg.m_list)):
+    for m, scen, q_star in sorted(zip(cfg.m_list, scens, _optima(scens, cfg.m_list)),
+                                  key=lambda t: t[0]):
         zero = harvested_power(scen, PhaseAssignment(np.zeros(m)))
         points = [("optimal", q_star), ("no_adaptation", zero)]
         points += [(f"adapted_N{n}", q_star if m < 2 else run_protocol(scen, n).q_d)
                    for n in cfg.n_list]
         for name, q in points:
             columns.setdefault(name, []).append(q)
-    # curves in name order, each in increasing M
-    order = np.argsort(cfg.m_list)
-    curves = {name: _single_run(sorted(cfg.m_list), np.array(columns[name])[order])
+    curves = {name: _single_run(sorted(cfg.m_list), columns[name])
               for name in sorted(columns)}
     return ExperimentResult(cfg.experiment, "M", curves, _metadata(cfg))
 

@@ -307,13 +307,12 @@ def test_write_matches_per_row_writer(tmp_path, monkeypatch):
 
 def test_row_views_keep_types_and_are_fresh():
     """For every experiment, curve() gives a fresh list of rows whose mean
-    and stderr are Python floats and whose x keeps its sweep value's type,
-    and rows still equals the per-run and per-trial oracles exactly."""
-    eff = small_cfg(EXP_EFFICIENCY, trials=6, m_list=(3, 5), n_list=(2, 1))
-    over = small_cfg(EXP_OVERHEAD, trials=8, budgets=(300, 1, 25), count_training_energy=True)
+    and stderr are Python floats and whose x keeps its sweep value's type."""
     results = [run_experiment(cfg) for cfg in (
-        eff, small_cfg(EXP_POWER, m_list=(4, 2), n_list=(1, 3)),
-        small_cfg(EXP_CONVERGENCE, m_list=(3,), intervals=40), over)]
+        small_cfg(EXP_EFFICIENCY, trials=6, m_list=(3, 5), n_list=(2, 1)),
+        small_cfg(EXP_POWER, m_list=(4, 2), n_list=(1, 3)),
+        small_cfg(EXP_CONVERGENCE, m_list=(3,), intervals=40),
+        small_cfg(EXP_OVERHEAD, trials=8, budgets=(300, 1, 25), count_training_energy=True))]
     for res in results:
         rows = res.rows
         for name in res.curve_names():
@@ -324,8 +323,6 @@ def test_row_views_keep_types_and_are_fresh():
             view.clear()
             assert res.curve(name) == kept
         assert res.rows == rows
-    assert results[0].rows == per_run_efficiency(eff)
-    assert results[3].rows == per_trial_overhead(over)
 
 
 def test_power_vs_m_qualitative_shapes():
@@ -407,6 +404,9 @@ def test_overhead_rows_equal_per_trial_runs(m, monkeypatch):
     # links at one distance have equal gains, so sorting by gain meets ties
     cfgs.append(small_cfg(EXP_OVERHEAD, trials=8, m_list=(m,), n_adapt=5, budgets=(1, 5, 300),
                           count_training_energy=True, distance_min=10.0, distance_max=10.0))
+    # budgets out of order keep their given order
+    cfgs.append(small_cfg(EXP_OVERHEAD, trials=8, m_list=(m,), budgets=(300, 1, 25),
+                          count_training_energy=True))
     underflow = small_cfg(EXP_OVERHEAD, trials=8, m_list=(m,), n_adapt=5, budgets=(1, 5, 300),
                           count_training_energy=True, path_loss_exponent=UNDERFLOW_EXPONENT)
     with pytest.raises(ValueError, match=UNDERFLOW_ERROR):
@@ -448,6 +448,8 @@ def test_efficiency_rows_equal_per_run_calls(m, monkeypatch):
                       **extra)
             for seed, extra in ((12345, {}), (7, {}),
                                 (5, {"distance_min": 10.0, "distance_max": 10.0}))]
+    # an n_list out of order keeps its given order
+    cfgs.append(small_cfg(EXP_EFFICIENCY, trials=6, m_list=(m,), n_list=(2, 1)))
     underflow = small_cfg(EXP_EFFICIENCY, trials=12, m_list=(m,), n_list=n_list, seed=5,
                           path_loss_exponent=UNDERFLOW_EXPONENT)
     with pytest.raises(ValueError, match=UNDERFLOW_ERROR):
