@@ -251,7 +251,9 @@ def adapt_phase(
         raise ValueError(f"probe_offset must be finite, got {probe_offset}")
     if pa.active[m]:
         raise ValueError(f"transmitter {m} cannot be active while adapting")
-    return _train_stage(s, sum_signal(s, pa, exclude=m), m, n_intervals, meas,
+    noise = (meas.rng.normal(0.0, meas.noise_std, size=2 * probe_repeats * n_intervals).tolist()
+             if meas.noisy else None)
+    return _train_stage(s, sum_signal(s, pa, exclude=m), m, n_intervals, noise,
                         probe_offset, probe_repeats)
 
 
@@ -260,24 +262,29 @@ def _train_stage(
     ss: SumSignal,
     m: int,
     n_intervals: int,
-    meas: MeasurementModel,
+    noise: list[float] | None,
     probe_offset: float,
     probe_repeats: int,
 ) -> tuple[float, TrainingTrace]:
     """The bisection loop of :func:`adapt_phase` against a combined signal.
 
-    A noisy ``meas`` gives the stage's 2 * probe_repeats * n_intervals noise
-    values in one draw from its generator. That equals one draw per reading
-    in reading order (psi's repeats, then psi_prime's, interval by
-    interval), and each reading clamps and averages them as
-    :func:`~distbeam.power.measure` would. A single repeat reads the clamped
-    value itself, and a zero ``probe_offset`` skips its re-wraps: wrapping
-    a wrapped angle returns it unchanged.
+    ``noise`` is None under exact measurement, else the stage's
+    2 * probe_repeats * n_intervals noise values, drawn by the caller in
+    reading order (psi's repeats, then psi_prime's, interval by interval).
+    Each reading clamps and averages them as :func:`~distbeam.power.measure`
+    would. A single repeat reads the clamped value itself, and a zero
+    ``probe_offset`` skips its re-wraps: wrapping a wrapped angle returns it
+    unchanged.
+
+    Each interval makes one :func:`probe_pair`, two
+    :func:`~distbeam.power.partial_power`, one :func:`feedback_bit` and one
+    :func:`bisect_arc` call, each looked up here at call time, and no other
+    call unless it rotates or repeats its probes.
     """
     trace = TrainingTrace(target_phase=aligned_phase(s, ss, m), sum_gain=ss.gain)
+    records = trace.records
+    new_record = tuple.__new__   # TraceRecord without its Python-level __new__
     r = probe_repeats
-    noise = (meas.rng.normal(0.0, meas.noise_std, size=2 * r * n_intervals).tolist()
-             if meas.noisy else None)
     arc = initial_arc()
     for n in range(1, n_intervals + 1):
         psi, psi_prime = probe_pair(arc)
@@ -298,12 +305,17 @@ def _train_stage(
             # + 0.0 maps a -0.0 reading to 0.0, as the sum over repeats does
             q_psi, q_psi_prime = p + 0.0, p_prime + 0.0
         else:
-            q_psi = max(0.0, p + noise[2 * n - 2])
-            q_psi_prime = max(0.0, p_prime + noise[2 * n - 1])
+            # max(0.0, x) inline, NaN and -0.0 included
+            q_psi = p + noise[2 * n - 2]
+            q_psi = q_psi if q_psi > 0.0 else 0.0
+            q_psi_prime = p_prime + noise[2 * n - 1]
+            q_psi_prime = q_psi_prime if q_psi_prime > 0.0 else 0.0
         bit = feedback_bit(q_psi, q_psi_prime)
         arc = bisect_arc(arc, bit)
-        center = wrap_angle(arc.center + probe_offset) if probe_offset else arc.center
-        trace.records.append(TraceRecord(n, psi, psi_prime, q_psi, q_psi_prime, bit,
-                                         center, arc.half_width))
+        center, half = arc
+        if probe_offset:
+            center = wrap_angle(center + probe_offset)
+        records.append(new_record(TraceRecord, (n, psi, psi_prime, q_psi, q_psi_prime, bit,
+                                                center, half)))
     trace.final_phase = center
     return center, trace

@@ -88,7 +88,11 @@ def run_protocol(
     different reference phase reproduces the same run rotated rigidly.
 
     Each stage trains against the running phasor sum of the transmitters
-    fixed before it (:func:`_prefix_sums`).
+    fixed before it (:func:`_prefix_sums`). A noisy ``meas`` gives the
+    run's 2 * n_intervals * (M - 1) noise values in one draw from its
+    generator, in stage order, and each stage reads its 2 * n_intervals of
+    them; one draw of n values equals n single draws, so every reading and
+    the generator's final state are those of a draw per stage.
     """
     m_total = s.num_transmitters
     if m_total < 2:
@@ -102,8 +106,11 @@ def run_protocol(
     traces: list[TrainingTrace] = []
     targets = np.zeros(m_total)
     errors = np.zeros(m_total)
+    noise = (meas.rng.normal(0.0, meas.noise_std, size=(m_total - 1, 2 * n_intervals))
+             if meas.noisy else None)
     for m, (re, im) in enumerate(_prefix_sums(s.gains, s.phase_shifts, phases), 1):
-        phi_m, trace = _train_stage(s, _phasor_signal(re, im), m, n_intervals, meas,
+        phi_m, trace = _train_stage(s, _phasor_signal(re, im), m, n_intervals,
+                                    None if noise is None else noise[m - 1].tolist(),
                                     first_phase, 1)
         phases[m] = phi_m
         traces.append(trace)

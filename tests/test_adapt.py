@@ -171,6 +171,17 @@ def test_repeated_rotated_probes_make_one_call_per_step(monkeypatch, rng):
     assert counts == interval_calls(6)
 
 
+@pytest.mark.parametrize("repeats", [1, 3])
+def test_noisy_adapt_phase_makes_one_call_per_step(monkeypatch, rng, repeats):
+    """The same per-interval calls where the stage's noise values come from
+    adapt_phase's own draw, not run_protocol's."""
+    s, pa = two_transmitter_setup(rng)
+    meas = MeasurementModel(MODE_ADDITIVE_NOISE, 1e-6, np.random.default_rng(6))
+    counts = count_interval_calls(monkeypatch)
+    adapt_phase(s, pa, 1, 6, meas, probe_offset=0.7, probe_repeats=repeats)
+    assert counts == interval_calls(6)
+
+
 def _bits(x):
     """A value as comparable bits: each float by ``float.hex``, each array
     by its bytes, every type kept, so 0.0 differs from -0.0 and a Python

@@ -303,6 +303,39 @@ def test_cells_clear_only_targets_outside_the_derived_margin(n, scale):
         assert got.tolist() == [clear] * len(targets), (factor, margin)
 
 
+def test_cells_margin_keeps_its_subnormal_step():
+    """At power scale 2**-1040 (base = swing = 1, N = 3) the ulp term of
+    the tie margin rounds to 0, so the subnormal step 2**-1074 is all of
+    it: a target whose computed gap is exactly one step is not clear, and
+    one whose gap is two steps is. Both are the first such targets above
+    the cell boundary c0 = -pi/2, found by bisection on the gap as
+    ``protocol._cells`` computes it."""
+    n, scale, step = 3, 2.0 ** -1040, math.ulp(0.0)
+    one = np.ones(1)
+    assert scale * 4.0 * np.spacing(2.0) == 0.0
+    sin_h = math.sin(min(math.pi / 2.0, math.ldexp(math.pi, 1 - n)))
+
+    def gap(t):
+        x = (wrap_angle(t - initial_arc().center) + math.pi) * ((1 << n) / (2.0 * math.pi))
+        frac = x - math.floor(x)
+        delta = min(frac, 1.0 - frac) * (2.0 * math.pi / (1 << n)) - protocol._ANGLE_ERROR
+        return scale * ((2.0 / math.pi) * sin_h * delta - 2.0 * protocol._ANGLE_ERROR)
+
+    def first_target(at_least):
+        lo, hi = -math.pi / 2.0, -math.pi / 2.0 + 1e-6
+        assert gap(lo) < at_least <= gap(hi)
+        while math.nextafter(lo, math.inf) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if gap(mid) >= at_least else (mid, hi)
+        return hi
+
+    for steps, clear in ((1, False), (2, True)):
+        t = first_target(steps * step)
+        assert gap(t) == steps * step, (steps, t)
+        _, got = protocol._cells(t * one, one, one, scale * one, n)
+        assert got.tolist() == [clear], (steps, t)
+
+
 def test_efficiency_sweep_runs_the_closed_form(monkeypatch):
     """On the default efficiency-vs-N sweep (1,000 trials, seed 12345, M 5
     and 10, N 1-8) fewer than 1% of the 104,000 trial-stages reach the
