@@ -32,7 +32,7 @@ for i, (r, ch) in enumerate(zip(draw.distances, scenario.channels), start=1):
 
 # transmitter 1 holds phase 0; transmitter 2 adapts
 fixed = PhaseAssignment(np.zeros(2), np.array([True, False]))
-combined = sum_signal(scenario, fixed, exclude=1)
+combined = sum_signal(scenario, fixed)
 target = scenario.channels[1].phase_shift - combined.phase_shift
 print(f"\nOptimal phase for ET2 (closed form): {target:+.6f} rad")
 

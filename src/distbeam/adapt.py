@@ -219,13 +219,18 @@ class TrainingTrace:
         )
 
 
+def _check_budget(n_intervals: int) -> None:
+    """Reject a per-stage feedback budget below one interval."""
+    if n_intervals < 1:
+        raise ValueError("n_intervals must be >= 1")
+
+
 def adapt_phase(
     s: Scenario,
     pa: PhaseAssignment,
     m: int,
     n_intervals: int,
     meas: MeasurementModel = EXACT,
-    probe_offset: float = 0.0,
     probe_repeats: int = 1,
 ) -> tuple[float, TrainingTrace]:
     """Run the bisection adaptation for transmitter m against the active set.
@@ -236,25 +241,19 @@ def adapt_phase(
     the working set; the returned phase is the final set's center (the
     circular midpoint of the last probe pair).
 
-    ``probe_offset`` rotates the whole probe lattice, which shifts the
-    returned phase by the same constant without changing any comparison.
     ``probe_repeats`` averages that many measurements per probe, useful only
     against measurement noise. Under exact measurement, and provided some
     other transmitter is active, the result is within pi/2**n_intervals of
     the optimal phase.
     """
-    if n_intervals < 1:
-        raise ValueError("n_intervals must be >= 1")
+    _check_budget(n_intervals)
     if probe_repeats < 1:
         raise ValueError("probe_repeats must be >= 1")
-    if not math.isfinite(probe_offset):
-        raise ValueError(f"probe_offset must be finite, got {probe_offset}")
     if pa.active[m]:
         raise ValueError(f"transmitter {m} cannot be active while adapting")
     noise = (meas.rng.normal(0.0, meas.noise_std, size=2 * probe_repeats * n_intervals).tolist()
              if meas.noisy else None)
-    return _train_stage(s, sum_signal(s, pa, exclude=m), m, n_intervals, noise,
-                        probe_offset, probe_repeats)
+    return _train_stage(s, sum_signal(s, pa), m, n_intervals, noise, probe_repeats)
 
 
 def _train_stage(
@@ -263,7 +262,6 @@ def _train_stage(
     m: int,
     n_intervals: int,
     noise: list[float] | None,
-    probe_offset: float,
     probe_repeats: int,
 ) -> tuple[float, TrainingTrace]:
     """The bisection loop of :func:`adapt_phase` against a combined signal.
@@ -272,14 +270,12 @@ def _train_stage(
     2 * probe_repeats * n_intervals noise values, drawn by the caller in
     reading order (psi's repeats, then psi_prime's, interval by interval).
     Each reading clamps and averages them as :func:`~distbeam.power.measure`
-    would. A single repeat reads the clamped value itself, and a zero
-    ``probe_offset`` skips its re-wraps: wrapping a wrapped angle returns it
-    unchanged.
+    would. A single repeat reads the clamped value itself.
 
     Each interval makes one :func:`probe_pair`, two
     :func:`~distbeam.power.partial_power`, one :func:`feedback_bit` and one
     :func:`bisect_arc` call, each looked up here at call time, and no other
-    call unless it rotates or repeats its probes.
+    call unless it repeats its probes.
     """
     trace = TrainingTrace(target_phase=aligned_phase(s, ss, m), sum_gain=ss.gain)
     records = trace.records
@@ -288,9 +284,6 @@ def _train_stage(
     arc = initial_arc()
     for n in range(1, n_intervals + 1):
         psi, psi_prime = probe_pair(arc)
-        if probe_offset:
-            psi = wrap_angle(psi + probe_offset)
-            psi_prime = wrap_angle(psi_prime + probe_offset)
         p = partial_power(s, ss, m, psi)
         p_prime = partial_power(s, ss, m, psi_prime)
         if r > 1:
@@ -313,8 +306,6 @@ def _train_stage(
         bit = feedback_bit(q_psi, q_psi_prime)
         arc = bisect_arc(arc, bit)
         center, half = arc
-        if probe_offset:
-            center = wrap_angle(center + probe_offset)
         records.append(new_record(TraceRecord, (n, psi, psi_prime, q_psi, q_psi_prime, bit,
                                                 center, half)))
     trace.final_phase = center

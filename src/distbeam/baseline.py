@@ -85,7 +85,8 @@ def run_random_perturbation(
     s: Scenario,
     cfg: PerturbationConfig,
     meas: MeasurementModel = EXACT,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> BaselineTrace:
     """Run the simultaneous-perturbation baseline from all-zero phases.
 
@@ -95,7 +96,7 @@ def run_random_perturbation(
     strict improvement, so under exact measurement the best-power sequence
     is non-decreasing.
 
-    All steps are drawn from ``rng`` up front, and all noise values from
+    All steps are drawn up front from the caller's ``rng``, and all noise values from
     ``meas.rng``, which gives the same draws as one draw per interval. Runs
     of candidates are then measured as one array operation against the
     current record; the rows after the first acceptance in a block are
@@ -105,8 +106,6 @@ def run_random_perturbation(
     gaussian scale so large that a step overflows to +-inf raises
     ``ValueError`` before any candidate is formed.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if meas.noisy and meas.rng is rng:
         raise ValueError("noisy measurement needs a generator of its own, not rng")
     m = s.num_transmitters

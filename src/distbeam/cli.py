@@ -29,7 +29,7 @@ from .experiments import (
     rng_stream,
     run_experiment,
 )
-from .power import MODE_ADDITIVE_NOISE, MeasurementModel, PhaseAssignment
+from .power import EXACT, MODE_ADDITIVE_NOISE, MeasurementModel, PhaseAssignment
 from .protocol import (
     InfeasibleEfficiencyTarget,
     efficiency_lower_bound,
@@ -133,7 +133,7 @@ def _scenario_for(args, m: int) -> Scenario:
 
 def _measurement(args) -> MeasurementModel:
     if args.noise_std == 0.0:
-        return MeasurementModel()
+        return EXACT
     return MeasurementModel(MODE_ADDITIVE_NOISE, args.noise_std, rng_stream(_seed(args), 2))
 
 
@@ -168,30 +168,28 @@ def _cmd_protocol(args) -> int:
     scen = _scenario_for(args, args.M)
     meas = _measurement(args)
     res = run_protocol(scen, args.N, meas)
-    bound = efficiency_lower_bound(scen, args.N)
     # the bound assumes exact comparisons; under noise it is only a reference
-    bound_name = "bound_exact" if meas.noisy else "bound"
-    summary = res.summary_csv(bound, bound_name)
+    summary = {
+        "M": args.M,
+        "N": args.N,
+        "Q_d": res.q_d,
+        "Q_star": res.q_star,
+        "eta": res.eta,
+        "bound_exact" if meas.noisy else "bound": efficiency_lower_bound(scen, args.N),
+        "max_abs_error": float(np.max(np.abs(res.errors))),
+    }
+    csv = ",".join(summary) + "\n" + ",".join(format(v, ".15g") for v in summary.values()) + "\n"
     if args.format == "json":
-        payload = {
-            "M": args.M,
-            "N": args.N,
-            "Q_d": res.q_d,
-            "Q_star": res.q_star,
-            "eta": res.eta,
-            bound_name: bound,
-            "max_abs_error": float(np.max(np.abs(res.errors))),
-            "final_phases": [float(p) for p in res.final_phases],
-        }
+        payload = summary | {"final_phases": [float(p) for p in res.final_phases]}
         if meas.noisy:
             payload["bound_valid"] = False
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        sys.stdout.write(summary)
+        sys.stdout.write(csv)
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "summary.csv").write_text(summary)
+        (out / "summary.csv").write_text(csv)
         for i, trace in enumerate(res.traces, start=2):
             (out / f"trace_ET{i}.csv").write_text(trace.to_csv())
     return EXIT_OK
@@ -296,10 +294,7 @@ def cli_main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError,) as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

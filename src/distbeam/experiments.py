@@ -114,6 +114,12 @@ class ExperimentConfig:
         for name, n in (("n_list", min(self.n_list)), ("n_adapt", self.n_adapt)):
             if n < 1:
                 raise ValueError(f"n_intervals must be >= 1; got {name} {n}")
+        # the baseline's rules, under this config's names, for every experiment
+        for name, rule in (("intervals", "max_intervals"), ("perturb_scale", "scale")):
+            try:
+                PerturbationConfig(**{rule: getattr(self, name)})
+            except ValueError as exc:
+                raise ValueError(f"{name} {getattr(self, name)}: {exc}") from None
         for name in ("n_list", "m_list", "budgets"):
             values = getattr(self, name)
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
@@ -168,7 +174,7 @@ def _canon_value(v) -> str:
 
 def parse_config_text(text: str) -> dict:
     """Parse the flat key=value config format ('#' starts a comment)."""
-    mapping = {}
+    mapping, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -176,7 +182,10 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        mapping[key] = val
+        if key in mapping:
+            raise ValueError(f"line {lineno}: key {key!r} repeats line {lines[key]}: "
+                             f"each key may appear once")
+        mapping[key], lines[key] = val, lineno
     return mapping
 
 

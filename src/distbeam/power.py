@@ -216,10 +216,8 @@ def checked_optima(q_star: np.ndarray, scale: np.ndarray,
     return q_star
 
 
-def sum_signal(
-    s: Scenario, pa: PhaseAssignment, exclude: int | None = None
-) -> SumSignal:
-    """Reduce the active transmitters (optionally minus one) to a SumSignal.
+def sum_signal(s: Scenario, pa: PhaseAssignment) -> SumSignal:
+    """Reduce the transmitters the activity mask marks active to a SumSignal.
 
     The combined carrier of transmitters i is sum_i sqrt(g_i) at phase
     (phi_i - th_i); its power is the squared phasor magnitude and the
@@ -228,13 +226,10 @@ def sum_signal(
     set reduces to (0, 0).
     """
     _check_assignment(s, pa)
-    keep = pa.active.copy()
-    if exclude is not None:
-        keep[exclude] = False
-    amp = np.sqrt(s.gains[keep])
+    amp = np.sqrt(s.gains[pa.active])
     if amp.size == 0:
         return SumSignal(0.0, 0.0)
-    delta = s.phase_shifts[keep] - pa.phases[keep]
+    delta = s.phase_shifts[pa.active] - pa.phases[pa.active]
     # cumsum adds left to right like a scalar loop; np.sum's pairwise order
     # would move the last bits of every stage target and probe power
     return _phasor_signal(np.cumsum(amp * np.cos(delta))[-1],

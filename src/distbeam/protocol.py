@@ -10,7 +10,6 @@ have closed forms that this module implements and cross-checks.
 
 from __future__ import annotations
 
-import io
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from .adapt import (
     _TREE_DEPTH,
     CONVERGENCE_FLOOR,
     TrainingTrace,
+    _check_budget,
     _train_stage,
     initial_arc,
 )
@@ -56,36 +56,23 @@ class ProtocolResult:
     errors: np.ndarray               # final phase minus stage optimum, wrapped
     total_feedback_intervals: int
 
-    def summary_csv(self, bound: float | None = None, bound_name: str = "bound") -> str:
-        m = len(self.final_phases)
-        n = (
-            self.total_feedback_intervals // (m - 1)
-            if m > 1
-            else 0
-        )
-        if bound is None:
-            bound = float("nan")
-        max_err = float(np.max(np.abs(self.errors))) if m > 1 else 0.0
-        out = io.StringIO()
-        out.write(f"M,N,Q_d,Q_star,eta,{bound_name},max_abs_error\n")
-        out.write(
-            f"{m},{n},{self.q_d:.15g},{self.q_star:.15g},"
-            f"{self.eta:.15g},{bound:.15g},{max_err:.15g}\n"
-        )
-        return out.getvalue()
+
+def _check_run(m_total: int, n_intervals: int) -> None:
+    """Reject a run of fewer than two transmitters or an empty stage budget."""
+    if m_total < 2:
+        raise ValueError("protocol needs at least two transmitters")
+    _check_budget(n_intervals)
 
 
 def run_protocol(
     s: Scenario,
     n_intervals: int,
     meas: MeasurementModel = EXACT,
-    first_phase: float = 0.0,
 ) -> ProtocolResult:
     """Run the sequential protocol with ``n_intervals`` per transmitter.
 
-    Consumes n_intervals * (M - 1) feedback intervals in total. The probe
-    lattice of every stage is rotated by ``first_phase`` so that choosing a
-    different reference phase reproduces the same run rotated rigidly.
+    Consumes n_intervals * (M - 1) feedback intervals in total. Transmitter
+    0 is the reference, at phase 0.
 
     Each stage trains against the running phasor sum of the transmitters
     fixed before it (:func:`_prefix_sums`). A noisy ``meas`` gives the
@@ -95,14 +82,8 @@ def run_protocol(
     the generator's final state are those of a draw per stage.
     """
     m_total = s.num_transmitters
-    if m_total < 2:
-        raise ValueError("protocol needs at least two transmitters")
-    if n_intervals < 1:
-        raise ValueError("n_intervals must be >= 1")
-    if not math.isfinite(first_phase):
-        raise ValueError(f"first_phase must be finite, got {first_phase}")
+    _check_run(m_total, n_intervals)
     phases = np.zeros(m_total)
-    phases[0] = wrap_angle(first_phase)
     traces: list[TrainingTrace] = []
     targets = np.zeros(m_total)
     errors = np.zeros(m_total)
@@ -110,8 +91,7 @@ def run_protocol(
              if meas.noisy else None)
     for m, (re, im) in enumerate(_prefix_sums(s.gains, s.phase_shifts, phases), 1):
         phi_m, trace = _train_stage(s, _phasor_signal(re, im), m, n_intervals,
-                                    None if noise is None else noise[m - 1].tolist(),
-                                    first_phase, 1)
+                                    None if noise is None else noise[m - 1].tolist(), 1)
         phases[m] = phi_m
         traces.append(trace)
         targets[m] = trace.target_phase
@@ -188,10 +168,7 @@ def _stages(stack: TrialStack, n_intervals: int):
     as in :func:`run_protocol`."""
     gains, phase_shifts, _ = stack
     trials, m_total = gains.shape
-    if m_total < 2:
-        raise ValueError("protocol needs at least two transmitters")
-    if n_intervals < 1:
-        raise ValueError("n_intervals must be >= 1")
+    _check_run(m_total, n_intervals)
     phases = np.zeros((trials, m_total))
 
     def stages():
@@ -329,8 +306,7 @@ def _bound(total, cross, n_intervals: int):
     """The efficiency lower bound from gain sums (floats or trial arrays):
     every cross term discounted by cos^2 of the worst-case phase error
     pi/2**n_intervals."""
-    if n_intervals < 1:
-        raise ValueError("n_intervals must be >= 1")
+    _check_budget(n_intervals)
     # ldexp, not pi / 2.0 ** n: the power overflows from n = 1024
     worst = math.cos(math.ldexp(math.pi, -n_intervals)) ** 2
     return (total + cross * worst) / (total + cross)

@@ -132,7 +132,7 @@ def partial_power_windows(seed=20_240_102, instances=2000, max_m=16):
             if not active.any():
                 active[(m + 1) % m_total] = True
             pa = PhaseAssignment(phases, active)
-            partial.append(partial_power(s, sum_signal(s, pa, exclude=m), m, phases[m]))
+            partial.append(partial_power(s, sum_signal(s, pa), m, phases[m]))
             active[m] = True
             joined = np.flatnonzero(active)
             rows.append((s.gains[joined], s.phase_shifts[joined],

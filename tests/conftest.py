@@ -193,12 +193,11 @@ def plain_bisect_arc(arc: Arc, bit: bool) -> Arc:
 
 
 def per_reading_adapt_phase(s: Scenario, pa: PhaseAssignment, m: int, n_intervals: int,
-                            meas=EXACT, probe_offset: float = 0.0,
-                            probe_repeats: int = 1):
+                            meas=EXACT, probe_repeats: int = 1):
     """The bisection stage one reading at a time: ``sum_signal`` over the
     active set, one ``measure`` per reading, and ``Arc`` objects probed and
     bisected by :func:`plain_probe_pair` and :func:`plain_bisect_arc`."""
-    ss = sum_signal(s, pa, exclude=m)
+    ss = sum_signal(s, pa)
     target = aligned_phase(s, ss, m)
     trace = TrainingTrace(target_phase=target if ss.gain > 0.0 else 0.0,
                           sum_gain=ss.gain)
@@ -210,29 +209,24 @@ def per_reading_adapt_phase(s: Scenario, pa: PhaseAssignment, m: int, n_interval
         return total / probe_repeats
 
     for n in range(1, n_intervals + 1):
-        probes = plain_probe_pair(arc)
-        psi = wrap_angle(probes.psi + probe_offset)
-        psi_prime = wrap_angle(probes.psi_prime + probe_offset)
+        psi, psi_prime = plain_probe_pair(arc)
         q_psi = read(psi)
         q_psi_prime = read(psi_prime)
         bit = feedback_bit(q_psi, q_psi_prime)
         arc = plain_bisect_arc(arc, bit)
         trace.records.append(
-            TraceRecord(n, psi, psi_prime, q_psi, q_psi_prime, bit,
-                        wrap_angle(arc.center + probe_offset), arc.half_width)
+            TraceRecord(n, psi, psi_prime, q_psi, q_psi_prime, bit, arc.center, arc.half_width)
         )
-    trace.final_phase = wrap_angle(arc.center + probe_offset)
+    trace.final_phase = arc.center
     return trace.final_phase, trace
 
 
-def per_stage_protocol(s: Scenario, n_intervals: int, meas=EXACT,
-                       first_phase: float = 0.0):
+def per_stage_protocol(s: Scenario, n_intervals: int, meas=EXACT):
     """The sequential protocol re-summing the fixed prefix at every stage:
     a fresh ``PhaseAssignment`` per stage, trained by
     :func:`per_reading_adapt_phase`."""
     m_total = s.num_transmitters
     phases = np.zeros(m_total)
-    phases[0] = wrap_angle(first_phase)
     active = np.zeros(m_total, dtype=bool)
     active[0] = True
     traces = []
@@ -240,8 +234,7 @@ def per_stage_protocol(s: Scenario, n_intervals: int, meas=EXACT,
     errors = np.zeros(m_total)
     for m in range(1, m_total):
         pa = PhaseAssignment(phases=phases.copy(), active=active.copy())
-        phi_m, trace = per_reading_adapt_phase(s, pa, m, n_intervals, meas,
-                                               probe_offset=first_phase)
+        phi_m, trace = per_reading_adapt_phase(s, pa, m, n_intervals, meas)
         phases[m] = phi_m
         active[m] = True
         traces.append(trace)
@@ -353,7 +346,7 @@ def per_instance_partial_power(seed: int, instances: int, max_m: int):
         if not active.any():
             active[(m + 1) % m_total] = True
         pa = PhaseAssignment(phases.copy(), active.copy())
-        ss = sum_signal(s, pa, exclude=m)
+        ss = sum_signal(s, pa)
         partial.append(partial_power(s, ss, m, phases[m]))
         joined = active.copy()
         joined[m] = True

@@ -141,7 +141,7 @@ def test_criterion_05_phasor_oracle_equivalence():
         active[m] = False
         if not active.any():
             active[(m + 1) % m_total] = True
-        ss = sum_signal(s, PhaseAssignment(phases.copy(), active.copy()), exclude=m)
+        ss = sum_signal(s, PhaseAssignment(phases.copy(), active.copy()))
         a = partial_power(s, ss, m, phases[m])
         joined = active.copy()
         joined[m] = True

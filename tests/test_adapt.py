@@ -164,10 +164,10 @@ def test_protocol_interval_makes_one_call_per_step(monkeypatch, m, n, std):
     assert counts == interval_calls(n * (m - 1))
 
 
-def test_repeated_rotated_probes_make_one_call_per_step(monkeypatch, rng):
+def test_repeated_probes_make_one_call_per_step(monkeypatch, rng):
     s, pa = two_transmitter_setup(rng)
     counts = count_interval_calls(monkeypatch)
-    adapt_phase(s, pa, 1, 6, probe_offset=0.7, probe_repeats=3)
+    adapt_phase(s, pa, 1, 6, probe_repeats=3)
     assert counts == interval_calls(6)
 
 
@@ -178,7 +178,7 @@ def test_noisy_adapt_phase_makes_one_call_per_step(monkeypatch, rng, repeats):
     s, pa = two_transmitter_setup(rng)
     meas = MeasurementModel(MODE_ADDITIVE_NOISE, 1e-6, np.random.default_rng(6))
     counts = count_interval_calls(monkeypatch)
-    adapt_phase(s, pa, 1, 6, meas, probe_offset=0.7, probe_repeats=repeats)
+    adapt_phase(s, pa, 1, 6, meas, probe_repeats=repeats)
     assert counts == interval_calls(6)
 
 
@@ -308,13 +308,12 @@ def test_run_protocol_through_the_tree_matches_plain_stages(fresh_tree, m):
     the stage oracle with plain probes and bisections bit for bit,
     generator state included."""
     s = random_scenario(np.random.default_rng(3000 + m), m)
-    for n, std, first in itertools.product((1, 8, adapt._TREE_DEPTH + 3), (0.0, 1e-6),
-                                           (0.0, 0.7)):
+    for n, std in itertools.product((1, 8, adapt._TREE_DEPTH + 3), (0.0, 1e-6)):
         want_meas = _meas(std, n)
-        want = per_stage_protocol(s, n, want_meas, first)
+        want = per_stage_protocol(s, n, want_meas)
         meas = _meas(std, n)
-        got = run_protocol(s, n, meas, first)
-        where = (m, n, std, first)
+        got = run_protocol(s, n, meas)
+        where = (m, n, std)
         for name in ("final_phases", "q_d", "q_star", "eta", "target_phases", "errors",
                      "total_feedback_intervals"):
             assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (where, name)
@@ -366,7 +365,7 @@ def test_adapt_error_bound_all_n(rng):
 def test_adapt_target_matches_brute_force(rng):
     for _ in range(50):
         s, pa = two_transmitter_setup(rng)
-        ss = sum_signal(s, pa, exclude=1)
+        ss = sum_signal(s, pa)
         grid = np.linspace(-math.pi, math.pi, 720, endpoint=False)
         best = grid[np.argmax([partial_power(s, ss, 1, t) for t in grid])]
         phi, trace = adapt_phase(s, pa, 1, 10)
@@ -379,7 +378,7 @@ def test_adapt_with_no_other_signal(rng):
     pa = PhaseAssignment(np.zeros(2), np.zeros(2, dtype=bool))
     phi, trace = adapt_phase(s, pa, 1, 4)
     # power is flat in phase, so any outcome has the same value
-    ss = sum_signal(s, pa, exclude=1)
+    ss = sum_signal(s, pa)
     assert ss.gain == 0.0
     assert partial_power(s, ss, 1, phi) == pytest.approx(
         partial_power(s, ss, 1, 0.123), rel=1e-14
@@ -394,10 +393,6 @@ def test_adapt_validation(rng):
     bad = PhaseAssignment(np.zeros(2), np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
         adapt_phase(s, bad, 1, 3)
-    # a NaN offset gave a NaN phase, an infinite one a bare math domain error
-    for offset in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="probe_offset must be finite"):
-            adapt_phase(s, pa, 1, 3, probe_offset=offset)
 
 
 def test_arcs_nest_and_halve(rng):
@@ -428,18 +423,6 @@ def test_grid_oracle_on_full_runs(rng):
         s, pa = two_transmitter_setup(rng)
         _, trace = adapt_phase(s, pa, 1, 6)
         assert grid_oracle_violations(trace, grid_size=1440) == 0
-
-
-def test_probe_offset_rotates_run(rng):
-    s, pa = two_transmitter_setup(rng)
-    phi0, trace0 = adapt_phase(s, pa, 1, 6)
-    c = 1.2345
-    shifted = PhaseAssignment(wrap_angle(pa.phases + c), pa.active.copy())
-    phi1, trace1 = adapt_phase(s, shifted, 1, 6, probe_offset=c)
-    assert circular_distance(phi1, wrap_angle(phi0 + c)) < 1e-9
-    bits0 = [r.bit for r in trace0.records]
-    bits1 = [r.bit for r in trace1.records]
-    assert bits0 == bits1
 
 
 def test_noisy_measurement_probe_averaging(rng):

@@ -53,7 +53,7 @@ def test_block_evaluation_matches_per_interval_loop(m, dist):
                     rng = rng_stream(32, m, intervals)
                     meas = (MeasurementModel(MODE_ADDITIVE_NOISE, noise, rng_stream(33, m))
                             if noise else EXACT)
-                    trace = run(s, cfg, meas, rng)
+                    trace = run(s, cfg, meas, rng=rng)
                     runs.append((trace, rng.random(), meas.rng and meas.rng.random()))
                 (want, want_draw, want_noise), (got, got_draw, got_noise) = runs
                 case = (scale, noise, intervals)
@@ -80,7 +80,7 @@ def test_half_matrix_kernel_leaves_traces_unchanged(m, monkeypatch):
                     monkeypatch.setattr(distbeam.baseline, "_pair_sum", full_matrix_pair_sum)
                     monkeypatch.setattr(distbeam.power, "_pair_sum", full_matrix_pair_sum)
                 meas = MeasurementModel(MODE_ADDITIVE_NOISE, std, rng_stream(43, m)) if std else EXACT
-                runs.append(run_random_perturbation(s, cfg, meas, rng_stream(42, m)))
+                runs.append(run_random_perturbation(s, cfg, meas, rng=rng_stream(42, m)))
             monkeypatch.undo()
             got, want = runs
             assert got.accepted.any(), (dist, std)
@@ -96,7 +96,17 @@ def test_noisy_measurement_needs_its_own_generator(rng):
     shared = np.random.default_rng(4)
     with pytest.raises(ValueError, match="generator of its own"):
         run_random_perturbation(s, cfg, MeasurementModel(MODE_ADDITIVE_NOISE, 1e-3, shared),
-                                shared)
+                                rng=shared)
+
+
+def test_the_caller_supplies_the_generator(rng):
+    """A run without ``rng`` is a TypeError: there is no unseeded default,
+    which gave a different trace on every call."""
+    s = random_scenario(rng, 3)
+    with pytest.raises(TypeError, match="rng"):
+        run_random_perturbation(s, PerturbationConfig(max_intervals=5))
+    with pytest.raises(TypeError):
+        run_random_perturbation(s, PerturbationConfig(max_intervals=5), EXACT, rng)
 
 
 def test_non_finite_steps_raise_before_any_wrap(rng, monkeypatch):

@@ -92,6 +92,17 @@ def test_protocol_json_and_outputs(capsys, tmp_path):
     assert (tmp_path / "run" / "summary.csv").exists()
     for i in (2, 3, 4):
         assert (tmp_path / "run" / f"trace_ET{i}.csv").exists()
+    # the CSV summary row holds the JSON's seven summary values, exact and noisy
+    for noise, bound in (("0", "bound"), ("1e-6", "bound_exact")):
+        argv = ("protocol", "--M", "5", "--N", "5", "--seed", "2", "--noise-std", noise)
+        _, csv, _ = run_cli(capsys, *argv)
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        header, values = (line.split(",") for line in csv.splitlines())
+        payload = json.loads(out)
+        assert header == ["M", "N", "Q_d", "Q_star", "eta", bound, "max_abs_error"]
+        assert set(payload) - {"final_phases", "bound_valid"} == set(header)
+        assert values[:2] == ["5", "5"]
+        assert values == [format(payload[key], ".15g") for key in header]
 
 
 def test_noisy_protocol_labels_the_bound_exact(capsys, tmp_path):
@@ -410,10 +421,21 @@ def test_baseline_rejects_steps_that_overflow(capsys):
      "= float max / (2 * largest budget 300)"),
     ("efficiency-vs-N", "path_loss_exponent = inf",
      "path_loss_exponent must be positive and finite"),
+    # the baseline's rules, checked for every experiment under the config's
+    # names: efficiency-vs-N recorded these values with exit 0, and
+    # convergence-comparison named the baseline's fields instead
+    ("efficiency-vs-N", "intervals = -5", "intervals -5: max_intervals must be >= 1"),
+    ("efficiency-vs-N", "perturb_scale = -1", "perturb_scale -1.0: scale must be positive"),
+    ("convergence-comparison", "intervals = 0", "intervals 0: max_intervals must be >= 1"),
+    ("convergence-comparison", "perturb_scale = nan", "perturb_scale nan: scale must be"),
+    ("power-vs-M", "perturb_scale = 1e308", "perturb_scale 1e+308: uniform scale"),
+    # a key given twice (here with the test's own trials line) ran with the last value
+    ("efficiency-vs-N", "trials = 3", "line 2: key 'trials' repeats line 1"),
 ])
 def test_exp_rejects_degenerate_config_values(capsys, tmp_path, experiment, line, message):
-    """A power scale or distance law that leaves no finite positive optimum
-    is a usage error naming the value: no NaN CSV, no traceback."""
+    """A bad config value, such as a power scale or distance law that leaves
+    no finite positive optimum, is a usage error naming the value: no NaN
+    CSV, no traceback."""
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"{line}\ntrials = 50\n")
     out_dir = tmp_path / "o"
