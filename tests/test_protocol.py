@@ -709,3 +709,19 @@ def test_noisy_measurement_still_terminates(rng):
     assert res.total_feedback_intervals == 16
     assert sum(len(t.records) for t in res.traces) == 16
     assert 0.0 < res.q_d <= res.q_star * (1 + 1e-12)
+
+
+def test_summary_csv_shape(capsys):
+    from distbeam import ScenarioDistribution, generate_scenario
+    from distbeam.cli import EXIT_OK, cli_main
+    from distbeam.experiments import rng_stream
+
+    assert cli_main(["protocol", "--M", "5", "--N", "5", "--seed", "2"]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "M,N,Q_d,Q_star,eta,bound,max_abs_error"
+    fields = lines[1].split(",")
+    assert fields[0] == "5" and fields[1] == "5"
+    s, _ = generate_scenario(ScenarioDistribution(num_transmitters=5), rng_stream(2, 0))
+    res = run_protocol(s, 5)
+    assert float(fields[4]) == pytest.approx(res.eta, rel=1e-12)
+    assert float(fields[5]) == pytest.approx(efficiency_lower_bound(s, 5), rel=1e-12)
