@@ -12,9 +12,7 @@ Run: python3 demos/convergence_race.py
 from distbeam import ExperimentConfig
 from distbeam.experiments import EXP_CONVERGENCE, run_convergence_comparison
 
-cfg = ExperimentConfig.defaults_for(
-    EXP_CONVERGENCE, seed=3, intervals=300, out_dir="demo_out"
-)
+cfg = ExperimentConfig(experiment=EXP_CONVERGENCE, seed=3, intervals=300, out_dir="demo_out")
 result = run_convergence_comparison(cfg)
 
 for m in cfg.m_list:

@@ -15,9 +15,7 @@ from distbeam import ExperimentConfig, required_intervals_equal_gains
 from distbeam.experiments import EXP_EFFICIENCY, run_efficiency_vs_n
 
 trials = int(sys.argv[1]) if len(sys.argv) > 1 else 300
-cfg = ExperimentConfig.defaults_for(
-    EXP_EFFICIENCY, trials=trials, seed=42, out_dir="demo_out"
-)
+cfg = ExperimentConfig(experiment=EXP_EFFICIENCY, trials=trials, seed=42, out_dir="demo_out")
 print(f"Averaging over {cfg.trials} random scenarios for M in {cfg.m_list} ...")
 result = run_efficiency_vs_n(cfg)
 

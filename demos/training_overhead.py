@@ -17,9 +17,7 @@ from distbeam import ExperimentConfig
 from distbeam.experiments import EXP_OVERHEAD, run_overhead_tradeoff
 
 trials = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
-cfg = ExperimentConfig.defaults_for(
-    EXP_OVERHEAD, trials=trials, seed=11, out_dir="demo_out"
-)
+cfg = ExperimentConfig(experiment=EXP_OVERHEAD, trials=trials, seed=11, out_dir="demo_out")
 print(f"Averaging over {cfg.trials} random 5-transmitter scenarios "
       f"(N = {cfg.n_adapt} per trained transmitter) ...")
 result = run_overhead_tradeoff(cfg)

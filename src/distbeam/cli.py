@@ -56,12 +56,8 @@ class _Parser(argparse.ArgumentParser):
 #: Flags defined once; each subcommand accepts only the ones it reads.
 _SHARED_FLAGS = {
     "--seed": dict(type=int, default=None, help="default 12345"),
-    "--trials": dict(type=int, default=None),
     "--out": dict(dest="out_dir", default=None, help="output directory"),
-    "--config": dict(default=None, help="key=value config file"),
     "--format": dict(choices=("csv", "json"), default="csv"),
-    "--workers": dict(type=int, default=None,
-                      help="recorded in metadata.json; trials run in the calling thread"),
 }
 
 
@@ -101,16 +97,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     p.add_argument("--dist", choices=("uniform", "gaussian"), default="uniform")
 
-    p = _subcommand(sub, "exp", "run a Monte Carlo experiment and write CSV curves",
-                    "--seed", "--trials", "--out", "--config", "--workers")
+    p = _subcommand(sub, "exp", "run a Monte Carlo experiment and write CSV curves")
     p.add_argument("name", choices=sorted(EXPERIMENTS))
+    p.add_argument("--seed", default=None, help="default 12345")
+    p.add_argument("--trials", default=None)
+    p.add_argument("--out", **_SHARED_FLAGS["--out"])
+    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument("--workers", default=None,
+                   help="recorded in metadata.json; trials run in the calling thread")
     p.add_argument("--n-list", default=None, help="comma-separated feedback budgets")
     p.add_argument("--m-list", default=None, help="comma-separated system sizes")
     p.add_argument("--budgets", default=None, help="comma-separated interval budgets")
-    p.add_argument("--intervals", type=int, default=None)
-    p.add_argument("--n-adapt", type=int, default=None)
-    p.add_argument("--perturb-scale", type=float, default=None)
-    p.add_argument("--count-training-energy", action="store_true", default=None)
+    p.add_argument("--intervals", default=None)
+    p.add_argument("--n-adapt", default=None)
+    p.add_argument("--perturb-scale", default=None)
+    p.add_argument("--count-training-energy", action="store_const", const="true", default=None)
 
     _subcommand(sub, "verify", "run the built-in oracle and property suite")
 
@@ -120,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target efficiency: print the required per-stage intervals")
     p.add_argument("--N", type=int, default=None,
                    help="per-stage intervals: print the efficiency lower bound")
-    p.add_argument("--equal-gains", action="store_true")
-    p.add_argument("--gains", default=None, help="comma-separated channel power gains")
+    gains = p.add_mutually_exclusive_group()
+    gains.add_argument("--equal-gains", action="store_true")
+    gains.add_argument("--gains", default=None, help="comma-separated channel power gains")
     return parser
 
 
@@ -214,15 +216,14 @@ def _cmd_baseline(args) -> int:
 
 
 #: The ExperimentConfig fields that ``exp``'s flags set; each flag's dest
-#: is its field's name, and None leaves the config file's value or default.
+#: is its field's name, and its value a string that config_from_mapping
+#: parses as a config file's. None leaves the config file's value or default.
 _EXP_FIELDS = ("trials", "seed", "workers", "out_dir", "n_list", "m_list", "budgets",
                "intervals", "n_adapt", "perturb_scale", "count_training_energy")
 
 
 def _cmd_exp(args) -> int:
-    mapping = {}
-    if args.config:
-        mapping.update(parse_config_text(Path(args.config).read_text()))
+    mapping = parse_config_text(Path(args.config).read_text()) if args.config else {}
     mapping["experiment"] = args.name
     for key in _EXP_FIELDS:
         if getattr(args, key) is not None:
@@ -251,12 +252,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.gains:
-        gains = [float(g) for g in args.gains.split(",") if g.strip()]
-    elif args.equal_gains:
+    if args.equal_gains:
         if args.M is None:
             raise _UsageError("--equal-gains requires --M")
         gains = [1.0] * args.M
+    elif args.M is not None:
+        raise _UsageError("--M needs --equal-gains; with --gains the size is the gain count")
+    elif args.gains:
+        gains = [float(g) for g in args.gains.split(",") if g.strip()]
     else:
         raise _UsageError("bound needs --gains or --equal-gains with --M")
     scen = Scenario.from_arrays(1.0, 1.0, 1.0, gains, [0.0] * len(gains))

@@ -191,10 +191,8 @@ def parse_config_text(text: str) -> dict:
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Build a config from string-valued keys, applying per-experiment defaults."""
-    mapping = dict(mapping)
     if "experiment" not in mapping:
         raise ValueError("config requires an 'experiment' key")
-    experiment = mapping.pop("experiment")
     kwargs = {}
     types = {f.name: f.type.removesuffix(" | None")
              for f in dataclasses.fields(ExperimentConfig)}
@@ -202,7 +200,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         if key not in types:
             raise ValueError(f"unknown config key {key!r}")
         kwargs[key] = _parse_value(key, types[key], raw)
-    return ExperimentConfig.defaults_for(experiment, **kwargs)
+    return ExperimentConfig(**kwargs)
 
 
 _WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -219,11 +217,9 @@ _PARSERS = {
 }
 
 
-def _parse_value(key: str, type_name: str, raw):
+def _parse_value(key: str, type_name: str, raw: str):
     """``raw`` parsed as the declared type of field ``key``, less a sweep
-    field's "| None"; a non-string passes through."""
-    if not isinstance(raw, str):
-        return raw
+    field's "| None"."""
     parse, expected = _PARSERS[type_name]
     try:
         return parse(raw)
@@ -493,7 +489,7 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     over = np.flatnonzero(q_star > limit)
     if over.size:
         t = int(over[0])
-        raise ValueError(f"optimal power of trial {t} is {float(q_star[t])}, above the limit "
+        raise ValueError(f"trial {t}'s optimal power {float(q_star[t])} is above the limit "
                          f"{limit} = float max / (2 * largest budget {budgets.max()}), "
                          f"past which a budget's energy overflows")
     tables = {}

@@ -34,6 +34,7 @@ from .power import (
     TrialStack,
     _phasor_signal,
     aligned_phase,
+    checked_optima,
     harvested_power,
     optimal_power,
 )
@@ -72,7 +73,8 @@ def run_protocol(
     """Run the sequential protocol with ``n_intervals`` per transmitter.
 
     Consumes n_intervals * (M - 1) feedback intervals in total. Transmitter
-    0 is the reference, at phase 0.
+    0 is the reference, at phase 0. Q* must first pass
+    :func:`~distbeam.power.checked_optima`, as in every experiment.
 
     Each stage trains against the running phasor sum of the transmitters
     fixed before it (:func:`_prefix_sums`). A noisy ``meas`` gives the
@@ -83,6 +85,8 @@ def run_protocol(
     """
     m_total = s.num_transmitters
     _check_run(m_total, n_intervals)
+    q_star = optimal_power(s)
+    checked_optima(np.array([q_star]), np.array([s.power_scale]), ["the scenario"])
     phases = np.zeros(m_total)
     traces: list[TrainingTrace] = []
     targets = np.zeros(m_total)
@@ -97,9 +101,6 @@ def run_protocol(
         targets[m] = trace.target_phase
         errors[m] = wrap_angle(phi_m - trace.target_phase)
     q_d = harvested_power(s, PhaseAssignment(phases))
-    q_star = optimal_power(s)
-    if not 0.0 < q_star < math.inf:
-        raise ValueError(f"optimal power is {q_star}, so the efficiency Q_d / Q* is undefined")
     return ProtocolResult(
         final_phases=phases,
         q_d=q_d,

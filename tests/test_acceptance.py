@@ -102,7 +102,7 @@ def test_criterion_04_efficiency_curves():
     """Efficiency-vs-budget experiment at 1000 trials, M in {5, 10}: mean
     efficiency above 0.95 at N=4 and above 0.999 at N=8, with the bound
     curve below the efficiency curve at every point."""
-    cfg = ExperimentConfig.defaults_for(EXP_EFFICIENCY, trials=1000, seed=104)
+    cfg = ExperimentConfig(experiment=EXP_EFFICIENCY, trials=1000, seed=104)
     res = run_efficiency_vs_n(cfg)
     ok = True
     msgs = []
@@ -255,8 +255,8 @@ def test_criterion_09_overhead_orderings():
     does not say at which budget its figure crosses over, nor whether
     training probes count as harvested energy.
     """
-    cfg = ExperimentConfig.defaults_for(
-        EXP_OVERHEAD, trials=2000, seed=110, budgets=(25, 50, 300),
+    cfg = ExperimentConfig(
+        experiment=EXP_OVERHEAD, trials=2000, seed=110, budgets=(25, 50, 300),
         count_training_energy=False,
     )
     m = cfg.m_list[0]

@@ -64,6 +64,20 @@ def test_bound_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--gains", "1,2"), "--M needs --equal-gains; with --gains the size is the gain count"),
+    ((), "--M needs --equal-gains; with --gains the size is the gain count"),
+    (("--gains", "1,2", "--equal-gains"),
+     "argument --equal-gains: not allowed with argument --gains"),
+])
+def test_bound_rejects_m_without_equal_gains(capsys, argv, message):
+    """``--gains 1,2 --M 5`` used to print the two-gain bound with exit 0,
+    ignoring --M, and so did ``--gains 1,2 --equal-gains --M 5``."""
+    code, out, err = run_cli(capsys, "bound", *argv, "--M", "5", "--N", "3")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: {message}\n") and "Traceback" not in err
+
+
 def test_bound_infeasible_target(capsys):
     code, _, err = run_cli(capsys, "bound", "--M", "5", "--eta-hat", "0.1",
                            "--equal-gains")
@@ -248,6 +262,42 @@ def test_exp_config_value_that_does_not_parse_names_its_key(capsys, tmp_path, li
     assert code == EXIT_USAGE
     assert out == "" and err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, bad, good", [
+    ("--trials", "1e3", "2"),
+    ("--seed", "x", "7"),
+    ("--workers", "2.5", "2"),
+    ("--intervals", "many", "50"),
+    ("--n-adapt", "three", "3"),
+    ("--perturb-scale", "big", "0.5"),
+    ("--n-list", "1,x", "1,2"),
+    ("--m-list", "2;3", "2,3"),
+    ("--budgets", "5,ten", "5,10"),
+])
+def test_exp_flag_parses_as_its_config_key(capsys, tmp_path, flag, bad, good):
+    """Each ``exp`` value flag hands its string to the config file's parser:
+    a bad value gives the error line that the same value under its key in a
+    --config file gives, and a good one the same config_hash. argparse used
+    to parse the typed flags itself (``argument --trials: invalid int
+    value: '1e3'``)."""
+    cfg_file = tmp_path / "run.cfg"
+    argv = ["exp", "power-vs-M", "--out", str(tmp_path / "o")]
+
+    def by_flag_and_by_key(value):
+        cfg_file.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+        return run_cli(capsys, *argv, flag, value), run_cli(capsys, *argv, "--config",
+                                                            str(cfg_file))
+
+    flagged, keyed = by_flag_and_by_key(bad)
+    assert flagged == keyed
+    code, out, err = flagged
+    assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    flagged, keyed = by_flag_and_by_key(good)
+    assert flagged[0] == keyed[0] == EXIT_OK
+    assert flagged[1].splitlines()[0] == keyed[1].splitlines()[0]
+    assert flagged[1].startswith("config_hash ")
 
 
 def test_exp_missing_config_file(capsys, tmp_path):

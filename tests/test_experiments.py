@@ -41,7 +41,7 @@ from conftest import per_row_write, per_run_efficiency, per_trial_overhead
 
 
 def small_cfg(experiment, **kw):
-    return ExperimentConfig.defaults_for(experiment, **kw)
+    return ExperimentConfig(experiment=experiment, **kw)
 
 
 def test_defaults_per_experiment():

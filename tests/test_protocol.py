@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -27,7 +29,14 @@ from distbeam import (
 from distbeam import protocol
 from distbeam.adapt import _TREE_DEPTH, TraceRecord, adapt_phase, bisect_arc, initial_arc, probe_pair
 from distbeam.experiments import ExperimentConfig, run_experiment
-from distbeam.power import MODE_ADDITIVE_NOISE, MeasurementModel, stack_scenarios
+from distbeam.power import (
+    MODE_ADDITIVE_NOISE,
+    MeasurementModel,
+    optimal_power,
+    partial_power,
+    stack_scenarios,
+    sum_signal,
+)
 from distbeam.protocol import exact_runs
 
 from conftest import (
@@ -167,13 +176,16 @@ def phases_of(request, monkeypatch):
 
 def _assert_phases_match_runs(phases_of, scens, budgets):
     """``phases_of`` on the stack of ``scens`` equals run_protocol's final
-    phases and exact_runs' bit for bit, signed zeros included."""
+    phases and exact_runs' bit for bit, signed zeros included. Where Q* is
+    subnormal, which run_protocol rejects, the per-stage oracle stands in
+    for it."""
     stack = stack_scenarios(scens)
     for n in budgets:
         phases = phases_of(stack, n)
         assert phases.tobytes() == exact_runs(stack, n)[0].tobytes(), n
         for t, s in enumerate(scens):
-            assert phases[t].tobytes() == run_protocol(s, n).final_phases.tobytes(), (n, t)
+            run = per_stage_protocol if optimal_power(s) < sys.float_info.min else run_protocol
+            assert phases[t].tobytes() == run(s, n).final_phases.tobytes(), (n, t)
 
 
 @pytest.mark.parametrize("gains", [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5, 2.0], [1.0, 1e-40, 1.0]])
@@ -441,28 +453,50 @@ def test_adapt_phase_matches_per_reading_oracle(m):
 
 
 def test_negative_zero_reading_matches_oracle():
-    """At a power scale of 1e-310 a probe whose power rounds below zero
-    reads -0.0 from partial_power; the single-repeat reading is 0.0, as
-    the oracle's sum over repeats gives."""
-    s = Scenario(1.0, 1.0, 1e-310, [Channel(0.10520315032328138, 0.0),
-                                    Channel(0.10520315032328142, math.pi)])
+    """A probe whose power rounds below zero reads -0.0 from partial_power;
+    the single-repeat reading is 0.0, as the oracle's sum over repeats
+    gives. adapt_phase meets it at a power scale of 1e-310, run_protocol at
+    8e-308, where Q* (about 3.37e-308) is still a normal float."""
+    channels = [Channel(0.10520315032328138, 0.0), Channel(0.10520315032328142, math.pi)]
+    s = Scenario(1.0, 1.0, 1e-310, channels)
     pa = PhaseAssignment(np.zeros(2), np.array([True, False]))
     phi, trace = adapt_phase(s, pa, 1, 4)
     phi_ref, trace_ref = per_reading_adapt_phase(s, pa, 1, 4)
     assert _same(phi, phi_ref)
     _assert_same_trace(trace, trace_ref, "adapt_phase")
     assert _same(trace.records[0].q_psi, 0.0)
+    s = Scenario(1.0, 1.0, 8e-308, channels)
     got, want = run_protocol(s, 4), per_stage_protocol(s, 4)
+    first = got.traces[0].records[0]
+    assert _same(partial_power(s, sum_signal(s, pa), 1, first.psi), -0.0)
+    assert _same(first.q_psi, 0.0)
     _assert_same_trace(got.traces[0], want.traces[0], "run_protocol")
 
 
 def test_run_protocol_rejects_a_zero_or_infinite_optimum():
-    """An optimum that underflows to 0 or overflows is a ValueError, not a
-    ZeroDivisionError or a NaN efficiency."""
+    """An optimum that underflows to 0 or overflows is checked_optima's
+    ValueError, not a ZeroDivisionError or a NaN efficiency."""
     for scale, gain, q in ((1e-320, 1e-6, "0.0"), (1e308, 4.0, "inf")):
         s = Scenario.from_arrays(scale, 1.0, 1.0, [gain, gain], [0.0, 1.0])
-        with pytest.raises(ValueError, match=f"optimal power is {q}"):
+        with pytest.raises(ValueError, match=f"optimal power of the scenario is {q}: power "):
             run_protocol(s, 3)
+
+
+def test_run_protocol_rejects_a_subnormal_optimum():
+    """This scenario's efficiency is the same, bit for bit, at power scales
+    1 and 1e-300. At 1e-310 its Q* is subnormal, and the efficiency used to
+    differ in the last digits (0.9936151036369086); run_protocol raises
+    checked_optima's error there, as every experiment does."""
+    def run(eff):
+        return run_protocol(Scenario.from_arrays(1.0, 1.0, eff, [1.0] * 3, [0.0, 1.0, 2.0]), 4)
+
+    etas = [run(eff).eta for eff in (1.0, 1e-300)]
+    assert _same(etas[0], etas[1]) and etas[0] == 0.99361510363691
+    message = ("optimal power of the scenario is 8.99999999999997e-310: power scale "
+               "conversion_eff * transmit_power = 1e-310 leaves no finite optimum of at "
+               f"least {sys.float_info.min}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(1e-310)
 
 
 def test_noisy_readings_are_python_floats():
