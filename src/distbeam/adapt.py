@@ -10,7 +10,9 @@ is within pi/2^N of the optimal phase.
 
 The working set is stored as (center, half_width) rather than endpoint
 pairs: "max" and "min" of an arc are ill-defined on a circle once the set
-wraps, while the center representation bisects with one addition.
+wraps, while the center representation bisects with one addition. The
+batched exact stage (:func:`_interval_loop`, :func:`_final_centres`)
+shares its rule.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angles import circular_distance, wrap_angle
+from .angles import TWO_PI, circular_distance, wrap_angle
 from .channel import Scenario
 from .power import (
     EXACT,
@@ -310,3 +312,103 @@ def _train_stage(
                                                 center, half)))
     trace.final_phase = center
     return center, trace
+
+
+def _interval_loop(target, base, swing, scale, n_intervals: int):
+    """:func:`_train_stage` under exact measurement for every row at once,
+    interval by interval: the probes of :func:`_probe_pair` on the arc of
+    centres ``center``, their powers base + swing * cos(probe - target)
+    scaled by the row's power ``scale`` (``partial_power``'s arithmetic),
+    the :func:`feedback_bit` on them, and the bisection of
+    :func:`_bisect_arc`, which stops moving the arc at
+    ``CONVERGENCE_FLOOR``. Yields each interval's two probe powers and the
+    arc centres after it. The half-width is the same in every row."""
+    center = np.full(len(target), _FULL_CIRCLE.center)
+    half = _FULL_CIRCLE.half_width
+    for _ in range(n_intervals):
+        psi, psi_prime = _probe_pair((center, half))
+        q_psi = scale * (base + swing * np.cos(psi - target))
+        q_psi_prime = scale * (base + swing * np.cos(psi_prime - target))
+        if half > CONVERGENCE_FLOOR:
+            shift = np.where(feedback_bit(q_psi, q_psi_prime), half / 2.0, -half / 2.0)
+            center = wrap_angle(center + shift)
+            half /= 2.0
+        yield q_psi, q_psi_prime, center
+
+
+#: Bound on the absolute error, in radians, of each angle that
+#: :func:`_interval_loop` and :func:`_cells` compute (see :func:`_cells`)
+_ANGLE_ERROR = 2.0 ** -44
+
+
+def _cells(target, base, swing, scale, n_intervals: int):
+    """Each row's depth-N cell index, the path of its final tree arc, and
+    whether the interval loop is sure to take that path.
+
+    With c0 = -pi/2 the full circle's centre, cell j holds the targets t
+    with j <= (wrap(t - c0) + pi) * 2**N / (2 pi) < j + 1. In exact
+    arithmetic the comparison on an arc of centre c and probe offset h
+    (pi/2 on the full circle, else the half-width) is
+        q_psi - q_psi' = -2 * scale * swing * sin(h) * sin(c - t),
+    so it keeps the upper half (bit 1) when t lies at or above c: the bits
+    of the arcs that hold t are the digits of j, first bit highest. Its
+    zeros, the decision points, are the arc's centre and, on the full
+    circle, the seam c0 + pi; at depths below N all of them lie on the cell
+    boundaries. If t is delta away from every boundary, then
+    |sin(c - t)| >= (2/pi) * delta and sin(h) >= s = sin(min(pi/2,
+    pi/2**(N-1))) at every depth, so |q_psi - q_psi'| >= scale * swing *
+    (4/pi) * s * delta.
+
+    The loop rounds. Each angle it uses, a tree centre after at most 8
+    wrapped bisections, a probe and its difference with t, is within
+    19 * 2**-50 of its exact value (2.2 * 2**-50 over the stored tree), and
+    ``np.cos`` adds at most 4 ulp of 1 (2**-50); together they stay below
+    2 * eps, eps = ``_ANGLE_ERROR`` = 64 * 2**-50. So each probe power base + swing * cos is within
+    swing * 2 * eps + ulp(base + swing) of its exact value, the product
+    swing * cos and the sum each rounding by half an ulp of at most
+    base + swing (base >= swing). Scaling is monotone: it can only merge
+    two powers into a tie, which keeps psi, and it cannot merge ones that
+    differ by more than one ulp of the larger, at most 2 * scale *
+    ulp(base + swing) + 2**-1074 (the subnormal step). So the loop's bit is
+    the exact one if
+        scale * swing * ((2/pi) * s * delta - 2 * eps)
+            > 2 * scale * ulp(base + swing) + 2**-1075.
+    Here delta is the computed distance to the nearest boundary less eps,
+    which bounds the rounding of the cell position (a few ulp of 2 pi)
+    and so also makes j the exact cell; and ulp is taken of the rounded
+    base + swing, doubled for a rounding across a binade, with the
+    constant doubled to 2**-1074 to match. A zero swing (a zero gain or a
+    zero combined signal) or a swing below the rounding of base, where
+    the loop ties, fails the test, and so does a non-finite input.
+    """
+    cells = 1 << n_intervals
+    x = (wrap_angle(target - _FULL_CIRCLE.center) + math.pi) * (cells / TWO_PI)
+    cell = np.floor(x)
+    frac = x - cell
+    delta = np.minimum(frac, 1.0 - frac) * (TWO_PI / cells) - _ANGLE_ERROR
+    s = math.sin(min(math.pi / 2.0, math.ldexp(math.pi, 1 - n_intervals)))
+    # scale last: it may be near the float maximum, the factors beside it are at most ~4 base
+    gap = scale * (swing * ((2.0 / math.pi) * s * delta - 2.0 * _ANGLE_ERROR))
+    clear = gap > scale * (4.0 * np.spacing(base + swing)) + math.ulp(0.0)
+    return np.where(clear, cell, 0.0).astype(np.intp), clear
+
+
+def _final_centres(target, base, swing, scale, n_intervals: int) -> np.ndarray:
+    """The arc centres after :func:`_interval_loop`'s last interval, bit for
+    bit. A stage's N comparisons compute the first N binary digits of its
+    target's position on the circle, so its final phase is the centre of
+    the depth-N tree arc that holds the target (:func:`_cells`). The rows
+    too near a comparison tie, and all rows when N > ``_TREE_DEPTH``, run
+    the loop instead."""
+    if n_intervals <= _TREE_DEPTH:
+        cell, clear = _cells(target, base, swing, scale, n_intervals)
+        centres = _DEPTH_CENTRES[n_intervals][cell]
+        rows = np.flatnonzero(~clear)
+    else:
+        centres, rows = np.empty(len(target)), np.arange(len(target))
+    if rows.size:
+        for _, _, center in _interval_loop(target[rows], base[rows], swing[rows],
+                                           scale[rows], n_intervals):
+            pass
+        centres[rows] = center
+    return centres

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from .baseline import DEFAULT_SCALE, DIST_GAUSSIAN, DIST_UNIFORM, PerturbationCo
 from .channel import Scenario, ScenarioDistribution, generate_scenario
 from .experiments import (
     EXPERIMENTS,
+    ExperimentConfig,
     config_from_mapping,
     config_hash,
     parse_config_text,
@@ -55,7 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 #: Flags defined once; each subcommand accepts only the ones it reads.
 _SHARED_FLAGS = {
-    "--seed": dict(type=int, default=None, help="default 12345"),
+    "--seed": dict(type=int, default=ExperimentConfig.seed,
+                   help=f"default {ExperimentConfig.seed}"),
     "--out": dict(dest="out_dir", default=None, help="output directory"),
     "--format": dict(choices=("csv", "json"), default="csv"),
 }
@@ -66,10 +69,6 @@ def _subcommand(sub, name: str, summary: str, *flags: str) -> argparse.ArgumentP
     for flag in flags:
         p.add_argument(flag, **_SHARED_FLAGS[flag])
     return p
-
-
-def _seed(args) -> int:
-    return args.seed if args.seed is not None else 12345
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,13 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "baseline", "run the random-perturbation baseline",
                     "--seed", "--format")
     p.add_argument("--M", type=int, default=5)
-    p.add_argument("--intervals", type=int, default=300)
+    p.add_argument("--intervals", type=int, default=PerturbationConfig.max_intervals)
     p.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     p.add_argument("--dist", choices=("uniform", "gaussian"), default="uniform")
 
     p = _subcommand(sub, "exp", "run a Monte Carlo experiment and write CSV curves")
     p.add_argument("name", choices=sorted(EXPERIMENTS))
-    p.add_argument("--seed", default=None, help="default 12345")
+    p.add_argument("--seed", default=None, help=f"default {ExperimentConfig.seed}")
     p.add_argument("--trials", default=None)
     p.add_argument("--out", **_SHARED_FLAGS["--out"])
     p.add_argument("--config", default=None, help="key=value config file")
@@ -129,14 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _scenario_for(args, m: int) -> Scenario:
     dist = ScenarioDistribution(num_transmitters=m)
-    scen, _ = generate_scenario(dist, rng_stream(_seed(args), 0))
+    scen, _ = generate_scenario(dist, rng_stream(args.seed, 0))
     return scen
 
 
 def _measurement(args) -> MeasurementModel:
     if args.noise_std == 0.0:
         return EXACT
-    return MeasurementModel(MODE_ADDITIVE_NOISE, args.noise_std, rng_stream(_seed(args), 2))
+    return MeasurementModel(MODE_ADDITIVE_NOISE, args.noise_std, rng_stream(args.seed, 2))
 
 
 def _cmd_adapt(args) -> int:
@@ -202,7 +201,7 @@ def _cmd_baseline(args) -> int:
     dist = DIST_UNIFORM if args.dist == "uniform" else DIST_GAUSSIAN
     cfg = PerturbationConfig(distribution=dist, scale=args.scale,
                              max_intervals=args.intervals)
-    trace = run_random_perturbation(scen, cfg, rng=rng_stream(_seed(args), 1))
+    trace = run_random_perturbation(scen, cfg, rng=rng_stream(args.seed, 1))
     if args.format == "json":
         payload = {
             "final_power": trace.final_power,
@@ -215,19 +214,14 @@ def _cmd_baseline(args) -> int:
     return EXIT_OK
 
 
-#: The ExperimentConfig fields that ``exp``'s flags set; each flag's dest
-#: is its field's name, and its value a string that config_from_mapping
-#: parses as a config file's. None leaves the config file's value or default.
-_EXP_FIELDS = ("trials", "seed", "workers", "out_dir", "n_list", "m_list", "budgets",
-               "intervals", "n_adapt", "perturb_scale", "count_training_energy")
-
-
 def _cmd_exp(args) -> int:
     mapping = parse_config_text(Path(args.config).read_text()) if args.config else {}
     mapping["experiment"] = args.name
-    for key in _EXP_FIELDS:
-        if getattr(args, key) is not None:
-            mapping[key] = getattr(args, key)
+    # a flag whose dest is a config field's name sets that field, with a string
+    # parsed as a config file's; None leaves the file's value or the default
+    for f in dataclasses.fields(ExperimentConfig):
+        if getattr(args, f.name, None) is not None:
+            mapping[f.name] = getattr(args, f.name)
     cfg = config_from_mapping(mapping)
     result = run_experiment(cfg)
     written = result.write(cfg.out_dir)

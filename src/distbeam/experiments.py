@@ -65,8 +65,11 @@ _SWEEP_DEFAULTS = {
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator addressed by (seed, *path); order-insensitive
-    with respect to when streams are created or consumed."""
-    seed = int(seed) & (2**63 - 1)
+    with respect to when streams are created or consumed. Distinct seeds,
+    which must be >= 0, give distinct streams."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0; got {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, *path]))
 
 
@@ -83,19 +86,20 @@ class ExperimentConfig:
     n_list: tuple[int, ...] | None = None
     m_list: tuple[int, ...] | None = None
     budgets: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 40, 50, 60, 80, 100, 150, 200, 300)
-    intervals: int = 300
+    intervals: int = PerturbationConfig.max_intervals
     n_adapt: int = 5
     perturb_scale: float = DEFAULT_SCALE
     # whether probe transmissions during training count as harvested energy
     # in the overhead averages; the receiver is busy measuring, so not by default
     count_training_energy: bool = False
-    ref_attenuation: float = 1e-2
-    ref_distance: float = 1.0
-    path_loss_exponent: float = 3.0
-    distance_min: float = 5.0
-    distance_max: float = 15.0
-    transmit_power: float = 1.0
-    conversion_eff: float = 1.0
+    # the scenario family, at ScenarioDistribution's defaults
+    ref_attenuation: float = ScenarioDistribution.ref_attenuation
+    ref_distance: float = ScenarioDistribution.ref_distance
+    path_loss_exponent: float = ScenarioDistribution.path_loss_exponent
+    distance_min: float = ScenarioDistribution.distance_range[0]
+    distance_max: float = ScenarioDistribution.distance_range[1]
+    transmit_power: float = ScenarioDistribution.transmit_power
+    conversion_eff: float = ScenarioDistribution.conversion_eff
 
     def __post_init__(self):
         if self.experiment not in _DOMAIN:
@@ -219,7 +223,9 @@ _PARSERS = {
 
 def _parse_value(key: str, type_name: str, raw: str):
     """``raw`` parsed as the declared type of field ``key``, less a sweep
-    field's "| None"."""
+    field's "| None". ``raw`` must be a string, as a config file's value is."""
+    if not isinstance(raw, str):
+        raise TypeError(f"{key} must be given as a string; got {raw!r}")
     parse, expected = _PARSERS[type_name]
     try:
         return parse(raw)

@@ -16,16 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, wrap_angle
-from .adapt import (
-    _DEPTH_CENTRES,
-    _TREE_DEPTH,
-    CONVERGENCE_FLOOR,
-    TrainingTrace,
-    _check_budget,
-    _train_stage,
-    initial_arc,
-)
+from .angles import wrap_angle
+from .adapt import TrainingTrace, _check_budget, _final_centres, _interval_loop, _train_stage
 from .channel import Scenario
 from .power import (
     EXACT,
@@ -119,9 +111,9 @@ def exact_runs(stack: TrialStack, n_intervals: int) -> tuple[np.ndarray, np.ndar
 
     Returns a (T, M) and a (T, N*(M-1)) array, one row per trial; the
     powers are the runs' ``TrainingTrace.interval_powers``, stage after
-    stage. Every stage runs :func:`_interval_loop` on :func:`_stages`'
-    signals. Memory is O(T*N*M). :func:`exact_phases` gives the phases
-    alone, faster.
+    stage. Every stage runs :func:`~distbeam.adapt._interval_loop` on
+    :func:`_stages`' signals. Memory is O(T*N*M). :func:`exact_phases`
+    gives the phases alone, faster.
     """
     phases, stages = _stages(stack, n_intervals)
     powers = np.empty((len(phases), n_intervals * (phases.shape[1] - 1)))
@@ -134,28 +126,12 @@ def exact_runs(stack: TrialStack, n_intervals: int) -> tuple[np.ndarray, np.ndar
 
 
 def exact_phases(stack: TrialStack, n_intervals: int) -> np.ndarray:
-    """The final phases of :func:`exact_runs`, bit for bit, in closed form
-    where that is sure to agree.
-
-    A stage's N comparisons compute the first N binary digits of its
-    target's position on the circle, so its final phase is the centre of
-    the depth-N tree arc that holds the target (:func:`_cells`). The rows
-    of a stage whose target lies too near a comparison tie, and every row
-    when N > ``adapt._TREE_DEPTH``, run :func:`_interval_loop` instead.
-    """
+    """The final phases of :func:`exact_runs`, bit for bit, each stage's
+    from :func:`~distbeam.adapt._final_centres`: in closed form where that
+    is sure to agree, else by the interval loop."""
     phases, stages = _stages(stack, n_intervals)
     for m, target, base, swing in stages:
-        if n_intervals <= _TREE_DEPTH:
-            cell, clear = _cells(target, base, swing, stack.scale, n_intervals)
-            phases[:, m] = _DEPTH_CENTRES[n_intervals][cell]
-            rows = np.flatnonzero(~clear)
-        else:
-            rows = np.arange(len(target))
-        if rows.size:
-            for _, _, center in _interval_loop(target[rows], base[rows], swing[rows],
-                                               stack.scale[rows], n_intervals):
-                pass
-            phases[rows, m] = center
+        phases[:, m] = _final_centres(target, base, swing, stack.scale, n_intervals)
     return phases
 
 
@@ -182,84 +158,6 @@ def _stages(stack: TrialStack, n_intervals: int):
             yield m, phase_shifts[:, m] - ss_phase, g_m + ss_gain, 2.0 * np.sqrt(g_m * ss_gain)
 
     return phases, stages()
-
-
-def _interval_loop(target, base, swing, scale, n_intervals: int):
-    """One stage of every row, interval by interval, with the scalar path's
-    arithmetic: compare the two ``partial_power`` probes, scaled by the
-    row's power ``scale``, and bisect the (center, half-width) arc, which is
-    still probed but stops moving at ``CONVERGENCE_FLOOR``. Yields each
-    interval's two probe powers and the arc centres after it. The
-    half-width is the same in every row."""
-    arc = initial_arc()
-    center = np.full(len(target), arc.center)
-    half = arc.half_width
-    for _ in range(n_intervals):
-        off = math.pi / 2.0 if half == math.pi else half
-        q_psi = scale * (base + swing * np.cos(wrap_angle(center + off) - target))
-        q_psi_prime = scale * (base + swing * np.cos(wrap_angle(center - off) - target))
-        if half > CONVERGENCE_FLOOR:
-            shift = np.where(q_psi >= q_psi_prime, half / 2.0, -half / 2.0)
-            center = wrap_angle(center + shift)
-            half /= 2.0
-        yield q_psi, q_psi_prime, center
-
-
-#: Bound on the absolute error, in radians, of each angle that
-#: :func:`_interval_loop` and :func:`_cells` compute (see :func:`_cells`)
-_ANGLE_ERROR = 2.0 ** -44
-
-
-def _cells(target, base, swing, scale, n_intervals: int):
-    """Each row's depth-N cell index, the path of its final tree arc, and
-    whether the interval loop is sure to take that path.
-
-    With c0 = -pi/2 the full circle's centre, cell j holds the targets t
-    with j <= (wrap(t - c0) + pi) * 2**N / (2 pi) < j + 1. In exact
-    arithmetic the comparison on an arc of centre c and probe offset h
-    (pi/2 on the full circle, else the half-width) is
-        q_psi - q_psi' = -2 * scale * swing * sin(h) * sin(c - t),
-    so it keeps the upper half (bit 1) when t lies at or above c: the bits
-    of the arcs that hold t are the digits of j, first bit highest. Its
-    zeros, the decision points, are the arc's centre and, on the full
-    circle, the seam c0 + pi; at depths below N all of them lie on the cell
-    boundaries. If t is delta away from every boundary, then
-    |sin(c - t)| >= (2/pi) * delta and sin(h) >= s = sin(min(pi/2,
-    pi/2**(N-1))) at every depth, so |q_psi - q_psi'| >= scale * swing *
-    (4/pi) * s * delta.
-
-    The loop rounds. Each angle it uses, a tree centre after at most 8
-    wrapped bisections, a probe and its difference with t, is within
-    19 * 2**-50 of its exact value (2.2 * 2**-50 over the stored tree), and
-    ``np.cos`` adds at most 4 ulp of 1 (2**-50); together they stay below
-    2 * eps, eps = ``_ANGLE_ERROR`` = 64 * 2**-50. So each probe power base + swing * cos is within
-    swing * 2 * eps + ulp(base + swing) of its exact value, the product
-    swing * cos and the sum each rounding by half an ulp of at most
-    base + swing (base >= swing). Scaling is monotone: it can only merge
-    two powers into a tie, which keeps psi, and it cannot merge ones that
-    differ by more than one ulp of the larger, at most 2 * scale *
-    ulp(base + swing) + 2**-1074 (the subnormal step). So the loop's bit is
-    the exact one if
-        scale * swing * ((2/pi) * s * delta - 2 * eps)
-            > 2 * scale * ulp(base + swing) + 2**-1075.
-    Here delta is the computed distance to the nearest boundary less eps,
-    which bounds the rounding of the cell position (a few ulp of 2 pi)
-    and so also makes j the exact cell; and ulp is taken of the rounded
-    base + swing, doubled for a rounding across a binade, with the
-    constant doubled to 2**-1074 to match. A zero swing (a zero gain or a
-    zero combined signal) or a swing below the rounding of base, where
-    the loop ties, fails the test, and so does a non-finite input.
-    """
-    cells = 1 << n_intervals
-    x = (wrap_angle(target - initial_arc().center) + math.pi) * (cells / TWO_PI)
-    cell = np.floor(x)
-    frac = x - cell
-    delta = np.minimum(frac, 1.0 - frac) * (TWO_PI / cells) - _ANGLE_ERROR
-    s = math.sin(min(math.pi / 2.0, math.ldexp(math.pi, 1 - n_intervals)))
-    # scale last: it may be near the float maximum, the factors beside it are at most ~4 base
-    gap = scale * (swing * ((2.0 / math.pi) * s * delta - 2.0 * _ANGLE_ERROR))
-    clear = gap > scale * (4.0 * np.spacing(base + swing)) + math.ulp(0.0)
-    return np.where(clear, cell, 0.0).astype(np.intp), clear
 
 
 def _prefix_sums(gains, phase_shifts, phases):

@@ -343,6 +343,17 @@ def test_usage_errors(capsys, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_negative_seed_is_a_usage_error(capsys, tmp_path):
+    """``--seed -1`` used to run 2**63 - 1's stream; now it is one error
+    line, and ``exp`` writes nothing."""
+    for argv in (("protocol", "--M", "3", "--N", "3"),
+                 ("exp", "efficiency-vs-N", "--trials", "2", "--out", str(tmp_path))):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == EXIT_USAGE and out == "", argv
+        assert err == "error: seed must be >= 0; got -1\n", argv
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == EXIT_OK
@@ -498,12 +509,14 @@ def test_exp_rejects_degenerate_config_values(capsys, tmp_path, experiment, line
 
 
 def test_exp_flags_set_config_fields():
-    """``exp`` copies each flag named in ``_EXP_FIELDS`` to the config field
-    of the same name."""
+    """``exp`` copies each flag whose dest is a config field's name to that
+    field; every value flag's dest is one, and defaults to None."""
     args = cli.build_parser().parse_args(["exp", "power-vs-M"])
     config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    for name in cli._EXP_FIELDS:
-        assert name in config_fields and getattr(args, name) is None, name
+    dests = set(vars(args)) - {"command", "name", "config"}
+    assert len(dests) == 11 and dests <= config_fields
+    for name in dests:
+        assert getattr(args, name) is None, name
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -11,6 +11,7 @@ import distbeam.protocol
 from distbeam import (
     PhaseAssignment,
     Scenario,
+    ScenarioDistribution,
     efficiency_lower_bound,
     experiments,
     generate_scenario,
@@ -179,6 +180,36 @@ def test_rng_stream_counter_derived():
     c = rng_stream(3, 1, 43)
     assert a.uniform() == b.uniform()
     assert a.uniform() != c.uniform()
+
+
+def test_rng_stream_rejects_a_negative_seed_and_aliases_no_seed():
+    """A seed used to be masked to 63 bits, so -1 drew 2**63 - 1's stream and
+    2**63 drew 0's. Seeds below 2**63 keep their streams bit for bit."""
+    with pytest.raises(ValueError, match=re.escape("seed must be >= 0; got -1")):
+        rng_stream(-1, 1)
+    for seed in (0, 12345, 2**63 - 1):
+        want = np.random.default_rng(np.random.SeedSequence([seed, 1, 7]))
+        assert rng_stream(seed, 1, 7).bit_generator.state == want.bit_generator.state, seed
+    for seed, other in ((2**63, 0), (2**64 - 1, 2**63 - 1)):
+        assert rng_stream(seed, 1).uniform() != rng_stream(other, 1).uniform(), seed
+
+
+@pytest.mark.parametrize("key, value", [("trials", 5.7), ("n_list", (1, 2)),
+                                        ("count_training_energy", True)])
+def test_config_values_must_be_strings(key, value):
+    """A non-string value raises a TypeError naming its key and value: 5.7
+    trials built 5, and a tuple or a bool ended in an AttributeError."""
+    with pytest.raises(TypeError, match=re.escape(f"{key} must be given as a string; "
+                                                  f"got {value!r}")):
+        config_from_mapping({"experiment": EXP_OVERHEAD, key: value})
+
+
+@pytest.mark.parametrize("experiment", sorted(_DOMAIN))
+def test_config_scenario_defaults_are_the_distributions(experiment):
+    """ExperimentConfig's scenario fields default to ScenarioDistribution's."""
+    cfg = ExperimentConfig(experiment=experiment)
+    for m in (1, 5):
+        assert cfg.distribution(m) == ScenarioDistribution(num_transmitters=m)
 
 
 def test_efficiency_experiment_small():

@@ -26,7 +26,7 @@ from distbeam import (
     run_protocol,
     wrap_angle,
 )
-from distbeam import protocol
+from distbeam import adapt, protocol
 from distbeam.adapt import _TREE_DEPTH, TraceRecord, adapt_phase, bisect_arc, initial_arc, probe_pair
 from distbeam.experiments import ExperimentConfig, run_experiment
 from distbeam.power import (
@@ -164,13 +164,13 @@ def phases_of(request, monkeypatch):
     """``exact_phases`` as it is, and with every row of every stage sent to
     the interval loop, so each test below checks both paths."""
     if request.param == "loop only":
-        cells = protocol._cells
+        cells = adapt._cells
 
         def no_row_clear(*args):
             cell, clear = cells(*args)
             return cell, np.zeros_like(clear)
 
-        monkeypatch.setattr(protocol, "_cells", no_row_clear)
+        monkeypatch.setattr(adapt, "_cells", no_row_clear)
     return protocol.exact_phases
 
 
@@ -254,7 +254,7 @@ def test_exact_phases_equal_exact_runs(phases_of, rng):
 
 
 def test_tree_angles_and_cells_are_within_the_margins_angle_error(rng):
-    """The tie margin of ``protocol._cells`` assumes every stored tree
+    """The tie margin of ``adapt._cells`` assumes every stored tree
     centre and probe, and every computed cell position, lies within
     ``_ANGLE_ERROR`` of its exact value; checked against exact rationals
     and a 60-digit pi."""
@@ -264,7 +264,7 @@ def test_tree_angles_and_cells_are_within_the_margins_angle_error(rng):
         a %= 2 * pi
         return min(a, 2 * pi - a)
 
-    bound = Fraction(protocol._ANGLE_ERROR) / 2
+    bound = Fraction(adapt._ANGLE_ERROR) / 2
     level = [(initial_arc(), -pi / 2)]
     for depth in range(_TREE_DEPTH + 1):
         half = pi / 2 ** depth
@@ -282,7 +282,7 @@ def test_tree_angles_and_cells_are_within_the_margins_angle_error(rng):
     for n in (1, 4, 8):
         # the cell position as _cells computes it, and its cell where clear
         x = (wrap_angle(targets - initial_arc().center) + math.pi) * (2 ** n / (2.0 * math.pi))
-        cell, clear = protocol._cells(targets, ones, ones, ones, n)
+        cell, clear = adapt._cells(targets, ones, ones, ones, n)
         assert clear.all()
         for t, got, j in zip(targets.tolist(), x.tolist(), cell.tolist()):
             exact = (Fraction(t) + pi / 2 + pi) * 2 ** n / (2 * pi)
@@ -292,14 +292,14 @@ def test_tree_angles_and_cells_are_within_the_margins_angle_error(rng):
 
 @pytest.mark.parametrize("n, scale", [(1, 1.0), (8, 1.0), (8, 1e-312)])
 def test_cells_clear_only_targets_outside_the_derived_margin(n, scale):
-    """``protocol._cells`` sends a target to the loop exactly when it lies
+    """``adapt._cells`` sends a target to the loop exactly when it lies
     within the margin its docstring derives, here solved for the distance
     delta from a decision point: eps + (pi/2) / sin(h_min) * (2 eps +
     (4 scale ulp(base + swing) + 2**-1074) / (scale swing)). Targets at
     half and twice that distance from c0 = -pi/2 and from the seam pi/2,
     on either side. N = 8 makes the sin(h_min) factor 41, and the power
     scale 1e-312 makes the subnormal step the largest term."""
-    eps, base, swing = protocol._ANGLE_ERROR, 2.0, 2.0
+    eps, base, swing = adapt._ANGLE_ERROR, 2.0, 2.0
     sin_h = math.sin(min(math.pi / 2.0, math.pi / 2 ** (n - 1)))
     margin = eps + (math.pi / 2.0) / sin_h * (
         2.0 * eps + (scale * 4.0 * math.ulp(base + swing) + math.ulp(0.0)) / (scale * swing))
@@ -307,7 +307,7 @@ def test_cells_clear_only_targets_outside_the_derived_margin(n, scale):
         targets = np.array([point + side * factor * margin
                             for point in (-math.pi / 2.0, math.pi / 2.0) for side in (-1.0, 1.0)])
         ones = np.ones_like(targets)
-        _, got = protocol._cells(targets, base * ones, swing * ones, scale * ones, n)
+        _, got = adapt._cells(targets, base * ones, swing * ones, scale * ones, n)
         assert got.tolist() == [clear] * len(targets), (factor, margin)
 
 
@@ -317,7 +317,7 @@ def test_cells_margin_keeps_its_subnormal_step():
     it: a target whose computed gap is exactly one step is not clear, and
     one whose gap is two steps is. Both are the first such targets above
     the cell boundary c0 = -pi/2, found by bisection on the gap as
-    ``protocol._cells`` computes it."""
+    ``adapt._cells`` computes it."""
     n, scale, step = 3, 2.0 ** -1040, math.ulp(0.0)
     one = np.ones(1)
     assert scale * 4.0 * np.spacing(2.0) == 0.0
@@ -326,8 +326,8 @@ def test_cells_margin_keeps_its_subnormal_step():
     def gap(t):
         x = (wrap_angle(t - initial_arc().center) + math.pi) * ((1 << n) / (2.0 * math.pi))
         frac = x - math.floor(x)
-        delta = min(frac, 1.0 - frac) * (2.0 * math.pi / (1 << n)) - protocol._ANGLE_ERROR
-        return scale * ((2.0 / math.pi) * sin_h * delta - 2.0 * protocol._ANGLE_ERROR)
+        delta = min(frac, 1.0 - frac) * (2.0 * math.pi / (1 << n)) - adapt._ANGLE_ERROR
+        return scale * ((2.0 / math.pi) * sin_h * delta - 2.0 * adapt._ANGLE_ERROR)
 
     def first_target(at_least):
         lo, hi = -math.pi / 2.0, -math.pi / 2.0 + 1e-6
@@ -340,7 +340,7 @@ def test_cells_margin_keeps_its_subnormal_step():
     for steps, clear in ((1, False), (2, True)):
         t = first_target(steps * step)
         assert gap(t) == steps * step, (steps, t)
-        _, got = protocol._cells(t * one, one, one, scale * one, n)
+        _, got = adapt._cells(t * one, one, one, scale * one, n)
         assert got.tolist() == [clear], (steps, t)
 
 
@@ -349,13 +349,13 @@ def test_efficiency_sweep_runs_the_closed_form(monkeypatch):
     and 10, N 1-8) fewer than 1% of the 104,000 trial-stages reach the
     interval loop, so a tie margin that sends every row there fails here."""
     rows = []
-    loop = protocol._interval_loop
+    loop = adapt._interval_loop
 
     def counted(target, *args):
         rows.append(len(target))
         return loop(target, *args)
 
-    monkeypatch.setattr(protocol, "_interval_loop", counted)
+    monkeypatch.setattr(adapt, "_interval_loop", counted)
     cfg = ExperimentConfig("efficiency-vs-N")
     run_experiment(cfg)
     stages = cfg.trials * sum(m - 1 for m in cfg.m_list) * len(cfg.n_list)
@@ -525,6 +525,23 @@ ZERO_GAIN_SCENARIOS = (
     ([0.0, 0.0, 1.0, 2.0], [0.4, -1.0, 2.5, 0.9]),
     ([1.0, 0.0, 0.5, 2.0], [-0.6, 2.2, 1.1, -3.0]),
 )
+
+
+@pytest.mark.parametrize("gains, shifts", ZERO_GAIN_SCENARIOS)
+def test_batched_stages_take_adapts_feedback_rule(monkeypatch, gains, shifts):
+    """The bisection rule has one owner: with ``adapt.feedback_bit`` made
+    strict, a tie keeps psi' instead of psi, and exact_runs and exact_phases
+    change with run_protocol. Each scenario's first stage has a zero
+    combined signal, so all of its comparisons tie."""
+    s = Scenario.from_arrays(1.0, 915e6, 1.0, gains, shifts)
+    stack = stack_scenarios([s])
+    tie_keeps_psi = {n: run_protocol(s, n).final_phases for n in (1, 4, 9)}
+    monkeypatch.setattr(adapt, "feedback_bit", lambda q_psi, q_psi_prime: q_psi > q_psi_prime)
+    for n, before in tie_keeps_psi.items():
+        want = run_protocol(s, n).final_phases
+        assert not _same(want, before), n
+        assert _same(exact_runs(stack, n)[0][0], want), n
+        assert _same(protocol.exact_phases(stack, n)[0], want), n
 
 
 @pytest.mark.parametrize("gains, shifts", ZERO_GAIN_SCENARIOS)
