@@ -73,8 +73,8 @@ from .experiments import (
     config_hash,
     parse_config_text,
     protocol_trajectory,
-    rng_stream,
     run_experiment,
 )
+from .streams import rng_stream
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -258,6 +258,33 @@ def _path_loss_gains(distances: list[float], dist: ScenarioDistribution) -> list
         return [math.inf] * len(distances)
 
 
+def _clears_screen(lowest, highest, m: int):
+    """Whether M drawn gains whose least and greatest are ``lowest`` and
+    ``highest`` (floats, or arrays of them) pass :func:`_check_gains`
+    without calling it: every gain at least 2**-511, and the greatest at
+    most half the sum limit over M**2. M**2 times the greatest gain bounds
+    (sum of sqrt(gain))**2, and the half is a margin for the sum's
+    rounding. The limit is divided rather than the gain multiplied, so an
+    array of huge gains cannot overflow."""
+    return (lowest >= _MIN_GAIN) & (highest <= _MAX_GAIN_SUM / 2 / (m * m))
+
+
+def _drawn_gains(distances: np.ndarray, dist: ScenarioDistribution) -> np.ndarray:
+    """The (T, M) path-loss gains of (T, M) drawn distances, each row
+    screened as :func:`generate_scenario` screens its draw.
+
+    Rows run to :func:`_check_gains` in order, each with its own
+    :func:`_path_loss_gains`, so the first row that breaks a rule raises
+    the message its scenario would. A power past the float range makes
+    every gain of the batch inf, and its own row raises.
+    """
+    trials, m = distances.shape
+    gains = np.array(_path_loss_gains(distances.ravel().tolist(), dist)).reshape(trials, m)
+    for row in np.flatnonzero(~_clears_screen(gains.min(axis=1), gains.max(axis=1), m)).tolist():
+        _check_gains(_path_loss_gains(distances[row].tolist(), dist))
+    return gains
+
+
 def generate_scenario(
     dist: ScenarioDistribution, rng: np.random.Generator
 ) -> tuple[Scenario, ScenarioDraw]:
@@ -270,17 +297,15 @@ def generate_scenario(
 
     The scenario skips the constructors' validation: ``dist`` has checked
     the scalars, and the draw makes 1-D arrays of finite phases and of
-    gains in [0, inf]. The gains go to :func:`_check_gains` only when a
-    screen cannot clear them: every gain at least 2**-511, and the largest
-    times M**2, which bounds (sum of sqrt(gain))**2, at most half the
-    limit, a margin for the sum's rounding.
+    gains in [0, inf]. The gains go to :func:`_check_gains` only when
+    :func:`_clears_screen` cannot clear them.
     """
     m = dist.num_transmitters
     lo, hi = dist.distance_range
     distances = rng.uniform(lo, hi, size=m)
     phase_shifts = rng.uniform(-math.pi, math.pi, size=m)
     gains = _path_loss_gains(distances.tolist(), dist)
-    if not (min(gains) >= _MIN_GAIN and max(gains) * (m * m) <= _MAX_GAIN_SUM / 2):
+    if not _clears_screen(min(gains), max(gains), m):
         _check_gains(gains)
     scenario = Scenario.__new__(Scenario)
     scenario._store(dist.transmit_power, dist.carrier_freq, dist.conversion_eff,

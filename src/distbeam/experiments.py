@@ -2,7 +2,9 @@
 
 Each experiment sweeps a parameter, averages over independent trials and
 emits one CSV file per curve plus a JSON run record. Trial randomness is
-counter-derived (one stream per trial index) and trials run in order in
+counter-derived (one stream per trial index, :mod:`distbeam.streams`; the
+Monte Carlo experiments draw a sweep point's trials in one
+:func:`~distbeam.streams.trial_stack` call) and trials run in order in
 the calling thread, so results are byte-identical across runs. The
 ``workers`` setting is validated and recorded but does not change how
 trials run, so it cannot change a result either.
@@ -35,9 +37,9 @@ from .power import (
     harvested_powers,
     optimal_power,
     optimal_powers,
-    stack_scenarios,
 )
 from .protocol import efficiency_lower_bounds, exact_phases, exact_runs, run_protocol
+from .streams import rng_stream, trial_stack
 
 EXP_EFFICIENCY = "efficiency-vs-N"
 EXP_POWER = "power-vs-M"
@@ -61,16 +63,6 @@ _SWEEP_DEFAULTS = {
     EXP_CONVERGENCE: dict(trials=1, m_list=(5, 7), n_list=_N_LIST),
     EXP_OVERHEAD: dict(trials=5000, m_list=(5,), n_list=_N_LIST),
 }
-
-
-def rng_stream(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator addressed by (seed, *path); order-insensitive
-    with respect to when streams are created or consumed. Distinct seeds,
-    which must be >= 0, give distinct streams."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0; got {seed}")
-    return np.random.default_rng(np.random.SeedSequence([seed, *path]))
 
 
 @dataclass(frozen=True)
@@ -381,8 +373,7 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
     curves = {}
     for m in cfg.m_list:
         dist = cfg.distribution(m)
-        stack = stack_scenarios([generate_scenario(dist, rng_stream(cfg.seed, domain, m, t))[0]
-                                 for t in range(cfg.trials)])
+        stack = trial_stack(dist, cfg.seed, domain, m, trials=cfg.trials)
         q_star = optimal_powers(stack)
         etas = np.zeros((cfg.trials, len(cfg.n_list)))
         for j, n in enumerate(cfg.n_list):
@@ -482,8 +473,7 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     domain = _DOMAIN[cfg.experiment]
     (m,) = cfg.m_list
     dist = cfg.distribution(m)
-    stack = stack_scenarios([generate_scenario(dist, rng_stream(cfg.seed, domain, t))[0]
-                             for t in range(cfg.trials)])
+    stack = trial_stack(dist, cfg.seed, domain, trials=cfg.trials)
     order = np.argsort(-stack.gains, axis=1)
     gains, shifts = (np.take_along_axis(a, order, axis=1)
                      for a in (stack.gains, stack.phase_shifts))

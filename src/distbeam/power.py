@@ -176,13 +176,6 @@ class TrialStack(NamedTuple):
     scale: np.ndarray
 
 
-def stack_scenarios(scenarios: Sequence[Scenario]) -> TrialStack:
-    """One :class:`TrialStack` row per scenario, in order."""
-    return TrialStack(np.array([s.gains for s in scenarios], dtype=float),
-                      np.array([s.phase_shifts for s in scenarios], dtype=float),
-                      np.array([s.power_scale for s in scenarios]))
-
-
 def harvested_powers(stack: TrialStack, phases: np.ndarray) -> np.ndarray:
     """:func:`harvested_power` of every trial with all transmitters active,
     at its row of the (T, M) wrapped ``phases``, bit for bit."""

@@ -107,7 +107,7 @@ def run_protocol(
 
 def exact_runs(stack: TrialStack, n_intervals: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`run_protocol`'s final phases and interval powers under exact
-    measurement, for stacked scenarios (:func:`~distbeam.power.stack_scenarios`).
+    measurement, for stacked scenarios (:func:`~distbeam.streams.trial_stack`).
 
     Returns a (T, M) and a (T, N*(M-1)) array, one row per trial; the
     powers are the runs' ``TrainingTrace.interval_powers``, stage after

@@ -48,10 +48,10 @@ from distbeam.experiments import (
 )
 from distbeam.power import (
     EXACT,
+    TrialStack,
     aligned_phase,
     measure,
     partial_power,
-    stack_scenarios,
     sum_signal,
 )
 from distbeam.protocol import efficiency_lower_bound, exact_runs
@@ -244,6 +244,20 @@ def per_stage_protocol(s: Scenario, n_intervals: int, meas=EXACT):
     q_star = optimal_power(s)
     return ProtocolResult(phases, q_d, q_star, q_d / q_star, traces, targets, errors,
                           n_intervals * (m_total - 1))
+
+
+def stack_scenarios(scenarios) -> TrialStack:
+    """One ``TrialStack`` row per scenario, in order."""
+    return TrialStack(np.array([s.gains for s in scenarios], dtype=float),
+                      np.array([s.phase_shifts for s in scenarios], dtype=float),
+                      np.array([s.power_scale for s in scenarios]))
+
+
+def per_trial_stack(dist: ScenarioDistribution, seed: int, *path: int, trials: int) -> TrialStack:
+    """``streams.trial_stack`` one trial at a time: one ``rng_stream``
+    generator and one ``generate_scenario`` call per trial, stacked."""
+    return stack_scenarios([generate_scenario(dist, rng_stream(seed, *path, t))[0]
+                            for t in range(trials)])
 
 
 def per_run_efficiency(cfg) -> list[ResultRow]:

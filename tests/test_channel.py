@@ -21,10 +21,10 @@ from distbeam import (
     wrap_angle,
 )
 from distbeam.experiments import rng_stream
-from distbeam.power import harvested_powers, optimal_powers, stack_scenarios
+from distbeam.power import harvested_powers, optimal_powers
 from distbeam.protocol import exact_runs
 
-from conftest import channel_by_channel_scenario
+from conftest import channel_by_channel_scenario, stack_scenarios
 
 GOLDEN = Path(__file__).parent / "data" / "scenario_seed7.txt"
 

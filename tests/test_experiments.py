@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from distbeam import (
     PhaseAssignment,
     Scenario,
     ScenarioDistribution,
+    channel,
     efficiency_lower_bound,
     experiments,
     generate_scenario,
     harvested_power,
     optimal_power,
     run_protocol,
+    streams,
 )
 from distbeam.experiments import (
     _DOMAIN,
@@ -37,8 +40,10 @@ from distbeam.experiments import (
     rng_stream,
     run_experiment,
 )
+from distbeam.power import TrialStack
+from distbeam.streams import trial_stack
 
-from conftest import per_row_write, per_run_efficiency, per_trial_overhead
+from conftest import per_row_write, per_run_efficiency, per_trial_overhead, per_trial_stack
 
 
 def small_cfg(experiment, **kw):
@@ -192,6 +197,130 @@ def test_rng_stream_rejects_a_negative_seed_and_aliases_no_seed():
         assert rng_stream(seed, 1, 7).bit_generator.state == want.bit_generator.state, seed
     for seed, other in ((2**63, 0), (2**64 - 1, 2**63 - 1)):
         assert rng_stream(seed, 1).uniform() != rng_stream(other, 1).uniform(), seed
+
+
+@pytest.mark.parametrize("seed", [5.7, np.float64(7.9), 7.0, True, np.True_, "5", None])
+def test_rng_stream_and_trial_stack_reject_a_non_integer_seed(seed):
+    """A float seed used to be truncated (5.7 drew seed 5's stream) and True
+    drew seed 1's; now it is a TypeError, in both stream functions."""
+    dist = ScenarioDistribution(num_transmitters=2)
+    for draw in (lambda: rng_stream(seed, 1), lambda: trial_stack(dist, seed, 1, trials=2)):
+        with pytest.raises(TypeError, match=re.escape(f"seed must be an integer; got {seed!r}")):
+            draw()
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7), np.uint64(7)])
+def test_rng_stream_and_trial_stack_take_a_numpy_integer_seed(seed):
+    dist = ScenarioDistribution(num_transmitters=3)
+    assert rng_stream(seed, 1, 2).uniform() == rng_stream(7, 1, 2).uniform()
+    for got, want in zip(trial_stack(dist, seed, 1, trials=3), trial_stack(dist, 7, 1, trials=3)):
+        assert np.array_equal(got, want)
+
+
+#: Seeds of one, two and three 32-bit words, and 0
+STREAM_SEEDS = (0, 1, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**63 - 1, 2**64 + 1)
+#: Stream paths of one and two entries, and one entry of two words
+STREAM_PATHS = ((4,), (1, 5), (1, 10), (1, 2**33))
+
+
+def _assert_stacks_equal(got, want):
+    for name, a, b in zip(TrialStack._fields, got, want):
+        assert a.shape == b.shape and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_stack_equals_the_per_trial_draws(seed):
+    """trial_stack equals one rng_stream + generate_scenario per trial, bit
+    for bit, for M from 1 to 50 and distance ranges that are not the
+    default, a single point and int-valued. Trial 0 (entropy word [0])
+    alone too."""
+    dists = [ScenarioDistribution(num_transmitters=m) for m in (1, 2, 3, 5, 10, 17, 50)]
+    dists += [ScenarioDistribution(num_transmitters=4, distance_range=r, path_loss_exponent=2.2)
+              for r in ((0.5, 1e3), (10.0, 10.0), (3, 7))]
+    for path in STREAM_PATHS:
+        for dist in dists:
+            _assert_stacks_equal(trial_stack(dist, seed, *path, trials=23),
+                                 per_trial_stack(dist, seed, *path, trials=23))
+        _assert_stacks_equal(trial_stack(dists[3], seed, *path, trials=1),
+                             per_trial_stack(dists[3], seed, *path, trials=1))
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**40 + 7, 2**64 + 1])
+@pytest.mark.parametrize("path", [(4,), (1, 5)])
+def test_stream_arithmetic_pins_numpys_seeding_and_uniform(seed, path):
+    """numpy's own behaviour, which trial_stack reproduces: NEP 19 keeps a
+    bit generator's stream stable, not SeedSequence's hash or Generator's
+    methods, and Generator.uniform's affine map depends on the C build
+    (no fused multiply-add). So each is checked against the limb
+    arithmetic on its own: generate_state, PCG64's raw outputs, and
+    uniform draws of distances and then phases."""
+    trials, n = 300, 2 * 50
+    states = streams._seed_states([seed, *path], trials)
+    outputs = streams._pcg64_outputs(*states, n)
+    for t in range(trials):
+        seq = np.random.SeedSequence([seed, *path, t])
+        assert [int(w[t]) for w in states] == seq.generate_state(4, np.uint64).tolist(), t
+        if t % 10 == 0:
+            assert outputs[t].tolist() == np.random.PCG64(seq).random_raw(n).tolist(), t
+            for m, lo, hi in ((1, 5.0, 15.0), (50, 0.5, 1e3)):
+                rng = np.random.default_rng(seq)
+                for k, (a, b) in enumerate(((lo, hi), (-math.pi, math.pi))):
+                    want = rng.uniform(a, b, size=m)
+                    got = streams._uniforms(outputs[t, k * m:(k + 1) * m], a, b)
+                    assert np.array_equal(got, want), (t, m, k)
+
+
+def test_trial_stack_rejects_trial_indices_past_one_word():
+    """A trial index of 2**32 has two entropy words, and the batched seeding
+    takes one: the call raises before it allocates anything."""
+    dist = ScenarioDistribution(num_transmitters=5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape("trials must be in [1, 2**32 = "
+                                                       "4294967296]")):
+            trial_stack(dist, 1, 2, trials=2**32 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError, match=re.escape("got 0")):
+        trial_stack(dist, 1, 2, trials=0)
+
+
+#: Draws that fail the gain screen. The first three fail at trial 0: gains
+#: below 2**-511, gain sums past 2**511 and a ``pow`` past the float range;
+#: the next two first fail at trial 1, a faint gain and an overflowing
+#: ``pow``. The sixth first fails at trial 3 with a faint gain, while trial
+#: 34's ``pow`` overflows and makes every gain of the batch inf. The last
+#: fails the screen in many rows yet passes the check.
+SCREENED_DRAWS = (
+    dict(num_transmitters=5, ref_attenuation=1e-160),
+    dict(num_transmitters=5, ref_attenuation=1e306),
+    dict(num_transmitters=5, ref_distance=1e300),
+    dict(num_transmitters=1, ref_attenuation=1000 * 2.0**-511),
+    dict(num_transmitters=5, ref_distance=5e103, ref_attenuation=1e-300),
+    dict(num_transmitters=5, ref_attenuation=1e-300, ref_distance=2500.0,
+         path_loss_exponent=100.0, distance_range=(0.1, 100.0)),
+    dict(num_transmitters=5, ref_attenuation=7.5 * 2.0**510),
+)
+
+
+@pytest.mark.parametrize("kwargs", SCREENED_DRAWS)
+def test_trial_stack_checks_screened_rows_as_generate_scenario(kwargs):
+    """A row that fails the gain screen goes to _check_gains, in trial
+    order, so trial_stack raises the message of the first scenario that
+    generate_scenario rejects, or draws the stack when none is rejected."""
+    dist = ScenarioDistribution(**kwargs)
+    try:
+        want = per_trial_stack(dist, 12345, 1, dist.num_transmitters, trials=40)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            trial_stack(dist, 12345, 1, dist.num_transmitters, trials=40)
+    else:
+        assert kwargs is SCREENED_DRAWS[-1]
+        assert not channel._clears_screen(want.gains.min(axis=1), want.gains.max(axis=1),
+                                          dist.num_transmitters).all()
+        _assert_stacks_equal(trial_stack(dist, 12345, 1, dist.num_transmitters, trials=40), want)
 
 
 @pytest.mark.parametrize("key, value", [("trials", 5.7), ("n_list", (1, 2)),

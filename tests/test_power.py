@@ -23,7 +23,6 @@ from distbeam.power import (
     _pair_sum,
     harvested_powers,
     optimal_powers,
-    stack_scenarios,
 )
 
 from conftest import (
@@ -32,6 +31,7 @@ from conftest import (
     grid_argmax,
     phasor_power,
     random_scenario,
+    stack_scenarios,
     time_domain_power,
 )
 

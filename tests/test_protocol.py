@@ -34,7 +34,6 @@ from distbeam.power import (
     MeasurementModel,
     optimal_power,
     partial_power,
-    stack_scenarios,
     sum_signal,
 )
 from distbeam.protocol import exact_runs
@@ -45,6 +44,7 @@ from conftest import (
     per_reading_adapt_phase,
     per_stage_protocol,
     random_scenario,
+    stack_scenarios,
 )
 
 
