@@ -16,9 +16,9 @@ cfg = ExperimentConfig(experiment=EXP_CONVERGENCE, seed=3, intervals=300, out_di
 result = run_convergence_comparison(cfg)
 
 for m in cfg.m_list:
-    proposed = [r.mean for r in result.curve(f"proposed_M{m}")]
-    baseline = [r.mean for r in result.curve(f"baseline_M{m}")]
-    optimum = result.curve(f"optimal_M{m}")[0].mean
+    proposed = result.curves[f"proposed_M{m}"].means.tolist()
+    baseline = result.curves[f"baseline_M{m}"].means.tolist()
+    (optimum,) = result.curves[f"optimal_M{m}"].means.tolist()
     done = cfg.n_adapt * (m - 1)
     print(f"\nM = {m} (training ends at interval {done}):")
     print(f"{'interval':>9} {'sequential':>12} {'baseline':>12}")
@@ -43,9 +43,9 @@ else:
     fig, axes = plt.subplots(1, 2, figsize=(11, 4), sharey=True)
     for ax, m in zip(axes, cfg.m_list):
         x = list(range(1, cfg.intervals + 1))
-        proposed = [r.mean for r in result.curve(f"proposed_M{m}")]
-        baseline = [r.mean for r in result.curve(f"baseline_M{m}")]
-        optimum = result.curve(f"optimal_M{m}")[0].mean
+        proposed = result.curves[f"proposed_M{m}"].means.tolist()
+        baseline = result.curves[f"baseline_M{m}"].means.tolist()
+        (optimum,) = result.curves[f"optimal_M{m}"].means.tolist()
         ax.plot(x, [p / optimum for p in proposed], label="sequential one-bit")
         ax.plot(x, [p / optimum for p in baseline], label="random perturbation")
         ax.axvline(cfg.n_adapt * (m - 1), ls=":", color="gray",

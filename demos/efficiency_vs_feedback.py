@@ -20,13 +20,12 @@ print(f"Averaging over {cfg.trials} random scenarios for M in {cfg.m_list} ...")
 result = run_efficiency_vs_n(cfg)
 
 for m in cfg.m_list:
-    eta = {r.x: (r.mean, r.stderr) for r in result.curve(f"eta_M{m}")}
-    bound = {r.x: r.mean for r in result.curve(f"bound_M{m}")}
+    eta, bound = result.curves[f"eta_M{m}"], result.curves[f"bound_M{m}"]
     print(f"\nM = {m}:")
     print(f"{'N':>3} {'mean efficiency':>16} {'stderr':>9} {'lower bound':>12}")
-    for n in cfg.n_list:
-        mean, se = eta[n]
-        print(f"{n:>3} {mean:>16.5f} {se:>9.1e} {bound[n]:>12.5f}")
+    for n, mean, se, low in zip(eta.xs, eta.means.tolist(), eta.stderrs.tolist(),
+                                bound.means.tolist()):
+        print(f"{n:>3} {mean:>16.5f} {se:>9.1e} {low:>12.5f}")
 
 written = result.write(cfg.out_dir)
 print("\nWrote:")
@@ -47,8 +46,8 @@ except ImportError:
 else:
     fig, ax = plt.subplots(figsize=(7, 4.5))
     for m, color in zip(cfg.m_list, ("tab:blue", "tab:orange")):
-        eta = [r.mean for r in result.curve(f"eta_M{m}")]
-        bound = [r.mean for r in result.curve(f"bound_M{m}")]
+        eta = result.curves[f"eta_M{m}"].means
+        bound = result.curves[f"bound_M{m}"].means
         ax.plot(cfg.n_list, eta, "o-", color=color, label=f"measured, M={m}")
         ax.plot(cfg.n_list, bound, "s--", color=color, alpha=0.6,
                 label=f"lower bound, M={m}")

@@ -26,14 +26,14 @@ rng = np.random.default_rng(2024)
 scenario, draw = generate_scenario(ScenarioDistribution(num_transmitters=2), rng)
 
 print("Two transmitters, random placements:")
-for i, (r, ch) in enumerate(zip(draw.distances, scenario.channels), start=1):
-    print(f"  ET{i}: distance {r:6.2f} m, gain {ch.gain:.3e}, "
-          f"phase shift {ch.phase_shift:+.4f} rad")
+links = zip(draw.distances, scenario.gains.tolist(), scenario.phase_shifts.tolist())
+for i, (r, gain, shift) in enumerate(links, start=1):
+    print(f"  ET{i}: distance {r:6.2f} m, gain {gain:.3e}, phase shift {shift:+.4f} rad")
 
 # transmitter 1 holds phase 0; transmitter 2 adapts
 fixed = PhaseAssignment(np.zeros(2), np.array([True, False]))
 combined = sum_signal(scenario, fixed)
-target = scenario.channels[1].phase_shift - combined.phase_shift
+target = float(scenario.phase_shifts[1]) - combined.phase_shift
 print(f"\nOptimal phase for ET2 (closed form): {target:+.6f} rad")
 
 print(f"\n{'n':>2} {'probe psi':>10} {'probe psi_prime':>16} "

@@ -22,8 +22,7 @@ print(f"Averaging over {cfg.trials} random 5-transmitter scenarios "
       f"(N = {cfg.n_adapt} per trained transmitter) ...")
 result = run_overhead_tradeoff(cfg)
 
-curves = {name: {r.x: r.mean for r in result.curve(name)}
-          for name in result.curve_names()}
+curves = {name: dict(zip(c.xs, c.means.tolist())) for name, c in result.curves.items()}
 labels = {
     "all_on": "train all 5",
     "drop_weakest_1": "drop weakest",

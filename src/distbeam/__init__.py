@@ -68,7 +68,6 @@ from .experiments import (
     Curve,
     ExperimentConfig,
     ExperimentResult,
-    ResultRow,
     config_from_mapping,
     config_hash,
     parse_config_text,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +63,11 @@ class Scenario:
     """One system instance: per-transmitter power, carrier, efficiency, and
     the (M,) channel power ``gains`` and ``phase_shifts``.
 
-    ``Scenario(P, f_c, rho, channels)`` takes :class:`Channel` objects and
-    :meth:`from_arrays` takes the two arrays; both run :func:`_check_scalars`
-    and :func:`_check_gains`, and phase shifts must be finite and are
-    wrapped into [-pi, pi). The arrays are read-only copies, so they cannot
-    drift from what was checked, and ``channels`` is a tuple of
-    :class:`Channel` built from them. ``power_scale``, the product of
-    ``conversion_eff`` and ``transmit_power``, scales every harvested power.
+    The constructor runs :func:`_check_scalars` and :func:`_check_gains`,
+    and the phase shifts must be finite; they are wrapped into [-pi, pi).
+    The arrays are read-only copies, so they cannot drift from what was
+    checked. ``power_scale``, the product of ``conversion_eff`` and
+    ``transmit_power``, scales every harvested power.
     :func:`generate_scenario` checks only what a draw can get wrong.
     """
 
@@ -78,19 +75,7 @@ class Scenario:
                  "power_scale")
 
     def __init__(self, transmit_power: float, carrier_freq: float, conversion_eff: float,
-                 channels: Sequence[Channel]):
-        self._set(transmit_power, carrier_freq, conversion_eff,
-                  [c.gain for c in channels], [c.phase_shift for c in channels])
-
-    @classmethod
-    def from_arrays(cls, transmit_power: float, carrier_freq: float, conversion_eff: float,
-                    gains, phase_shifts) -> Scenario:
-        """A scenario with the given per-transmitter gains and phase shifts."""
-        s = cls.__new__(cls)
-        s._set(transmit_power, carrier_freq, conversion_eff, gains, phase_shifts)
-        return s
-
-    def _set(self, transmit_power, carrier_freq, conversion_eff, gains, phase_shifts):
+                 gains, phase_shifts):
         _check_scalars(transmit_power, carrier_freq, conversion_eff)
         gains = np.array(gains, dtype=float)
         phase_shifts = np.asarray(phase_shifts, dtype=float)
@@ -121,11 +106,6 @@ class Scenario:
     @property
     def num_transmitters(self) -> int:
         return self.gains.size
-
-    @property
-    def channels(self) -> tuple[Channel, ...]:
-        """Read-only per-link view, built from the arrays on each access."""
-        return tuple(map(Channel, self.gains.tolist(), self.phase_shifts.tolist()))
 
 
 def _check_scalars(transmit_power, carrier_freq, conversion_eff) -> None:
@@ -295,7 +275,7 @@ def generate_scenario(
     delay is statistically identical to a uniform phase shift, so (gain,
     phase) pairs are drawn directly.
 
-    The scenario skips the constructors' validation: ``dist`` has checked
+    The scenario skips the constructor's validation: ``dist`` has checked
     the scalars, and the draw makes 1-D arrays of finite phases and of
     gains in [0, inf]. The gains go to :func:`_check_gains` only when
     :func:`_clears_screen` cannot clear them.
@@ -320,8 +300,8 @@ def scenario_to_text(s: Scenario) -> str:
     out.write(f"P {s.transmit_power:.17g}\n")
     out.write(f"rho {s.conversion_eff:.17g}\n")
     out.write(f"f_c {s.carrier_freq:.17g}\n")
-    for c in s.channels:
-        out.write(f"{c.gain:.17g} {c.phase_shift:.17g}\n")
+    for gain, phase_shift in zip(s.gains.tolist(), s.phase_shifts.tolist()):
+        out.write(f"{gain:.17g} {phase_shift:.17g}\n")
     return out.getvalue()
 
 
@@ -336,13 +316,15 @@ def scenario_from_text(text: str) -> Scenario:
     body = lines[4:]
     if len(body) != m:
         raise ValueError(f"expected {m} channel lines, found {len(body)}")
-    channels = []
+    gains, phase_shifts = [], []
     for ln in body:
         g, th = ln.split()
-        channels.append(Channel(float(g), float(th)))
+        gains.append(float(g))
+        phase_shifts.append(float(th))
     return Scenario(
         transmit_power=float(header["P"]),
         carrier_freq=float(header["f_c"]),
         conversion_eff=float(header["rho"]),
-        channels=channels,
+        gains=gains,
+        phase_shifts=phase_shifts,
     )

@@ -28,7 +28,6 @@ from .experiments import (
     config_from_mapping,
     config_hash,
     parse_config_text,
-    rng_stream,
     run_experiment,
 )
 from .power import EXACT, MODE_ADDITIVE_NOISE, MeasurementModel, PhaseAssignment
@@ -39,6 +38,7 @@ from .protocol import (
     run_protocol,
 )
 from .selfcheck import run_all
+from .streams import rng_stream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -256,7 +256,7 @@ def _cmd_bound(args) -> int:
         gains = [float(g) for g in args.gains.split(",") if g.strip()]
     else:
         raise _UsageError("bound needs --gains or --equal-gains with --M")
-    scen = Scenario.from_arrays(1.0, 1.0, 1.0, gains, [0.0] * len(gains))
+    scen = Scenario(1.0, 1.0, 1.0, gains, [0.0] * len(gains))
     if (args.eta_hat is None) == (args.N is None):
         raise _UsageError("bound needs exactly one of --eta-hat or --N")
     if args.eta_hat is not None:

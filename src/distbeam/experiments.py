@@ -225,13 +225,6 @@ def _parse_value(key: str, type_name: str, raw: str):
         raise ValueError(f"{key} must be {expected}; got {raw!r}") from None
 
 
-class ResultRow(NamedTuple):
-    curve: str
-    x: float
-    mean: float
-    stderr: float
-
-
 class Curve(NamedTuple):
     """One curve as three columns: the x values exactly as given (ints stay
     ints) and float64 arrays of the means and standard errors at them."""
@@ -246,31 +239,13 @@ class ExperimentResult:
     """Tabular sweep output plus the run record that reproduces it.
 
     ``curves`` maps each curve name to its :class:`Curve`, curves in
-    emission order. ``rows``, :meth:`curve` and :meth:`curve_names` build
-    :class:`ResultRow` views of those columns on demand, with Python-float
-    means and standard errors and each x as stored.
+    emission order.
     """
 
     experiment: str
     x_name: str
     curves: dict[str, Curve]
     metadata: dict
-
-    @property
-    def rows(self) -> list[ResultRow]:
-        """Every row, curve after curve."""
-        return [r for name in self.curves for r in self.curve(name)]
-
-    def curve(self, name: str) -> list[ResultRow]:
-        """A fresh list of one curve's rows; none for an unknown name."""
-        if name not in self.curves:
-            return []
-        xs, means, stderrs = self.curves[name]
-        return [ResultRow(name, x, mean, se)
-                for x, mean, se in zip(xs, means.tolist(), stderrs.tolist())]
-
-    def curve_names(self) -> list[str]:
-        return list(self.curves)
 
     def write(self, out_dir: str | Path) -> list[Path]:
         """Write <out>/<experiment>/<curve>.csv files plus metadata.json.
@@ -397,8 +372,8 @@ def run_power_vs_m(cfg: ExperimentConfig) -> ExperimentResult:
     the no-adaptation and optimal references."""
     domain = _DOMAIN[cfg.experiment]
     full, _ = generate_scenario(cfg.distribution(max(cfg.m_list)), rng_stream(cfg.seed, domain))
-    scens = [Scenario.from_arrays(full.transmit_power, full.carrier_freq, full.conversion_eff,
-                                  full.gains[:m], full.phase_shifts[:m]) for m in cfg.m_list]
+    scens = [Scenario(full.transmit_power, full.carrier_freq, full.conversion_eff,
+                      full.gains[:m], full.phase_shifts[:m]) for m in cfg.m_list]
     columns = {}
     for m, scen, q_star in sorted(zip(cfg.m_list, scens, _optima(scens, cfg.m_list)),
                                   key=lambda t: t[0]):

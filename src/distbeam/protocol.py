@@ -257,7 +257,7 @@ def required_intervals(s: Scenario, eta_hat: float) -> float:
 
 def required_intervals_equal_gains(m: int, eta_hat: float) -> float:
     """:func:`required_intervals` for ``m`` identical gains."""
-    return required_intervals(Scenario.from_arrays(1.0, 1.0, 1.0, [1.0] * m, [0.0] * m), eta_hat)
+    return required_intervals(Scenario(1.0, 1.0, 1.0, [1.0] * m, [0.0] * m), eta_hat)
 
 
 def accumulated_power(gains, errors) -> float:

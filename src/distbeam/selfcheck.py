@@ -24,7 +24,6 @@ import numpy as np
 from .adapt import adapt_phase, initial_arc
 from .angles import circular_distance, wrap_angle
 from .channel import Scenario, ScenarioDistribution, generate_scenario
-from .experiments import rng_stream
 from .power import (
     PhaseAssignment,
     TrialStack,
@@ -37,6 +36,7 @@ from .protocol import (
     efficiency_lower_bound,
     run_protocol,
 )
+from .streams import rng_stream
 
 
 @dataclass(frozen=True)

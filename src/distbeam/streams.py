@@ -22,26 +22,35 @@ from .power import TrialStack
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator addressed by (seed, *path); order-insensitive
-    with respect to when streams are created or consumed. Distinct seeds,
-    which must be integers >= 0, give distinct streams."""
-    return np.random.default_rng(np.random.SeedSequence([_checked_seed(seed), *path]))
+    with respect to when streams are created or consumed. Distinct
+    addresses, whose entries must be integers >= 0, give distinct streams."""
+    return np.random.default_rng(np.random.SeedSequence(_address(seed, path)))
 
 
-def _checked_seed(seed) -> int:
-    """``seed`` as an int: an ``int`` or ``np.integer`` >= 0. A bool or a
-    float is a ``TypeError`` rather than truncated into another seed's
-    stream."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer; got {seed!r}")
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0; got {seed}")
-    return seed
+def _address(seed, path) -> list[int]:
+    """``[seed, *path]`` as ints, each checked by :func:`_checked_entry`."""
+    return [_checked_entry(seed, "seed"), *(_checked_entry(n, "stream path entry") for n in path)]
+
+
+def _checked_entry(value, name: str) -> int:
+    """``value`` as an int: an ``int`` or ``np.integer`` >= 0. A bool or a
+    float is a ``TypeError`` rather than truncated into another stream's
+    address."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer; got {value!r}")
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0; got {value}")
+    return value
 
 
 #: The most trials :func:`trial_stack` draws: indices below 2**32 are one
 #: entropy word each
 _MAX_TRIALS = 2 ** 32
+
+#: Trial-links (trials times transmitters) :func:`trial_stack` draws per
+#: chunk; a chunk's temporaries take ~150 bytes per trial-link
+_CHUNK_LINKS = 2 ** 18
 
 # numpy's SeedSequence: pool size, hash and mix constants (bit_generator.pyx)
 _POOL = 4
@@ -61,27 +70,31 @@ def trial_stack(dist: ScenarioDistribution, seed: int, *path: int, trials: int) 
     ``PCG64`` seed, :func:`_pcg64_outputs` every output, and the distances
     and then the phase shifts are ``Generator.uniform``'s affine map of
     them. The gains are :func:`channel._drawn_gains`, screened and checked
-    as each scenario's are.
+    as each scenario's are. Trials are drawn in chunks of
+    ``_CHUNK_LINKS // M`` into the preallocated stack, in order, so the
+    first bad trial raises its own message and the temporaries stay
+    bounded however many trials are drawn.
     """
-    prefix = [_checked_seed(seed), *path]
+    prefix = _address(seed, path)
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be in [1, 2**32 = {_MAX_TRIALS}], where each trial "
                          f"index is one 32-bit entropy word; got {trials}")
     m = dist.num_transmitters
     lo, hi = map(float, dist.distance_range)
-    outputs = _pcg64_outputs(*_seed_states(prefix, trials), 2 * m)
-    distances = _uniforms(outputs[:, :m], lo, hi)
-    phase_shifts = wrap_angle(_uniforms(outputs[:, m:], -math.pi, math.pi))
-    return TrialStack(_drawn_gains(distances, dist), phase_shifts,
+    gains, phase_shifts = np.empty((trials, m)), np.empty((trials, m))
+    step = max(1, _CHUNK_LINKS // m)
+    for start in range(0, trials, step):
+        stop = min(start + step, trials)
+        outputs = _pcg64_outputs(*_seed_states(prefix, start, stop), 2 * m)
+        gains[start:stop] = _drawn_gains(_uniforms(outputs[:, :m], lo, hi), dist)
+        phase_shifts[start:stop] = wrap_angle(_uniforms(outputs[:, m:], -math.pi, math.pi))
+    return TrialStack(gains, phase_shifts,
                       np.full(trials, dist.conversion_eff * dist.transmit_power))
 
 
 def _words(n: int) -> list[int]:
-    """The little-endian 32-bit words SeedSequence takes from a
-    non-negative int: one word for 0."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"stream path entries must be >= 0; got {n}")
+    """The little-endian 32-bit words SeedSequence takes from an int
+    >= 0: one word for 0."""
     return [(n >> s) & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
 
 
@@ -106,16 +119,16 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _seed_states(prefix: list[int], trials: int) -> list[np.ndarray]:
+def _seed_states(prefix: list[int], start: int, stop: int) -> list[np.ndarray]:
     """``SeedSequence([*prefix, t]).generate_state(4, np.uint64)`` for
-    every t < ``trials``, as four (T,) uint64 arrays, one per state word.
+    every t in [start, stop), as four (T,) uint64 arrays, one per state word.
 
     The pool mixing of numpy's ``mix_entropy`` runs over the trial axis on
     uint32 arrays. Each constant word of ``prefix`` is a (1,) array, and
     each pool word becomes (T,) once t's word has been mixed into it.
     """
     entropy = [np.array([w], dtype=np.uint32) for v in prefix for w in _words(v)]
-    entropy.append(np.arange(trials, dtype=np.uint32))
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
     hashmix = _hashes(_INIT_A, _MULT_A)
     zero = np.zeros(1, dtype=np.uint32)
     pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]

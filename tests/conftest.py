@@ -41,7 +41,7 @@ from distbeam.baseline import DIST_UNIFORM, BaselineTrace
 from distbeam.experiments import (
     _DOMAIN,
     OVERHEAD_POLICIES,
-    ResultRow,
+    Curve,
     _fmt,
     _mean_stderr,
     rng_stream,
@@ -94,7 +94,8 @@ def pairwise_error_bound(gains, errors) -> float:
 def channel_by_channel_scenario(dist: ScenarioDistribution, rng):
     """Scenario generation one ``Channel`` per link: both uniform draws,
     then each gain as a numpy-scalar power of its distance and each phase
-    wrapped by the scalar ``wrap_angle`` inside ``Channel``."""
+    wrapped by the scalar ``wrap_angle`` inside ``Channel``, the links'
+    gains and phases passed to ``Scenario`` as two lists."""
     m = dist.num_transmitters
     lo, hi = dist.distance_range
     distances = rng.uniform(lo, hi, size=m)
@@ -103,7 +104,8 @@ def channel_by_channel_scenario(dist: ScenarioDistribution, rng):
         Channel(dist.ref_attenuation * (r / dist.ref_distance) ** (-dist.path_loss_exponent), th)
         for r, th in zip(distances, phase_shifts)
     ]
-    scen = Scenario(dist.transmit_power, dist.carrier_freq, dist.conversion_eff, channels)
+    scen = Scenario(dist.transmit_power, dist.carrier_freq, dist.conversion_eff,
+                    [c.gain for c in channels], [c.phase_shift for c in channels])
     return scen, distances, phase_shifts
 
 
@@ -122,20 +124,17 @@ def full_matrix_pair_sum(amp: np.ndarray, offs: np.ndarray) -> np.ndarray:
 
 
 def per_row_write(result, out_dir) -> list[Path]:
-    """``ExperimentResult.write`` from the flat row list: regroup the rows
-    per curve in first-seen order, then format them one row at a time."""
-    grouped = {}
-    for r in result.rows:
-        grouped.setdefault(r.curve, []).append(r)
+    """``ExperimentResult.write`` one row at a time: each curve's x, mean
+    and standard error formatted together, row after row."""
     base = Path(out_dir) / result.experiment
     base.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, rows in grouped.items():
+    for name, (xs, means, stderrs) in result.curves.items():
         path = base / f"{name}.csv"
         with open(path, "w") as fh:
             fh.write(f"{result.x_name},mean,stderr\n")
-            for r in rows:
-                fh.write(f"{_fmt(r.x)},{r.mean:.15g},{r.stderr:.15g}\n")
+            for x, mean, se in zip(xs, means.tolist(), stderrs.tolist()):
+                fh.write(f"{_fmt(x)},{mean:.15g},{se:.15g}\n")
         written.append(path)
     meta_path = base / "metadata.json"
     with open(meta_path, "w") as fh:
@@ -260,12 +259,29 @@ def per_trial_stack(dist: ScenarioDistribution, seed: int, *path: int, trials: i
                             for t in range(trials)])
 
 
-def per_run_efficiency(cfg) -> list[ResultRow]:
+def assert_curves_equal(got: dict[str, Curve], want: dict[str, Curve]):
+    """Same curve names in the same order, each with the same x values and
+    types and the same means and standard errors, bit for bit."""
+    assert list(got) == list(want)
+    for name, (xs, means, stderrs) in want.items():
+        assert [(type(x), x) for x in got[name].xs] == [(type(x), x) for x in xs], name
+        assert got[name].means.tobytes() == means.tobytes(), name
+        assert got[name].stderrs.tobytes() == stderrs.tobytes(), name
+
+
+def per_column_curve(xs, table: np.ndarray) -> Curve:
+    """One ``_mean_stderr`` point per x, taken from ``table``'s column at
+    that x's position (trials by len(xs))."""
+    points = [_mean_stderr(table[:, j]) for j in range(len(xs))]
+    return Curve(xs, np.array([mean for mean, _ in points]), np.array([se for _, se in points]))
+
+
+def per_run_efficiency(cfg) -> dict[str, Curve]:
     """The efficiency-vs-N sweep with per-run post-processing: the engine's
     final phases, then one ``harvested_power``, ``optimal_power`` and
     ``efficiency_lower_bound`` call per (trial, N)."""
     domain = _DOMAIN[cfg.experiment]
-    rows = []
+    curves = {}
     for m in cfg.m_list:
         dist = cfg.distribution(m)
         scens = [generate_scenario(dist, rng_stream(cfg.seed, domain, m, t))[0]
@@ -278,16 +294,12 @@ def per_run_efficiency(cfg) -> list[ResultRow]:
             for t, s in enumerate(scens):
                 etas[t, j] = harvested_power(s, PhaseAssignment(phases[t])) / q_star[t]
                 bounds[t, j] = efficiency_lower_bound(s, n)
-        for j, n in enumerate(cfg.n_list):
-            mean, se = _mean_stderr(etas[:, j])
-            rows.append(ResultRow(f"eta_M{m}", n, mean, se))
-        for j, n in enumerate(cfg.n_list):
-            mean, se = _mean_stderr(bounds[:, j])
-            rows.append(ResultRow(f"bound_M{m}", n, mean, se))
-    return rows
+        curves[f"eta_M{m}"] = per_column_curve(cfg.n_list, etas)
+        curves[f"bound_M{m}"] = per_column_curve(cfg.n_list, bounds)
+    return curves
 
 
-def per_trial_overhead(cfg) -> list[ResultRow]:
+def per_trial_overhead(cfg) -> dict[str, Curve]:
     """The overhead-tradeoff sweep one trial at a time: each policy runs
     ``run_protocol`` on the trial's channels sorted by falling gain and
     takes its training credit from the run's traces."""
@@ -299,11 +311,10 @@ def per_trial_overhead(cfg) -> list[ResultRow]:
     def one_trial(t):
         scen, _ = generate_scenario(dist, rng_stream(cfg.seed, domain, t))
         order = np.argsort(-scen.gains)
-        channels = [scen.channels[i] for i in order]
         per_policy = {}
         for name, m_on in policies:
-            sub = Scenario(scen.transmit_power, scen.carrier_freq,
-                           scen.conversion_eff, channels[:m_on])
+            sub = Scenario(scen.transmit_power, scen.carrier_freq, scen.conversion_eff,
+                           scen.gains[order[:m_on]], scen.phase_shifts[order[:m_on]])
             res = run_protocol(sub, cfg.n_adapt)
             t_train = res.total_feedback_intervals
             traj = protocol_trajectory(res, t_train)
@@ -322,13 +333,8 @@ def per_trial_overhead(cfg) -> list[ResultRow]:
         return per_policy
 
     results = [one_trial(t) for t in range(cfg.trials)]
-    rows = []
-    for name in [p[0] for p in policies] + ["no_adaptation", "optimal"]:
-        table = np.array([r[name] for r in results])   # (trials, budgets)
-        for j, b in enumerate(cfg.budgets):
-            mean, se = _mean_stderr(table[:, j])
-            rows.append(ResultRow(name, b, mean, se))
-    return rows
+    return {name: per_column_curve(cfg.budgets, np.array([r[name] for r in results]))
+            for name in [p[0] for p in policies] + ["no_adaptation", "optimal"]}
 
 
 def per_instance_phasor_draws(seed: int, instances: int, max_m: int):
@@ -377,7 +383,7 @@ def grid_argmax(fn, points: int = 360) -> float:
 
 def equal_gain_scenario(m: int, gain: float = 1.0, power: float = 1.0,
                         eff: float = 1.0) -> Scenario:
-    return Scenario(power, 1.0, eff, [Channel(gain, 0.0) for _ in range(m)])
+    return Scenario(power, 1.0, eff, [gain] * m, [0.0] * m)
 
 
 def random_scenario(rng, m: int, **dist_kwargs) -> Scenario:

@@ -104,11 +104,11 @@ def test_criterion_04_efficiency_curves():
     curve below the efficiency curve at every point."""
     cfg = ExperimentConfig(experiment=EXP_EFFICIENCY, trials=1000, seed=104)
     res = run_efficiency_vs_n(cfg)
+    curves = {name: dict(zip(c.xs, c.means.tolist())) for name, c in res.curves.items()}
     ok = True
     msgs = []
     for m in (5, 10):
-        eta = {r.x: r.mean for r in res.curve(f"eta_M{m}")}
-        bound = {r.x: r.mean for r in res.curve(f"bound_M{m}")}
+        eta, bound = curves[f"eta_M{m}"], curves[f"bound_M{m}"]
         ok &= eta[4] > 0.95
         ok &= eta[8] > 0.999
         ok &= all(bound[n] <= eta[n] + 1e-12 for n in cfg.n_list)
@@ -262,8 +262,7 @@ def test_criterion_09_overhead_orderings():
     m = cfg.m_list[0]
     t_train = cfg.n_adapt * (m - 1)
     res = run_overhead_tradeoff(cfg)
-    curves = {name: {r.x: r.mean for r in res.curve(name)}
-              for name in res.curve_names()}
+    curves = {name: dict(zip(c.xs, c.means.tolist())) for name, c in res.curves.items()}
     all_on = curves["all_on"]
     no_adapt = curves["no_adaptation"]
     best_drop_25 = max(curves["drop_weakest_1"][25], curves["drop_weakest_2"][25])

@@ -110,19 +110,19 @@ def test_channel_and_scenario_validation():
     assert Channel(1.0, 3 * math.pi).phase_shift == -math.pi
     for power in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="transmit_power must be positive and finite"):
-            Scenario(power, 1.0, 1.0, [Channel(1, 0)])
+            Scenario(power, 1.0, 1.0, [1], [0])
     with pytest.raises(ValueError):
-        Scenario(1.0, 1.0, 1.5, [Channel(1, 0)])
+        Scenario(1.0, 1.0, 1.5, [1], [0])
     with pytest.raises(ValueError):
-        Scenario(1.0, 1.0, 1.0, [])
+        Scenario(1.0, 1.0, 1.0, [], [])
     for gain, phase in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf),
                         (1.0, -math.inf), (1.0, math.nan)):
         with pytest.raises(ValueError):
             Channel(gain, phase)
     # efficiencies divide by the optimal power, so some gain must be nonzero
     with pytest.raises(ValueError):
-        Scenario(1.0, 1.0, 1.0, [Channel(0.0, 0.0), Channel(0.0, 1.0)])
-    Scenario(1.0, 1.0, 1.0, [Channel(0.0, 0.0), Channel(1e-9, 1.0)])
+        Scenario(1.0, 1.0, 1.0, [0.0, 0.0], [0.0, 1.0])
+    Scenario(1.0, 1.0, 1.0, [0.0, 1e-9], [0.0, 1.0])
 
 
 def test_path_loss_values():
@@ -225,9 +225,18 @@ def test_scenario_text_rejects_truncated():
         scenario_from_text("\n".join(lines[:-1]))
 
 
+def test_scenario_text_names_a_bad_gain_before_a_bad_phase():
+    """The file's gains and phase shifts reach the constructor as two lists,
+    so a bad gain on the second line is named before a bad phase on the
+    first."""
+    with pytest.raises(ValueError, match=re.escape("channel power gain must be finite and "
+                                                   ">= 0, got -1.0")):
+        scenario_from_text("M 2\nP 1\nrho 1\nf_c 1\n1.0 nan\n-1 0\n")
+
+
 def test_scenario_text_rejects_a_missing_or_unknown_header_key():
     """``freq 1`` in place of ``f_c 1`` raised a bare KeyError: 'f_c'."""
-    text = scenario_to_text(Scenario.from_arrays(1.0, 2.0, 0.5, [1.0, 2.0], [0.1, 0.2]))
+    text = scenario_to_text(Scenario(1.0, 2.0, 0.5, [1.0, 2.0], [0.1, 0.2]))
     message = "scenario header needs the keys M, P, rho and f_c, got "
     for bad, keys in ((text.replace("f_c ", "freq "), "M, P, rho, freq"),
                       (text.replace("M 2\n", "M 2\nM 2\n"), "M, P, rho"),
@@ -278,21 +287,22 @@ def test_generate_scenario_equals_channel_by_channel_draw(m):
         "all-zero-gains", "no-transmitters", "unequal-lengths", "not-1-d"])
 def test_scenario_arrays_are_validated(gains, phases, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        Scenario.from_arrays(1.0, 1.0, 1.0, gains, phases)
+        Scenario(1.0, 1.0, 1.0, gains, phases)
 
 
 @pytest.mark.parametrize("carrier_freq", [0.0, -1.0, math.nan])
 def test_scenario_carrier_freq_must_be_positive(carrier_freq):
     with pytest.raises(ValueError, match="carrier_freq must be positive"):
-        Scenario.from_arrays(1.0, carrier_freq, 1.0, [1.0], [0.0])
+        Scenario(1.0, carrier_freq, 1.0, [1.0], [0.0])
 
 
 def test_scenario_is_two_read_only_arrays(rng):
-    """A scenario is its three scalars and two read-only arrays; the
-    per-link ``channels`` tuple is derived from them and round-trips."""
+    """A scenario is its three scalars and two read-only arrays; building
+    one from another's arrays, or from its text record, gives the same
+    bytes."""
     g = np.array([0.5, 0.0, 2.0])
     th = np.array([3 * math.pi, 0.25, -7.0])
-    s = Scenario.from_arrays(2.0, 915e6, 0.5, g, th)
+    s = Scenario(2.0, 915e6, 0.5, g, th)
     g[0] = th[0] = 9.0                       # the scenario holds copies
     assert s.gains.tolist() == [0.5, 0.0, 2.0]
     assert s.phase_shifts.tolist() == [wrap_angle(3 * math.pi), 0.25, wrap_angle(-7.0)]
@@ -301,14 +311,11 @@ def test_scenario_is_two_read_only_arrays(rng):
         s.gains[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         s.phase_shifts[0] = 1.0
-    for name in ("channels", "num_transmitters"):
-        with pytest.raises(AttributeError):
-            setattr(s, name, None)
+    with pytest.raises(AttributeError):
+        s.num_transmitters = None
     with pytest.raises(AttributeError):
         s.extra = 1                            # no state beyond its slots
-    assert s.channels == (Channel(0.5, s.phase_shifts[0]), Channel(0.0, 0.25),
-                          Channel(2.0, s.phase_shifts[2]))
-    again = Scenario(s.transmit_power, s.carrier_freq, s.conversion_eff, s.channels)
+    again = Scenario(s.transmit_power, s.carrier_freq, s.conversion_eff, s.gains, s.phase_shifts)
     assert again.gains.tobytes() == s.gains.tobytes()
     assert again.phase_shifts.tobytes() == s.phase_shifts.tobytes()
     for m in (1, 4, 32):
@@ -316,28 +323,25 @@ def test_scenario_is_two_read_only_arrays(rng):
         back = scenario_from_text(scenario_to_text(scen))
         assert back.gains.tobytes() == scen.gains.tobytes()
         assert back.phase_shifts.tobytes() == scen.phase_shifts.tobytes()
-        assert back.channels == scen.channels
 
 
 def test_nonzero_gains_below_two_to_the_minus_511_are_gain_errors():
     """The interference amplitude sqrt(g_m * G) of two gains below 2**-511
     underflowed: gains [1e-300, 1e-300] ran to eta 0.646 under a bound of
-    0.981 with no error. Such a gain is now a gain error in both
-    constructors and in generate_scenario; zero gains stay allowed."""
+    0.981 with no error. Such a gain is now a gain error in the
+    constructor and in generate_scenario; zero gains stay allowed."""
     limit = 2.0 ** -511
     assert limit * limit == sys.float_info.min
     message = "is nonzero but below 2**-511"
     for gains in ([1e-300, 1e-300], [1.0, limit / 2], [0.0, 5e-324, 1.0]):
         shifts = [0.1 * k for k in range(1, len(gains) + 1)]
         with pytest.raises(ValueError, match=re.escape(message)):
-            Scenario.from_arrays(1.0, 1.0, 1.0, gains, shifts)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            Scenario(1.0, 1.0, 1.0, [Channel(g, th) for g, th in zip(gains, shifts)])
+            Scenario(1.0, 1.0, 1.0, gains, shifts)
     with pytest.raises(ValueError, match=re.escape("channel power gain 1e-300 " + message)):
-        Scenario.from_arrays(1.0, 1.0, 1.0, [1e-300, 1e-300], [0.1, 0.2])
+        Scenario(1.0, 1.0, 1.0, [1e-300, 1e-300], [0.1, 0.2])
     # at the limit the run keeps its guarantee
     for gains in ([limit, limit], [0.0, limit, limit, 1.0]):
-        s = Scenario.from_arrays(1.0, 1.0, 1.0, gains, [0.1, 0.2, -2.0, 3.0][:len(gains)])
+        s = Scenario(1.0, 1.0, 1.0, gains, [0.1, 0.2, -2.0, 3.0][:len(gains)])
         for n in (1, 4, 8):
             assert run_protocol(s, n).eta >= efficiency_lower_bound(s, n) - 1e-12, (gains, n)
     dist = ScenarioDistribution(num_transmitters=4, ref_attenuation=1e-160)
@@ -380,7 +384,7 @@ _SUMS = (f"the gain sums overflow: (sum of sqrt(gain))**2 = {{}} is above 2**511
 
 
 #: Per bad-input class: the message, with {} where the offending value
-#: goes; gains, or the scalar keywords, for the two constructors; and the
+#: goes; gains, or the scalar keywords, for the constructor; and the
 #: distribution keywords of a draw that makes the same fault, if one can.
 _BAD_INPUTS = {
     "nan-gain": ("channel power gain must be finite and >= 0, got {}",
@@ -407,8 +411,8 @@ _BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", list(_BAD_INPUTS))
 def test_each_bad_input_class_has_one_message(case):
-    """``Scenario(...)``, ``Scenario.from_arrays`` and, where a draw can
-    make the fault, ``generate_scenario`` give the class's one message."""
+    """``Scenario(...)`` and, where a draw can make the fault,
+    ``generate_scenario`` give the class's one message."""
     template, args, draw_fields = _BAD_INPUTS[case]
     call = dict(transmit_power=1.0, carrier_freq=1.0, conversion_eff=1.0, gains=[1.0, 2.0])
     call.update(args)
@@ -416,11 +420,8 @@ def test_each_bad_input_class_has_one_message(case):
     shifts = [0.1 * k for k in range(len(gains))]
     pattern = re.escape(template).replace(r"\{\}", r"\S+")
     with pytest.raises(ValueError) as exc:
-        Scenario.from_arrays(*call.values(), gains, shifts)
+        Scenario(*call.values(), gains, shifts)
     messages = [str(exc.value)]
-    with pytest.raises(ValueError) as exc:
-        Scenario(*call.values(), [Channel(g, th) for g, th in zip(gains, shifts)])
-    messages.append(str(exc.value))
     if draw_fields is not None:
         with pytest.raises(ValueError) as exc:
             dist = ScenarioDistribution(num_transmitters=3, **draw_fields)
@@ -439,14 +440,14 @@ def test_the_gain_sum_limit_bounds_every_stage_product():
     A config holding ``ref_attenuation = 1e306`` drew gain sums near 1e304,
     which overflowed the stage products and ran to eta 0.722 at N = 8."""
     with pytest.raises(ValueError, match=re.escape("the gain sums overflow")):
-        Scenario.from_arrays(1.0, 1.0, 1.0, [2.0 ** 510] * 5, [0.0] * 5)
+        Scenario(1.0, 1.0, 1.0, [2.0 ** 510] * 5, [0.0] * 5)
     shifts = [0.3, -2.0, 1.1, 2.9, -0.7]
     inside = ([0.99 * 2.0 ** 509] * 2, [2.0 ** 508, 2.0 ** 506, 2.0 ** 500, 0.0, 1.0],
               [_LIMIT / 25 * 0.999] * 5)
     with np.errstate(all="raise"):
         for gains in inside:
             assert sum(map(math.sqrt, gains)) ** 2 <= _LIMIT
-            s = Scenario.from_arrays(1.0, 1.0, 1.0, gains, shifts[:len(gains)])
+            s = Scenario(1.0, 1.0, 1.0, gains, shifts[:len(gains)])
             stack = stack_scenarios([s])
             for n in (1, 4, 8):
                 bound = efficiency_lower_bound(s, n)
@@ -470,10 +471,10 @@ def test_draws_and_constructors_agree_on_either_side_of_the_gain_sum_limit(m):
         except ValueError as exc:
             assert not ok and str(exc).startswith("the gain sums overflow"), (share, exc)
             with pytest.raises(ValueError, match=re.escape("the gain sums overflow")):
-                Scenario.from_arrays(1.0, 1.0, 1.0, [dist.ref_attenuation] * m, [0.0] * m)
+                Scenario(1.0, 1.0, 1.0, [dist.ref_attenuation] * m, [0.0] * m)
         else:
             assert ok, share
-            again = Scenario.from_arrays(1.0, 1.0, 1.0, drawn.gains, drawn.phase_shifts)
+            again = Scenario(1.0, 1.0, 1.0, drawn.gains, drawn.phase_shifts)
             assert again.gains.tobytes() == drawn.gains.tobytes()
 
 
@@ -483,10 +484,8 @@ def test_power_scale_is_conversion_eff_times_transmit_power():
     rng = np.random.default_rng(11)
     for _ in range(200):
         p, rho = float(rng.uniform(1e-3, 1e3)), float(rng.uniform(1e-3, 1.0))
-        built = Scenario.from_arrays(p, 915e6, rho, rng.uniform(0.0, 1.0, 4),
-                                     rng.uniform(-3.0, 3.0, 4))
-        channels = Scenario(p, 915e6, rho, built.channels)
+        built = Scenario(p, 915e6, rho, rng.uniform(0.0, 1.0, 4), rng.uniform(-3.0, 3.0, 4))
         drawn, _ = generate_scenario(ScenarioDistribution(num_transmitters=4, transmit_power=p,
                                                           conversion_eff=rho), rng)
-        for s in (built, channels, drawn):
+        for s in (built, drawn):
             assert s.power_scale.hex() == (rho * p).hex()

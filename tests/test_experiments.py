@@ -31,7 +31,6 @@ from distbeam.experiments import (
     Curve,
     ExperimentConfig,
     ExperimentResult,
-    ResultRow,
     _mean_stderr,
     config_from_mapping,
     config_hash,
@@ -43,7 +42,13 @@ from distbeam.experiments import (
 from distbeam.power import TrialStack
 from distbeam.streams import trial_stack
 
-from conftest import per_row_write, per_run_efficiency, per_trial_overhead, per_trial_stack
+from conftest import (
+    assert_curves_equal,
+    per_row_write,
+    per_run_efficiency,
+    per_trial_overhead,
+    per_trial_stack,
+)
 
 
 def small_cfg(experiment, **kw):
@@ -217,6 +222,38 @@ def test_rng_stream_and_trial_stack_take_a_numpy_integer_seed(seed):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("entry", [1.7, np.float64(2.0), 2.0, True, np.True_, "1", None])
+def test_rng_stream_and_trial_stack_reject_a_non_integer_path_entry(entry):
+    """trial_stack used to truncate a path entry: 1.7 and True drew path
+    1's stack, np.float64(2.0) path 2's; rng_stream drew path 1's stream
+    for True. Now each is the seed rule's TypeError, first or later in the
+    path, in both stream functions."""
+    dist = ScenarioDistribution(num_transmitters=3)
+    message = re.escape(f"stream path entry must be an integer; got {entry!r}")
+    for path in ((entry,), (1, entry)):
+        for draw in (lambda: rng_stream(5, *path), lambda: trial_stack(dist, 5, *path, trials=2)):
+            with pytest.raises(TypeError, match=message):
+                draw()
+
+
+@pytest.mark.parametrize("entry", [-1, np.int64(-1)])
+def test_rng_stream_and_trial_stack_reject_a_negative_path_entry(entry):
+    dist = ScenarioDistribution(num_transmitters=3)
+    for path in ((entry,), (1, entry)):
+        for draw in (lambda: rng_stream(5, *path), lambda: trial_stack(dist, 5, *path, trials=2)):
+            with pytest.raises(ValueError, match=re.escape("stream path entry must be >= 0; "
+                                                           "got -1")):
+                draw()
+
+
+@pytest.mark.parametrize("entry", [np.int64(2), np.uint32(2), np.uint64(2)])
+def test_rng_stream_and_trial_stack_take_a_numpy_integer_path_entry(entry):
+    dist = ScenarioDistribution(num_transmitters=3)
+    assert rng_stream(5, 1, entry).uniform() == rng_stream(5, 1, 2).uniform()
+    _assert_stacks_equal(trial_stack(dist, 5, 1, entry, trials=3),
+                         trial_stack(dist, 5, 1, 2, trials=3))
+
+
 #: Seeds of one, two and three 32-bit words, and 0
 STREAM_SEEDS = (0, 1, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**63 - 1, 2**64 + 1)
 #: Stream paths of one and two entries, and one entry of two words
@@ -255,7 +292,7 @@ def test_stream_arithmetic_pins_numpys_seeding_and_uniform(seed, path):
     arithmetic on its own: generate_state, PCG64's raw outputs, and
     uniform draws of distances and then phases."""
     trials, n = 300, 2 * 50
-    states = streams._seed_states([seed, *path], trials)
+    states = streams._seed_states([seed, *path], 0, trials)
     outputs = streams._pcg64_outputs(*states, n)
     for t in range(trials):
         seq = np.random.SeedSequence([seed, *path, t])
@@ -323,6 +360,55 @@ def test_trial_stack_checks_screened_rows_as_generate_scenario(kwargs):
         _assert_stacks_equal(trial_stack(dist, 12345, 1, dist.num_transmitters, trials=40), want)
 
 
+@pytest.mark.parametrize("links", [1, 7, 16])
+def test_trial_stack_equals_the_per_trial_draws_across_chunks(links, monkeypatch):
+    """Drawn in chunks of ``links // M`` trials (at least one), the stack
+    still equals the per-trial draws: chunks of one trial and of several,
+    and a last chunk that is short."""
+    monkeypatch.setattr(streams, "_CHUNK_LINKS", links)
+    for m in (1, 3, 5):
+        dist = ScenarioDistribution(num_transmitters=m)
+        _assert_stacks_equal(trial_stack(dist, 12345, 1, m, trials=23),
+                             per_trial_stack(dist, 12345, 1, m, trials=23))
+
+
+@pytest.mark.parametrize("chunk_trials", [1, 2, 3])
+@pytest.mark.parametrize("kwargs", SCREENED_DRAWS)
+def test_trial_stack_checks_screened_rows_across_chunks(kwargs, chunk_trials, monkeypatch):
+    """In chunks of one to three trials, the first rejected trial raises
+    generate_scenario's message from a later chunk than trial 0's: a faint
+    gain and an overflowing ``pow`` at trial 1, and a faint gain at trial
+    3. The draw that passes the check still equals the per-trial stack."""
+    dist = ScenarioDistribution(**kwargs)
+    monkeypatch.setattr(streams, "_CHUNK_LINKS", chunk_trials * dist.num_transmitters)
+    try:
+        want = per_trial_stack(dist, 12345, 1, dist.num_transmitters, trials=40)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            trial_stack(dist, 12345, 1, dist.num_transmitters, trials=40)
+    else:
+        _assert_stacks_equal(trial_stack(dist, 12345, 1, dist.num_transmitters, trials=40), want)
+
+
+def test_trial_stack_peak_excess_does_not_grow_with_trials(monkeypatch):
+    """Drawn in chunks, trial_stack's traced peak exceeds its result by an
+    amount that does not grow with the trial count: 20 and 79 chunks of
+    512 trials give the same excess to within a quarter. Undrawn in chunks,
+    the excess grew as ~150 bytes per trial-link."""
+    monkeypatch.setattr(streams, "_CHUNK_LINKS", 2 ** 12)
+    dist = ScenarioDistribution(num_transmitters=8)
+    excess = []
+    for trials in (10_000, 40_000):
+        tracemalloc.start()
+        try:
+            stack = trial_stack(dist, 1, 2, trials=trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        excess.append(peak - sum(a.nbytes for a in stack))
+    assert 0 < excess[1] < 1.25 * excess[0], excess
+
+
 @pytest.mark.parametrize("key, value", [("trials", 5.7), ("n_list", (1, 2)),
                                         ("count_training_energy", True)])
 def test_config_values_must_be_strings(key, value):
@@ -345,12 +431,11 @@ def test_efficiency_experiment_small():
     cfg = small_cfg(EXP_EFFICIENCY, trials=25, m_list=(3, 5), n_list=(1, 2, 4))
     res = run_experiment(cfg)
     assert res.x_name == "N"
-    names = res.curve_names()
-    assert names == ["eta_M3", "bound_M3", "eta_M5", "bound_M5"]
-    assert len(res.rows) == len(names) * 3
+    assert list(res.curves) == ["eta_M3", "bound_M3", "eta_M5", "bound_M5"]
+    assert all(len(c.xs) == 3 for c in res.curves.values())
+    means = {name: dict(zip(c.xs, c.means.tolist())) for name, c in res.curves.items()}
     for m in (3, 5):
-        etas = {r.x: r.mean for r in res.curve(f"eta_M{m}")}
-        bounds = {r.x: r.mean for r in res.curve(f"bound_M{m}")}
+        etas, bounds = means[f"eta_M{m}"], means[f"bound_M{m}"]
         for n in (1, 2, 4):
             assert 0.0 < etas[n] <= 1.0
             assert bounds[n] <= etas[n] + 1e-12
@@ -367,9 +452,10 @@ def test_efficiency_experiment_small():
                 (f"bound_M{m}", [efficiency_lower_bound(s, n) for s in scens]),
             ):
                 v = np.array(values)
-                (row,) = [r for r in res.curve(curve) if r.x == n]
-                assert row.mean == float(np.mean(v)), (curve, n)
-                assert row.stderr == float(np.std(v, ddof=1) / math.sqrt(v.size)), (curve, n)
+                xs, got_means, got_stderrs = res.curves[curve]
+                j = xs.index(n)
+                assert got_means[j] == float(np.mean(v)), (curve, n)
+                assert got_stderrs[j] == float(np.std(v, ddof=1) / math.sqrt(v.size)), (curve, n)
 
 
 def test_efficiency_experiment_worker_invariance():
@@ -377,25 +463,22 @@ def test_efficiency_experiment_worker_invariance():
     seq = run_experiment(base)
     par = run_experiment(small_cfg(EXP_EFFICIENCY, trials=12, m_list=(4,),
                                    n_list=(1, 3), workers=4))
-    assert [(r.curve, r.x, r.mean, r.stderr) for r in seq.rows] == [
-        (r.curve, r.x, r.mean, r.stderr) for r in par.rows
-    ]
+    assert_curves_equal(par.curves, seq.curves)
 
 
 def test_power_vs_m_experiment():
     cfg = small_cfg(EXP_POWER, m_list=(2, 3, 4, 5), n_list=(1, 5))
     res = run_experiment(cfg)
     assert res.x_name == "M"
-    names = res.curve_names()
-    assert set(names) == {"adapted_N1", "adapted_N5", "no_adaptation", "optimal"}
-    assert len(res.rows) == 4 * 4
-    optimal = {r.x: r.mean for r in res.curve("optimal")}
-    for name in names:
-        for r in res.curve(name):
-            assert r.mean <= optimal[r.x] * (1 + 1e-12)
+    assert set(res.curves) == {"adapted_N1", "adapted_N5", "no_adaptation", "optimal"}
+    assert all(len(c.xs) == 4 for c in res.curves.values())
+    means = {name: dict(zip(c.xs, c.means.tolist())) for name, c in res.curves.items()}
+    optimal = means["optimal"]
+    for curve in means.values():
+        for m, mean in curve.items():
+            assert mean <= optimal[m] * (1 + 1e-12)
     # a bigger per-stage budget cannot lose at the realized scenario level
-    n1 = {r.x: r.mean for r in res.curve("adapted_N1")}
-    n5 = {r.x: r.mean for r in res.curve("adapted_N5")}
+    n1, n5 = means["adapted_N1"], means["adapted_N5"]
     assert all(n5[m] >= n1[m] * (1 - 1e-9) for m in (2, 3, 4, 5))
 
 
@@ -405,34 +488,33 @@ def test_power_vs_m_rows_equal_per_size_calls():
     come in name order and rows in increasing M for any m_list order."""
     cfg = small_cfg(EXP_POWER, m_list=(12, 1, 3, 2), n_list=(9, 1, 4))
     res = run_experiment(cfg)
-    assert res.curve_names() == ["adapted_N1", "adapted_N4", "adapted_N9",
-                                 "no_adaptation", "optimal"]
+    assert list(res.curves) == ["adapted_N1", "adapted_N4", "adapted_N9",
+                                "no_adaptation", "optimal"]
     full, _ = generate_scenario(cfg.distribution(12), rng_stream(cfg.seed, _DOMAIN[EXP_POWER]))
     for m in (1, 2, 3, 12):
-        s = Scenario.from_arrays(full.transmit_power, full.carrier_freq, full.conversion_eff,
-                                 full.gains[:m], full.phase_shifts[:m])
+        s = Scenario(full.transmit_power, full.carrier_freq, full.conversion_eff,
+                     full.gains[:m], full.phase_shifts[:m])
         want = {"optimal": optimal_power(s),
                 "no_adaptation": harvested_power(s, PhaseAssignment(np.zeros(m)))}
         for n in cfg.n_list:
             want[f"adapted_N{n}"] = want["optimal"] if m < 2 else run_protocol(s, n).q_d
-        got = {r.curve: r.mean for r in res.rows if r.x == m}
+        got = {name: c.means[c.xs.index(m)] for name, c in res.curves.items()}
         assert got == want, m
-    for name in res.curve_names():
-        assert [r.x for r in res.curve(name)] == [1, 2, 3, 12]
+    for c in res.curves.values():
+        assert c.xs == [1, 2, 3, 12]
 
 
-def test_result_rows_are_the_curves_in_order():
-    """rows is every curve's rows, curve after curve; curve() gives one
-    curve's rows (none for an unknown name) and curve_names() the order."""
+def test_result_curves_come_in_emission_order():
+    """curves maps each curve name, in the order the experiment emits them,
+    to its columns: a trajectory's intervals from 1, standard errors 0, and
+    the optimum's one point at the last interval."""
     res = run_experiment(small_cfg(EXP_CONVERGENCE, m_list=(3, 4), intervals=7))
     names = [f"{c}_M{m}" for m in (3, 4) for c in ("proposed", "baseline", "optimal")]
-    assert res.curve_names() == names
-    assert res.rows == [r for name in names for r in res.curve(name)]
-    assert [len(res.curve(name)) for name in names] == [7, 7, 1] * 2
-    assert all(r.curve == name for name in names for r in res.curve(name))
-    assert res.curve("baseline_M5") == []
-    row = res.curve("proposed_M3")[0]
-    assert row == ResultRow("proposed_M3", 1, row.mean, 0.0) and type(row.mean) is float
+    assert list(res.curves) == names
+    assert [len(res.curves[name].xs) for name in names] == [7, 7, 1] * 2
+    assert list(res.curves["proposed_M3"].xs) == [1, 2, 3, 4, 5, 6, 7]
+    assert tuple(res.curves["optimal_M4"].xs) == (7,)
+    assert all(not c.stderrs.any() for c in res.curves.values())
 
 
 def test_write_matches_per_row_writer(tmp_path, monkeypatch):
@@ -465,24 +547,21 @@ def test_write_matches_per_row_writer(tmp_path, monkeypatch):
             assert a.read_bytes() == b.read_bytes(), a.name
 
 
-def test_row_views_keep_types_and_are_fresh():
-    """For every experiment, curve() gives a fresh list of rows whose mean
-    and stderr are Python floats and whose x keeps its sweep value's type."""
+def test_curve_columns_keep_types():
+    """For every experiment, each curve's x values keep their sweep values'
+    type, int, and its means and standard errors are 1-D float64 arrays,
+    one entry per x."""
     results = [run_experiment(cfg) for cfg in (
         small_cfg(EXP_EFFICIENCY, trials=6, m_list=(3, 5), n_list=(2, 1)),
         small_cfg(EXP_POWER, m_list=(4, 2), n_list=(1, 3)),
         small_cfg(EXP_CONVERGENCE, m_list=(3,), intervals=40),
         small_cfg(EXP_OVERHEAD, trials=8, budgets=(300, 1, 25), count_training_energy=True))]
     for res in results:
-        rows = res.rows
-        for name in res.curve_names():
-            view = res.curve(name)
-            assert view and all(type(r.mean) is float and type(r.stderr) is float
-                                and type(r.x) is int for r in view), name
-            kept = list(view)
-            view.clear()
-            assert res.curve(name) == kept
-        assert res.rows == rows
+        for name, (xs, means, stderrs) in res.curves.items():
+            assert len(xs) and all(type(x) is int for x in xs), name
+            for column in (means, stderrs):
+                assert type(column) is np.ndarray and column.dtype == np.float64, name
+                assert column.shape == (len(xs),), name
 
 
 def test_power_vs_m_qualitative_shapes():
@@ -491,24 +570,24 @@ def test_power_vs_m_qualitative_shapes():
     channel phases interfere both ways)."""
     cfg = small_cfg(EXP_POWER)
     res = run_experiment(cfg)
-    adapted = [r.mean for r in res.curve("adapted_N5")]
+    adapted = res.curves["adapted_N5"].means.tolist()
     assert all(b > a for a, b in zip(adapted, adapted[1:]))
-    zero = [r.mean for r in res.curve("no_adaptation")]
+    zero = res.curves["no_adaptation"].means.tolist()
     assert any(b < a for a, b in zip(zero, zero[1:]))
 
 
 def test_convergence_experiment_staircase():
     cfg = small_cfg(EXP_CONVERGENCE, m_list=(5,), intervals=60)
     res = run_experiment(cfg)
-    proposed = [r.mean for r in res.curve("proposed_M5")]
+    proposed = res.curves["proposed_M5"].means.tolist()
     assert len(proposed) == 60
     # training ends after n_adapt * (M - 1) = 20 intervals; flat afterwards
     tail = proposed[20:]
     assert max(tail) == pytest.approx(min(tail))
-    baseline = [r.mean for r in res.curve("baseline_M5")]
+    baseline = res.curves["baseline_M5"].means.tolist()
     assert len(baseline) == 60
     assert all(b2 >= b1 for b1, b2 in zip(baseline, baseline[1:]))
-    q_star = res.curve("optimal_M5")[0].mean
+    (q_star,) = res.curves["optimal_M5"].means.tolist()
     assert tail[0] <= q_star
     assert tail[0] >= 0.95 * q_star
 
@@ -516,15 +595,15 @@ def test_convergence_experiment_staircase():
 def test_overhead_experiment_structure():
     cfg = small_cfg(EXP_OVERHEAD, trials=40, budgets=(10, 25, 50, 300))
     res = run_experiment(cfg)
-    names = res.curve_names()
-    assert names == ["all_on", "drop_weakest_1", "drop_weakest_2",
-                     "no_adaptation", "optimal"]
-    assert len(res.rows) == 5 * 4
-    allon = {r.x: r.mean for r in res.curve("all_on")}
+    assert list(res.curves) == ["all_on", "drop_weakest_1", "drop_weakest_2",
+                                "no_adaptation", "optimal"]
+    assert all(len(c.xs) == 4 for c in res.curves.values())
+    means = {name: dict(zip(c.xs, c.means.tolist())) for name, c in res.curves.items()}
+    allon = means["all_on"]
     # training needs 20 intervals; with a 10-interval budget nothing is credited
     assert allon[10] == 0.0
     assert allon[300] > allon[50] > allon[25] > 0.0
-    opt = {r.x: r.mean for r in res.curve("optimal")}
+    opt = means["optimal"]
     assert allon[300] <= opt[300]
 
 
@@ -532,14 +611,14 @@ def test_overhead_policies_relative_to_m():
     """all_on keeps every transmitter on and the drop policies one and two
     fewer, for any M; a policy needs two transmitters left on."""
     small = run_experiment(small_cfg(EXP_OVERHEAD, trials=3, m_list=(2,), budgets=(10,)))
-    assert small.curve_names() == ["all_on", "no_adaptation", "optimal"]
+    assert list(small.curves) == ["all_on", "no_adaptation", "optimal"]
     three = run_experiment(small_cfg(EXP_OVERHEAD, trials=3, m_list=(3,), budgets=(10,)))
-    assert three.curve_names() == ["all_on", "drop_weakest_1", "no_adaptation", "optimal"]
+    assert list(three.curves) == ["all_on", "drop_weakest_1", "no_adaptation", "optimal"]
     # at M=7, N=5 all-on trains 30 intervals, drop_weakest_1 25: a budget
     # of exactly 30 credits nothing to all-on and something to the other
     res = run_experiment(small_cfg(EXP_OVERHEAD, trials=3, m_list=(7,), budgets=(30, 31)))
-    allon = {r.x: r.mean for r in res.curve("all_on")}
-    drop1 = {r.x: r.mean for r in res.curve("drop_weakest_1")}
+    means = {name: dict(zip(c.xs, c.means.tolist())) for name, c in res.curves.items()}
+    allon, drop1 = means["all_on"], means["drop_weakest_1"]
     assert allon[30] == 0.0 < allon[31]
     assert drop1[30] > 0.0
 
@@ -573,8 +652,8 @@ def test_overhead_rows_equal_per_trial_runs(m, monkeypatch):
         run_experiment(underflow)
     want = [per_trial_overhead(cfg) for cfg in cfgs]
     _forbid_per_run_calls(monkeypatch)
-    for cfg, rows in zip(cfgs, want):
-        assert run_experiment(cfg).rows == rows, (cfg.n_adapt, cfg.count_training_energy)
+    for cfg, curves in zip(cfgs, want):
+        assert_curves_equal(run_experiment(cfg).curves, curves)
 
 
 #: Gains 1e-2 * d**-280 underflow to 0 beyond d ~ 14 of the default 5-15 m,
@@ -616,8 +695,8 @@ def test_efficiency_rows_equal_per_run_calls(m, monkeypatch):
         run_experiment(underflow)
     want = [per_run_efficiency(cfg) for cfg in cfgs]
     _forbid_per_run_calls(monkeypatch)
-    for cfg, rows in zip(cfgs, want):
-        assert run_experiment(cfg).rows == rows, cfg.seed
+    for cfg, curves in zip(cfgs, want):
+        assert_curves_equal(run_experiment(cfg).curves, curves)
 
 
 def test_overhead_training_energy_flag():
@@ -626,15 +705,14 @@ def test_overhead_training_energy_flag():
                        count_training_energy=True)
     res0 = run_experiment(base)
     res1 = run_experiment(credit)
+    means0, means1 = ({name: dict(zip(c.xs, c.means.tolist())) for name, c in res.curves.items()}
+                      for res in (res0, res1))
     for name in ("all_on", "drop_weakest_1", "drop_weakest_2"):
-        a = {r.x: r.mean for r in res0.curve(name)}
-        b = {r.x: r.mean for r in res1.curve(name)}
+        a, b = means0[name], means1[name]
         assert all(b[x] >= a[x] for x in a)
         assert b[10] > 0.0
     # the no-adaptation reference is unaffected by the accounting
-    a = {r.x: r.mean for r in res0.curve("no_adaptation")}
-    b = {r.x: r.mean for r in res1.curve("no_adaptation")}
-    assert a == b
+    assert means0["no_adaptation"] == means1["no_adaptation"]
 
 
 def test_write_outputs_and_metadata(tmp_path, monkeypatch):
@@ -662,10 +740,10 @@ def test_write_outputs_and_metadata(tmp_path, monkeypatch):
 def test_all_emitted_means_finite_and_in_range():
     cfg = small_cfg(EXP_EFFICIENCY, trials=10, m_list=(5,), n_list=(1, 4, 8))
     res = run_experiment(cfg)
-    for r in res.rows:
-        assert math.isfinite(r.mean) and math.isfinite(r.stderr)
-        if r.curve.startswith("eta"):
-            assert 0.0 < r.mean <= 1.0
+    for name, (_, means, stderrs) in res.curves.items():
+        assert np.isfinite(means).all() and np.isfinite(stderrs).all()
+        if name.startswith("eta"):
+            assert ((0.0 < means) & (means <= 1.0)).all()
 
 
 def test_mean_stderr_scales_by_powers_of_two_exactly(rng):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from distbeam import (
-    Channel,
     InfeasibleEfficiencyTarget,
     PhaseAssignment,
     Scenario,
@@ -109,9 +108,9 @@ def test_protocol_validation(rng):
 
 
 def _with_zero_gain(s, index):
-    channels = list(s.channels)
-    channels[index] = Channel(0.0, channels[index].phase_shift)
-    return Scenario(s.transmit_power, s.carrier_freq, s.conversion_eff, channels)
+    gains = s.gains.copy()
+    gains[index] = 0.0
+    return Scenario(s.transmit_power, s.carrier_freq, s.conversion_eff, gains, s.phase_shifts)
 
 
 def _probe_tie_scenarios():
@@ -129,7 +128,7 @@ def _probe_tie_scenarios():
             base = tie + phase
             for k in range(-3, 4):
                 shift = base + k * math.ulp(base)
-                scens.append(Scenario(1.0, 915e6, 1.0, [Channel(g0, s0), Channel(1.0, shift)]))
+                scens.append(Scenario(1.0, 915e6, 1.0, [g0, 1.0], [s0, shift]))
     return scens
 
 
@@ -195,7 +194,7 @@ def test_exact_phases_where_every_comparison_ties(phases_of, gains):
     power: every comparison of the stage ties, and a tie keeps psi, which
     is not the target's cell. 200 random phase sets per gain vector."""
     rng = np.random.default_rng(17)
-    scens = [Scenario(1.0, 915e6, 1.0, [Channel(g, th) for g, th in zip(gains, shifts)])
+    scens = [Scenario(1.0, 915e6, 1.0, gains, shifts)
              for shifts in rng.uniform(-math.pi, math.pi, (200, len(gains)))]
     _assert_phases_match_runs(phases_of, scens, (1, 4, 8))
 
@@ -222,7 +221,7 @@ def test_exact_phases_near_every_decision_point(phases_of, depth):
             target = point
             for _ in range(abs(steps)):
                 target = math.nextafter(target, math.copysign(math.inf, steps))
-            scens += [Scenario(1.0, 915e6, 1.0, [Channel(1.0, 0.0), Channel(g1, target)])
+            scens += [Scenario(1.0, 915e6, 1.0, [1.0, g1], [0.0, target])
                       for g1 in (1.0, 0.3)]
     _assert_phases_match_runs(phases_of, scens, sorted({depth + 1, 8}))
 
@@ -457,15 +456,15 @@ def test_negative_zero_reading_matches_oracle():
     the single-repeat reading is 0.0, as the oracle's sum over repeats
     gives. adapt_phase meets it at a power scale of 1e-310, run_protocol at
     8e-308, where Q* (about 3.37e-308) is still a normal float."""
-    channels = [Channel(0.10520315032328138, 0.0), Channel(0.10520315032328142, math.pi)]
-    s = Scenario(1.0, 1.0, 1e-310, channels)
+    gains, shifts = [0.10520315032328138, 0.10520315032328142], [0.0, math.pi]
+    s = Scenario(1.0, 1.0, 1e-310, gains, shifts)
     pa = PhaseAssignment(np.zeros(2), np.array([True, False]))
     phi, trace = adapt_phase(s, pa, 1, 4)
     phi_ref, trace_ref = per_reading_adapt_phase(s, pa, 1, 4)
     assert _same(phi, phi_ref)
     _assert_same_trace(trace, trace_ref, "adapt_phase")
     assert _same(trace.records[0].q_psi, 0.0)
-    s = Scenario(1.0, 1.0, 8e-308, channels)
+    s = Scenario(1.0, 1.0, 8e-308, gains, shifts)
     got, want = run_protocol(s, 4), per_stage_protocol(s, 4)
     first = got.traces[0].records[0]
     assert _same(partial_power(s, sum_signal(s, pa), 1, first.psi), -0.0)
@@ -477,7 +476,7 @@ def test_run_protocol_rejects_a_zero_or_infinite_optimum():
     """An optimum that underflows to 0 or overflows is checked_optima's
     ValueError, not a ZeroDivisionError or a NaN efficiency."""
     for scale, gain, q in ((1e-320, 1e-6, "0.0"), (1e308, 4.0, "inf")):
-        s = Scenario.from_arrays(scale, 1.0, 1.0, [gain, gain], [0.0, 1.0])
+        s = Scenario(scale, 1.0, 1.0, [gain, gain], [0.0, 1.0])
         with pytest.raises(ValueError, match=f"optimal power of the scenario is {q}: power "):
             run_protocol(s, 3)
 
@@ -488,7 +487,7 @@ def test_run_protocol_rejects_a_subnormal_optimum():
     differ in the last digits (0.9936151036369086); run_protocol raises
     checked_optima's error there, as every experiment does."""
     def run(eff):
-        return run_protocol(Scenario.from_arrays(1.0, 1.0, eff, [1.0] * 3, [0.0, 1.0, 2.0]), 4)
+        return run_protocol(Scenario(1.0, 1.0, eff, [1.0] * 3, [0.0, 1.0, 2.0]), 4)
 
     etas = [run(eff).eta for eff in (1.0, 1e-300)]
     assert _same(etas[0], etas[1]) and etas[0] == 0.99361510363691
@@ -533,7 +532,7 @@ def test_batched_stages_take_adapts_feedback_rule(monkeypatch, gains, shifts):
     strict, a tie keeps psi' instead of psi, and exact_runs and exact_phases
     change with run_protocol. Each scenario's first stage has a zero
     combined signal, so all of its comparisons tie."""
-    s = Scenario.from_arrays(1.0, 915e6, 1.0, gains, shifts)
+    s = Scenario(1.0, 915e6, 1.0, gains, shifts)
     stack = stack_scenarios([s])
     tie_keeps_psi = {n: run_protocol(s, n).final_phases for n in (1, 4, 9)}
     monkeypatch.setattr(adapt, "feedback_bit", lambda q_psi, q_psi_prime: q_psi > q_psi_prime)
@@ -549,7 +548,7 @@ def test_replayed_errors_match_the_run_after_zero_gain_links(gains, shifts):
     """A stage whose prefix has zero combined gain records target 0, and the
     replay gives the same target: for gains [0, 1, 0.5] the replay used to
     return 0.174 against the recorded 1.374."""
-    s = Scenario.from_arrays(1.0, 915e6, 1.0, gains, shifts)
+    s = Scenario(1.0, 915e6, 1.0, gains, shifts)
     for n, std in itertools.product((1, 4, 8), (0.0, 1e-3)):
         meas, _ = _meas_pair(std, n)
         res = run_protocol(s, n, meas)
@@ -567,7 +566,7 @@ def test_phases_from_errors_round_trips_through_phase_errors(rng, gains, shifts)
         if gains is None:
             s = random_scenario(rng, int(rng.integers(2, 9)))
         else:
-            s = Scenario.from_arrays(1.0, 915e6, 1.0, gains, shifts)
+            s = Scenario(1.0, 915e6, 1.0, gains, shifts)
         errors = rng.uniform(-math.pi, math.pi, s.num_transmitters)
         errors[0] = 0.0
         phases = phases_from_errors(s, errors)
