@@ -199,7 +199,6 @@ class TrainingTrace:
     """Full record of one adaptation run."""
 
     records: list[TraceRecord] = field(default_factory=list)
-    final_phase: float = 0.0
     target_phase: float = 0.0   # optimum at adaptation time; 0 when undefined
     sum_gain: float = 0.0       # combined power of the other active transmitters
 
@@ -310,7 +309,6 @@ def _train_stage(
         center, half = arc
         records.append(new_record(TraceRecord, (n, psi, psi_prime, q_psi, q_psi_prime, bit,
                                                 center, half)))
-    trace.final_phase = center
     return center, trace
 
 

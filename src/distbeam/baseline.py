@@ -67,8 +67,7 @@ class BaselineTrace:
     measured_power: np.ndarray     # power actually received each interval
     best_power: np.ndarray         # record after each interval; non-decreasing
     accepted: np.ndarray           # bool, candidate kept
-    final_phases: np.ndarray
-    final_power: float
+    final_phases: np.ndarray        # the record's phases; its power is best_power[-1]
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -156,5 +155,4 @@ def run_random_perturbation(
         best_power=best_hist,
         accepted=acc_hist,
         final_phases=best,
-        final_power=best_power,
     )

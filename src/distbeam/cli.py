@@ -204,7 +204,7 @@ def _cmd_baseline(args) -> int:
     trace = run_random_perturbation(scen, cfg, rng=rng_stream(args.seed, 1))
     if args.format == "json":
         payload = {
-            "final_power": trace.final_power,
+            "final_power": float(trace.best_power[-1]),
             "best_power": [float(p) for p in trace.best_power],
             "measured_power": [float(p) for p in trace.measured_power],
         }

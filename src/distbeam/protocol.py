@@ -44,8 +44,7 @@ class ProtocolResult:
     q_d: float
     q_star: float
     eta: float
-    traces: list[TrainingTrace]
-    target_phases: np.ndarray        # per-stage optima recorded during the run
+    traces: list[TrainingTrace]      # stage m's optimum is traces[m-1].target_phase
     errors: np.ndarray               # final phase minus stage optimum, wrapped
     total_feedback_intervals: int
 
@@ -81,7 +80,6 @@ def run_protocol(
     checked_optima(np.array([q_star]), np.array([s.power_scale]), ["the scenario"])
     phases = np.zeros(m_total)
     traces: list[TrainingTrace] = []
-    targets = np.zeros(m_total)
     errors = np.zeros(m_total)
     noise = (meas.rng.normal(0.0, meas.noise_std, size=(m_total - 1, 2 * n_intervals))
              if meas.noisy else None)
@@ -90,7 +88,6 @@ def run_protocol(
                                     None if noise is None else noise[m - 1].tolist(), 1)
         phases[m] = phi_m
         traces.append(trace)
-        targets[m] = trace.target_phase
         errors[m] = wrap_angle(phi_m - trace.target_phase)
     q_d = harvested_power(s, PhaseAssignment(phases))
     return ProtocolResult(
@@ -99,7 +96,6 @@ def run_protocol(
         q_star=q_star,
         eta=q_d / q_star,
         traces=traces,
-        target_phases=targets,
         errors=errors,
         total_feedback_intervals=n_intervals * (m_total - 1),
     )

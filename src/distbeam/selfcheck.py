@@ -4,8 +4,8 @@ Every check pits an implementation against an independent route to the
 same number: complex phasor sums against the pairwise power formula, a
 dense-grid membership oracle against the arc bisection, closed-form bounds
 against protocol runs, and the stage-recursion against the discounted
-pairwise bound. All randomness is internally seeded, so the suite is
-deterministic.
+pairwise bound. No check takes an argument: the seeds and sizes below fix
+its instances, so the suite is deterministic and always the same size.
 
 The two power checks draw their instances one at a time, in windows of
 :data:`WINDOW`, and evaluate each window in one stacked call per row
@@ -56,6 +56,14 @@ def _random_scenario(rng, m) -> Scenario:
     return scen
 
 
+# each check's stream seed, then its sizes
+PHASOR_SEED, PHASOR_INSTANCES, PHASOR_MAX_M = 20_240_101, 2000, 32
+PARTIAL_SEED, PARTIAL_INSTANCES, PARTIAL_MAX_M = 20_240_102, 2000, 16
+GRID_SEED, GRID_RUNS, GRID_INTERVALS = 20_240_103, 50, 6
+BOUND_SEED, BOUND_RUNS_PER_N, BOUND_MAX_N = 20_240_104, 200, 8
+SANDWICH_SEED, SANDWICH_SCENARIOS = 20_240_105, 150
+INDUCTION_SEED, INDUCTION_INSTANCES = 20_240_106, 2000
+
 #: Instances a stacked check draws before it evaluates and drops them. A
 #: window bounds the memory a check holds; every width in it still gets one
 #: stacked call. 256 measured no faster and doubled the peak-RSS cost.
@@ -87,43 +95,42 @@ def _stacked(rows, *kernels) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _worst_mismatch(windows) -> float:
-    """Largest |a - b| / |b| over the (a, b) arrays of every window; a NaN
-    mismatch is the result, so it fails the check."""
-    worst = [0.0]
+def _mismatch_check(name: str, windows) -> CheckResult:
+    """Pass if the largest |a - b| / |b| over the (a, b) arrays of every
+    window is at most 1e-10; a NaN mismatch is the largest, so it fails."""
+    mismatches = [0.0]
     for a, b in windows:
-        worst.append(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
-    return float(np.max(worst))
+        mismatches.append(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
+    worst = float(np.max(mismatches))
+    return CheckResult(name, worst <= 1e-10, f"max relative mismatch {worst:.3g}")
 
 
-def phasor_windows(seed=20_240_101, instances=2000, max_m=32):
+def phasor_windows():
     """Per window, each instance's ``harvested_powers`` and phasor-oracle
     power, in draw order."""
-    rng = rng_stream(seed, 90)
-    for start in range(0, instances, WINDOW):
+    rng = rng_stream(PHASOR_SEED, 90)
+    for start in range(0, PHASOR_INSTANCES, WINDOW):
         rows = []
-        for _ in range(min(WINDOW, instances - start)):
-            m = int(rng.integers(1, max_m + 1))
+        for _ in range(min(WINDOW, PHASOR_INSTANCES - start)):
+            m = int(rng.integers(1, PHASOR_MAX_M + 1))
             s = _random_scenario(rng, m)
             rows.append((s.gains, s.phase_shifts, s.power_scale,
                          wrap_angle(rng.uniform(-math.pi, math.pi, m))))
         yield _stacked(rows, harvested_powers, phasor_oracle_powers)
 
 
-def check_phasor_oracle(seed=20_240_101, instances=2000, max_m=32) -> CheckResult:
-    worst = _worst_mismatch(phasor_windows(seed, instances, max_m))
-    ok = worst <= 1e-10
-    return CheckResult("phasor-sum oracle", ok, f"max relative mismatch {worst:.3g}")
+def check_phasor_oracle() -> CheckResult:
+    return _mismatch_check("phasor-sum oracle", phasor_windows())
 
 
-def partial_power_windows(seed=20_240_102, instances=2000, max_m=16):
+def partial_power_windows():
     """Per window, each instance's scalar ``partial_power`` and the
     ``harvested_powers`` of its joined active set, in draw order."""
-    rng = rng_stream(seed, 91)
-    for start in range(0, instances, WINDOW):
+    rng = rng_stream(PARTIAL_SEED, 91)
+    for start in range(0, PARTIAL_INSTANCES, WINDOW):
         partial, rows = [], []
-        for _ in range(min(WINDOW, instances - start)):
-            m_total = int(rng.integers(2, max_m + 1))
+        for _ in range(min(WINDOW, PARTIAL_INSTANCES - start)):
+            m_total = int(rng.integers(2, PARTIAL_MAX_M + 1))
             s = _random_scenario(rng, m_total)
             phases = rng.uniform(-math.pi, math.pi, m_total)
             m = int(rng.integers(0, m_total))
@@ -140,14 +147,11 @@ def partial_power_windows(seed=20_240_102, instances=2000, max_m=16):
         yield (np.array(partial), *_stacked(rows, harvested_powers))
 
 
-def check_partial_power_consistency(seed=20_240_102, instances=2000, max_m=16) -> CheckResult:
-    worst = _worst_mismatch(partial_power_windows(seed, instances, max_m))
-    ok = worst <= 1e-10
-    return CheckResult("partial-power consistency", ok,
-                       f"max relative mismatch {worst:.3g}")
+def check_partial_power_consistency() -> CheckResult:
+    return _mismatch_check("partial-power consistency", partial_power_windows())
 
 
-def grid_oracle_violations(trace, grid_size=3600, tol=1e-9) -> int:
+def grid_oracle_violations(trace, grid_size) -> int:
     """Count grid points that contradict the cosine comparisons of a run.
 
     For each interval, every point of the previous working set must end up
@@ -155,6 +159,7 @@ def grid_oracle_violations(trace, grid_size=3600, tol=1e-9) -> int:
     probe pair; ties and boundary points are exempt. Also enforces strict
     nesting with exact halving. Returns the number of violations.
     """
+    tol = 1e-9
     grid = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
     prev_center, prev_half = initial_arc().center, initial_arc().half_width
     bad = 0
@@ -178,23 +183,23 @@ def grid_oracle_violations(trace, grid_size=3600, tol=1e-9) -> int:
     return bad
 
 
-def check_bisection_grid(seed=20_240_103, runs=50, n_intervals=6) -> CheckResult:
-    rng = rng_stream(seed, 92)
+def check_bisection_grid() -> CheckResult:
+    rng = rng_stream(GRID_SEED, 92)
     bad = 0
-    for _ in range(runs):
+    for _ in range(GRID_RUNS):
         s = _random_scenario(rng, 2)
         pa = PhaseAssignment(np.zeros(2), np.array([True, False]))
-        _, trace = adapt_phase(s, pa, 1, n_intervals)
+        _, trace = adapt_phase(s, pa, 1, GRID_INTERVALS)
         bad += grid_oracle_violations(trace, grid_size=720)
     return CheckResult("bisection grid oracle", bad == 0, f"{bad} grid violations")
 
 
-def check_error_bound(seed=20_240_104, runs_per_n=200, n_max=8) -> CheckResult:
-    rng = rng_stream(seed, 93)
+def check_error_bound() -> CheckResult:
+    rng = rng_stream(BOUND_SEED, 93)
     excess = []
-    for n in range(1, n_max + 1):
+    for n in range(1, BOUND_MAX_N + 1):
         bound = math.pi / 2.0 ** n
-        for _ in range(runs_per_n):
+        for _ in range(BOUND_RUNS_PER_N):
             s = _random_scenario(rng, 2)
             pa = PhaseAssignment(
                 rng.uniform(-math.pi, math.pi, 2), np.array([True, False])
@@ -207,11 +212,11 @@ def check_error_bound(seed=20_240_104, runs_per_n=200, n_max=8) -> CheckResult:
                        f"worst error minus pi/2^N is {worst_excess:.3g}")
 
 
-def check_efficiency_sandwich(seed=20_240_105, scenarios=150) -> CheckResult:
-    rng = rng_stream(seed, 94)
+def check_efficiency_sandwich() -> CheckResult:
+    rng = rng_stream(SANDWICH_SEED, 94)
     bad = 0
     worst = 0.0
-    for _ in range(scenarios):
+    for _ in range(SANDWICH_SCENARIOS):
         m = int(rng.choice([2, 5, 10]))
         s = _random_scenario(rng, m)
         for n in (1, 2, 4, 6):
@@ -224,11 +229,11 @@ def check_efficiency_sandwich(seed=20_240_105, scenarios=150) -> CheckResult:
                        f"{bad} violations (worst {worst:.3g})")
 
 
-def check_induction(seed=20_240_106, instances=2000) -> CheckResult:
-    rng = rng_stream(seed, 95)
+def check_induction() -> CheckResult:
+    rng = rng_stream(INDUCTION_SEED, 95)
     bad = 0
     worst = math.inf
-    for _ in range(instances):
+    for _ in range(INDUCTION_INSTANCES):
         m = int(rng.integers(2, 11))
         s = _random_scenario(rng, m)
         errors = rng.uniform(-math.pi / 2, math.pi / 2, m)

@@ -27,6 +27,7 @@ from distbeam import (
     protocol_trajectory,
     run_protocol,
 )
+from distbeam import selfcheck
 from distbeam.adapt import (
     CONVERGENCE_FLOOR,
     Arc,
@@ -170,7 +171,7 @@ def per_interval_perturbation(s: Scenario, cfg, meas, rng) -> BaselineTrace:
         cand_hist[n] = cand
         meas_hist[n] = p
         best_hist[n] = best_power
-    return BaselineTrace(cand_hist, meas_hist, best_hist, acc_hist, best, best_power)
+    return BaselineTrace(cand_hist, meas_hist, best_hist, acc_hist, best)
 
 
 def plain_probe_pair(arc: Arc) -> ProbePair:
@@ -216,8 +217,7 @@ def per_reading_adapt_phase(s: Scenario, pa: PhaseAssignment, m: int, n_interval
         trace.records.append(
             TraceRecord(n, psi, psi_prime, q_psi, q_psi_prime, bit, arc.center, arc.half_width)
         )
-    trace.final_phase = arc.center
-    return trace.final_phase, trace
+    return arc.center, trace
 
 
 def per_stage_protocol(s: Scenario, n_intervals: int, meas=EXACT):
@@ -229,7 +229,6 @@ def per_stage_protocol(s: Scenario, n_intervals: int, meas=EXACT):
     active = np.zeros(m_total, dtype=bool)
     active[0] = True
     traces = []
-    targets = np.zeros(m_total)
     errors = np.zeros(m_total)
     for m in range(1, m_total):
         pa = PhaseAssignment(phases=phases.copy(), active=active.copy())
@@ -237,11 +236,10 @@ def per_stage_protocol(s: Scenario, n_intervals: int, meas=EXACT):
         phases[m] = phi_m
         active[m] = True
         traces.append(trace)
-        targets[m] = trace.target_phase
         errors[m] = wrap_angle(phi_m - trace.target_phase)
     q_d = harvested_power(s, PhaseAssignment(phases=phases.copy()))
     q_star = optimal_power(s)
-    return ProtocolResult(phases, q_d, q_star, q_d / q_star, traces, targets, errors,
+    return ProtocolResult(phases, q_d, q_star, q_d / q_star, traces, errors,
                           n_intervals * (m_total - 1))
 
 
@@ -337,27 +335,27 @@ def per_trial_overhead(cfg) -> dict[str, Curve]:
             for name in [p[0] for p in policies] + ["no_adaptation", "optimal"]}
 
 
-def per_instance_phasor_draws(seed: int, instances: int, max_m: int):
+def per_instance_phasor_draws():
     """The phasor-oracle check's draws one instance at a time, as its loop
     made them before stacking: a (scenario, all-active assignment) pair per
     instance, in draw order."""
-    rng = rng_stream(seed, 90)
+    rng = rng_stream(selfcheck.PHASOR_SEED, 90)
     draws = []
-    for _ in range(instances):
-        m = int(rng.integers(1, max_m + 1))
+    for _ in range(selfcheck.PHASOR_INSTANCES):
+        m = int(rng.integers(1, selfcheck.PHASOR_MAX_M + 1))
         s = random_scenario(rng, m)
         draws.append((s, PhaseAssignment(rng.uniform(-math.pi, math.pi, m))))
     return draws
 
 
-def per_instance_partial_power(seed: int, instances: int, max_m: int):
+def per_instance_partial_power():
     """The partial-power consistency check one instance at a time: the
     scalar ``partial_power`` of the joining transmitter and one
     ``harvested_power`` call over the joined active set, per instance."""
-    rng = rng_stream(seed, 91)
+    rng = rng_stream(selfcheck.PARTIAL_SEED, 91)
     partial, joined_power = [], []
-    for _ in range(instances):
-        m_total = int(rng.integers(2, max_m + 1))
+    for _ in range(selfcheck.PARTIAL_INSTANCES):
+        m_total = int(rng.integers(2, selfcheck.PARTIAL_MAX_M + 1))
         s = random_scenario(rng, m_total)
         phases = rng.uniform(-math.pi, math.pi, m_total)
         m = int(rng.integers(0, m_total))

@@ -314,13 +314,13 @@ def test_run_protocol_through_the_tree_matches_plain_stages(fresh_tree, m):
         meas = _meas(std, n)
         got = run_protocol(s, n, meas)
         where = (m, n, std)
-        for name in ("final_phases", "q_d", "q_star", "eta", "target_phases", "errors",
+        for name in ("final_phases", "q_d", "q_star", "eta", "errors",
                      "total_feedback_intervals"):
             assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (where, name)
         for g, w in zip(got.traces, want.traces, strict=True):
             assert _bits(g.records) == _bits(w.records), where
-            assert _bits([g.final_phase, g.target_phase, g.sum_gain]) == \
-                _bits([w.final_phase, w.target_phase, w.sum_gain]), where
+            assert _bits([g.target_phase, g.sum_gain]) == _bits([w.target_phase, w.sum_gain]), \
+                where
         if std:
             assert meas.rng.bit_generator.state == want_meas.rng.bit_generator.state, where
 
@@ -453,7 +453,7 @@ def test_trace_records_and_csv(rng):
     s, pa = two_transmitter_setup(rng)
     phi, trace = adapt_phase(s, pa, 1, 5)
     assert len(trace.records) == 5
-    assert trace.final_phase == phi
+    assert trace.records[-1].arc_center == phi
     first = trace.records[0]
     assert (first.psi, first.psi_prime) == (0.0, -math.pi)
     csv = trace.to_csv()

@@ -60,7 +60,6 @@ def test_block_evaluation_matches_per_interval_loop(m, dist):
                 for field in ("candidate_phases", "measured_power", "best_power",
                               "accepted", "final_phases"):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), (field, case)
-                assert got.final_power == want.final_power, case
                 assert (got_draw, got_noise) == (want_draw, want_noise), case
 
 
@@ -87,7 +86,6 @@ def test_half_matrix_kernel_leaves_traces_unchanged(m, monkeypatch):
             for field in ("candidate_phases", "measured_power", "best_power", "accepted",
                           "final_phases"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (field, dist, std)
-            assert got.final_power == want.final_power
 
 
 def test_noisy_measurement_needs_its_own_generator(rng):
@@ -146,8 +144,7 @@ def test_best_power_monotone_and_bounded(rng):
         cfg = PerturbationConfig(max_intervals=150)
         trace = run_random_perturbation(s, cfg, rng=rng)
         assert np.all(np.diff(trace.best_power) >= 0.0)
-        assert trace.final_power <= optimal_power(s) * (1 + 1e-12)
-        assert trace.final_power == trace.best_power[-1]
+        assert trace.best_power[-1] <= optimal_power(s) * (1 + 1e-12)
 
 
 def test_accepts_track_records(rng):
@@ -189,7 +186,7 @@ def test_slow_convergence_relative_to_protocol(rng):
         s = random_scenario(rng_stream(77, seed), 5)
         cfg = PerturbationConfig(max_intervals=20)
         trace = run_random_perturbation(s, cfg, rng=rng_stream(77, seed, 1))
-        if trace.final_power < 0.99 * optimal_power(s):
+        if trace.best_power[-1] < 0.99 * optimal_power(s):
             behind += 1
     assert behind >= 24
 

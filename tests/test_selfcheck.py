@@ -1,6 +1,7 @@
 """The ``verify`` suite's stacked checks against their per-instance loops,
 and every check against a planted fault in what it verifies."""
 
+import inspect
 import math
 
 import numpy as np
@@ -11,9 +12,6 @@ from distbeam.power import harvested_power
 
 from conftest import per_instance_partial_power, per_instance_phasor_draws, phasor_power
 
-PHASOR = dict(seed=20_240_101, instances=2000, max_m=32)
-PARTIAL = dict(seed=20_240_102, instances=2000, max_m=16)
-
 
 def _joined(windows):
     """The per-window (a, b) arrays of a stacked check, joined in draw order."""
@@ -21,10 +19,14 @@ def _joined(windows):
     return np.concatenate(a), np.concatenate(b)
 
 
-def test_checks_default_to_the_oracle_draws():
-    """The oracles below draw the data of the checks' own defaults."""
-    assert selfcheck.check_phasor_oracle.__defaults__ == tuple(PHASOR.values())
-    assert selfcheck.check_partial_power_consistency.__defaults__ == tuple(PARTIAL.values())
+def test_checks_take_no_arguments():
+    """A check's seed and sizes are constants of ``selfcheck``, not options:
+    every check and window generator has an empty signature, and the grid
+    oracle takes only the run and its grid size."""
+    for f in (*selfcheck.ALL_CHECKS, selfcheck.phasor_windows, selfcheck.partial_power_windows):
+        assert not inspect.signature(f).parameters, f.__name__
+    assert list(inspect.signature(selfcheck.grid_oracle_violations).parameters) == \
+        ["trace", "grid_size"]
 
 
 @pytest.mark.parametrize("window", [7, selfcheck.WINDOW])
@@ -33,8 +35,8 @@ def test_stacked_phasor_check_equals_per_instance_calls(monkeypatch, window):
     instance's own ``harvested_power`` call, bit for bit, whatever the
     window."""
     monkeypatch.setattr(selfcheck, "WINDOW", window)
-    powers, _ = _joined(selfcheck.phasor_windows(**PHASOR))
-    want = np.array([harvested_power(s, pa) for s, pa in per_instance_phasor_draws(**PHASOR)])
+    powers, _ = _joined(selfcheck.phasor_windows())
+    want = np.array([harvested_power(s, pa) for s, pa in per_instance_phasor_draws()])
     assert powers.tobytes() == want.tobytes()
 
 
@@ -43,8 +45,8 @@ def test_stacked_partial_check_equals_per_instance_calls(monkeypatch, window):
     """Both sides of the partial-power check equal the per-instance loop bit
     for bit: the scalar ``partial_power`` and the joined set's power."""
     monkeypatch.setattr(selfcheck, "WINDOW", window)
-    partial, joined = _joined(selfcheck.partial_power_windows(**PARTIAL))
-    want_partial, want_joined = per_instance_partial_power(**PARTIAL)
+    partial, joined = _joined(selfcheck.partial_power_windows())
+    want_partial, want_joined = per_instance_partial_power()
     assert partial.tobytes() == want_partial.tobytes()
     assert joined.tobytes() == want_joined.tobytes()
 
@@ -65,8 +67,8 @@ def test_stacked_phasor_oracle_agrees_with_scalar_cmath_sum():
     route is within (2 sqrt(2) (M + 2) + 6) u c S^2 of the exact power, the
     two are within twice that, 4 sqrt(2) (M + 2) + 12 < 6M + 24 (the slack
     covers the O(u^2) terms)."""
-    draws = per_instance_phasor_draws(**PHASOR)
-    _, oracle = _joined(selfcheck.phasor_windows(**PHASOR))
+    draws = per_instance_phasor_draws()
+    _, oracle = _joined(selfcheck.phasor_windows())
     scalar = np.array([phasor_power(s, pa) for s, pa in draws])
     m = np.array([s.num_transmitters for s, _ in draws])
     c_s2 = np.array([s.conversion_eff * s.transmit_power * float(np.sum(np.sqrt(s.gains))) ** 2
@@ -96,7 +98,7 @@ FAULTS = [
 
 @pytest.mark.parametrize("check, owner, name, plant", FAULTS, ids=[f[0] for f in FAULTS])
 def test_check_fails_on_a_planted_fault(monkeypatch, check, owner, name, plant):
-    """Each check, at its defaults, reports a subtle fault in its target."""
+    """Each check reports a subtle fault in its target."""
     monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
     result = getattr(selfcheck, check)()
     assert not result.ok, result.detail
@@ -106,7 +108,7 @@ def test_nan_mismatch_fails_the_check(monkeypatch):
     """A NaN power is a failed check, not a mismatch that max() skips."""
     monkeypatch.setattr(selfcheck, "harvested_powers",
                         lambda stack, phases: np.full(len(stack.scale), np.nan))
-    result = selfcheck.check_phasor_oracle(instances=50)
+    result = selfcheck.check_phasor_oracle()
     assert not result.ok and result.detail == "max relative mismatch nan"
 
 
@@ -124,5 +126,5 @@ def test_nan_phase_error_fails_the_error_bound(monkeypatch):
         return plain(arc, bit)
 
     monkeypatch.setattr(adapt, "bisect_arc", nan_centre)
-    result = selfcheck.check_error_bound(runs_per_n=20)
+    result = selfcheck.check_error_bound()
     assert not result.ok and result.detail == "worst error minus pi/2^N is nan"
