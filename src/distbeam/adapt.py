@@ -334,6 +334,11 @@ def _interval_loop(target, base, swing, scale, n_intervals: int):
         yield q_psi, q_psi_prime, center
 
 
+#: Intervals after which :func:`_interval_loop` leaves the arcs where they
+#: are: pi halved this often is the first half-width at or below
+#: ``CONVERGENCE_FLOOR``, so later intervals only probe.
+_MOVING_INTERVALS = math.ceil(math.log2(math.pi / CONVERGENCE_FLOOR))
+
 #: Bound on the absolute error, in radians, of each angle that
 #: :func:`_interval_loop` and :func:`_cells` compute (see :func:`_cells`)
 _ANGLE_ERROR = 2.0 ** -44
@@ -397,7 +402,7 @@ def _final_centres(target, base, swing, scale, n_intervals: int) -> np.ndarray:
     target's position on the circle, so its final phase is the centre of
     the depth-N tree arc that holds the target (:func:`_cells`). The rows
     too near a comparison tie, and all rows when N > ``_TREE_DEPTH``, run
-    the loop instead."""
+    the loop instead, for at most ``_MOVING_INTERVALS`` intervals."""
     if n_intervals <= _TREE_DEPTH:
         cell, clear = _cells(target, base, swing, scale, n_intervals)
         centres = _DEPTH_CENTRES[n_intervals][cell]
@@ -406,7 +411,7 @@ def _final_centres(target, base, swing, scale, n_intervals: int) -> np.ndarray:
         centres, rows = np.empty(len(target)), np.arange(len(target))
     if rows.size:
         for _, _, center in _interval_loop(target[rows], base[rows], swing[rows],
-                                           scale[rows], n_intervals):
+                                           scale[rows], min(n_intervals, _MOVING_INTERVALS)):
             pass
         centres[rows] = center
     return centres

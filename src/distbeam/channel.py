@@ -305,26 +305,43 @@ def scenario_to_text(s: Scenario) -> str:
     return out.getvalue()
 
 
+def _line_fields(lineno: int, line: str, form: str, *parsers) -> list:
+    """The whitespace-separated fields of a line that must read ``form``,
+    one per parser, each parsed by it; else a ``ValueError`` that names the
+    1-based line number and the form."""
+    fields = line.split()
+    if len(fields) == len(parsers):
+        try:
+            return [parse(f) for parse, f in zip(parsers, fields)]
+        except ValueError:
+            pass
+    raise ValueError(f"line {lineno}: expected {form!r}, got {line.strip()!r}")
+
+
 def scenario_from_text(text: str) -> Scenario:
-    """Inverse of :func:`scenario_to_text`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = dict(ln.split() for ln in lines[:4])
+    """Inverse of :func:`scenario_to_text`. A malformed line is a
+    ``ValueError`` naming its line number and the form it must have."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    header = {}
+    for n, ln in lines[:4]:
+        key, _ = _line_fields(n, ln, "<key> <value>", str, str)
+        header[key] = n, ln
     if sorted(header) != ["M", "P", "f_c", "rho"]:
         raise ValueError(f"scenario header needs the keys M, P, rho and f_c, "
                          f"got {', '.join(header) or 'none'}")
-    m = int(header["M"])
+    _, m = _line_fields(*header["M"], "M <count>", str, int)
+    _, p = _line_fields(*header["P"], "P <number>", str, float)
+    _, rho = _line_fields(*header["rho"], "rho <number>", str, float)
+    _, f_c = _line_fields(*header["f_c"], "f_c <number>", str, float)
     body = lines[4:]
     if len(body) != m:
         raise ValueError(f"expected {m} channel lines, found {len(body)}")
-    gains, phase_shifts = [], []
-    for ln in body:
-        g, th = ln.split()
-        gains.append(float(g))
-        phase_shifts.append(float(th))
+    # all gains reach the constructor, and are checked, before any phase
+    links = [_line_fields(n, ln, "<gain> <phase_shift>", float, float) for n, ln in body]
     return Scenario(
-        transmit_power=float(header["P"]),
-        carrier_freq=float(header["f_c"]),
-        conversion_eff=float(header["rho"]),
-        gains=gains,
-        phase_shifts=phase_shifts,
+        transmit_power=p,
+        carrier_freq=f_c,
+        conversion_eff=rho,
+        gains=[g for g, _ in links],
+        phase_shifts=[th for _, th in links],
     )

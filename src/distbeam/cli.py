@@ -294,6 +294,10 @@ def cli_main(argv=None) -> int:
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy's error names the array it could not allocate
+        print(f"error: out of memory: {str(exc) or 'the run is too large'}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

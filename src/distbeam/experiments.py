@@ -105,8 +105,8 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if not self.n_list or not self.m_list or not self.budgets:
             raise ValueError("sweep lists must be non-empty")
-        if min(self.budgets) < 1:
-            raise ValueError(f"budgets must be >= 1; got {min(self.budgets)}")
+        if bad := [b for b in self.budgets if not 1 <= b <= 2**53]:   # float64 holds counts exactly to 2**53
+            raise ValueError(f"budgets must be >= 1 and <= 2**53; got {bad[0]}")
         for name, n in (("n_list", min(self.n_list)), ("n_adapt", self.n_adapt)):
             if n < 1:
                 raise ValueError(f"n_intervals must be >= 1; got {name} {n}")

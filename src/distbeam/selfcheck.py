@@ -56,7 +56,7 @@ def _random_scenario(rng, m) -> Scenario:
     return scen
 
 
-# each check's stream seed, then its sizes
+# each check's stream seed, then its sizes: one set of instances per check
 PHASOR_SEED, PHASOR_INSTANCES, PHASOR_MAX_M = 20_240_101, 2000, 32
 PARTIAL_SEED, PARTIAL_INSTANCES, PARTIAL_MAX_M = 20_240_102, 2000, 16
 GRID_SEED, GRID_RUNS, GRID_INTERVALS = 20_240_103, 50, 6
@@ -151,7 +151,7 @@ def check_partial_power_consistency() -> CheckResult:
     return _mismatch_check("partial-power consistency", partial_power_windows())
 
 
-def grid_oracle_violations(trace, grid_size) -> int:
+def grid_oracle_violations(trace, grid_size: int) -> int:
     """Count grid points that contradict the cosine comparisons of a run.
 
     For each interval, every point of the previous working set must end up

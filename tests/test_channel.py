@@ -234,15 +234,28 @@ def test_scenario_text_names_a_bad_gain_before_a_bad_phase():
         scenario_from_text("M 2\nP 1\nrho 1\nf_c 1\n1.0 nan\n-1 0\n")
 
 
-def test_scenario_text_rejects_a_missing_or_unknown_header_key():
-    """``freq 1`` in place of ``f_c 1`` raised a bare KeyError: 'f_c'."""
-    text = scenario_to_text(Scenario(1.0, 2.0, 0.5, [1.0, 2.0], [0.1, 0.2]))
-    message = "scenario header needs the keys M, P, rho and f_c, got "
-    for bad, keys in ((text.replace("f_c ", "freq "), "M, P, rho, freq"),
-                      (text.replace("M 2\n", "M 2\nM 2\n"), "M, P, rho"),
-                      ("", "none")):
-        with pytest.raises(ValueError, match=re.escape(message + keys)):
-            scenario_from_text(bad)
+_TEXT = "M 2\nP 1\nrho 0.5\nf_c 2\n1 0.1\n2 0.2\n"
+_HEADER = "scenario header needs the keys M, P, rho and f_c, got "
+
+
+@pytest.mark.parametrize("bad, message", [
+    # freq in place of f_c raised a bare KeyError: 'f_c'
+    (_TEXT.replace("f_c ", "freq "), _HEADER + "M, P, rho, freq"),
+    (_TEXT.replace("M 2\n", "M 2\nM 2\n"), _HEADER + "M, P, rho"),
+    ("", _HEADER + "none"),
+    # these raised Python's bare unpacking and conversion messages
+    (_TEXT.replace("1 0.1", "1 2 3"), "line 5: expected '<gain> <phase_shift>', got '1 2 3'"),
+    (_TEXT.replace("1 0.1", "1"), "line 5: expected '<gain> <phase_shift>', got '1'"),
+    (_TEXT.replace("2 0.2", "x 0.2"), "line 6: expected '<gain> <phase_shift>', got 'x 0.2'"),
+    (_TEXT.replace("M 2", "M 2 x"), "line 1: expected '<key> <value>', got 'M 2 x'"),
+    (_TEXT.replace("M 2", "M 2.5"), "line 1: expected 'M <count>', got 'M 2.5'"),
+], ids=["unknown-key", "repeated-key", "empty", "three-fields", "one-field", "gain-word",
+        "header-fields", "fractional-count"])
+def test_scenario_text_rejects_a_malformed_file(bad, message):
+    """Each malformed file is a ValueError that names what is wrong and, for
+    a malformed line, its 1-based number and the form it must have."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scenario_from_text(bad)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 10, 32, 50])

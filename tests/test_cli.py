@@ -335,12 +335,50 @@ def test_usage_errors(capsys, tmp_path):
         (("overhead-tradeoff", "--m-list", "5,10", "--budgets", "10"), "m_list 5,10"),
         (("overhead-tradeoff", "--budgets", "0,5"), "budgets must be >= 1"),
         (("overhead-tradeoff", "--budgets=-5"), "budgets must be >= 1"),
+        # 2**64 ended in a TypeError traceback from np.ldexp on an object array
+        (("overhead-tradeoff", "--budgets", "18446744073709551616"),
+         "budgets must be >= 1 and <= 2**53; got 18446744073709551616"),
+        (("overhead-tradeoff", "--budgets", "5,9007199254740993"),
+         "budgets must be >= 1 and <= 2**53; got 9007199254740993"),
     ):
         code, out, err = run_cli(capsys, "exp", *argv, "--trials", "3",
                                  "--out", str(tmp_path))
         assert code == EXIT_USAGE, argv
         assert out == "" and err.startswith("error: ") and message in err, argv
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("baseline", "--intervals", "100000000000000000"),
+    ("exp", "convergence-comparison", "--m-list", "2", "--intervals", "100000000000000000"),
+    ("exp", "overhead-tradeoff", "--trials", "2", "--n-adapt", "100000000000000000"),
+], ids=["baseline", "convergence-comparison", "overhead-tradeoff"])
+def test_a_run_too_large_for_memory_is_a_usage_error(capsys, tmp_path, argv):
+    """Runs that ask numpy for 3.47 EiB, 711 PiB and 5.55 EiB, more than any
+    address space holds, ended in a MemoryError traceback. Each is one error
+    line naming the allocation, and ``exp`` writes nothing."""
+    out_dir = ("--out", str(tmp_path)) if argv[0] == "exp" else ()
+    code, out, err = run_cli(capsys, *argv, *out_dir)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: out of memory: Unable to allocate ")
+    assert len(err.splitlines()) == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_efficiency_sweep_at_a_huge_budget_ends(capsys, tmp_path):
+    """The bisection stops moving at N = 42, so N = 10**30 gives N = 42's
+    means and standard errors; it ran every interval and did not end."""
+    rows = {}
+    for n in ("42", "1" + "0" * 30):
+        code, _, err = run_cli(capsys, "exp", "efficiency-vs-N", "--trials", "10",
+                               "--m-list", "2,5", "--n-list", n, "--out", str(tmp_path / n))
+        assert code == EXIT_OK and err == "", n
+        for name in ("eta_M2", "eta_M5"):
+            (row,) = (tmp_path / n / "efficiency-vs-N" / f"{name}.csv").read_text().splitlines()[1:]
+            x, stats = row.split(",", 1)
+            assert x == n
+            rows.setdefault(name, set()).add(stats)
+    assert all(len(stats) == 1 for stats in rows.values()), rows
 
 
 def test_negative_seed_is_a_usage_error(capsys, tmp_path):

@@ -252,6 +252,22 @@ def test_exact_phases_equal_exact_runs(phases_of, rng):
             assert phases_of(stack, n).tobytes() == exact_runs(stack, n)[0].tobytes(), (m, n)
 
 
+def test_exact_phases_stop_where_the_loop_stops_moving(phases_of, rng):
+    """The interval loop stops moving an arc once its half-width pi/2**k is
+    at or below CONVERGENCE_FLOOR, at k = ``adapt._MOVING_INTERVALS``, so
+    exact_phases gives N = k's phases at N = 10**30 byte for byte, where it
+    used to run every interval; N = k - 1's differ."""
+    k = adapt._MOVING_INTERVALS
+    assert math.ldexp(math.pi, -k) <= adapt.CONVERGENCE_FLOOR < math.ldexp(math.pi, 1 - k)
+    for m in (2, 5):
+        scens = [random_scenario(rng, m) for _ in range(40)]
+        scens[1] = _with_zero_gain(scens[1], 0)
+        stack = stack_scenarios(scens)
+        at_k = phases_of(stack, k).tobytes()
+        assert phases_of(stack, 10**30).tobytes() == at_k, m
+        assert phases_of(stack, k - 1).tobytes() != at_k, m
+
+
 def test_tree_angles_and_cells_are_within_the_margins_angle_error(rng):
     """The tie margin of ``adapt._cells`` assumes every stored tree
     centre and probe, and every computed cell position, lies within
