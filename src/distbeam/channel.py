@@ -318,6 +318,13 @@ def _line_fields(lineno: int, line: str, form: str, *parsers) -> list:
     raise ValueError(f"line {lineno}: expected {form!r}, got {line.strip()!r}")
 
 
+def _count(field: str) -> int:
+    """A transmitter count: an integer of at least 1."""
+    if (m := int(field)) < 1:
+        raise ValueError(field)
+    return m
+
+
 def scenario_from_text(text: str) -> Scenario:
     """Inverse of :func:`scenario_to_text`. A malformed line is a
     ``ValueError`` naming its line number and the form it must have."""
@@ -329,7 +336,7 @@ def scenario_from_text(text: str) -> Scenario:
     if sorted(header) != ["M", "P", "f_c", "rho"]:
         raise ValueError(f"scenario header needs the keys M, P, rho and f_c, "
                          f"got {', '.join(header) or 'none'}")
-    _, m = _line_fields(*header["M"], "M <count>", str, int)
+    _, m = _line_fields(*header["M"], "M <count>", str, _count)
     _, p = _line_fields(*header["P"], "P <number>", str, float)
     _, rho = _line_fields(*header["rho"], "rho <number>", str, float)
     _, f_c = _line_fields(*header["f_c"], "f_c <number>", str, float)

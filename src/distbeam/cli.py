@@ -216,7 +216,9 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_exp(args) -> int:
     mapping = parse_config_text(Path(args.config).read_text()) if args.config else {}
-    mapping["experiment"] = args.name
+    if mapping.setdefault("experiment", args.name) != args.name:
+        raise _UsageError(f"the config file is for experiment {mapping['experiment']!r}, "
+                          f"not {args.name!r}")
     # a flag whose dest is a config field's name sets that field, with a string
     # parsed as a config file's; None leaves the file's value or the default
     for f in dataclasses.fields(ExperimentConfig):

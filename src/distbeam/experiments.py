@@ -7,7 +7,10 @@ Monte Carlo experiments draw a sweep point's trials in one
 :func:`~distbeam.streams.trial_stack` call) and trials run in order in
 the calling thread, so results are byte-identical across runs. The
 ``workers`` setting is validated and recorded but does not change how
-trials run, so it cannot change a result either.
+trials run, so it cannot change a result either. Each experiment reads
+the shared keys (``seed``, ``workers``, ``out_dir``, the scenario fields)
+and its own, declared with their defaults in ``EXPERIMENT_KEYS``; a
+config sets, checks and records no other key.
 """
 
 from __future__ import annotations
@@ -56,12 +59,16 @@ _DOMAIN = {
 
 _N_LIST = (1, 2, 3, 4, 5, 6, 7, 8)
 
-# per-experiment defaults of the sweep fields ExperimentConfig leaves at None
-_SWEEP_DEFAULTS = {
+#: The keys each experiment reads besides the shared ones, with their
+#: defaults. Any other experiment-specific key stays None.
+EXPERIMENT_KEYS = {
     EXP_EFFICIENCY: dict(trials=1000, m_list=(5, 10), n_list=_N_LIST),
-    EXP_POWER: dict(trials=1, m_list=tuple(range(2, 11)), n_list=(1, 2, 3, 5)),
-    EXP_CONVERGENCE: dict(trials=1, m_list=(5, 7), n_list=_N_LIST),
-    EXP_OVERHEAD: dict(trials=5000, m_list=(5,), n_list=_N_LIST),
+    EXP_POWER: dict(m_list=tuple(range(2, 11)), n_list=(1, 2, 3, 5)),
+    EXP_CONVERGENCE: dict(m_list=(5, 7), n_adapt=5, intervals=PerturbationConfig.max_intervals,
+                          perturb_scale=DEFAULT_SCALE),
+    EXP_OVERHEAD: dict(trials=5000, m_list=(5,), n_adapt=5,
+                       budgets=(5, 10, 15, 20, 25, 30, 40, 50, 60, 80, 100, 150, 200, 300),
+                       count_training_energy=False),
 }
 
 
@@ -70,20 +77,21 @@ class ExperimentConfig:
     """Everything an experiment run depends on; hashable to a run fingerprint."""
 
     experiment: str
-    # None takes the experiment's own default from _SWEEP_DEFAULTS
+    # an experiment-specific key left at None takes its default from
+    # EXPERIMENT_KEYS if the experiment reads it, and must stay None if not
     trials: int | None = None
     seed: int = 12345
     workers: int = 1
     out_dir: str = "out"
     n_list: tuple[int, ...] | None = None
     m_list: tuple[int, ...] | None = None
-    budgets: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 40, 50, 60, 80, 100, 150, 200, 300)
-    intervals: int = PerturbationConfig.max_intervals
-    n_adapt: int = 5
-    perturb_scale: float = DEFAULT_SCALE
+    budgets: tuple[int, ...] | None = None
+    intervals: int | None = None
+    n_adapt: int | None = None
+    perturb_scale: float | None = None
     # whether probe transmissions during training count as harvested energy
     # in the overhead averages; the receiver is busy measuring, so not by default
-    count_training_energy: bool = False
+    count_training_energy: bool | None = None
     # the scenario family, at ScenarioDistribution's defaults
     ref_attenuation: float = ScenarioDistribution.ref_attenuation
     ref_distance: float = ScenarioDistribution.ref_distance
@@ -94,29 +102,38 @@ class ExperimentConfig:
     conversion_eff: float = ScenarioDistribution.conversion_eff
 
     def __post_init__(self):
-        if self.experiment not in _DOMAIN:
+        if (keys := EXPERIMENT_KEYS.get(self.experiment)) is None:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        for name, value in _SWEEP_DEFAULTS[self.experiment].items():
+        fields = dataclasses.fields(self)[1:]
+        # a field that defaults to None is experiment-specific
+        if unread := [f.name for f in fields if f.default is None and f.name not in keys
+                      and getattr(self, f.name) is not None]:
+            reads = [f.name for f in fields if f.default is not None or f.name in keys]
+            raise ValueError(f"{self.experiment} does not read {', '.join(unread)}; "
+                             f"it reads {', '.join(reads)}")
+        for name, value in keys.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
-        if self.trials < 1:
+        if "trials" in keys and self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not self.n_list or not self.m_list or not self.budgets:
+        sweeps = [name for name in ("n_list", "m_list", "budgets") if name in keys]
+        if not all(getattr(self, name) for name in sweeps):
             raise ValueError("sweep lists must be non-empty")
-        if bad := [b for b in self.budgets if not 1 <= b <= 2**53]:   # float64 holds counts exactly to 2**53
+        if bad := [b for b in self.budgets or () if not 1 <= b <= 2**53]:   # float64 holds counts exactly to 2**53
             raise ValueError(f"budgets must be >= 1 and <= 2**53; got {bad[0]}")
-        for name, n in (("n_list", min(self.n_list)), ("n_adapt", self.n_adapt)):
-            if n < 1:
+        for name, n in (("n_list", self.n_list and min(self.n_list)), ("n_adapt", self.n_adapt)):
+            if name in keys and n < 1:
                 raise ValueError(f"n_intervals must be >= 1; got {name} {n}")
-        # the baseline's rules, under this config's names, for every experiment
+        # the baseline's rules, under this config's names
         for name, rule in (("intervals", "max_intervals"), ("perturb_scale", "scale")):
-            try:
-                PerturbationConfig(**{rule: getattr(self, name)})
-            except ValueError as exc:
-                raise ValueError(f"{name} {getattr(self, name)}: {exc}") from None
-        for name in ("n_list", "m_list", "budgets"):
+            if name in keys:
+                try:
+                    PerturbationConfig(**{rule: getattr(self, name)})
+                except ValueError as exc:
+                    raise ValueError(f"{name} {getattr(self, name)}: {exc}") from None
+        for name in sweeps:
             values = getattr(self, name)
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
@@ -144,12 +161,11 @@ class ExperimentConfig:
 
 
 def config_to_mapping(cfg: ExperimentConfig) -> dict:
+    """The experiment and the keys it reads; an unread key is None and left out."""
     out = {}
     for f in dataclasses.fields(cfg):
-        val = getattr(cfg, f.name)
-        if isinstance(val, tuple):
-            val = ",".join(str(v) for v in val)
-        out[f.name] = val
+        if (val := getattr(cfg, f.name)) is not None:
+            out[f.name] = ",".join(str(v) for v in val) if isinstance(val, tuple) else val
     return out
 
 

@@ -41,6 +41,7 @@ from distbeam.angles import wrap_angle
 from distbeam.baseline import DIST_UNIFORM, BaselineTrace
 from distbeam.experiments import (
     _DOMAIN,
+    EXPERIMENT_KEYS,
     OVERHEAD_POLICIES,
     Curve,
     _fmt,
@@ -265,6 +266,18 @@ def assert_curves_equal(got: dict[str, Curve], want: dict[str, Curve]):
         assert [(type(x), x) for x in got[name].xs] == [(type(x), x) for x in xs], name
         assert got[name].means.tobytes() == means.tobytes(), name
         assert got[name].stderrs.tobytes() == stderrs.tobytes(), name
+
+
+#: The keys every experiment reads: the seed, the two run settings and the
+#: seven scenario fields
+SHARED_KEYS = ("seed", "workers", "out_dir", "ref_attenuation", "ref_distance",
+               "path_loss_exponent", "distance_min", "distance_max", "transmit_power",
+               "conversion_eff")
+
+
+def read_keys(experiment: str) -> set[str]:
+    """The keys ``experiment`` reads: the shared ones and its own."""
+    return set(SHARED_KEYS) | set(EXPERIMENT_KEYS[experiment])
 
 
 def per_column_curve(xs, table: np.ndarray) -> Curve:

@@ -249,8 +249,11 @@ _HEADER = "scenario header needs the keys M, P, rho and f_c, got "
     (_TEXT.replace("2 0.2", "x 0.2"), "line 6: expected '<gain> <phase_shift>', got 'x 0.2'"),
     (_TEXT.replace("M 2", "M 2 x"), "line 1: expected '<key> <value>', got 'M 2 x'"),
     (_TEXT.replace("M 2", "M 2.5"), "line 1: expected 'M <count>', got 'M 2.5'"),
+    # these said "expected -1 channel lines, found 0"
+    ("M -1\nP 1\nrho 1\nf_c 1\n", "line 1: expected 'M <count>', got 'M -1'"),
+    ("M 0\nP 1\nrho 1\nf_c 1\n", "line 1: expected 'M <count>', got 'M 0'"),
 ], ids=["unknown-key", "repeated-key", "empty", "three-fields", "one-field", "gain-word",
-        "header-fields", "fractional-count"])
+        "header-fields", "fractional-count", "negative-count", "zero-count"])
 def test_scenario_text_rejects_a_malformed_file(bad, message):
     """Each malformed file is a ValueError that names what is wrong and, for
     a malformed line, its 1-based number and the form it must have."""

@@ -6,7 +6,9 @@ import pytest
 
 from distbeam import cli
 from distbeam.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, cli_main
-from distbeam.experiments import ExperimentConfig
+from distbeam.experiments import EXPERIMENT_KEYS, ExperimentConfig
+
+from conftest import read_keys
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +238,78 @@ def test_exp_config_file(capsys, tmp_path):
     assert meta["seed"] == 2        # file value survives when flag absent
 
 
+def test_exp_config_file_naming_another_experiment_is_a_usage_error(capsys, tmp_path):
+    """The command's experiment used to replace the file's silently, so a
+    file for overhead-tradeoff ran efficiency-vs-N with exit 0. A file
+    that names the command's own experiment runs."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("experiment = overhead-tradeoff\ntrials = 4\n")
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "exp", "efficiency-vs-N", "--config", str(cfg_file),
+                             "--m-list", "2", "--n-list", "1", "--out", str(out_dir))
+    assert code == EXIT_USAGE and out == ""
+    assert err == ("error: the config file is for experiment 'overhead-tradeoff', "
+                   "not 'efficiency-vs-N'\n")
+    assert not out_dir.exists()
+    code, _, err = run_cli(capsys, "exp", "overhead-tradeoff", "--config", str(cfg_file),
+                           "--budgets", "5", "--out", str(out_dir))
+    assert code == EXIT_OK, err
+
+
+#: A valid value of each experiment-specific key, and its flag
+_OWN_KEY_FLAGS = {
+    "trials": ("--trials", "3"),
+    "n_list": ("--n-list", "1,2"),
+    "m_list": ("--m-list", "3"),
+    "budgets": ("--budgets", "5,10"),
+    "intervals": ("--intervals", "50"),
+    "n_adapt": ("--n-adapt", "3"),
+    "perturb_scale": ("--perturb-scale", "0.5"),
+    "count_training_energy": ("--count-training-energy",),
+}
+
+
+@pytest.mark.parametrize("experiment, key", [
+    (exp, key) for exp, keys in EXPERIMENT_KEYS.items() for key in _OWN_KEY_FLAGS
+    if key not in keys])
+def test_exp_rejects_a_key_it_does_not_read(capsys, tmp_path, experiment, key):
+    """``exp power-vs-M --trials 50 --budgets 3`` ran with exit 0 and wrote
+    the unread values into metadata.json and config_hash. A key the
+    experiment does not read is a usage error naming it and the keys the
+    experiment reads, by flag and by config file alike, and nothing is
+    written."""
+    out_dir = tmp_path / "o"
+    flag, *value = _OWN_KEY_FLAGS[key]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {value[0] if value else 'true'}\n")
+    argv = ("exp", experiment, "--out", str(out_dir))
+    flagged = run_cli(capsys, *argv, flag, *value)
+    assert run_cli(capsys, *argv, "--config", str(cfg_file)) == flagged
+    code, out, err = flagged
+    assert code == EXIT_USAGE and out == "" and len(err.splitlines()) == 1
+    head = f"error: {experiment} does not read {key}; it reads "
+    assert err.startswith(head)
+    assert set(err[len(head):].strip().split(", ")) == read_keys(experiment)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("experiment, argv", [
+    ("efficiency-vs-N", ("--trials", "2", "--m-list", "2", "--n-list", "1")),
+    ("power-vs-M", ("--m-list", "2,3", "--n-list", "1")),
+    ("convergence-comparison", ("--m-list", "2", "--intervals", "5")),
+    ("overhead-tradeoff", ("--trials", "2", "--budgets", "5")),
+])
+def test_exp_metadata_records_only_the_keys_the_experiment_reads(capsys, tmp_path,
+                                                                experiment, argv):
+    """metadata.json held all 20 keys for every experiment, read or not."""
+    code, _, err = run_cli(capsys, "exp", experiment, *argv, "--out", str(tmp_path))
+    assert code == EXIT_OK, err
+    meta = json.loads((tmp_path / experiment / "metadata.json").read_text())
+    extra = {"probes_per_interval"} if experiment == "convergence-comparison" else set()
+    assert set(meta) == read_keys(experiment) | extra | {
+        "experiment", "config_hash", "timestamp", "version"}
+
+
 def test_exp_config_file_rejects_unknown_boolean(capsys, tmp_path):
     """A misspelt boolean used to read as false and run uncredited."""
     cfg_file = tmp_path / "run.cfg"
@@ -280,12 +354,15 @@ def test_exp_flag_parses_as_its_config_key(capsys, tmp_path, flag, bad, good):
     a bad value gives the error line that the same value under its key in a
     --config file gives, and a good one the same config_hash. argparse used
     to parse the typed flags itself (``argument --trials: invalid int
-    value: '1e3'``)."""
+    value: '1e3'``). Each flag runs on power-vs-M, or else on the first
+    experiment that reads its key."""
+    key = flag[2:].replace("-", "_")
+    experiment = next(exp for exp in ("power-vs-M", *EXPERIMENT_KEYS) if key in read_keys(exp))
     cfg_file = tmp_path / "run.cfg"
-    argv = ["exp", "power-vs-M", "--out", str(tmp_path / "o")]
+    argv = ["exp", experiment, "--out", str(tmp_path / "o")]
 
     def by_flag_and_by_key(value):
-        cfg_file.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+        cfg_file.write_text(f"{key} = {value}\n")
         return run_cli(capsys, *argv, flag, value), run_cli(capsys, *argv, "--config",
                                                             str(cfg_file))
 
@@ -341,8 +418,8 @@ def test_usage_errors(capsys, tmp_path):
         (("overhead-tradeoff", "--budgets", "5,9007199254740993"),
          "budgets must be >= 1 and <= 2**53; got 9007199254740993"),
     ):
-        code, out, err = run_cli(capsys, "exp", *argv, "--trials", "3",
-                                 "--out", str(tmp_path))
+        trials = ("--trials", "3") if "trials" in EXPERIMENT_KEYS[argv[0]] else ()
+        code, out, err = run_cli(capsys, "exp", *argv, *trials, "--out", str(tmp_path))
         assert code == EXIT_USAGE, argv
         assert out == "" and err.startswith("error: ") and message in err, argv
     assert not any(tmp_path.iterdir())
@@ -520,14 +597,14 @@ def test_baseline_rejects_steps_that_overflow(capsys):
      "= float max / (2 * largest budget 300)"),
     ("efficiency-vs-N", "path_loss_exponent = inf",
      "path_loss_exponent must be positive and finite"),
-    # the baseline's rules, checked for every experiment under the config's
-    # names: efficiency-vs-N recorded these values with exit 0, and
-    # convergence-comparison named the baseline's fields instead
-    ("efficiency-vs-N", "intervals = -5", "intervals -5: max_intervals must be >= 1"),
-    ("efficiency-vs-N", "perturb_scale = -1", "perturb_scale -1.0: scale must be positive"),
+    # the baseline's rules, under the config's names, for the experiment
+    # that runs the baseline: it named the baseline's fields instead
+    ("convergence-comparison", "intervals = -5", "intervals -5: max_intervals must be >= 1"),
+    ("convergence-comparison", "perturb_scale = -1",
+     "perturb_scale -1.0: scale must be positive"),
     ("convergence-comparison", "intervals = 0", "intervals 0: max_intervals must be >= 1"),
     ("convergence-comparison", "perturb_scale = nan", "perturb_scale nan: scale must be"),
-    ("power-vs-M", "perturb_scale = 1e308", "perturb_scale 1e+308: uniform scale"),
+    ("convergence-comparison", "perturb_scale = 1e308", "perturb_scale 1e+308: uniform scale"),
     # a key given twice (here with the test's own trials line) ran with the last value
     ("efficiency-vs-N", "trials = 3", "line 2: key 'trials' repeats line 1"),
 ])
@@ -536,7 +613,8 @@ def test_exp_rejects_degenerate_config_values(capsys, tmp_path, experiment, line
     no finite positive optimum, is a usage error naming the value: no NaN
     CSV, no traceback."""
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(f"{line}\ntrials = 50\n")
+    trials = "trials = 50\n" if "trials" in EXPERIMENT_KEYS[experiment] else ""
+    cfg_file.write_text(f"{line}\n{trials}")
     out_dir = tmp_path / "o"
     code, out, err = run_cli(capsys, "exp", experiment, "--config", str(cfg_file),
                              "--out", str(out_dir))
@@ -598,7 +676,8 @@ def test_exp_rejects_repeated_sweep_entries(capsys, tmp_path, how, name, experim
     """A repeated sweep point used to write its rows twice with exit 0; it
     is a usage error naming the list and the value, and nothing is written."""
     out_dir = tmp_path / "o"
-    argv = ["exp", experiment, "--trials", "3", "--out", str(out_dir)]
+    trials = ["--trials", "3"] if "trials" in EXPERIMENT_KEYS[experiment] else []
+    argv = ["exp", experiment, *trials, "--out", str(out_dir)]
     if how == "flag":
         argv += [f"--{name.replace('_', '-')}", value]
     else:

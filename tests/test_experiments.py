@@ -28,6 +28,7 @@ from distbeam.experiments import (
     EXP_EFFICIENCY,
     EXP_OVERHEAD,
     EXP_POWER,
+    EXPERIMENT_KEYS,
     Curve,
     ExperimentConfig,
     ExperimentResult,
@@ -48,6 +49,7 @@ from conftest import (
     per_run_efficiency,
     per_trial_overhead,
     per_trial_stack,
+    read_keys,
 )
 
 
@@ -71,6 +73,32 @@ def test_defaults_per_experiment():
     assert ExperimentConfig(experiment=EXP_POWER).n_list == (1, 2, 3, 5)
 
 
+def test_each_experiment_declares_the_keys_its_run_reads(monkeypatch):
+    """The table lists what each ``run_*`` reads: a config that records
+    every attribute read sees exactly the declared keys, less ``out_dir``
+    (the writer's) and ``workers`` (read by none). 13 + 12 + 14 + 15 keys
+    can be set, not 20 for each experiment."""
+    read = set()
+
+    class Recording(ExperimentConfig):
+        def __getattribute__(self, name):
+            read.add(name)
+            return object.__getattribute__(self, name)
+
+    monkeypatch.setattr(experiments, "_metadata", lambda cfg: {})
+    small = {EXP_EFFICIENCY: dict(trials=2, m_list=(2, 3), n_list=(1, 2)),
+             EXP_POWER: dict(m_list=(2, 3), n_list=(1, 2)),
+             EXP_CONVERGENCE: dict(m_list=(2, 3), intervals=5),
+             EXP_OVERHEAD: dict(trials=2, budgets=(5, 50))}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for exp, kw in small.items():
+        cfg = Recording(exp, **kw)
+        read.clear()
+        run_experiment(cfg)
+        assert read & fields - {"experiment"} == read_keys(exp) - {"out_dir", "workers"}, exp
+    assert [len(read_keys(exp)) for exp in EXPERIMENT_KEYS] == [13, 12, 14, 15]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="nope")
@@ -87,22 +115,24 @@ def test_config_validation():
     for budgets in ((0, 5), (-5,), (10, -1)):
         with pytest.raises(ValueError, match="budgets must be >= 1"):
             small_cfg(EXP_OVERHEAD, budgets=budgets)
-    for fields in (dict(n_list=(1, 0)), dict(n_list=(-2,)), dict(n_adapt=0), dict(n_adapt=-1)):
+    for exp, fields in ((EXP_POWER, dict(n_list=(1, 0))), (EXP_POWER, dict(n_list=(-2,))),
+                        (EXP_CONVERGENCE, dict(n_adapt=0)), (EXP_CONVERGENCE, dict(n_adapt=-1))):
         with pytest.raises(ValueError, match="n_intervals must be >= 1"):
-            small_cfg(EXP_POWER, **fields)
+            small_cfg(exp, **fields)
 
 
 @pytest.mark.parametrize("name", ["n_list", "m_list", "budgets"])
 def test_config_rejects_repeated_sweep_entries(name):
     """A repeated sweep point would repeat its rows; the error names the
     list and the value, from the constructor and from a config mapping."""
+    exp = EXP_OVERHEAD if name == "budgets" else EXP_POWER
     values = {"n_list": (1, 2, 1), "m_list": (3, 3), "budgets": (5, 10, 20, 10)}[name]
     with pytest.raises(ValueError, match=f"{name} repeats {values[-1]}"):
-        small_cfg(EXP_POWER, **{name: values})
+        small_cfg(exp, **{name: values})
     with pytest.raises(ValueError, match=f"{name} repeats {values[-1]}"):
-        config_from_mapping({"experiment": EXP_POWER, name: ",".join(map(str, values))})
+        config_from_mapping({"experiment": exp, name: ",".join(map(str, values))})
     distinct = tuple(dict.fromkeys(values))
-    assert getattr(small_cfg(EXP_POWER, **{name: distinct}), name) == distinct
+    assert getattr(small_cfg(exp, **{name: distinct}), name) == distinct
 
 
 def test_parse_config_text():
@@ -111,15 +141,18 @@ def test_parse_config_text():
     experiment = efficiency-vs-N
     trials = 12
     n_list = 1,2,3   # inline comment
-    perturb_scale = 0.5
-    count_training_energy = true
     """
     mapping = parse_config_text(text)
     cfg = config_from_mapping(mapping)
     assert cfg.experiment == EXP_EFFICIENCY
     assert cfg.trials == 12
     assert cfg.n_list == (1, 2, 3)
+    # the other keys, each under an experiment that reads it
+    cfg = config_from_mapping(parse_config_text(
+        f"experiment = {EXP_CONVERGENCE}\nperturb_scale = 0.5\n"))
     assert cfg.perturb_scale == 0.5
+    cfg = config_from_mapping(parse_config_text(
+        f"experiment = {EXP_OVERHEAD}\ncount_training_energy = true  # inline comment\n"))
     assert cfg.count_training_energy is True
 
 
@@ -153,23 +186,26 @@ def test_parse_config_errors():
 
 
 def test_every_config_field_round_trips_through_its_strings():
-    """Every field set away from its default survives ``config_to_mapping``
-    as strings and back, so each field's declared type has a parser; a new
-    field fails here until it is given a value below."""
-    values = dict(experiment=EXP_POWER, trials=3, seed=99, workers=2, out_dir="elsewhere",
-                  n_list=(2, 3), m_list=(4, 6), budgets=(7, 9), intervals=11, n_adapt=3,
-                  perturb_scale=0.25, count_training_energy=True, ref_attenuation=0.5,
-                  ref_distance=2.0, path_loss_exponent=2.5, distance_min=3.0,
-                  distance_max=4.5, transmit_power=2.0, conversion_eff=0.75)
-    assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
-    cfg = ExperimentConfig(**values)
-    default = ExperimentConfig(EXP_POWER)
-    for name in set(values) - {"experiment"}:
-        assert getattr(cfg, name) != getattr(default, name), name
-    rebuilt = config_from_mapping({k: str(v) for k, v in config_to_mapping(cfg).items()})
-    assert rebuilt == cfg
-    for name in values:
-        assert type(getattr(rebuilt, name)) is type(getattr(cfg, name)), name
+    """Every key an experiment reads, set away from its default, survives
+    ``config_to_mapping`` as strings and back, so each field's declared
+    type has a parser; a new field fails here until it is given a value
+    below."""
+    every = dict(trials=3, seed=99, workers=2, out_dir="elsewhere",
+                 n_list=(2, 3), m_list=(4,), budgets=(7, 9), intervals=11, n_adapt=3,
+                 perturb_scale=0.25, count_training_energy=True, ref_attenuation=0.5,
+                 ref_distance=2.0, path_loss_exponent=2.5, distance_min=3.0,
+                 distance_max=4.5, transmit_power=2.0, conversion_eff=0.75)
+    assert {"experiment", *every} == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for exp in EXPERIMENT_KEYS:
+        values = {name: v for name, v in every.items() if name in read_keys(exp)}
+        cfg = ExperimentConfig(exp, **values)
+        default = ExperimentConfig(exp)
+        for name in values:
+            assert getattr(cfg, name) != getattr(default, name), (exp, name)
+        rebuilt = config_from_mapping({k: str(v) for k, v in config_to_mapping(cfg).items()})
+        assert rebuilt == cfg
+        for name in values:
+            assert type(getattr(rebuilt, name)) is type(getattr(cfg, name)), (exp, name)
 
 
 def test_config_hash_stability_and_sensitivity():
