@@ -39,9 +39,10 @@ print(f"\nOptimal phase for ET2 (closed form): {target:+.6f} rad")
 print(f"\n{'n':>2} {'probe psi':>10} {'probe psi_prime':>16} "
       f"{'bit':>4} {'set center':>11} {'half-width':>11}")
 phi, trace = adapt_phase(scenario, fixed, 1, n_intervals=8)
-for rec in trace.records:
-    print(f"{rec.interval:>2} {rec.psi:>10.4f} {rec.psi_prime:>16.4f} "
-          f"{int(rec.bit):>4} {rec.arc_center:>11.4f} {rec.arc_half_width:>11.6f}")
+rows = zip(trace.psi, trace.psi_prime, trace.bit, trace.arc_center, trace.arc_half_width)
+for n, (psi, psi_prime, bit, center, half_width) in enumerate(rows, start=1):
+    print(f"{n:>2} {psi:>10.4f} {psi_prime:>16.4f} "
+          f"{int(bit):>4} {center:>11.4f} {half_width:>11.6f}")
 
 err = circular_distance(phi, trace.target_phase)
 print(f"\nEstimate after 8 intervals: {phi:+.6f} rad "

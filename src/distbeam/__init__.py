@@ -37,7 +37,6 @@ from .power import (
 from .adapt import (
     Arc,
     ProbePair,
-    TraceRecord,
     TrainingTrace,
     adapt_phase,
     bisect_arc,

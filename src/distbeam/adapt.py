@@ -17,9 +17,8 @@ shares its rule.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +34,7 @@ from .power import (
     partial_power,
     sum_signal,
 )
+from .table import csv_text
 
 #: Half-widths at or below this are treated as converged; bisecting further
 #: is a no-op numerically but never an error.
@@ -181,43 +181,31 @@ def _depth_centres() -> tuple[np.ndarray, ...]:
 _DEPTH_CENTRES = _depth_centres()
 
 
-class TraceRecord(NamedTuple):
-    """One feedback interval: probes, measured powers, bit, resulting arc."""
-
-    interval: int
-    psi: float
-    psi_prime: float
-    q_psi: float
-    q_psi_prime: float
-    bit: bool
-    arc_center: float
-    arc_half_width: float
-
-
 @dataclass
 class TrainingTrace:
-    """Full record of one adaptation run."""
+    """Full record of one adaptation run: per feedback interval (n at entry
+    n - 1) the probe pair, the two readings, the bit and the arc after it."""
 
-    records: list[TraceRecord] = field(default_factory=list)
+    psi: list[float]
+    psi_prime: list[float]
+    q_psi: list[float]
+    q_psi_prime: list[float]
+    bit: list[bool]
+    arc_center: list[float]
+    arc_half_width: list[float]
     target_phase: float = 0.0   # optimum at adaptation time; 0 when undefined
     sum_gain: float = 0.0       # combined power of the other active transmitters
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("n,psi,psi_prime,q_psi,q_psi_prime,bit,arc_center,arc_half_width\n")
-        for r in self.records:
-            out.write(
-                f"{r.interval},{r.psi:.15g},{r.psi_prime:.15g},"
-                f"{r.q_psi:.15g},{r.q_psi_prime:.15g},{int(r.bit)},"
-                f"{r.arc_center:.15g},{r.arc_half_width:.15g}\n"
-            )
-        return out.getvalue()
+        return csv_text("n,psi,psi_prime,q_psi,q_psi_prime,bit,arc_center,arc_half_width",
+                        range(1, len(self.bit) + 1), np.array(self.psi),
+                        np.array(self.psi_prime), np.array(self.q_psi),
+                        np.array(self.q_psi_prime), self.bit, np.array(self.arc_center),
+                        np.array(self.arc_half_width))
 
     def interval_powers(self) -> np.ndarray:
         """Mean received power of each interval (both probes weighted equally)."""
-        return np.array(
-            [0.5 * (r.q_psi + r.q_psi_prime) for r in self.records], dtype=float
-        )
+        return 0.5 * (np.array(self.q_psi) + np.array(self.q_psi_prime))
 
 
 def _check_budget(n_intervals: int) -> None:
@@ -252,7 +240,7 @@ def adapt_phase(
         raise ValueError("probe_repeats must be >= 1")
     if pa.active[m]:
         raise ValueError(f"transmitter {m} cannot be active while adapting")
-    noise = (meas.rng.normal(0.0, meas.noise_std, size=2 * probe_repeats * n_intervals).tolist()
+    noise = (meas.rng.normal(0.0, meas.noise_std, size=2 * probe_repeats * n_intervals)
              if meas.noisy else None)
     return _train_stage(s, sum_signal(s, pa), m, n_intervals, noise, probe_repeats)
 
@@ -262,7 +250,7 @@ def _train_stage(
     ss: SumSignal,
     m: int,
     n_intervals: int,
-    noise: list[float] | None,
+    noise: np.ndarray | None,
     probe_repeats: int,
 ) -> tuple[float, TrainingTrace]:
     """The bisection loop of :func:`adapt_phase` against a combined signal.
@@ -273,43 +261,81 @@ def _train_stage(
     Each reading clamps and averages them as :func:`~distbeam.power.measure`
     would. A single repeat reads the clamped value itself.
 
-    Each interval makes one :func:`probe_pair`, two
-    :func:`~distbeam.power.partial_power`, one :func:`feedback_bit` and one
-    :func:`bisect_arc` call, each looked up here at call time, and no other
-    call unless it repeats its probes.
+    Each interval up to the first whose probes repeat (interval
+    ``_MOVING_INTERVALS`` + 1, on the converged arc) makes one
+    :func:`probe_pair`, two :func:`~distbeam.power.partial_power`, one
+    :func:`feedback_bit` and one :func:`bisect_arc` call, each looked up
+    here at call time, and no other call unless it repeats its probes. The
+    later intervals repeat that interval's probes, powers and arc, so
+    :func:`_repeat_last` fills their columns at once.
     """
-    trace = TrainingTrace(target_phase=aligned_phase(s, ss, m), sum_gain=ss.gain)
-    records = trace.records
-    new_record = tuple.__new__   # TraceRecord without its Python-level __new__
     r = probe_repeats
+    looped = min(n_intervals, _MOVING_INTERVALS + 1)
+    head = None if noise is None else noise[:2 * r * looped].tolist()
+    rows = []
     arc = initial_arc()
-    for n in range(1, n_intervals + 1):
+    for n in range(1, looped + 1):
         psi, psi_prime = probe_pair(arc)
         p = partial_power(s, ss, m, psi)
         p_prime = partial_power(s, ss, m, psi_prime)
         if r > 1:
-            if noise is None:
+            if head is None:
                 q_psi = sum(p for _ in range(r)) / r
                 q_psi_prime = sum(p_prime for _ in range(r)) / r
             else:
                 k = 2 * r * (n - 1)
-                q_psi = sum(max(0.0, p + z) for z in noise[k:k + r]) / r
-                q_psi_prime = sum(max(0.0, p_prime + z) for z in noise[k + r:k + 2 * r]) / r
-        elif noise is None:
+                q_psi = sum(max(0.0, p + z) for z in head[k:k + r]) / r
+                q_psi_prime = sum(max(0.0, p_prime + z) for z in head[k + r:k + 2 * r]) / r
+        elif head is None:
             # + 0.0 maps a -0.0 reading to 0.0, as the sum over repeats does
             q_psi, q_psi_prime = p + 0.0, p_prime + 0.0
         else:
             # max(0.0, x) inline, NaN and -0.0 included
-            q_psi = p + noise[2 * n - 2]
+            q_psi = p + head[2 * n - 2]
             q_psi = q_psi if q_psi > 0.0 else 0.0
-            q_psi_prime = p_prime + noise[2 * n - 1]
+            q_psi_prime = p_prime + head[2 * n - 1]
             q_psi_prime = q_psi_prime if q_psi_prime > 0.0 else 0.0
         bit = feedback_bit(q_psi, q_psi_prime)
         arc = bisect_arc(arc, bit)
         center, half = arc
-        records.append(new_record(TraceRecord, (n, psi, psi_prime, q_psi, q_psi_prime, bit,
-                                                center, half)))
+        rows.append((psi, psi_prime, q_psi, q_psi_prime, bit, center, half))
+    trace = TrainingTrace(*map(list, zip(*rows)), aligned_phase(s, ss, m), ss.gain)
+    if n_intervals > looped:
+        _repeat_last(trace, n_intervals - looped, p, p_prime,
+                     None if noise is None else noise[2 * r * looped:].reshape(-1, 2, r))
     return center, trace
+
+
+def _repeat_last(trace: TrainingTrace, rest: int, p: float, p_prime: float,
+                 noise: np.ndarray | None) -> None:
+    """Extend a stage's trace by ``rest`` intervals that probe its last
+    interval's converged arc again, at probe powers ``p`` and ``p_prime``.
+    Exact readings repeat too. Noisy ones are each power plus each of
+    ``noise``'s (rest, 2, repeats) values, clamped at 0, summed over the
+    repeats left to right and averaged, as the loop of :func:`_train_stage`
+    reads them; their bits come from one :func:`feedback_bit` call."""
+    repeated = [trace.psi, trace.psi_prime, trace.arc_center, trace.arc_half_width]
+    if noise is None:
+        repeated += [trace.q_psi, trace.q_psi_prime, trace.bit]
+    n_intervals = len(trace.bit) + rest
+    try:
+        for column in repeated:
+            column += [column[-1]] * rest
+    except (OverflowError, MemoryError):   # OverflowError: more entries than a list holds
+        raise MemoryError(f"a trace of {n_intervals} intervals") from None
+    if noise is None:
+        return
+    reads = noise + np.array([[p], [p_prime]])
+    reads = np.where(reads > 0.0, reads, 0.0)
+    r = noise.shape[2]
+    q = reads[..., 0]
+    for j in range(1, r):
+        q = q + reads[..., j]
+    if r > 1:
+        q = q / r
+    trace.q_psi += q[:, 0].tolist()
+    trace.q_psi_prime += q[:, 1].tolist()
+    trace.bit += feedback_bit(q[:, 0], q[:, 1]).tolist()
 
 
 def _interval_loop(target, base, swing, scale, n_intervals: int):

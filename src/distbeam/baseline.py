@@ -9,7 +9,6 @@ compared against.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ from .power import (
     harvested_power,
     measure,
 )
+from .table import csv_text
 
 DIST_UNIFORM = "uniform-symmetric"
 DIST_GAUSSIAN = "gaussian"
@@ -70,14 +70,8 @@ class BaselineTrace:
     final_phases: np.ndarray        # the record's phases; its power is best_power[-1]
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("n,power,best_power,accepted\n")
-        for n in range(len(self.measured_power)):
-            out.write(
-                f"{n + 1},{self.measured_power[n]:.15g},"
-                f"{self.best_power[n]:.15g},{int(self.accepted[n])}\n"
-            )
-        return out.getvalue()
+        return csv_text("n,power,best_power,accepted", range(1, len(self.measured_power) + 1),
+                        self.measured_power, self.best_power, self.accepted)
 
 
 def run_random_perturbation(

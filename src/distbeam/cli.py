@@ -39,6 +39,7 @@ from .protocol import (
 )
 from .selfcheck import run_all
 from .streams import rng_stream
+from .table import csv_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -138,6 +139,9 @@ def _measurement(args) -> MeasurementModel:
     return MeasurementModel(MODE_ADDITIVE_NOISE, args.noise_std, rng_stream(args.seed, 2))
 
 
+_TRACE_KEYS = ("psi", "psi_prime", "q_psi", "q_psi_prime", "bit", "arc_center", "arc_half_width")
+
+
 def _cmd_adapt(args) -> int:
     from .adapt import adapt_phase
 
@@ -154,10 +158,12 @@ def _cmd_adapt(args) -> int:
     pa = PhaseAssignment(np.zeros(m_total), active)
     phi, trace = adapt_phase(scen, pa, adapter, args.N, _measurement(args))
     if args.format == "json":
+        columns = [getattr(trace, key) for key in _TRACE_KEYS]
         payload = {
             "final_phase": phi,
             "target_phase": trace.target_phase,
-            "records": [r._asdict() | {"bit": bool(r.bit)} for r in trace.records],
+            "records": [dict(zip(_TRACE_KEYS, row), interval=n)
+                        for n, row in enumerate(zip(*columns), start=1)],
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -179,7 +185,8 @@ def _cmd_protocol(args) -> int:
         "bound_exact" if meas.noisy else "bound": efficiency_lower_bound(scen, args.N),
         "max_abs_error": float(np.max(np.abs(res.errors))),
     }
-    csv = ",".join(summary) + "\n" + ",".join(format(v, ".15g") for v in summary.values()) + "\n"
+    # one float64 column per value, so the ints M and N print as floats do
+    csv = csv_text(",".join(summary), *np.array(list(summary.values()))[:, None])
     if args.format == "json":
         payload = summary | {"final_phases": [float(p) for p in res.final_phases]}
         if meas.noisy:

@@ -43,6 +43,7 @@ from .power import (
 )
 from .protocol import efficiency_lower_bounds, exact_phases, exact_runs, run_protocol
 from .streams import rng_stream, trial_stack
+from .table import csv_text
 
 EXP_EFFICIENCY = "efficiency-vs-N"
 EXP_POWER = "power-vs-M"
@@ -102,15 +103,8 @@ class ExperimentConfig:
     conversion_eff: float = ScenarioDistribution.conversion_eff
 
     def __post_init__(self):
-        if (keys := EXPERIMENT_KEYS.get(self.experiment)) is None:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        fields = dataclasses.fields(self)[1:]
-        # a field that defaults to None is experiment-specific
-        if unread := [f.name for f in fields if f.default is None and f.name not in keys
-                      and getattr(self, f.name) is not None]:
-            reads = [f.name for f in fields if f.default is not None or f.name in keys]
-            raise ValueError(f"{self.experiment} does not read {', '.join(unread)}; "
-                             f"it reads {', '.join(reads)}")
+        keys = _read_keys(self.experiment, [f.name for f in dataclasses.fields(self)
+                                            if getattr(self, f.name) is not None])
         for name, value in keys.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
@@ -160,6 +154,21 @@ class ExperimentConfig:
         )
 
 
+def _read_keys(experiment: str, names) -> dict:
+    """The keys ``experiment`` reads besides the shared ones, with their
+    defaults; a ``ValueError`` naming each of ``names`` that it does not read."""
+    if (keys := EXPERIMENT_KEYS.get(experiment)) is None:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    fields = dataclasses.fields(ExperimentConfig)[1:]
+    # a field that defaults to None is experiment-specific
+    if unread := [f.name for f in fields if f.default is None and f.name not in keys
+                  and f.name in names]:
+        reads = [f.name for f in fields if f.default is not None or f.name in keys]
+        raise ValueError(f"{experiment} does not read {', '.join(unread)}; "
+                         f"it reads {', '.join(reads)}")
+    return keys
+
+
 def config_to_mapping(cfg: ExperimentConfig) -> dict:
     """The experiment and the keys it reads; an unread key is None and left out."""
     out = {}
@@ -205,14 +214,14 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Build a config from string-valued keys, applying per-experiment defaults."""
     if "experiment" not in mapping:
         raise ValueError("config requires an 'experiment' key")
-    kwargs = {}
     types = {f.name: f.type.removesuffix(" | None")
              for f in dataclasses.fields(ExperimentConfig)}
-    for key, raw in mapping.items():
-        if key not in types:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = _parse_value(key, types[key], raw)
-    return ExperimentConfig(**kwargs)
+    if unknown := [key for key in mapping if key not in types]:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    # which keys the experiment reads, before any value is parsed
+    _read_keys(_parse_value("experiment", "str", mapping["experiment"]), mapping)
+    return ExperimentConfig(**{key: _parse_value(key, types[key], raw)
+                               for key, raw in mapping.items()})
 
 
 _WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -264,22 +273,14 @@ class ExperimentResult:
     metadata: dict
 
     def write(self, out_dir: str | Path) -> list[Path]:
-        """Write <out>/<experiment>/<curve>.csv files plus metadata.json.
-
-        Each column is formatted once: x through ``_fmt``, the means and
-        standard errors through :func:`_fmt_column`, so a value that repeats
-        (a step-function trajectory, a constant 0 standard error) is
-        formatted once per curve, not once per row.
-        """
+        """Write <out>/<experiment>/<curve>.csv files plus metadata.json,
+        each curve through :func:`~distbeam.table.csv_text`."""
         base = Path(out_dir) / self.experiment
         base.mkdir(parents=True, exist_ok=True)
         written = []
-        for name, (xs, means, stderrs) in self.curves.items():
+        for name, columns in self.curves.items():
             path = base / f"{name}.csv"
-            columns = zip([_fmt(x) for x in xs], _fmt_column(means), _fmt_column(stderrs))
-            with open(path, "w") as fh:
-                fh.write(f"{self.x_name},mean,stderr\n"
-                         + "".join([f"{x},{mean},{se}\n" for x, mean, se in columns]))
+            path.write_text(csv_text(f"{self.x_name},mean,stderr", *columns))
             written.append(path)
         meta_path = base / "metadata.json"
         with open(meta_path, "w") as fh:
@@ -287,24 +288,6 @@ class ExperimentResult:
             fh.write("\n")
         written.append(meta_path)
         return written
-
-
-def _fmt(x) -> str:
-    if type(x) is int:
-        return str(x)
-    if float(x).is_integer():
-        return str(int(x))
-    return format(float(x), ".15g")
-
-
-def _fmt_column(values: np.ndarray) -> list[str]:
-    """``.15g`` of each float64 value, formatted once per distinct bit
-    pattern. Keyed on bits, not on float equality, so 0.0 and -0.0, equal
-    as floats, keep their own strings. A dict rather than ``np.unique``:
-    the first int64 sort in a process adds ~0.5 MB of peak RSS."""
-    text = {}
-    return [text[b] if b in text else text.setdefault(b, format(v, ".15g"))
-            for b, v in zip(values.view(np.int64).tolist(), values.tolist())]
 
 
 def _timestamp() -> str:

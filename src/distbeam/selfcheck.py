@@ -163,20 +163,20 @@ def grid_oracle_violations(trace, grid_size: int) -> int:
     grid = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
     prev_center, prev_half = initial_arc().center, initial_arc().half_width
     bad = 0
-    for rec in trace.records:
-        new_center, new_half = rec.arc_center, rec.arc_half_width
+    for psi, psi_prime, bit, new_center, new_half in zip(
+            trace.psi, trace.psi_prime, trace.bit, trace.arc_center, trace.arc_half_width):
         if new_half != prev_half / 2.0:
             bad += 1  # not an exact halving
         d_prev = np.abs(wrap_angle(grid - prev_center))
         d_new = np.abs(wrap_angle(grid - new_center))
         bad += int(((d_new < new_half - tol) & (d_prev > prev_half + tol)).sum())
-        lhs = np.cos(grid - rec.psi)
-        rhs = np.cos(grid - rec.psi_prime)
+        lhs = np.cos(grid - psi)
+        rhs = np.cos(grid - psi_prime)
         interior = d_prev < prev_half - tol        # previous-set interior only
         decisive = np.abs(lhs - rhs) > tol         # comparison not a tie
         off_boundary = np.abs(d_new - new_half) > tol
         kept = d_new < new_half
-        should_keep = (lhs > rhs) == rec.bit
+        should_keep = (lhs > rhs) == bit
         wrong = interior & decisive & off_boundary & (kept != should_keep)
         bad += int(wrong.sum())
         prev_center, prev_half = new_center, new_half

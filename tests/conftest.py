@@ -8,6 +8,7 @@ the same arithmetic, the loop is kept here as the bit-for-bit reference.
 """
 
 import cmath
+import io
 import json
 import math
 from pathlib import Path
@@ -32,7 +33,6 @@ from distbeam.adapt import (
     CONVERGENCE_FLOOR,
     Arc,
     ProbePair,
-    TraceRecord,
     TrainingTrace,
     feedback_bit,
     initial_arc,
@@ -44,7 +44,6 @@ from distbeam.experiments import (
     EXPERIMENT_KEYS,
     OVERHEAD_POLICIES,
     Curve,
-    _fmt,
     _mean_stderr,
     rng_stream,
 )
@@ -125,9 +124,23 @@ def full_matrix_pair_sum(amp: np.ndarray, offs: np.ndarray) -> np.ndarray:
     return pair.sum(axis=(-2, -1))
 
 
+def csv_number(x) -> str:
+    """One CSV value by the writer's rules, with %-formatting: an int
+    exactly, a bool as 0 or 1, an integer-valued float as an int, any other
+    float (-0.0, NaN and infinities included) as %.15g."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if type(x) is int:
+        return "%d" % x
+    x = float(x)
+    if math.isfinite(x) and x == math.floor(x):
+        return "%d" % x
+    return "%.15g" % x
+
+
 def per_row_write(result, out_dir) -> list[Path]:
-    """``ExperimentResult.write`` one row at a time: each curve's x, mean
-    and standard error formatted together, row after row."""
+    """``ExperimentResult.write`` one row at a time: each curve's x through
+    :func:`csv_number`, its mean and standard error as %.15g, row after row."""
     base = Path(out_dir) / result.experiment
     base.mkdir(parents=True, exist_ok=True)
     written = []
@@ -136,7 +149,7 @@ def per_row_write(result, out_dir) -> list[Path]:
         with open(path, "w") as fh:
             fh.write(f"{result.x_name},mean,stderr\n")
             for x, mean, se in zip(xs, means.tolist(), stderrs.tolist()):
-                fh.write(f"{_fmt(x)},{mean:.15g},{se:.15g}\n")
+                fh.write("%s,%.15g,%.15g\n" % (csv_number(x), mean, se))
         written.append(path)
     meta_path = base / "metadata.json"
     with open(meta_path, "w") as fh:
@@ -144,6 +157,28 @@ def per_row_write(result, out_dir) -> list[Path]:
         fh.write("\n")
     written.append(meta_path)
     return written
+
+
+def per_row_trace_csv(trace: TrainingTrace) -> str:
+    """``TrainingTrace.to_csv`` one interval at a time."""
+    out = io.StringIO()
+    out.write("n,psi,psi_prime,q_psi,q_psi_prime,bit,arc_center,arc_half_width\n")
+    rows = zip(trace.psi, trace.psi_prime, trace.q_psi, trace.q_psi_prime, trace.bit,
+               trace.arc_center, trace.arc_half_width)
+    for n, (psi, psi_prime, q_psi, q_psi_prime, bit, center, half) in enumerate(rows, start=1):
+        out.write(f"{n},{psi:.15g},{psi_prime:.15g},{q_psi:.15g},{q_psi_prime:.15g},"
+                  f"{int(bit)},{center:.15g},{half:.15g}\n")
+    return out.getvalue()
+
+
+def per_row_baseline_csv(trace: BaselineTrace) -> str:
+    """``BaselineTrace.to_csv`` one interval at a time."""
+    out = io.StringIO()
+    out.write("n,power,best_power,accepted\n")
+    for n in range(len(trace.measured_power)):
+        out.write(f"{n + 1},{trace.measured_power[n]:.15g},"
+                  f"{trace.best_power[n]:.15g},{int(trace.accepted[n])}\n")
+    return out.getvalue()
 
 
 def per_interval_perturbation(s: Scenario, cfg, meas, rng) -> BaselineTrace:
@@ -175,6 +210,15 @@ def per_interval_perturbation(s: Scenario, cfg, meas, rng) -> BaselineTrace:
     return BaselineTrace(cand_hist, meas_hist, best_hist, acc_hist, best)
 
 
+#: The per-interval columns of a ``TrainingTrace``, in field order
+TRACE_COLUMNS = ("psi", "psi_prime", "q_psi", "q_psi_prime", "bit", "arc_center", "arc_half_width")
+
+
+def trace_columns(trace: TrainingTrace) -> list[list]:
+    """A trace's per-interval columns, in field order."""
+    return [getattr(trace, name) for name in TRACE_COLUMNS]
+
+
 def plain_probe_pair(arc: Arc) -> ProbePair:
     """``adapt.probe_pair`` computed afresh on every call, without the
     library's stored bisection tree."""
@@ -200,8 +244,6 @@ def per_reading_adapt_phase(s: Scenario, pa: PhaseAssignment, m: int, n_interval
     bisected by :func:`plain_probe_pair` and :func:`plain_bisect_arc`."""
     ss = sum_signal(s, pa)
     target = aligned_phase(s, ss, m)
-    trace = TrainingTrace(target_phase=target if ss.gain > 0.0 else 0.0,
-                          sum_gain=ss.gain)
     arc = initial_arc()
 
     def read(phase: float) -> float:
@@ -209,15 +251,16 @@ def per_reading_adapt_phase(s: Scenario, pa: PhaseAssignment, m: int, n_interval
         total = sum(measure(meas, p) for _ in range(probe_repeats))
         return total / probe_repeats
 
-    for n in range(1, n_intervals + 1):
+    rows = []
+    for _ in range(n_intervals):
         psi, psi_prime = plain_probe_pair(arc)
         q_psi = read(psi)
         q_psi_prime = read(psi_prime)
         bit = feedback_bit(q_psi, q_psi_prime)
         arc = plain_bisect_arc(arc, bit)
-        trace.records.append(
-            TraceRecord(n, psi, psi_prime, q_psi, q_psi_prime, bit, arc.center, arc.half_width)
-        )
+        rows.append((psi, psi_prime, q_psi, q_psi_prime, bit, arc.center, arc.half_width))
+    trace = TrainingTrace(*map(list, zip(*rows)), target_phase=target if ss.gain > 0.0 else 0.0,
+                          sum_gain=ss.gain)
     return arc.center, trace
 
 

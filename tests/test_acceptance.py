@@ -212,7 +212,7 @@ def test_criterion_08_convergence_comparison():
         s = random_scenario(rng_stream(108, m), m)
         res = run_protocol(s, 5)
         ok &= res.total_feedback_intervals == expected
-        ok &= sum(len(t.records) for t in res.traces) == expected
+        ok &= sum(len(t.bit) for t in res.traces) == expected
         ok &= res.eta >= efficiency_lower_bound(s, 5) - 1e-9
         msgs.append(f"M={m}: {res.total_feedback_intervals} intervals, "
                     f"eta={res.eta:.4f}")

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -31,7 +33,14 @@ from distbeam.adapt import CONVERGENCE_FLOOR
 from distbeam.power import MODE_ADDITIVE_NOISE
 from distbeam.selfcheck import grid_oracle_violations
 
-from conftest import per_stage_protocol, plain_bisect_arc, plain_probe_pair, random_scenario
+from conftest import (
+    TRACE_COLUMNS,
+    per_stage_protocol,
+    plain_bisect_arc,
+    plain_probe_pair,
+    random_scenario,
+    trace_columns,
+)
 
 
 def kept_side_grid(psi, psi_prime, bit, points=3600):
@@ -182,6 +191,54 @@ def test_noisy_adapt_phase_makes_one_call_per_step(monkeypatch, rng, repeats):
     assert counts == interval_calls(6)
 
 
+#: Bytes a stage holds per interval past the loop, whatever N: seven list
+#: pointers (8 B each), and while a column is filled one more repeated list
+#: of pointers. A noisy stage adds its two readings' float objects (24 B
+#: each) and, for R repeats, its noise array and at most two temporaries of
+#: its size (3 * 2R * 8 B). The loop's own 43 intervals take a few KB.
+EXACT_BYTES = 7 * 8 + 8
+
+
+def noisy_bytes(repeats: int) -> int:
+    return 7 * 8 + 2 * 24 + 3 * 2 * repeats * 8
+
+
+def test_stage_cost_is_bounded_past_the_convergence_floor(monkeypatch, rng):
+    """At N = 10**6 the stage loops only until its probes repeat: 43
+    intervals' calls (the noisy fill adds one feedback_bit call on arrays),
+    its tracemalloc peak stays within the column bytes above, and it ends
+    in well under the 2 s allowed (about 0.05 s exact and 0.2 s noisy on 2
+    cores; the interval-by-interval loop took 4.3 s and 305 MB)."""
+    s, pa = two_transmitter_setup(rng)
+    n, looped = 10**6, adapt._MOVING_INTERVALS + 1
+    for std, repeats in ((0.0, 1), (1e-6, 1), (1e-6, 3)):
+        meas = MeasurementModel(MODE_ADDITIVE_NOISE, std, np.random.default_rng(9)) if std \
+            else MeasurementModel()
+        start = time.perf_counter()
+        _, trace = adapt_phase(s, pa, 1, n, meas, repeats)
+        assert time.perf_counter() - start < 2.0, (std, repeats)
+        assert len(trace.bit) == n
+    with monkeypatch.context() as patched:
+        counts = count_interval_calls(patched)
+        adapt_phase(s, pa, 1, n)
+        assert counts == interval_calls(looped)
+        counts.clear()
+        adapt_phase(s, pa, 1, n, MeasurementModel(MODE_ADDITIVE_NOISE, 1e-6, rng))
+        assert counts == interval_calls(looped) | {"feedback_bit": looped + 1}
+    for n, std, repeats, per_interval in ((10**6, 0.0, 1, EXACT_BYTES),
+                                          (10**5, 1e-6, 1, noisy_bytes(1)),
+                                          (10**5, 1e-6, 3, noisy_bytes(3))):
+        meas = MeasurementModel(MODE_ADDITIVE_NOISE, std, np.random.default_rng(9)) if std \
+            else MeasurementModel()
+        tracemalloc.start()
+        try:
+            adapt_phase(s, pa, 1, n, meas, repeats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < per_interval * n + 2**20, (n, std, repeats, peak / n)
+
+
 def _bits(x):
     """A value as comparable bits: each float by ``float.hex``, each array
     by its bytes, every type kept, so 0.0 differs from -0.0 and a Python
@@ -318,7 +375,7 @@ def test_run_protocol_through_the_tree_matches_plain_stages(fresh_tree, m):
                      "total_feedback_intervals"):
             assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (where, name)
         for g, w in zip(got.traces, want.traces, strict=True):
-            assert _bits(g.records) == _bits(w.records), where
+            assert _bits(trace_columns(g)) == _bits(trace_columns(w)), where
             assert _bits([g.target_phase, g.sum_gain]) == _bits([w.target_phase, w.sum_gain]), \
                 where
         if std:
@@ -383,7 +440,7 @@ def test_adapt_with_no_other_signal(rng):
     assert partial_power(s, ss, 1, phi) == pytest.approx(
         partial_power(s, ss, 1, 0.123), rel=1e-14
     )
-    assert len(trace.records) == 4
+    assert len(trace.psi) == 4
 
 
 def test_adapt_validation(rng):
@@ -400,12 +457,12 @@ def test_arcs_nest_and_halve(rng):
         s, pa = two_transmitter_setup(rng)
         _, trace = adapt_phase(s, pa, 1, 8)
         prev_center, prev_half = initial_arc().center, initial_arc().half_width
-        for rec in trace.records:
-            assert rec.arc_half_width == prev_half / 2
+        for center, half in zip(trace.arc_center, trace.arc_half_width):
+            assert half == prev_half / 2
             # nested: center distance + new half-width within old half-width
-            gap = circular_distance(rec.arc_center, prev_center)
-            assert gap + rec.arc_half_width <= prev_half + 1e-12
-            prev_center, prev_half = rec.arc_center, rec.arc_half_width
+            gap = circular_distance(center, prev_center)
+            assert gap + half <= prev_half + 1e-12
+            prev_center, prev_half = center, half
 
 
 def test_target_contained_throughout(rng):
@@ -413,9 +470,8 @@ def test_target_contained_throughout(rng):
         s, pa = two_transmitter_setup(rng)
         _, trace = adapt_phase(s, pa, 1, 8)
         target = trace.target_phase
-        for rec in trace.records:
-            d = circular_distance(target, rec.arc_center)
-            assert d <= rec.arc_half_width + 1e-9
+        for center, half in zip(trace.arc_center, trace.arc_half_width):
+            assert circular_distance(target, center) <= half + 1e-9
 
 
 def test_grid_oracle_on_full_runs(rng):
@@ -452,16 +508,15 @@ def test_probe_repeats_validation(rng):
 def test_trace_records_and_csv(rng):
     s, pa = two_transmitter_setup(rng)
     phi, trace = adapt_phase(s, pa, 1, 5)
-    assert len(trace.records) == 5
-    assert trace.records[-1].arc_center == phi
-    first = trace.records[0]
-    assert (first.psi, first.psi_prime) == (0.0, -math.pi)
+    assert all(len(getattr(trace, name)) == 5 for name in TRACE_COLUMNS)
+    assert trace.arc_center[-1] == phi
+    assert (trace.psi[0], trace.psi_prime[0]) == (0.0, -math.pi)
     csv = trace.to_csv()
     lines = csv.strip().splitlines()
     assert lines[0] == "n,psi,psi_prime,q_psi,q_psi_prime,bit,arc_center,arc_half_width"
     assert len(lines) == 6
     assert lines[1].startswith("1,")
-    # interval powers: one value per record, the mean of the two probes
+    # interval powers: one value per interval, the mean of the two probes
     powers = trace.interval_powers()
     assert len(powers) == 5
-    assert powers[0] == pytest.approx(0.5 * (first.q_psi + first.q_psi_prime))
+    assert powers[0] == pytest.approx(0.5 * (trace.q_psi[0] + trace.q_psi_prime[0]))

@@ -293,6 +293,26 @@ def test_exp_rejects_a_key_it_does_not_read(capsys, tmp_path, experiment, key):
     assert not out_dir.exists()
 
 
+def test_exp_names_an_unread_key_before_its_value(capsys, tmp_path):
+    """``exp power-vs-M --trials 1e3`` said ``trials must be an integer``;
+    only once the value parsed did the unread key appear. The key is named
+    first, by flag and by config file alike; a key the experiment reads
+    with the same bad value still names the value."""
+    out_dir = tmp_path / "o"
+    for experiment, head in (
+            ("power-vs-M", "error: power-vs-M does not read trials; it reads "),
+            ("efficiency-vs-N", "error: trials must be an integer; got '1e3'\n")):
+        cfg_file = tmp_path / f"{experiment}.cfg"
+        cfg_file.write_text("trials = 1e3\n")
+        argv = ("exp", experiment, "--out", str(out_dir))
+        flagged = run_cli(capsys, *argv, "--trials", "1e3")
+        assert run_cli(capsys, *argv, "--config", str(cfg_file)) == flagged
+        code, out, err = flagged
+        assert code == EXIT_USAGE and out == "" and len(err.splitlines()) == 1
+        assert err.startswith(head), err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("experiment, argv", [
     ("efficiency-vs-N", ("--trials", "2", "--m-list", "2", "--n-list", "1")),
     ("power-vs-M", ("--m-list", "2,3", "--n-list", "1")),
@@ -439,6 +459,19 @@ def test_a_run_too_large_for_memory_is_a_usage_error(capsys, tmp_path, argv):
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: out of memory: Unable to allocate ")
     assert len(err.splitlines()) == 1
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [("protocol", "--M", "3"), ("adapt", "--M", "3")])
+@pytest.mark.parametrize("n", ["1" + "0" * 17, "1" + "0" * 30])
+def test_a_trace_too_long_for_memory_is_a_usage_error(capsys, tmp_path, argv, n):
+    """The scalar stage keeps one entry per interval. N = 10**17 needs
+    more memory than any address space holds and 10**30 more entries than a
+    list holds; both ran interval by interval without end. Each is one
+    error line naming the trace, and ``protocol --out`` writes nothing."""
+    out_dir = ("--out", str(tmp_path / "o")) if argv[0] == "protocol" else ()
+    code, out, err = run_cli(capsys, *argv, "--N", n, *out_dir)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: out of memory: a trace of {n} intervals\n")
     assert not any(tmp_path.iterdir())
 
 

@@ -175,14 +175,15 @@ def test_parse_config_errors():
         config_from_mapping({"trials": "5"})
     with pytest.raises(ValueError):
         config_from_mapping({"experiment": EXP_EFFICIENCY, "bogus_key": "1"})
-    # a value that does not parse names its key and the type it expects
-    for key, raw, expected in (("trials", "1e3", "an integer"),
-                               ("ref_attenuation", "big", "a number"),
-                               ("n_list", "1,x", "comma-separated integers"),
-                               ("count_training_energy", "ture",
-                                "one of 1/0/true/false/yes/no/on/off")):
+    # a value that does not parse, under a key the experiment reads, names
+    # its key and the type it expects
+    for exp, key, raw, expected in (
+            (EXP_EFFICIENCY, "trials", "1e3", "an integer"),
+            (EXP_EFFICIENCY, "ref_attenuation", "big", "a number"),
+            (EXP_EFFICIENCY, "n_list", "1,x", "comma-separated integers"),
+            (EXP_OVERHEAD, "count_training_energy", "ture", "one of 1/0/true/false/yes/no/on/off")):
         with pytest.raises(ValueError, match=re.escape(f"{key} must be {expected}; got {raw!r}")):
-            config_from_mapping({"experiment": EXP_EFFICIENCY, key: raw})
+            config_from_mapping({"experiment": exp, key: raw})
 
 
 def test_every_config_field_round_trips_through_its_strings():
@@ -448,11 +449,13 @@ def test_trial_stack_peak_excess_does_not_grow_with_trials(monkeypatch):
 @pytest.mark.parametrize("key, value", [("trials", 5.7), ("n_list", (1, 2)),
                                         ("count_training_energy", True)])
 def test_config_values_must_be_strings(key, value):
-    """A non-string value raises a TypeError naming its key and value: 5.7
-    trials built 5, and a tuple or a bool ended in an AttributeError."""
+    """A non-string value under a key the experiment reads raises a
+    TypeError naming its key and value: 5.7 trials built 5, and a tuple or a
+    bool ended in an AttributeError."""
+    experiment = next(e for e, keys in EXPERIMENT_KEYS.items() if key in keys)
     with pytest.raises(TypeError, match=re.escape(f"{key} must be given as a string; "
                                                   f"got {value!r}")):
-        config_from_mapping({"experiment": EXP_OVERHEAD, key: value})
+        config_from_mapping({"experiment": experiment, key: value})
 
 
 @pytest.mark.parametrize("experiment", sorted(_DOMAIN))

@@ -26,7 +26,7 @@ from distbeam import (
     wrap_angle,
 )
 from distbeam import adapt, protocol
-from distbeam.adapt import _TREE_DEPTH, TraceRecord, adapt_phase, bisect_arc, initial_arc, probe_pair
+from distbeam.adapt import _TREE_DEPTH, adapt_phase, bisect_arc, initial_arc, probe_pair
 from distbeam.experiments import ExperimentConfig, run_experiment
 from distbeam.power import (
     MODE_ADDITIVE_NOISE,
@@ -38,12 +38,14 @@ from distbeam.power import (
 from distbeam.protocol import exact_runs
 
 from conftest import (
+    TRACE_COLUMNS,
     equal_gain_scenario,
     pairwise_error_bound,
     per_reading_adapt_phase,
     per_stage_protocol,
     random_scenario,
     stack_scenarios,
+    trace_columns,
 )
 
 
@@ -53,7 +55,7 @@ def test_interval_accounting():
         s = random_scenario(rng, m)
         res = run_protocol(s, 5)
         assert res.total_feedback_intervals == expected
-        assert sum(len(t.records) for t in res.traces) == expected
+        assert sum(len(t.bit) for t in res.traces) == expected
 
 
 def test_first_phase_is_reference(rng):
@@ -395,10 +397,10 @@ def _same(a, b) -> bool:
 
 
 def _assert_same_trace(got, want, where):
-    assert len(got.records) == len(want.records), where
-    for g, w in zip(got.records, want.records):
-        for name in TraceRecord._fields:
-            assert _same(getattr(g, name), getattr(w, name)), (where, g.interval, name)
+    for name, g, w in zip(TRACE_COLUMNS, trace_columns(got), trace_columns(want)):
+        assert type(g) is type(w) is list and len(g) == len(want.bit), (where, name)
+        for n, (a, b) in enumerate(zip(g, w), start=1):
+            assert _same(a, b), (where, n, name)
     for name in ("target_phase", "sum_gain"):
         assert _same(getattr(got, name), getattr(want, name)), (where, name)
 
@@ -467,6 +469,38 @@ def test_adapt_phase_matches_per_reading_oracle(m):
             _assert_same_generators(meas, meas_ref, where)
 
 
+PAST_FLOOR_BUDGETS = (8, 42, 43, 44, 60, 100, 10_000)   # 43: the first interval that repeats
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_stage_past_the_convergence_floor_matches_oracle(m):
+    """Past interval adapt._MOVING_INTERVALS + 1 the stage fills its columns
+    at once instead of looping; the trace, phase and generator state still
+    equal the one-reading-at-a-time oracle's bit for bit, exact and noisy
+    (1.0 W clamps about half the readings at 0), with one and three repeats,
+    and so does a noisy run_protocol at N = 100."""
+    assert adapt._MOVING_INTERVALS + 1 == 43
+    rng = np.random.default_rng(4000 + m)
+    s = random_scenario(rng, m)
+    active = np.ones(m, dtype=bool)
+    active[m - 1] = False
+    pa = PhaseAssignment(rng.uniform(-math.pi, math.pi, m), active)
+    for n, std, repeats in itertools.product(PAST_FLOOR_BUDGETS, (0.0, 1e-6, 1.0), (1, 3)):
+        where = (m, n, std, repeats)
+        meas, meas_ref = _meas_pair(std, 13 * n + repeats)
+        phi, trace = adapt_phase(s, pa, m - 1, n, meas, repeats)
+        phi_ref, trace_ref = per_reading_adapt_phase(s, pa, m - 1, n, meas_ref, repeats)
+        assert _same(phi, phi_ref), where
+        _assert_same_trace(trace, trace_ref, where)
+        _assert_same_generators(meas, meas_ref, where)
+    meas, meas_ref = _meas_pair(1e-6, 100)
+    got, want = run_protocol(s, 100, meas), per_stage_protocol(s, 100, meas_ref)
+    assert _same(got.final_phases, want.final_phases)
+    for g, w in zip(got.traces, want.traces, strict=True):
+        _assert_same_trace(g, w, (m, "run_protocol"))
+    _assert_same_generators(meas, meas_ref, (m, "run_protocol"))
+
+
 def test_negative_zero_reading_matches_oracle():
     """A probe whose power rounds below zero reads -0.0 from partial_power;
     the single-repeat reading is 0.0, as the oracle's sum over repeats
@@ -479,12 +513,12 @@ def test_negative_zero_reading_matches_oracle():
     phi_ref, trace_ref = per_reading_adapt_phase(s, pa, 1, 4)
     assert _same(phi, phi_ref)
     _assert_same_trace(trace, trace_ref, "adapt_phase")
-    assert _same(trace.records[0].q_psi, 0.0)
+    assert _same(trace.q_psi[0], 0.0)
     s = Scenario(1.0, 1.0, 8e-308, gains, shifts)
     got, want = run_protocol(s, 4), per_stage_protocol(s, 4)
-    first = got.traces[0].records[0]
-    assert _same(partial_power(s, sum_signal(s, pa), 1, first.psi), -0.0)
-    assert _same(first.q_psi, 0.0)
+    first = got.traces[0]
+    assert _same(partial_power(s, sum_signal(s, pa), 1, first.psi[0]), -0.0)
+    assert _same(first.q_psi[0], 0.0)
     _assert_same_trace(got.traces[0], want.traces[0], "run_protocol")
 
 
@@ -519,8 +553,7 @@ def test_noisy_readings_are_python_floats():
     unclamped ones used to be numpy scalars from partial_power."""
     s = random_scenario(np.random.default_rng(3), 5)
     meas = MeasurementModel(MODE_ADDITIVE_NOISE, 1.0, np.random.default_rng(3))
-    readings = [q for tr in run_protocol(s, 6, meas).traces for r in tr.records
-                for q in (r.q_psi, r.q_psi_prime)]
+    readings = [q for tr in run_protocol(s, 6, meas).traces for q in tr.q_psi + tr.q_psi_prime]
     assert {type(q) for q in readings} == {float}
     assert 0.0 < readings.count(0.0) < len(readings)
 
@@ -773,7 +806,7 @@ def test_noisy_measurement_still_terminates(rng):
                             np.random.default_rng(3))
     res = run_protocol(s, 4, meas)
     assert res.total_feedback_intervals == 16
-    assert sum(len(t.records) for t in res.traces) == 16
+    assert sum(len(t.bit) for t in res.traces) == 16
     assert 0.0 < res.q_d <= res.q_star * (1 + 1e-12)
 
 
