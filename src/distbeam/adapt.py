@@ -164,20 +164,20 @@ def _grow_tree(arc: Arc, depth: int) -> None:
 _grow_tree(_FULL_CIRCLE, 0)
 
 
-def _depth_centres() -> tuple[np.ndarray, ...]:
-    """Entry d: the centres of the stored tree's 2**d depth-d arcs, read-only,
-    indexed by path (the feedback bits from the root, first bit highest,
-    True = 1). Read off ``_TREE``'s nodes, so no angle is recomputed."""
+def _depth_centres() -> np.ndarray:
+    """The centres of the stored tree's arcs in level order, read-only:
+    depth d's 2**d arcs at 2**d - 1 + j, j the arc's path (the feedback
+    bits from the root, first bit highest, True = 1). Read off ``_TREE``'s
+    nodes, so no angle is recomputed."""
     levels = [[_FULL_CIRCLE]]
     for _ in range(_TREE_DEPTH):
         levels.append([_TREE[arc][child] for arc in levels[-1] for child in (2, 3)])
-    centres = tuple(np.array([arc.center for arc in level]) for level in levels)
-    for c in centres:
-        c.flags.writeable = False
+    centres = np.array([arc.center for level in levels for arc in level])
+    centres.flags.writeable = False
     return centres
 
 
-#: The depth tables of the closed-form exact stage, built with the tree
+#: The depth table of the closed-form exact stage, built with the tree
 _DEPTH_CENTRES = _depth_centres()
 
 
@@ -370,9 +370,16 @@ _MOVING_INTERVALS = math.ceil(math.log2(math.pi / CONVERGENCE_FLOOR))
 _ANGLE_ERROR = 2.0 ** -44
 
 
-def _cells(target, base, swing, scale, n_intervals: int):
+#: sin(min(pi/2, pi/2**(N-1))) by depth N <= ``_TREE_DEPTH``: the s of
+#: :func:`_cells`' tie margin, the sine of a path's smallest probe offset
+_SIN_OFFSET = np.array([math.sin(min(math.pi / 2.0, math.ldexp(math.pi, 1 - n)))
+                        for n in range(_TREE_DEPTH + 1)])
+
+
+def _cells(target, base, swing, scale, n_intervals):
     """Each row's depth-N cell index, the path of its final tree arc, and
-    whether the interval loop is sure to take that path.
+    whether the interval loop is sure to take that path. N is
+    ``n_intervals``, one depth up to ``_TREE_DEPTH`` or one per row.
 
     With c0 = -pi/2 the full circle's centre, cell j holds the targets t
     with j <= (wrap(t - c0) + pi) * 2**N / (2 pi) < j + 1. In exact
@@ -410,34 +417,38 @@ def _cells(target, base, swing, scale, n_intervals: int):
     zero combined signal) or a swing below the rounding of base, where
     the loop ties, fails the test, and so does a non-finite input.
     """
-    cells = 1 << n_intervals
+    cells = np.ldexp(1.0, n_intervals)
     x = (wrap_angle(target - _FULL_CIRCLE.center) + math.pi) * (cells / TWO_PI)
     cell = np.floor(x)
     frac = x - cell
     delta = np.minimum(frac, 1.0 - frac) * (TWO_PI / cells) - _ANGLE_ERROR
-    s = math.sin(min(math.pi / 2.0, math.ldexp(math.pi, 1 - n_intervals)))
     # scale last: it may be near the float maximum, the factors beside it are at most ~4 base
-    gap = scale * (swing * ((2.0 / math.pi) * s * delta - 2.0 * _ANGLE_ERROR))
+    gap = scale * (swing * ((2.0 / math.pi) * _SIN_OFFSET[n_intervals] * delta
+                            - 2.0 * _ANGLE_ERROR))
     clear = gap > scale * (4.0 * np.spacing(base + swing)) + math.ulp(0.0)
     return np.where(clear, cell, 0.0).astype(np.intp), clear
 
 
-def _final_centres(target, base, swing, scale, n_intervals: int) -> np.ndarray:
+def _final_centres(target, base, swing, scale, n_intervals) -> np.ndarray:
     """The arc centres after :func:`_interval_loop`'s last interval, bit for
-    bit. A stage's N comparisons compute the first N binary digits of its
-    target's position on the circle, so its final phase is the centre of
-    the depth-N tree arc that holds the target (:func:`_cells`). The rows
-    too near a comparison tie, and all rows when N > ``_TREE_DEPTH``, run
-    the loop instead, for at most ``_MOVING_INTERVALS`` intervals."""
-    if n_intervals <= _TREE_DEPTH:
-        cell, clear = _cells(target, base, swing, scale, n_intervals)
-        centres = _DEPTH_CENTRES[n_intervals][cell]
-        rows = np.flatnonzero(~clear)
-    else:
-        centres, rows = np.empty(len(target)), np.arange(len(target))
+    bit, each row's after its own budget: ``n_intervals`` is one N or one per
+    row, at most ``_MOVING_INTERVALS`` (the loop moves no arc after it). A
+    stage's N comparisons compute the first N binary digits of its target's
+    position on the circle, so its final phase is the centre of the depth-N
+    tree arc that holds the target (:func:`_cells`). The rows too near a
+    comparison tie, and the rows with N > ``_TREE_DEPTH``, run one loop
+    instead, which keeps each row's centres after its N-th interval."""
+    n = np.broadcast_to(n_intervals, np.shape(target))
+    depth = np.minimum(n, _TREE_DEPTH)
+    cell, clear = _cells(target, base, swing, scale, depth)
+    centres = _DEPTH_CENTRES[(1 << depth) - 1 + cell]
+    rows = np.flatnonzero(~clear | (n > _TREE_DEPTH))
+    del depth, cell, clear     # freed before the loop's own arrays
     if rows.size:
-        for _, _, center in _interval_loop(target[rows], base[rows], swing[rows],
-                                           scale[rows], min(n_intervals, _MOVING_INTERVALS)):
-            pass
-        centres[rows] = center
+        stop = n[rows]
+        intervals = _interval_loop(target[rows], base[rows], swing[rows], scale[rows],
+                                   int(stop.max()))
+        for k, (_, _, center) in enumerate(intervals, 1):
+            done = stop == k
+            centres[rows[done]] = center[done]
     return centres

@@ -307,26 +307,24 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     return meta
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of the mean.
-
-    Both are taken of the values scaled by the power of two that puts the
-    largest magnitude in [0.5, 1), then scaled back, so squared deviations
-    cannot overflow. Power-of-two scaling is exact for normal numbers.
-    """
-    _, e = math.frexp(float(np.max(np.abs(values))))
-    unit = np.ldexp(values, -e)
-    mean = math.ldexp(float(np.mean(unit)), e)
-    if values.size < 2:
-        return mean, 0.0
-    return mean, math.ldexp(float(np.std(unit, ddof=1) / math.sqrt(values.size)), e)
-
-
 def _averaged(xs, table: np.ndarray) -> Curve:
     """One point per column of ``table`` (trials by len(xs)): the column's
-    mean and standard error at its x."""
-    means, stderrs = zip(*[_mean_stderr(table[:, j]) for j in range(len(xs))])
-    return Curve(xs, np.array(means), np.array(stderrs))
+    mean and standard error of the mean at its x.
+
+    Both are taken of the column scaled by the power of two that puts its
+    largest magnitude in [0.5, 1), then scaled back, so squared deviations
+    cannot overflow. Power-of-two scaling is exact for normal numbers. The
+    columns are the rows of one contiguous transposed copy, so each
+    reduction over them is one call that sums every column as a 1-D array.
+    """
+    columns = np.ascontiguousarray(table.T)
+    _, e = np.frexp(np.max(np.abs(columns), axis=1))
+    unit = np.ldexp(columns, -e[:, None])
+    means = np.ldexp(np.mean(unit, axis=1), e)
+    trials = columns.shape[1]
+    if trials < 2:
+        return Curve(xs, means, np.zeros(len(xs)))
+    return Curve(xs, means, np.ldexp(np.std(unit, axis=1, ddof=1) / math.sqrt(trials), e))
 
 
 def _single_run(xs, values) -> Curve:
@@ -339,8 +337,8 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
     feedback budget, one curve pair per system size.
 
     Each system size stacks its trials once, takes every Q* and bound from
-    the stack, and runs the exact protocol for all trials at once through
-    :func:`exact_phases` per budget; the delivered powers come from the
+    the stack, and runs the exact protocol for all trials and budgets at
+    once through :func:`exact_phases`; the delivered powers come from the
     stacked phases. Each value equals the per-run one bit for bit.
     """
     domain = _DOMAIN[cfg.experiment]
@@ -350,8 +348,8 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
         stack = trial_stack(dist, cfg.seed, domain, m, trials=cfg.trials)
         q_star = optimal_powers(stack)
         etas = np.zeros((cfg.trials, len(cfg.n_list)))
-        for j, n in enumerate(cfg.n_list):
-            etas[:, j] = harvested_powers(stack, exact_phases(stack, n)) / q_star
+        for j, phases in enumerate(exact_phases(stack, cfg.n_list)):
+            etas[:, j] = harvested_powers(stack, phases) / q_star
         bounds = efficiency_lower_bounds(stack, cfg.n_list)
         curves[f"eta_M{m}"] = _averaged(cfg.n_list, etas)
         curves[f"bound_M{m}"] = _averaged(cfg.n_list, bounds)
@@ -442,7 +440,8 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     averages to the truncated (training-only) credit.
 
     Each policy runs the gain-sorted stack of all trials at once through
-    :func:`exact_runs`, whose interval powers are the training credit.
+    :func:`exact_phases`, or through :func:`exact_runs` when its interval
+    powers are the training credit. Training takes N (M - 1) intervals.
     """
     domain = _DOMAIN[cfg.experiment]
     (m,) = cfg.m_list
@@ -467,10 +466,14 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
         if m - off < 2:
             continue
         sub = TrialStack(gains[:, :m - off], shifts[:, :m - off], stack.scale)
-        phases, powers = exact_runs(sub, cfg.n_adapt)
-        t_train = powers.shape[1]
+        if cfg.count_training_energy:
+            phases, powers = exact_runs(sub, cfg.n_adapt)
+        else:
+            (phases,) = exact_phases(sub, [cfg.n_adapt])
+        t_train = cfg.n_adapt * (m - off - 1)
         q_d = harvested_powers(sub, phases)
-        energy = q_d[:, None] * np.maximum(budgets - t_train, 0)
+        # Python ints: t_train may pass int64, each budget's remainder is at most 2**53
+        energy = q_d[:, None] * np.array([max(b - t_train, 0) for b in cfg.budgets])
         if cfg.count_training_energy:
             spans = np.minimum(budgets, t_train).tolist()
             credit = {k: np.sum(powers[:, :k], axis=1) for k in set(spans)}

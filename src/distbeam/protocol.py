@@ -11,13 +11,21 @@ have closed forms that this module implements and cross-checks.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import streams
 from .angles import wrap_angle
-from .adapt import TrainingTrace, _check_budget, _final_centres, _interval_loop, _train_stage
+from .adapt import (
+    _MOVING_INTERVALS,
+    TrainingTrace,
+    _check_budget,
+    _final_centres,
+    _interval_loop,
+    _train_stage,
+)
 from .channel import Scenario
 from .power import (
     EXACT,
@@ -111,7 +119,8 @@ def exact_runs(stack: TrialStack, n_intervals: int) -> tuple[np.ndarray, np.ndar
     :func:`_stages`' signals. Memory is O(T*N*M). :func:`exact_phases`
     gives the phases alone, faster.
     """
-    phases, stages = _stages(stack, n_intervals)
+    _check_run(stack.gains.shape[1], n_intervals)
+    phases, stages = _stages(stack)
     powers = np.empty((len(phases), n_intervals * (phases.shape[1] - 1)))
     for m, target, base, swing in stages:
         intervals = _interval_loop(target, base, swing, stack.scale, n_intervals)
@@ -121,28 +130,49 @@ def exact_runs(stack: TrialStack, n_intervals: int) -> tuple[np.ndarray, np.ndar
     return phases, powers
 
 
-def exact_phases(stack: TrialStack, n_intervals: int) -> np.ndarray:
-    """The final phases of :func:`exact_runs`, bit for bit, each stage's
-    from :func:`~distbeam.adapt._final_centres`: in closed form where that
-    is sure to agree, else by the interval loop."""
-    phases, stages = _stages(stack, n_intervals)
-    for m, target, base, swing in stages:
-        phases[:, m] = _final_centres(target, base, swing, stack.scale, n_intervals)
-    return phases
+def exact_phases(stack: TrialStack, n_list: Sequence[int]) -> Iterator[np.ndarray]:
+    """The final phases of :func:`exact_runs` at each budget of ``n_list``,
+    bit for bit: one (T, M) array per budget, in ``n_list``'s order. Each
+    stage's come from :func:`~distbeam.adapt._final_centres`: in closed form
+    where that is sure to agree, else by the interval loop.
+
+    The budgets run together, as the rows (budget, trial) of one stage
+    recursion, in batches of at most max(T, ``streams._CHUNK_LINKS`` // M)
+    rows. So a sweep of more trial-links than that runs one budget at a
+    time, and each batch's arrays are freed when the next one starts.
+    """
+    trials, m_total = stack.gains.shape
+    for n in n_list:
+        _check_run(m_total, n)
+    per_batch = max(1, streams._CHUNK_LINKS // m_total // max(trials, 1))
+
+    def batches():
+        for i in range(0, len(n_list), per_batch):
+            budgets = n_list[i:i + per_batch]
+            k = len(budgets)
+            # the trial rows once per budget: a view of the stack at one budget
+            rows = TrialStack(*(np.broadcast_to(a, (k, *a.shape)).reshape(-1, *a.shape[1:])
+                                for a in stack))
+            phases, stages = _stages(rows)
+            # the loop moves no arc after _MOVING_INTERVALS, so no budget needs more
+            depth = np.repeat([min(n, _MOVING_INTERVALS) for n in budgets], trials)
+            for m, target, base, swing in stages:
+                phases[:, m] = _final_centres(target, base, swing, rows.scale, depth)
+            yield from phases.reshape(k, trials, m_total)
+
+    return batches()
 
 
-def _stages(stack: TrialStack, n_intervals: int):
-    """Check the run's shape; return the (T, M) phase array, transmitter 0
-    at phase 0, and an iterator over stages m = 1..M-1 of (m, target, base,
+def _stages(stack: TrialStack):
+    """Return the (T, M) phase array of the stacked runs, transmitter 0 at
+    phase 0, and an iterator over stages m = 1..M-1 of (m, target, base,
     swing): the stage's optimal phase and the two terms of its probe powers
     base + swing * cos(probe - target), before the power scale. The running
     phasor sum (:func:`_prefix_sums`) reads the phases the caller writes
     for the earlier stages, and a zero sum reduces to ``SumSignal(0, 0)``,
     as in :func:`run_protocol`."""
     gains, phase_shifts, _ = stack
-    trials, m_total = gains.shape
-    _check_run(m_total, n_intervals)
-    phases = np.zeros((trials, m_total))
+    phases = np.zeros(gains.shape)
 
     def stages():
         for m, (re, im) in enumerate(_prefix_sums(gains, phase_shifts, phases), 1):

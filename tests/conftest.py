@@ -28,7 +28,7 @@ from distbeam import (
     protocol_trajectory,
     run_protocol,
 )
-from distbeam import selfcheck
+from distbeam import adapt, protocol, selfcheck
 from distbeam.adapt import (
     CONVERGENCE_FLOOR,
     Arc,
@@ -44,7 +44,6 @@ from distbeam.experiments import (
     EXPERIMENT_KEYS,
     OVERHEAD_POLICIES,
     Curve,
-    _mean_stderr,
     rng_stream,
 )
 from distbeam.power import (
@@ -323,11 +322,53 @@ def read_keys(experiment: str) -> set[str]:
     return set(SHARED_KEYS) | set(EXPERIMENT_KEYS[experiment])
 
 
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of the mean of one column, as
+    ``experiments._averaged`` takes them for every column at once.
+
+    Both are taken of the values scaled by the power of two that puts the
+    largest magnitude in [0.5, 1), then scaled back, so squared deviations
+    cannot overflow. Power-of-two scaling is exact for normal numbers.
+    """
+    _, e = math.frexp(float(np.max(np.abs(values))))
+    unit = np.ldexp(values, -e)
+    mean = math.ldexp(float(np.mean(unit)), e)
+    if values.size < 2:
+        return mean, 0.0
+    return mean, math.ldexp(float(np.std(unit, ddof=1) / math.sqrt(values.size)), e)
+
+
 def per_column_curve(xs, table: np.ndarray) -> Curve:
     """One ``_mean_stderr`` point per x, taken from ``table``'s column at
     that x's position (trials by len(xs))."""
     points = [_mean_stderr(table[:, j]) for j in range(len(xs))]
     return Curve(xs, np.array([mean for mean, _ in points]), np.array([se for _, se in points]))
+
+
+def per_budget_phases(stack: TrialStack, n: int) -> np.ndarray:
+    """``protocol.exact_phases`` at the one budget ``n``, as it ran before it
+    took a budget list: the stage recursion over the trials alone, each
+    stage's centres read off the depth-n table where ``adapt._cells`` clears
+    a row, and the interval loop for min(n, ``_MOVING_INTERVALS``)
+    intervals over the other rows, or over every row when n is past the
+    tree's depth."""
+    trials = len(stack.gains)
+    phases, stages = protocol._stages(stack)
+    for m, target, base, swing in stages:
+        if n <= adapt._TREE_DEPTH:
+            cell, clear = adapt._cells(target, base, swing, stack.scale, n)
+            centres = adapt._DEPTH_CENTRES[2 ** n - 1 + cell]
+            rows = np.flatnonzero(~clear)
+        else:
+            centres, rows = np.empty(trials), np.arange(trials)
+        if rows.size:
+            for _, _, center in adapt._interval_loop(target[rows], base[rows], swing[rows],
+                                                     stack.scale[rows],
+                                                     min(n, adapt._MOVING_INTERVALS)):
+                pass
+            centres[rows] = center
+        phases[:, m] = centres
+    return phases
 
 
 def per_run_efficiency(cfg) -> dict[str, Curve]:

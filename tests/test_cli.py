@@ -448,12 +448,14 @@ def test_usage_errors(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("baseline", "--intervals", "100000000000000000"),
     ("exp", "convergence-comparison", "--m-list", "2", "--intervals", "100000000000000000"),
-    ("exp", "overhead-tradeoff", "--trials", "2", "--n-adapt", "100000000000000000"),
+    ("exp", "overhead-tradeoff", "--trials", "2", "--n-adapt", "100000000000000000",
+     "--count-training-energy"),
 ], ids=["baseline", "convergence-comparison", "overhead-tradeoff"])
 def test_a_run_too_large_for_memory_is_a_usage_error(capsys, tmp_path, argv):
     """Runs that ask numpy for 3.47 EiB, 711 PiB and 5.55 EiB, more than any
     address space holds, ended in a MemoryError traceback. Each is one error
-    line naming the allocation, and ``exp`` writes nothing."""
+    line naming the allocation, and ``exp`` writes nothing. overhead-tradeoff
+    keeps every interval's power only when it credits training energy."""
     out_dir = ("--out", str(tmp_path)) if argv[0] == "exp" else ()
     code, out, err = run_cli(capsys, *argv, *out_dir)
     assert code == EXIT_USAGE and out == ""
@@ -489,6 +491,23 @@ def test_efficiency_sweep_at_a_huge_budget_ends(capsys, tmp_path):
             assert x == n
             rows.setdefault(name, set()).add(stats)
     assert all(len(stats) == 1 for stats in rows.values()), rows
+
+
+@pytest.mark.parametrize("n_adapt", ["1" + "0" * 17, "1" + "0" * 30])
+def test_overhead_tradeoff_at_a_huge_training_length_ends(capsys, tmp_path, n_adapt):
+    """Without training energy credited, overhead-tradeoff reads only the
+    final phases, so n_adapt = 10**17 no longer asks for 5.55 EiB of
+    interval powers, and 10**30 (training past int64) ends too: training
+    spans every budget, so each policy averages 0 and the references do
+    not."""
+    code, _, err = run_cli(capsys, "exp", "overhead-tradeoff", "--trials", "4",
+                           "--n-adapt", n_adapt, "--out", str(tmp_path))
+    assert code == EXIT_OK and err == ""
+    for name in ("all_on", "drop_weakest_1", "drop_weakest_2", "no_adaptation", "optimal"):
+        rows = (tmp_path / "overhead-tradeoff" / f"{name}.csv").read_text().splitlines()[1:]
+        assert len(rows) == 14, name
+        zero = all(row.split(",")[1:] == ["0", "0"] for row in rows)
+        assert zero == name.startswith(("all_on", "drop")), name
 
 
 def test_negative_seed_is_a_usage_error(capsys, tmp_path):

@@ -32,7 +32,7 @@ from distbeam.experiments import (
     Curve,
     ExperimentConfig,
     ExperimentResult,
-    _mean_stderr,
+    _averaged,
     config_from_mapping,
     config_hash,
     config_to_mapping,
@@ -45,6 +45,7 @@ from distbeam.streams import trial_stack
 
 from conftest import (
     assert_curves_equal,
+    per_column_curve,
     per_row_write,
     per_run_efficiency,
     per_trial_overhead,
@@ -785,16 +786,44 @@ def test_all_emitted_means_finite_and_in_range():
             assert ((0.0 < means) & (means <= 1.0)).all()
 
 
+def _point(values):
+    """``_averaged``'s mean and standard error of one column, as floats."""
+    _, means, stderrs = _averaged((0,), values[:, None])
+    return float(means[0]), float(stderrs[0])
+
+
 def test_mean_stderr_scales_by_powers_of_two_exactly(rng):
-    """At ordinary magnitudes the result equals the unscaled numpy form bit
-    for bit, and scaling the values by 2**k scales both outputs by 2**k,
-    also where the unscaled squared deviations would overflow."""
+    """At ordinary magnitudes ``_averaged``'s point equals the unscaled
+    numpy form bit for bit, and scaling the values by 2**k scales both
+    outputs by 2**k, also where the unscaled squared deviations would
+    overflow."""
     for scale in (1e-3, 1.0, 1e5):
         v = scale * rng.uniform(0.5, 1.5, 101)
-        assert _mean_stderr(v) == (float(np.mean(v)),
-                                   float(np.std(v, ddof=1) / math.sqrt(v.size)))
+        assert _point(v) == (float(np.mean(v)),
+                             float(np.std(v, ddof=1) / math.sqrt(v.size)))
     v = rng.uniform(-1.0, 3.0, 64)
-    mean, se = _mean_stderr(v)
+    mean, se = _point(v)
     for k in (-900, -1, 1, 900):
-        assert _mean_stderr(np.ldexp(v, k)) == (math.ldexp(mean, k), math.ldexp(se, k))
-    assert _mean_stderr(np.array([1e308])) == (1e308, 0.0)
+        assert _point(np.ldexp(v, k)) == (math.ldexp(mean, k), math.ldexp(se, k))
+    assert _point(np.array([1e308])) == (1e308, 0.0)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 127, 128, 129, 10**5])
+def test_averaged_equals_one_mean_stderr_per_column(rng, trials):
+    """All columns in one call give each column's ``_mean_stderr`` (the
+    per-column oracle in conftest) bit for bit: eta-like columns 1 - ~1e-5,
+    whose standard error is ill-conditioned, uniform and constant columns,
+    values near 1e308 and subnormal values, with a negative zero and a
+    zero column."""
+    columns = [
+        1.0 - 1e-5 * rng.uniform(0.0, 2.0, trials),
+        rng.uniform(-1.0, 3.0, trials),
+        np.full(trials, 0.7),
+        np.full(trials, -0.0),
+        1e308 * rng.uniform(0.5, 1.79, trials),
+        5e-324 * rng.integers(1, 2 ** 40, trials),
+        np.zeros(trials),
+    ]
+    table = np.stack(columns, axis=1)
+    xs = tuple(range(1, len(columns) + 1))
+    assert_curves_equal({"c": _averaged(xs, table)}, {"c": per_column_curve(xs, table)})

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -25,13 +26,14 @@ from distbeam import (
     run_protocol,
     wrap_angle,
 )
-from distbeam import adapt, protocol
+from distbeam import adapt, protocol, streams
 from distbeam.adapt import _TREE_DEPTH, adapt_phase, bisect_arc, initial_arc, probe_pair
 from distbeam.experiments import ExperimentConfig, run_experiment
 from distbeam.power import (
     MODE_ADDITIVE_NOISE,
     MeasurementModel,
     optimal_power,
+    TrialStack,
     partial_power,
     sum_signal,
 )
@@ -41,6 +43,7 @@ from conftest import (
     TRACE_COLUMNS,
     equal_gain_scenario,
     pairwise_error_bound,
+    per_budget_phases,
     per_reading_adapt_phase,
     per_stage_protocol,
     random_scenario,
@@ -181,8 +184,7 @@ def _assert_phases_match_runs(phases_of, scens, budgets):
     subnormal, which run_protocol rejects, the per-stage oracle stands in
     for it."""
     stack = stack_scenarios(scens)
-    for n in budgets:
-        phases = phases_of(stack, n)
+    for n, phases in zip(budgets, phases_of(stack, budgets), strict=True):
         assert phases.tobytes() == exact_runs(stack, n)[0].tobytes(), n
         for t, s in enumerate(scens):
             run = per_stage_protocol if optimal_power(s) < sys.float_info.min else run_protocol
@@ -209,13 +211,11 @@ def _tree_centres(depth):
     return [arc.center for arc in arcs]
 
 
-@pytest.mark.parametrize("depth", range(8))
-def test_exact_phases_near_every_decision_point(phases_of, depth):
-    """M = 2 stages whose target lies within 3 ulp of a comparison's tie:
-    each tree centre at ``depth`` (-pi/2 at depth 0) and, at depth 0, the
-    seam pi/2. Transmitter 0 at phase shift 0 makes the target transmitter
-    1's phase shift exactly. Budgets N = depth + 1, where the tie is the
-    last comparison, and N = 8."""
+def _near_tie_scenarios(depth):
+    """M = 2 scenarios whose stage target lies within 3 ulp of a
+    comparison's tie: each tree centre at ``depth`` (-pi/2 at depth 0) and,
+    at depth 0, the seam pi/2. Transmitter 0 at phase shift 0 makes the
+    target transmitter 1's phase shift exactly."""
     points = _tree_centres(depth) + ([math.pi / 2.0] if depth == 0 else [])
     scens = []
     for point in points:
@@ -225,7 +225,15 @@ def test_exact_phases_near_every_decision_point(phases_of, depth):
                 target = math.nextafter(target, math.copysign(math.inf, steps))
             scens += [Scenario(1.0, 915e6, 1.0, [1.0, g1], [0.0, target])
                       for g1 in (1.0, 0.3)]
-    _assert_phases_match_runs(phases_of, scens, sorted({depth + 1, 8}))
+    return scens
+
+
+@pytest.mark.parametrize("depth", range(8))
+def test_exact_phases_near_every_decision_point(phases_of, depth):
+    """Stages whose target lies within 3 ulp of a comparison's tie at
+    ``depth`` (:func:`_near_tie_scenarios`). Budgets N = depth + 1, where
+    the tie is the last comparison, and N = 8."""
+    _assert_phases_match_runs(phases_of, _near_tie_scenarios(depth), sorted({depth + 1, 8}))
 
 
 def test_exact_phases_across_power_scales_and_the_tree_depth(phases_of, rng):
@@ -250,8 +258,8 @@ def test_exact_phases_equal_exact_runs(phases_of, rng):
         scens[1] = _with_zero_gain(scens[1], 0)
         scens[5] = _with_zero_gain(scens[5], m - 1)
         stack = stack_scenarios(scens)
-        for n in budgets:
-            assert phases_of(stack, n).tobytes() == exact_runs(stack, n)[0].tobytes(), (m, n)
+        for n, phases in zip(budgets, phases_of(stack, budgets), strict=True):
+            assert phases.tobytes() == exact_runs(stack, n)[0].tobytes(), (m, n)
 
 
 def test_exact_phases_stop_where_the_loop_stops_moving(phases_of, rng):
@@ -264,10 +272,102 @@ def test_exact_phases_stop_where_the_loop_stops_moving(phases_of, rng):
     for m in (2, 5):
         scens = [random_scenario(rng, m) for _ in range(40)]
         scens[1] = _with_zero_gain(scens[1], 0)
+        at_k, at_huge, before_k = (p.tobytes() for p in phases_of(stack_scenarios(scens),
+                                                                   [k, 10**30, k - 1]))
+        assert at_huge == at_k, m
+        assert before_k != at_k, m
+
+
+#: Unsorted budgets on both sides of the table depth and of the convergence floor
+MIXED_BUDGETS = (8, 1, 9, 20, 41, 42, 43, 10**30)
+
+
+def _assert_phases_match_per_budget(phases_of, stack, budgets):
+    """``phases_of`` at the budget list gives, budget by budget, the phases
+    of the per-budget engine (conftest's oracle) by ``tobytes``."""
+    for n, phases in zip(budgets, phases_of(stack, budgets), strict=True):
+        assert phases.tobytes() == per_budget_phases(stack, n).tobytes(), n
+
+
+def test_exact_phases_match_the_per_budget_loop(phases_of, rng):
+    """Mixed and unsorted budget lists, one budget alone included, on stacks
+    with zero-gain links at M = 2, 5 and 10."""
+    for m in (2, 5, 10):
+        scens = [random_scenario(rng, m) for _ in range(40)]
+        scens[1] = _with_zero_gain(scens[1], 0)
+        scens[5] = _with_zero_gain(scens[5], m - 1)
         stack = stack_scenarios(scens)
-        at_k = phases_of(stack, k).tobytes()
-        assert phases_of(stack, 10**30).tobytes() == at_k, m
-        assert phases_of(stack, k - 1).tobytes() != at_k, m
+        for budgets in (MIXED_BUDGETS, (1,), (10**30,), (9, 3), tuple(range(8, 0, -1))):
+            _assert_phases_match_per_budget(phases_of, stack, budgets)
+
+
+def test_exact_phases_match_the_per_budget_loop_near_ties(phases_of):
+    """Every depth's near-tie stages (:func:`_near_tie_scenarios`) in one
+    stack, at the mixed budgets and every depth of the table."""
+    stack = stack_scenarios([s for depth in range(8) for s in _near_tie_scenarios(depth)])
+    _assert_phases_match_per_budget(phases_of, stack, MIXED_BUDGETS + (2, 3, 4, 5, 6, 7))
+
+
+def test_exact_phases_match_the_per_budget_loop_where_every_stage_ties(phases_of):
+    """Gains [1, 0, 0, 0] make every stage's swing zero, so every
+    comparison ties and every row of every budget takes the loop."""
+    rng = np.random.default_rng(29)
+    stack = stack_scenarios([Scenario(1.0, 915e6, 1.0, [1.0, 0.0, 0.0, 0.0], shifts)
+                             for shifts in rng.uniform(-math.pi, math.pi, (50, 4))])
+    _assert_phases_match_per_budget(phases_of, stack, MIXED_BUDGETS)
+
+
+@pytest.mark.parametrize("links, per_batch", [(4, 1), (120, 1), (364, 3), (2 ** 18, 8)])
+def test_exact_phases_batch_at_most_a_chunk_of_rows(monkeypatch, rng, links, per_batch):
+    """30 trials at M = 4: with ``streams._CHUNK_LINKS`` at ``links``, a
+    batch holds max(T, links // M) rows, so ``per_batch`` budgets, and
+    every batch gives the per-budget loop's phases."""
+    stack = stack_scenarios([random_scenario(rng, 4) for _ in range(30)])
+    monkeypatch.setattr(streams, "_CHUNK_LINKS", links)
+    rows = []
+    final_centres = protocol._final_centres
+
+    def counted(target, *args):
+        rows.append(len(target))
+        return final_centres(target, *args)
+
+    monkeypatch.setattr(protocol, "_final_centres", counted)
+    _assert_phases_match_per_budget(protocol.exact_phases, stack, MIXED_BUDGETS)
+    k = len(MIXED_BUDGETS)
+    sizes = [min(per_batch, k - i) for i in range(0, k, per_batch)]
+    assert rows == [30 * size for size in sizes for _ in range(3)]
+
+
+def test_exact_phases_past_a_chunk_take_no_more_memory_than_one_batch():
+    """A sweep of more than ``streams._CHUNK_LINKS`` trial-links per budget
+    runs one budget per batch: its tracemalloc peak exceeds the per-budget
+    loop's by at most one batch, the (T, M) float64 phases of one budget."""
+    m = 4
+    trials = streams._CHUNK_LINKS // m + 1
+    rng = np.random.default_rng(31)
+    stack = TrialStack(rng.uniform(0.1, 1.0, (trials, m)),
+                       rng.uniform(-math.pi, math.pi, (trials, m)), np.ones(trials))
+    budgets = (3, 9)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # each side holds one budget's phases while it computes the next
+    def engine():
+        for phases in protocol.exact_phases(stack, budgets):
+            pass
+
+    def per_budget():
+        for n in budgets:
+            phases = per_budget_phases(stack, n)
+
+    batch = trials * m * 8
+    assert peak(engine) <= peak(per_budget) + batch
 
 
 def test_tree_angles_and_cells_are_within_the_margins_angle_error(rng):
@@ -589,7 +689,8 @@ def test_batched_stages_take_adapts_feedback_rule(monkeypatch, gains, shifts):
         want = run_protocol(s, n).final_phases
         assert not _same(want, before), n
         assert _same(exact_runs(stack, n)[0][0], want), n
-        assert _same(protocol.exact_phases(stack, n)[0], want), n
+        (phases,) = protocol.exact_phases(stack, [n])
+        assert _same(phases[0], want), n
 
 
 @pytest.mark.parametrize("gains, shifts", ZERO_GAIN_SCENARIOS)
