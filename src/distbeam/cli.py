@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -72,7 +73,10 @@ def _subcommand(sub, name: str, summary: str, *flags: str) -> argparse.ArgumentP
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every
+    :func:`cli_main` call: parsing stores nothing in it."""
     parser = _Parser(prog="distbeam", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,12 +21,17 @@ def _fmt(x) -> str:
 
 
 def _fmt_column(values) -> list[str]:
-    """A float64 array as ``.15g``, formatted once per distinct bit pattern
-    (so -0.0 keeps its own text), any other column value by value through
-    :func:`_fmt`: ints exactly, bools as 0/1, integral floats as ints. A
-    dict, not ``np.unique``: a process's first int64 sort adds ~0.5 MB RSS."""
+    """A float64 array as ``.15g``, formatted once per run of equal bit
+    patterns (so -0.0 keeps its own text), a ``range`` by ``str``, any
+    other column value by value through :func:`_fmt`: ints exactly, bools
+    as 0/1, integral floats as ints. Runs of neighbours, not a sort such as
+    ``np.unique``: a process's first int64 sort adds ~0.5 MB RSS."""
+    if isinstance(values, range):
+        return list(map(str, values))
     if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
         return [_fmt(x) for x in values]
-    text = {}
-    return [text[b] if b in text else text.setdefault(b, format(v, ".15g"))
-            for b, v in zip(values.view(np.int64).tolist(), values.tolist())]
+    bits = values.view(np.int64)
+    new = np.ones(bits.shape, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    text = np.array([format(v, ".15g") for v in values[new].tolist()], dtype=object)
+    return text[np.cumsum(new) - 1].tolist()

@@ -8,6 +8,7 @@ the same arithmetic, the loop is kept here as the bit-for-bit reference.
 """
 
 import cmath
+import copy
 import io
 import json
 import math
@@ -183,21 +184,28 @@ def per_row_baseline_csv(trace: BaselineTrace) -> str:
 def per_interval_perturbation(s: Scenario, cfg, meas, rng) -> BaselineTrace:
     """The random-perturbation baseline one interval at a time: draw a step,
     measure the candidate through ``harvested_power`` and ``measure``, keep
-    it on a strict improvement."""
+    it on a strict improvement. The trace's noise values are the ones
+    ``measure`` draws, read from a copy of its generator, and its
+    ``measured_power`` holds the readings themselves, not the library's
+    recomputation."""
     m = s.num_transmitters
     best = np.zeros(m)
     best_power = measure(meas, harvested_power(s, PhaseAssignment(best.copy())))
+    shadow = copy.deepcopy(meas.rng) if meas.noisy else None
     t = cfg.max_intervals
     cand_hist = np.zeros((t, m))
     meas_hist = np.zeros(t)
     best_hist = np.zeros(t)
     acc_hist = np.zeros(t, dtype=bool)
+    noise = np.zeros(t) if meas.noisy else None
     for n in range(t):
         if cfg.distribution == DIST_UNIFORM:
             step = rng.uniform(-cfg.scale, cfg.scale, size=m)
         else:
             step = rng.normal(0.0, cfg.scale, size=m)
         cand = wrap_angle(best + step)
+        if shadow is not None:
+            noise[n] = shadow.normal(0.0, meas.noise_std)
         p = measure(meas, harvested_power(s, PhaseAssignment(cand.copy())))
         if p > best_power:
             best = cand
@@ -206,7 +214,9 @@ def per_interval_perturbation(s: Scenario, cfg, meas, rng) -> BaselineTrace:
         cand_hist[n] = cand
         meas_hist[n] = p
         best_hist[n] = best_power
-    return BaselineTrace(cand_hist, meas_hist, best_hist, acc_hist, best)
+    trace = BaselineTrace(cand_hist, best_hist, acc_hist, best, s, noise)
+    trace.measured_power = meas_hist
+    return trace
 
 
 #: The per-interval columns of a ``TrainingTrace``, in field order

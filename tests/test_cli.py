@@ -687,6 +687,24 @@ def test_exp_flags_set_config_fields():
         assert getattr(args, name) is None, name
 
 
+def test_a_usage_error_leaves_the_shared_parser_unchanged(capsys):
+    """``cli_main`` builds its parser once per process. After a usage error
+    at the top level, in a subcommand's flags or in a flag's value, the next
+    call parses as a freshly built parser does and prints what it printed
+    before the error."""
+    assert cli.build_parser() is cli.build_parser()
+    good = ["baseline", "--M", "3", "--intervals", "7", "--format", "json"]
+    before = run_cli(capsys, *good)
+    for bad in (["nosuch"], ["baseline", "--bogus"], ["baseline", "--M", "x"],
+                ["exp", "power-vs-M", "--seed"], ["protocol", "--format", "xml"]):
+        code, out, err = run_cli(capsys, *bad)
+        assert code == EXIT_USAGE and out == "" and err.startswith("error: "), bad
+        assert run_cli(capsys, *good) == before, bad
+        for argv in (good, ["exp", "power-vs-M", "--m-list", "2,3"]):
+            assert (vars(cli.build_parser().parse_args(argv))
+                    == vars(cli.build_parser.__wrapped__().parse_args(argv))), (bad, argv)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exp_stderr_stays_finite_at_a_huge_power_scale(capsys, tmp_path):
     """Powers near 1e304 used to overflow the squared deviations: a numpy

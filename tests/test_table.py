@@ -11,10 +11,11 @@ from distbeam import (
     run_random_perturbation,
 )
 from distbeam.baseline import DIST_GAUSSIAN, DIST_UNIFORM
+from distbeam.experiments import Curve, ExperimentResult
 from distbeam.power import MODE_ADDITIVE_NOISE
 from distbeam.table import csv_text
 
-from conftest import per_row_baseline_csv, per_row_trace_csv, random_scenario
+from conftest import per_row_baseline_csv, per_row_trace_csv, per_row_write, random_scenario
 
 
 def test_csv_text_rules():
@@ -57,3 +58,26 @@ def test_baseline_csv_matches_per_row_writer():
         cfg = PerturbationConfig(distribution=dist, max_intervals=200)
         trace = run_random_perturbation(s, cfg, _meas(std, 5), rng=np.random.default_rng(6))
         assert trace.to_csv() == per_row_baseline_csv(trace), (dist, std)
+
+
+def test_float_columns_match_the_per_row_writer(tmp_path):
+    """A float64 column is formatted once per run of equal bit patterns,
+    and a ``range`` column by ``str``; the files equal the per-row writer's
+    byte for byte. Columns: runs of one, two and many values, 0.0 next to
+    -0.0, NaNs of either sign side by side, infinities, empty and one-value
+    columns, and the 8-row columns of an efficiency sweep."""
+    nan = np.copysign(np.nan, -1.0)
+    steps = np.repeat([0.25, 1.0 / 3.0, 0.25, -0.0, 0.0, 7e-310], [1, 2, 500, 3, 1, 4])
+    edges = np.array([0.0, -0.0, 0.0, -0.0, np.nan, nan, nan, np.nan, np.inf, np.inf, -np.inf])
+    eta = np.array([0.6603, 0.9934, 0.99870, 0.99968, 0.99992, 0.999980, 0.999995, 0.9999988])
+    result = ExperimentResult("columns", "x", {
+        "steps": Curve(range(1, steps.size + 1), steps, steps[::-1]),
+        "edges": Curve(range(edges.size), edges, edges[::-1]),
+        "empty": Curve(range(0), np.array([]), np.array([])),
+        "one": Curve(range(5, 6), np.array([0.1]), np.array([-0.0])),
+        "eight": Curve(list(range(1, 9)), eta, np.sqrt(eta * (1.0 - eta) / 1000.0)),
+    }, {})
+    got = result.write(tmp_path / "new")
+    want = per_row_write(result, tmp_path / "old")
+    for a, b in zip(got, want, strict=True):
+        assert a.read_bytes() == b.read_bytes(), a.name
