@@ -9,7 +9,6 @@ compared against.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -17,15 +16,7 @@ import numpy as np
 
 from .angles import wrap_angle
 from .channel import Scenario
-from .power import (
-    EXACT,
-    MeasurementModel,
-    PhaseAssignment,
-    _pair_sum,
-    _phasor_screen,
-    harvested_power,
-    measure,
-)
+from .power import EXACT, MeasurementModel, _phasor_power, measure
 from .table import csv_text
 
 DIST_UNIFORM = "uniform-symmetric"
@@ -35,9 +26,8 @@ DIST_GAUSSIAN = "gaussian"
 DEFAULT_SCALE = math.pi / 8.0
 
 # Candidates per block: the first block after an acceptance, and the cap on
-# block * M doubles, the size of the screen's arrays (128 KB). Blocks double
-# while every candidate in them is rejected. The kernel takes at most
-# _BLOCK_DOUBLES // M**2 rows a call, the size of its mirrored pair matrix.
+# block * M doubles, the size of a block's arrays (128 KB). Blocks double
+# while every candidate in them is rejected.
 _BLOCK_MIN = 4
 _BLOCK_DOUBLES = 2**14
 
@@ -63,49 +53,17 @@ class PerturbationConfig:
 
 @dataclass
 class BaselineTrace:
-    """Per-interval history of one baseline run.
-
-    ``measured_power``, the power each interval read, is computed from the
-    candidates, the scenario and the noise values on its first read, through
-    the same kernel as the run, so it equals the readings the run compared.
-    """
+    """Per-interval history of one baseline run."""
 
     candidate_phases: np.ndarray   # (intervals, M)
+    measured_power: np.ndarray     # power actually received each interval
     best_power: np.ndarray         # record after each interval; non-decreasing
     accepted: np.ndarray           # bool, candidate kept
     final_phases: np.ndarray       # the record's phases; its power is best_power[-1]
-    scenario: Scenario
-    noise: np.ndarray | None       # each interval's noise value; None if exact
-
-    @functools.cached_property
-    def measured_power(self) -> np.ndarray:
-        """The power each interval read, candidate by candidate."""
-        s, cand, noise = self.scenario, self.candidate_phases, self.noise
-        amp = np.sqrt(s.gains)
-        rows = _kernel_rows(s.num_transmitters)
-        return np.concatenate([
-            _readings(s, amp, cand[n:n + rows] - s.phase_shifts,
-                      None if noise is None else noise[n:n + rows])
-            for n in range(0, len(cand), rows)])
 
     def to_csv(self) -> str:
         return csv_text("n,power,best_power,accepted", range(1, len(self.measured_power) + 1),
                         self.measured_power, self.best_power, self.accepted)
-
-
-def _kernel_rows(m: int) -> int:
-    """Candidate rows per kernel call at ``m`` transmitters."""
-    return max(1, _BLOCK_DOUBLES // (m * m))
-
-
-def _readings(s: Scenario, amp: np.ndarray, offs: np.ndarray, noise: np.ndarray | None):
-    """The power each row of phase offsets reads: the kernel's, plus its
-    noise value, clamped at 0 as ``measure`` does."""
-    p = s.power_scale * _pair_sum(amp, offs)
-    if noise is not None:
-        p += noise
-        p = np.where(p > 0.0, p, 0.0)   # measure's max(0.0, x), NaN and -0.0 included
-    return p
 
 
 def run_random_perturbation(
@@ -123,25 +81,24 @@ def run_random_perturbation(
     strict improvement, so under exact measurement the best-power sequence
     is non-decreasing.
 
-    All steps are drawn up front from the caller's ``rng``, and all noise values from
-    ``meas.rng``, which gives the same draws as one draw per interval. Runs
-    of candidates are then screened as one array operation against the
-    current record: a candidate whose O(M) reading plus its certified
-    margin (``power._phasor_screen``) is below the record cannot be kept,
-    and skips the pairwise kernel. The others are read through the kernel
-    in row order, and the first strict improvement is kept; the rows after
-    it are screened again against the new record. So every reading compared
-    with the record is the kernel's, and the trace is bit-identical to the
-    interval-by-interval rule. A noisy ``meas`` must not share ``rng``:
-    the per-interval rule would interleave step and noise draws on it. A
-    gaussian scale so large that a step overflows to +-inf raises
-    ``ValueError`` before any candidate is formed.
+    Every reading, the first one included, is the O(M) phasor power
+    (``power._phasor_power``). All steps are drawn up front from the
+    caller's ``rng``, and all noise values from ``meas.rng``, which gives
+    the same draws as one draw per interval. Runs of candidates are then
+    read as one array operation against the current record, and the rows
+    after the first acceptance in a block are formed and read again against
+    the new record. The trace is bit-identical to the interval-by-interval
+    rule. A noisy ``meas`` must not share ``rng``: the per-interval rule
+    would interleave step and noise draws on it. A gaussian scale so large
+    that a step overflows to +-inf raises ``ValueError`` before any
+    candidate is formed.
     """
     if meas.noisy and meas.rng is rng:
         raise ValueError("noisy measurement needs a generator of its own, not rng")
     m = s.num_transmitters
+    amp = np.sqrt(s.gains)
     best = np.zeros(m)
-    best_power = measure(meas, harvested_power(s, PhaseAssignment(best)))
+    best_power = measure(meas, float(_phasor_power(amp, best, s.phase_shifts, s.power_scale)))
     t = cfg.max_intervals
     # steps are drawn into the candidate history; each row is overwritten
     # with its candidate once committed
@@ -151,59 +108,38 @@ def run_random_perturbation(
         cand_hist = rng.normal(0.0, cfg.scale, size=(t, m))
     if not np.isfinite(cand_hist).all():
         raise ValueError(f"perturbation scale {cfg.scale} draws non-finite phase steps")
-    noise = meas.rng.normal(0.0, meas.noise_std, size=t) if meas.noisy else None
+    # likewise the noise values become the measured powers
+    meas_hist = meas.rng.normal(0.0, meas.noise_std, size=t) if meas.noisy else np.empty(t)
     best_hist = np.empty(t)
     acc_hist = np.zeros(t, dtype=bool)
-    amp = np.sqrt(s.gains)
     block_max = max(1, _BLOCK_DOUBLES // m)
     block_min = min(_BLOCK_MIN, block_max)
-    rows = _kernel_rows(m)
     block = block_min
     n = 0
     while n < t:
         stop = min(n + block, t)
         cand = wrap_angle(best + cand_hist[n:stop])
-        z = None if noise is None else noise[n:stop]
-        x, margin = _phasor_screen(amp, cand, s.phase_shifts, s.power_scale, z)
-        x += margin
-        # not x < best, so that a NaN reaches the kernel
-        left = (~(x < best_power)).nonzero()[0]
-        if stop - n > rows:
-            # a block of more rows than one kernel call reads is not held
-            # beside one: commit the rows before the first one left, and form
-            # the others again where they are needed
-            first = int(left[0]) if left.size else stop - n
-            cand_hist[n:n + first] = cand[:first]
-            cand = None
-        kept = None
-        for k in range(0, left.size, rows):
-            chunk = left[k:k + rows]
-            phases = cand[chunk] if cand is not None else wrap_angle(best + cand_hist[n + chunk])
-            p = _readings(s, amp, phases - s.phase_shifts, None if z is None else z[chunk])
-            up = (p > best_power).nonzero()[0]
-            if up.size:
-                kept, kept_power = int(chunk[up[0]]), float(p[up[0]])
-                break
-        end = stop if kept is None else n + kept + 1
-        if cand is not None:
-            cand_hist[n:end] = cand[:end - n]
-        elif end > n + first:
-            cand_hist[n + first:end] = wrap_angle(best + cand_hist[n + first:end])
+        p = _phasor_power(amp, cand, s.phase_shifts, s.power_scale,
+                          meas_hist[n:stop] if meas.noisy else None)
+        up = np.flatnonzero(p > best_power)
+        end = stop if up.size == 0 else n + int(up[0]) + 1
+        cand_hist[n:end] = cand[:end - n]
+        cand = None   # not held while the next block is formed
+        meas_hist[n:end] = p[:end - n]
         best_hist[n:end] = best_power
-        if kept is None:
-            block = min(2 * block, block_max)
-        else:
+        if up.size:
             best = cand_hist[end - 1].copy()
-            best_power = kept_power
+            best_power = float(p[end - n - 1])
             best_hist[end - 1] = best_power
             acc_hist[end - 1] = True
             block = block_min
+        else:
+            block = min(2 * block, block_max)
         n = end
     return BaselineTrace(
         candidate_phases=cand_hist,
+        measured_power=meas_hist,
         best_power=best_hist,
         accepted=acc_hist,
         final_phases=best,
-        scenario=s,
-        noise=noise,
     )

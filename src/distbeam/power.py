@@ -1,9 +1,12 @@
 """Harvested-power computation for arbitrary phase assignments.
 
-All powers come from the closed-form period average of the summed carrier:
-a sum over per-link gains plus pairwise interference terms. Time-domain
-integration is deliberately absent here; the test suite carries an
-independent integrator used only as an oracle.
+All powers come from the closed-form period average of the summed carrier.
+``harvested_power`` and ``harvested_powers`` sum per-link gains plus
+pairwise interference terms (``_pair_sum``); the perturbation baseline reads
+each candidate as the squared magnitude of the phasor sum in O(M)
+(``_phasor_power``), which agrees with the pairwise sum to rounding.
+Time-domain integration is deliberately absent here; the test suite carries
+an independent integrator used only as an oracle.
 """
 
 from __future__ import annotations
@@ -148,63 +151,14 @@ def _pair_sum(amp: np.ndarray, offs: np.ndarray) -> np.ndarray:
     return pair.sum(axis=(-2, -1))
 
 
-def _phasor_screen(amp: np.ndarray, phases: np.ndarray, phase_shifts: np.ndarray,
-                   scale: float, noise: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's reading in O(M), x = scale * |sum amp e^{j offs}|**2 plus
-    its ``noise`` value, and a margin: x + margin bounds, from above, the
-    reading ``scale * _pair_sum(amp, offs)`` + noise of that row, with offs
-    = phases - phase_shifts. ``phases`` is (B, M) and wrapped, so is
-    ``phase_shifts``, and each amp_i**2 is a gain that ``Scenario`` admits:
-    0 or at least 2**-511. The offsets are formed twice, for the cosines and
-    the sines, so that the screen holds one (B, M) array. The margin is
-
-        scale * (sum amp)**2 * (M + 8)**2 * u + 2**-51 * |x| + 2**-1073,
-
-    u = 2**-53, the unit roundoff.
-
-    Let A = sum amp and E = sum_ij amp_i amp_j cos(offs_i - offs_j) =
-    (sum amp cos offs)**2 + (sum amp sin offs)**2, both in exact
-    arithmetic on the stored amp and offs. A sum of n terms in any order is
-    within (n - 1) * u * (sum of |terms|) of its exact value, to first
-    order; so is a numpy pairwise sum, and the order never enters.
-
-    The kernel. Each offset lies in [-2 pi, 2 pi], so each difference
-    offs_i - offs_j lies in [-4 pi, 4 pi] and rounds by at most 4 pi * u;
-    ``np.cos`` adds at most 4 ulp of 1, 8 * u, the assumption
-    ``adapt._cells`` makes (and the screen makes of ``np.sin``). The
-    weight amp_i * amp_j and its product with the cosine round by u each.
-    So each of the M**2 terms is within (4 pi + 10) * u * amp_i * amp_j of
-    its exact value, and their sum within (M**2 - 1 + 22.6) * u * A**2 of
-    E.
-
-    The screen. Each amp_i * cos(offs_i), and likewise with sin, is within
-    9 * u * amp_i; the sum of M such terms is within e = (M + 8) * u * A of
-    its exact value. Squaring and adding the two sums moves the result by at
-    most 2 * e * (|re| + |im|) + 2 * u * A**2 <= (2 * sqrt(2) * (M + 8) + 2)
-    * u * A**2, since |re| + |im| <= sqrt(2) * A: these are the screen's 2M
-    terms. Each side's product with ``scale`` rounds by u more.
-
-    The two sides then differ by at most D = scale * A**2 * u * (M**2 +
-    2.83 * M + 48.3) <= scale * A**2 * u * ((M + 8)**2 - 13 * M - 15); the
-    13 * M + 15 spare units of u * A**2 cover every second-order term (they
-    grow like M**4 * u**2 * A**2) for M up to 2**18, the rounding of the
-    computed A, and the margin's own few roundings. Adding the noise z rounds
-    each side once more: fl(V + z) <= fl(S + z) + D * (1 + u) + 2 * u * (1 +
-    2 * u) * |fl(S + z)|, which 2**-51 * |x| covers.
-
-    Underflow. Under the gain floor no product of amplitudes and cosines is
-    subnormal, and a sum that is rounds exactly. The screen's square of a
-    sum near zero may lose an absolute 2**-1075, below 2**-511 * u * A**2
-    since A**2 >= 2**-511, so the spare units cover it once scaled. What is
-    left is absolute: the two products with ``scale`` and two of the
-    margin's own products may each lose 2**-1075, which 2**-1073 covers.
-
-    Rounding is monotone, so a rounded x + margin below a float r still
-    proves the reading below r. A non-finite value or margin proves
-    nothing, and NaN compares false.
-    """
-    m = phases.shape[-1]
+def _phasor_power(amp: np.ndarray, phases: np.ndarray, phase_shifts: np.ndarray,
+                  scale: float, noise: np.ndarray | None = None) -> np.ndarray:
+    """Each row's reading in O(M): scale * |sum amp e^{j offs}|**2, with
+    offs = phases - phase_shifts over the last axis, plus its ``noise``
+    value clamped at 0 as ``measure`` does. The offsets are formed twice,
+    for the cosines and the sines, so that it holds one array of the shape
+    of ``phases``. A sum of squares, so an exact reading is never below 0,
+    where the pairwise kernel's may be."""
     part = phases - phase_shifts
     np.cos(part, out=part)
     part *= amp
@@ -219,11 +173,8 @@ def _phasor_screen(amp: np.ndarray, phases: np.ndarray, phase_shifts: np.ndarray
     x *= scale
     if noise is not None:
         x += noise
-    total = float(np.add.reduce(amp))
-    margin = np.abs(x)
-    margin *= 2.0 ** -51
-    margin += scale * (total * total * ((m + 8) ** 2 * 2.0 ** -53)) + 2.0 ** -1073
-    return x, margin
+        x = np.where(x > 0.0, x, 0.0)   # measure's max(0.0, x), NaN and -0.0 included
+    return x
 
 
 @functools.cache

@@ -8,7 +8,6 @@ the same arithmetic, the loop is kept here as the bit-for-bit reference.
 """
 
 import cmath
-import copy
 import io
 import json
 import math
@@ -50,6 +49,7 @@ from distbeam.experiments import (
 from distbeam.power import (
     EXACT,
     TrialStack,
+    _phasor_power,
     aligned_phase,
     measure,
     partial_power,
@@ -183,30 +183,29 @@ def per_row_baseline_csv(trace: BaselineTrace) -> str:
 
 def per_interval_perturbation(s: Scenario, cfg, meas, rng) -> BaselineTrace:
     """The random-perturbation baseline one interval at a time: draw a step,
-    measure the candidate through ``harvested_power`` and ``measure``, keep
-    it on a strict improvement. The trace's noise values are the ones
-    ``measure`` draws, read from a copy of its generator, and its
-    ``measured_power`` holds the readings themselves, not the library's
-    recomputation."""
+    read the candidate's row alone through ``_phasor_power``, add its noise
+    through ``measure`` (one draw from ``meas.rng`` per reading, in order),
+    keep it on a strict improvement."""
     m = s.num_transmitters
+    amp = np.sqrt(s.gains)
+
+    def reading(phases):
+        return measure(meas, float(_phasor_power(amp, phases, s.phase_shifts, s.power_scale)))
+
     best = np.zeros(m)
-    best_power = measure(meas, harvested_power(s, PhaseAssignment(best.copy())))
-    shadow = copy.deepcopy(meas.rng) if meas.noisy else None
+    best_power = reading(best)
     t = cfg.max_intervals
     cand_hist = np.zeros((t, m))
     meas_hist = np.zeros(t)
     best_hist = np.zeros(t)
     acc_hist = np.zeros(t, dtype=bool)
-    noise = np.zeros(t) if meas.noisy else None
     for n in range(t):
         if cfg.distribution == DIST_UNIFORM:
             step = rng.uniform(-cfg.scale, cfg.scale, size=m)
         else:
             step = rng.normal(0.0, cfg.scale, size=m)
         cand = wrap_angle(best + step)
-        if shadow is not None:
-            noise[n] = shadow.normal(0.0, meas.noise_std)
-        p = measure(meas, harvested_power(s, PhaseAssignment(cand.copy())))
+        p = reading(cand)
         if p > best_power:
             best = cand
             best_power = p
@@ -214,9 +213,7 @@ def per_interval_perturbation(s: Scenario, cfg, meas, rng) -> BaselineTrace:
         cand_hist[n] = cand
         meas_hist[n] = p
         best_hist[n] = best_power
-    trace = BaselineTrace(cand_hist, best_hist, acc_hist, best, s, noise)
-    trace.measured_power = meas_hist
-    return trace
+    return BaselineTrace(cand_hist, meas_hist, best_hist, acc_hist, best)
 
 
 #: The per-interval columns of a ``TrainingTrace``, in field order

@@ -17,8 +17,10 @@ from distbeam import (
     run_random_perturbation,
 )
 from distbeam.baseline import _BLOCK_DOUBLES, DIST_GAUSSIAN, DIST_UNIFORM
-from distbeam.experiments import config_from_mapping, rng_stream, run_experiment
-from distbeam.power import EXACT, MODE_ADDITIVE_NOISE
+from distbeam.angles import wrap_angle
+from distbeam.experiments import rng_stream
+from distbeam.power import EXACT, MODE_ADDITIVE_NOISE, TrialStack, _pair_sum, _phasor_power
+from distbeam.selfcheck import phasor_oracle_powers
 
 from conftest import full_matrix_pair_sum, per_interval_perturbation, random_scenario
 
@@ -70,22 +72,25 @@ def test_block_evaluation_matches_per_interval_loop(m, dist):
 TRACE_FIELDS = ("candidate_phases", "measured_power", "best_power", "accepted", "final_phases")
 
 
+def _no_kernel(amp, offs):
+    raise AssertionError("the baseline called the pairwise kernel")
+
+
 @pytest.mark.parametrize("m", [5, 10, 20, 40])
 def test_half_matrix_kernel_leaves_traces_unchanged(m, monkeypatch):
-    """5,000-interval runs, uniform and gaussian, exact and noisy, give the
-    same trace bytes with the full M x M kernel patched in for every
-    reading, the first one included. ``measured_power`` is computed when it
-    is read, so it is read while the kernel is patched."""
+    """The baseline never calls the pairwise kernel ``power._pair_sum``,
+    the first reading included: 5,000-interval runs, uniform and gaussian,
+    exact and noisy, give the same trace bytes with the kernel patched to
+    raise."""
     s = random_scenario(rng_stream(41, m), m)
     noise = 1e-3 * optimal_power(s)
     for dist in (DIST_UNIFORM, DIST_GAUSSIAN):
         for std in (0.0, noise):
             cfg = PerturbationConfig(dist, max_intervals=5000)
             runs = []
-            for full in (False, True):
-                if full:
-                    monkeypatch.setattr(distbeam.baseline, "_pair_sum", full_matrix_pair_sum)
-                    monkeypatch.setattr(distbeam.power, "_pair_sum", full_matrix_pair_sum)
+            for patched in (False, True):
+                if patched:
+                    monkeypatch.setattr(distbeam.power, "_pair_sum", _no_kernel)
                 meas = MeasurementModel(MODE_ADDITIVE_NOISE, std, rng_stream(43, m)) if std else EXACT
                 trace = run_random_perturbation(s, cfg, meas, rng=rng_stream(42, m))
                 runs.append({field: getattr(trace, field) for field in TRACE_FIELDS})
@@ -94,19 +99,6 @@ def test_half_matrix_kernel_leaves_traces_unchanged(m, monkeypatch):
             assert got["accepted"].any(), (dist, std)
             for field in TRACE_FIELDS:
                 assert got[field].tobytes() == want[field].tobytes(), (field, dist, std)
-
-
-def _kernel_rows(monkeypatch) -> list[tuple[int, int]]:
-    """Patch the baseline's kernel to record (M, rows) of every call."""
-    calls = []
-    kernel = distbeam.baseline._pair_sum
-
-    def counted(amp, offs):
-        calls.append(offs.shape[::-1])
-        return kernel(amp, offs)
-
-    monkeypatch.setattr(distbeam.baseline, "_pair_sum", counted)
-    return calls
 
 
 def _assert_matches_per_interval(s, cfg, std=0.0, seed=61):
@@ -126,26 +118,31 @@ def _assert_matches_per_interval(s, cfg, std=0.0, seed=61):
 
 
 def test_no_row_is_screened_out_when_every_step_wraps_to_the_record(monkeypatch):
-    """At scale 1e-300 every candidate wraps to the record itself, so its
-    reading equals the record and no margin can prove it lower: every row
-    reaches the kernel, a kernel call at a time of at most
-    ``_BLOCK_DOUBLES // M**2`` rows, and none is kept.
+    """At scale 1e-300 every candidate wraps to the record itself, so every
+    row reads the record's power and none is kept. Each of the 5,000
+    candidates is read once, and the first reading once more.
 
-    The run then holds its trace and one kernel call's arrays: the
-    per-block kernel that preceded the screen peaked here at 2.95 MB (its
-    trace, 2.65 MB with the measured powers, and a 4-row call), and one
-    kernel call over a whole 256-row block at 15 MB."""
+    The run then holds its trace and one block's arrays: the per-block
+    pairwise kernel of earlier versions peaked here at 2.95 MB (its trace,
+    2.65 MB with the measured powers, and a 4-row call), and one kernel
+    call over a whole 256-row block at 15 MB."""
     m = 64
     s = random_scenario(rng_stream(51, m), m)
     cfg = PerturbationConfig(scale=1e-300, max_intervals=5000)
-    calls = _kernel_rows(monkeypatch)
+    rows = []
+    reading = distbeam.baseline._phasor_power
+
+    def counted(amp, phases, *args):
+        rows.append(phases.size // m)
+        return reading(amp, phases, *args)
+
+    monkeypatch.setattr(distbeam.baseline, "_phasor_power", counted)
     trace = run_random_perturbation(s, cfg, rng=rng_stream(52, m))
-    assert sum(rows for _, rows in calls) == 5000
-    assert max(rows for _, rows in calls) <= _BLOCK_DOUBLES // m**2
-    start = harvested_power(s, PhaseAssignment(np.zeros(m)))
+    monkeypatch.undo()
+    assert sum(rows) == 1 + 5000
+    start = float(reading(np.sqrt(s.gains), np.zeros(m), s.phase_shifts, s.power_scale))
     assert not trace.accepted.any() and (trace.best_power == start).all()
     assert (trace.candidate_phases == 0.0).all() and (trace.measured_power == start).all()
-    monkeypatch.undo()
 
     tracemalloc.start()
     try:
@@ -153,7 +150,7 @@ def test_no_row_is_screened_out_when_every_step_wraps_to_the_record(monkeypatch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = trace.candidate_phases.nbytes + trace.best_power.nbytes + trace.accepted.nbytes
+    held = sum(getattr(trace, field).nbytes for field in TRACE_FIELDS[:4])
     assert peak <= held + 3 * 8 * _BLOCK_DOUBLES, (peak, held)
 
 
@@ -183,12 +180,10 @@ def _gain_cases(m: int):
 @pytest.mark.parametrize("m", [5, 40])
 def test_near_ties_match_the_per_interval_rule(m):
     """Steps of 1e-12 and 1e-15 rad keep every candidate within a few
-    rounding errors of the record, where the screen must hand the close
-    calls to the kernel. At the gain limits, at powers near the float
-    maximum, near the smallest normal and subnormal, exact and with noise
-    far below and far above the optimum, the run equals the per-interval
-    rule byte for byte, with no RuntimeWarning. With a zero margin, 19 of
-    these 128 runs keep a different candidate."""
+    rounding errors of the record. At the gain limits, at powers near the
+    float maximum, near the smallest normal and subnormal, exact and with
+    noise far below and far above the optimum, the run equals the
+    per-interval rule byte for byte, with no RuntimeWarning."""
     for label, s in _gain_cases(m):
         q_star = optimal_power(s)
         for dist, scale in itertools.product((DIST_UNIFORM, DIST_GAUSSIAN), (1e-12, 1e-15)):
@@ -200,46 +195,90 @@ def test_near_ties_match_the_per_interval_rule(m):
                     raise AssertionError((label, dist, scale, std)) from exc
 
 
-@pytest.mark.parametrize("seed", [1, 7, 12345])
-def test_the_benchmark_sweep_reads_few_candidates_through_the_kernel(seed, monkeypatch):
-    """At the benchmark's convergence-comparison (5,000 intervals, M 5 to
-    40), fewer than 5% of each run's candidates reach the pairwise kernel:
-    143 of 5,000 at M=40 and seed 7. The experiment reads only the record,
-    so nothing reads the measured powers afterwards."""
-    calls = _kernel_rows(monkeypatch)
-    run_experiment(config_from_mapping({"experiment": "convergence-comparison",
-                                        "intervals": "5000", "m_list": "5,10,20,40",
-                                        "seed": str(seed)}))
-    for m in (5, 10, 20, 40):
-        rows = sum(rows for width, rows in calls if width == m)
-        assert 0 < rows < 0.05 * 5000, (m, rows)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m", [5, 40, 64])
+def test_phasor_power_is_within_rounding_of_the_pairwise_sum(m):
+    """The baseline's O(M) reading x = scale * |sum amp e^{j offs}|**2
+    (``power._phasor_power``) is within
+
+        scale * (sum amp)**2 * (M + 8)**2 * u + 2**-1073,   u = 2**-53,
+
+    of the pairwise sum ``scale * sum_ij amp_i amp_j cos(offs_i - offs_j)``
+    and of ``selfcheck.phasor_oracle_powers``, at the gain limits and at
+    power scales near either end of the float range. Phases and phase shifts
+    are wrapped, and each amp_i**2 is a gain that ``Scenario`` admits: 0 or
+    at least 2**-511.
+
+    Let A = sum amp and E = sum_ij amp_i amp_j cos(offs_i - offs_j) =
+    (sum amp cos offs)**2 + (sum amp sin offs)**2, both in exact arithmetic
+    on the stored amp and offs. A sum of n terms in any order is within
+    (n - 1) * u * (sum of |terms|) of its exact value, to first order; so
+    is a numpy pairwise sum, and the order never enters.
+
+    The pairwise sum. Each offset lies in [-2 pi, 2 pi], so each difference
+    offs_i - offs_j lies in [-4 pi, 4 pi] and rounds by at most 4 pi * u;
+    ``np.cos`` adds at most 4 ulp of 1, 8 * u, the assumption
+    ``adapt._cells`` makes (and this bound makes of ``np.sin``). The weight
+    amp_i * amp_j and its product with the cosine round by u each. So each
+    of the M**2 terms is within (4 pi + 10) * u * amp_i * amp_j of its
+    exact value, and their sum within (M**2 - 1 + 22.6) * u * A**2 of E.
+
+    The phasor reading. Each amp_i * cos(offs_i), and likewise with sin, is
+    within 9 * u * amp_i; the sum of M such terms is within e = (M + 8) * u
+    * A of its exact value. Squaring and adding the two sums moves the
+    result by at most 2 * e * (|re| + |im|) + 2 * u * A**2 <= (2 * sqrt(2)
+    * (M + 8) + 2) * u * A**2, since |re| + |im| <= sqrt(2) * A. The
+    oracle's complex sum, its magnitude and its square round the same way,
+    within a few more units. Each side's product with ``scale`` rounds by u
+    more.
+
+    The two sides then differ by at most scale * A**2 * u * (M**2 + 2.83 *
+    M + 48.3) <= scale * A**2 * u * ((M + 8)**2 - 13 * M - 15); the 13 * M
+    + 15 spare units of u * A**2 cover every second-order term (they grow
+    like M**4 * u**2 * A**2) for M up to 2**18, and the rounding of the
+    computed A.
+
+    Underflow. Under the gain floor no product of amplitudes and cosines is
+    subnormal, and a sum that is rounds exactly. The square of a sum near
+    zero may lose an absolute 2**-1075, below 2**-511 * u * A**2 since A**2
+    >= 2**-511, so the spare units cover it once scaled. What is left is
+    absolute: each side's product with ``scale`` may lose 2**-1075, which
+    2**-1073 covers."""
+    for label, s in _gain_cases(m):
+        amp = np.sqrt(s.gains)
+        rng = rng_stream(91, m)
+        phases = np.concatenate([
+            wrap_angle(rng.uniform(-math.pi, math.pi, (200, m))),
+            [s.phase_shifts, np.zeros(m)],
+            wrap_angle(s.phase_shifts + rng.uniform(-1e-9, 1e-9, (20, m))),
+        ])
+        x = _phasor_power(amp, phases, s.phase_shifts, s.power_scale)
+        total = math.fsum(amp)
+        bound = s.power_scale * (total * total * ((m + 8) ** 2 * 2.0**-53)) + 2.0**-1073
+        pair = s.power_scale * full_matrix_pair_sum(amp, phases - s.phase_shifts)
+        stack = TrialStack(np.tile(s.gains, (len(phases), 1)),
+                           np.tile(s.phase_shifts, (len(phases), 1)),
+                           np.full(len(phases), s.power_scale))
+        oracle = phasor_oracle_powers(stack, phases)
+        for name, other in (("pairwise sum", pair), ("phasor oracle", oracle)):
+            gap = float(np.max(np.abs(x - other)))
+            assert gap <= bound, (label, name, gap, bound)
 
 
-def _worst_sum_pair_sum(amp: np.ndarray, offs: np.ndarray) -> np.ndarray:
-    """The pairwise kernel moved by the largest rounding error a sum of its
-    M**2 terms may make in some order, (M**2 - 1) * 2**-53 * (sum amp)**2,
-    up or down by the parity of the row's offsets' last eight bits."""
-    m = offs.shape[-1]
-    error = (m * m - 1) * 2.0**-53 * float(np.sum(amp)) ** 2
-    low = np.bitwise_xor.reduce(offs.view(np.int64), axis=-1) & 255
-    for shift in (4, 2, 1):   # fold the eight bits to their parity in bit 0
-        low ^= low >> shift
-    return full_matrix_pair_sum(amp, offs) + np.where(low & 1, error, -error)
-
-
-@pytest.mark.parametrize("m", [40, 64])
-def test_the_margin_covers_a_kernel_sum_at_its_worst_rounding(m, monkeypatch):
-    """The margin's M**2 term stands for the kernel's sum of M**2 terms,
-    whose order the screen does not know. Patched to err by that sum's
-    worst case, row by row in either direction, the kernel keeps
-    candidates that the screen's O(M) reading puts up to (M**2 - 1) units
-    of 2**-53 * (sum sqrt g)**2 below the record, and the run must still
-    equal the per-interval rule on the same kernel."""
-    monkeypatch.setattr(distbeam.baseline, "_pair_sum", _worst_sum_pair_sum)
-    monkeypatch.setattr(distbeam.power, "_pair_sum", _worst_sum_pair_sum)
-    s = random_scenario(rng_stream(81, m), m)
-    for scale in (1e-15, 1e-12):
-        _assert_matches_per_interval(s, PerturbationConfig(scale=scale, max_intervals=1000))
+def test_phasor_power_never_reads_below_zero():
+    """Unit gains at the M-th roots of unity, each phase moved by up to
+    1e-9 rad, cancel to within rounding. The O(M) reading is a sum of
+    squares and never reads below 0; the pairwise kernel does on some of
+    these rows, which shows they cancel that far."""
+    kernel_below = 0
+    for m in range(3, 41):
+        rng = rng_stream(93, m)
+        roots = 2.0 * math.pi * np.arange(m) / m
+        phases = wrap_angle(roots + rng.uniform(-1e-9, 1e-9, (500, m)))
+        amp, shifts = np.ones(m), np.zeros(m)
+        assert (_phasor_power(amp, phases, shifts, 1.0) >= 0.0).all(), m
+        kernel_below += int((_pair_sum(amp, phases) < 0.0).sum())
+    assert kernel_below > 0
 
 
 def test_noisy_measurement_needs_its_own_generator(rng):
@@ -305,8 +344,9 @@ def test_accepts_track_records(rng):
     s = random_scenario(rng, 5)
     cfg = PerturbationConfig(max_intervals=100)
     trace = run_random_perturbation(s, cfg, rng=rng)
-    ups = np.diff(np.concatenate([[harvested_power(s, PhaseAssignment(np.zeros(5)))],
-                                  trace.best_power])) > 0
+    # the run's first reading, the O(M) power of the zero phases
+    start = float(_phasor_power(np.sqrt(s.gains), np.zeros(5), s.phase_shifts, s.power_scale))
+    ups = np.diff(np.concatenate([[start], trace.best_power])) > 0
     assert np.array_equal(ups, trace.accepted)
     # accepted intervals take the measured value as the new record
     for n in np.flatnonzero(trace.accepted):
