@@ -23,10 +23,10 @@ from distbeam import (
 )
 
 rng = np.random.default_rng(2024)
-scenario, draw = generate_scenario(ScenarioDistribution(num_transmitters=2), rng)
+scenario, distances = generate_scenario(ScenarioDistribution(num_transmitters=2), rng)
 
 print("Two transmitters, random placements:")
-links = zip(draw.distances, scenario.gains.tolist(), scenario.phase_shifts.tolist())
+links = zip(distances, scenario.gains.tolist(), scenario.phase_shifts.tolist())
 for i, (r, gain, shift) in enumerate(links, start=1):
     print(f"  ET{i}: distance {r:6.2f} m, gain {gain:.3e}, phase shift {shift:+.4f} rad")
 

@@ -1,7 +1,7 @@
 """distbeam: distributed energy beamforming with one-bit feedback.
 
 A deterministic simulator and analysis library for multi-transmitter
-wireless energy transfer: multipath channel aggregation, harvested-power
+wireless energy transfer: random (gain, phase shift) channels, harvested-power
 formulas, bisection-based phase adaptation driven by one-bit power
 comparisons, the sequential alignment protocol with its closed-form
 efficiency bounds, a random-perturbation baseline, and a seeded Monte
@@ -11,14 +11,9 @@ Carlo experiment harness.
 from ._version import __version__
 from .angles import circular_distance, wrap_angle
 from .channel import (
-    Channel,
-    PathSet,
     Scenario,
     ScenarioDistribution,
-    ScenarioDraw,
-    aggregate_channel,
     generate_scenario,
-    path_loss_gain,
     scenario_from_text,
     scenario_to_text,
 )

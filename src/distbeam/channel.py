@@ -1,8 +1,8 @@
-"""Multipath channel aggregation and random scenario generation.
+"""The channel model and random scenario generation.
 
-Each transmitter-to-receiver link is a set of attenuated, delayed paths.
-At a fixed carrier frequency the link collapses to a single (power gain,
-phase shift) pair; a scenario bundles one such channel per transmitter
+Each transmitter-to-receiver link is one (power gain, phase shift) pair: a
+carrier sent with phase phi arrives with amplitude sqrt(gain) and phase
+phi - phase_shift. A scenario bundles one such pair per transmitter
 together with the common transmit power and conversion efficiency.
 """
 
@@ -20,43 +20,6 @@ from .angles import wrap_angle
 #: :func:`_check_gains`.
 _MIN_GAIN = 2.0 ** -511
 _MAX_GAIN_SUM = 2.0 ** 511
-
-
-@dataclass(frozen=True)
-class PathSet:
-    """Multipath taps of one link: (attenuation, delay seconds) pairs."""
-
-    paths: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        paths = tuple((float(a), float(tau)) for a, tau in self.paths)
-        if not paths:
-            raise ValueError("PathSet requires at least one path")
-        for a, tau in paths:
-            if a < 0.0:
-                raise ValueError(f"negative attenuation {a}")
-            if tau < 0.0:
-                raise ValueError(f"negative delay {tau}")
-        object.__setattr__(self, "paths", paths)
-
-
-@dataclass(frozen=True)
-class Channel:
-    """Aggregated link: finite non-negative power gain and phase shift in
-    [-pi, pi).
-
-    A carrier transmitted with phase phi arrives with amplitude
-    sqrt(gain) and phase phi - phase_shift.
-    """
-
-    gain: float
-    phase_shift: float
-
-    def __post_init__(self):
-        _check_gain_values([self.gain])
-        if not math.isfinite(self.phase_shift):
-            raise ValueError(f"channel phase shift must be finite, got {self.phase_shift}")
-        object.__setattr__(self, "phase_shift", wrap_angle(float(self.phase_shift)))
 
 
 class Scenario:
@@ -119,13 +82,6 @@ def _check_scalars(transmit_power, carrier_freq, conversion_eff) -> None:
         raise ValueError("conversion_eff must lie in (0, 1]")
 
 
-def _check_gain_values(gains: list[float]) -> None:
-    """Raise ``ValueError`` for the first gain that is not finite and >= 0."""
-    for g in gains:
-        if not 0.0 <= g < math.inf:     # NaN fails too
-            raise ValueError(f"channel power gain must be finite and >= 0, got {g}")
-
-
 def _check_gains(gains: list[float]) -> None:
     """Raise ``ValueError`` for the first rule the channel power gains break.
 
@@ -137,7 +93,9 @@ def _check_gains(gains: list[float]) -> None:
     that square, so g_m * G <= 2**1022 stays finite, as do the bounds' gain
     sums and every probe power before the power scale multiplies it.
     """
-    _check_gain_values(gains)
+    for g in gains:
+        if not 0.0 <= g < math.inf:     # NaN fails too
+            raise ValueError(f"channel power gain must be finite and >= 0, got {g}")
     for g in gains:
         if 0.0 < g < _MIN_GAIN:
             raise ValueError(f"channel power gain {g} is nonzero but below 2**-511 = "
@@ -178,49 +136,6 @@ class ScenarioDistribution:
         _check_scalars(self.transmit_power, self.carrier_freq, self.conversion_eff)
         if self.num_transmitters < 1:
             raise ValueError("need at least one transmitter")
-
-
-@dataclass(frozen=True)
-class ScenarioDraw:
-    """Raw random draws behind a generated scenario."""
-
-    distances: np.ndarray
-    phase_shifts: np.ndarray
-
-
-def aggregate_channel(paths: PathSet, carrier_freq: float) -> Channel:
-    """Collapse multipath taps into one (gain, phase shift) channel.
-
-    The gain is the squared magnitude of the tap phasor sum at the carrier
-    frequency and the phase shift is its four-quadrant angle, so the pair
-    reproduces the summed carrier exactly. A fully cancelling tap set maps
-    to phase 0 by convention.
-    """
-    if not carrier_freq > 0.0:
-        raise ValueError("carrier_freq must be positive")
-    re = 0.0
-    im = 0.0
-    for a, tau in paths.paths:
-        ang = 2.0 * math.pi * carrier_freq * tau
-        re += a * math.cos(ang)
-        im += a * math.sin(ang)
-    gain = re * re + im * im
-    if gain == 0.0:
-        return Channel(0.0, 0.0)
-    return Channel(gain, math.atan2(im, re))
-
-
-def path_loss_gain(distance: float, dist: ScenarioDistribution) -> float:
-    """Power gain at a given distance under the distribution's path-loss law.
-
-    The distance must be positive and finite, and the gain must fit a float.
-    """
-    r = float(distance)
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"channel power gain needs a positive finite distance, got {r}")
-    (gain,) = _path_loss_gains([r], dist)
-    _check_gain_values([gain])
-    return gain
 
 
 def _path_loss_gains(distances: list[float], dist: ScenarioDistribution) -> list[float]:
@@ -267,8 +182,9 @@ def _drawn_gains(distances: np.ndarray, dist: ScenarioDistribution) -> np.ndarra
 
 def generate_scenario(
     dist: ScenarioDistribution, rng: np.random.Generator
-) -> tuple[Scenario, ScenarioDraw]:
-    """Draw one random scenario; deterministic given the generator state.
+) -> tuple[Scenario, np.ndarray]:
+    """Draw one random scenario and the (M,) link distances behind its
+    gains; deterministic given the generator state.
 
     Distances are uniform over the configured range, phase shifts uniform
     over [-pi, pi). With a single line-of-sight path per link the random
@@ -290,7 +206,7 @@ def generate_scenario(
     scenario = Scenario.__new__(Scenario)
     scenario._store(dist.transmit_power, dist.carrier_freq, dist.conversion_eff,
                     np.array(gains), phase_shifts)
-    return scenario, ScenarioDraw(distances=distances, phase_shifts=phase_shifts)
+    return scenario, distances
 
 
 def scenario_to_text(s: Scenario) -> str:

@@ -266,7 +266,11 @@ def _cmd_bound(args) -> int:
     elif args.M is not None:
         raise _UsageError("--M needs --equal-gains; with --gains the size is the gain count")
     elif args.gains:
-        gains = [float(g) for g in args.gains.split(",") if g.strip()]
+        try:
+            gains = [float(g) for g in args.gains.split(",") if g.strip()]
+        except ValueError:
+            raise _UsageError(f"--gains must be comma-separated numbers; "
+                              f"got {args.gains!r}") from None
     else:
         raise _UsageError("bound needs --gains or --equal-gains with --M")
     scen = Scenario(1.0, 1.0, 1.0, gains, [0.0] * len(gains))

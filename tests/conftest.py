@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from distbeam import (
-    Channel,
     PhaseAssignment,
     Scenario,
     ScenarioDistribution,
@@ -93,21 +92,19 @@ def pairwise_error_bound(gains, errors) -> float:
 
 
 def channel_by_channel_scenario(dist: ScenarioDistribution, rng):
-    """Scenario generation one ``Channel`` per link: both uniform draws,
-    then each gain as a numpy-scalar power of its distance and each phase
-    wrapped by the scalar ``wrap_angle`` inside ``Channel``, the links'
-    gains and phases passed to ``Scenario`` as two lists."""
+    """Scenario generation one link at a time: both uniform draws, then each
+    gain as a numpy-scalar power of its distance and each phase wrapped by
+    the scalar ``wrap_angle``, the links' gains and phases passed to
+    ``Scenario`` as two lists. Returns the scenario and the distances."""
     m = dist.num_transmitters
     lo, hi = dist.distance_range
     distances = rng.uniform(lo, hi, size=m)
     phase_shifts = rng.uniform(-math.pi, math.pi, size=m)
-    channels = [
-        Channel(dist.ref_attenuation * (r / dist.ref_distance) ** (-dist.path_loss_exponent), th)
-        for r, th in zip(distances, phase_shifts)
-    ]
-    scen = Scenario(dist.transmit_power, dist.carrier_freq, dist.conversion_eff,
-                    [c.gain for c in channels], [c.phase_shift for c in channels])
-    return scen, distances, phase_shifts
+    gains = [dist.ref_attenuation * (r / dist.ref_distance) ** (-dist.path_loss_exponent)
+             for r in distances]
+    phases = [wrap_angle(float(th)) for th in phase_shifts]
+    scen = Scenario(dist.transmit_power, dist.carrier_freq, dist.conversion_eff, gains, phases)
+    return scen, distances
 
 
 def where_wrap(x: np.ndarray) -> np.ndarray:

@@ -7,19 +7,16 @@ import numpy as np
 import pytest
 
 from distbeam import (
-    Channel,
-    PathSet,
     Scenario,
     ScenarioDistribution,
-    aggregate_channel,
     efficiency_lower_bound,
     generate_scenario,
-    path_loss_gain,
     run_protocol,
     scenario_from_text,
     scenario_to_text,
     wrap_angle,
 )
+from distbeam.channel import _path_loss_gains
 from distbeam.experiments import rng_stream
 from distbeam.power import harvested_powers, optimal_powers
 from distbeam.protocol import exact_runs
@@ -29,85 +26,10 @@ from conftest import channel_by_channel_scenario, stack_scenarios
 GOLDEN = Path(__file__).parent / "data" / "scenario_seed7.txt"
 
 
-def test_single_unit_path_zero_delay():
-    ch = aggregate_channel(PathSet(((1.0, 0.0),)), 915e6)
-    assert ch.gain == 1.0
-    assert ch.phase_shift == 0.0
-
-
-def test_single_path_amplitude_and_phase():
-    # one tap of amplitude 0.5 whose electrical length is pi/3
-    f_c = 1.0
-    tau = (math.pi / 3) / (2 * math.pi * f_c)
-    ch = aggregate_channel(PathSet(((0.5, tau),)), f_c)
-    assert abs(ch.gain - 0.25) < 1e-15
-    assert abs(ch.phase_shift - math.pi / 3) < 1e-12
-
-
-def test_two_opposed_paths_cancel():
-    # amplitudes 1 at electrical lengths 0 and pi; complex sum oracle:
-    # 1 + exp(j*pi) = 0 up to floating roundoff in sin(pi)
-    f_c = 1.0
-    ch = aggregate_channel(PathSet(((1.0, 0.0), (1.0, 0.5))), f_c)
-    assert abs(ch.gain) < 1e-30
-
-
-def test_degenerate_zero_sum_convention():
-    # an exactly-zero phasor sum maps to phase 0
-    ch = aggregate_channel(PathSet(((0.0, 0.0), (0.0, 0.37))), 1e9)
-    assert ch.gain == 0.0
-    assert ch.phase_shift == 0.0
-
-
-def test_aggregate_matches_complex_sum(rng):
-    for _ in range(300):
-        n = int(rng.integers(1, 6))
-        taps = tuple(
-            (float(rng.uniform(0, 2)), float(rng.uniform(0, 1e-6))) for _ in range(n)
-        )
-        f_c = float(rng.uniform(1e6, 1e9))
-        z = sum(a * np.exp(2j * math.pi * f_c * tau) for a, tau in taps)
-        ch = aggregate_channel(PathSet(taps), f_c)
-        assert abs(ch.gain - abs(z) ** 2) <= 1e-10 * max(abs(z) ** 2, 1e-30)
-        if abs(z) > 1e-12:
-            assert abs(wrap_angle(ch.phase_shift - np.angle(z))) < 1e-9
-
-
-def test_coherent_paths_add_amplitudes():
-    # all taps at the same electrical length: gain is the squared amplitude sum
-    f_c = 2.0
-    taps = ((0.3, 0.0), (0.5, 0.5), (0.2, 1.0))  # full turns at f_c = 2
-    ch = aggregate_channel(PathSet(taps), f_c)
-    assert abs(ch.gain - 1.0) < 1e-12
-
-
-def test_single_path_identity_randomized(rng):
-    for _ in range(200):
-        a = float(rng.uniform(0, 3))
-        tau = float(rng.uniform(0, 1e-6))
-        f_c = float(rng.uniform(1e6, 1e9))
-        ch = aggregate_channel(PathSet(((a, tau),)), f_c)
-        assert abs(ch.gain - a * a) < 1e-12 * max(a * a, 1.0)
-        if a > 0:
-            expected = wrap_angle(2 * math.pi * f_c * tau)
-            assert abs(wrap_angle(ch.phase_shift - expected)) < 1e-9
-
-
-def test_pathset_validation():
-    with pytest.raises(ValueError):
-        PathSet(())
-    with pytest.raises(ValueError):
-        PathSet(((-0.1, 0.0),))
-    with pytest.raises(ValueError):
-        PathSet(((0.1, -1e-9),))
-    with pytest.raises(ValueError):
-        aggregate_channel(PathSet(((1.0, 0.0),)), 0.0)
-
-
 def test_channel_and_scenario_validation():
     with pytest.raises(ValueError):
-        Channel(-1e-9, 0.0)
-    assert Channel(1.0, 3 * math.pi).phase_shift == -math.pi
+        Scenario(1.0, 1.0, 1.0, [-1e-9], [0.0])
+    assert Scenario(1.0, 1.0, 1.0, [1.0], [3 * math.pi]).phase_shifts[0] == -math.pi
     for power in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="transmit_power must be positive and finite"):
             Scenario(power, 1.0, 1.0, [1], [0])
@@ -118,35 +40,39 @@ def test_channel_and_scenario_validation():
     for gain, phase in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf),
                         (1.0, -math.inf), (1.0, math.nan)):
         with pytest.raises(ValueError):
-            Channel(gain, phase)
+            Scenario(1.0, 1.0, 1.0, [gain], [phase])
     # efficiencies divide by the optimal power, so some gain must be nonzero
     with pytest.raises(ValueError):
         Scenario(1.0, 1.0, 1.0, [0.0, 0.0], [0.0, 1.0])
     Scenario(1.0, 1.0, 1.0, [0.0, 1e-9], [0.0, 1.0])
 
 
+def _gain_at(r: float, **kwargs) -> float:
+    """The one gain a draw gives when every link sits at distance ``r``."""
+    dist = ScenarioDistribution(num_transmitters=1, distance_range=(r, r), **kwargs)
+    scen, _ = generate_scenario(dist, np.random.default_rng(0))
+    return float(scen.gains[0])
+
+
 def test_path_loss_values():
     dist = ScenarioDistribution(num_transmitters=1)
-    assert abs(path_loss_gain(10.0, dist) - 1e-5) < 1e-18
-    assert path_loss_gain(dist.ref_distance, dist) == dist.ref_attenuation
+    assert abs(_gain_at(10.0) - 1e-5) < 1e-18
+    assert _gain_at(dist.ref_distance) == dist.ref_attenuation
 
 
 def test_path_loss_monotone(rng):
-    dist = ScenarioDistribution(num_transmitters=1, path_loss_exponent=2.7)
     r = np.sort(rng.uniform(1, 100, 50))
-    g = [path_loss_gain(x, dist) for x in r]
+    g = [_gain_at(float(x), path_loss_exponent=2.7) for x in r]
     assert all(g[i] > g[i + 1] for i in range(len(g) - 1))
 
 
 def test_generate_scenario_fields(rng):
     dist = ScenarioDistribution(num_transmitters=8)
-    scen, draw = generate_scenario(dist, rng)
+    scen, distances = generate_scenario(dist, rng)
     assert scen.num_transmitters == 8
-    assert np.all(draw.distances >= 5.0) and np.all(draw.distances <= 15.0)
-    assert np.all(draw.phase_shifts >= -math.pi) and np.all(draw.phase_shifts < math.pi)
-    expected = [path_loss_gain(r, dist) for r in draw.distances]
-    assert np.allclose(scen.gains, expected, rtol=1e-14)
-    assert np.allclose(scen.phase_shifts, draw.phase_shifts)
+    assert np.all(distances >= 5.0) and np.all(distances <= 15.0)
+    assert np.all(scen.phase_shifts >= -math.pi) and np.all(scen.phase_shifts < math.pi)
+    assert scen.gains.tobytes() == np.array(_path_loss_gains(distances.tolist(), dist)).tobytes()
 
 
 def test_generate_scenario_deterministic():
@@ -155,7 +81,7 @@ def test_generate_scenario_deterministic():
     b, db = generate_scenario(dist, np.random.default_rng(99))
     assert np.array_equal(a.gains, b.gains)
     assert np.array_equal(a.phase_shifts, b.phase_shifts)
-    assert np.array_equal(da.distances, db.distances)
+    assert np.array_equal(da, db)
     assert a.transmit_power == b.transmit_power
     assert a.carrier_freq == b.carrier_freq
     assert a.conversion_eff == b.conversion_eff
@@ -264,8 +190,8 @@ def test_scenario_text_rejects_a_malformed_file(bad, message):
 @pytest.mark.parametrize("m", [1, 2, 5, 10, 32, 50])
 def test_generate_scenario_equals_channel_by_channel_draw(m):
     """The array-native draw, which skips the constructors' validation, gives
-    the one-Channel-per-link scenario bit for bit and read-only, on the
-    default law and on non-default exponents, reference distances,
+    the link-by-link scenario and its distances bit for bit and read-only,
+    on the default law and on non-default exponents, reference distances,
     attenuations and a 1e-3..1e3 distance range, where numpy's array power
     would move the last bit of some gains."""
     dists = [ScenarioDistribution(num_transmitters=m),
@@ -277,12 +203,11 @@ def test_generate_scenario_equals_channel_by_channel_draw(m):
                                   transmit_power=2.5, conversion_eff=0.37)]
     for k, dist in enumerate(dists):
         for seed in range(150):
-            got, draw = generate_scenario(dist, rng_stream(seed, m, k))
-            want, distances, phases = channel_by_channel_scenario(dist, rng_stream(seed, m, k))
+            got, got_distances = generate_scenario(dist, rng_stream(seed, m, k))
+            want, distances = channel_by_channel_scenario(dist, rng_stream(seed, m, k))
             assert got.gains.tobytes() == want.gains.tobytes(), (k, seed)
             assert got.phase_shifts.tobytes() == want.phase_shifts.tobytes(), (k, seed)
-            assert draw.distances.tobytes() == distances.tobytes()
-            assert draw.phase_shifts.tobytes() == phases.tobytes()
+            assert got_distances.tobytes() == distances.tobytes()
             assert (got.transmit_power, got.carrier_freq, got.conversion_eff) == \
                 (want.transmit_power, want.carrier_freq, want.conversion_eff)
             assert not (got.gains.flags.writeable or got.phase_shifts.flags.writeable)
@@ -378,12 +303,6 @@ def test_path_loss_overflow_is_a_gain_error():
     for dist in (near, far, loud):
         with pytest.raises(ValueError, match="channel power gain must be finite"):
             generate_scenario(dist, np.random.default_rng(1))
-        with pytest.raises(ValueError, match="channel power gain must be finite"):
-            path_loss_gain(dist.distance_range[0], dist)
-    # a distance that is not positive and finite, where -1.0 gave a gain of -0.01
-    for bad in (-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="channel power gain needs a positive finite"):
-            path_loss_gain(bad, ScenarioDistribution(num_transmitters=1))
     # every gain underflows to 0
     silent = ScenarioDistribution(num_transmitters=2, path_loss_exponent=300,
                                   distance_range=(1e3, 2e3))

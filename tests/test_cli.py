@@ -551,6 +551,15 @@ def test_bound_rejects_non_finite_and_all_zero_gains(capsys):
         assert out == "" and "error:" in err and "Traceback" not in err
 
 
+def test_bound_names_its_flag_for_a_gain_that_is_not_a_number(capsys):
+    """A gain that is not a number gave Python's bare "could not convert
+    string to float"; it now names the flag and the whole value."""
+    code, out, err = run_cli(capsys, "bound", "--gains", "1,x", "--N", "3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: --gains must be comma-separated numbers; got '1,x'\n"
+
+
 def test_bound_rejects_gain_sums_that_overflow(capsys):
     """Gain sums past the float range printed nan (and, for 6e307, a wrong
     --eta-hat budget of 3.2875) with exit 0 and numpy RuntimeWarnings."""
