@@ -1,11 +1,11 @@
 """distbeam: distributed energy beamforming with one-bit feedback.
 
 A deterministic simulator and analysis library for multi-transmitter
-wireless energy transfer: random (gain, phase shift) channels, harvested-power
-formulas, bisection-based phase adaptation driven by one-bit power
-comparisons, the sequential alignment protocol with its closed-form
-efficiency bounds, a random-perturbation baseline, and a seeded Monte
-Carlo experiment harness.
+wireless energy transfer: random channels of one (power gain, phase shift)
+pair per link, period-average harvested-power formulas, bisection-based
+phase adaptation driven by one-bit power comparisons, the sequential
+alignment protocol with its closed-form efficiency bounds, a
+random-perturbation baseline, and a seeded Monte Carlo experiment harness.
 """
 
 from ._version import __version__
@@ -46,8 +46,6 @@ from .protocol import (
     check_induction_inequality,
     efficiency_lower_bound,
     error_bound_power,
-    phase_errors,
-    phases_from_errors,
     required_intervals,
     required_intervals_equal_gains,
     run_protocol,

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angles import TWO_PI, circular_distance, wrap_angle
+from .angles import TWO_PI, wrap_angle
 from .channel import Scenario
 from .power import (
     EXACT,
@@ -66,14 +66,6 @@ class Arc(_ArcFields):
     def _make(cls, iterable):
         """Route ``_replace`` through the checks of :meth:`__new__`."""
         return cls(*iterable)
-
-    @property
-    def converged(self) -> bool:
-        return self.half_width <= CONVERGENCE_FLOOR
-
-    def contains(self, phase: float, slack: float = 0.0) -> bool:
-        """Closed-set membership with optional tolerance."""
-        return circular_distance(phase, self.center) <= self.half_width + slack
 
 
 class ProbePair(NamedTuple):

@@ -3,7 +3,9 @@
 Each transmitter-to-receiver link is one (power gain, phase shift) pair: a
 carrier sent with phase phi arrives with amplitude sqrt(gain) and phase
 phi - phase_shift. A scenario bundles one such pair per transmitter
-together with the common transmit power and conversion efficiency.
+together with the common transmit power and conversion efficiency. The
+harvested power is a period average, from which the carrier frequency
+cancels, so a scenario carries none.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ _MAX_GAIN_SUM = 2.0 ** 511
 
 
 class Scenario:
-    """One system instance: per-transmitter power, carrier, efficiency, and
-    the (M,) channel power ``gains`` and ``phase_shifts``.
+    """One system instance: per-transmitter power, conversion efficiency,
+    and the (M,) channel power ``gains`` and ``phase_shifts``.
 
     The constructor runs :func:`_check_scalars` and :func:`_check_gains`,
     and the phase shifts must be finite; they are wrapped into [-pi, pi).
@@ -34,12 +36,10 @@ class Scenario:
     :func:`generate_scenario` checks only what a draw can get wrong.
     """
 
-    __slots__ = ("transmit_power", "carrier_freq", "conversion_eff", "gains", "phase_shifts",
-                 "power_scale")
+    __slots__ = ("transmit_power", "conversion_eff", "gains", "phase_shifts", "power_scale")
 
-    def __init__(self, transmit_power: float, carrier_freq: float, conversion_eff: float,
-                 gains, phase_shifts):
-        _check_scalars(transmit_power, carrier_freq, conversion_eff)
+    def __init__(self, transmit_power: float, conversion_eff: float, gains, phase_shifts):
+        _check_scalars(transmit_power, conversion_eff)
         gains = np.array(gains, dtype=float)
         phase_shifts = np.asarray(phase_shifts, dtype=float)
         if gains.ndim != 1 or gains.shape != phase_shifts.shape:
@@ -51,16 +51,15 @@ class Scenario:
         if not np.maximum.reduce(np.abs(phase_shifts)) < math.inf:
             bad = phase_shifts[~np.isfinite(phase_shifts)][0]
             raise ValueError(f"channel phase shift must be finite, got {bad}")
-        self._store(transmit_power, carrier_freq, conversion_eff, gains, phase_shifts)
+        self._store(transmit_power, conversion_eff, gains, phase_shifts)
 
-    def _store(self, transmit_power, carrier_freq, conversion_eff, gains, phase_shifts):
+    def _store(self, transmit_power, conversion_eff, gains, phase_shifts):
         """Set the fields from checked values: ``phase_shifts`` wrapped into a
         new array, and both arrays made read-only."""
         phase_shifts = wrap_angle(phase_shifts)
         gains.setflags(write=False)
         phase_shifts.setflags(write=False)
         self.transmit_power = transmit_power
-        self.carrier_freq = carrier_freq
         self.conversion_eff = conversion_eff
         self.gains = gains
         self.phase_shifts = phase_shifts
@@ -71,13 +70,11 @@ class Scenario:
         return self.gains.size
 
 
-def _check_scalars(transmit_power, carrier_freq, conversion_eff) -> None:
+def _check_scalars(transmit_power, conversion_eff) -> None:
     """Raise ``ValueError`` unless the per-transmitter power is positive and
-    finite, the carrier frequency positive and the efficiency in (0, 1]."""
+    finite and the efficiency in (0, 1]."""
     if not 0.0 < transmit_power < math.inf:
         raise ValueError(f"transmit_power must be positive and finite, got {transmit_power}")
-    if not carrier_freq > 0.0:
-        raise ValueError("carrier_freq must be positive")
     if not 0.0 < conversion_eff <= 1.0:
         raise ValueError("conversion_eff must lie in (0, 1]")
 
@@ -121,8 +118,6 @@ class ScenarioDistribution:
     distance_range: tuple[float, float] = (5.0, 15.0)
     transmit_power: float = 1.0         # watts per transmitter
     conversion_eff: float = 1.0
-    carrier_freq: float = 915e6         # hertz; gains/phases are drawn directly,
-                                        # so this only labels the scenario
 
     def __post_init__(self):
         lo, hi = self.distance_range
@@ -133,7 +128,7 @@ class ScenarioDistribution:
         for name in ("path_loss_exponent", "ref_attenuation", "ref_distance"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        _check_scalars(self.transmit_power, self.carrier_freq, self.conversion_eff)
+        _check_scalars(self.transmit_power, self.conversion_eff)
         if self.num_transmitters < 1:
             raise ValueError("need at least one transmitter")
 
@@ -204,8 +199,7 @@ def generate_scenario(
     if not _clears_screen(min(gains), max(gains), m):
         _check_gains(gains)
     scenario = Scenario.__new__(Scenario)
-    scenario._store(dist.transmit_power, dist.carrier_freq, dist.conversion_eff,
-                    np.array(gains), phase_shifts)
+    scenario._store(dist.transmit_power, dist.conversion_eff, np.array(gains), phase_shifts)
     return scenario, distances
 
 
@@ -215,7 +209,6 @@ def scenario_to_text(s: Scenario) -> str:
     out.write(f"M {s.num_transmitters}\n")
     out.write(f"P {s.transmit_power:.17g}\n")
     out.write(f"rho {s.conversion_eff:.17g}\n")
-    out.write(f"f_c {s.carrier_freq:.17g}\n")
     for gain, phase_shift in zip(s.gains.tolist(), s.phase_shifts.tolist()):
         out.write(f"{gain:.17g} {phase_shift:.17g}\n")
     return out.getvalue()
@@ -246,24 +239,22 @@ def scenario_from_text(text: str) -> Scenario:
     ``ValueError`` naming its line number and the form it must have."""
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     header = {}
-    for n, ln in lines[:4]:
+    for n, ln in lines[:3]:
         key, _ = _line_fields(n, ln, "<key> <value>", str, str)
         header[key] = n, ln
-    if sorted(header) != ["M", "P", "f_c", "rho"]:
-        raise ValueError(f"scenario header needs the keys M, P, rho and f_c, "
+    if sorted(header) != ["M", "P", "rho"]:
+        raise ValueError(f"scenario header needs the keys M, P and rho, "
                          f"got {', '.join(header) or 'none'}")
     _, m = _line_fields(*header["M"], "M <count>", str, _count)
     _, p = _line_fields(*header["P"], "P <number>", str, float)
     _, rho = _line_fields(*header["rho"], "rho <number>", str, float)
-    _, f_c = _line_fields(*header["f_c"], "f_c <number>", str, float)
-    body = lines[4:]
+    body = lines[3:]
     if len(body) != m:
         raise ValueError(f"expected {m} channel lines, found {len(body)}")
     # all gains reach the constructor, and are checked, before any phase
     links = [_line_fields(n, ln, "<gain> <phase_shift>", float, float) for n, ln in body]
     return Scenario(
         transmit_power=p,
-        carrier_freq=f_c,
         conversion_eff=rho,
         gains=[g for g, _ in links],
         phase_shifts=[th for _, th in links],

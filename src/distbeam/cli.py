@@ -267,13 +267,13 @@ def _cmd_bound(args) -> int:
         raise _UsageError("--M needs --equal-gains; with --gains the size is the gain count")
     elif args.gains:
         try:
-            gains = [float(g) for g in args.gains.split(",") if g.strip()]
+            gains = [float(g) for g in args.gains.split(",")]
         except ValueError:
             raise _UsageError(f"--gains must be comma-separated numbers; "
                               f"got {args.gains!r}") from None
     else:
         raise _UsageError("bound needs --gains or --equal-gains with --M")
-    scen = Scenario(1.0, 1.0, 1.0, gains, [0.0] * len(gains))
+    scen = Scenario(1.0, 1.0, gains, [0.0] * len(gains))
     if (args.eta_hat is None) == (args.N is None):
         raise _UsageError("bound needs exactly one of --eta-hat or --N")
     if args.eta_hat is not None:

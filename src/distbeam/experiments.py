@@ -233,7 +233,7 @@ _PARSERS = {
     "float": (float, "a number"),
     "str": (str, "a string"),
     "bool": (lambda raw: _WORDS[raw.strip().lower()], "one of 1/0/true/false/yes/no/on/off"),
-    "tuple[int, ...]": (lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()),
+    "tuple[int, ...]": (lambda raw: tuple(int(v) for v in raw.split(",")),
                         "comma-separated integers"),
 }
 
@@ -369,8 +369,8 @@ def run_power_vs_m(cfg: ExperimentConfig) -> ExperimentResult:
     the no-adaptation and optimal references."""
     domain = _DOMAIN[cfg.experiment]
     full, _ = generate_scenario(cfg.distribution(max(cfg.m_list)), rng_stream(cfg.seed, domain))
-    scens = [Scenario(full.transmit_power, full.carrier_freq, full.conversion_eff,
-                      full.gains[:m], full.phase_shifts[:m]) for m in cfg.m_list]
+    scens = [Scenario(full.transmit_power, full.conversion_eff, full.gains[:m],
+                      full.phase_shifts[:m]) for m in cfg.m_list]
     columns = {}
     for m, scen, q_star in sorted(zip(cfg.m_list, scens, _optima(scens, cfg.m_list)),
                                   key=lambda t: t[0]):

@@ -155,16 +155,24 @@ def _phasor_power(amp: np.ndarray, phases: np.ndarray, phase_shifts: np.ndarray,
                   scale: float, noise: np.ndarray | None = None) -> np.ndarray:
     """Each row's reading in O(M): scale * |sum amp e^{j offs}|**2, with
     offs = phases - phase_shifts over the last axis, plus its ``noise``
-    value clamped at 0 as ``measure`` does. The offsets are formed twice,
-    for the cosines and the sines, so that it holds one array of the shape
-    of ``phases``. A sum of squares, so an exact reading is never below 0,
-    where the pairwise kernel's may be."""
+    value clamped at 0 as ``measure`` does.
+
+    Every offset is taken relative to the row's first, a common rotation
+    that leaves the power unchanged. The first term is then amp_0 e^{j0}
+    exactly, so a single transmitter reads scale * amp_0**2 whatever its
+    phase, and no candidate wins on rounding alone. The offsets are formed
+    twice, for the cosines and the sines, so that it holds one array of the
+    shape of ``phases``. A sum of squares, so an exact reading is never
+    below 0, where the pairwise kernel's may be."""
+    ref = phases[..., :1] - phase_shifts[:1]
     part = phases - phase_shifts
+    part -= ref
     np.cos(part, out=part)
     part *= amp
     x = np.add.reduce(part, axis=-1)
     x *= x
     np.subtract(phases, phase_shifts, out=part)
+    part -= ref
     np.sin(part, out=part)
     part *= amp
     im = np.add.reduce(part, axis=-1)

@@ -33,7 +33,6 @@ from .power import (
     PhaseAssignment,
     TrialStack,
     _phasor_signal,
-    aligned_phase,
     checked_optima,
     harvested_power,
     optimal_power,
@@ -202,21 +201,6 @@ def _prefix_sums(gains, phase_shifts, phases):
         yield re, im
 
 
-def phase_errors(result: ProtocolResult, s: Scenario) -> np.ndarray:
-    """Recompute per-stage phase errors from the final phases, in O(M).
-
-    Stage m's optimum depends only on the phases fixed before it, which the
-    sequential protocol never revisits, so replaying the run's prefix sums
-    reproduces the targets it recorded bit for bit. The first transmitter
-    has no target and its error is zero by convention.
-    """
-    phases = result.final_phases
-    errors = np.zeros(s.num_transmitters)
-    for m, (re, im) in enumerate(_prefix_sums(s.gains, s.phase_shifts, phases), 1):
-        errors[m] = wrap_angle(phases[m] - aligned_phase(s, _phasor_signal(re, im), m))
-    return errors
-
-
 def _gain_sums(gains: np.ndarray):
     """Sum of the gains and the cross term, sqrt(g_i g_j) over ordered
     pairs i != j, over the last axis of ``gains``. A scenario's gains keep
@@ -283,7 +267,7 @@ def required_intervals(s: Scenario, eta_hat: float) -> float:
 
 def required_intervals_equal_gains(m: int, eta_hat: float) -> float:
     """:func:`required_intervals` for ``m`` identical gains."""
-    return required_intervals(Scenario(1.0, 1.0, 1.0, [1.0] * m, [0.0] * m), eta_hat)
+    return required_intervals(Scenario(1.0, 1.0, [1.0] * m, [0.0] * m), eta_hat)
 
 
 def accumulated_power(gains, errors) -> float:
@@ -333,16 +317,3 @@ def check_induction_inequality(
     slack = lhs - rhs
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return slack >= -1e-9 * scale, slack
-
-
-def phases_from_errors(s: Scenario, errors) -> np.ndarray:
-    """Construct transmit phases whose stage-by-stage misalignments are
-    exactly ``errors`` (first entry ignored; the reference phase is 0)."""
-    m_total = s.num_transmitters
-    errors = np.asarray(errors, dtype=float)
-    if len(errors) != m_total:
-        raise ValueError("need one error per transmitter")
-    phases = np.zeros(m_total)
-    for m, (re, im) in enumerate(_prefix_sums(s.gains, s.phase_shifts, phases), 1):
-        phases[m] = wrap_angle(aligned_phase(s, _phasor_signal(re, im), m) + errors[m])
-    return phases

@@ -49,12 +49,13 @@ from distbeam.power import (
     EXACT,
     TrialStack,
     _phasor_power,
+    _phasor_signal,
     aligned_phase,
     measure,
     partial_power,
     sum_signal,
 )
-from distbeam.protocol import efficiency_lower_bound, exact_runs
+from distbeam.protocol import _prefix_sums, efficiency_lower_bound, exact_runs
 
 
 def phasor_power(s: Scenario, pa: PhaseAssignment) -> float:
@@ -68,16 +69,47 @@ def phasor_power(s: Scenario, pa: PhaseAssignment) -> float:
 def time_domain_power(s: Scenario, pa: PhaseAssignment, samples: int = 64) -> float:
     """Harvested power by averaging the squared received waveform over one
     carrier period (periodic uniform sampling is exact for the degree-2
-    trigonometric polynomial |r(t)|^2 once samples > 4)."""
-    period = 1.0 / s.carrier_freq
+    trigonometric polynomial |r(t)|^2 once samples > 4). The frequency
+    cancels from the average, so a scenario carries none and any one
+    serves."""
+    carrier_freq = 915e6
+    period = 1.0 / carrier_freq
     t = np.arange(samples) * (period / samples)
     r = np.zeros(samples)
     for i in np.flatnonzero(pa.active):
         r += math.sqrt(s.gains[i]) * np.cos(
-            2.0 * math.pi * s.carrier_freq * t + pa.phases[i] - s.phase_shifts[i]
+            2.0 * math.pi * carrier_freq * t + pa.phases[i] - s.phase_shifts[i]
         )
     r *= math.sqrt(2.0 * s.transmit_power)
     return s.conversion_eff * float(np.mean(r * r))
+
+
+def phase_errors(result: ProtocolResult, s: Scenario) -> np.ndarray:
+    """Recompute per-stage phase errors from the final phases, in O(M).
+
+    Stage m's optimum depends only on the phases fixed before it, which the
+    sequential protocol never revisits, so replaying the run's prefix sums
+    reproduces the targets it recorded bit for bit. The first transmitter
+    has no target and its error is zero by convention.
+    """
+    phases = result.final_phases
+    errors = np.zeros(s.num_transmitters)
+    for m, (re, im) in enumerate(_prefix_sums(s.gains, s.phase_shifts, phases), 1):
+        errors[m] = wrap_angle(phases[m] - aligned_phase(s, _phasor_signal(re, im), m))
+    return errors
+
+
+def phases_from_errors(s: Scenario, errors) -> np.ndarray:
+    """Construct transmit phases whose stage-by-stage misalignments are
+    exactly ``errors`` (first entry ignored; the reference phase is 0)."""
+    m_total = s.num_transmitters
+    errors = np.asarray(errors, dtype=float)
+    if len(errors) != m_total:
+        raise ValueError("need one error per transmitter")
+    phases = np.zeros(m_total)
+    for m, (re, im) in enumerate(_prefix_sums(s.gains, s.phase_shifts, phases), 1):
+        phases[m] = wrap_angle(aligned_phase(s, _phasor_signal(re, im), m) + errors[m])
+    return phases
 
 
 def pairwise_error_bound(gains, errors) -> float:
@@ -103,7 +135,7 @@ def channel_by_channel_scenario(dist: ScenarioDistribution, rng):
     gains = [dist.ref_attenuation * (r / dist.ref_distance) ** (-dist.path_loss_exponent)
              for r in distances]
     phases = [wrap_angle(float(th)) for th in phase_shifts]
-    scen = Scenario(dist.transmit_power, dist.carrier_freq, dist.conversion_eff, gains, phases)
+    scen = Scenario(dist.transmit_power, dist.conversion_eff, gains, phases)
     return scen, distances
 
 
@@ -412,8 +444,8 @@ def per_trial_overhead(cfg) -> dict[str, Curve]:
         order = np.argsort(-scen.gains)
         per_policy = {}
         for name, m_on in policies:
-            sub = Scenario(scen.transmit_power, scen.carrier_freq, scen.conversion_eff,
-                           scen.gains[order[:m_on]], scen.phase_shifts[order[:m_on]])
+            sub = Scenario(scen.transmit_power, scen.conversion_eff, scen.gains[order[:m_on]],
+                           scen.phase_shifts[order[:m_on]])
             res = run_protocol(sub, cfg.n_adapt)
             t_train = res.total_feedback_intervals
             traj = protocol_trajectory(res, t_train)
@@ -482,7 +514,7 @@ def grid_argmax(fn, points: int = 360) -> float:
 
 def equal_gain_scenario(m: int, gain: float = 1.0, power: float = 1.0,
                         eff: float = 1.0) -> Scenario:
-    return Scenario(power, 1.0, eff, [gain] * m, [0.0] * m)
+    return Scenario(power, eff, [gain] * m, [0.0] * m)
 
 
 def random_scenario(rng, m: int, **dist_kwargs) -> Scenario:

@@ -60,7 +60,7 @@ def test_initial_arc():
     assert probes.psi_prime == -math.pi
     # the full circle contains every candidate phase
     for phi in np.linspace(-math.pi, math.pi, 17, endpoint=False):
-        assert arc.contains(phi)
+        assert circular_distance(phi, arc.center) <= arc.half_width
 
 
 def test_first_bisection_from_full_circle():
@@ -74,7 +74,7 @@ def test_first_bisection_from_full_circle():
     assert new_probes.psi_prime == pytest.approx(-math.pi / 2)
     # grid oracle: the kept points are exactly those closer to the winner
     kept = kept_side_grid(probes.psi, probes.psi_prime, True)
-    assert all(new.contains(th, slack=1e-9) for th in kept)
+    assert all(circular_distance(th, new.center) <= new.half_width + 1e-9 for th in kept)
     assert np.all(np.abs(kept) < math.pi / 2 + 1e-9)
 
 
@@ -86,8 +86,9 @@ def test_second_bisection():
     assert new.center == pytest.approx(math.pi / 4)
     assert new.half_width == pytest.approx(math.pi / 4)
     kept = kept_side_grid(probes.psi, probes.psi_prime, True)
-    inside_old = [th for th in kept if arc.contains(th, slack=1e-12)]
-    assert all(new.contains(th, slack=1e-9) for th in inside_old)
+    inside_old = [th for th in kept
+                  if circular_distance(th, arc.center) <= arc.half_width + 1e-12]
+    assert all(circular_distance(th, new.center) <= new.half_width + 1e-9 for th in inside_old)
 
 
 def test_bisection_mirror_symmetry(rng):
@@ -116,7 +117,7 @@ def test_arc_validation_and_floor():
         with pytest.raises(ValueError, match="arc center must be finite"):
             Arc(0.0, 0.1)._replace(center=center)
     tiny = Arc(0.0, CONVERGENCE_FLOOR / 2)
-    assert tiny.converged
+    assert tiny.half_width <= CONVERGENCE_FLOOR
     # bisecting a converged arc is a no-op, never an error
     assert bisect_arc(tiny, True) == tiny
 
@@ -136,8 +137,6 @@ def test_arc_is_an_immutable_value():
         with pytest.raises(AttributeError):
             setattr(arc, name, 0.5)
     assert arc._replace(center=7.0) == Arc(7.0, 1.0)
-    assert not arc.converged and Arc(0.0, CONVERGENCE_FLOOR).converged
-    assert arc.contains(1.2) and not arc.contains(1.3) and arc.contains(1.3, slack=0.1)
     assert initial_arc() is initial_arc()
     assert probe_pair(initial_arc()) == (0.0, -math.pi)
 

@@ -16,7 +16,7 @@ from distbeam import (
     optimal_power,
     run_random_perturbation,
 )
-from distbeam.baseline import _BLOCK_DOUBLES, DIST_GAUSSIAN, DIST_UNIFORM
+from distbeam.baseline import _BLOCK_DOUBLES, DEFAULT_SCALE, DIST_GAUSSIAN, DIST_UNIFORM
 from distbeam.angles import wrap_angle
 from distbeam.experiments import rng_stream
 from distbeam.power import EXACT, MODE_ADDITIVE_NOISE, TrialStack, _pair_sum, _phasor_power
@@ -157,7 +157,7 @@ def test_no_row_is_screened_out_when_every_step_wraps_to_the_record(monkeypatch)
 def _scaled_scenario(gains, power_scale: float, seed: int) -> Scenario:
     """Channels of the given gains at uniform phases, scaled by ``power_scale``."""
     phases = rng_stream(seed, 0).uniform(-math.pi, math.pi, len(gains))
-    return Scenario(power_scale, 1.0, 1.0, gains, phases)
+    return Scenario(power_scale, 1.0, gains, phases)
 
 
 def _gain_cases(m: int):
@@ -223,20 +223,23 @@ def test_phasor_power_is_within_rounding_of_the_pairwise_sum(m):
     of the M**2 terms is within (4 pi + 10) * u * amp_i * amp_j of its
     exact value, and their sum within (M**2 - 1 + 22.6) * u * A**2 of E.
 
-    The phasor reading. Each amp_i * cos(offs_i), and likewise with sin, is
-    within 9 * u * amp_i; the sum of M such terms is within e = (M + 8) * u
-    * A of its exact value. Squaring and adding the two sums moves the
-    result by at most 2 * e * (|re| + |im|) + 2 * u * A**2 <= (2 * sqrt(2)
-    * (M + 8) + 2) * u * A**2, since |re| + |im| <= sqrt(2) * A. The
-    oracle's complex sum, its magnitude and its square round the same way,
-    within a few more units. Each side's product with ``scale`` rounds by u
-    more.
+    The phasor reading. It rotates every offset by the first, which leaves
+    E unchanged: offs_i - offs_0 lies in [-4 pi, 4 pi] and rounds by at
+    most 4 pi * u. With ``np.cos``'s 8 * u and the product's u, each
+    amp_i * cos(offs_i - offs_0), and likewise with sin, is within
+    (4 pi + 9) * u * amp_i < 21.6 * u * amp_i; the sum of M such terms is
+    within e = (M + 21) * u * A of its exact value. Squaring and adding the
+    two sums moves the result by at most 2 * e * (|re| + |im|) + 2 * u *
+    A**2 <= (2 * sqrt(2) * (M + 21) + 2) * u * A**2, since |re| + |im| <=
+    sqrt(2) * A. The oracle's complex sum, its magnitude and its square
+    round the same way, within a few more units. Each side's product with
+    ``scale`` rounds by u more.
 
     The two sides then differ by at most scale * A**2 * u * (M**2 + 2.83 *
-    M + 48.3) <= scale * A**2 * u * ((M + 8)**2 - 13 * M - 15); the 13 * M
-    + 15 spare units of u * A**2 cover every second-order term (they grow
-    like M**4 * u**2 * A**2) for M up to 2**18, and the rounding of the
-    computed A.
+    M + 85) <= scale * A**2 * u * ((M + 8)**2 - 13 * M + 21); for M >= 5,
+    as here, the 13 * M - 21 spare units of u * A**2 cover every
+    second-order term (they grow like M**4 * u**2 * A**2) for M up to
+    2**18, and the rounding of the computed A.
 
     Underflow. Under the gain floor no product of amplitudes and cosines is
     subnormal, and a sum that is rounds exactly. The square of a sum near
@@ -279,6 +282,27 @@ def test_phasor_power_never_reads_below_zero():
         assert (_phasor_power(amp, phases, shifts, 1.0) >= 0.0).all(), m
         kernel_below += int((_pair_sum(amp, phases) < 0.0).sum())
     assert kernel_below > 0
+
+
+@pytest.mark.parametrize("dist", [DIST_UNIFORM, DIST_GAUSSIAN])
+def test_one_transmitter_reads_one_power_and_keeps_no_candidate(dist):
+    """Alone, a transmitter's power is the same at every phase. Its offset
+    is the reference the reading rotates to, so every reading is scale *
+    amp**2 bit for bit, within rounding of g * scale, and no candidate is
+    kept: steps of pi/8 kept 3 of 2,000 on rounding alone (gaussian: 2)
+    when the reading took cos**2 + sin**2 of the offset."""
+    cases = _gain_cases(1) + [("drawn", random_scenario(rng_stream(74, k), 1))
+                              for k in range(20)]
+    for label, s in cases:
+        amp = math.sqrt(s.gains[0])
+        reading = amp * amp * s.power_scale
+        assert reading == pytest.approx(s.gains[0] * s.power_scale, rel=2.0**-51)
+        for scale in (DEFAULT_SCALE, 3.0, 1e-12):
+            trace = run_random_perturbation(s, PerturbationConfig(dist, scale, 2000),
+                                            rng=rng_stream(75, 1))
+            assert set(trace.measured_power.tolist()) == {reading}, (label, scale)
+            assert set(trace.best_power.tolist()) == {reading}, (label, scale)
+            assert not trace.accepted.any(), (label, scale)
 
 
 def test_noisy_measurement_needs_its_own_generator(rng):

@@ -28,23 +28,23 @@ GOLDEN = Path(__file__).parent / "data" / "scenario_seed7.txt"
 
 def test_channel_and_scenario_validation():
     with pytest.raises(ValueError):
-        Scenario(1.0, 1.0, 1.0, [-1e-9], [0.0])
-    assert Scenario(1.0, 1.0, 1.0, [1.0], [3 * math.pi]).phase_shifts[0] == -math.pi
+        Scenario(1.0, 1.0, [-1e-9], [0.0])
+    assert Scenario(1.0, 1.0, [1.0], [3 * math.pi]).phase_shifts[0] == -math.pi
     for power in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="transmit_power must be positive and finite"):
-            Scenario(power, 1.0, 1.0, [1], [0])
+            Scenario(power, 1.0, [1], [0])
     with pytest.raises(ValueError):
-        Scenario(1.0, 1.0, 1.5, [1], [0])
+        Scenario(1.0, 1.5, [1], [0])
     with pytest.raises(ValueError):
-        Scenario(1.0, 1.0, 1.0, [], [])
+        Scenario(1.0, 1.0, [], [])
     for gain, phase in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf),
                         (1.0, -math.inf), (1.0, math.nan)):
         with pytest.raises(ValueError):
-            Scenario(1.0, 1.0, 1.0, [gain], [phase])
+            Scenario(1.0, 1.0, [gain], [phase])
     # efficiencies divide by the optimal power, so some gain must be nonzero
     with pytest.raises(ValueError):
-        Scenario(1.0, 1.0, 1.0, [0.0, 0.0], [0.0, 1.0])
-    Scenario(1.0, 1.0, 1.0, [0.0, 1e-9], [0.0, 1.0])
+        Scenario(1.0, 1.0, [0.0, 0.0], [0.0, 1.0])
+    Scenario(1.0, 1.0, [0.0, 1e-9], [0.0, 1.0])
 
 
 def _gain_at(r: float, **kwargs) -> float:
@@ -83,7 +83,6 @@ def test_generate_scenario_deterministic():
     assert np.array_equal(a.phase_shifts, b.phase_shifts)
     assert np.array_equal(da, db)
     assert a.transmit_power == b.transmit_power
-    assert a.carrier_freq == b.carrier_freq
     assert a.conversion_eff == b.conversion_eff
 
 
@@ -111,8 +110,6 @@ def test_distribution_validation():
     ("conversion_eff", 0.0, "conversion_eff must lie in"),
     ("conversion_eff", 1.5, "conversion_eff must lie in"),
     ("conversion_eff", math.nan, "conversion_eff must lie in"),
-    ("carrier_freq", 0.0, "carrier_freq must be positive"),
-    ("carrier_freq", math.nan, "carrier_freq must be positive"),
 ])
 def test_distribution_rejects_non_finite_fields(field, value, message):
     """Each bad field names itself; none reaches numpy's uniform draw or a
@@ -129,7 +126,6 @@ def test_scenario_text_round_trip():
     assert back.num_transmitters == scen.num_transmitters
     assert back.transmit_power == scen.transmit_power
     assert back.conversion_eff == scen.conversion_eff
-    assert back.carrier_freq == scen.carrier_freq
     assert np.array_equal(back.gains, scen.gains)
     assert np.array_equal(back.phase_shifts, scen.phase_shifts)
     # serialization is stable across regenerations
@@ -157,29 +153,32 @@ def test_scenario_text_names_a_bad_gain_before_a_bad_phase():
     first."""
     with pytest.raises(ValueError, match=re.escape("channel power gain must be finite and "
                                                    ">= 0, got -1.0")):
-        scenario_from_text("M 2\nP 1\nrho 1\nf_c 1\n1.0 nan\n-1 0\n")
+        scenario_from_text("M 2\nP 1\nrho 1\n1.0 nan\n-1 0\n")
 
 
-_TEXT = "M 2\nP 1\nrho 0.5\nf_c 2\n1 0.1\n2 0.2\n"
-_HEADER = "scenario header needs the keys M, P, rho and f_c, got "
+_TEXT = "M 2\nP 1\nrho 0.5\n1 0.1\n2 0.2\n"
+_HEADER = "scenario header needs the keys M, P and rho, got "
 
 
 @pytest.mark.parametrize("bad, message", [
-    # freq in place of f_c raised a bare KeyError: 'f_c'
-    (_TEXT.replace("f_c ", "freq "), _HEADER + "M, P, rho, freq"),
-    (_TEXT.replace("M 2\n", "M 2\nM 2\n"), _HEADER + "M, P, rho"),
+    # f_c is no key: the carrier frequency cancels from the period-average power
+    (_TEXT.replace("rho ", "f_c "), _HEADER + "M, P, f_c"),
+    (_TEXT.replace("M 2\n", "M 2\nM 2\n"), _HEADER + "M, P"),
     ("", _HEADER + "none"),
     # these raised Python's bare unpacking and conversion messages
-    (_TEXT.replace("1 0.1", "1 2 3"), "line 5: expected '<gain> <phase_shift>', got '1 2 3'"),
-    (_TEXT.replace("1 0.1", "1"), "line 5: expected '<gain> <phase_shift>', got '1'"),
-    (_TEXT.replace("2 0.2", "x 0.2"), "line 6: expected '<gain> <phase_shift>', got 'x 0.2'"),
+    (_TEXT.replace("1 0.1", "1 2 3"), "line 4: expected '<gain> <phase_shift>', got '1 2 3'"),
+    (_TEXT.replace("1 0.1", "1"), "line 4: expected '<gain> <phase_shift>', got '1'"),
+    (_TEXT.replace("2 0.2", "x 0.2"), "line 5: expected '<gain> <phase_shift>', got 'x 0.2'"),
     (_TEXT.replace("M 2", "M 2 x"), "line 1: expected '<key> <value>', got 'M 2 x'"),
     (_TEXT.replace("M 2", "M 2.5"), "line 1: expected 'M <count>', got 'M 2.5'"),
     # these said "expected -1 channel lines, found 0"
-    ("M -1\nP 1\nrho 1\nf_c 1\n", "line 1: expected 'M <count>', got 'M -1'"),
-    ("M 0\nP 1\nrho 1\nf_c 1\n", "line 1: expected 'M <count>', got 'M 0'"),
+    ("M -1\nP 1\nrho 1\n", "line 1: expected 'M <count>', got 'M -1'"),
+    ("M 0\nP 1\nrho 1\n", "line 1: expected 'M <count>', got 'M 0'"),
+    # a four-key header of an older format: f_c is read as the first link
+    ("M 2\nP 1\nrho 1\nf_c 915000000\n1 0.1\n",
+     "line 4: expected '<gain> <phase_shift>', got 'f_c 915000000'"),
 ], ids=["unknown-key", "repeated-key", "empty", "three-fields", "one-field", "gain-word",
-        "header-fields", "fractional-count", "negative-count", "zero-count"])
+        "header-fields", "fractional-count", "negative-count", "zero-count", "carrier-line"])
 def test_scenario_text_rejects_a_malformed_file(bad, message):
     """Each malformed file is a ValueError that names what is wrong and, for
     a malformed line, its 1-based number and the form it must have."""
@@ -208,8 +207,8 @@ def test_generate_scenario_equals_channel_by_channel_draw(m):
             assert got.gains.tobytes() == want.gains.tobytes(), (k, seed)
             assert got.phase_shifts.tobytes() == want.phase_shifts.tobytes(), (k, seed)
             assert got_distances.tobytes() == distances.tobytes()
-            assert (got.transmit_power, got.carrier_freq, got.conversion_eff) == \
-                (want.transmit_power, want.carrier_freq, want.conversion_eff)
+            assert (got.transmit_power, got.conversion_eff) == \
+                (want.transmit_power, want.conversion_eff)
             assert not (got.gains.flags.writeable or got.phase_shifts.flags.writeable)
 
 
@@ -228,22 +227,26 @@ def test_generate_scenario_equals_channel_by_channel_draw(m):
         "all-zero-gains", "no-transmitters", "unequal-lengths", "not-1-d"])
 def test_scenario_arrays_are_validated(gains, phases, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        Scenario(1.0, 1.0, 1.0, gains, phases)
+        Scenario(1.0, 1.0, gains, phases)
 
 
-@pytest.mark.parametrize("carrier_freq", [0.0, -1.0, math.nan])
-def test_scenario_carrier_freq_must_be_positive(carrier_freq):
-    with pytest.raises(ValueError, match="carrier_freq must be positive"):
-        Scenario(1.0, carrier_freq, 1.0, [1.0], [0.0])
+def test_scenario_takes_no_carrier_frequency():
+    """The harvested power is a period average, from which the carrier
+    frequency cancels, so neither a scenario nor a distribution takes one:
+    a five-argument constructor call is a TypeError, not a carrier."""
+    with pytest.raises(TypeError):
+        Scenario(1.0, 915e6, 1.0, [1.0], [0.0])
+    with pytest.raises(TypeError):
+        ScenarioDistribution(num_transmitters=2, carrier_freq=915e6)
 
 
 def test_scenario_is_two_read_only_arrays(rng):
-    """A scenario is its three scalars and two read-only arrays; building
+    """A scenario is its two scalars and two read-only arrays; building
     one from another's arrays, or from its text record, gives the same
     bytes."""
     g = np.array([0.5, 0.0, 2.0])
     th = np.array([3 * math.pi, 0.25, -7.0])
-    s = Scenario(2.0, 915e6, 0.5, g, th)
+    s = Scenario(2.0, 0.5, g, th)
     g[0] = th[0] = 9.0                       # the scenario holds copies
     assert s.gains.tolist() == [0.5, 0.0, 2.0]
     assert s.phase_shifts.tolist() == [wrap_angle(3 * math.pi), 0.25, wrap_angle(-7.0)]
@@ -256,7 +259,7 @@ def test_scenario_is_two_read_only_arrays(rng):
         s.num_transmitters = None
     with pytest.raises(AttributeError):
         s.extra = 1                            # no state beyond its slots
-    again = Scenario(s.transmit_power, s.carrier_freq, s.conversion_eff, s.gains, s.phase_shifts)
+    again = Scenario(s.transmit_power, s.conversion_eff, s.gains, s.phase_shifts)
     assert again.gains.tobytes() == s.gains.tobytes()
     assert again.phase_shifts.tobytes() == s.phase_shifts.tobytes()
     for m in (1, 4, 32):
@@ -277,12 +280,12 @@ def test_nonzero_gains_below_two_to_the_minus_511_are_gain_errors():
     for gains in ([1e-300, 1e-300], [1.0, limit / 2], [0.0, 5e-324, 1.0]):
         shifts = [0.1 * k for k in range(1, len(gains) + 1)]
         with pytest.raises(ValueError, match=re.escape(message)):
-            Scenario(1.0, 1.0, 1.0, gains, shifts)
+            Scenario(1.0, 1.0, gains, shifts)
     with pytest.raises(ValueError, match=re.escape("channel power gain 1e-300 " + message)):
-        Scenario(1.0, 1.0, 1.0, [1e-300, 1e-300], [0.1, 0.2])
+        Scenario(1.0, 1.0, [1e-300, 1e-300], [0.1, 0.2])
     # at the limit the run keeps its guarantee
     for gains in ([limit, limit], [0.0, limit, limit, 1.0]):
-        s = Scenario(1.0, 1.0, 1.0, gains, [0.1, 0.2, -2.0, 3.0][:len(gains)])
+        s = Scenario(1.0, 1.0, gains, [0.1, 0.2, -2.0, 3.0][:len(gains)])
         for n in (1, 4, 8):
             assert run_protocol(s, n).eta >= efficiency_lower_bound(s, n) - 1e-12, (gains, n)
     dist = ScenarioDistribution(num_transmitters=4, ref_attenuation=1e-160)
@@ -337,8 +340,6 @@ _BAD_INPUTS = {
                                  dict(ref_attenuation=1e306)),
     "bad-power": ("transmit_power must be positive and finite, got {}",
                   dict(transmit_power=-1.0), dict(transmit_power=-1.0)),
-    "bad-carrier": ("carrier_freq must be positive", dict(carrier_freq=0.0),
-                    dict(carrier_freq=0.0)),
     "bad-efficiency": ("conversion_eff must lie in (0, 1]", dict(conversion_eff=1.5),
                        dict(conversion_eff=1.5)),
 }
@@ -349,7 +350,7 @@ def test_each_bad_input_class_has_one_message(case):
     """``Scenario(...)`` and, where a draw can make the fault,
     ``generate_scenario`` give the class's one message."""
     template, args, draw_fields = _BAD_INPUTS[case]
-    call = dict(transmit_power=1.0, carrier_freq=1.0, conversion_eff=1.0, gains=[1.0, 2.0])
+    call = dict(transmit_power=1.0, conversion_eff=1.0, gains=[1.0, 2.0])
     call.update(args)
     gains = call.pop("gains")
     shifts = [0.1 * k for k in range(len(gains))]
@@ -375,14 +376,14 @@ def test_the_gain_sum_limit_bounds_every_stage_product():
     A config holding ``ref_attenuation = 1e306`` drew gain sums near 1e304,
     which overflowed the stage products and ran to eta 0.722 at N = 8."""
     with pytest.raises(ValueError, match=re.escape("the gain sums overflow")):
-        Scenario(1.0, 1.0, 1.0, [2.0 ** 510] * 5, [0.0] * 5)
+        Scenario(1.0, 1.0, [2.0 ** 510] * 5, [0.0] * 5)
     shifts = [0.3, -2.0, 1.1, 2.9, -0.7]
     inside = ([0.99 * 2.0 ** 509] * 2, [2.0 ** 508, 2.0 ** 506, 2.0 ** 500, 0.0, 1.0],
               [_LIMIT / 25 * 0.999] * 5)
     with np.errstate(all="raise"):
         for gains in inside:
             assert sum(map(math.sqrt, gains)) ** 2 <= _LIMIT
-            s = Scenario(1.0, 1.0, 1.0, gains, shifts[:len(gains)])
+            s = Scenario(1.0, 1.0, gains, shifts[:len(gains)])
             stack = stack_scenarios([s])
             for n in (1, 4, 8):
                 bound = efficiency_lower_bound(s, n)
@@ -406,10 +407,10 @@ def test_draws_and_constructors_agree_on_either_side_of_the_gain_sum_limit(m):
         except ValueError as exc:
             assert not ok and str(exc).startswith("the gain sums overflow"), (share, exc)
             with pytest.raises(ValueError, match=re.escape("the gain sums overflow")):
-                Scenario(1.0, 1.0, 1.0, [dist.ref_attenuation] * m, [0.0] * m)
+                Scenario(1.0, 1.0, [dist.ref_attenuation] * m, [0.0] * m)
         else:
             assert ok, share
-            again = Scenario(1.0, 1.0, 1.0, drawn.gains, drawn.phase_shifts)
+            again = Scenario(1.0, 1.0, drawn.gains, drawn.phase_shifts)
             assert again.gains.tobytes() == drawn.gains.tobytes()
 
 
@@ -419,7 +420,7 @@ def test_power_scale_is_conversion_eff_times_transmit_power():
     rng = np.random.default_rng(11)
     for _ in range(200):
         p, rho = float(rng.uniform(1e-3, 1e3)), float(rng.uniform(1e-3, 1.0))
-        built = Scenario(p, 915e6, rho, rng.uniform(0.0, 1.0, 4), rng.uniform(-3.0, 3.0, 4))
+        built = Scenario(p, rho, rng.uniform(0.0, 1.0, 4), rng.uniform(-3.0, 3.0, 4))
         drawn, _ = generate_scenario(ScenarioDistribution(num_transmitters=4, transmit_power=p,
                                                           conversion_eff=rho), rng)
         for s in (built, drawn):

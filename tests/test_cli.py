@@ -345,6 +345,10 @@ def test_exp_config_file_rejects_unknown_boolean(capsys, tmp_path):
 @pytest.mark.parametrize("line, message", [
     ("trials = 1e3", "trials must be an integer; got '1e3'"),
     ("ref_attenuation = big", "ref_attenuation must be a number; got 'big'"),
+    # an empty entry was dropped, so 3,,5 ran as 3,5; an empty list said
+    # "sweep lists must be non-empty"
+    ("m_list = 3,,5", "m_list must be comma-separated integers; got '3,,5'"),
+    ("m_list =", "m_list must be comma-separated integers; got ''"),
 ])
 def test_exp_config_value_that_does_not_parse_names_its_key(capsys, tmp_path, line, message):
     """These read ``invalid literal for int() with base 10: '1e3'`` and
@@ -367,6 +371,8 @@ def test_exp_config_value_that_does_not_parse_names_its_key(capsys, tmp_path, li
     ("--perturb-scale", "big", "0.5"),
     ("--n-list", "1,x", "1,2"),
     ("--m-list", "2;3", "2,3"),
+    ("--m-list", "3,,5", "3,5"),
+    ("--n-list", "1,2,", "1,2"),
     ("--budgets", "5,ten", "5,10"),
 ])
 def test_exp_flag_parses_as_its_config_key(capsys, tmp_path, flag, bad, good):
@@ -553,11 +559,14 @@ def test_bound_rejects_non_finite_and_all_zero_gains(capsys):
 
 def test_bound_names_its_flag_for_a_gain_that_is_not_a_number(capsys):
     """A gain that is not a number gave Python's bare "could not convert
-    string to float"; it now names the flag and the whole value."""
-    code, out, err = run_cli(capsys, "bound", "--gains", "1,x", "--N", "3")
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err == "error: --gains must be comma-separated numbers; got '1,x'\n"
+    string to float"; it now names the flag and the whole value. An empty
+    entry is not a number either: ``--gains 1,,2`` printed the bound of
+    gains 1 and 2 with exit 0."""
+    for gains in ("1,x", "1,,2", "1,2,"):
+        code, out, err = run_cli(capsys, "bound", "--gains", gains, "--N", "3")
+        assert code == EXIT_USAGE, gains
+        assert out == ""
+        assert err == f"error: --gains must be comma-separated numbers; got '{gains}'\n"
 
 
 def test_bound_rejects_gain_sums_that_overflow(capsys):

@@ -532,7 +532,7 @@ def test_power_vs_m_rows_equal_per_size_calls():
                                 "no_adaptation", "optimal"]
     full, _ = generate_scenario(cfg.distribution(12), rng_stream(cfg.seed, _DOMAIN[EXP_POWER]))
     for m in (1, 2, 3, 12):
-        s = Scenario(full.transmit_power, full.carrier_freq, full.conversion_eff,
+        s = Scenario(full.transmit_power, full.conversion_eff,
                      full.gains[:m], full.phase_shifts[:m])
         want = {"optimal": optimal_power(s),
                 "no_adaptation": harvested_power(s, PhaseAssignment(np.zeros(m)))}

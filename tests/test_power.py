@@ -42,13 +42,13 @@ def test_single_transmitter():
 
 
 def test_two_coherent_transmitters():
-    s = Scenario(1.0, 1.0, 1.0, [1.0, 1.0], [0.4, -1.1])
+    s = Scenario(1.0, 1.0, [1.0, 1.0], [0.4, -1.1])
     pa = PhaseAssignment(s.phase_shifts.copy())
     assert harvested_power(s, pa) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_two_opposed_transmitters():
-    s = Scenario(1.0, 1.0, 1.0, [1.0, 1.0], [0.0, 0.0])
+    s = Scenario(1.0, 1.0, [1.0, 1.0], [0.0, 0.0])
     pa = PhaseAssignment([0.0, -math.pi])
     assert harvested_power(s, pa) == pytest.approx(0.0, abs=1e-12)
 
@@ -112,7 +112,7 @@ def test_time_domain_oracle(rng):
 def test_rho_and_power_scaling(rng):
     base = random_scenario(rng, 3)
     pa = PhaseAssignment(rng.uniform(-math.pi, math.pi, 3))
-    scaled = Scenario(2.5, base.carrier_freq, 0.4, base.gains, base.phase_shifts)
+    scaled = Scenario(2.5, 0.4, base.gains, base.phase_shifts)
     assert harvested_power(scaled, pa) == pytest.approx(
         harvested_power(base, pa) * 2.5 * 0.4, rel=1e-12
     )
@@ -152,7 +152,7 @@ def test_global_phase_offset_invariance(rng):
 
 
 def test_sum_signal_single_other():
-    s = Scenario(1.0, 1.0, 1.0, [0.7, 1.0], [1.1, 0.0])
+    s = Scenario(1.0, 1.0, [0.7, 1.0], [1.1, 0.0])
     pa = PhaseAssignment([0.0, 0.0], [True, False])
     ss = sum_signal(s, pa)
     assert ss.gain == pytest.approx(0.7, rel=1e-14)
@@ -162,7 +162,7 @@ def test_sum_signal_single_other():
 
 def test_sum_signal_cancellation():
     # equal gains whose received phases are pi apart
-    s = Scenario(1.0, 1.0, 1.0, [1.0, 1.0, 1.0], [0.0, -math.pi, 0.5])
+    s = Scenario(1.0, 1.0, [1.0, 1.0, 1.0], [0.0, -math.pi, 0.5])
     pa = PhaseAssignment([0.0, 0.0, 0.0], [True, True, False])
     ss = sum_signal(s, pa)
     assert ss.gain == pytest.approx(0.0, abs=1e-25)
@@ -170,7 +170,7 @@ def test_sum_signal_cancellation():
 
 def test_sum_signal_exact_zero_convention():
     # zero-gain transmitters sum to an exactly-zero phasor: phase 0
-    s = Scenario(1.0, 1.0, 1.0, [0.0, 1.0], [1.0, 0.5])
+    s = Scenario(1.0, 1.0, [0.0, 1.0], [1.0, 0.5])
     ss = sum_signal(s, PhaseAssignment([0.3, 0.0], [True, False]))
     assert ss.gain == 0.0 and ss.phase_shift == 0.0
 
@@ -178,7 +178,7 @@ def test_sum_signal_exact_zero_convention():
 def test_aligned_phase_against_a_zero_signal_is_zero():
     """Every phase is optimal against a zero signal; the target is 0, the
     value a stage's trace records."""
-    s = Scenario(1.0, 1.0, 1.0, [0.0, 1.0], [1.0, 0.5])
+    s = Scenario(1.0, 1.0, [0.0, 1.0], [1.0, 0.5])
     phase = aligned_phase(s, SumSignal(0.0, 0.0), 1)
     assert type(phase) is float and phase == 0.0 and math.copysign(1.0, phase) == 1.0
 
@@ -284,7 +284,7 @@ def test_stacked_powers_equal_per_scenario_calls(rng):
         scens = [random_scenario(rng, m, conversion_eff=eff, transmit_power=power)
                  for eff, power in ((1.0, 1.0), (0.37, 2.5)) for _ in range(5)]
         if m > 1:
-            scens[3] = Scenario(1.0, 1.0, 1.0, [0.0, *scens[3].gains[1:]],
+            scens[3] = Scenario(1.0, 1.0, [0.0, *scens[3].gains[1:]],
                                 [0.3, *scens[3].phase_shifts[1:]])
         stack = stack_scenarios(scens)
         phases = wrap_angle(rng.uniform(-4.0, 4.0, (len(scens), m)))
@@ -339,15 +339,15 @@ def test_optimal_powers_reject_a_scale_without_finite_positive_optimum(rng):
     s = random_scenario(rng, 3, conversion_eff=5e-324)
     with pytest.raises(ValueError, match="optimal power of trial 1 is 0.0"):
         optimal_powers(stack_scenarios([random_scenario(rng, 3), s]))
-    s = Scenario(1e308, 1.0, 1.0, [4.0, 4.0], [0.0, 1.0])
+    s = Scenario(1e308, 1.0, [4.0, 4.0], [0.0, 1.0])
     with pytest.raises(ValueError, match="optimal power of trial 0 is inf"):
         optimal_powers(stack_scenarios([s]))
     # a subnormal optimum has lost significant bits: eta would drift
-    s = Scenario(1e-310, 1.0, 1.0, [4.0, 4.0], [0.0, 1.0])
+    s = Scenario(1e-310, 1.0, [4.0, 4.0], [0.0, 1.0])
     with pytest.raises(ValueError, match=r"trial 0 is 1\.\d+e-309: power scale "
                                          r"conversion_eff \* transmit_power = 1e-310"):
         optimal_powers(stack_scenarios([s]))
-    s = Scenario(1e-300, 1.0, 1.0, [4.0, 4.0], [0.0, 1.0])
+    s = Scenario(1e-300, 1.0, [4.0, 4.0], [0.0, 1.0])
     assert optimal_powers(stack_scenarios([s])) == harvested_power(
         s, PhaseAssignment(s.phase_shifts.copy()))
 

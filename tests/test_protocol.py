@@ -19,8 +19,6 @@ from distbeam import (
     efficiency_lower_bound,
     error_bound_power,
     harvested_power,
-    phase_errors,
-    phases_from_errors,
     required_intervals,
     required_intervals_equal_gains,
     run_protocol,
@@ -46,6 +44,8 @@ from conftest import (
     per_budget_phases,
     per_reading_adapt_phase,
     per_stage_protocol,
+    phase_errors,
+    phases_from_errors,
     random_scenario,
     stack_scenarios,
     trace_columns,
@@ -115,7 +115,7 @@ def test_protocol_validation(rng):
 def _with_zero_gain(s, index):
     gains = s.gains.copy()
     gains[index] = 0.0
-    return Scenario(s.transmit_power, s.carrier_freq, s.conversion_eff, gains, s.phase_shifts)
+    return Scenario(s.transmit_power, s.conversion_eff, gains, s.phase_shifts)
 
 
 def _probe_tie_scenarios():
@@ -133,7 +133,7 @@ def _probe_tie_scenarios():
             base = tie + phase
             for k in range(-3, 4):
                 shift = base + k * math.ulp(base)
-                scens.append(Scenario(1.0, 915e6, 1.0, [g0, 1.0], [s0, shift]))
+                scens.append(Scenario(1.0, 1.0, [g0, 1.0], [s0, shift]))
     return scens
 
 
@@ -198,7 +198,7 @@ def test_exact_phases_where_every_comparison_ties(phases_of, gains):
     power: every comparison of the stage ties, and a tie keeps psi, which
     is not the target's cell. 200 random phase sets per gain vector."""
     rng = np.random.default_rng(17)
-    scens = [Scenario(1.0, 915e6, 1.0, gains, shifts)
+    scens = [Scenario(1.0, 1.0, gains, shifts)
              for shifts in rng.uniform(-math.pi, math.pi, (200, len(gains)))]
     _assert_phases_match_runs(phases_of, scens, (1, 4, 8))
 
@@ -223,7 +223,7 @@ def _near_tie_scenarios(depth):
             target = point
             for _ in range(abs(steps)):
                 target = math.nextafter(target, math.copysign(math.inf, steps))
-            scens += [Scenario(1.0, 915e6, 1.0, [1.0, g1], [0.0, target])
+            scens += [Scenario(1.0, 1.0, [1.0, g1], [0.0, target])
                       for g1 in (1.0, 0.3)]
     return scens
 
@@ -312,7 +312,7 @@ def test_exact_phases_match_the_per_budget_loop_where_every_stage_ties(phases_of
     """Gains [1, 0, 0, 0] make every stage's swing zero, so every
     comparison ties and every row of every budget takes the loop."""
     rng = np.random.default_rng(29)
-    stack = stack_scenarios([Scenario(1.0, 915e6, 1.0, [1.0, 0.0, 0.0, 0.0], shifts)
+    stack = stack_scenarios([Scenario(1.0, 1.0, [1.0, 0.0, 0.0, 0.0], shifts)
                              for shifts in rng.uniform(-math.pi, math.pi, (50, 4))])
     _assert_phases_match_per_budget(phases_of, stack, MIXED_BUDGETS)
 
@@ -607,14 +607,14 @@ def test_negative_zero_reading_matches_oracle():
     gives. adapt_phase meets it at a power scale of 1e-310, run_protocol at
     8e-308, where Q* (about 3.37e-308) is still a normal float."""
     gains, shifts = [0.10520315032328138, 0.10520315032328142], [0.0, math.pi]
-    s = Scenario(1.0, 1.0, 1e-310, gains, shifts)
+    s = Scenario(1.0, 1e-310, gains, shifts)
     pa = PhaseAssignment(np.zeros(2), np.array([True, False]))
     phi, trace = adapt_phase(s, pa, 1, 4)
     phi_ref, trace_ref = per_reading_adapt_phase(s, pa, 1, 4)
     assert _same(phi, phi_ref)
     _assert_same_trace(trace, trace_ref, "adapt_phase")
     assert _same(trace.q_psi[0], 0.0)
-    s = Scenario(1.0, 1.0, 8e-308, gains, shifts)
+    s = Scenario(1.0, 8e-308, gains, shifts)
     got, want = run_protocol(s, 4), per_stage_protocol(s, 4)
     first = got.traces[0]
     assert _same(partial_power(s, sum_signal(s, pa), 1, first.psi[0]), -0.0)
@@ -626,7 +626,7 @@ def test_run_protocol_rejects_a_zero_or_infinite_optimum():
     """An optimum that underflows to 0 or overflows is checked_optima's
     ValueError, not a ZeroDivisionError or a NaN efficiency."""
     for scale, gain, q in ((1e-320, 1e-6, "0.0"), (1e308, 4.0, "inf")):
-        s = Scenario(scale, 1.0, 1.0, [gain, gain], [0.0, 1.0])
+        s = Scenario(scale, 1.0, [gain, gain], [0.0, 1.0])
         with pytest.raises(ValueError, match=f"optimal power of the scenario is {q}: power "):
             run_protocol(s, 3)
 
@@ -637,7 +637,7 @@ def test_run_protocol_rejects_a_subnormal_optimum():
     differ in the last digits (0.9936151036369086); run_protocol raises
     checked_optima's error there, as every experiment does."""
     def run(eff):
-        return run_protocol(Scenario(1.0, 1.0, eff, [1.0] * 3, [0.0, 1.0, 2.0]), 4)
+        return run_protocol(Scenario(1.0, eff, [1.0] * 3, [0.0, 1.0, 2.0]), 4)
 
     etas = [run(eff).eta for eff in (1.0, 1e-300)]
     assert _same(etas[0], etas[1]) and etas[0] == 0.99361510363691
@@ -681,7 +681,7 @@ def test_batched_stages_take_adapts_feedback_rule(monkeypatch, gains, shifts):
     strict, a tie keeps psi' instead of psi, and exact_runs and exact_phases
     change with run_protocol. Each scenario's first stage has a zero
     combined signal, so all of its comparisons tie."""
-    s = Scenario(1.0, 915e6, 1.0, gains, shifts)
+    s = Scenario(1.0, 1.0, gains, shifts)
     stack = stack_scenarios([s])
     tie_keeps_psi = {n: run_protocol(s, n).final_phases for n in (1, 4, 9)}
     monkeypatch.setattr(adapt, "feedback_bit", lambda q_psi, q_psi_prime: q_psi > q_psi_prime)
@@ -698,7 +698,7 @@ def test_replayed_errors_match_the_run_after_zero_gain_links(gains, shifts):
     """A stage whose prefix has zero combined gain records target 0, and the
     replay gives the same target: for gains [0, 1, 0.5] the replay used to
     return 0.174 against the recorded 1.374."""
-    s = Scenario(1.0, 915e6, 1.0, gains, shifts)
+    s = Scenario(1.0, 1.0, gains, shifts)
     for n, std in itertools.product((1, 4, 8), (0.0, 1e-3)):
         meas, _ = _meas_pair(std, n)
         res = run_protocol(s, n, meas)
@@ -716,7 +716,7 @@ def test_phases_from_errors_round_trips_through_phase_errors(rng, gains, shifts)
         if gains is None:
             s = random_scenario(rng, int(rng.integers(2, 9)))
         else:
-            s = Scenario(1.0, 915e6, 1.0, gains, shifts)
+            s = Scenario(1.0, 1.0, gains, shifts)
         errors = rng.uniform(-math.pi, math.pi, s.num_transmitters)
         errors[0] = 0.0
         phases = phases_from_errors(s, errors)
