@@ -20,8 +20,11 @@ def wrap_angle(x):
         t = np.asarray(x + math.pi)     # asarray keeps a 0-d input an array
         np.mod(t, TWO_PI, out=t)
         t -= math.pi
-        # mod can round up to 2*pi for inputs a hair below -pi
-        t[t >= math.pi] -= TWO_PI
+        # mod can round up to 2*pi for inputs a hair below -pi; the
+        # fix-up's boolean index runs only when some element needs it
+        up = t >= math.pi
+        if np.count_nonzero(up):
+            t[up] -= TWO_PI
         return t
     r = math.fmod(x + math.pi, TWO_PI)
     if r < 0.0:

@@ -51,12 +51,12 @@ class Scenario:
         if not np.maximum.reduce(np.abs(phase_shifts)) < math.inf:
             bad = phase_shifts[~np.isfinite(phase_shifts)][0]
             raise ValueError(f"channel phase shift must be finite, got {bad}")
-        self._store(transmit_power, conversion_eff, gains, phase_shifts)
+        self._store(transmit_power, conversion_eff, gains, wrap_angle(phase_shifts))
 
     def _store(self, transmit_power, conversion_eff, gains, phase_shifts):
-        """Set the fields from checked values: ``phase_shifts`` wrapped into a
-        new array, and both arrays made read-only."""
-        phase_shifts = wrap_angle(phase_shifts)
+        """Set the fields from checked values: the arrays as given, which
+        the caller owns no longer, made read-only; ``phase_shifts`` must
+        already lie in [-pi, pi), as a wrap leaves them."""
         gains.setflags(write=False)
         phase_shifts.setflags(write=False)
         self.transmit_power = transmit_power
@@ -190,6 +190,23 @@ def generate_scenario(
     the scalars, and the draw makes 1-D arrays of finite phases and of
     gains in [0, inf]. The gains go to :func:`_check_gains` only when
     :func:`_clears_screen` cannot clear them.
+
+    It skips the constructor's wrap too, since :func:`wrap_angle` is the
+    identity on every ``uniform(-pi, pi)`` draw, bit for bit. numpy draws
+    x = fl(-pi + y), y = fl(2pi * k * 2**-53) in [0, 2pi) for an integer
+    0 <= k < 2**53 (pi and 2pi here the doubles ``math.pi`` and
+    ``TWO_PI``; ``test_stream_arithmetic_pins_numpys_seeding_and_uniform``
+    pins that arithmetic). The wrap computes fl(fl(x + pi) mod 2pi) - pi.
+    By Sterbenz's lemma a difference a - b with b/2 <= a <= 2b is exact:
+
+    - y >= pi/2: y - pi is exact, so x = y - pi, x + pi = y exactly, and
+      y - pi = x again.
+    - y < pi/2: then |x| lies in [pi/2, pi], so x + pi is exact, and
+      (x + pi) - pi = x is a double, so its rounding returns x.
+
+    In both cases the mod in between sees a value in [0, 2pi) and returns
+    it unchanged (a zero as +0.0, what y = 0, x = -pi, gives), and the
+    result x is below pi, so the fix-up never runs.
     """
     m = dist.num_transmitters
     lo, hi = dist.distance_range
@@ -248,11 +265,12 @@ def scenario_from_text(text: str) -> Scenario:
     _, m = _line_fields(*header["M"], "M <count>", str, _count)
     _, p = _line_fields(*header["P"], "P <number>", str, float)
     _, rho = _line_fields(*header["rho"], "rho <number>", str, float)
-    body = lines[3:]
-    if len(body) != m:
-        raise ValueError(f"expected {m} channel lines, found {len(body)}")
+    # every line is parsed before the count is checked, so a line of another
+    # format (an older header's f_c, say) is named as such
+    links = [_line_fields(n, ln, "<gain> <phase_shift>", float, float) for n, ln in lines[3:]]
+    if len(links) != m:
+        raise ValueError(f"expected {m} channel lines, found {len(links)}")
     # all gains reach the constructor, and are checked, before any phase
-    links = [_line_fields(n, ln, "<gain> <phase_shift>", float, float) for n, ln in body]
     return Scenario(
         transmit_power=p,
         conversion_eff=rho,

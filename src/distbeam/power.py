@@ -44,6 +44,17 @@ class PhaseAssignment:
         if self.active.shape != self.phases.shape:
             raise ValueError("phases and active mask must have equal length")
 
+    @classmethod
+    def _all_active(cls, phases: np.ndarray) -> PhaseAssignment:
+        """Every transmitter active at ``phases``, float64 values a wrap
+        leaves as they are (a scenario's phase shifts, arc centres, 0),
+        held as given: no copy and no second wrap, as ``Scenario._store``
+        holds its arrays."""
+        pa = cls.__new__(cls)
+        pa.phases = phases
+        pa.active = np.ones(phases.shape, dtype=bool)
+        return pa
+
 
 @dataclass(frozen=True)
 class SumSignal:
@@ -119,12 +130,14 @@ def harvested_power(s: Scenario, pa: PhaseAssignment) -> float:
     all scaled by conversion efficiency times per-transmitter power.
     """
     _check_assignment(s, pa)
-    idx = np.flatnonzero(pa.active)
-    if idx.size == 0:
+    gains, shifts, phases = s.gains, s.phase_shifts, pa.phases
+    n_active = np.count_nonzero(pa.active)
+    if n_active == 0:
         return 0.0
-    offs = pa.phases[idx] - s.phase_shifts[idx]
-    amp = np.sqrt(s.gains[idx])
-    return s.power_scale * float(_pair_sum(amp, offs))
+    if n_active < gains.size:
+        idx = np.flatnonzero(pa.active)
+        gains, shifts, phases = gains[idx], shifts[idx], phases[idx]
+    return s.power_scale * float(_pair_sum(np.sqrt(gains), phases - shifts))
 
 
 def _pair_sum(amp: np.ndarray, offs: np.ndarray) -> np.ndarray:
@@ -200,7 +213,7 @@ def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def optimal_power(s: Scenario) -> float:
     """Maximum harvested power, attained when every transmit phase equals
     its channel phase shift."""
-    return harvested_power(s, PhaseAssignment(s.phase_shifts))
+    return harvested_power(s, PhaseAssignment._all_active(s.phase_shifts))
 
 
 class TrialStack(NamedTuple):
@@ -260,10 +273,14 @@ def sum_signal(s: Scenario, pa: PhaseAssignment) -> SumSignal:
     if amp.size == 0:
         return SumSignal(0.0, 0.0)
     delta = s.phase_shifts[pa.active] - pa.phases[pa.active]
-    # cumsum adds left to right like a scalar loop; np.sum's pairwise order
-    # would move the last bits of every stage target and probe power
-    return _phasor_signal(np.cumsum(amp * np.cos(delta))[-1],
-                          np.cumsum(amp * np.sin(delta))[-1])
+    terms = np.empty((2, amp.size))
+    np.cos(delta, out=terms[0])
+    np.sin(delta, out=terms[1])
+    terms *= amp
+    # cumsum adds each row left to right like a scalar loop; np.sum's
+    # pairwise order would move the last bits of every stage target and
+    # probe power
+    return _phasor_signal(*terms.cumsum(axis=1)[:, -1].tolist())
 
 
 def _phasor_signal(re, im) -> SumSignal:

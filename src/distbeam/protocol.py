@@ -96,7 +96,8 @@ def run_protocol(
         phases[m] = phi_m
         traces.append(trace)
         errors[m] = wrap_angle(phi_m - trace.target_phase)
-    q_d = harvested_power(s, PhaseAssignment(phases))
+    # arc centres and the reference's 0: wrapped already
+    q_d = harvested_power(s, PhaseAssignment._all_active(phases))
     return ProtocolResult(
         final_phases=phases,
         q_d=q_d,
@@ -282,10 +283,12 @@ def accumulated_power(gains, errors) -> float:
     errors = np.asarray(errors, dtype=float)
     if gains.shape != errors.shape:
         raise ValueError("gains and errors must have equal length")
+    # Python floats: the same arithmetic as numpy scalars, without their cost
+    gains, errors = gains.tolist(), errors.tolist()
     q = gains[0]
     for g, e in zip(gains[1:], errors[1:]):
         q = g + q + 2.0 * math.cos(e) * math.sqrt(g * q)
-    return float(q)
+    return q
 
 
 def error_bound_power(gains, errors) -> float:
@@ -298,8 +301,9 @@ def error_bound_power(gains, errors) -> float:
     """
     gains = np.asarray(gains, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    aligned = float(np.sum(np.sqrt(gains) * np.cos(errors)))
-    return float(np.sum(gains * np.sin(errors) ** 2)) + aligned * aligned
+    # add.reduce is the reduction np.sum runs, without its wrapper
+    aligned = float(np.add.reduce(np.sqrt(gains) * np.cos(errors)))
+    return float(np.add.reduce(gains * np.sin(errors) ** 2)) + aligned * aligned
 
 
 def check_induction_inequality(

@@ -114,8 +114,9 @@ def phasor_windows():
         for _ in range(min(WINDOW, PHASOR_INSTANCES - start)):
             m = int(rng.integers(1, PHASOR_MAX_M + 1))
             s = _random_scenario(rng, m)
+            # a uniform(-pi, pi) draw is its own wrap (generate_scenario)
             rows.append((s.gains, s.phase_shifts, s.power_scale,
-                         wrap_angle(rng.uniform(-math.pi, math.pi, m))))
+                         rng.uniform(-math.pi, math.pi, m)))
         yield _stacked(rows, harvested_powers, phasor_oracle_powers)
 
 

@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-from .angles import wrap_angle
 from .channel import ScenarioDistribution, _drawn_gains
 from .power import TrialStack
 
@@ -69,8 +68,10 @@ def trial_stack(dist: ScenarioDistribution, seed: int, *path: int, trials: int) 
     No generator is built: :func:`_seed_states` derives every trial's
     ``PCG64`` seed, :func:`_pcg64_outputs` every output, and the distances
     and then the phase shifts are ``Generator.uniform``'s affine map of
-    them. The gains are :func:`channel._drawn_gains`, screened and checked
-    as each scenario's are. Trials are drawn in chunks of
+    them. As in ``generate_scenario``, the phase shifts are not wrapped: a
+    wrap is the identity on them. The gains are
+    :func:`channel._drawn_gains`, screened and checked as each scenario's
+    are. Trials are drawn in chunks of
     ``_CHUNK_LINKS // M`` into the preallocated stack, in order, so the
     first bad trial raises its own message and the temporaries stay
     bounded however many trials are drawn.
@@ -87,7 +88,7 @@ def trial_stack(dist: ScenarioDistribution, seed: int, *path: int, trials: int) 
         stop = min(start + step, trials)
         outputs = _pcg64_outputs(*_seed_states(prefix, start, stop), 2 * m)
         gains[start:stop] = _drawn_gains(_uniforms(outputs[:, :m], lo, hi), dist)
-        phase_shifts[start:stop] = wrap_angle(_uniforms(outputs[:, m:], -math.pi, math.pi))
+        phase_shifts[start:stop] = _uniforms(outputs[:, m:], -math.pi, math.pi)
     return TrialStack(gains, phase_shifts,
                       np.full(trials, dist.conversion_eff * dist.transmit_power))
 

@@ -47,6 +47,7 @@ from distbeam.experiments import (
 )
 from distbeam.power import (
     EXACT,
+    SumSignal,
     TrialStack,
     _phasor_power,
     _phasor_signal,
@@ -481,12 +482,11 @@ def per_instance_phasor_draws():
     return draws
 
 
-def per_instance_partial_power():
-    """The partial-power consistency check one instance at a time: the
-    scalar ``partial_power`` of the joining transmitter and one
-    ``harvested_power`` call over the joined active set, per instance."""
+def partial_power_instances():
+    """The partial-power consistency check's draws one instance at a time:
+    (scenario, drawn phases, joining transmitter m, active mask without m)
+    per instance, in draw order."""
     rng = rng_stream(selfcheck.PARTIAL_SEED, 91)
-    partial, joined_power = [], []
     for _ in range(selfcheck.PARTIAL_INSTANCES):
         m_total = int(rng.integers(2, selfcheck.PARTIAL_MAX_M + 1))
         s = random_scenario(rng, m_total)
@@ -496,6 +496,15 @@ def per_instance_partial_power():
         active[m] = False
         if not active.any():
             active[(m + 1) % m_total] = True
+        yield s, phases, m, active
+
+
+def per_instance_partial_power():
+    """The partial-power consistency check one instance at a time: the
+    scalar ``partial_power`` of the joining transmitter and one
+    ``harvested_power`` call over the joined active set, per instance."""
+    partial, joined_power = [], []
+    for s, phases, m, active in partial_power_instances():
         pa = PhaseAssignment(phases.copy(), active.copy())
         ss = sum_signal(s, pa)
         partial.append(partial_power(s, ss, m, phases[m]))
@@ -503,6 +512,53 @@ def per_instance_partial_power():
         joined[m] = True
         joined_power.append(harvested_power(s, PhaseAssignment(phases.copy(), joined)))
     return np.array(partial), np.array(joined_power)
+
+
+def induction_instances():
+    """The stage-recursion check's draws one instance at a time: (scenario,
+    stage errors) per instance, in draw order."""
+    rng = rng_stream(selfcheck.INDUCTION_SEED, 95)
+    for _ in range(selfcheck.INDUCTION_INSTANCES):
+        m = int(rng.integers(2, 11))
+        s = random_scenario(rng, m)
+        errors = rng.uniform(-math.pi / 2, math.pi / 2, m)
+        errors[0] = 0.0
+        yield s, errors
+
+
+def two_cumsum_sum_signal(s: Scenario, pa: PhaseAssignment) -> SumSignal:
+    """``sum_signal`` with one 1-D ``np.cumsum`` of the cosine terms and one
+    of the sine terms."""
+    amp = np.sqrt(s.gains[pa.active])
+    if amp.size == 0:
+        return SumSignal(0.0, 0.0)
+    delta = s.phase_shifts[pa.active] - pa.phases[pa.active]
+    return _phasor_signal(np.cumsum(amp * np.cos(delta))[-1],
+                          np.cumsum(amp * np.sin(delta))[-1])
+
+
+def numpy_scalar_accumulated_power(gains, errors) -> float:
+    """``accumulated_power``'s recursion over numpy scalars."""
+    gains = np.asarray(gains, dtype=float)
+    errors = np.asarray(errors, dtype=float)
+    q = gains[0]
+    for g, e in zip(gains[1:], errors[1:]):
+        q = g + q + 2.0 * math.cos(e) * math.sqrt(g * q)
+    return float(q)
+
+
+def np_sum_error_bound_power(gains, errors) -> float:
+    """``error_bound_power`` through ``np.sum``."""
+    gains = np.asarray(gains, dtype=float)
+    errors = np.asarray(errors, dtype=float)
+    aligned = float(np.sum(np.sqrt(gains) * np.cos(errors)))
+    return float(np.sum(gains * np.sin(errors) ** 2)) + aligned * aligned
+
+
+def float_bits(*values) -> bytes:
+    """The float64 bit patterns of ``values``: equal exactly when the values
+    are, sign of zero and NaN payload included."""
+    return np.array(values, dtype=float).tobytes()
 
 
 def grid_argmax(fn, points: int = 360) -> float:

@@ -1,9 +1,20 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from distbeam import circular_distance, wrap_angle
+from distbeam import (
+    PhaseAssignment,
+    ScenarioDistribution,
+    circular_distance,
+    generate_scenario,
+    optimal_power,
+    run_protocol,
+    wrap_angle,
+)
+from distbeam.power import MODE_ADDITIVE_NOISE, MeasurementModel
+from distbeam.streams import _uniforms, rng_stream, trial_stack
 
 from conftest import where_wrap
 
@@ -94,3 +105,52 @@ def test_circular_distance_properties(rng):
         [circular_distance(x + 2 * math.pi, y) for x, y in zip(a, b)]
     )
     assert np.allclose(d, d_shift, atol=1e-12)
+
+
+def test_wrap_is_the_identity_on_every_uniform_draw(rng):
+    """A ``uniform(-pi, pi)`` draw is -pi + 2pi * (k * 2**-53) for an integer
+    0 <= k < 2**53 (``streams._uniforms``, pinned to numpy's arithmetic),
+    and the wrap returns it bit for bit (the proof is in
+    ``generate_scenario``'s docstring). Checked on windows of 10**5 k
+    around the proof's case edges and ends, 0, 2**51 (y = pi/2), 2**52
+    (y = pi), 3 * 2**51 and 2**53 - 1, on 10**6 random k, and on numpy's
+    own draws."""
+    top = 2 ** 53
+    windows = [np.arange(max(c - 50_000, 0), min(c + 50_000, top), dtype=np.uint64)
+               for c in (0, 2 ** 51, 2 ** 52, 3 * 2 ** 51, top - 1)]
+    k = np.concatenate([*windows, rng.integers(0, top, 10 ** 6, dtype=np.uint64)])
+    x = _uniforms(k << np.uint64(11), -math.pi, math.pi)
+    assert x.tobytes() == wrap_angle(x).tobytes()
+    assert x.min() == -math.pi and x.max() < math.pi
+    draws = np.random.default_rng(7).uniform(-math.pi, math.pi, 10 ** 5)
+    assert draws.tobytes() == wrap_angle(draws).tobytes()
+    for v in np.concatenate([x[::997], draws[:1000]]).tolist():
+        assert wrap_angle(v) == v and math.copysign(1.0, wrap_angle(v)) == math.copysign(1.0, v)
+
+
+def test_draws_and_wrapped_phases_take_no_array_wrap(monkeypatch):
+    """Fresh draws (``generate_scenario``, ``trial_stack``) and phases that
+    are wraps' outputs already (``optimal_power``'s phase shifts,
+    ``run_protocol``'s arc centres) make no array ``wrap_angle`` call,
+    while the public ``PhaseAssignment`` still wraps a caller's phases."""
+    calls = []
+
+    def counted(x):
+        if isinstance(x, np.ndarray):
+            calls.append(x.shape)
+        return wrap_angle(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("distbeam") and getattr(module, "wrap_angle", None) is wrap_angle:
+            monkeypatch.setattr(module, "wrap_angle", counted)
+    for m in (2, 5, 40):
+        dist = ScenarioDistribution(num_transmitters=m)
+        s, _ = generate_scenario(dist, rng_stream(3, m))
+        trial_stack(dist, 3, m, trials=50)
+        optimal_power(s)
+        for n in (1, 4, 9):
+            run_protocol(s, n)
+            run_protocol(s, n, MeasurementModel(MODE_ADDITIVE_NOISE, 1e-9, rng_stream(4, m)))
+    assert calls == []
+    pa = PhaseAssignment([3 * math.pi, 0.5])
+    assert calls == [(2,)] and pa.phases.tolist() == [-math.pi, 0.5]

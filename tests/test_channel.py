@@ -24,6 +24,8 @@ from distbeam.protocol import exact_runs
 from conftest import channel_by_channel_scenario, stack_scenarios
 
 GOLDEN = Path(__file__).parent / "data" / "scenario_seed7.txt"
+#: GOLDEN as written before the carrier frequency left the format
+FOUR_KEY_GOLDEN = Path(__file__).parent / "data" / "scenario_seed7_four_keys.txt"
 
 
 def test_channel_and_scenario_validation():
@@ -177,8 +179,11 @@ _HEADER = "scenario header needs the keys M, P and rho, got "
     # a four-key header of an older format: f_c is read as the first link
     ("M 2\nP 1\nrho 1\nf_c 915000000\n1 0.1\n",
      "line 4: expected '<gain> <phase_shift>', got 'f_c 915000000'"),
+    # the whole file of that format: its f_c line is named before the count
+    (FOUR_KEY_GOLDEN.read_text(), "line 4: expected '<gain> <phase_shift>', got 'f_c 915000000'"),
 ], ids=["unknown-key", "repeated-key", "empty", "three-fields", "one-field", "gain-word",
-        "header-fields", "fractional-count", "negative-count", "zero-count", "carrier-line"])
+        "header-fields", "fractional-count", "negative-count", "zero-count", "carrier-line",
+        "four-key-file"])
 def test_scenario_text_rejects_a_malformed_file(bad, message):
     """Each malformed file is a ValueError that names what is wrong and, for
     a malformed line, its 1-based number and the form it must have."""

@@ -26,12 +26,15 @@ from distbeam.power import (
 
 from conftest import (
     equal_gain_scenario,
+    float_bits,
     full_matrix_pair_sum,
     grid_argmax,
+    partial_power_instances,
     phasor_power,
     random_scenario,
     stack_scenarios,
     time_domain_power,
+    two_cumsum_sum_signal,
 )
 
 
@@ -188,6 +191,25 @@ def test_sum_signal_empty():
     pa = PhaseAssignment(np.zeros(2), np.zeros(2, dtype=bool))
     ss = sum_signal(s, pa)
     assert ss.gain == 0.0 and ss.phase_shift == 0.0
+
+
+def test_sum_signal_equals_two_cumsums_bit_for_bit():
+    """One (2, k) cumsum of the cosine and sine terms gives the two 1-D
+    cumsums' gain and phase shift bit for bit, sign of zero included: on
+    every instance of verify's partial-power check, and on zero gains whose
+    terms are -0.0 (cosine or sine below 0) beside +0.0 ones."""
+    cases = [(s, PhaseAssignment(phases, active)) for s, phases, _, active
+             in partial_power_instances()]
+    for gains in ([0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 2.0], [1e-6, 0.0, 0.0, 0.0]):
+        m = len(gains)
+        s = Scenario(1.0, 1.0, gains, [0.0] * m)
+        for phases in ([0.0] * m, [3.0] * m, [-3.0, 0.0, 2.0, -1.0][:m]):
+            for active in ([True] * m, [True] * (m - 1) + [False], [False] + [True] * (m - 1)):
+                cases.append((s, PhaseAssignment(phases, active)))
+    for k, (s, pa) in enumerate(cases):
+        got, want = sum_signal(s, pa), two_cumsum_sum_signal(s, pa)
+        assert float_bits(got.gain, got.phase_shift) == float_bits(want.gain, want.phase_shift), k
+        assert type(got.gain) is float and type(got.phase_shift) is float
 
 
 def test_sum_signal_matches_complex_oracle(rng):

@@ -40,6 +40,10 @@ from distbeam.protocol import exact_runs
 from conftest import (
     TRACE_COLUMNS,
     equal_gain_scenario,
+    float_bits,
+    induction_instances,
+    np_sum_error_bound_power,
+    numpy_scalar_accumulated_power,
     pairwise_error_bound,
     per_budget_phases,
     per_reading_adapt_phase,
@@ -832,6 +836,22 @@ def test_accumulated_power_perfect_alignment(rng):
     ok, slack = check_induction_inequality(s, zero)
     assert ok
     assert slack == pytest.approx(0.0, abs=1e-12 * acc)
+
+
+def test_recursion_and_bound_equal_their_numpy_scalar_forms():
+    """``accumulated_power`` over Python floats equals its numpy-scalar loop,
+    and ``error_bound_power`` through ``np.add.reduce`` its ``np.sum``
+    form, bit for bit, sign of zero included: on every instance of verify's
+    stage-recursion check, and on zero gains and errors past pi/2."""
+    cases = [(s.gains, errors) for s, errors in induction_instances()]
+    cases += [([-0.0], [0.0]), ([0.0, 0.0], [0.0, math.pi]), ([0.0, 1.0, 0.0], [0.0, 3.0, -3.0]),
+              ([2.0, 0.0], [0.0, -0.0]), ([1.0, 4.0, 9.0], [0.0, math.pi, -math.pi])]
+    for k, (gains, errors) in enumerate(cases):
+        acc = accumulated_power(gains, errors)
+        assert type(acc) is float
+        assert float_bits(acc) == float_bits(numpy_scalar_accumulated_power(gains, errors)), k
+        assert float_bits(error_bound_power(gains, errors)) == \
+            float_bits(np_sum_error_bound_power(gains, errors)), k
 
 
 def test_induction_two_transmitters_equality(rng):

@@ -29,6 +29,15 @@ def test_checks_take_no_arguments():
         ["trace", "grid_size"]
 
 
+def test_passes_in_one_process_give_equal_results():
+    """A second ``run_all`` in the same process, as a benchmark that repeats
+    ``verify`` makes, returns the first pass's results: no check leans on
+    state a pass leaves behind."""
+    first = selfcheck.run_all()
+    assert all(r.ok for r in first)
+    assert selfcheck.run_all() == first
+
+
 @pytest.mark.parametrize("window", [7, selfcheck.WINDOW])
 def test_stacked_phasor_check_equals_per_instance_calls(monkeypatch, window):
     """Every stacked ``harvested_powers`` value of the phasor check equals the
