@@ -18,7 +18,6 @@ shares its rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -173,27 +172,24 @@ def _depth_centres() -> np.ndarray:
 _DEPTH_CENTRES = _depth_centres()
 
 
-@dataclass
-class TrainingTrace:
+class TrainingTrace(NamedTuple):
     """Full record of one adaptation run: per feedback interval (n at entry
-    n - 1) the probe pair, the two readings, the bit and the arc after it."""
+    n - 1) the probe pair, the two readings, the bit and the arc after it,
+    one tuple per column, built once per stage."""
 
-    psi: list[float]
-    psi_prime: list[float]
-    q_psi: list[float]
-    q_psi_prime: list[float]
-    bit: list[bool]
-    arc_center: list[float]
-    arc_half_width: list[float]
+    psi: tuple[float, ...]
+    psi_prime: tuple[float, ...]
+    q_psi: tuple[float, ...]
+    q_psi_prime: tuple[float, ...]
+    bit: tuple[bool, ...]
+    arc_center: tuple[float, ...]
+    arc_half_width: tuple[float, ...]
     target_phase: float = 0.0   # optimum at adaptation time; 0 when undefined
     sum_gain: float = 0.0       # combined power of the other active transmitters
 
     def to_csv(self) -> str:
-        return csv_text("n,psi,psi_prime,q_psi,q_psi_prime,bit,arc_center,arc_half_width",
-                        range(1, len(self.bit) + 1), np.array(self.psi),
-                        np.array(self.psi_prime), np.array(self.q_psi),
-                        np.array(self.q_psi_prime), self.bit, np.array(self.arc_center),
-                        np.array(self.arc_half_width))
+        return csv_text(",".join(("n", *self._fields[:7])), range(1, len(self.bit) + 1),
+                        *map(np.array, self[:7]))
 
     def interval_powers(self) -> np.ndarray:
         """Mean received power of each interval (both probes weighted equally)."""
@@ -291,32 +287,29 @@ def _train_stage(
         arc = bisect_arc(arc, bit)
         center, half = arc
         rows.append((psi, psi_prime, q_psi, q_psi_prime, bit, center, half))
-    trace = TrainingTrace(*map(list, zip(*rows)), aligned_phase(s, ss, m), ss.gain)
+    columns = tuple(zip(*rows))
     if n_intervals > looped:
-        _repeat_last(trace, n_intervals - looped, p, p_prime,
-                     None if noise is None else noise[2 * r * looped:].reshape(-1, 2, r))
-    return center, trace
+        columns = _repeat_last(columns, n_intervals - looped, p, p_prime,
+                               None if noise is None else noise[2 * r * looped:].reshape(-1, 2, r))
+    return center, TrainingTrace(*columns, aligned_phase(s, ss, m), ss.gain)
 
 
-def _repeat_last(trace: TrainingTrace, rest: int, p: float, p_prime: float,
-                 noise: np.ndarray | None) -> None:
-    """Extend a stage's trace by ``rest`` intervals that probe its last
-    interval's converged arc again, at probe powers ``p`` and ``p_prime``.
-    Exact readings repeat too. Noisy ones are each power plus each of
-    ``noise``'s (rest, 2, repeats) values, clamped at 0, summed over the
-    repeats left to right and averaged, as the loop of :func:`_train_stage`
-    reads them; their bits come from one :func:`feedback_bit` call."""
-    repeated = [trace.psi, trace.psi_prime, trace.arc_center, trace.arc_half_width]
-    if noise is None:
-        repeated += [trace.q_psi, trace.q_psi_prime, trace.bit]
-    n_intervals = len(trace.bit) + rest
+def _repeat_last(columns: tuple, rest: int, p: float, p_prime: float,
+                 noise: np.ndarray | None) -> tuple:
+    """A stage's seven trace columns extended by ``rest`` intervals that
+    probe its last interval's converged arc again, at probe powers ``p``
+    and ``p_prime``. Exact readings repeat too. Noisy ones are each power
+    plus each of ``noise``'s (rest, 2, repeats) values, clamped at 0,
+    summed over the repeats left to right and averaged, as the loop of
+    :func:`_train_stage` reads them; their bits come from one
+    :func:`feedback_bit` call."""
+    psi, psi_prime, q_psi, q_psi_prime, bit, center, half = columns
     try:
-        for column in repeated:
-            column += [column[-1]] * rest
-    except (OverflowError, MemoryError):   # OverflowError: more entries than a list holds
-        raise MemoryError(f"a trace of {n_intervals} intervals") from None
-    if noise is None:
-        return
+        if noise is None:
+            return tuple(c + c[-1:] * rest for c in columns)
+        psi, psi_prime, center, half = (c + c[-1:] * rest for c in (psi, psi_prime, center, half))
+    except (OverflowError, MemoryError):   # OverflowError: more entries than a tuple holds
+        raise MemoryError(f"a trace of {len(bit) + rest} intervals") from None
     reads = noise + np.array([[p], [p_prime]])
     reads = np.where(reads > 0.0, reads, 0.0)
     r = noise.shape[2]
@@ -325,9 +318,8 @@ def _repeat_last(trace: TrainingTrace, rest: int, p: float, p_prime: float,
         q = q + reads[..., j]
     if r > 1:
         q = q / r
-    trace.q_psi += q[:, 0].tolist()
-    trace.q_psi_prime += q[:, 1].tolist()
-    trace.bit += feedback_bit(q[:, 0], q[:, 1]).tolist()
+    return (psi, psi_prime, q_psi + tuple(q[:, 0].tolist()), q_psi_prime + tuple(q[:, 1].tolist()),
+            bit + tuple(feedback_bit(q[:, 0], q[:, 1]).tolist()), center, half)
 
 
 def _interval_loop(target, base, swing, scale, n_intervals: int):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,7 @@ class PerturbationConfig:
             raise ValueError("max_intervals must be >= 1")
 
 
-@dataclass
-class BaselineTrace:
+class BaselineTrace(NamedTuple):
     """Per-interval history of one baseline run."""
 
     candidate_phases: np.ndarray   # (intervals, M)

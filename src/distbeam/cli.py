@@ -143,9 +143,6 @@ def _measurement(args) -> MeasurementModel:
     return MeasurementModel(MODE_ADDITIVE_NOISE, args.noise_std, rng_stream(args.seed, 2))
 
 
-_TRACE_KEYS = ("psi", "psi_prime", "q_psi", "q_psi_prime", "bit", "arc_center", "arc_half_width")
-
-
 def _cmd_adapt(args) -> int:
     from .adapt import adapt_phase
 
@@ -162,12 +159,11 @@ def _cmd_adapt(args) -> int:
     pa = PhaseAssignment(np.zeros(m_total), active)
     phi, trace = adapt_phase(scen, pa, adapter, args.N, _measurement(args))
     if args.format == "json":
-        columns = [getattr(trace, key) for key in _TRACE_KEYS]
         payload = {
             "final_phase": phi,
             "target_phase": trace.target_phase,
-            "records": [dict(zip(_TRACE_KEYS, row), interval=n)
-                        for n, row in enumerate(zip(*columns), start=1)],
+            "records": [dict(zip(trace._fields, row), interval=n)
+                        for n, row in enumerate(zip(*trace[:7]), start=1)],
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

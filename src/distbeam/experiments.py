@@ -41,7 +41,7 @@ from .power import (
     optimal_power,
     optimal_powers,
 )
-from .protocol import efficiency_lower_bounds, exact_phases, exact_runs, run_protocol
+from .protocol import _check_run, efficiency_lower_bounds, exact_phases, exact_runs, run_protocol
 from .streams import rng_stream, trial_stack
 from .table import csv_text
 
@@ -442,9 +442,12 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     Each policy runs the gain-sorted stack of all trials at once through
     :func:`exact_phases`, or through :func:`exact_runs` when its interval
     powers are the training credit. Training takes N (M - 1) intervals.
+    A system of fewer than two transmitters is rejected before any draw,
+    as every protocol run is (:func:`~distbeam.protocol._check_run`).
     """
     domain = _DOMAIN[cfg.experiment]
     (m,) = cfg.m_list
+    _check_run(m, cfg.n_adapt)
     dist = cfg.distribution(m)
     stack = trial_stack(dist, cfg.seed, domain, trials=cfg.trials)
     order = np.argsort(-stack.gains, axis=1)

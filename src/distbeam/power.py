@@ -56,8 +56,7 @@ class PhaseAssignment:
         return pa
 
 
-@dataclass(frozen=True)
-class SumSignal:
+class SumSignal(NamedTuple):
     """The combined signal of a set of active transmitters, reduced to an
     equivalent single channel.
 
@@ -212,8 +211,16 @@ def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def optimal_power(s: Scenario) -> float:
     """Maximum harvested power, attained when every transmit phase equals
-    its channel phase shift."""
-    return harvested_power(s, PhaseAssignment._all_active(s.phase_shifts))
+    its channel phase shift: scale * (sum of sqrt(g))**2."""
+    return s.power_scale * float(_aligned_sums(s.gains))
+
+
+def _aligned_sums(gains: np.ndarray) -> np.ndarray:
+    """Sum of sqrt(g_i g_j) over ordered pairs, i == j included, over the
+    last axis of ``gains``: :func:`_pair_sum` at zero offsets bit for bit,
+    since every cosine there is exactly 1 and the same M x M block is summed."""
+    amp = np.sqrt(gains)
+    return (amp[..., :, None] * amp[..., None, :]).sum(axis=(-2, -1))
 
 
 class TrialStack(NamedTuple):
@@ -236,7 +243,7 @@ def optimal_powers(stack: TrialStack) -> np.ndarray:
     """:func:`optimal_power` of every trial, bit for bit, checked by
     :func:`checked_optima`."""
     with np.errstate(over="ignore"):
-        q_star = harvested_powers(stack, stack.phase_shifts)
+        q_star = stack.scale * _aligned_sums(stack.gains)
     return checked_optima(q_star, stack.scale)
 
 

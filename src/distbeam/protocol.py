@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .power import (
     MeasurementModel,
     PhaseAssignment,
     TrialStack,
+    _aligned_sums,
     _phasor_signal,
     checked_optima,
     harvested_power,
@@ -43,15 +44,14 @@ class InfeasibleEfficiencyTarget(ValueError):
     """The required-interval formula has no real solution for this target."""
 
 
-@dataclass
-class ProtocolResult:
+class ProtocolResult(NamedTuple):
     """Outcome of one full sequential run."""
 
     final_phases: np.ndarray
     q_d: float
     q_star: float
     eta: float
-    traces: list[TrainingTrace]      # stage m's optimum is traces[m-1].target_phase
+    traces: tuple[TrainingTrace, ...]   # stage m's optimum is traces[m-1].target_phase
     errors: np.ndarray               # final phase minus stage optimum, wrapped
     total_feedback_intervals: int
 
@@ -103,7 +103,7 @@ def run_protocol(
         q_d=q_d,
         q_star=q_star,
         eta=q_d / q_star,
-        traces=traces,
+        traces=tuple(traces),
         errors=errors,
         total_feedback_intervals=n_intervals * (m_total - 1),
     )
@@ -206,10 +206,8 @@ def _gain_sums(gains: np.ndarray):
     """Sum of the gains and the cross term, sqrt(g_i g_j) over ordered
     pairs i != j, over the last axis of ``gains``. A scenario's gains keep
     both finite: their (sum of sqrt(g))**2 = total + cross is at most 2**511."""
-    amp = np.sqrt(gains)
     total = np.sum(gains, axis=-1)
-    cross = np.sum(amp[..., :, None] * amp[..., None, :], axis=(-2, -1)) - total
-    return total, cross
+    return total, _aligned_sums(gains) - total
 
 
 def _bound(total, cross, n_intervals: int):

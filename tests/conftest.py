@@ -250,7 +250,7 @@ def per_interval_perturbation(s: Scenario, cfg, meas, rng) -> BaselineTrace:
 TRACE_COLUMNS = ("psi", "psi_prime", "q_psi", "q_psi_prime", "bit", "arc_center", "arc_half_width")
 
 
-def trace_columns(trace: TrainingTrace) -> list[list]:
+def trace_columns(trace: TrainingTrace) -> list[tuple]:
     """A trace's per-interval columns, in field order."""
     return [getattr(trace, name) for name in TRACE_COLUMNS]
 
@@ -295,7 +295,7 @@ def per_reading_adapt_phase(s: Scenario, pa: PhaseAssignment, m: int, n_interval
         bit = feedback_bit(q_psi, q_psi_prime)
         arc = plain_bisect_arc(arc, bit)
         rows.append((psi, psi_prime, q_psi, q_psi_prime, bit, arc.center, arc.half_width))
-    trace = TrainingTrace(*map(list, zip(*rows)), target_phase=target if ss.gain > 0.0 else 0.0,
+    trace = TrainingTrace(*zip(*rows), target_phase=target if ss.gain > 0.0 else 0.0,
                           sum_gain=ss.gain)
     return arc.center, trace
 

@@ -29,12 +29,13 @@ from distbeam import (
     wrap_angle,
 )
 from distbeam import adapt
-from distbeam.adapt import CONVERGENCE_FLOOR
+from distbeam.adapt import CONVERGENCE_FLOOR, TrainingTrace
+from distbeam.baseline import PerturbationConfig, run_random_perturbation
+from distbeam.cli import cli_main
 from distbeam.power import MODE_ADDITIVE_NOISE
 from distbeam.selfcheck import grid_oracle_violations
 
 from conftest import (
-    TRACE_COLUMNS,
     per_stage_protocol,
     plain_bisect_arc,
     plain_probe_pair,
@@ -504,10 +505,10 @@ def test_probe_repeats_validation(rng):
         adapt_phase(s, pa, 1, 3, probe_repeats=0)
 
 
-def test_trace_records_and_csv(rng):
+def test_trace_records_and_csv(rng, capsys):
     s, pa = two_transmitter_setup(rng)
     phi, trace = adapt_phase(s, pa, 1, 5)
-    assert all(len(getattr(trace, name)) == 5 for name in TRACE_COLUMNS)
+    assert all(type(c) is tuple and len(c) == 5 for c in trace_columns(trace))
     assert trace.arc_center[-1] == phi
     assert (trace.psi[0], trace.psi_prime[0]) == (0.0, -math.pi)
     csv = trace.to_csv()
@@ -519,3 +520,15 @@ def test_trace_records_and_csv(rng):
     powers = trace.interval_powers()
     assert len(powers) == 5
     assert powers[0] == pytest.approx(0.5 * (trace.q_psi[0] + trace.q_psi_prime[0]))
+    # every run record is built once; no field can be assigned afterwards
+    records = ((trace, "psi"), (sum_signal(s, pa), "gain"), (run_protocol(s, 3), "eta"),
+               (run_random_perturbation(s, PerturbationConfig(max_intervals=5), rng=rng),
+                "best_power"))
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    # adapt's JSON records name the columns as the trace does, plus the interval
+    assert cli_main(["adapt", "--N", "5", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["records"]
+    assert len(rows) == 5
+    assert all(set(row) == {*TrainingTrace._fields[:7], "interval"} for row in rows)

@@ -435,6 +435,8 @@ def test_usage_errors(capsys, tmp_path):
          "n_intervals must be >= 1; got n_list -2"),
         (("overhead-tradeoff", "--m-list", "1", "--n-adapt", "0"),
          "n_intervals must be >= 1; got n_adapt 0"),
+        # ran no policy and wrote only the two reference curves
+        (("overhead-tradeoff", "--m-list", "1"), "protocol needs at least two transmitters"),
         (("overhead-tradeoff", "--m-list", "5,10", "--budgets", "10"), "m_list 5,10"),
         (("overhead-tradeoff", "--budgets", "0,5"), "budgets must be >= 1"),
         (("overhead-tradeoff", "--budgets=-5"), "budgets must be >= 1"),
@@ -475,7 +477,7 @@ def test_a_run_too_large_for_memory_is_a_usage_error(capsys, tmp_path, argv):
 def test_a_trace_too_long_for_memory_is_a_usage_error(capsys, tmp_path, argv, n):
     """The scalar stage keeps one entry per interval. N = 10**17 needs
     more memory than any address space holds and 10**30 more entries than a
-    list holds; both ran interval by interval without end. Each is one
+    tuple holds; both ran interval by interval without end. Each is one
     error line naming the trace, and ``protocol --out`` writes nothing."""
     out_dir = ("--out", str(tmp_path / "o")) if argv[0] == "protocol" else ()
     code, out, err = run_cli(capsys, *argv, "--N", n, *out_dir)

@@ -127,10 +127,25 @@ def test_optimal_power_values():
 
 
 def test_optimal_equals_aligned_harvest(rng):
-    for _ in range(100):
-        s = random_scenario(rng, int(rng.integers(1, 12)))
-        pa = PhaseAssignment(s.phase_shifts.copy())
-        assert optimal_power(s) == harvested_power(s, pa)
+    """Q* from the gains alone equals the pairwise kernel at phases equal to
+    the phase shifts bit for bit, alone and stacked, at M up to 64 and with
+    a zero gain at the first, middle or last link."""
+    by_size = {}
+    for m in [*rng.integers(1, 12, size=100).tolist(), 16, 33, 50, 64]:
+        s = random_scenario(rng, m)
+        by_size.setdefault(m, []).append(s)
+        for i in sorted({0, m // 2, m - 1}) if m > 1 else ():
+            gains = s.gains.copy()
+            gains[i] = 0.0
+            by_size[m].append(Scenario(s.transmit_power, s.conversion_eff, gains,
+                                       s.phase_shifts))
+    for scens in by_size.values():
+        for s in scens:
+            pa = PhaseAssignment(s.phase_shifts.copy())
+            assert float_bits(optimal_power(s)) == float_bits(harvested_power(s, pa))
+        stack = stack_scenarios(scens)
+        assert (optimal_powers(stack).tobytes()
+                == harvested_powers(stack, stack.phase_shifts).tobytes())
 
 
 def test_harvest_bounded_by_optimal(rng):

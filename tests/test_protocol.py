@@ -25,7 +25,7 @@ from distbeam import (
     wrap_angle,
 )
 from distbeam import adapt, protocol, streams
-from distbeam.adapt import _TREE_DEPTH, adapt_phase, bisect_arc, initial_arc, probe_pair
+from distbeam.adapt import _TREE_DEPTH, TrainingTrace, adapt_phase, bisect_arc, initial_arc, probe_pair
 from distbeam.experiments import ExperimentConfig, run_experiment
 from distbeam.power import (
     MODE_ADDITIVE_NOISE,
@@ -501,8 +501,9 @@ def _same(a, b) -> bool:
 
 
 def _assert_same_trace(got, want, where):
+    assert type(got) is type(want) is TrainingTrace, where
     for name, g, w in zip(TRACE_COLUMNS, trace_columns(got), trace_columns(want)):
-        assert type(g) is type(w) is list and len(g) == len(want.bit), (where, name)
+        assert type(g) is type(w) is tuple and len(g) == len(want.bit), (where, name)
         for n, (a, b) in enumerate(zip(g, w), start=1):
             assert _same(a, b), (where, n, name)
     for name in ("target_phase", "sum_gain"):
