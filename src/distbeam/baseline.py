@@ -17,7 +17,7 @@ import numpy as np
 
 from .angles import wrap_angle
 from .channel import Scenario
-from .power import EXACT, MeasurementModel, _phasor_power, measure
+from .power import EXACT, MeasurementModel, _phasor_power
 from .table import csv_text
 
 DIST_UNIFORM = "uniform-symmetric"
@@ -83,22 +83,20 @@ def run_random_perturbation(
 
     Every reading, the first one included, is the O(M) phasor power
     (``power._phasor_power``). All steps are drawn up front from the
-    caller's ``rng``, and all noise values from ``meas.rng``, which gives
-    the same draws as one draw per interval. Runs of candidates are then
-    read as one array operation against the current record, and the rows
-    after the first acceptance in a block are formed and read again against
-    the new record. The trace is bit-identical to the interval-by-interval
-    rule. A noisy ``meas`` must not share ``rng``: the per-interval rule
-    would interleave step and noise draws on it. A gaussian scale so large
-    that a step overflows to +-inf raises ``ValueError`` before any
-    candidate is formed.
+    caller's ``rng``, and all noise values, the first reading's first, in
+    one draw from ``meas.rng``, which gives the same draws as one draw per
+    reading. Runs of candidates are then read as one array operation
+    against the current record, and the rows after the first acceptance in
+    a block are formed and read again against the new record. The trace is
+    bit-identical to the interval-by-interval rule. A noisy ``meas`` must
+    not share ``rng``: the per-interval rule would interleave step and
+    noise draws on it. A gaussian scale so large that a step overflows to
+    +-inf raises ``ValueError`` before any candidate is formed.
     """
     if meas.noisy and meas.rng is rng:
         raise ValueError("noisy measurement needs a generator of its own, not rng")
     m = s.num_transmitters
     amp = np.sqrt(s.gains)
-    best = np.zeros(m)
-    best_power = measure(meas, float(_phasor_power(amp, best, s.phase_shifts, s.power_scale)))
     t = cfg.max_intervals
     # steps are drawn into the candidate history; each row is overwritten
     # with its candidate once committed
@@ -108,8 +106,13 @@ def run_random_perturbation(
         cand_hist = rng.normal(0.0, cfg.scale, size=(t, m))
     if not np.isfinite(cand_hist).all():
         raise ValueError(f"perturbation scale {cfg.scale} draws non-finite phase steps")
-    # likewise the noise values become the measured powers
-    meas_hist = meas.rng.normal(0.0, meas.noise_std, size=t) if meas.noisy else np.empty(t)
+    # the first reading's noise value, then the candidates', which likewise
+    # become the measured powers
+    noise = meas.rng.normal(0.0, meas.noise_std, size=t + 1) if meas.noisy else None
+    best = np.zeros(m)
+    best_power = float(_phasor_power(amp, best, s.phase_shifts, s.power_scale,
+                                     None if noise is None else noise[0]))
+    meas_hist = np.empty(t) if noise is None else noise[1:]
     best_hist = np.empty(t)
     acc_hist = np.zeros(t, dtype=bool)
     block_max = max(1, _BLOCK_DOUBLES // m)
@@ -120,7 +123,7 @@ def run_random_perturbation(
         stop = min(n + block, t)
         cand = wrap_angle(best + cand_hist[n:stop])
         p = _phasor_power(amp, cand, s.phase_shifts, s.power_scale,
-                          meas_hist[n:stop] if meas.noisy else None)
+                          None if noise is None else meas_hist[n:stop])
         up = np.flatnonzero(p > best_power)
         end = stop if up.size == 0 else n + int(up[0]) + 1
         cand_hist[n:end] = cand[:end - n]

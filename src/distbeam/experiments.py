@@ -33,10 +33,8 @@ from ._version import __version__
 from .baseline import DEFAULT_SCALE, PerturbationConfig, run_random_perturbation
 from .channel import Scenario, ScenarioDistribution, generate_scenario
 from .power import (
-    PhaseAssignment,
     TrialStack,
     checked_optima,
-    harvested_power,
     harvested_powers,
     optimal_power,
     optimal_powers,
@@ -374,7 +372,8 @@ def run_power_vs_m(cfg: ExperimentConfig) -> ExperimentResult:
     columns = {}
     for m, scen, q_star in sorted(zip(cfg.m_list, scens, _optima(scens, cfg.m_list)),
                                   key=lambda t: t[0]):
-        zero = harvested_power(scen, PhaseAssignment(np.zeros(m)))
+        zero = harvested_powers(TrialStack(scen.gains, scen.phase_shifts, scen.power_scale),
+                                np.zeros(m))
         points = [("optimal", q_star), ("no_adaptation", zero)]
         points += [(f"adapted_N{n}", q_star if m < 2 else run_protocol(scen, n).q_d)
                    for n in cfg.n_list]

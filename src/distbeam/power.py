@@ -1,10 +1,10 @@
 """Harvested-power computation for arbitrary phase assignments.
 
 All powers come from the closed-form period average of the summed carrier.
-``harvested_power`` and ``harvested_powers`` sum per-link gains plus
-pairwise interference terms (``_pair_sum``); the perturbation baseline reads
-each candidate as the squared magnitude of the phasor sum in O(M)
-(``_phasor_power``), which agrees with the pairwise sum to rounding.
+``harvested_powers``, and ``harvested_power`` through it, sum per-link
+gains plus pairwise interference terms (``_pair_sum``); the perturbation
+baseline reads each candidate as the squared magnitude of the phasor sum in
+O(M) (``_phasor_power``), which agrees with the pairwise sum to rounding.
 Time-domain integration is deliberately absent here; the test suite carries
 an independent integrator used only as an oracle.
 """
@@ -24,36 +24,33 @@ from .angles import wrap_angle
 from .channel import Scenario
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseAssignment:
     """Transmit phases plus an activity mask (idle transmitters send nothing).
 
-    Both arrays are the assignment's own: the phases are wrapped into a new
-    array and the mask is copied, so a caller's later writes do not show.
+    An immutable value. The phases must be finite; they are wrapped into a
+    new array and the mask is copied, and both are read-only, so neither a
+    caller's later writes nor the assignment's own can change what was
+    checked.
     """
 
     phases: np.ndarray
     active: np.ndarray | None = None
 
     def __post_init__(self):
-        self.phases = wrap_angle(np.asarray(self.phases, dtype=float))
-        if self.active is None:
-            self.active = np.ones(self.phases.shape, dtype=bool)
-        else:
-            self.active = np.array(self.active, dtype=bool)
-        if self.active.shape != self.phases.shape:
+        phases = np.asarray(self.phases, dtype=float)
+        if not all(map(math.isfinite, phases.ravel().tolist())):
+            bad = phases[~np.isfinite(phases)][0]
+            raise ValueError(f"transmit phase must be finite, got {bad}")
+        phases = wrap_angle(phases)
+        active = (np.ones(phases.shape, dtype=bool) if self.active is None
+                  else np.array(self.active, dtype=bool))
+        if active.shape != phases.shape:
             raise ValueError("phases and active mask must have equal length")
-
-    @classmethod
-    def _all_active(cls, phases: np.ndarray) -> PhaseAssignment:
-        """Every transmitter active at ``phases``, float64 values a wrap
-        leaves as they are (a scenario's phase shifts, arc centres, 0),
-        held as given: no copy and no second wrap, as ``Scenario._store``
-        holds its arrays."""
-        pa = cls.__new__(cls)
-        pa.phases = phases
-        pa.active = np.ones(phases.shape, dtype=bool)
-        return pa
+        phases.setflags(write=False)
+        active.setflags(write=False)
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "active", active)
 
 
 class SumSignal(NamedTuple):
@@ -76,11 +73,12 @@ MODE_EXACT = "exact"
 MODE_ADDITIVE_NOISE = "additive-noise"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasurementModel:
     """Exact or additive-Gaussian-noise power measurement (noise clamps at 0).
 
-    Exact mode with ``noise_std > 0`` is an error, not a silent exact model.
+    An immutable value. Exact mode with ``noise_std > 0`` is an error, not
+    a silent exact model.
     """
 
     mode: str = MODE_EXACT
@@ -126,7 +124,8 @@ def harvested_power(s: Scenario, pa: PhaseAssignment) -> float:
 
     Sum of active gains plus, for every ordered pair of distinct active
     transmitters, sqrt(g_i g_j) cos((phi_i - th_i) - (phi_j - th_j)),
-    all scaled by conversion efficiency times per-transmitter power.
+    all scaled by conversion efficiency times per-transmitter power: the
+    :func:`harvested_powers` row of the active transmitters.
     """
     _check_assignment(s, pa)
     gains, shifts, phases = s.gains, s.phase_shifts, pa.phases
@@ -136,7 +135,7 @@ def harvested_power(s: Scenario, pa: PhaseAssignment) -> float:
     if n_active < gains.size:
         idx = np.flatnonzero(pa.active)
         gains, shifts, phases = gains[idx], shifts[idx], phases[idx]
-    return s.power_scale * float(_pair_sum(np.sqrt(gains), phases - shifts))
+    return float(harvested_powers(TrialStack(gains, shifts, s.power_scale), phases))
 
 
 def _pair_sum(amp: np.ndarray, offs: np.ndarray) -> np.ndarray:
@@ -226,7 +225,8 @@ def _aligned_sums(gains: np.ndarray) -> np.ndarray:
 class TrialStack(NamedTuple):
     """Scenarios with a common number of transmitters, stacked over the
     trial axis: (T, M) gains and phase shifts, and the (T,) power scale
-    ``Scenario.power_scale``."""
+    ``Scenario.power_scale``. One scenario's own (M,) arrays and scalar
+    power scale are a stack as well, read as a single row."""
 
     gains: np.ndarray
     phase_shifts: np.ndarray
@@ -234,8 +234,11 @@ class TrialStack(NamedTuple):
 
 
 def harvested_powers(stack: TrialStack, phases: np.ndarray) -> np.ndarray:
-    """:func:`harvested_power` of every trial with all transmitters active,
-    at its row of the (T, M) wrapped ``phases``, bit for bit."""
+    """Average harvested power of every trial with all transmitters active,
+    at its row of the (T, M) wrapped ``phases``.
+
+    The one caller of :func:`_pair_sum`, which serves one scenario's 1-D
+    row as it does a stack's."""
     return stack.scale * _pair_sum(np.sqrt(stack.gains), phases - stack.phase_shifts)
 
 

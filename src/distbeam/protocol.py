@@ -30,12 +30,11 @@ from .channel import Scenario
 from .power import (
     EXACT,
     MeasurementModel,
-    PhaseAssignment,
     TrialStack,
     _aligned_sums,
     _phasor_signal,
     checked_optima,
-    harvested_power,
+    harvested_powers,
     optimal_power,
 )
 
@@ -96,8 +95,7 @@ def run_protocol(
         phases[m] = phi_m
         traces.append(trace)
         errors[m] = wrap_angle(phi_m - trace.target_phase)
-    # arc centres and the reference's 0: wrapped already
-    q_d = harvested_power(s, PhaseAssignment._all_active(phases))
+    q_d = float(harvested_powers(TrialStack(s.gains, s.phase_shifts, s.power_scale), phases))
     return ProtocolResult(
         final_phases=phases,
         q_d=q_d,

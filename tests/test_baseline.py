@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from distbeam import (
     PhaseAssignment,
     Scenario,
     harvested_power,
+    measure,
     optimal_power,
     run_random_perturbation,
 )
@@ -45,21 +47,30 @@ def test_config_validation():
 @pytest.mark.parametrize("dist", [DIST_UNIFORM, DIST_GAUSSIAN])
 @pytest.mark.parametrize("m", [1, 2, 5, 40, 64])
 def test_block_evaluation_matches_per_interval_loop(m, dist):
-    """Every trace array, the final record and both generators' next draws
-    equal the per-interval rule's. 389 intervals is prime, so no block size
-    divides it."""
+    """Every trace array, the final record, the noise generator's state
+    and both generators' next draws equal the per-interval rule's, at noise
+    std 1.0 with a first reading that clamps to 0 as well. 389 intervals is
+    prime, so no block size divides it."""
     s = random_scenario(rng_stream(31, m), m)
+    # at noise std 1.0, a noise stream whose first value takes the first
+    # reading, of the all-zero phases, below 0, where it clamps
+    zero = harvested_power(s, PhaseAssignment(np.zeros(m)))
+    clamped = next(k for k in itertools.count()
+                   if zero + rng_stream(33, m, k).normal(0.0, 1.0) < 0.0)
+    streams = {1e-3: (33, m), 1.0: (33, m, clamped)}
     for scale in (math.pi / 8, 1e-12, 3.0):
-        for noise in (0.0, 1e-3):
+        for noise in (0.0, 1e-3, 1.0):
             for intervals in (1, 300, 389):
                 cfg = PerturbationConfig(dist, scale, intervals)
                 runs = []
                 for run in (per_interval_perturbation, run_random_perturbation):
                     rng = rng_stream(32, m, intervals)
-                    meas = (MeasurementModel(MODE_ADDITIVE_NOISE, noise, rng_stream(33, m))
+                    meas = (MeasurementModel(MODE_ADDITIVE_NOISE, noise,
+                                             rng_stream(*streams[noise]))
                             if noise else EXACT)
                     trace = run(s, cfg, meas, rng=rng)
-                    runs.append((trace, rng.random(), meas.rng and meas.rng.random()))
+                    runs.append((trace, rng.random(),
+                                 meas.rng and (meas.rng.bit_generator.state, meas.rng.random())))
                 (want, want_draw, want_noise), (got, got_draw, got_noise) = runs
                 case = (scale, noise, intervals)
                 for field in ("candidate_phases", "measured_power", "best_power",
@@ -76,12 +87,17 @@ def _no_kernel(amp, offs):
     raise AssertionError("the baseline called the pairwise kernel")
 
 
+def _no_measure(model, true_power):
+    raise AssertionError("the baseline called the scalar measure")
+
+
 @pytest.mark.parametrize("m", [5, 10, 20, 40])
 def test_half_matrix_kernel_leaves_traces_unchanged(m, monkeypatch):
     """The baseline never calls the pairwise kernel ``power._pair_sum``,
-    the first reading included: 5,000-interval runs, uniform and gaussian,
-    exact and noisy, give the same trace bytes with the kernel patched to
-    raise."""
+    nor the scalar ``measure``: every reading, the first included, is one
+    ``_phasor_power`` call. 5,000-interval runs, uniform and gaussian,
+    exact and noisy, give the same trace bytes with the kernel and every
+    ``distbeam`` module's ``measure`` patched to raise."""
     s = random_scenario(rng_stream(41, m), m)
     noise = 1e-3 * optimal_power(s)
     for dist in (DIST_UNIFORM, DIST_GAUSSIAN):
@@ -91,6 +107,10 @@ def test_half_matrix_kernel_leaves_traces_unchanged(m, monkeypatch):
             for patched in (False, True):
                 if patched:
                     monkeypatch.setattr(distbeam.power, "_pair_sum", _no_kernel)
+                    for name, module in list(sys.modules.items()):
+                        if (name.startswith("distbeam")
+                                and getattr(module, "measure", None) is measure):
+                            monkeypatch.setattr(module, "measure", _no_measure)
                 meas = MeasurementModel(MODE_ADDITIVE_NOISE, std, rng_stream(43, m)) if std else EXACT
                 trace = run_random_perturbation(s, cfg, meas, rng=rng_stream(42, m))
                 runs.append({field: getattr(trace, field) for field in TRACE_FIELDS})

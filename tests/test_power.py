@@ -17,6 +17,7 @@ from distbeam import (
     wrap_angle,
 )
 from distbeam.power import (
+    EXACT,
     MODE_ADDITIVE_NOISE,
     MODE_EXACT,
     _pair_sum,
@@ -64,17 +65,36 @@ def test_no_active_transmitters():
 
 def test_assignment_owns_its_phases_and_mask():
     """Writing the caller's phases or mask after construction leaves the
-    assignment as it was built."""
+    assignment as it was built, and the assignment itself can be changed
+    neither by field assignment nor through its read-only arrays."""
     phases = np.array([0.5, 4.0, -1.0])
     active = np.array([True, False, True])
     pa = PhaseAssignment(phases, active)
     phases[:] = 0.0
     active[1] = True
+    for field, value in (("phases", np.zeros(3)), ("active", np.array([True]))):
+        with pytest.raises(AttributeError):
+            setattr(pa, field, value)
+    for array in (pa.phases, pa.active):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
     assert pa.phases.tolist() == [0.5, wrap_angle(4.0), -1.0]
     assert pa.active.tolist() == [True, False, True]
     s = equal_gain_scenario(3)
     assert harvested_power(s, pa) == harvested_power(
         s, PhaseAssignment(np.array([0.5, 4.0, -1.0]), np.array([True, False, True])))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_non_finite_phase_is_rejected(bad, index):
+    """A NaN or infinite phase, at any position, is an error at construction
+    rather than a NaN power or a bisection against a NaN signal."""
+    phases = [0.0, 0.5, -1.0]
+    phases[index] = bad
+    for active in (None, [True, True, False]):
+        with pytest.raises(ValueError, match=f"transmit phase must be finite, got {bad}"):
+            PhaseAssignment(phases, active)
 
 
 def test_mask_length_mismatch():
@@ -422,3 +442,10 @@ def test_measurement_model_validation():
     for rng in (np.random.default_rng(0), None):
         with pytest.raises(ValueError, match="noise would be ignored"):
             MeasurementModel(MODE_EXACT, 0.5, rng)
+    # a checked model stays as checked: the exact-with-noise rule cannot be
+    # got round by a later assignment, to the shared default least of all
+    for model in (EXACT, MeasurementModel(MODE_ADDITIVE_NOISE, 0.5, np.random.default_rng(0))):
+        for field, value in (("mode", MODE_EXACT), ("noise_std", 5.0), ("rng", None)):
+            with pytest.raises(AttributeError):
+                setattr(model, field, value)
+    assert EXACT == MeasurementModel()
