@@ -184,8 +184,8 @@ class TrainingTrace(NamedTuple):
     bit: tuple[bool, ...]
     arc_center: tuple[float, ...]
     arc_half_width: tuple[float, ...]
-    target_phase: float = 0.0   # optimum at adaptation time; 0 when undefined
-    sum_gain: float = 0.0       # combined power of the other active transmitters
+    target_phase: float   # optimum at adaptation time; 0 when undefined
+    sum_gain: float       # combined power of the other active transmitters
 
     def to_csv(self) -> str:
         return csv_text(",".join(("n", *self._fields[:7])), range(1, len(self.bit) + 1),
@@ -208,29 +208,26 @@ def adapt_phase(
     m: int,
     n_intervals: int,
     meas: MeasurementModel = EXACT,
-    probe_repeats: int = 1,
 ) -> tuple[float, TrainingTrace]:
     """Run the bisection adaptation for transmitter m against the active set.
 
     ``pa`` holds the already-fixed transmit phases; transmitter m itself must
     not be marked active. Each of the ``n_intervals`` feedback intervals
-    measures both probe phases, obtains the one-bit comparison and halves
-    the working set; the returned phase is the final set's center (the
-    circular midpoint of the last probe pair).
-
-    ``probe_repeats`` averages that many measurements per probe, useful only
-    against measurement noise. Under exact measurement, and provided some
-    other transmitter is active, the result is within pi/2**n_intervals of
-    the optimal phase.
+    measures both probe phases once, obtains the one-bit comparison and
+    halves the working set; the returned phase is the final set's center
+    (the circular midpoint of the last probe pair). Under exact measurement,
+    and provided some other transmitter is active, the result is within
+    pi/2**n_intervals of the optimal phase.
     """
     _check_budget(n_intervals)
-    if probe_repeats < 1:
-        raise ValueError("probe_repeats must be >= 1")
+    ss = sum_signal(s, pa)   # checks pa's length against the scenario's
+    if not 0 <= m < s.num_transmitters:
+        raise ValueError(f"adapting transmitter {m} must lie in 0..{s.num_transmitters - 1}")
     if pa.active[m]:
         raise ValueError(f"transmitter {m} cannot be active while adapting")
-    noise = (meas.rng.normal(0.0, meas.noise_std, size=2 * probe_repeats * n_intervals)
+    noise = (meas.rng.normal(0.0, meas.noise_std, size=2 * n_intervals)
              if meas.noisy else None)
-    return _train_stage(s, sum_signal(s, pa), m, n_intervals, noise, probe_repeats)
+    return _train_stage(s, ss, m, n_intervals, noise)
 
 
 def _train_stage(
@@ -239,43 +236,33 @@ def _train_stage(
     m: int,
     n_intervals: int,
     noise: np.ndarray | None,
-    probe_repeats: int,
 ) -> tuple[float, TrainingTrace]:
     """The bisection loop of :func:`adapt_phase` against a combined signal.
 
     ``noise`` is None under exact measurement, else the stage's
-    2 * probe_repeats * n_intervals noise values, drawn by the caller in
-    reading order (psi's repeats, then psi_prime's, interval by interval).
-    Each reading clamps and averages them as :func:`~distbeam.power.measure`
-    would. A single repeat reads the clamped value itself.
+    2 * n_intervals noise values, drawn by the caller in reading order
+    (psi's, then psi_prime's, interval by interval). Each reading is its
+    probe power plus its noise value, clamped at 0 as
+    :func:`~distbeam.power.measure` would.
 
     Each interval up to the first whose probes repeat (interval
     ``_MOVING_INTERVALS`` + 1, on the converged arc) makes one
     :func:`probe_pair`, two :func:`~distbeam.power.partial_power`, one
     :func:`feedback_bit` and one :func:`bisect_arc` call, each looked up
-    here at call time, and no other call unless it repeats its probes. The
-    later intervals repeat that interval's probes, powers and arc, so
-    :func:`_repeat_last` fills their columns at once.
+    here at call time, and no other call. The later intervals repeat that
+    interval's probes, powers and arc, so :func:`_repeat_last` fills their
+    columns at once.
     """
-    r = probe_repeats
     looped = min(n_intervals, _MOVING_INTERVALS + 1)
-    head = None if noise is None else noise[:2 * r * looped].tolist()
+    head = None if noise is None else noise[:2 * looped].tolist()
     rows = []
     arc = initial_arc()
     for n in range(1, looped + 1):
         psi, psi_prime = probe_pair(arc)
         p = partial_power(s, ss, m, psi)
         p_prime = partial_power(s, ss, m, psi_prime)
-        if r > 1:
-            if head is None:
-                q_psi = sum(p for _ in range(r)) / r
-                q_psi_prime = sum(p_prime for _ in range(r)) / r
-            else:
-                k = 2 * r * (n - 1)
-                q_psi = sum(max(0.0, p + z) for z in head[k:k + r]) / r
-                q_psi_prime = sum(max(0.0, p_prime + z) for z in head[k + r:k + 2 * r]) / r
-        elif head is None:
-            # + 0.0 maps a -0.0 reading to 0.0, as the sum over repeats does
+        if head is None:
+            # + 0.0 maps a -0.0 power to 0.0: a reading is never -0.0
             q_psi, q_psi_prime = p + 0.0, p_prime + 0.0
         else:
             # max(0.0, x) inline, NaN and -0.0 included
@@ -290,7 +277,7 @@ def _train_stage(
     columns = tuple(zip(*rows))
     if n_intervals > looped:
         columns = _repeat_last(columns, n_intervals - looped, p, p_prime,
-                               None if noise is None else noise[2 * r * looped:].reshape(-1, 2, r))
+                               None if noise is None else noise[2 * looped:].reshape(-1, 2))
     return center, TrainingTrace(*columns, aligned_phase(s, ss, m), ss.gain)
 
 
@@ -299,9 +286,8 @@ def _repeat_last(columns: tuple, rest: int, p: float, p_prime: float,
     """A stage's seven trace columns extended by ``rest`` intervals that
     probe its last interval's converged arc again, at probe powers ``p``
     and ``p_prime``. Exact readings repeat too. Noisy ones are each power
-    plus each of ``noise``'s (rest, 2, repeats) values, clamped at 0,
-    summed over the repeats left to right and averaged, as the loop of
-    :func:`_train_stage` reads them; their bits come from one
+    plus its value of ``noise``, of shape (rest, 2), clamped at 0, as the
+    loop of :func:`_train_stage` reads them; their bits come from one
     :func:`feedback_bit` call."""
     psi, psi_prime, q_psi, q_psi_prime, bit, center, half = columns
     try:
@@ -310,14 +296,8 @@ def _repeat_last(columns: tuple, rest: int, p: float, p_prime: float,
         psi, psi_prime, center, half = (c + c[-1:] * rest for c in (psi, psi_prime, center, half))
     except (OverflowError, MemoryError):   # OverflowError: more entries than a tuple holds
         raise MemoryError(f"a trace of {len(bit) + rest} intervals") from None
-    reads = noise + np.array([[p], [p_prime]])
-    reads = np.where(reads > 0.0, reads, 0.0)
-    r = noise.shape[2]
-    q = reads[..., 0]
-    for j in range(1, r):
-        q = q + reads[..., j]
-    if r > 1:
-        q = q / r
+    q = noise + np.array([p, p_prime])
+    q = np.where(q > 0.0, q, 0.0)
     return (psi, psi_prime, q_psi + tuple(q[:, 0].tolist()), q_psi_prime + tuple(q[:, 1].tolist()),
             bit + tuple(feedback_bit(q[:, 0], q[:, 1]).tolist()), center, half)
 

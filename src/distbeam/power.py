@@ -28,10 +28,10 @@ from .channel import Scenario
 class PhaseAssignment:
     """Transmit phases plus an activity mask (idle transmitters send nothing).
 
-    An immutable value. The phases must be finite; they are wrapped into a
-    new array and the mask is copied, and both are read-only, so neither a
-    caller's later writes nor the assignment's own can change what was
-    checked.
+    An immutable value. The phases must be 1-D and finite; they are wrapped
+    into a new array and the mask is copied, and both are read-only, so
+    neither a caller's later writes nor the assignment's own can change
+    what was checked.
     """
 
     phases: np.ndarray
@@ -39,7 +39,9 @@ class PhaseAssignment:
 
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=float)
-        if not all(map(math.isfinite, phases.ravel().tolist())):
+        if phases.ndim != 1:
+            raise ValueError(f"transmit phases must be 1-D, got shape {phases.shape}")
+        if not all(map(math.isfinite, phases.tolist())):
             bad = phases[~np.isfinite(phases)][0]
             raise ValueError(f"transmit phase must be finite, got {bad}")
         phases = wrap_angle(phases)

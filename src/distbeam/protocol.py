@@ -91,7 +91,7 @@ def run_protocol(
              if meas.noisy else None)
     for m, (re, im) in enumerate(_prefix_sums(s.gains, s.phase_shifts, phases), 1):
         phi_m, trace = _train_stage(s, _phasor_signal(re, im), m, n_intervals,
-                                    None if noise is None else noise[m - 1], 1)
+                                    None if noise is None else noise[m - 1])
         phases[m] = phi_m
         traces.append(trace)
         errors[m] = wrap_angle(phi_m - trace.target_phase)

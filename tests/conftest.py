@@ -274,7 +274,7 @@ def plain_bisect_arc(arc: Arc, bit: bool) -> Arc:
 
 
 def per_reading_adapt_phase(s: Scenario, pa: PhaseAssignment, m: int, n_intervals: int,
-                            meas=EXACT, probe_repeats: int = 1):
+                            meas=EXACT):
     """The bisection stage one reading at a time: ``sum_signal`` over the
     active set, one ``measure`` per reading, and ``Arc`` objects probed and
     bisected by :func:`plain_probe_pair` and :func:`plain_bisect_arc`."""
@@ -283,9 +283,8 @@ def per_reading_adapt_phase(s: Scenario, pa: PhaseAssignment, m: int, n_interval
     arc = initial_arc()
 
     def read(phase: float) -> float:
-        p = partial_power(s, ss, m, phase)
-        total = sum(measure(meas, p) for _ in range(probe_repeats))
-        return total / probe_repeats
+        # + 0.0 maps a -0.0 power to 0.0: a reading is never -0.0
+        return measure(meas, partial_power(s, ss, m, phase)) + 0.0
 
     rows = []
     for _ in range(n_intervals):

@@ -36,6 +36,7 @@ from distbeam.power import MODE_ADDITIVE_NOISE
 from distbeam.selfcheck import grid_oracle_violations
 
 from conftest import (
+    equal_gain_scenario,
     per_stage_protocol,
     plain_bisect_arc,
     plain_probe_pair,
@@ -173,34 +174,23 @@ def test_protocol_interval_makes_one_call_per_step(monkeypatch, m, n, std):
     assert counts == interval_calls(n * (m - 1))
 
 
-def test_repeated_probes_make_one_call_per_step(monkeypatch, rng):
-    s, pa = two_transmitter_setup(rng)
-    counts = count_interval_calls(monkeypatch)
-    adapt_phase(s, pa, 1, 6, probe_repeats=3)
-    assert counts == interval_calls(6)
-
-
-@pytest.mark.parametrize("repeats", [1, 3])
-def test_noisy_adapt_phase_makes_one_call_per_step(monkeypatch, rng, repeats):
+def test_noisy_adapt_phase_makes_one_call_per_step(monkeypatch, rng):
     """The same per-interval calls where the stage's noise values come from
     adapt_phase's own draw, not run_protocol's."""
     s, pa = two_transmitter_setup(rng)
     meas = MeasurementModel(MODE_ADDITIVE_NOISE, 1e-6, np.random.default_rng(6))
     counts = count_interval_calls(monkeypatch)
-    adapt_phase(s, pa, 1, 6, meas, probe_repeats=repeats)
+    adapt_phase(s, pa, 1, 6, meas)
     assert counts == interval_calls(6)
 
 
 #: Bytes a stage holds per interval past the loop, whatever N: seven list
 #: pointers (8 B each), and while a column is filled one more repeated list
 #: of pointers. A noisy stage adds its two readings' float objects (24 B
-#: each) and, for R repeats, its noise array and at most two temporaries of
-#: its size (3 * 2R * 8 B). The loop's own 43 intervals take a few KB.
+#: each) and its noise array and at most two temporaries of its size
+#: (3 * 2 * 8 B). The loop's own 43 intervals take a few KB.
 EXACT_BYTES = 7 * 8 + 8
-
-
-def noisy_bytes(repeats: int) -> int:
-    return 7 * 8 + 2 * 24 + 3 * 2 * repeats * 8
+NOISY_BYTES = 7 * 8 + 2 * 24 + 3 * 2 * 8
 
 
 def test_stage_cost_is_bounded_past_the_convergence_floor(monkeypatch, rng):
@@ -211,12 +201,12 @@ def test_stage_cost_is_bounded_past_the_convergence_floor(monkeypatch, rng):
     cores; the interval-by-interval loop took 4.3 s and 305 MB)."""
     s, pa = two_transmitter_setup(rng)
     n, looped = 10**6, adapt._MOVING_INTERVALS + 1
-    for std, repeats in ((0.0, 1), (1e-6, 1), (1e-6, 3)):
+    for std in (0.0, 1e-6):
         meas = MeasurementModel(MODE_ADDITIVE_NOISE, std, np.random.default_rng(9)) if std \
             else MeasurementModel()
         start = time.perf_counter()
-        _, trace = adapt_phase(s, pa, 1, n, meas, repeats)
-        assert time.perf_counter() - start < 2.0, (std, repeats)
+        _, trace = adapt_phase(s, pa, 1, n, meas)
+        assert time.perf_counter() - start < 2.0, std
         assert len(trace.bit) == n
     with monkeypatch.context() as patched:
         counts = count_interval_calls(patched)
@@ -225,18 +215,16 @@ def test_stage_cost_is_bounded_past_the_convergence_floor(monkeypatch, rng):
         counts.clear()
         adapt_phase(s, pa, 1, n, MeasurementModel(MODE_ADDITIVE_NOISE, 1e-6, rng))
         assert counts == interval_calls(looped) | {"feedback_bit": looped + 1}
-    for n, std, repeats, per_interval in ((10**6, 0.0, 1, EXACT_BYTES),
-                                          (10**5, 1e-6, 1, noisy_bytes(1)),
-                                          (10**5, 1e-6, 3, noisy_bytes(3))):
+    for n, std, per_interval in ((10**6, 0.0, EXACT_BYTES), (10**5, 1e-6, NOISY_BYTES)):
         meas = MeasurementModel(MODE_ADDITIVE_NOISE, std, np.random.default_rng(9)) if std \
             else MeasurementModel()
         tracemalloc.start()
         try:
-            adapt_phase(s, pa, 1, n, meas, repeats)
+            adapt_phase(s, pa, 1, n, meas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < per_interval * n + 2**20, (n, std, repeats, peak / n)
+        assert peak < per_interval * n + 2**20, (n, std, peak / n)
 
 
 def _bits(x):
@@ -450,6 +438,11 @@ def test_adapt_validation(rng):
     bad = PhaseAssignment(np.zeros(2), np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
         adapt_phase(s, bad, 1, 3)
+    s3 = equal_gain_scenario(3)
+    pa3 = PhaseAssignment(np.zeros(3), [True, True, False])
+    for m in (5, 3, -1):
+        with pytest.raises(ValueError, match=f"adapting transmitter {m} must lie in 0..2"):
+            adapt_phase(s3, pa3, m, 3)
 
 
 def test_arcs_nest_and_halve(rng):
@@ -481,30 +474,6 @@ def test_grid_oracle_on_full_runs(rng):
         assert grid_oracle_violations(trace, grid_size=1440) == 0
 
 
-def test_noisy_measurement_probe_averaging(rng):
-    """Averaging repeated readings per probe recovers accuracy lost to
-    measurement noise."""
-    from distbeam import MeasurementModel
-    from distbeam.power import MODE_ADDITIVE_NOISE
-
-    errs = {1: [], 25: []}
-    for trial in range(150):
-        s, pa = two_transmitter_setup(rng)
-        scale = float(np.mean(s.gains))
-        for repeats in errs:
-            meas = MeasurementModel(MODE_ADDITIVE_NOISE, 0.5 * scale,
-                                    np.random.default_rng(trial))
-            phi, trace = adapt_phase(s, pa, 1, 6, meas, probe_repeats=repeats)
-            errs[repeats].append(circular_distance(phi, trace.target_phase))
-    assert np.mean(errs[25]) < np.mean(errs[1])
-
-
-def test_probe_repeats_validation(rng):
-    s, pa = two_transmitter_setup(rng)
-    with pytest.raises(ValueError):
-        adapt_phase(s, pa, 1, 3, probe_repeats=0)
-
-
 def test_trace_records_and_csv(rng, capsys):
     s, pa = two_transmitter_setup(rng)
     phi, trace = adapt_phase(s, pa, 1, 5)
@@ -527,6 +496,10 @@ def test_trace_records_and_csv(rng, capsys):
     for record, name in records:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
+    # a trace is built with its target and combined gain, never a silent 0
+    assert TrainingTrace._field_defaults == {}
+    with pytest.raises(TypeError):
+        TrainingTrace(*trace[:7])
     # adapt's JSON records name the columns as the trace does, plus the interval
     assert cli_main(["adapt", "--N", "5", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["records"]

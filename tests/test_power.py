@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,10 @@ def test_assignment_owns_its_phases_and_mask():
     s = equal_gain_scenario(3)
     assert harvested_power(s, pa) == harvested_power(
         s, PhaseAssignment(np.array([0.5, 4.0, -1.0]), np.array([True, False, True])))
+    # phases of any other shape are an error at construction, not at a reading
+    for phases, shape in ((0.5, "()"), ([[0.5]], "(1, 1)"), (np.zeros((2, 3)), "(2, 3)")):
+        with pytest.raises(ValueError, match=re.escape(f"must be 1-D, got shape {shape}")):
+            PhaseAssignment(phases)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

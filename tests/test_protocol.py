@@ -553,8 +553,8 @@ def test_run_protocol_matches_per_stage_oracle(m):
 
 @pytest.mark.parametrize("m", [2, 3, 5, 10, 50])
 def test_adapt_phase_matches_per_reading_oracle(m):
-    """One stage against an arbitrary active set, with repeated probes: the trace and the generator state equal the
-    one-reading-at-a-time oracle's bit for bit. Each zero-gain link (first,
+    """One stage against an arbitrary active set: the trace and the
+    generator state equal the one-reading-at-a-time oracle's bit for bit. Each zero-gain link (first,
     middle, last) is paired with a different adapting transmitter."""
     rng = np.random.default_rng(2000 + m)
     s = random_scenario(rng, m)
@@ -564,11 +564,11 @@ def test_adapt_phase_matches_per_reading_oracle(m):
         active = rng.random(m) < 0.8
         active[adapter] = False
         pa = PhaseAssignment(rng.uniform(-math.pi, math.pi, m), active)
-        for n, std, repeats in itertools.product(ORACLE_BUDGETS, ORACLE_NOISE, (1, 3)):
-            where = (m, k, adapter, n, std, repeats)
+        for n, std in itertools.product(ORACLE_BUDGETS, ORACLE_NOISE):
+            where = (m, k, adapter, n, std)
             meas, meas_ref = _meas_pair(std, 11 * n + k)
-            phi, trace = adapt_phase(s, pa, adapter, n, meas, repeats)
-            phi_ref, trace_ref = per_reading_adapt_phase(s, pa, adapter, n, meas_ref, repeats)
+            phi, trace = adapt_phase(s, pa, adapter, n, meas)
+            phi_ref, trace_ref = per_reading_adapt_phase(s, pa, adapter, n, meas_ref)
             assert _same(phi, phi_ref), where
             _assert_same_trace(trace, trace_ref, where)
             _assert_same_generators(meas, meas_ref, where)
@@ -582,19 +582,19 @@ def test_stage_past_the_convergence_floor_matches_oracle(m):
     """Past interval adapt._MOVING_INTERVALS + 1 the stage fills its columns
     at once instead of looping; the trace, phase and generator state still
     equal the one-reading-at-a-time oracle's bit for bit, exact and noisy
-    (1.0 W clamps about half the readings at 0), with one and three repeats,
-    and so does a noisy run_protocol at N = 100."""
+    (1.0 W clamps about half the readings at 0), and so does a noisy
+    run_protocol at N = 100."""
     assert adapt._MOVING_INTERVALS + 1 == 43
     rng = np.random.default_rng(4000 + m)
     s = random_scenario(rng, m)
     active = np.ones(m, dtype=bool)
     active[m - 1] = False
     pa = PhaseAssignment(rng.uniform(-math.pi, math.pi, m), active)
-    for n, std, repeats in itertools.product(PAST_FLOOR_BUDGETS, (0.0, 1e-6, 1.0), (1, 3)):
-        where = (m, n, std, repeats)
-        meas, meas_ref = _meas_pair(std, 13 * n + repeats)
-        phi, trace = adapt_phase(s, pa, m - 1, n, meas, repeats)
-        phi_ref, trace_ref = per_reading_adapt_phase(s, pa, m - 1, n, meas_ref, repeats)
+    for n, std in itertools.product(PAST_FLOOR_BUDGETS, (0.0, 1e-6, 1.0)):
+        where = (m, n, std)
+        meas, meas_ref = _meas_pair(std, 13 * n + 1)
+        phi, trace = adapt_phase(s, pa, m - 1, n, meas)
+        phi_ref, trace_ref = per_reading_adapt_phase(s, pa, m - 1, n, meas_ref)
         assert _same(phi, phi_ref), where
         _assert_same_trace(trace, trace_ref, where)
         _assert_same_generators(meas, meas_ref, where)
@@ -608,8 +608,8 @@ def test_stage_past_the_convergence_floor_matches_oracle(m):
 
 def test_negative_zero_reading_matches_oracle():
     """A probe whose power rounds below zero reads -0.0 from partial_power;
-    the single-repeat reading is 0.0, as the oracle's sum over repeats
-    gives. adapt_phase meets it at a power scale of 1e-310, run_protocol at
+    its reading is 0.0, as in the oracle: a reading is never -0.0.
+    adapt_phase meets it at a power scale of 1e-310, run_protocol at
     8e-308, where Q* (about 3.37e-308) is still a normal float."""
     gains, shifts = [0.10520315032328138, 0.10520315032328142], [0.0, math.pi]
     s = Scenario(1.0, 1e-310, gains, shifts)

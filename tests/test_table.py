@@ -38,16 +38,16 @@ def _meas(std: float, seed: int) -> MeasurementModel:
 def test_trace_csv_matches_per_row_writer():
     """TrainingTrace.to_csv equals the per-interval writer byte for byte:
     exact and noisy stages, noise of 1.0 W that clamps about half the
-    readings at 0.0, three repeats per probe, and budgets past interval 43,
-    where the stage fills its columns at once."""
+    readings at 0.0, and budgets past interval 43, where the stage fills
+    its columns at once."""
     rng = np.random.default_rng(21)
-    for m, n, std, repeats in itertools.product((2, 5), (5, 60), (0.0, 1e-6, 1.0), (1, 3)):
+    for m, n, std in itertools.product((2, 5), (5, 60), (0.0, 1e-6, 1.0)):
         s = random_scenario(rng, m)
         pa = PhaseAssignment(rng.uniform(-math.pi, math.pi, m), np.arange(m) < m - 1)
-        _, trace = adapt_phase(s, pa, m - 1, n, _meas(std, n), repeats)
+        _, trace = adapt_phase(s, pa, m - 1, n, _meas(std, n))
         if std == 1.0:
             assert 0.0 in trace.q_psi + trace.q_psi_prime
-        assert trace.to_csv() == per_row_trace_csv(trace), (m, n, std, repeats)
+        assert trace.to_csv() == per_row_trace_csv(trace), (m, n, std)
 
 
 def test_baseline_csv_matches_per_row_writer():
