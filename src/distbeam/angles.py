@@ -18,10 +18,17 @@ def wrap_angle(x):
     """Map an angle (scalar or ndarray) into [-pi, pi)."""
     if isinstance(x, np.ndarray):
         t = np.asarray(x + math.pi)     # asarray keeps a 0-d input an array
-        np.mod(t, TWO_PI, out=t)
+        # the scalar path's steps, and np.mod's rule bit for bit at less
+        # cost: fmod is exact, and np.mod only adds 2*pi to a negative
+        # remainder and turns a zero into +0.0, which the - pi erases
+        # (+-0 - pi is -pi)
+        np.fmod(t, TWO_PI, out=t)
+        neg = t < 0.0
+        if np.count_nonzero(neg):
+            np.add(t, TWO_PI, out=t, where=neg)
         t -= math.pi
-        # mod can round up to 2*pi for inputs a hair below -pi; the
-        # fix-up's boolean index runs only when some element needs it
+        # the + 2*pi can round up to 2*pi for inputs a hair below -pi; each
+        # fix-up runs only when some element needs it
         up = t >= math.pi
         if np.count_nonzero(up):
             t[up] -= TWO_PI

@@ -196,17 +196,19 @@ def generate_scenario(
     x = fl(-pi + y), y = fl(2pi * k * 2**-53) in [0, 2pi) for an integer
     0 <= k < 2**53 (pi and 2pi here the doubles ``math.pi`` and
     ``TWO_PI``; ``test_stream_arithmetic_pins_numpys_seeding_and_uniform``
-    pins that arithmetic). The wrap computes fl(fl(x + pi) mod 2pi) - pi.
-    By Sterbenz's lemma a difference a - b with b/2 <= a <= 2b is exact:
+    pins that arithmetic). The wrap computes fl(fmod(fl(x + pi), 2pi) - pi),
+    adding 2pi to a negative remainder first and taking 2pi from a result
+    at or above pi after. By Sterbenz's lemma a difference a - b with
+    b/2 <= a <= 2b is exact:
 
     - y >= pi/2: y - pi is exact, so x = y - pi, x + pi = y exactly, and
       y - pi = x again.
     - y < pi/2: then |x| lies in [pi/2, pi], so x + pi is exact, and
       (x + pi) - pi = x is a double, so its rounding returns x.
 
-    In both cases the mod in between sees a value in [0, 2pi) and returns
-    it unchanged (a zero as +0.0, what y = 0, x = -pi, gives), and the
-    result x is below pi, so the fix-up never runs.
+    In both cases the fmod in between sees a value in [0, 2pi) and returns
+    it unchanged (a zero as +0.0, what y = 0, x = -pi, gives), so neither
+    fix-up runs: the remainder is not negative and the result x is below pi.
     """
     m = dist.num_transmitters
     lo, hi = dist.distance_range

@@ -3,6 +3,8 @@ columns, becomes text through :func:`csv_text`."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -20,14 +22,21 @@ def _fmt(x) -> str:
     return format(float(x), ".15g")
 
 
-def _fmt_column(values) -> list[str]:
+@functools.lru_cache(maxsize=1)
+def _range_text(values: range) -> tuple[str, ...]:
+    return tuple(map(str, values))
+
+
+def _fmt_column(values) -> list[str] | tuple[str, ...]:
     """A float64 array as ``.15g``, formatted once per run of equal bit
-    patterns (so -0.0 keeps its own text), a ``range`` by ``str``, any
+    patterns (so -0.0 keeps its own text), a ``range`` by ``str`` once per
+    distinct value in a row (the process keeps the last range's text as a
+    tuple, so every CSV of a sweep shares one interval column), any
     other column value by value through :func:`_fmt`: ints exactly, bools
     as 0/1, integral floats as ints. Runs of neighbours, not a sort such as
     ``np.unique``: a process's first int64 sort adds ~0.5 MB RSS."""
     if isinstance(values, range):
-        return list(map(str, values))
+        return _range_text(values)
     if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
         return [_fmt(x) for x in values]
     bits = values.view(np.int64)

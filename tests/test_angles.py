@@ -13,6 +13,7 @@ from distbeam import (
     run_protocol,
     wrap_angle,
 )
+from distbeam.angles import TWO_PI
 from distbeam.power import MODE_ADDITIVE_NOISE, MeasurementModel
 from distbeam.streams import _uniforms, rng_stream, trial_stack
 
@@ -72,6 +73,34 @@ def test_in_place_array_wrap_is_bit_identical(rng):
     assert w.tobytes() == scalar.tobytes()
     for size in (1, 9, 100):
         assert wrap_angle(x[:size]).tobytes() == where_wrap(x[:size]).tobytes()
+
+
+def test_fmod_wrap_matches_the_mod_oracle_on_extreme_inputs():
+    """The array wrap's ``np.fmod`` and its gated negative fix-up equal the
+    ``np.mod`` form (``where_wrap``) by bytes: log-spaced magnitudes from
+    1e-300 to 1e300 of both signs, k * pi and both its neighbours for
+    |k| <= 10**4 (among them inputs whose remainder is -0.0), +-0 with the
+    sign of the output's zero, a 0-d array and a non-contiguous view."""
+    mag = np.logspace(-300, 300, 6001)
+    kpi = np.arange(-10**4, 10**4 + 1) * math.pi
+    x = np.concatenate([mag, -mag, kpi, np.nextafter(kpi, -math.inf),
+                        np.nextafter(kpi, math.inf)])
+    rem = np.fmod(x + math.pi, TWO_PI)
+    assert np.count_nonzero((rem == 0.0) & np.signbit(rem))    # fmod's -0.0 case is met
+    assert np.count_nonzero(rem < 0.0)                          # and so is the 2*pi fix-up
+    assert wrap_angle(x).tobytes() == where_wrap(x).tobytes()
+    zeros = np.array([0.0, -0.0])
+    w = wrap_angle(zeros)
+    assert w.tobytes() == where_wrap(zeros).tobytes() and not np.signbit(w).any()
+    for v in (0.0, -0.0, -math.pi, 3 * math.pi, -1e300, 1e-300):
+        w = wrap_angle(np.array(v))
+        assert w.shape == () and w.tobytes() == where_wrap(np.array(v)).tobytes(), v
+    block = x[:40000].reshape(400, 100)
+    view = block[::-3, 1::7]
+    before = block.tobytes()
+    assert not view.flags.c_contiguous
+    assert wrap_angle(view).tobytes() == where_wrap(view).tobytes()
+    assert block.tobytes() == before
 
 
 def test_array_wrap_keeps_0d_and_non_finite_behaviour():

@@ -13,6 +13,7 @@ from distbeam import (
     PerturbationConfig,
     PhaseAssignment,
     Scenario,
+    generate_scenario,
     harvested_power,
     measure,
     optimal_power,
@@ -20,11 +21,11 @@ from distbeam import (
 )
 from distbeam.baseline import _BLOCK_DOUBLES, DEFAULT_SCALE, DIST_GAUSSIAN, DIST_UNIFORM
 from distbeam.angles import wrap_angle
-from distbeam.experiments import rng_stream
+from distbeam.experiments import _DOMAIN, EXP_CONVERGENCE, ExperimentConfig, rng_stream
 from distbeam.power import EXACT, MODE_ADDITIVE_NOISE, TrialStack, _pair_sum, _phasor_power
 from distbeam.selfcheck import phasor_oracle_powers
 
-from conftest import full_matrix_pair_sum, per_interval_perturbation, random_scenario
+from conftest import full_matrix_pair_sum, per_interval_perturbation, random_scenario, where_wrap
 
 
 def test_config_validation():
@@ -355,6 +356,25 @@ def test_non_finite_steps_raise_before_any_wrap(rng, monkeypatch):
     cfg = PerturbationConfig(distribution=DIST_GAUSSIAN, scale=1e308, max_intervals=400)
     with pytest.raises(ValueError, match="non-finite"):
         run_random_perturbation(s, cfg, rng=rng)
+
+
+def test_fmod_wrap_moves_no_candidate_of_the_benchmark_trace(monkeypatch):
+    """At the benchmark's ``convergence-trace`` configuration (M 5, 10, 20
+    and 40, 5,000 intervals, seed 12345, stream domain 3), the baseline run
+    with its wrap replaced by the ``np.mod`` form ``where_wrap`` gives the
+    same five trace columns by bytes."""
+    cfg = ExperimentConfig(EXP_CONVERGENCE, m_list=(5, 10, 20, 40), intervals=5000)
+    domain = _DOMAIN[cfg.experiment]
+    assert (cfg.seed, domain) == (12345, 3)
+    pert = PerturbationConfig(scale=cfg.perturb_scale, max_intervals=cfg.intervals)
+    for m in cfg.m_list:
+        s, _ = generate_scenario(cfg.distribution(m), rng_stream(cfg.seed, domain, m))
+        runs = []
+        for wrap in (wrap_angle, where_wrap):
+            monkeypatch.setattr(distbeam.baseline, "wrap_angle", wrap)
+            trace = run_random_perturbation(s, pert, rng=rng_stream(cfg.seed, domain, m, 1))
+            runs.append([getattr(trace, field).tobytes() for field in TRACE_FIELDS])
+        assert runs[0] == runs[1], m
 
 
 def test_degenerate_scale_freezes_power(rng):

@@ -13,7 +13,8 @@ from distbeam import (
 from distbeam.baseline import DIST_GAUSSIAN, DIST_UNIFORM
 from distbeam.experiments import Curve, ExperimentResult
 from distbeam.power import MODE_ADDITIVE_NOISE
-from distbeam.table import csv_text
+from distbeam.cli import cli_main
+from distbeam.table import _range_text, csv_text
 
 from conftest import per_row_baseline_csv, per_row_trace_csv, per_row_write, random_scenario
 
@@ -28,6 +29,26 @@ def test_csv_text_rules():
                                  "100000000000000000,0", "1,0.333333333333333", "0,inf",
                                  "0.5,nan", "0,2"]
     assert csv_text("a,b") == "a,b\n"
+
+
+def test_range_columns_share_one_memo(tmp_path):
+    """A ``range`` column is the text of ``map(str, r)``, through a
+    one-entry memo of tuples: ranges from 0 and 1, with a step, with
+    negative values and empty; two ranges read in turn each keep their own
+    text; and a convergence-comparison run formats its interval column
+    once for its four trajectory CSVs."""
+    for r in (range(7), range(1, 9), range(0, 20, 2), range(-5, 5), range(5, -6, -3), range(0)):
+        assert csv_text("n", r) == "\n".join(["n", *map(str, r)]) + "\n", r
+    a, b = range(1, 4), range(2, 6)
+    for _ in range(3):
+        assert csv_text("n", a) == "n\n1\n2\n3\n"
+        assert csv_text("n", b) == "n\n2\n3\n4\n5\n"
+    assert type(_range_text(a)) is tuple
+    _range_text.cache_clear()
+    assert cli_main(["exp", "convergence-comparison", "--intervals", "500", "--m-list", "5,10",
+                     "--out", str(tmp_path)]) == 0
+    info = _range_text.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def _meas(std: float, seed: int) -> MeasurementModel:
