@@ -89,7 +89,7 @@ def probe_pair(arc: Arc) -> ProbePair:
     fixed antipodal pair at center +/- pi/2; any antipodal pair splits the
     circle and this choice reproduces the (0, -pi) initialization.
     """
-    node = _tree_node(arc)
+    node = _TREE.get(id(arc))
     return _probe_pair(arc) if node is None else node[1]
 
 
@@ -113,7 +113,7 @@ def bisect_arc(arc: Arc, bit: bool) -> Arc:
     arc center and the winning boundary, so the center moves a quarter of
     the arc width toward the winner and the half-width halves.
     """
-    node = _tree_node(arc)
+    node = _TREE.get(id(arc))
     child = None if node is None else node[3 if bit else 2]
     return _bisect_arc(arc, bit) if child is None else child
 
@@ -131,22 +131,18 @@ def _bisect_arc(arc: Arc, bit: bool) -> Arc:
 #: half-width pi/2**_TREE_DEPTH, enough for N <= 8 intervals, are stored
 #: with their probe pair and children: 2**(_TREE_DEPTH + 1) - 1 = 511
 #: entries, built by the plain functions once, at import.
-#: Deeper arcs, and arcs a caller builds, are computed on every call.
+#: Nodes are keyed by identity: each entry holds its node, so the node lives
+#: as long as the store and no other object can share its id. Deeper arcs,
+#: and arcs a caller builds (equal copies of nodes included), miss and are
+#: computed on every call.
 _TREE_DEPTH = 8
-_TREE: dict[Arc, tuple] = {}   # node -> (node, probe pair, child on bit False, on bit True)
-
-
-def _tree_node(arc: Arc) -> tuple | None:
-    """The stored entry of a tree node, None for any other arc (an equal
-    arc built by a caller included)."""
-    node = _TREE.get(arc)
-    return node if node is not None and node[0] is arc else None
+_TREE: dict[int, tuple] = {}   # id(node) -> (node, probe pair, child on bit False, on bit True)
 
 
 def _grow_tree(arc: Arc, depth: int) -> None:
     children = ((_bisect_arc(arc, False), _bisect_arc(arc, True))
                 if depth < _TREE_DEPTH else (None, None))
-    _TREE[arc] = (arc, _probe_pair(arc), *children)
+    _TREE[id(arc)] = (arc, _probe_pair(arc), *children)
     if depth < _TREE_DEPTH:
         for child in children:
             _grow_tree(child, depth + 1)
@@ -162,7 +158,7 @@ def _depth_centres() -> np.ndarray:
     nodes, so no angle is recomputed."""
     levels = [[_FULL_CIRCLE]]
     for _ in range(_TREE_DEPTH):
-        levels.append([_TREE[arc][child] for arc in levels[-1] for child in (2, 3)])
+        levels.append([_TREE[id(arc)][child] for arc in levels[-1] for child in (2, 3)])
     centres = np.array([arc.center for level in levels for arc in level])
     centres.flags.writeable = False
     return centres

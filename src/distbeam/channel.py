@@ -30,13 +30,17 @@ class Scenario:
 
     The constructor runs :func:`_check_scalars` and :func:`_check_gains`,
     and the phase shifts must be finite; they are wrapped into [-pi, pi).
-    The arrays are read-only copies, so they cannot drift from what was
-    checked. ``power_scale``, the product of ``conversion_eff`` and
-    ``transmit_power``, scales every harvested power.
-    :func:`generate_scenario` checks only what a draw can get wrong.
+    An immutable value: the arrays are read-only copies and no field can
+    be set or deleted, so nothing can drift from what was checked. Pickle
+    and ``copy`` rebuild it through the constructor; the wrap of a wrapped
+    angle is itself, so the rebuild is bit-identical. ``power_scale``, the
+    product of ``conversion_eff`` and ``transmit_power``, scales every
+    harvested power. :func:`generate_scenario` checks only what a draw can
+    get wrong.
     """
 
-    __slots__ = ("transmit_power", "conversion_eff", "gains", "phase_shifts", "power_scale")
+    __slots__ = ("transmit_power", "conversion_eff", "gains", "phase_shifts", "power_scale",
+                 "_gain_floats", "_shift_floats")
 
     def __init__(self, transmit_power: float, conversion_eff: float, gains, phase_shifts):
         _check_scalars(transmit_power, conversion_eff)
@@ -54,16 +58,31 @@ class Scenario:
         self._store(transmit_power, conversion_eff, gains, wrap_angle(phase_shifts))
 
     def _store(self, transmit_power, conversion_eff, gains, phase_shifts):
-        """Set the fields from checked values: the arrays as given, which
-        the caller owns no longer, made read-only; ``phase_shifts`` must
-        already lie in [-pi, pi), as a wrap leaves them."""
+        """Set the fields from checked values, the one place that does: the
+        arrays as given, which the caller owns no longer, made read-only;
+        ``phase_shifts`` must already lie in [-pi, pi), as a wrap leaves
+        them. The per-link readers (``power.partial_power`` and
+        ``power.aligned_phase``) index ``_gain_floats`` and
+        ``_shift_floats``, the same values as tuples of Python floats."""
         gains.setflags(write=False)
         phase_shifts.setflags(write=False)
-        self.transmit_power = transmit_power
-        self.conversion_eff = conversion_eff
-        self.gains = gains
-        self.phase_shifts = phase_shifts
-        self.power_scale = conversion_eff * transmit_power
+        put = object.__setattr__
+        put(self, "transmit_power", transmit_power)
+        put(self, "conversion_eff", conversion_eff)
+        put(self, "gains", gains)
+        put(self, "phase_shifts", phase_shifts)
+        put(self, "power_scale", conversion_eff * transmit_power)
+        put(self, "_gain_floats", tuple(gains.tolist()))
+        put(self, "_shift_floats", tuple(phase_shifts.tolist()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Scenario is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Scenario is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Scenario, (self.transmit_power, self.conversion_eff, self.gains, self.phase_shifts)
 
     @property
     def num_transmitters(self) -> int:

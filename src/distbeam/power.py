@@ -307,7 +307,7 @@ def _phasor_signal(re, im) -> SumSignal:
 def aligned_phase(s: Scenario, ss: SumSignal, m: int) -> float:
     """Transmit phase for transmitter m that maximizes partial_power; 0
     against a zero signal, where every phase does."""
-    return wrap_angle(s.phase_shifts.item(m) - ss.phase_shift) if ss.gain > 0.0 else 0.0
+    return wrap_angle(s._shift_floats[m] - ss.phase_shift) if ss.gain > 0.0 else 0.0
 
 
 def partial_power(s: Scenario, ss: SumSignal, m: int, phi_m: float) -> float:
@@ -317,9 +317,9 @@ def partial_power(s: Scenario, ss: SumSignal, m: int, phi_m: float) -> float:
     Equals ``harvested_power`` over the corresponding active set; maximal at
     phi_m = phase_shift_m - ss.phase_shift.
     """
-    # Python floats by item(): numpy scalars give the same values, slower
-    # and typed np.float64, and float(arr[m]) builds one first
-    g_m = s.gains.item(m)
-    target = s.phase_shifts.item(m) - ss.phase_shift
+    # the scenario's own Python floats: the array's values, without an
+    # ndarray.item call per reading
+    g_m = s._gain_floats[m]
+    target = s._shift_floats[m] - ss.phase_shift
     q = g_m + ss.gain + 2.0 * math.sqrt(g_m * ss.gain) * math.cos(phi_m - target)
     return s.power_scale * q

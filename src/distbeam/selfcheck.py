@@ -159,29 +159,31 @@ def grid_oracle_violations(trace, grid_size: int) -> int:
     on the side of the new set dictated by the raw cosine inequality of the
     probe pair; ties and boundary points are exempt. Also enforces strict
     nesting with exact halving. Returns the number of violations.
+
+    All intervals are checked at once on (N, grid) arrays: the distances to
+    the N + 1 arc centres are taken once, interval k's previous set being
+    interval k - 1's new one. Memory is a few (N, grid) arrays; verify and
+    the tests check runs of six intervals.
     """
     tol = 1e-9
     grid = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
-    prev_center, prev_half = initial_arc().center, initial_arc().half_width
-    bad = 0
-    for psi, psi_prime, bit, new_center, new_half in zip(
-            trace.psi, trace.psi_prime, trace.bit, trace.arc_center, trace.arc_half_width):
-        if new_half != prev_half / 2.0:
-            bad += 1  # not an exact halving
-        d_prev = np.abs(wrap_angle(grid - prev_center))
-        d_new = np.abs(wrap_angle(grid - new_center))
-        bad += int(((d_new < new_half - tol) & (d_prev > prev_half + tol)).sum())
-        lhs = np.cos(grid - psi)
-        rhs = np.cos(grid - psi_prime)
-        interior = d_prev < prev_half - tol        # previous-set interior only
-        decisive = np.abs(lhs - rhs) > tol         # comparison not a tie
-        off_boundary = np.abs(d_new - new_half) > tol
-        kept = d_new < new_half
-        should_keep = (lhs > rhs) == bit
-        wrong = interior & decisive & off_boundary & (kept != should_keep)
-        bad += int(wrong.sum())
-        prev_center, prev_half = new_center, new_half
-    return bad
+    first = initial_arc()
+    centres = np.array((first.center, *trace.arc_center))[:, None]
+    halves = np.array((first.half_width, *trace.arc_half_width))[:, None]
+    dist = np.abs(wrap_angle(grid - centres))
+    d_prev, d_new = dist[:-1], dist[1:]
+    prev_half, new_half = halves[:-1], halves[1:]
+    bad = np.count_nonzero(new_half != prev_half / 2.0)   # not an exact halving
+    bad += np.count_nonzero((d_new < new_half - tol) & (d_prev > prev_half + tol))
+    lhs = np.cos(grid - np.array(trace.psi)[:, None])
+    rhs = np.cos(grid - np.array(trace.psi_prime)[:, None])
+    interior = d_prev < prev_half - tol        # previous-set interior only
+    decisive = np.abs(lhs - rhs) > tol         # comparison not a tie
+    off_boundary = np.abs(d_new - new_half) > tol
+    kept = d_new < new_half
+    should_keep = (lhs > rhs) == np.array(trace.bit)[:, None]
+    wrong = interior & decisive & off_boundary & (kept != should_keep)
+    return int(bad + np.count_nonzero(wrong))
 
 
 def check_bisection_grid() -> CheckResult:

@@ -273,6 +273,47 @@ def plain_bisect_arc(arc: Arc, bit: bool) -> Arc:
     return Arc(center + half if bit else center - half, half)
 
 
+def item_partial_power(s: Scenario, ss: SumSignal, m: int, phi_m: float) -> float:
+    """``partial_power`` with the link read from the scenario's arrays by
+    ``ndarray.item``, in the same arithmetic order."""
+    g_m = s.gains.item(m)
+    target = s.phase_shifts.item(m) - ss.phase_shift
+    q = g_m + ss.gain + 2.0 * math.sqrt(g_m * ss.gain) * math.cos(phi_m - target)
+    return s.power_scale * q
+
+
+def item_aligned_phase(s: Scenario, ss: SumSignal, m: int) -> float:
+    """``aligned_phase`` with the phase shift read by ``ndarray.item``."""
+    return wrap_angle(s.phase_shifts.item(m) - ss.phase_shift) if ss.gain > 0.0 else 0.0
+
+
+def per_interval_grid_violations(trace: TrainingTrace, grid_size: int) -> int:
+    """``selfcheck.grid_oracle_violations`` one interval at a time, on 1-D
+    arrays over the grid."""
+    tol = 1e-9
+    grid = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
+    prev_center, prev_half = initial_arc().center, initial_arc().half_width
+    bad = 0
+    for psi, psi_prime, bit, new_center, new_half in zip(
+            trace.psi, trace.psi_prime, trace.bit, trace.arc_center, trace.arc_half_width):
+        if new_half != prev_half / 2.0:
+            bad += 1  # not an exact halving
+        d_prev = np.abs(wrap_angle(grid - prev_center))
+        d_new = np.abs(wrap_angle(grid - new_center))
+        bad += int(((d_new < new_half - tol) & (d_prev > prev_half + tol)).sum())
+        lhs = np.cos(grid - psi)
+        rhs = np.cos(grid - psi_prime)
+        interior = d_prev < prev_half - tol        # previous-set interior only
+        decisive = np.abs(lhs - rhs) > tol         # comparison not a tie
+        off_boundary = np.abs(d_new - new_half) > tol
+        kept = d_new < new_half
+        should_keep = (lhs > rhs) == bit
+        wrong = interior & decisive & off_boundary & (kept != should_keep)
+        bad += int(wrong.sum())
+        prev_center, prev_half = new_center, new_half
+    return bad
+
+
 def per_reading_adapt_phase(s: Scenario, pa: PhaseAssignment, m: int, n_intervals: int,
                             meas=EXACT):
     """The bisection stage one reading at a time: ``sum_signal`` over the

@@ -264,7 +264,8 @@ def test_tree_nodes_equal_plain_arithmetic(fresh_tree):
                 children.append(pair)
         level = children
     assert len(fresh_tree) == 2 ** (adapt._TREE_DEPTH + 1) - 1
-    assert min(a.half_width for a in fresh_tree) == math.pi / 2 ** adapt._TREE_DEPTH
+    assert min(node[0].half_width for node in fresh_tree.values()) == \
+        math.pi / 2 ** adapt._TREE_DEPTH
 
 
 _FRESH_INTERPRETER = """
@@ -327,7 +328,7 @@ def test_caller_built_arcs_are_computed_not_stored(fresh_tree, rng):
     give the plain functions' bits and leave the store as it was. A copy
     whose half-width is a numpy float keeps that type in its child."""
     before = dict(fresh_tree)
-    nodes = list(fresh_tree)
+    nodes = [node[0] for node in fresh_tree.values()]
     arcs = [Arc(rng.uniform(-4.0, 4.0), math.pi * 2.0 ** -rng.uniform(0.0, 45.0))
             for _ in range(9_000)]
     arcs += [Arc(-math.pi / 2, math.pi)]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import sys
 from pathlib import Path
@@ -430,3 +432,63 @@ def test_power_scale_is_conversion_eff_times_transmit_power():
                                                           conversion_eff=rho), rng)
         for s in (built, drawn):
             assert s.power_scale.hex() == (rho * p).hex()
+
+
+def _link_floats_match(s: Scenario) -> None:
+    """The scenario's stored link floats are tuples of Python floats equal
+    to its arrays bit for bit."""
+    for floats, array in ((s._gain_floats, s.gains), (s._shift_floats, s.phase_shifts)):
+        assert type(floats) is tuple
+        assert all(type(v) is float for v in floats)
+        assert np.array(floats, dtype=float).tobytes() == array.tobytes()
+
+
+def test_link_floats_equal_the_arrays_from_every_construction_path(rng):
+    """The constructor (a 3*pi shift wrapped, a -0.0 gain and shift),
+    ``generate_scenario`` and ``scenario_from_text`` all store the links'
+    Python floats with the arrays."""
+    s = Scenario(1.0, 1.0, [2.0, -0.0, 0.5], [3 * math.pi, -0.0, -7.0])
+    assert math.copysign(1.0, s._gain_floats[1]) == -1.0
+    _link_floats_match(s)
+    for m in (1, 5, 50):
+        scen, _ = generate_scenario(ScenarioDistribution(num_transmitters=m), rng)
+        _link_floats_match(scen)
+        _link_floats_match(scenario_from_text(scenario_to_text(scen)))
+
+
+def test_scenario_fields_cannot_be_set_or_deleted(rng):
+    """No field can be reassigned or deleted once stored, so a bad gain
+    cannot get past the checks and the link floats cannot drift from the
+    arrays."""
+    s, _ = generate_scenario(ScenarioDistribution(num_transmitters=3), rng)
+    for name in Scenario.__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(s, name, getattr(s, name))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(s, name)
+    with pytest.raises(AttributeError, match="immutable"):
+        s.gains = np.array([-1.0, math.nan, 3.0])
+    _link_floats_match(s)
+
+
+@pytest.mark.parametrize("rebuild", [lambda s: pickle.loads(pickle.dumps(s)),
+                                     copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_pickle_and_copy_rebuild_through_the_constructor(rng, rebuild):
+    """A pickled or copied scenario is rebuilt by the validating constructor:
+    read-only arrays, the same bytes and link floats, and a generated
+    scenario's unwrapped draws kept as they are."""
+    for s in (Scenario(2.0, 0.5, [0.5, 0.0, 2.0], [3 * math.pi, 0.25, -7.0]),
+              generate_scenario(ScenarioDistribution(num_transmitters=50), rng)[0]):
+        t = rebuild(s)
+        assert t is not s and type(t) is Scenario
+        with pytest.raises(ValueError, match="read-only"):
+            t.gains[0] = -5.0
+        with pytest.raises(ValueError, match="read-only"):
+            t.phase_shifts[0] = 1.0
+        assert (t.transmit_power, t.conversion_eff, t.power_scale) == \
+            (s.transmit_power, s.conversion_eff, s.power_scale)
+        assert t.gains.tobytes() == s.gains.tobytes()
+        assert t.phase_shifts.tobytes() == s.phase_shifts.tobytes()
+        assert (t._gain_floats, t._shift_floats) == (s._gain_floats, s._shift_floats)
+        _link_floats_match(t)

@@ -7,10 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from distbeam import adapt, protocol, selfcheck
+from distbeam import PhaseAssignment, adapt, protocol, selfcheck
+from distbeam.angles import wrap_angle
 from distbeam.power import harvested_power
+from distbeam.streams import rng_stream
 
-from conftest import per_instance_partial_power, per_instance_phasor_draws, phasor_power
+from conftest import (
+    per_instance_partial_power,
+    per_instance_phasor_draws,
+    per_interval_grid_violations,
+    phasor_power,
+    random_scenario,
+)
 
 
 def _joined(windows):
@@ -137,3 +145,46 @@ def test_nan_phase_error_fails_the_error_bound(monkeypatch):
     monkeypatch.setattr(adapt, "bisect_arc", nan_centre)
     result = selfcheck.check_error_bound()
     assert not result.ok and result.detail == "worst error minus pi/2^N is nan"
+
+
+def _grid_traces(rng, runs: int, phases, n_intervals: int) -> list:
+    """``runs`` two-transmitter stages: each scenario's transmitter 1 adapts
+    to transmitter 0, sent at ``phases(rng)``."""
+    traces = []
+    for _ in range(runs):
+        s = random_scenario(rng, 2)
+        pa = PhaseAssignment(phases(rng), np.array([True, False]))
+        traces.append(adapt.adapt_phase(s, pa, 1, n_intervals)[1])
+    return traces
+
+
+def _corrupted(trace):
+    """Faulty copies of a trace: every bit flipped, one broken halving and
+    one moved centre."""
+    halves, centres = list(trace.arc_half_width), list(trace.arc_center)
+    halves[2] *= 0.6
+    centres[1] = wrap_angle(centres[1] + 0.3)
+    return [trace._replace(bit=tuple(not b for b in trace.bit)),
+            trace._replace(arc_half_width=tuple(halves)),
+            trace._replace(arc_center=tuple(centres))]
+
+
+def test_grid_oracle_counts_equal_the_per_interval_loop():
+    """The all-intervals-at-once grid oracle counts what the per-interval
+    loop counts, exactly: on verify's 50 traces at grid 720, on the 200
+    traces of acceptance criterion 6 at grid 3600, and on corrupted copies
+    of both, whose counts are above 0."""
+    verify = _grid_traces(rng_stream(selfcheck.GRID_SEED, 92), selfcheck.GRID_RUNS,
+                          lambda rng: np.zeros(2), selfcheck.GRID_INTERVALS)
+    criterion_6 = _grid_traces(rng_stream(106), 200,
+                               lambda rng: np.array([rng.uniform(-math.pi, math.pi), 0.0]), 6)
+    for traces, grid in ((verify, 720), (criterion_6, 3600)):
+        for trace in traces:
+            assert selfcheck.grid_oracle_violations(trace, grid) == 0
+            assert per_interval_grid_violations(trace, grid) == 0
+        for trace in traces[:20]:
+            for bad in _corrupted(trace):
+                want = per_interval_grid_violations(bad, grid)
+                assert want > 0
+                got = selfcheck.grid_oracle_violations(bad, grid)
+                assert type(got) is int and got == want
