@@ -40,7 +40,6 @@ from .adapt import (
     probe_pair,
 )
 from .protocol import (
-    InfeasibleEfficiencyTarget,
     ProtocolResult,
     accumulated_power,
     check_induction_inequality,

@@ -290,14 +290,18 @@ class ExperimentResult:
 
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        dt = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        dt = datetime.now(tz=timezone.utc)
-    return dt.isoformat()
+    if epoch is None:
+        return datetime.now(tz=timezone.utc).isoformat()
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(f"SOURCE_DATE_EPOCH must be a whole number of seconds "
+                         f"within the calendar's range; got {epoch!r}") from None
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
+    """The run record; each runner takes it before any trial, so a bad
+    ``SOURCE_DATE_EPOCH`` fails the run before it starts."""
     meta = dict(config_to_mapping(cfg))
     meta["config_hash"] = config_hash(cfg)
     meta["timestamp"] = _timestamp()
@@ -339,6 +343,7 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
     once through :func:`exact_phases`; the delivered powers come from the
     stacked phases. Each value equals the per-run one bit for bit.
     """
+    meta = _metadata(cfg)
     domain = _DOMAIN[cfg.experiment]
     curves = {}
     for m in cfg.m_list:
@@ -351,7 +356,7 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
         bounds = efficiency_lower_bounds(stack, cfg.n_list)
         curves[f"eta_M{m}"] = _averaged(cfg.n_list, etas)
         curves[f"bound_M{m}"] = _averaged(cfg.n_list, bounds)
-    return ExperimentResult(cfg.experiment, "N", curves, _metadata(cfg))
+    return ExperimentResult(cfg.experiment, "N", curves, meta)
 
 
 def _optima(scenarios: list[Scenario], m_list) -> list[float]:
@@ -365,6 +370,7 @@ def _optima(scenarios: list[Scenario], m_list) -> list[float]:
 def run_power_vs_m(cfg: ExperimentConfig) -> ExperimentResult:
     """Delivered power versus system size on one pinned realization, with
     the no-adaptation and optimal references."""
+    meta = _metadata(cfg)
     domain = _DOMAIN[cfg.experiment]
     full, _ = generate_scenario(cfg.distribution(max(cfg.m_list)), rng_stream(cfg.seed, domain))
     scens = [Scenario(full.transmit_power, full.conversion_eff, full.gains[:m],
@@ -381,7 +387,7 @@ def run_power_vs_m(cfg: ExperimentConfig) -> ExperimentResult:
             columns.setdefault(name, []).append(q)
     curves = {name: _single_run(sorted(cfg.m_list), columns[name])
               for name in sorted(columns)}
-    return ExperimentResult(cfg.experiment, "M", curves, _metadata(cfg))
+    return ExperimentResult(cfg.experiment, "M", curves, meta)
 
 
 def protocol_trajectory(res, total_intervals: int) -> np.ndarray:
@@ -398,6 +404,7 @@ def protocol_trajectory(res, total_intervals: int) -> np.ndarray:
 def run_convergence_comparison(cfg: ExperimentConfig) -> ExperimentResult:
     """Power trajectories of the sequential protocol and the perturbation
     baseline on one pinned realization per system size."""
+    meta = _metadata(cfg)
     domain = _DOMAIN[cfg.experiment]
     scens = [generate_scenario(cfg.distribution(m), rng_stream(cfg.seed, domain, m))[0]
              for m in cfg.m_list]
@@ -412,7 +419,6 @@ def run_convergence_comparison(cfg: ExperimentConfig) -> ExperimentResult:
         for name, powers in ((f"proposed_M{m}", proposed), (f"baseline_M{m}", trace.best_power)):
             curves[name] = _single_run(range(1, powers.size + 1), powers)
         curves[f"optimal_M{m}"] = _single_run((cfg.intervals,), [q_star])
-    meta = _metadata(cfg)
     # one feedback bit per interval for both schemes; the sequential
     # protocol transmits two probes per interval, the baseline one
     meta["probes_per_interval"] = {"proposed": 2, "baseline": 1}
@@ -444,6 +450,7 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     A system of fewer than two transmitters is rejected before any draw,
     as every protocol run is (:func:`~distbeam.protocol._check_run`).
     """
+    meta = _metadata(cfg)
     domain = _DOMAIN[cfg.experiment]
     (m,) = cfg.m_list
     _check_run(m, cfg.n_adapt)
@@ -486,7 +493,7 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
         harvested_powers(stack, np.zeros_like(stack.phase_shifts))[:, None], n_budgets, axis=1)
     tables["optimal"] = np.repeat(q_star[:, None], n_budgets, axis=1)
     curves = {name: _averaged(cfg.budgets, table) for name, table in tables.items()}
-    return ExperimentResult(cfg.experiment, "budget", curves, _metadata(cfg))
+    return ExperimentResult(cfg.experiment, "budget", curves, meta)
 
 
 EXPERIMENTS = {

@@ -39,10 +39,6 @@ from .power import (
 )
 
 
-class InfeasibleEfficiencyTarget(ValueError):
-    """The required-interval formula has no real solution for this target."""
-
-
 class ProtocolResult(NamedTuple):
     """Outcome of one full sequential run."""
 
@@ -241,8 +237,10 @@ def required_intervals(s: Scenario, eta_hat: float) -> float:
 
     Returns the (real-valued) bound on the number of per-transmitter
     intervals; callers round up to an integer. A target of exactly 1 needs
-    an unbounded budget (+inf). Targets too low for the formula's arccos
-    domain raise :class:`InfeasibleEfficiencyTarget`.
+    an unbounded budget (+inf). A target at or below the one-interval
+    floor sum(g) / (sum(sqrt(g)))**2 is met by every budget, and gets 1.0:
+    its radicand is clamped at 0, where the formula gives 1.0 anyway. The
+    radicand is eta_hat less a non-negative term, so it never exceeds 1.
     """
     if not 0.0 < eta_hat <= 1.0:
         raise ValueError("eta_hat must lie in (0, 1]")
@@ -250,12 +248,7 @@ def required_intervals(s: Scenario, eta_hat: float) -> float:
     if cross == 0.0:
         # single transmitter: any assignment is optimal
         return 0.0
-    radicand = eta_hat - (1.0 - eta_hat) * total / cross
-    if radicand < 0.0 or radicand > 1.0:
-        raise InfeasibleEfficiencyTarget(
-            f"target efficiency {eta_hat} is outside the formula's domain "
-            f"(radicand {radicand:.6g})"
-        )
+    radicand = max(eta_hat - (1.0 - eta_hat) * total / cross, 0.0)
     angle = math.acos(math.sqrt(radicand))
     if angle == 0.0:
         return float("inf")

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from distbeam import cli
+from distbeam import cli, experiments
 from distbeam.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, cli_main
 from distbeam.experiments import EXPERIMENT_KEYS, ExperimentConfig
 
@@ -81,10 +81,12 @@ def test_bound_rejects_m_without_equal_gains(capsys, argv, message):
 
 
 def test_bound_infeasible_target(capsys):
-    code, _, err = run_cli(capsys, "bound", "--M", "5", "--eta-hat", "0.1",
-                           "--equal-gains")
-    assert code == EXIT_VERIFY
-    assert "infeasible" in err
+    """A target below the one-interval floor (1/5 here) is met by one
+    interval; it used to be an error with exit 2, verify's failure code."""
+    code, out, err = run_cli(capsys, "bound", "--M", "5", "--eta-hat", "0.1",
+                             "--equal-gains")
+    assert code == EXIT_OK
+    assert out == "1.0000\n" and err == ""
 
 
 def test_protocol_deterministic(capsys):
@@ -196,6 +198,25 @@ def test_exp_writes_curves(capsys, tmp_path, monkeypatch):
     assert (base / "eta_M3.csv").exists()
     assert (base / "bound_M3.csv").exists()
     assert (base / "metadata.json").exists()
+
+
+@pytest.mark.parametrize("epoch", ["abc", "99999999999999999"])
+def test_bad_source_date_epoch_is_a_usage_error_before_any_draw(capsys, tmp_path,
+                                                                monkeypatch, epoch):
+    """Both used to run the whole experiment first; then "abc" printed int()'s
+    message, and the out-of-range value an i/o error with exit 3."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    monkeypatch.setattr(experiments, "rng_stream", no_draw)
+    monkeypatch.setattr(experiments, "trial_stack", no_draw)
+    for name in EXPERIMENT_KEYS:
+        code, out, err = run_cli(capsys, "exp", name, "--out", str(tmp_path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: SOURCE_DATE_EPOCH ") and err.count("\n") == 1
+        assert repr(epoch) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exp_deterministic_across_workers(capsys, tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from distbeam import (
-    InfeasibleEfficiencyTarget,
     PhaseAssignment,
     Scenario,
     accumulated_power,
@@ -803,9 +802,10 @@ def test_required_intervals_equal_gain_identity(rng):
 
 def test_required_intervals_domain():
     s = equal_gain_scenario(5)
-    # for equal gains the radicand turns negative below (1 + (M-1)*0)/M ~ 1/5
-    with pytest.raises(InfeasibleEfficiencyTarget):
-        required_intervals(s, 0.15)
+    # for equal gains one interval already guarantees (1 + (M-1)*0)/M = 1/5:
+    # a target at or below it needs the least budget, 1
+    assert required_intervals(s, 0.15) == 1.0
+    assert required_intervals(s, 0.2) == 1.0
     with pytest.raises(ValueError):
         required_intervals(s, 0.0)
     with pytest.raises(ValueError):
@@ -816,16 +816,18 @@ def test_required_intervals_domain():
 
 
 def test_required_intervals_guarantee(rng):
-    """Running with the ceiling of the required budget meets the target."""
+    """Running with the ceiling of the required budget meets the target,
+    for targets below the one-interval floor too."""
+    floored = 0
     for _ in range(40):
         s = random_scenario(rng, int(rng.integers(2, 8)))
-        eta_hat = float(rng.uniform(0.9, 0.999))
-        try:
-            n_req = required_intervals(s, eta_hat)
-        except InfeasibleEfficiencyTarget:
-            continue
-        res = run_protocol(s, max(1, math.ceil(n_req)))
-        assert res.eta >= eta_hat - 1e-12
+        eta_hat = float(rng.uniform(0.0, 1.0))
+        n_req = required_intervals(s, eta_hat)
+        floored += n_req == 1.0
+        n = max(1, math.ceil(n_req))
+        assert efficiency_lower_bound(s, n) >= eta_hat - 1e-12
+        assert run_protocol(s, n).eta >= eta_hat - 1e-12
+    assert floored > 0
 
 
 def test_accumulated_power_perfect_alignment(rng):
