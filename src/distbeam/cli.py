@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -290,6 +291,7 @@ _COMMANDS = {
 
 def cli_main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -299,6 +301,10 @@ def cli_main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (_UsageError, ValueError) as exc:
+        if str(exc).startswith(("Maximum allowed dimension exceeded", "array is too big")):
+            # numpy's error for an array past its largest size: no address space holds it
+            exc = (f"out of memory: distbeam {shlex.join(argv)} needs an array past "
+                   "numpy's largest size")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -118,6 +118,10 @@ class ExperimentConfig:
         for name, n in (("n_list", self.n_list and min(self.n_list)), ("n_adapt", self.n_adapt)):
             if name in keys and n < 1:
                 raise ValueError(f"n_intervals must be >= 1; got {name} {n}")
+        # the protocol's rule at every listed size, before any draw (power-vs-M
+        # reports a lone transmitter's optimum); the budgets are checked above
+        if self.experiment != EXP_POWER:
+            _check_run(min(self.m_list), 1)
         # the baseline's rules, under this config's names
         for name, rule in (("intervals", "max_intervals"), ("perturb_scale", "scale")):
             if name in keys:
@@ -447,13 +451,10 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     Each policy runs the gain-sorted stack of all trials at once through
     :func:`exact_phases`, or through :func:`exact_runs` when its interval
     powers are the training credit. Training takes N (M - 1) intervals.
-    A system of fewer than two transmitters is rejected before any draw,
-    as every protocol run is (:func:`~distbeam.protocol._check_run`).
     """
     meta = _metadata(cfg)
     domain = _DOMAIN[cfg.experiment]
     (m,) = cfg.m_list
-    _check_run(m, cfg.n_adapt)
     dist = cfg.distribution(m)
     stack = trial_stack(dist, cfg.seed, domain, trials=cfg.trials)
     order = np.argsort(-stack.gains, axis=1)

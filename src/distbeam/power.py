@@ -130,14 +130,9 @@ def harvested_power(s: Scenario, pa: PhaseAssignment) -> float:
     :func:`harvested_powers` row of the active transmitters.
     """
     _check_assignment(s, pa)
-    gains, shifts, phases = s.gains, s.phase_shifts, pa.phases
-    n_active = np.count_nonzero(pa.active)
-    if n_active == 0:
-        return 0.0
-    if n_active < gains.size:
-        idx = np.flatnonzero(pa.active)
-        gains, shifts, phases = gains[idx], shifts[idx], phases[idx]
-    return float(harvested_powers(TrialStack(gains, shifts, s.power_scale), phases))
+    act = pa.active   # an empty mask sums to 0.0 through the kernel
+    return float(harvested_powers(TrialStack(s.gains[act], s.phase_shifts[act], s.power_scale),
+                                  pa.phases[act]))
 
 
 def _pair_sum(amp: np.ndarray, offs: np.ndarray) -> np.ndarray:
@@ -261,9 +256,9 @@ def checked_optima(q_star: np.ndarray, scale: np.ndarray,
     Otherwise raises ``ValueError`` naming the first bad entry by its label
     (default ``trial <index>``) and its power scale ``scale``.
     """
-    bad = np.flatnonzero(~((q_star >= sys.float_info.min) & (q_star < math.inf)))
-    if bad.size:
-        t = int(bad[0])
+    bad = ~((q_star >= sys.float_info.min) & (q_star < math.inf))
+    if bad.any():
+        t = int(np.argmax(bad))   # the first True
         label = f"trial {t}" if labels is None else labels[t]
         raise ValueError(f"optimal power of {label} is {float(q_star[t])}: power scale "
                          f"conversion_eff * transmit_power = {float(scale[t])} "
@@ -277,22 +272,31 @@ def sum_signal(s: Scenario, pa: PhaseAssignment) -> SumSignal:
     The combined carrier of transmitters i is sum_i sqrt(g_i) at phase
     (phi_i - th_i); its power is the squared phasor magnitude and the
     reported phase shift is the angle of the conjugate phasor sum, so that
-    the pair behaves like a single channel driven at phase zero. An empty
-    set reduces to (0, 0).
+    the pair behaves like a single channel driven at phase zero. It is the
+    last :func:`_prefix_sums` sum of the active links; none gives (0, 0).
     """
     _check_assignment(s, pa)
-    amp = np.sqrt(s.gains[pa.active])
-    if amp.size == 0:
-        return SumSignal(0.0, 0.0)
-    delta = s.phase_shifts[pa.active] - pa.phases[pa.active]
-    terms = np.empty((2, amp.size))
-    np.cos(delta, out=terms[0])
-    np.sin(delta, out=terms[1])
-    terms *= amp
-    # cumsum adds each row left to right like a scalar loop; np.sum's
-    # pairwise order would move the last bits of every stage target and
-    # probe power
-    return _phasor_signal(*terms.cumsum(axis=1)[:, -1].tolist())
+    act = pa.active
+    re = im = 0.0
+    for re, im in _prefix_sums(s.gains[act], s.phase_shifts[act], pa.phases[act]):
+        pass
+    return _phasor_signal(re, im)
+
+
+def _prefix_sums(gains, phase_shifts, phases):
+    """Yield the running conjugate phasor sum (re, im) after each link, over
+    the last axis of one scenario's or a trial stack's arrays. ``phases[...,
+    k]`` is read only when link k is reached. Terms add left to right from
+    the first, like a scalar loop: np.sum's pairwise order would move the
+    last bits of every stage target and probe power."""
+    # views, so the caller's writes show; a row index keeps a scenario's scalars
+    amp, shifts, phases = np.sqrt(gains).T, phase_shifts.T, phases.T
+    re = im = None
+    for k in range(len(amp)):
+        a, delta = amp[k], shifts[k] - phases[k]
+        dre, dim = a * np.cos(delta), a * np.sin(delta)
+        re, im = (dre, dim) if re is None else (re + dre, im + dim)
+        yield re, im
 
 
 def _phasor_signal(re, im) -> SumSignal:

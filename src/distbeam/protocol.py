@@ -33,6 +33,7 @@ from .power import (
     TrialStack,
     _aligned_sums,
     _phasor_signal,
+    _prefix_sums,
     checked_optima,
     harvested_powers,
     optimal_power,
@@ -70,7 +71,7 @@ def run_protocol(
     :func:`~distbeam.power.checked_optima`, as in every experiment.
 
     Each stage trains against the running phasor sum of the transmitters
-    fixed before it (:func:`_prefix_sums`). A noisy ``meas`` gives the
+    fixed before it (``power._prefix_sums``). A noisy ``meas`` gives the
     run's 2 * n_intervals * (M - 1) noise values in one draw from its
     generator, in stage order, and each stage reads its 2 * n_intervals of
     them; one draw of n values equals n single draws, so every reading and
@@ -85,7 +86,9 @@ def run_protocol(
     errors = np.zeros(m_total)
     noise = (meas.rng.normal(0.0, meas.noise_std, size=(m_total - 1, 2 * n_intervals))
              if meas.noisy else None)
-    for m, (re, im) in enumerate(_prefix_sums(s.gains, s.phase_shifts, phases), 1):
+    # every link but the last, as views: each stage reads the phases fixed before it
+    sums = _prefix_sums(s.gains[:-1], s.phase_shifts[:-1], phases[:-1])
+    for m, (re, im) in enumerate(sums, 1):
         phi_m, trace = _train_stage(s, _phasor_signal(re, im), m, n_intervals,
                                     None if noise is None else noise[m - 1])
         phases[m] = phi_m
@@ -162,14 +165,15 @@ def _stages(stack: TrialStack):
     phase 0, and an iterator over stages m = 1..M-1 of (m, target, base,
     swing): the stage's optimal phase and the two terms of its probe powers
     base + swing * cos(probe - target), before the power scale. The running
-    phasor sum (:func:`_prefix_sums`) reads the phases the caller writes
+    phasor sum (``power._prefix_sums``) reads the phases the caller writes
     for the earlier stages, and a zero sum reduces to ``SumSignal(0, 0)``,
     as in :func:`run_protocol`."""
     gains, phase_shifts, _ = stack
     phases = np.zeros(gains.shape)
 
     def stages():
-        for m, (re, im) in enumerate(_prefix_sums(gains, phase_shifts, phases), 1):
+        sums = _prefix_sums(gains[:, :-1], phase_shifts[:, :-1], phases[:, :-1])
+        for m, (re, im) in enumerate(sums, 1):
             ss_gain = re * re + im * im
             # math.atan2 per trial: np.arctan2 differs from it in the last ulp
             ss_phase = np.array(list(map(math.atan2, im.tolist(), re.tolist())))
@@ -178,22 +182,6 @@ def _stages(stack: TrialStack):
             yield m, phase_shifts[:, m] - ss_phase, g_m + ss_gain, 2.0 * np.sqrt(g_m * ss_gain)
 
     return phases, stages()
-
-
-def _prefix_sums(gains, phase_shifts, phases):
-    """Yield stage m's conjugate phasor sum (re, im) of transmitters 0..m-1,
-    for m = 1..M-1, over the last axis of one scenario's or a trial stack's
-    arrays. ``phases[..., m-1]`` is read only when stage m is reached. Terms
-    add left to right from the first, as ``sum_signal``'s ``cumsum`` does,
-    so the sums equal it bit for bit, signed zeros included."""
-    # views, so the caller's writes show; a row index keeps a scenario's scalars
-    amp, shifts, phases = np.sqrt(gains).T, phase_shifts.T, phases.T
-    re = im = None
-    for m in range(1, len(amp)):
-        a, delta = amp[m - 1], shifts[m - 1] - phases[m - 1]
-        dre, dim = a * np.cos(delta), a * np.sin(delta)
-        re, im = (dre, dim) if re is None else (re + dre, im + dim)
-        yield re, im
 
 
 def _gain_sums(gains: np.ndarray):

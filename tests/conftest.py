@@ -51,12 +51,13 @@ from distbeam.power import (
     TrialStack,
     _phasor_power,
     _phasor_signal,
+    _prefix_sums,
     aligned_phase,
     measure,
     partial_power,
     sum_signal,
 )
-from distbeam.protocol import _prefix_sums, efficiency_lower_bound, exact_runs
+from distbeam.protocol import efficiency_lower_bound, exact_runs
 
 
 def phasor_power(s: Scenario, pa: PhaseAssignment) -> float:
@@ -95,7 +96,8 @@ def phase_errors(result: ProtocolResult, s: Scenario) -> np.ndarray:
     """
     phases = result.final_phases
     errors = np.zeros(s.num_transmitters)
-    for m, (re, im) in enumerate(_prefix_sums(s.gains, s.phase_shifts, phases), 1):
+    sums = _prefix_sums(s.gains[:-1], s.phase_shifts[:-1], phases[:-1])
+    for m, (re, im) in enumerate(sums, 1):
         errors[m] = wrap_angle(phases[m] - aligned_phase(s, _phasor_signal(re, im), m))
     return errors
 
@@ -108,7 +110,8 @@ def phases_from_errors(s: Scenario, errors) -> np.ndarray:
     if len(errors) != m_total:
         raise ValueError("need one error per transmitter")
     phases = np.zeros(m_total)
-    for m, (re, im) in enumerate(_prefix_sums(s.gains, s.phase_shifts, phases), 1):
+    sums = _prefix_sums(s.gains[:-1], s.phase_shifts[:-1], phases[:-1])
+    for m, (re, im) in enumerate(sums, 1):
         phases[m] = wrap_angle(aligned_phase(s, _phasor_signal(re, im), m) + errors[m])
     return phases
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import shlex
 
 import pytest
 
@@ -216,6 +217,26 @@ def test_bad_source_date_epoch_is_a_usage_error_before_any_draw(capsys, tmp_path
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: SOURCE_DATE_EPOCH ") and err.count("\n") == 1
         assert repr(epoch) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("efficiency-vs-N", "--m-list", "1", "--trials", "3000000"),
+    ("efficiency-vs-N", "--m-list", "5,1", "--trials", "3000000"),
+    ("convergence-comparison", "--m-list", "40,1", "--intervals", "100000"),
+], ids=["efficiency-1", "efficiency-5,1", "convergence-40,1"])
+def test_a_system_of_one_transmitter_is_rejected_before_any_draw(capsys, tmp_path,
+                                                                monkeypatch, argv):
+    """Each listed size is checked before the first draw. These failed only
+    inside the protocol engine: M = 1 after drawing 3,000,000 trials, and
+    M = 1 after M = 5 or M = 40 had run."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(experiments, "trial_stack", no_draw)
+    monkeypatch.setattr(experiments, "generate_scenario", no_draw)
+    code, out, err = run_cli(capsys, "exp", *argv, "--out", str(tmp_path))
+    assert (code, out, err) == (EXIT_USAGE, "", "error: protocol needs at least two transmitters\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -479,30 +500,56 @@ def test_usage_errors(capsys, tmp_path):
     ("exp", "convergence-comparison", "--m-list", "2", "--intervals", "100000000000000000"),
     ("exp", "overhead-tradeoff", "--trials", "2", "--n-adapt", "100000000000000000",
      "--count-training-energy"),
-], ids=["baseline", "convergence-comparison", "overhead-tradeoff"])
+    ("baseline", "--intervals", "10000000000000000000"),
+    ("exp", "convergence-comparison", "--m-list", "2", "--intervals", "100000000000000000000"),
+    ("exp", "overhead-tradeoff", "--trials", "2", "--count-training-energy",
+     "--n-adapt", "10000000000000000000"),
+], ids=["baseline", "convergence-comparison", "overhead-tradeoff", "baseline-1e19",
+        "convergence-comparison-1e20", "overhead-tradeoff-1e19"])
 def test_a_run_too_large_for_memory_is_a_usage_error(capsys, tmp_path, argv):
     """Runs that ask numpy for 3.47 EiB, 711 PiB and 5.55 EiB, more than any
     address space holds, ended in a MemoryError traceback. Each is one error
     line naming the allocation, and ``exp`` writes nothing. overhead-tradeoff
-    keeps every interval's power only when it credits training energy."""
-    out_dir = ("--out", str(tmp_path)) if argv[0] == "exp" else ()
-    code, out, err = run_cli(capsys, *argv, *out_dir)
+    keeps every interval's power only when it credits training energy. An
+    array past numpy's largest size printed numpy's ``Maximum allowed
+    dimension exceeded``; it is out of memory too, and the line names the run."""
+    argv = (*argv, "--out", str(tmp_path)) if argv[0] == "exp" else argv
+    code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
-    assert err.startswith("error: out of memory: Unable to allocate ")
-    assert len(err.splitlines()) == 1
+    if "100000000000000000" in argv:
+        assert err.startswith("error: out of memory: Unable to allocate ")
+        assert len(err.splitlines()) == 1
+    else:
+        assert err == (f"error: out of memory: distbeam {shlex.join(argv)} "
+                       f"needs an array past numpy's largest size\n")
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("argv", [("protocol", "--M", "3"), ("adapt", "--M", "3")])
-@pytest.mark.parametrize("n", ["1" + "0" * 17, "1" + "0" * 30])
+@pytest.mark.parametrize("argv", [("protocol", "--M", "3"), ("adapt", "--M", "3"),
+                                  ("protocol", "--M", "2", "--noise-std", "1e-6"),
+                                  ("adapt", "--M", "2", "--noise-std", "1e-6")])
+@pytest.mark.parametrize("n", ["1" + "0" * 17, "1" + "0" * 30, "1" + "0" * 19])
 def test_a_trace_too_long_for_memory_is_a_usage_error(capsys, tmp_path, argv, n):
     """The scalar stage keeps one entry per interval. N = 10**17 needs
     more memory than any address space holds and 10**30 more entries than a
     tuple holds; both ran interval by interval without end. Each is one
-    error line naming the trace, and ``protocol --out`` writes nothing."""
+    error line naming the trace, and ``protocol --out`` writes nothing.
+    Under noise the run first draws 2 * N noise values a stage: at 10**17
+    numpy names the array it cannot allocate, and from 10**19, past its
+    largest size, the line names the run (it printed numpy's ``Maximum
+    allowed dimension exceeded``)."""
     out_dir = ("--out", str(tmp_path / "o")) if argv[0] == "protocol" else ()
-    code, out, err = run_cli(capsys, *argv, "--N", n, *out_dir)
-    assert (code, out, err) == (EXIT_USAGE, "", f"error: out of memory: a trace of {n} intervals\n")
+    argv = (*argv, "--N", n, *out_dir)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    if "--noise-std" not in argv:
+        assert err == f"error: out of memory: a trace of {n} intervals\n"
+    elif n == "1" + "0" * 17:
+        assert err.startswith("error: out of memory: Unable to allocate ")
+        assert len(err.splitlines()) == 1
+    else:
+        assert err == (f"error: out of memory: distbeam {shlex.join(argv)} "
+                       f"needs an array past numpy's largest size\n")
     assert not any(tmp_path.iterdir())
 
 
