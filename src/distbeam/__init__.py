@@ -62,7 +62,6 @@ from .experiments import (
     config_from_mapping,
     config_hash,
     parse_config_text,
-    protocol_trajectory,
     run_experiment,
 )
 from .streams import rng_stream

@@ -128,44 +128,34 @@ def _bisect_arc(arc: Arc, bit: bool) -> Arc:
 
 #: Every stage bisects the same probe lattice from :func:`initial_arc`; the
 #: feedback picks only the path through it. So the tree's nodes down to
-#: half-width pi/2**_TREE_DEPTH, enough for N <= 8 intervals, are stored
-#: with their probe pair and children: 2**(_TREE_DEPTH + 1) - 1 = 511
-#: entries, built by the plain functions once, at import.
-#: Nodes are keyed by identity: each entry holds its node, so the node lives
-#: as long as the store and no other object can share its id. Deeper arcs,
-#: and arcs a caller builds (equal copies of nodes included), miss and are
-#: computed on every call.
+#: half-width pi/2**_TREE_DEPTH, enough for N <= 8 intervals, are built by
+#: the plain functions once, at import, in level order: ``_NODES[2**d - 1 +
+#: j]`` is depth d's arc on path j (the feedback bits from the root, first
+#: bit highest, True = 1), so node i's children are nodes 2i + 1 and 2i + 2.
+#: ``_TREE`` stores the 2**(_TREE_DEPTH + 1) - 1 = 511 nodes with their
+#: probe pair and children. Nodes are keyed by identity: each entry holds
+#: its node, so the node lives as long as the store and no other object can
+#: share its id. Deeper arcs, and arcs a caller builds (equal copies of
+#: nodes included), miss and are computed on every call.
 _TREE_DEPTH = 8
-_TREE: dict[int, tuple] = {}   # id(node) -> (node, probe pair, child on bit False, on bit True)
 
 
-def _grow_tree(arc: Arc, depth: int) -> None:
-    children = ((_bisect_arc(arc, False), _bisect_arc(arc, True))
-                if depth < _TREE_DEPTH else (None, None))
-    _TREE[id(arc)] = (arc, _probe_pair(arc), *children)
-    if depth < _TREE_DEPTH:
-        for child in children:
-            _grow_tree(child, depth + 1)
+def _grow_tree() -> tuple[list[Arc], dict[int, tuple]]:
+    """The tree's nodes in level order, and its store: id(node) -> (node,
+    probe pair, child on bit False, on bit True), a leaf's children None."""
+    nodes = [_FULL_CIRCLE]
+    for i in range(2 ** _TREE_DEPTH - 1):
+        nodes += (_bisect_arc(nodes[i], False), _bisect_arc(nodes[i], True))
+    return nodes, {id(arc): (arc, _probe_pair(arc), *(nodes[2 * i + 1:2 * i + 3] or (None, None)))
+                   for i, arc in enumerate(nodes)}
 
 
-_grow_tree(_FULL_CIRCLE, 0)
+_NODES, _TREE = _grow_tree()
 
-
-def _depth_centres() -> np.ndarray:
-    """The centres of the stored tree's arcs in level order, read-only:
-    depth d's 2**d arcs at 2**d - 1 + j, j the arc's path (the feedback
-    bits from the root, first bit highest, True = 1). Read off ``_TREE``'s
-    nodes, so no angle is recomputed."""
-    levels = [[_FULL_CIRCLE]]
-    for _ in range(_TREE_DEPTH):
-        levels.append([_TREE[id(arc)][child] for arc in levels[-1] for child in (2, 3)])
-    centres = np.array([arc.center for level in levels for arc in level])
-    centres.flags.writeable = False
-    return centres
-
-
-#: The depth table of the closed-form exact stage, built with the tree
-_DEPTH_CENTRES = _depth_centres()
+#: The depth table of the closed-form exact stage: the nodes' centres,
+#: read-only, so no angle is recomputed
+_DEPTH_CENTRES = np.array([arc.center for arc in _NODES])
+_DEPTH_CENTRES.flags.writeable = False
 
 
 class TrainingTrace(NamedTuple):

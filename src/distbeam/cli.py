@@ -300,9 +300,11 @@ def cli_main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (_UsageError, ValueError) as exc:
-        if str(exc).startswith(("Maximum allowed dimension exceeded", "array is too big")):
-            # numpy's error for an array past its largest size: no address space holds it
+    except (_UsageError, ValueError, OverflowError) as exc:
+        if str(exc).startswith(("Maximum allowed dimension exceeded", "array is too big",
+                                "cannot fit 'int' into an index-sized integer")):
+            # numpy's error for an array past its largest size, or Python's for a
+            # sequence past an index's: no address space holds it
             exc = (f"out of memory: distbeam {shlex.join(argv)} needs an array past "
                    "numpy's largest size")
         print(f"error: {exc}", file=sys.stderr)

@@ -394,11 +394,10 @@ def run_power_vs_m(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg.experiment, "M", curves, meta)
 
 
-def protocol_trajectory(res, total_intervals: int) -> np.ndarray:
+def _protocol_trajectory(res, total_intervals: int) -> np.ndarray:
     """Per-interval received power of a protocol run: the two probe powers
     averaged while a stage trains, then the delivered power once done."""
-    parts = [tr.interval_powers() for tr in res.traces]
-    traj = np.concatenate(parts) if parts else np.zeros(0)
+    traj = np.concatenate([tr.interval_powers() for tr in res.traces])
     if total_intervals > traj.size:
         tail = np.full(total_intervals - traj.size, res.q_d)
         traj = np.concatenate([traj, tail])
@@ -414,7 +413,7 @@ def run_convergence_comparison(cfg: ExperimentConfig) -> ExperimentResult:
              for m in cfg.m_list]
     curves = {}
     for m, scen, q_star in zip(cfg.m_list, scens, _optima(scens, cfg.m_list)):
-        proposed = protocol_trajectory(run_protocol(scen, cfg.n_adapt), cfg.intervals)
+        proposed = _protocol_trajectory(run_protocol(scen, cfg.n_adapt), cfg.intervals)
         pert = PerturbationConfig(scale=cfg.perturb_scale,
                                   max_intervals=cfg.intervals)
         trace = run_random_perturbation(

@@ -24,7 +24,6 @@ from distbeam import (
     ProtocolResult,
     harvested_power,
     optimal_power,
-    protocol_trajectory,
     run_protocol,
 )
 from distbeam import adapt, protocol, selfcheck
@@ -40,6 +39,7 @@ from distbeam.angles import wrap_angle
 from distbeam.baseline import DIST_UNIFORM, BaselineTrace
 from distbeam.experiments import (
     _DOMAIN,
+    _protocol_trajectory,
     EXPERIMENT_KEYS,
     OVERHEAD_POLICIES,
     Curve,
@@ -276,6 +276,31 @@ def plain_bisect_arc(arc: Arc, bit: bool) -> Arc:
     return Arc(center + half if bit else center - half, half)
 
 
+def depth_first_tree() -> tuple[dict[int, tuple], list[Arc], np.ndarray]:
+    """``adapt``'s bisection tree as it was built before its one level-order
+    build: a depth-first recursion from the full circle into an
+    identity-keyed store of entries (node, probe pair, child on bit False,
+    on bit True), by :func:`plain_probe_pair` and :func:`plain_bisect_arc`;
+    then a breadth-first walk of that store for the nodes in level order
+    and their centres."""
+    tree = {}
+
+    def grow(arc, depth):
+        children = ((plain_bisect_arc(arc, False), plain_bisect_arc(arc, True))
+                    if depth < adapt._TREE_DEPTH else (None, None))
+        tree[id(arc)] = (arc, plain_probe_pair(arc), *children)
+        if depth < adapt._TREE_DEPTH:
+            for child in children:
+                grow(child, depth + 1)
+
+    grow(initial_arc(), 0)
+    levels = [[initial_arc()]]
+    for _ in range(adapt._TREE_DEPTH):
+        levels.append([tree[id(arc)][child] for arc in levels[-1] for child in (2, 3)])
+    nodes = [arc for level in levels for arc in level]
+    return tree, nodes, np.array([arc.center for arc in nodes])
+
+
 def item_partial_power(s: Scenario, ss: SumSignal, m: int, phi_m: float) -> float:
     """``partial_power`` with the link read from the scenario's arrays by
     ``ndarray.item``, in the same arithmetic order."""
@@ -492,7 +517,7 @@ def per_trial_overhead(cfg) -> dict[str, Curve]:
                            scen.phase_shifts[order[:m_on]])
             res = run_protocol(sub, cfg.n_adapt)
             t_train = res.total_feedback_intervals
-            traj = protocol_trajectory(res, t_train)
+            traj = _protocol_trajectory(res, t_train)
             averages = []
             for b in cfg.budgets:
                 if cfg.count_training_energy:

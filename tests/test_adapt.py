@@ -36,6 +36,7 @@ from distbeam.power import MODE_ADDITIVE_NOISE
 from distbeam.selfcheck import grid_oracle_violations
 
 from conftest import (
+    depth_first_tree,
     equal_gain_scenario,
     per_stage_protocol,
     plain_bisect_arc,
@@ -243,9 +244,8 @@ def _bits(x):
 @pytest.fixture
 def fresh_tree(monkeypatch):
     """A new store of bisection-tree nodes for one test, built as at import."""
-    tree = {}
+    _, tree = adapt._grow_tree()
     monkeypatch.setattr(adapt, "_TREE", tree)
-    adapt._grow_tree(initial_arc(), 0)
     return tree
 
 
@@ -266,6 +266,24 @@ def test_tree_nodes_equal_plain_arithmetic(fresh_tree):
     assert len(fresh_tree) == 2 ** (adapt._TREE_DEPTH + 1) - 1
     assert min(node[0].half_width for node in fresh_tree.values()) == \
         math.pi / 2 ** adapt._TREE_DEPTH
+
+
+def test_level_order_build_equals_the_depth_first_oracle():
+    """The tree built once in level order equals the depth-first build and
+    breadth-first walk it replaced, bit for bit: every stored node, its
+    probe pair and children, and the bytes of the depth table. Node i's
+    stored children are the nodes 2i + 1 and 2i + 2 themselves."""
+    tree, nodes, centres = depth_first_tree()
+    assert len(adapt._TREE) == len(adapt._NODES) == len(nodes) == 2 ** (adapt._TREE_DEPTH + 1) - 1
+    inner = 2 ** adapt._TREE_DEPTH - 1
+    for i, (node, ref) in enumerate(zip(adapt._NODES, nodes, strict=True)):
+        entry = adapt._TREE[id(node)]
+        assert entry[0] is node, i
+        assert _bits(entry) == _bits(tree[id(ref)]), i
+        if i < inner:
+            assert entry[2] is adapt._NODES[2 * i + 1] and entry[3] is adapt._NODES[2 * i + 2], i
+    assert _bits(adapt._DEPTH_CENTRES) == _bits(centres)
+    assert not adapt._DEPTH_CENTRES.flags.writeable
 
 
 _FRESH_INTERPRETER = """

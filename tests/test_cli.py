@@ -504,8 +504,11 @@ def test_usage_errors(capsys, tmp_path):
     ("exp", "convergence-comparison", "--m-list", "2", "--intervals", "100000000000000000000"),
     ("exp", "overhead-tradeoff", "--trials", "2", "--count-training-energy",
      "--n-adapt", "10000000000000000000"),
+    ("bound", "--equal-gains", "--M", "10000000000000000000", "--N", "3"),
+    ("bound", "--equal-gains", "--M", "10000000000000000000", "--eta-hat", "0.9"),
 ], ids=["baseline", "convergence-comparison", "overhead-tradeoff", "baseline-1e19",
-        "convergence-comparison-1e20", "overhead-tradeoff-1e19"])
+        "convergence-comparison-1e20", "overhead-tradeoff-1e19", "bound-1e19-N",
+        "bound-1e19-eta-hat"])
 def test_a_run_too_large_for_memory_is_a_usage_error(capsys, tmp_path, argv):
     """Runs that ask numpy for 3.47 EiB, 711 PiB and 5.55 EiB, more than any
     address space holds, ended in a MemoryError traceback. Each is one error

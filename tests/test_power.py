@@ -238,10 +238,11 @@ def test_sum_signal_empty():
 
 
 def test_sum_signal_equals_two_cumsums_bit_for_bit():
-    """One (2, k) cumsum of the cosine and sine terms gives the two 1-D
-    cumsums' gain and phase shift bit for bit, sign of zero included: on
-    every instance of verify's partial-power check, and on zero gains whose
-    terms are -0.0 (cosine or sine below 0) beside +0.0 ones."""
+    """The last running sum of ``power._prefix_sums`` over the active links
+    gives the two 1-D cumsums' gain and phase shift bit for bit, sign of
+    zero included: on every instance of verify's partial-power check, and
+    on zero gains whose terms are -0.0 (cosine or sine below 0) beside
+    +0.0 ones."""
     cases = [(s, PhaseAssignment(phases, active)) for s, phases, _, active
              in partial_power_instances()]
     for gains in ([0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 2.0], [1e-6, 0.0, 0.0, 0.0]):
