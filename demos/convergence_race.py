@@ -10,10 +10,10 @@ Run: python3 demos/convergence_race.py
 """
 
 from distbeam import ExperimentConfig
-from distbeam.experiments import EXP_CONVERGENCE, run_convergence_comparison
+from distbeam.experiments import EXP_CONVERGENCE, run_experiment
 
 cfg = ExperimentConfig(experiment=EXP_CONVERGENCE, seed=3, intervals=300, out_dir="demo_out")
-result = run_convergence_comparison(cfg)
+result = run_experiment(cfg)
 
 for m in cfg.m_list:
     proposed = result.curves[f"proposed_M{m}"].means.tolist()

@@ -12,12 +12,12 @@ Run: python3 demos/efficiency_vs_feedback.py [trials]
 import sys
 
 from distbeam import ExperimentConfig, required_intervals_equal_gains
-from distbeam.experiments import EXP_EFFICIENCY, run_efficiency_vs_n
+from distbeam.experiments import EXP_EFFICIENCY, run_experiment
 
 trials = int(sys.argv[1]) if len(sys.argv) > 1 else 300
 cfg = ExperimentConfig(experiment=EXP_EFFICIENCY, trials=trials, seed=42, out_dir="demo_out")
 print(f"Averaging over {cfg.trials} random scenarios for M in {cfg.m_list} ...")
-result = run_efficiency_vs_n(cfg)
+result = run_experiment(cfg)
 
 for m in cfg.m_list:
     eta, bound = result.curves[f"eta_M{m}"], result.curves[f"bound_M{m}"]

@@ -14,13 +14,13 @@ Run: python3 demos/training_overhead.py [trials]
 import sys
 
 from distbeam import ExperimentConfig
-from distbeam.experiments import EXP_OVERHEAD, run_overhead_tradeoff
+from distbeam.experiments import EXP_OVERHEAD, run_experiment
 
 trials = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
 cfg = ExperimentConfig(experiment=EXP_OVERHEAD, trials=trials, seed=11, out_dir="demo_out")
 print(f"Averaging over {cfg.trials} random 5-transmitter scenarios "
       f"(N = {cfg.n_adapt} per trained transmitter) ...")
-result = run_overhead_tradeoff(cfg)
+result = run_experiment(cfg)
 
 curves = {name: dict(zip(c.xs, c.means.tolist())) for name, c in result.curves.items()}
 labels = {

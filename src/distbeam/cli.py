@@ -28,7 +28,6 @@ from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
     config_from_mapping,
-    config_hash,
     parse_config_text,
     run_experiment,
 )
@@ -172,6 +171,8 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
+    if args.out_dir == "":
+        raise _UsageError("--out must not be empty")
     scen = _scenario_for(args, args.M)
     meas = _measurement(args)
     res = run_protocol(scen, args.N, meas)
@@ -194,7 +195,7 @@ def _cmd_protocol(args) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         sys.stdout.write(csv)
-    if args.out_dir:
+    if args.out_dir is not None:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "summary.csv").write_text(csv)
@@ -234,7 +235,7 @@ def _cmd_exp(args) -> int:
     cfg = config_from_mapping(mapping)
     result = run_experiment(cfg)
     written = result.write(cfg.out_dir)
-    print(f"config_hash {config_hash(cfg)}")
+    print(f"config_hash {result.metadata['config_hash']}")
     for path in written:
         print(path.as_posix())
     return EXIT_OK

@@ -10,18 +10,20 @@ the calling thread, so results are byte-identical across runs. The
 trials run, so it cannot change a result either. Each experiment reads
 the shared keys (``seed``, ``workers``, ``out_dir``, the scenario fields)
 and its own, declared with their defaults in ``EXPERIMENT_KEYS``; a
-config sets, checks and records no other key.
+config parses each of them from a config file's text and sets, checks
+and records no other key. :func:`run_experiment` is the one entry point.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -47,14 +49,6 @@ EXP_EFFICIENCY = "efficiency-vs-N"
 EXP_POWER = "power-vs-M"
 EXP_CONVERGENCE = "convergence-comparison"
 EXP_OVERHEAD = "overhead-tradeoff"
-
-# stream-domain tags keeping the experiments' random draws disjoint
-_DOMAIN = {
-    EXP_EFFICIENCY: 1,
-    EXP_POWER: 2,
-    EXP_CONVERGENCE: 3,
-    EXP_OVERHEAD: 4,
-}
 
 _N_LIST = (1, 2, 3, 4, 5, 6, 7, 8)
 
@@ -101,18 +95,35 @@ class ExperimentConfig:
     conversion_eff: float = ScenarioDistribution.conversion_eff
 
     def __post_init__(self):
-        keys = _read_keys(self.experiment, [f.name for f in dataclasses.fields(self)
-                                            if getattr(self, f.name) is not None])
-        for name, value in keys.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, value)
+        if (keys := EXPERIMENT_KEYS.get(self.experiment)) is None:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
+        # the shared keys and the experiment's own; a field that defaults to
+        # None is experiment-specific, and one set but unread is named first
+        fields = dataclasses.fields(self)[1:]
+        reads = [f for f in fields if f.default is not None or f.name in keys]
+        if unread := [f.name for f in fields
+                      if f not in reads and getattr(self, f.name) is not None]:
+            raise ValueError(f"{self.experiment} does not read {', '.join(unread)}; "
+                             f"it reads {', '.join(f.name for f in reads)}")
+        # each value read, set or defaulted, is parsed from its text in a
+        # config file by its declared type (less a sweep field's "| None"),
+        # so a keyword, a file line and a flag take one parser
+        for f in reads:
+            if (value := getattr(self, f.name)) is None:
+                value = keys.get(f.name)
+            parse, expected = _PARSERS[f.type.removesuffix(" | None")]
+            try:
+                parsed = parse(text := _config_text(value))
+            except (KeyError, ValueError):
+                raise ValueError(f"{f.name} must be {expected}; got {text!r}") from None
+            object.__setattr__(self, f.name, parsed)
         if "trials" in keys and self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not self.out_dir:
+            raise ValueError("out_dir must not be empty")
         sweeps = [name for name in ("n_list", "m_list", "budgets") if name in keys]
-        if not all(getattr(self, name) for name in sweeps):
-            raise ValueError("sweep lists must be non-empty")
         if bad := [b for b in self.budgets or () if not 1 <= b <= 2**53]:   # float64 holds counts exactly to 2**53
             raise ValueError(f"budgets must be >= 1 and <= 2**53; got {bad[0]}")
         for name, n in (("n_list", self.n_list and min(self.n_list)), ("n_adapt", self.n_adapt)):
@@ -120,8 +131,15 @@ class ExperimentConfig:
                 raise ValueError(f"n_intervals must be >= 1; got {name} {n}")
         # the protocol's rule at every listed size, before any draw (power-vs-M
         # reports a lone transmitter's optimum); the budgets are checked above
+        m = min(self.m_list)
         if self.experiment != EXP_POWER:
-            _check_run(min(self.m_list), 1)
+            _check_run(m, 1)
+        # the scenario family's rules at that size: its fields', and at least one
+        # transmitter, which only power-vs-M reaches here without
+        try:
+            self.distribution(m)
+        except ValueError as exc:
+            raise ValueError(f"m_list {m}: {exc}" if m < 1 else str(exc)) from None
         # the baseline's rules, under this config's names
         for name, rule in (("intervals", "max_intervals"), ("perturb_scale", "scale")):
             if name in keys:
@@ -156,28 +174,18 @@ class ExperimentConfig:
         )
 
 
-def _read_keys(experiment: str, names) -> dict:
-    """The keys ``experiment`` reads besides the shared ones, with their
-    defaults; a ``ValueError`` naming each of ``names`` that it does not read."""
-    if (keys := EXPERIMENT_KEYS.get(experiment)) is None:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    fields = dataclasses.fields(ExperimentConfig)[1:]
-    # a field that defaults to None is experiment-specific
-    if unread := [f.name for f in fields if f.default is None and f.name not in keys
-                  and f.name in names]:
-        reads = [f.name for f in fields if f.default is not None or f.name in keys]
-        raise ValueError(f"{experiment} does not read {', '.join(unread)}; "
-                         f"it reads {', '.join(reads)}")
-    return keys
-
-
 def config_to_mapping(cfg: ExperimentConfig) -> dict:
     """The experiment and the keys it reads; an unread key is None and left out."""
     out = {}
     for f in dataclasses.fields(cfg):
         if (val := getattr(cfg, f.name)) is not None:
-            out[f.name] = ",".join(str(v) for v in val) if isinstance(val, tuple) else val
+            out[f.name] = _config_text(val) if isinstance(val, tuple) else val
     return out
+
+
+def _config_text(value) -> str:
+    """``value`` as a config file holds it: a sequence comma-joined, anything else ``str``."""
+    return ",".join(map(str, value)) if isinstance(value, (tuple, list)) else str(value)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -216,14 +224,11 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Build a config from string-valued keys, applying per-experiment defaults."""
     if "experiment" not in mapping:
         raise ValueError("config requires an 'experiment' key")
-    types = {f.name: f.type.removesuffix(" | None")
-             for f in dataclasses.fields(ExperimentConfig)}
-    if unknown := [key for key in mapping if key not in types]:
+    if unknown := [key for key in mapping if key not in ExperimentConfig.__dataclass_fields__]:
         raise ValueError(f"unknown config key {unknown[0]!r}")
-    # which keys the experiment reads, before any value is parsed
-    _read_keys(_parse_value("experiment", "str", mapping["experiment"]), mapping)
-    return ExperimentConfig(**{key: _parse_value(key, types[key], raw)
-                               for key, raw in mapping.items()})
+    if typed := [key for key, raw in mapping.items() if not isinstance(raw, str)]:
+        raise TypeError(f"{typed[0]} must be given as a string; got {mapping[typed[0]]!r}")
+    return ExperimentConfig(**mapping)
 
 
 _WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -238,18 +243,6 @@ _PARSERS = {
     "tuple[int, ...]": (lambda raw: tuple(int(v) for v in raw.split(",")),
                         "comma-separated integers"),
 }
-
-
-def _parse_value(key: str, type_name: str, raw: str):
-    """``raw`` parsed as the declared type of field ``key``, less a sweep
-    field's "| None". ``raw`` must be a string, as a config file's value is."""
-    if not isinstance(raw, str):
-        raise TypeError(f"{key} must be given as a string; got {raw!r}")
-    parse, expected = _PARSERS[type_name]
-    try:
-        return parse(raw)
-    except (KeyError, ValueError):
-        raise ValueError(f"{key} must be {expected}; got {raw!r}") from None
 
 
 class Curve(NamedTuple):
@@ -304,8 +297,8 @@ def _timestamp() -> str:
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
-    """The run record; each runner takes it before any trial, so a bad
-    ``SOURCE_DATE_EPOCH`` fails the run before it starts."""
+    """The run record; :func:`run_experiment` takes it before any trial, so
+    a bad ``SOURCE_DATE_EPOCH`` fails the run before it starts."""
     meta = dict(config_to_mapping(cfg))
     meta["config_hash"] = config_hash(cfg)
     meta["timestamp"] = _timestamp()
@@ -338,7 +331,7 @@ def _single_run(xs, values) -> Curve:
     return Curve(xs, np.asarray(values, dtype=np.float64), np.zeros(len(xs)))
 
 
-def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
+def _efficiency_vs_n(cfg: ExperimentConfig, domain: int) -> dict[str, Curve]:
     """Mean efficiency and its closed-form lower bound versus the per-stage
     feedback budget, one curve pair per system size.
 
@@ -347,8 +340,6 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
     once through :func:`exact_phases`; the delivered powers come from the
     stacked phases. Each value equals the per-run one bit for bit.
     """
-    meta = _metadata(cfg)
-    domain = _DOMAIN[cfg.experiment]
     curves = {}
     for m in cfg.m_list:
         dist = cfg.distribution(m)
@@ -360,7 +351,7 @@ def run_efficiency_vs_n(cfg: ExperimentConfig) -> ExperimentResult:
         bounds = efficiency_lower_bounds(stack, cfg.n_list)
         curves[f"eta_M{m}"] = _averaged(cfg.n_list, etas)
         curves[f"bound_M{m}"] = _averaged(cfg.n_list, bounds)
-    return ExperimentResult(cfg.experiment, "N", curves, meta)
+    return curves
 
 
 def _optima(scenarios: list[Scenario], m_list) -> list[float]:
@@ -371,11 +362,9 @@ def _optima(scenarios: list[Scenario], m_list) -> list[float]:
                           [f"M = {m}" for m in m_list]).tolist()
 
 
-def run_power_vs_m(cfg: ExperimentConfig) -> ExperimentResult:
+def _power_vs_m(cfg: ExperimentConfig, domain: int) -> dict[str, Curve]:
     """Delivered power versus system size on one pinned realization, with
     the no-adaptation and optimal references."""
-    meta = _metadata(cfg)
-    domain = _DOMAIN[cfg.experiment]
     full, _ = generate_scenario(cfg.distribution(max(cfg.m_list)), rng_stream(cfg.seed, domain))
     scens = [Scenario(full.transmit_power, full.conversion_eff, full.gains[:m],
                       full.phase_shifts[:m]) for m in cfg.m_list]
@@ -389,9 +378,7 @@ def run_power_vs_m(cfg: ExperimentConfig) -> ExperimentResult:
                    for n in cfg.n_list]
         for name, q in points:
             columns.setdefault(name, []).append(q)
-    curves = {name: _single_run(sorted(cfg.m_list), columns[name])
-              for name in sorted(columns)}
-    return ExperimentResult(cfg.experiment, "M", curves, meta)
+    return {name: _single_run(sorted(cfg.m_list), columns[name]) for name in sorted(columns)}
 
 
 def _protocol_trajectory(res, total_intervals: int) -> np.ndarray:
@@ -404,11 +391,9 @@ def _protocol_trajectory(res, total_intervals: int) -> np.ndarray:
     return traj[:total_intervals]
 
 
-def run_convergence_comparison(cfg: ExperimentConfig) -> ExperimentResult:
+def _convergence_comparison(cfg: ExperimentConfig, domain: int) -> dict[str, Curve]:
     """Power trajectories of the sequential protocol and the perturbation
     baseline on one pinned realization per system size."""
-    meta = _metadata(cfg)
-    domain = _DOMAIN[cfg.experiment]
     scens = [generate_scenario(cfg.distribution(m), rng_stream(cfg.seed, domain, m))[0]
              for m in cfg.m_list]
     curves = {}
@@ -422,10 +407,7 @@ def run_convergence_comparison(cfg: ExperimentConfig) -> ExperimentResult:
         for name, powers in ((f"proposed_M{m}", proposed), (f"baseline_M{m}", trace.best_power)):
             curves[name] = _single_run(range(1, powers.size + 1), powers)
         curves[f"optimal_M{m}"] = _single_run((cfg.intervals,), [q_star])
-    # one feedback bit per interval for both schemes; the sequential
-    # protocol transmits two probes per interval, the baseline one
-    meta["probes_per_interval"] = {"proposed": 2, "baseline": 1}
-    return ExperimentResult(cfg.experiment, "interval", curves, meta)
+    return curves
 
 
 #: Fig-8-style policies: number of weakest transmitters switched off, by
@@ -437,7 +419,7 @@ OVERHEAD_POLICIES = (
 )
 
 
-def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
+def _overhead_tradeoff(cfg: ExperimentConfig, domain: int) -> dict[str, Curve]:
     """Average power per interval versus the total interval budget, for
     policies that switch off the weakest transmitters to shorten training.
 
@@ -451,8 +433,6 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     :func:`exact_phases`, or through :func:`exact_runs` when its interval
     powers are the training credit. Training takes N (M - 1) intervals.
     """
-    meta = _metadata(cfg)
-    domain = _DOMAIN[cfg.experiment]
     (m,) = cfg.m_list
     dist = cfg.distribution(m)
     stack = trial_stack(dist, cfg.seed, domain, trials=cfg.trials)
@@ -492,17 +472,33 @@ def run_overhead_tradeoff(cfg: ExperimentConfig) -> ExperimentResult:
     tables["no_adaptation"] = np.repeat(
         harvested_powers(stack, np.zeros_like(stack.phase_shifts))[:, None], n_budgets, axis=1)
     tables["optimal"] = np.repeat(q_star[:, None], n_budgets, axis=1)
-    curves = {name: _averaged(cfg.budgets, table) for name, table in tables.items()}
-    return ExperimentResult(cfg.experiment, "budget", curves, meta)
+    return {name: _averaged(cfg.budgets, table) for name, table in tables.items()}
+
+
+class Experiment(NamedTuple):
+    """A runner, which returns the curves by name; the stream-domain tag
+    that keeps its draws disjoint from the other experiments'; the name of
+    its x column; and what its run record holds besides the config's."""
+
+    run: Callable[[ExperimentConfig, int], dict[str, Curve]]
+    domain: int
+    x_name: str
+    notes: dict
 
 
 EXPERIMENTS = {
-    EXP_EFFICIENCY: run_efficiency_vs_n,
-    EXP_POWER: run_power_vs_m,
-    EXP_CONVERGENCE: run_convergence_comparison,
-    EXP_OVERHEAD: run_overhead_tradeoff,
+    EXP_EFFICIENCY: Experiment(_efficiency_vs_n, 1, "N", {}),
+    EXP_POWER: Experiment(_power_vs_m, 2, "M", {}),
+    # one feedback bit per interval for both schemes; the sequential
+    # protocol transmits two probes per interval, the baseline one
+    EXP_CONVERGENCE: Experiment(_convergence_comparison, 3, "interval",
+                                {"probes_per_interval": {"proposed": 2, "baseline": 1}}),
+    EXP_OVERHEAD: Experiment(_overhead_tradeoff, 4, "budget", {}),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    return EXPERIMENTS[cfg.experiment](cfg)
+    """Run ``cfg``'s experiment: its run record, taken before any draw, and its curves."""
+    run, domain, x_name, notes = EXPERIMENTS[cfg.experiment]
+    meta = _metadata(cfg) | copy.deepcopy(notes)
+    return ExperimentResult(cfg.experiment, x_name, run(cfg, domain), meta)

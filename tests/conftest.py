@@ -38,9 +38,9 @@ from distbeam.adapt import (
 from distbeam.angles import wrap_angle
 from distbeam.baseline import DIST_UNIFORM, BaselineTrace
 from distbeam.experiments import (
-    _DOMAIN,
     _protocol_trajectory,
     EXPERIMENT_KEYS,
+    EXPERIMENTS,
     OVERHEAD_POLICIES,
     Curve,
     rng_stream,
@@ -480,7 +480,7 @@ def per_run_efficiency(cfg) -> dict[str, Curve]:
     """The efficiency-vs-N sweep with per-run post-processing: the engine's
     final phases, then one ``harvested_power``, ``optimal_power`` and
     ``efficiency_lower_bound`` call per (trial, N)."""
-    domain = _DOMAIN[cfg.experiment]
+    domain = EXPERIMENTS[cfg.experiment].domain
     curves = {}
     for m in cfg.m_list:
         dist = cfg.distribution(m)
@@ -503,7 +503,7 @@ def per_trial_overhead(cfg) -> dict[str, Curve]:
     """The overhead-tradeoff sweep one trial at a time: each policy runs
     ``run_protocol`` on the trial's channels sorted by falling gain and
     takes its training credit from the run's traces."""
-    domain = _DOMAIN[cfg.experiment]
+    domain = EXPERIMENTS[cfg.experiment].domain
     (m,) = cfg.m_list
     dist = cfg.distribution(m)
     policies = [(name, m - off) for name, off in OVERHEAD_POLICIES if m - off >= 2]

@@ -33,8 +33,7 @@ from distbeam.experiments import (
     EXP_OVERHEAD,
     ExperimentConfig,
     rng_stream,
-    run_efficiency_vs_n,
-    run_overhead_tradeoff,
+    run_experiment,
 )
 from distbeam.selfcheck import grid_oracle_violations
 
@@ -103,7 +102,7 @@ def test_criterion_04_efficiency_curves():
     efficiency above 0.95 at N=4 and above 0.999 at N=8, with the bound
     curve below the efficiency curve at every point."""
     cfg = ExperimentConfig(experiment=EXP_EFFICIENCY, trials=1000, seed=104)
-    res = run_efficiency_vs_n(cfg)
+    res = run_experiment(cfg)
     curves = {name: dict(zip(c.xs, c.means.tolist())) for name, c in res.curves.items()}
     ok = True
     msgs = []
@@ -261,7 +260,7 @@ def test_criterion_09_overhead_orderings():
     )
     m = cfg.m_list[0]
     t_train = cfg.n_adapt * (m - 1)
-    res = run_overhead_tradeoff(cfg)
+    res = run_experiment(cfg)
     curves = {name: dict(zip(c.xs, c.means.tolist())) for name, c in res.curves.items()}
     all_on = curves["all_on"]
     no_adapt = curves["no_adaptation"]

@@ -21,7 +21,7 @@ from distbeam import (
 )
 from distbeam.baseline import _BLOCK_DOUBLES, DEFAULT_SCALE, DIST_GAUSSIAN, DIST_UNIFORM
 from distbeam.angles import wrap_angle
-from distbeam.experiments import _DOMAIN, EXP_CONVERGENCE, ExperimentConfig, rng_stream
+from distbeam.experiments import EXP_CONVERGENCE, EXPERIMENTS, ExperimentConfig, rng_stream
 from distbeam.power import EXACT, MODE_ADDITIVE_NOISE, TrialStack, _pair_sum, _phasor_power
 from distbeam.selfcheck import phasor_oracle_powers
 
@@ -364,7 +364,7 @@ def test_fmod_wrap_moves_no_candidate_of_the_benchmark_trace(monkeypatch):
     with its wrap replaced by the ``np.mod`` form ``where_wrap`` gives the
     same five trace columns by bytes."""
     cfg = ExperimentConfig(EXP_CONVERGENCE, m_list=(5, 10, 20, 40), intervals=5000)
-    domain = _DOMAIN[cfg.experiment]
+    domain = EXPERIMENTS[cfg.experiment].domain
     assert (cfg.seed, domain) == (12345, 3)
     pert = PerturbationConfig(scale=cfg.perturb_scale, max_intervals=cfg.intervals)
     for m in cfg.m_list:

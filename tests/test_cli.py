@@ -220,24 +220,51 @@ def test_bad_source_date_epoch_is_a_usage_error_before_any_draw(capsys, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ("efficiency-vs-N", "--m-list", "1", "--trials", "3000000"),
-    ("efficiency-vs-N", "--m-list", "5,1", "--trials", "3000000"),
-    ("convergence-comparison", "--m-list", "40,1", "--intervals", "100000"),
-], ids=["efficiency-1", "efficiency-5,1", "convergence-40,1"])
+_TWO_TX = "protocol needs at least two transmitters"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("efficiency-vs-N", "--m-list", "1", "--trials", "3000000"), _TWO_TX),
+    (("efficiency-vs-N", "--m-list", "5,1", "--trials", "3000000"), _TWO_TX),
+    (("convergence-comparison", "--m-list", "40,1", "--intervals", "100000"), _TWO_TX),
+    (("power-vs-M", "--m-list=-1,3"), "m_list -1: need at least one transmitter"),
+    (("power-vs-M", "--m-list", "3,0"), "m_list 0: need at least one transmitter"),
+], ids=["efficiency-1", "efficiency-5,1", "convergence-40,1", "power--1,3", "power-3,0"])
 def test_a_system_of_one_transmitter_is_rejected_before_any_draw(capsys, tmp_path,
-                                                                monkeypatch, argv):
+                                                                monkeypatch, argv, message):
     """Each listed size is checked before the first draw. These failed only
     inside the protocol engine: M = 1 after drawing 3,000,000 trials, and
-    M = 1 after M = 5 or M = 40 had run."""
+    M = 1 after M = 5 or M = 40 had run. power-vs-M, which runs M = 1,
+    drew M = 3 first and then built M = -1 from its first two links, or
+    said only ``scenario needs at least one channel`` for M = 0."""
     def no_draw(*args, **kwargs):
         raise AssertionError("a trial was drawn")
 
     monkeypatch.setattr(experiments, "trial_stack", no_draw)
     monkeypatch.setattr(experiments, "generate_scenario", no_draw)
     code, out, err = run_cli(capsys, "exp", *argv, "--out", str(tmp_path))
-    assert (code, out, err) == (EXIT_USAGE, "", "error: protocol needs at least two transmitters\n")
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("protocol", "--M", "3", "--N", "2", "--out", ""), None, "--out must not be empty"),
+    (("exp", "power-vs-M", "--out", ""), None, "out_dir must not be empty"),
+    (("exp", "power-vs-M"), "out_dir =\n", "out_dir must not be empty"),
+], ids=["protocol", "exp", "exp-config"])
+def test_an_empty_output_directory_is_a_usage_error(capsys, tmp_path, monkeypatch,
+                                                    argv, config, message):
+    """``protocol --out ""`` ran and wrote nothing with exit 0, and ``exp``
+    wrote its experiment's directory into the working directory."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ("--config", str(tmp_path / "run.cfg"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+    assert list(cwd.iterdir()) == []
 
 
 def test_exp_deterministic_across_workers(capsys, tmp_path, monkeypatch):

@@ -23,12 +23,12 @@ from distbeam import (
     streams,
 )
 from distbeam.experiments import (
-    _DOMAIN,
     EXP_CONVERGENCE,
     EXP_EFFICIENCY,
     EXP_OVERHEAD,
     EXP_POWER,
     EXPERIMENT_KEYS,
+    EXPERIMENTS,
     Curve,
     ExperimentConfig,
     ExperimentResult,
@@ -134,6 +134,50 @@ def test_config_rejects_repeated_sweep_entries(name):
         config_from_mapping({"experiment": exp, name: ",".join(map(str, values))})
     distinct = tuple(dict.fromkeys(values))
     assert getattr(small_cfg(exp, **{name: distinct}), name) == distinct
+
+
+#: A small run of each experiment that a test runs
+_SMALL = {EXP_EFFICIENCY: dict(trials=2, m_list=(2,), n_list=(1,)),
+          EXP_OVERHEAD: dict(trials=2, budgets=(5,))}
+
+
+@pytest.mark.parametrize("experiment, key, value, text", [
+    (EXP_OVERHEAD, "count_training_energy", "no", "no"),
+    (EXP_EFFICIENCY, "n_list", [1, 2], "1,2"),
+    (EXP_EFFICIENCY, "trials", np.int64(3), "3"),
+    (EXP_EFFICIENCY, "trials", "5", "5"),
+    (EXP_OVERHEAD, "budgets", (25.5,), None),
+    (EXP_EFFICIENCY, "trials", 2.5, None),
+    (EXP_EFFICIENCY, "n_list", (1.5,), None),
+    (EXP_EFFICIENCY, "trials", True, None),
+], ids=["bool-word", "list", "int64", "text", "fractional-budget", "fractional-trials",
+        "fractional-n", "bool-for-int"])
+def test_a_keyword_value_is_read_as_its_config_text(tmp_path, experiment, key, value, text):
+    """A keyword value is parsed from its config-file text, as a file line
+    or a flag is. Stored as given, "no" ran the credited-energy path, a list
+    made the config unhashable with its own config_hash, a fractional budget
+    ran, a fractional count ended mid-run in a TypeError, and an int64 left
+    a metadata.json cut off at its value. A value that does not parse (text
+    None) is a ValueError naming its key, raised before any draw."""
+    kw = _SMALL[experiment] | {key: value}
+    if text is None:
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            ExperimentConfig(experiment, **kw)
+        return
+    cfg = ExperimentConfig(experiment, **kw)
+    small = config_to_mapping(ExperimentConfig(experiment, **_SMALL[experiment]))
+    filed = config_from_mapping({k: str(v) for k, v in small.items()} | {key: text})
+    assert cfg == filed and hash(cfg) == hash(filed)
+    assert config_hash(cfg) == config_hash(filed)
+    run_experiment(cfg).write(tmp_path)
+    with open(tmp_path / experiment / "metadata.json") as fh:
+        assert json.load(fh)[key] == config_to_mapping(filed)[key]
+
+
+def test_each_experiment_draws_from_its_own_stream_domain():
+    """Every output depends on these tags; they keep the experiments' draws disjoint."""
+    assert {name: spec.domain for name, spec in EXPERIMENTS.items()} == {
+        EXP_EFFICIENCY: 1, EXP_POWER: 2, EXP_CONVERGENCE: 3, EXP_OVERHEAD: 4}
 
 
 def test_parse_config_text():
@@ -459,7 +503,7 @@ def test_config_values_must_be_strings(key, value):
         config_from_mapping({"experiment": experiment, key: value})
 
 
-@pytest.mark.parametrize("experiment", sorted(_DOMAIN))
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_config_scenario_defaults_are_the_distributions(experiment):
     """ExperimentConfig's scenario fields default to ScenarioDistribution's."""
     cfg = ExperimentConfig(experiment=experiment)
@@ -481,7 +525,7 @@ def test_efficiency_experiment_small():
             assert bounds[n] <= etas[n] + 1e-12
         assert etas[4] > etas[1]
     # every row averages exactly the scalar path's per-trial runs
-    domain = _DOMAIN[EXP_EFFICIENCY]
+    domain = EXPERIMENTS[EXP_EFFICIENCY].domain
     for m in (3, 5):
         dist = cfg.distribution(m)
         scens = [generate_scenario(dist, rng_stream(cfg.seed, domain, m, t))[0]
@@ -530,7 +574,7 @@ def test_power_vs_m_rows_equal_per_size_calls():
     res = run_experiment(cfg)
     assert list(res.curves) == ["adapted_N1", "adapted_N4", "adapted_N9",
                                 "no_adaptation", "optimal"]
-    full, _ = generate_scenario(cfg.distribution(12), rng_stream(cfg.seed, _DOMAIN[EXP_POWER]))
+    full, _ = generate_scenario(cfg.distribution(12), rng_stream(cfg.seed, EXPERIMENTS[EXP_POWER].domain))
     for m in (1, 2, 3, 12):
         s = Scenario(full.transmit_power, full.conversion_eff,
                      full.gains[:m], full.phase_shifts[:m])
