@@ -17,6 +17,7 @@ shares its rule.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -211,9 +212,25 @@ def adapt_phase(
         raise ValueError(f"adapting transmitter {m} must lie in 0..{s.num_transmitters - 1}")
     if pa.active[m]:
         raise ValueError(f"transmitter {m} cannot be active while adapting")
-    noise = (meas.rng.normal(0.0, meas.noise_std, size=2 * n_intervals)
-             if meas.noisy else None)
+    noise = None
+    if meas.noisy:
+        # the stage's draw is the one row of a run's
+        noise, = _stage_noise(meas.rng.normal(0.0, meas.noise_std, size=2 * n_intervals)[None],
+                              n_intervals)
     return _train_stage(s, ss, m, n_intervals, noise)
+
+
+def _stage_noise(draw: np.ndarray, n_intervals: int):
+    """Each stage's ``noise`` for :func:`_train_stage`, from a (stages, 2 *
+    n_intervals) draw, one row a stage: the values its loop reads as Python
+    floats, every row's converted at once, and the rest as a (rest, 2)
+    array view, or None if there is no rest. So at most 2 *
+    (``_MOVING_INTERVALS`` + 1) values a stage become floats, whatever its
+    budget."""
+    looped = 2 * min(n_intervals, _MOVING_INTERVALS + 1)
+    tails = (draw[:, looped:].reshape(len(draw), -1, 2) if draw.shape[1] > looped
+             else itertools.repeat(None))
+    return zip(draw[:, :looped].tolist(), tails)
 
 
 def _train_stage(
@@ -221,14 +238,16 @@ def _train_stage(
     ss: SumSignal,
     m: int,
     n_intervals: int,
-    noise: np.ndarray | None,
+    noise: tuple[list[float], np.ndarray | None] | None,
 ) -> tuple[float, TrainingTrace]:
     """The bisection loop of :func:`adapt_phase` against a combined signal.
 
-    ``noise`` is None under exact measurement, else the stage's
-    2 * n_intervals noise values, drawn by the caller in reading order
-    (psi's, then psi_prime's, interval by interval). Each reading is its
-    probe power plus its noise value, clamped at 0 as
+    ``noise`` is None under exact measurement, else the stage's (head,
+    tail) from :func:`_stage_noise`: its 2 * n_intervals noise values,
+    drawn by the caller in reading order (psi's, then psi_prime's,
+    interval by interval), the looped intervals' a list of Python floats
+    and the rest a (rest, 2) array or None. Each reading is its probe
+    power plus its noise value, clamped at 0 as
     :func:`~distbeam.power.measure` would.
 
     Each interval up to the first whose probes repeat (interval
@@ -240,10 +259,10 @@ def _train_stage(
     columns at once.
     """
     looped = min(n_intervals, _MOVING_INTERVALS + 1)
-    head = None if noise is None else noise[:2 * looped].tolist()
+    head, tail = (None, None) if noise is None else noise
     rows = []
-    arc = initial_arc()
-    for n in range(1, looped + 1):
+    arc = _FULL_CIRCLE   # initial_arc(), without the call
+    for n in range(0, 2 * looped, 2):   # head[n] and head[n + 1] are the interval's noise
         psi, psi_prime = probe_pair(arc)
         p = partial_power(s, ss, m, psi)
         p_prime = partial_power(s, ss, m, psi_prime)
@@ -252,9 +271,9 @@ def _train_stage(
             q_psi, q_psi_prime = p + 0.0, p_prime + 0.0
         else:
             # max(0.0, x) inline, NaN and -0.0 included
-            q_psi = p + head[2 * n - 2]
+            q_psi = p + head[n]
             q_psi = q_psi if q_psi > 0.0 else 0.0
-            q_psi_prime = p_prime + head[2 * n - 1]
+            q_psi_prime = p_prime + head[n + 1]
             q_psi_prime = q_psi_prime if q_psi_prime > 0.0 else 0.0
         bit = feedback_bit(q_psi, q_psi_prime)
         arc = bisect_arc(arc, bit)
@@ -262,9 +281,8 @@ def _train_stage(
         rows.append((psi, psi_prime, q_psi, q_psi_prime, bit, center, half))
     columns = tuple(zip(*rows))
     if n_intervals > looped:
-        columns = _repeat_last(columns, n_intervals - looped, p, p_prime,
-                               None if noise is None else noise[2 * looped:].reshape(-1, 2))
-    return center, TrainingTrace(*columns, aligned_phase(s, ss, m), ss.gain)
+        columns = _repeat_last(columns, n_intervals - looped, p, p_prime, tail)
+    return center, TrainingTrace._make((*columns, aligned_phase(s, ss, m), ss.gain))
 
 
 def _repeat_last(columns: tuple, rest: int, p: float, p_prime: float,

@@ -288,20 +288,29 @@ def _prefix_sums(gains, phase_shifts, phases):
     the last axis of one scenario's or a trial stack's arrays. ``phases[...,
     k]`` is read only when link k is reached. Terms add left to right from
     the first, like a scalar loop: np.sum's pairwise order would move the
-    last bits of every stage target and probe power."""
-    # views, so the caller's writes show; a row index keeps a scenario's scalars
-    amp, shifts, phases = np.sqrt(gains).T, phase_shifts.T, phases.T
+    last bits of every stage target and probe power.
+
+    One scenario's sum runs in Python floats, on ``math.cos`` and
+    ``math.sin``: on float64 they equal ``np.cos`` and ``np.sin`` bit for
+    bit (``test_math_cos_and_sin_equal_numpys_bit_for_bit``), so its sums
+    are a stack row's. A stack's are arrays over its trials."""
+    if phases.ndim == 1:
+        amp, shifts, cos, sin = np.sqrt(gains).tolist(), phase_shifts.tolist(), math.cos, math.sin
+        phase = phases.item   # a float; the array stays a view, so the caller's writes show
+    else:
+        amp, shifts, cos, sin = np.sqrt(gains).T, phase_shifts.T, np.cos, np.sin
+        phase = phases.T.__getitem__
     re = im = None
-    for k in range(len(amp)):
-        a, delta = amp[k], shifts[k] - phases[k]
-        dre, dim = a * np.cos(delta), a * np.sin(delta)
+    for k, (a, shift) in enumerate(zip(amp, shifts)):
+        delta = shift - phase(k)
+        dre, dim = a * cos(delta), a * sin(delta)
         re, im = (dre, dim) if re is None else (re + dre, im + dim)
         yield re, im
 
 
-def _phasor_signal(re, im) -> SumSignal:
-    """The SumSignal of a conjugate phasor sum re + j*im; zero gives (0, 0)."""
-    re, im = float(re), float(im)
+def _phasor_signal(re: float, im: float) -> SumSignal:
+    """The SumSignal of a conjugate phasor sum re + j*im, given as Python
+    floats; zero gives (0, 0)."""
     gain = re * re + im * im
     if gain == 0.0:
         return SumSignal(0.0, 0.0)

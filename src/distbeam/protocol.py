@@ -10,6 +10,7 @@ have closed forms that this module implements and cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from typing import NamedTuple
@@ -24,6 +25,7 @@ from .adapt import (
     _check_budget,
     _final_centres,
     _interval_loop,
+    _stage_noise,
     _train_stage,
 )
 from .channel import Scenario
@@ -74,8 +76,9 @@ def run_protocol(
     fixed before it (``power._prefix_sums``). A noisy ``meas`` gives the
     run's 2 * n_intervals * (M - 1) noise values in one draw from its
     generator, in stage order, and each stage reads its 2 * n_intervals of
-    them; one draw of n values equals n single draws, so every reading and
-    the generator's final state are those of a draw per stage.
+    them (``adapt._stage_noise``); one draw of n values equals n single
+    draws, so every reading and the generator's final state are those of
+    a draw per stage.
     """
     m_total = s.num_transmitters
     _check_run(m_total, n_intervals)
@@ -83,17 +86,17 @@ def run_protocol(
     checked_optima(np.array([q_star]), np.array([s.power_scale]), ["the scenario"])
     phases = np.zeros(m_total)
     traces: list[TrainingTrace] = []
-    errors = np.zeros(m_total)
-    noise = (meas.rng.normal(0.0, meas.noise_std, size=(m_total - 1, 2 * n_intervals))
-             if meas.noisy else None)
+    errors = [0.0]
+    noise = (_stage_noise(meas.rng.normal(0.0, meas.noise_std, size=(m_total - 1, 2 * n_intervals)),
+                          n_intervals)
+             if meas.noisy else itertools.repeat(None))
     # every link but the last, as views: each stage reads the phases fixed before it
     sums = _prefix_sums(s.gains[:-1], s.phase_shifts[:-1], phases[:-1])
-    for m, (re, im) in enumerate(sums, 1):
-        phi_m, trace = _train_stage(s, _phasor_signal(re, im), m, n_intervals,
-                                    None if noise is None else noise[m - 1])
+    for m, (re, im), stage_noise in zip(itertools.count(1), sums, noise):
+        phi_m, trace = _train_stage(s, _phasor_signal(re, im), m, n_intervals, stage_noise)
         phases[m] = phi_m
         traces.append(trace)
-        errors[m] = wrap_angle(phi_m - trace.target_phase)
+        errors.append(wrap_angle(phi_m - trace.target_phase))
     q_d = float(harvested_powers(TrialStack(s.gains, s.phase_shifts, s.power_scale), phases))
     return ProtocolResult(
         final_phases=phases,
@@ -101,7 +104,7 @@ def run_protocol(
         q_star=q_star,
         eta=q_d / q_star,
         traces=tuple(traces),
-        errors=errors,
+        errors=np.array(errors),
         total_feedback_intervals=n_intervals * (m_total - 1),
     )
 

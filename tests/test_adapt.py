@@ -228,6 +228,30 @@ def test_stage_cost_is_bounded_past_the_convergence_floor(monkeypatch, rng):
         assert peak < per_interval * n + 2**20, (n, std, peak / n)
 
 
+def test_protocol_cost_is_bounded_past_the_convergence_floor():
+    """The same bounds for run_protocol at M = 3, whose two stages read one
+    noise draw: under 2 s a stage (the run takes about 0.1 s exact at N =
+    10**6 and 0.04 s noisy at N = 10**5 on 2 cores), and a stage's bytes per
+    interval. So no stage turns its 2N noise values into Python floats,
+    which would add 32 bytes per interval of the run at the least."""
+    s = random_scenario(np.random.default_rng(3), 3)
+    for n, std, per_interval in ((10**6, 0.0, EXACT_BYTES), (10**5, 1e-6, NOISY_BYTES)):
+        meas = lambda: (MeasurementModel(MODE_ADDITIVE_NOISE, std, np.random.default_rng(9))
+                        if std else MeasurementModel())
+        start = time.perf_counter()
+        result = run_protocol(s, n, meas())
+        assert time.perf_counter() - start < 2.0 * 2, std
+        assert [len(t.bit) for t in result.traces] == [n, n]
+        del result
+        tracemalloc.start()
+        try:
+            run_protocol(s, n, meas())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < per_interval * 2 * n + 2**20, (n, std, peak / (2 * n))
+
+
 def _bits(x):
     """A value as comparable bits: each float by ``float.hex``, each array
     by its bytes, every type kept, so 0.0 differs from -0.0 and a Python

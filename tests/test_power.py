@@ -15,6 +15,7 @@ from distbeam import (
     measure,
     optimal_power,
     partial_power,
+    power,
     run_protocol,
     sum_signal,
     wrap_angle,
@@ -255,6 +256,44 @@ def test_sum_signal_equals_two_cumsums_bit_for_bit():
         got, want = sum_signal(s, pa), two_cumsum_sum_signal(s, pa)
         assert float_bits(got.gain, got.phase_shift) == float_bits(want.gain, want.phase_shift), k
         assert type(got.gain) is float and type(got.phase_shift) is float
+
+
+def test_math_cos_and_sin_equal_numpys_bit_for_bit():
+    """One scenario's running phasor sum (``power._prefix_sums``) and
+    ``partial_power`` call ``math.cos`` and ``math.sin``; a stack's sum and
+    ``adapt._interval_loop`` call ``np.cos`` and ``np.sin``. The paths agree
+    bit for bit only if the functions do: here on 10**6 angles in
+    [-4 pi, 4 pi], as a 1-D array and as numpy scalars (what the scalar sum
+    once ran on), and on every offset of verify's partial-power check, the
+    running sums' shift - phase and the joining link's phase - target."""
+    x = np.random.default_rng(43).uniform(-4 * math.pi, 4 * math.pi, 10**6)
+    offsets = []
+    for s, phases, m, active in partial_power_instances():
+        offsets += (s.phase_shifts - phases).tolist()
+        ss = sum_signal(s, PhaseAssignment(phases, active))
+        offsets.append(float(phases[m]) - (float(s.phase_shifts[m]) - ss.phase_shift))
+    for angles in (x, np.array(offsets)):
+        for scalar, array in ((math.cos, np.cos), (math.sin, np.sin)):
+            want = array(angles)
+            assert float_bits(*map(scalar, angles.tolist())) == want.tobytes(), scalar
+            assert float_bits(*map(array, angles)) == want.tobytes(), array
+
+
+def test_one_scenarios_running_sums_are_python_floats():
+    """1-D ``_prefix_sums`` yields Python floats, not 0-d numpy values, and
+    reads each phase when its link is reached, so a caller's write to a
+    later link shows."""
+    s = random_scenario(np.random.default_rng(5), 4)
+    phases = np.zeros(4)
+    sums = power._prefix_sums(s.gains, s.phase_shifts, phases)
+    for k, (re, im) in enumerate(sums):
+        assert type(re) is float and type(im) is float, k
+        if k + 1 < len(phases):
+            phases[k + 1] = 0.5 * (k + 1)
+    ss = sum_signal(s, PhaseAssignment(phases))
+    assert float_bits(*power._phasor_signal(re, im)) == float_bits(*ss)
+    stacked = list(power._prefix_sums(s.gains[None], s.phase_shifts[None], phases[None]))
+    assert float_bits(*stacked[-1][0], *stacked[-1][1]) == float_bits(re, im)
 
 
 def test_sum_signal_matches_complex_oracle(rng):
