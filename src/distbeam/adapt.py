@@ -366,9 +366,20 @@ def _cells(target, base, swing, scale, n_intervals):
     The loop rounds. Each angle it uses, a tree centre after at most 8
     wrapped bisections, a probe and its difference with t, is within
     19 * 2**-50 of its exact value (2.2 * 2**-50 over the stored tree), and
-    ``np.cos`` adds at most 4 ulp of 1 (2**-50); together they stay below
-    2 * eps, eps = ``_ANGLE_ERROR`` = 64 * 2**-50. So each probe power base + swing * cos is within
-    swing * 2 * eps + ulp(base + swing) of its exact value, the product
+    ``np.cos`` adds at most 4 ulp of 1 (2**-50). The t tested here is the
+    caller's ``np.arctan2`` target, while the loop runs on the scalar
+    stage's ``math.atan2`` one (:func:`_final_centres`). The two angles lie
+    in [-pi, pi] and differ by at most one ulp, 2**-51; each target is a
+    phase shift in [-pi, pi) less its angle, so it lies in (-2 pi, 2 pi],
+    where rounding moves it by at most half an ulp, 2**-51. So the two
+    targets differ by at most 3 * 2**-51 = 1.5 * 2**-50, and measured from
+    the tested t, the loop's difference of a probe with its own target is
+    off by at most that much more. Together the terms come to 21.5 * 2**-50,
+    below 2 * eps, eps = ``_ANGLE_ERROR`` = 64 * 2**-50
+    (``test_numpy_and_math_atan2_targets_differ_within_the_margins_budget``
+    checks the one-ulp gap and the sum). So each probe power base +
+    swing * cos is within swing * 2 * eps + ulp(base + swing) of its exact
+    value at the tested t, the product
     swing * cos and the sum each rounding by half an ulp of at most
     base + swing (base >= swing). Scaling is monotone: it can only merge
     two powers into a tie, which keeps psi, and it cannot merge ones that
@@ -379,7 +390,9 @@ def _cells(target, base, swing, scale, n_intervals):
             > 2 * scale * ulp(base + swing) + 2**-1075.
     Here delta is the computed distance to the nearest boundary less eps,
     which bounds the rounding of the cell position (a few ulp of 2 pi)
-    and so also makes j the exact cell; and ulp is taken of the rounded
+    and so also makes j the exact cell; a row that passes has delta >
+    pi * eps, far above the 1.5 * 2**-50 between the two targets, so j is
+    the loop's target's cell too. And ulp is taken of the rounded
     base + swing, doubled for a rounding across a binade, with the
     constant doubled to 2**-1074 to match. A zero swing (a zero gain or a
     zero combined signal) or a swing below the rounding of base, where
@@ -397,7 +410,7 @@ def _cells(target, base, swing, scale, n_intervals):
     return np.where(clear, cell, 0.0).astype(np.intp), clear
 
 
-def _final_centres(target, base, swing, scale, n_intervals) -> np.ndarray:
+def _final_centres(target, base, swing, scale, n_intervals, exact) -> np.ndarray:
     """The arc centres after :func:`_interval_loop`'s last interval, bit for
     bit, each row's after its own budget: ``n_intervals`` is one N or one per
     row, at most ``_MOVING_INTERVALS`` (the loop moves no arc after it). A
@@ -405,7 +418,12 @@ def _final_centres(target, base, swing, scale, n_intervals) -> np.ndarray:
     position on the circle, so its final phase is the centre of the depth-N
     tree arc that holds the target (:func:`_cells`). The rows too near a
     comparison tie, and the rows with N > ``_TREE_DEPTH``, run one loop
-    instead, which keeps each row's centres after its N-th interval."""
+    instead, which keeps each row's centres after its N-th interval.
+
+    ``target`` may differ from the scalar stage's target in the last ulp
+    (``np.arctan2`` against ``math.atan2``); :func:`_cells`' margin covers
+    that gap. The loop follows the ulp at a tie, so its rows run on
+    ``exact(rows)``, the targets the scalar stage takes."""
     n = np.broadcast_to(n_intervals, np.shape(target))
     depth = np.minimum(n, _TREE_DEPTH)
     cell, clear = _cells(target, base, swing, scale, depth)
@@ -414,7 +432,7 @@ def _final_centres(target, base, swing, scale, n_intervals) -> np.ndarray:
     del depth, cell, clear     # freed before the loop's own arrays
     if rows.size:
         stop = n[rows]
-        intervals = _interval_loop(target[rows], base[rows], swing[rows], scale[rows],
+        intervals = _interval_loop(exact(rows), base[rows], swing[rows], scale[rows],
                                    int(stop.max()))
         for k, (_, _, center) in enumerate(intervals, 1):
             done = stop == k

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
@@ -83,7 +84,8 @@ def run_protocol(
     m_total = s.num_transmitters
     _check_run(m_total, n_intervals)
     q_star = optimal_power(s)
-    checked_optima(np.array([q_star]), np.array([s.power_scale]), ["the scenario"])
+    if not sys.float_info.min <= q_star < math.inf:
+        checked_optima(np.array([q_star]), np.array([s.power_scale]), ["the scenario"])
     phases = np.zeros(m_total)
     traces: list[TrainingTrace] = []
     errors = [0.0]
@@ -116,14 +118,15 @@ def exact_runs(stack: TrialStack, n_intervals: int) -> tuple[np.ndarray, np.ndar
     Returns a (T, M) and a (T, N*(M-1)) array, one row per trial; the
     powers are the runs' ``TrainingTrace.interval_powers``, stage after
     stage. Every stage runs :func:`~distbeam.adapt._interval_loop` on
-    :func:`_stages`' signals. Memory is O(T*N*M). :func:`exact_phases`
+    :func:`_stages`' signals, every row on its ``math.atan2`` target, as
+    in :func:`run_protocol`. Memory is O(T*N*M). :func:`exact_phases`
     gives the phases alone, faster.
     """
     _check_run(stack.gains.shape[1], n_intervals)
     phases, stages = _stages(stack)
     powers = np.empty((len(phases), n_intervals * (phases.shape[1] - 1)))
-    for m, target, base, swing in stages:
-        intervals = _interval_loop(target, base, swing, stack.scale, n_intervals)
+    for m, _, exact, base, swing in stages:
+        intervals = _interval_loop(exact(slice(None)), base, swing, stack.scale, n_intervals)
         for k, (q_psi, q_psi_prime, center) in enumerate(intervals, (m - 1) * n_intervals):
             powers[:, k] = 0.5 * (q_psi + q_psi_prime)
         phases[:, m] = center
@@ -134,7 +137,11 @@ def exact_phases(stack: TrialStack, n_list: Sequence[int]) -> Iterator[np.ndarra
     """The final phases of :func:`exact_runs` at each budget of ``n_list``,
     bit for bit: one (T, M) array per budget, in ``n_list``'s order. Each
     stage's come from :func:`~distbeam.adapt._final_centres`: in closed form
-    where that is sure to agree, else by the interval loop.
+    where that is sure to agree, else by the interval loop. The closed
+    form's test reads every row's target off one ``np.arctan2``; the loop
+    runs its rows on their ``math.atan2`` targets, as :func:`exact_runs`
+    does, since the two may differ in the last ulp and the loop's ties
+    follow that ulp.
 
     The budgets run together, as the rows (budget, trial) of one stage
     recursion, in batches of at most max(T, ``streams._CHUNK_LINKS`` // M)
@@ -156,8 +163,8 @@ def exact_phases(stack: TrialStack, n_list: Sequence[int]) -> Iterator[np.ndarra
             phases, stages = _stages(rows)
             # the loop moves no arc after _MOVING_INTERVALS, so no budget needs more
             depth = np.repeat([min(n, _MOVING_INTERVALS) for n in budgets], trials)
-            for m, target, base, swing in stages:
-                phases[:, m] = _final_centres(target, base, swing, rows.scale, depth)
+            for m, target, exact, base, swing in stages:
+                phases[:, m] = _final_centres(target, base, swing, rows.scale, depth, exact)
             yield from phases.reshape(k, trials, m_total)
 
     return batches()
@@ -165,12 +172,14 @@ def exact_phases(stack: TrialStack, n_list: Sequence[int]) -> Iterator[np.ndarra
 
 def _stages(stack: TrialStack):
     """Return the (T, M) phase array of the stacked runs, transmitter 0 at
-    phase 0, and an iterator over stages m = 1..M-1 of (m, target, base,
-    swing): the stage's optimal phase and the two terms of its probe powers
-    base + swing * cos(probe - target), before the power scale. The running
-    phasor sum (``power._prefix_sums``) reads the phases the caller writes
-    for the earlier stages, and a zero sum reduces to ``SumSignal(0, 0)``,
-    as in :func:`run_protocol`."""
+    phase 0, and an iterator over stages m = 1..M-1 of (m, target, exact,
+    base, swing): the stage's optimal phase (:func:`_target`) on one
+    ``np.arctan2`` over every row; ``exact(rows)``, the targets of index
+    ``rows`` on ``math.atan2`` per row, as :func:`run_protocol`'s stages
+    take them (the two may differ in the last ulp); and the two terms of
+    its probe powers base + swing * cos(probe - target), before the power
+    scale. The running phasor sum (``power._prefix_sums``) reads
+    the phases the caller writes for the earlier stages."""
     gains, phase_shifts, _ = stack
     phases = np.zeros(gains.shape)
 
@@ -178,13 +187,24 @@ def _stages(stack: TrialStack):
         sums = _prefix_sums(gains[:, :-1], phase_shifts[:, :-1], phases[:, :-1])
         for m, (re, im) in enumerate(sums, 1):
             ss_gain = re * re + im * im
-            # math.atan2 per trial: np.arctan2 differs from it in the last ulp
-            ss_phase = np.array(list(map(math.atan2, im.tolist(), re.tolist())))
-            ss_phase[ss_gain == 0.0] = 0.0
-            g_m = gains[:, m]
-            yield m, phase_shifts[:, m] - ss_phase, g_m + ss_gain, 2.0 * np.sqrt(g_m * ss_gain)
+            shift, g_m = phase_shifts[:, m], gains[:, m]
+
+            def exact(rows, re=re, im=im, ss_gain=ss_gain, shift=shift):
+                angle = list(map(math.atan2, im[rows].tolist(), re[rows].tolist()))
+                return _target(shift[rows], ss_gain[rows], angle)
+
+            yield (m, _target(shift, ss_gain, np.arctan2(im, re)), exact,
+                   g_m + ss_gain, 2.0 * np.sqrt(g_m * ss_gain))
 
     return phases, stages()
+
+
+def _target(shift, ss_gain, angle):
+    """A stage's optimal phase: the joining link's ``shift`` less ``angle``,
+    the angle of the conjugate phasor sum, or less 0 where the sum's power
+    ``ss_gain`` is 0, as ``power._phasor_signal`` reduces a zero sum to
+    ``SumSignal(0, 0)``."""
+    return shift - np.where(ss_gain == 0.0, 0.0, angle)
 
 
 def _gain_sums(gains: np.ndarray):

@@ -452,14 +452,15 @@ def per_column_curve(xs, table: np.ndarray) -> Curve:
 
 def per_budget_phases(stack: TrialStack, n: int) -> np.ndarray:
     """``protocol.exact_phases`` at the one budget ``n``, as it ran before it
-    took a budget list: the stage recursion over the trials alone, each
-    stage's centres read off the depth-n table where ``adapt._cells`` clears
-    a row, and the interval loop for min(n, ``_MOVING_INTERVALS``)
-    intervals over the other rows, or over every row when n is past the
-    tree's depth."""
+    took a budget list: the stage recursion over the trials alone, every
+    row's target taken by ``math.atan2``, each stage's centres read off the
+    depth-n table where ``adapt._cells`` clears a row, and the interval loop
+    for min(n, ``_MOVING_INTERVALS``) intervals over the other rows, or over
+    every row when n is past the tree's depth."""
     trials = len(stack.gains)
     phases, stages = protocol._stages(stack)
-    for m, target, base, swing in stages:
+    for m, _, exact, base, swing in stages:
+        target = exact(slice(None))
         if n <= adapt._TREE_DEPTH:
             cell, clear = adapt._cells(target, base, swing, stack.scale, n)
             centres = adapt._DEPTH_CENTRES[2 ** n - 1 + cell]

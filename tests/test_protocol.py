@@ -23,7 +23,7 @@ from distbeam import (
     run_protocol,
     wrap_angle,
 )
-from distbeam import adapt, protocol, streams
+from distbeam import adapt, power, protocol, streams
 from distbeam.adapt import _TREE_DEPTH, TrainingTrace, adapt_phase, bisect_arc, initial_arc, probe_pair
 from distbeam.experiments import ExperimentConfig, run_experiment
 from distbeam.power import (
@@ -206,6 +206,62 @@ def test_exact_phases_where_every_comparison_ties(phases_of, gains):
     _assert_phases_match_runs(phases_of, scens, (1, 4, 8))
 
 
+def _scalar_target(s, phases, m):
+    """Stage m's target in run_protocol: transmitter m's phase shift less
+    the phase of the combined signal of transmitters 0..m-1 at ``phases``,
+    which ``math.atan2`` takes (0 against a zero signal)."""
+    active = np.arange(s.num_transmitters) < m
+    return s._shift_floats[m] - sum_signal(s, PhaseAssignment(phases, active)).phase_shift
+
+
+def test_the_interval_loop_runs_on_math_atan2_targets(monkeypatch, rng):
+    """Every target exact_phases hands the interval loop equals its row's
+    scalar stage target (:func:`_scalar_target`) bit for bit: the probe-tie
+    rows, which ``adapt._cells`` sends to the loop, and every row of a
+    random M = 5 stack past the tree's depth. Each ``_final_centres`` call
+    makes one ``_cells`` call and at most one loop call, and its loop rows
+    are the rows ``_cells`` does not clear or whose N exceeds the depth."""
+    cells, loop, final_centres = adapt._cells, adapt._interval_loop, protocol._final_centres
+    calls = []
+
+    def recorded_cells(*args):
+        cell, clear = cells(*args)
+        calls[-1]["clear"] = clear
+        return cell, clear
+
+    def recorded_loop(target, *args):
+        calls[-1]["target"] = target
+        return loop(target, *args)
+
+    def recorded_final_centres(target, base, swing, scale, n_intervals, exact):
+        calls.append({"n": n_intervals, "target": None})
+        return final_centres(target, base, swing, scale, n_intervals, exact)
+
+    monkeypatch.setattr(adapt, "_cells", recorded_cells)
+    monkeypatch.setattr(adapt, "_interval_loop", recorded_loop)
+    monkeypatch.setattr(protocol, "_final_centres", recorded_final_centres)
+    scens_5 = [random_scenario(rng, 5) for _ in range(30)]
+    scens_5[1] = _with_zero_gain(scens_5[1], 0)
+    near_ties = 0
+    tie_budgets = list(range(1, 13)) + [20, 41, 45]
+    for scens, budgets in ((_probe_tie_scenarios(), tie_budgets), (scens_5, [3, 9, 45])):
+        calls.clear()
+        trials, m_total = len(scens), scens[0].num_transmitters
+        list(protocol.exact_phases(stack_scenarios(scens), budgets))
+        assert len(calls) == m_total - 1    # one batch
+        runs = [run_protocol(s, n).final_phases for n in budgets for s in scens]
+        for m, call in enumerate(calls, 1):
+            deep = call["n"] > _TREE_DEPTH
+            rows = np.flatnonzero(~call["clear"] | deep)
+            want = [_scalar_target(scens[r % trials], runs[r], m) for r in rows.tolist()]
+            got = call["target"]
+            assert (got is None) == (rows.size == 0), m
+            if rows.size:
+                assert got.tobytes() == float_bits(*want), (m_total, m)
+            near_ties += int(np.count_nonzero(~call["clear"] & ~deep))
+    assert near_ties > 0    # rows at N <= 8 that the margin sent to the loop
+
+
 def _tree_centres(depth):
     """The tree arcs' centres at ``depth``, walking adapt's plain bisection."""
     arcs = [initial_arc()]
@@ -254,12 +310,15 @@ def test_exact_phases_across_power_scales_and_the_tree_depth(phases_of, rng):
 
 def test_exact_phases_equal_exact_runs(phases_of, rng):
     """exact_phases returns exact_runs' phases at every budget of
-    test_exact_runs_match_run_protocol, on stacks with zero-gain links."""
+    test_exact_runs_match_run_protocol, on stacks with zero-gain links and,
+    at M = 2, targets at the first probe tie (:func:`_probe_tie_scenarios`),
+    where a loop row run on the np.arctan2 target ends pi away."""
     budgets = list(range(1, 13)) + [20, 24, 26, 28, 30, 41, 42, 43, 44, 45]
     for m in (2, 5, 20):
         scens = [random_scenario(rng, m) for _ in range(40)]
         scens[1] = _with_zero_gain(scens[1], 0)
         scens[5] = _with_zero_gain(scens[5], m - 1)
+        scens += _probe_tie_scenarios() if m == 2 else []
         stack = stack_scenarios(scens)
         for n, phases in zip(budgets, phases_of(stack, budgets), strict=True):
             assert phases.tobytes() == exact_runs(stack, n)[0].tobytes(), (m, n)
@@ -464,6 +523,50 @@ def test_cells_margin_keeps_its_subnormal_step():
         assert got.tolist() == [clear], (steps, t)
 
 
+#: The terms of ``adapt._cells``' angle budget, as its docstring derives
+#: them: a tree centre, a probe and its difference with the target; the
+#: cosine; and the gap between a target on np.arctan2 and one on
+#: math.atan2, one ulp of the angle (2**-51 at |angle| <= pi) plus half an
+#: ulp (2**-51 in (-2 pi, 2 pi]) for rounding each of the two differences
+ANGLE_BUDGET = {"tree, probe and difference": 19 * 2.0 ** -50, "cosine": 2.0 ** -50,
+                "target gap": 3 * 2.0 ** -51}
+
+
+def test_numpy_and_math_atan2_targets_differ_within_the_margins_budget():
+    """``adapt._cells`` clears a row on its np.arctan2 target, and the
+    interval loop runs on the math.atan2 one, which run_protocol takes.
+    The margin covers the gap if np.arctan2 is within one ulp of
+    math.atan2, and so each target within ``ANGLE_BUDGET``'s target gap of
+    the other: here on 10**6 random finite bit patterns, 10**6 polar pairs
+    of log-uniform magnitude, every signed-zero and subnormal combination,
+    and the combined signals of :func:`_probe_tie_scenarios`, each target
+    at a random phase shift in [-pi, pi). The sum of the budget's terms
+    stays below the 2 * ``_ANGLE_ERROR`` the margin allows."""
+    rng = np.random.default_rng(45)
+    n = 10 ** 6
+    patterns = rng.integers(0, 2 ** 63, size=(2, 2 * n), dtype=np.int64).view(np.float64)
+    patterns = patterns[:, np.isfinite(patterns).all(axis=0)][:, :n]
+    amp, angle = np.exp(rng.uniform(-700.0, 700.0, n)), rng.uniform(-math.pi, math.pi, n)
+    special = [0.0, -0.0, math.ulp(0.0), -math.ulp(0.0), 1e-310, -2.5e-320,
+               sys.float_info.min, 1.0, -1.0]
+    ties = stack_scenarios(_probe_tie_scenarios())
+    re, im = next(power._prefix_sums(ties.gains, ties.phase_shifts, np.zeros_like(ties.gains)))
+    pairs = [patterns, np.stack([amp * np.sin(angle), amp * np.cos(angle)]),
+             np.array(list(itertools.product(special, repeat=2))).T, np.stack([im, re])]
+    im, re = np.concatenate(pairs, axis=1)
+    by_numpy = np.arctan2(im, re)
+    by_math = np.array(list(map(math.atan2, im.tolist(), re.tolist())))
+    assert len(by_math) > 2 * n
+    assert (np.abs(by_numpy - by_math) <= np.spacing(np.abs(by_math))).all()
+    assert (np.abs(by_math) <= math.pi).all() and np.spacing(math.pi) == 2.0 ** -51
+    shift = rng.uniform(-math.pi, math.pi, len(re))
+    with np.errstate(over="ignore"):     # the random patterns' powers may overflow to inf
+        ss_gain = re * re + im * im
+    gap = np.abs(protocol._target(shift, ss_gain, by_numpy) - protocol._target(shift, ss_gain, by_math))
+    assert gap.max() <= ANGLE_BUDGET["target gap"]
+    assert sum(ANGLE_BUDGET.values()) < 2.0 * adapt._ANGLE_ERROR
+
+
 def test_efficiency_sweep_runs_the_closed_form(monkeypatch):
     """On the default efficiency-vs-N sweep (1,000 trials, seed 12345, M 5
     and 10, N 1-8) fewer than 1% of the 104,000 trial-stages reach the
@@ -650,6 +753,20 @@ def test_run_protocol_rejects_a_subnormal_optimum():
                f"least {sys.float_info.min}")
     with pytest.raises(ValueError, match=re.escape(message)):
         run(1e-310)
+
+
+def test_run_protocol_gives_checked_optimas_message_for_an_overflowing_optimum():
+    """run_protocol tests its one Q* as a float and calls checked_optima only
+    to raise: the message is checked_optima's own for the same optimum."""
+    s = Scenario(1e308, 1.0, [1e10, 1e10], [0.0, 0.0])
+    assert optimal_power(s) == math.inf
+    with pytest.raises(ValueError) as want:
+        power.checked_optima(np.array([optimal_power(s)]), np.array([s.power_scale]),
+                             ["the scenario"])
+    with pytest.raises(ValueError) as got:
+        run_protocol(s, 3)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("optimal power of the scenario is inf: power scale ")
 
 
 def test_noisy_readings_are_python_floats():
